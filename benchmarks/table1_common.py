@@ -17,9 +17,8 @@ see DESIGN.md §2 for the substitution argument):
 * ``mutex``            -- mutual-exclusion array (Figure 1 generalised),
   checked with its arbitration place declared.
 
-Each row is produced by :func:`run_table1_row`, which executes exactly the
-phases of :class:`repro.core.checker.ImplementabilityChecker` and returns
-the Table 1 columns.  The instances and their expected verdicts come from
+Each row is produced by :func:`run_table1_row`, which runs the default
+checks of :func:`repro.api.verify` and returns the Table 1 columns.  The instances and their expected verdicts come from
 the corpus registry, the single source of truth the ``batch-check`` CLI
 mode and the cross-engine tests validate against.
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import corpus
-from repro.core.checker import ImplementabilityChecker
+from repro.api import EngineConfig, verify
 from repro.report import ImplementabilityReport
 from repro.stg.stg import STG
 
@@ -64,10 +63,9 @@ def run_table1_row(family: str, scale: int,
                    traversal_strategy: str = "chained") -> Dict[str, object]:
     """Run the full symbolic check for one row and return its columns."""
     stg, arbitration = build_instance(family, scale)
-    checker = ImplementabilityChecker(
-        stg, arbitration_places=arbitration, ordering=ordering,
-        traversal_strategy=traversal_strategy)
-    report = checker.check()
+    report = verify(stg, EngineConfig(
+        arbitration_places=tuple(arbitration), ordering=ordering,
+        traversal_strategy=traversal_strategy))
     return report_to_row(family, scale, report)
 
 

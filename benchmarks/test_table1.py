@@ -20,7 +20,7 @@ from benchmarks.table1_common import (
     report_to_row,
     run_table1_row,
 )
-from repro.core.checker import ImplementabilityChecker
+from repro.api import EngineConfig, verify
 
 CASES = [(family, scale) for family, scales in BENCHMARK_ROWS
          for scale in scales]
@@ -31,10 +31,10 @@ CASES = [(family, scale) for family, scales in BENCHMARK_ROWS
 def test_table1_row(benchmark, family, scale):
     """Benchmark the full symbolic check of one Table 1 row."""
     stg, arbitration = build_instance(family, scale)
+    config = EngineConfig(arbitration_places=tuple(arbitration))
 
     def run():
-        checker = ImplementabilityChecker(stg, arbitration_places=arbitration)
-        return checker.check()
+        return verify(stg, config)
 
     report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     row = report_to_row(family, scale, report)

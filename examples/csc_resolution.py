@@ -17,7 +17,7 @@ Run with::
     python examples/csc_resolution.py
 """
 
-from repro.core import ImplementabilityChecker
+from repro.api import verify
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
@@ -35,7 +35,7 @@ def report(stg, title):
     print("=" * 72)
     print(title)
     print("=" * 72)
-    result = ImplementabilityChecker(stg).check()
+    result = verify(stg)
     print(result.summary())
     print()
     return result

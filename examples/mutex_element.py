@@ -19,7 +19,7 @@ Run with::
 
 import sys
 
-from repro.core import ImplementabilityChecker
+from repro.api import EngineConfig, verify
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
@@ -52,12 +52,12 @@ def main() -> None:
     print()
 
     # Persistency with and without arbitration (Definition 3.2 footnote).
-    plain = ImplementabilityChecker(stg).check()
+    plain = verify(stg)
     print("--- without declaring the arbitration point ---")
     print(plain.summary())
     print()
     arbitration = mutex_arbitration_places(stg)
-    tolerant = ImplementabilityChecker(stg, arbitration_places=arbitration).check()
+    tolerant = verify(stg, EngineConfig(arbitration_places=tuple(arbitration)))
     print(f"--- declaring {arbitration} as arbitration point(s) ---")
     print(tolerant.summary())
     print()

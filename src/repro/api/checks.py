@@ -32,9 +32,19 @@ were selected in, so reports stay deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.api.errors import UnknownCheckError
+from repro.report import ImplementabilityReport
 
 #: Sentinel selecting every check the engine supports (the sweep runner
 #: uses this so cached verdicts are always complete).
@@ -136,18 +146,35 @@ def resolve_checks(checks: Union[None, str, Iterable[str]],
 
 
 # ----------------------------------------------------------------------
-# Engine-side execution helpers (shared by every engine context)
+# Engine-side execution (shared by every engine context)
 # ----------------------------------------------------------------------
-def group_by_phase(selected: Iterable[str]):
-    """Group check names by their registry phase, preserving order."""
-    groups: List[Tuple[str, List[str]]] = []
-    for name in selected:
-        phase = CHECKS[name].phase
-        if groups and groups[-1][0] == phase:
-            groups[-1][1].append(name)
-        else:
-            groups.append((phase, [name]))
-    return groups
+def run_checks(context: object, checks: Sequence[str],
+               engine: str) -> ImplementabilityReport:
+    """The one check loop: apply ``checks`` to ``context``, return the report.
+
+    ``checks`` is a resolved selection (:func:`resolve_checks`);
+    ``context`` is the engine's verification context, providing ``stg``
+    and ``manager`` -- the BDD manager whose cache deltas each check span
+    records, read before every check because the symbolic encoding only
+    exists once the first check built it (``None`` without BDDs).  A
+    phase's entry in ``report.timings`` is the sum of its checks' span
+    durations, so report timings and traces cannot disagree.
+    """
+    from repro import obs  # lazy: keeps ``import repro.api`` light
+
+    stg = context.stg
+    sizes = stg.statistics()
+    report = ImplementabilityReport(
+        stg_name=stg.name, method=engine, num_places=sizes["places"],
+        num_transitions=sizes["transitions"], num_signals=sizes["signals"])
+    for name in checks:
+        spec = CHECKS[name]
+        with obs.timed("check", manager=context.manager, check=name,
+                       phase=spec.phase) as span:
+            apply_check(context, spec, report, engine)
+        report.timings[spec.phase] = (report.timings.get(spec.phase, 0.0)
+                                      + span.duration_s)
+    return report
 
 
 def apply_check(context: object, spec: CheckSpec, report: object,

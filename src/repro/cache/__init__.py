@@ -12,11 +12,11 @@ persisted after a cold run::
     store = BDDStore(".repro-bdd-cache")
     pipeline = VerificationPipeline(stg)
     bind_pipeline(pipeline, store, name=stg.name, config=config)
-    pipeline.run(checks=("csc",))   # traversal served from the store
+    pipeline.csc()                  # traversal served from the store
 
-The CLI exposes the store as ``--bdd-cache DIR`` (both on single checks
-and on ``batch-check`` sweeps, where every worker binds its pipeline
-through :class:`~repro.api.config.EngineConfig.bdd_cache_dir`).
+The facade binds it for you: ``EngineConfig(bdd_cache_dir=DIR)``, which
+is what the CLI's ``--bdd-cache DIR`` sets (both on single checks and on
+``batch-check`` sweeps, where every worker verifies through the facade).
 """
 
 from __future__ import annotations

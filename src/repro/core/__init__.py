@@ -25,23 +25,22 @@ The modules of this package implement Sections 4 and 5 of the paper:
 * :mod:`repro.core.pipeline` -- the
   :class:`~repro.core.pipeline.VerificationPipeline`: the shared
   encoding / image / reachable-BDD chain, computed once and reused by
-  every property check (and by synthesis),
-* :mod:`repro.core.checker` -- the
-  :class:`~repro.core.checker.ImplementabilityChecker` facade producing an
-  :class:`~repro.report.ImplementabilityReport`.
+  every property check (and by synthesis).
+
+Verification runs through :func:`repro.api.verify`, whose symbolic
+engine drives this package and produces an
+:class:`~repro.report.ImplementabilityReport`.
 """
 
 from repro.core.encoding import SymbolicEncoding
 from repro.core.traversal import symbolic_traversal
 from repro.core.pipeline import VerificationPipeline
-from repro.core.checker import ImplementabilityChecker
 from repro.report import ImplementabilityClass, ImplementabilityReport
 
 __all__ = [
     "SymbolicEncoding",
     "symbolic_traversal",
     "VerificationPipeline",
-    "ImplementabilityChecker",
     "ImplementabilityClass",
     "ImplementabilityReport",
 ]

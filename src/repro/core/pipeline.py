@@ -17,9 +17,9 @@ hands the cached intermediates to every checker:
 
 Individual property results are cached as well, so asking for the full
 report after probing a single property does not repeat work.  The
-:class:`~repro.core.checker.ImplementabilityChecker` facade is now a thin
-wrapper around this class, and the ``batch-check`` CLI mode drives one
-pipeline per benchmark-corpus entry.
+symbolic engine of :mod:`repro.engines` builds one pipeline per
+:func:`repro.api.run` call and runs the selected checks over it through
+the shared check loop (:func:`repro.api.checks.run_checks`).
 """
 
 from __future__ import annotations
@@ -45,20 +45,39 @@ from repro.core.safeness import check_safeness
 from repro.core.traversal import symbolic_traversal
 from repro.report import ImplementabilityReport
 from repro.stg.stg import STG
-from repro.utils.timing import PhaseTimer
 
 
 class VerificationPipeline:
     """One STG, one traversal, every property check.
 
-    Parameters mirror :class:`~repro.core.checker.ImplementabilityChecker`
-    (which delegates here); see its docstring for their meaning.
+    Parameters
+    ----------
+    stg:
+        The specification; every signal needs an initial value (see
+        :func:`repro.sg.builder.infer_initial_values`, or pass
+        ``initial_values=``).
+    arbitration_places:
+        Places whose conflicts between non-input signals model arbitration
+        and are tolerated by the persistency check (Definition 3.2
+        footnote).
+    ordering:
+        Variable-ordering strategy of
+        :class:`~repro.core.encoding.SymbolicEncoding`.
+    traversal_strategy:
+        ``"chained"`` (Figure 5) or ``"frontier"``.
+    initial_values:
+        Optional completion/override of the initial signal values (the
+        STG is copied before they are applied).
+    commutativity_fallback_states:
+        When fake conflicts are present, commutativity can no longer be
+        derived from fake-freedom (Section 5.4); if the reachable state
+        count is at most this bound the explicit commutativity check runs,
+        otherwise the verdict is left undecided.
 
     The chain properties (:attr:`encoding`, :attr:`image`, :attr:`reached`)
     and every property method are lazy and cached: the first access pays
-    the cost, later accesses are free.  Phase timings in the report of
-    :meth:`run` therefore measure only work that had not been triggered
-    earlier on the same pipeline.
+    the cost, later accesses are free.  Check timings therefore measure
+    only work that had not been triggered earlier on the same pipeline.
     """
 
     def __init__(self, stg: STG,
@@ -118,6 +137,12 @@ class VerificationPipeline:
                 self._encoding = SymbolicEncoding(self.stg,
                                                   ordering=self.ordering)
         return self._encoding
+
+    @property
+    def manager(self):
+        """The BDD manager, or ``None`` while no check has built the
+        encoding yet (reading it never triggers the encoding)."""
+        return self._encoding.manager if self._encoding is not None else None
 
     @property
     def image(self) -> SymbolicImage:
@@ -320,56 +345,3 @@ class VerificationPipeline:
         report.add_verdict("reversibility", reversibility.reversible,
                            [str(reversibility)]
                            if not reversibility.reversible else [])
-
-    # ------------------------------------------------------------------
-    # Full report
-    # ------------------------------------------------------------------
-    def run(self, include_liveness: bool = False,
-            checks=None) -> ImplementabilityReport:
-        """Run the selected property checks and build a report.
-
-        ``checks`` is a selection understood by
-        :func:`repro.api.checks.resolve_checks` (``None`` = the default
-        set); ``include_liveness=True`` is the pre-facade spelling that
-        appends the liveness extras to the default set.  Checks run
-        grouped by their registry phase (``T+C``, ``NI-p``, ``CSC``,
-        ``live``), sharing this pipeline's lazily computed chain, so
-        phase timings measure only work not triggered earlier.
-        """
-        from repro.api.checks import (
-            CHECKS,
-            apply_check,
-            group_by_phase,
-            resolve_checks,
-        )
-
-        selected = resolve_checks(checks, engine="symbolic")
-        if include_liveness and "liveness" not in selected:
-            selected.append("liveness")
-
-        stg = self.stg
-        stats = stg.statistics()
-        report = ImplementabilityReport(
-            stg_name=stg.name, method="symbolic",
-            num_places=stats["places"],
-            num_transitions=stats["transitions"],
-            num_signals=stats["signals"])
-        timer = PhaseTimer()
-
-        for phase, names in group_by_phase(selected):
-            with timer.phase(phase):
-                for name in names:
-                    manager = (self._encoding.manager
-                               if self._encoding is not None else None)
-                    with obs.span("check", manager=manager,
-                                  check=name, phase=phase):
-                        apply_check(self, CHECKS[name], report, "symbolic")
-
-        if self.traversal_ran:
-            traversal_stats = self.traversal_stats
-            report.num_states = traversal_stats.num_states
-            report.bdd_peak_nodes = traversal_stats.peak_nodes
-            report.bdd_final_nodes = traversal_stats.final_nodes
-            report.bdd_variables = traversal_stats.num_variables
-        report.timings = timer.as_dict()
-        return report

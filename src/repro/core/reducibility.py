@@ -14,8 +14,8 @@ symbolic representation:
   backward+forward traversal described at the end of Section 5.3.
 
 The third condition, commutativity, is covered through fake-conflict
-freedom (Section 5.4): a fake-free STG is commutative.  The checker
-(:mod:`repro.core.checker`) therefore derives the commutativity verdict
+freedom (Section 5.4): a fake-free STG is commutative.  The pipeline
+(:mod:`repro.core.pipeline`) therefore derives the commutativity verdict
 from the fake-conflict analysis and only falls back to the explicit check
 when fake conflicts are present.
 """

@@ -17,7 +17,6 @@ Two chaining strategies are provided:
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro import obs
@@ -109,9 +108,8 @@ def symbolic_traversal(encoding: SymbolicEncoding,
     # size, live nodes -- the dynamic-reordering trigger signal) only
     # cost anything when a tracer is active.
     tracer = obs.active()
-    with obs.span("traversal", manager=manager, strategy=strategy,
-                  seeded=seed is not None) as span:
-        start = time.perf_counter()
+    with obs.timed("traversal", manager=manager, strategy=strategy,
+                   seeded=seed is not None) as span:
         stats.observe_reached(reached.size())
         if observer is not None:
             observer(reached)
@@ -141,7 +139,6 @@ def symbolic_traversal(encoding: SymbolicEncoding,
             from_set = new
         stats.num_states = encoding.count_states(reached)
         stats.final_nodes = reached.size()
-        stats.wall_time_s = time.perf_counter() - start
         stats.cache_lookups = manager.cache_lookups - base_lookups
         stats.cache_hits = manager.cache_hits - base_hits
         span.annotate(iterations=stats.iterations,
@@ -149,6 +146,7 @@ def symbolic_traversal(encoding: SymbolicEncoding,
                       peak_nodes=stats.peak_nodes,
                       peak_live_nodes=stats.peak_live_nodes,
                       states=stats.num_states)
+    stats.wall_time_s = span.duration_s
     return reached, stats
 
 

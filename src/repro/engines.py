@@ -129,6 +129,7 @@ class SymbolicEngine:
 
     def run(self, stg: "STG", config: "EngineConfig",
             checks: Sequence[str]) -> EngineRun:
+        from repro.api.checks import run_checks
         from repro.core.pipeline import VerificationPipeline
 
         pipeline = VerificationPipeline(
@@ -148,10 +149,15 @@ class SymbolicEngine:
             # effectiveness counters aggregate across runs.
             bind_pipeline(pipeline, BDDStore.shared(config.bdd_cache_dir),
                           name=stg.name, config=config)
-        report = pipeline.run(checks=list(checks))
-        traversal = (pipeline.traversal_stats.to_dict()
-                     if pipeline.traversal_ran else None)
-        return EngineRun(report=report, traversal=traversal,
+        report = run_checks(pipeline, checks, self.name)
+        if not pipeline.traversal_ran:
+            return EngineRun(report=report, pipeline=pipeline)
+        stats = pipeline.traversal_stats
+        report.num_states = stats.num_states
+        report.bdd_peak_nodes = stats.peak_nodes
+        report.bdd_final_nodes = stats.final_nodes
+        report.bdd_variables = stats.num_variables
+        return EngineRun(report=report, traversal=stats.to_dict(),
                          pipeline=pipeline)
 
 
@@ -168,6 +174,7 @@ class ExplicitEngine:
 
     def run(self, stg: "STG", config: "EngineConfig",
             checks: Sequence[str]) -> EngineRun:
+        from repro.api.checks import run_checks
         from repro.sg.checker import ExplicitVerification
 
         context = ExplicitVerification(
@@ -176,7 +183,7 @@ class ExplicitEngine:
             arbitration_places=config.arbitration_places,
             max_states=config.max_states,
             deadline=config.deadline)
-        return EngineRun(report=context.run(checks=list(checks)))
+        return EngineRun(report=run_checks(context, checks, self.name))
 
 
 register("symbolic", SymbolicEngine())

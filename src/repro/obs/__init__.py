@@ -57,6 +57,7 @@ from repro.obs.trace import (
     active,
     event,
     span,
+    timed,
 )
 
 __all__ = [
@@ -79,6 +80,7 @@ __all__ = [
     "event",
     "read_trace_records",
     "span",
+    "timed",
     "tracing",
 ]
 

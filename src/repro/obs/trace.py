@@ -8,7 +8,9 @@ one ``ContextVar`` read and a ``None`` test, no allocation, no clock
 call.  The instrumentation baked into the kernel hot paths
 (:mod:`repro.core.traversal`, :mod:`repro.core.pipeline`) therefore
 costs nothing measurable when nobody asked for a trace; the tracked
-``tracing`` section of ``BENCH_sweep.json`` pins that overhead.
+``tracing`` section of ``BENCH_sweep.json`` pins that overhead.  The
+few sites whose duration also lands in a result use :func:`timed`,
+whose disabled path reads the clock and nothing else.
 
 **Enabled**: a :class:`Tracer` is activated for the current context
 (:func:`activated`, or the :func:`repro.obs.tracing` front door) and
@@ -72,6 +74,33 @@ class NullSpan:
 #: The shared disabled-path span; identity-comparable in tests.
 NULL_SPAN = NullSpan()
 
+#: The one clock every duration of a run is read from: traced spans and
+#: the untraced :func:`timed` path alike.
+CLOCK = time.perf_counter
+
+
+class ClockSpan(NullSpan):
+    """The disabled-path span of :func:`timed`: inert, but timed.
+
+    Like :class:`NullSpan` it is falsy and discards annotations and
+    events; unlike it, it reads :data:`CLOCK` on entry and exit, so
+    ``duration_s`` is valid after the block even when nobody traces.
+    """
+
+    __slots__ = ("duration_s", "_t0")
+
+    def __init__(self) -> None:
+        self.duration_s = 0.0
+        self._t0 = 0.0
+
+    def __enter__(self) -> "ClockSpan":
+        self._t0 = CLOCK()
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self.duration_s = CLOCK() - self._t0
+        return False
+
 
 def _manager_snapshot(manager) -> Dict[str, int]:
     stats = manager.cache_stats()
@@ -122,7 +151,7 @@ class Span:
         self.tracer._emit_event(self, name, attrs)
 
     def __enter__(self) -> "Span":
-        self._t0 = self.tracer._clock()
+        self._t0 = CLOCK()
         self.start_s = self._t0 - self.tracer.start
         if self._manager is not None:
             self._before = _manager_snapshot(self._manager)
@@ -130,7 +159,7 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> bool:
-        self.duration_s = self.tracer._clock() - self._t0
+        self.duration_s = CLOCK() - self._t0
         if self._before is not None:
             after = _manager_snapshot(self._manager)
             before = self._before
@@ -200,8 +229,7 @@ class Tracer:
                  meta: Optional[Mapping[str, object]] = None) -> None:
         from repro.obs.metrics import MetricsRegistry
 
-        self._clock = time.perf_counter
-        self.start = self._clock()
+        self.start = CLOCK()
         self.sinks = list(sinks)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.meta: Dict[str, object] = dict(meta or {})
@@ -241,7 +269,7 @@ class Tracer:
         self._finished = True
         record: Dict[str, object] = {
             "type": "end",
-            "wall_s": round(self._clock() - self.start, 6),
+            "wall_s": round(CLOCK() - self.start, 6),
         }
         snapshot = self.metrics.snapshot()
         if snapshot:
@@ -271,7 +299,7 @@ class Tracer:
             "type": "event",
             "span": span.span_id if span is not None else None,
             "name": name,
-            "at_s": round(self._clock() - self.start, 6),
+            "at_s": round(CLOCK() - self.start, 6),
         }
         if attrs:
             record["attrs"] = dict(attrs)
@@ -308,6 +336,21 @@ def span(name: str, manager=None, **attrs: object):
     tracer = _ACTIVE.get()
     if tracer is None:
         return NULL_SPAN
+    return tracer.span(name, manager=manager, **attrs)
+
+
+def timed(name: str, manager=None, **attrs: object):
+    """Like :func:`span`, but ``duration_s`` is valid after the block.
+
+    With a tracer active this *is* the traced :class:`Span`, otherwise a
+    fresh :class:`ClockSpan` on the same clock.  Use it wherever a
+    duration also lands in a result (report phase timings, traversal
+    wall time, worker entry durations): the result then carries the
+    traced number itself, so results and traces cannot disagree.
+    """
+    tracer = _ACTIVE.get()
+    if tracer is None:
+        return ClockSpan()
     return tracer.span(name, manager=manager, **attrs)
 
 

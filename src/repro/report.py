@@ -1,7 +1,6 @@
-"""Implementability reports shared by the explicit and symbolic checkers.
+"""Implementability reports shared by the explicit and symbolic engines.
 
-Both :class:`repro.sg.checker.ExplicitChecker` and
-:class:`repro.core.checker.ImplementabilityChecker` fill the same
+Both engines of :func:`repro.api.verify` fill the same
 :class:`ImplementabilityReport`, so results can be compared field by field
 (the test-suite does exactly that) and printed uniformly by the CLI, the
 examples and the benchmark harness.

@@ -48,7 +48,8 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     the engine emits.  Tracing never changes the result: the stamp is
     activation-scoped (contextvars), so concurrent thread-backend
     entries stay isolated, and the sweep gate proves traced/untraced
-    stable-JSON byte parity.
+    stable-JSON byte parity.  The record's ``duration`` is the ``entry``
+    span's own (:func:`repro.obs.timed`), traced or not.
 
     Timeouts are enforced *cooperatively* here, for every backend: a
     ``timeout`` config knob (without an explicit ``deadline``) becomes
@@ -65,7 +66,6 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     ``timeout`` record).  Both are recovered by the coordinator's
     retry, which re-dispatches with a bumped attempt number.
     """
-    start = time.perf_counter()
     name = str(payload["name"])
     config = dict(payload.get("config") or {})
     engine = str(config.get("engine", "?"))
@@ -87,7 +87,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             "provenance": dict(payload.get("provenance") or {})}
     with obs.tracing(trace_dir if trace_dir else None, name=name,
                      fingerprint=fingerprint, meta=meta):
-        with obs.span("entry", entry=name, engine=engine) as entry_span:
+        with obs.timed("entry", entry=name, engine=engine) as entry_span:
             try:
                 if delay:
                     time.sleep(delay)
@@ -103,25 +103,23 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
                     fingerprint=fingerprint,
                     report=report.to_dict(),
                     traversal=traversal,
-                    mismatches=mismatches,
-                    duration=time.perf_counter() - start)
+                    mismatches=mismatches)
             except DeadlineExceeded as error:
                 result = EntryResult(
                     name=name,
                     status="timeout",
                     engine=engine,
                     fingerprint=fingerprint,
-                    error=f"{type(error).__name__}: {error}",
-                    duration=time.perf_counter() - start)
+                    error=f"{type(error).__name__}: {error}")
             except Exception as error:
                 result = EntryResult(
                     name=name,
                     status="error",
                     engine=engine,
                     fingerprint=fingerprint,
-                    error=f"{type(error).__name__}: {error}",
-                    duration=time.perf_counter() - start)
+                    error=f"{type(error).__name__}: {error}")
             entry_span.annotate(status=result.status)
+    result.duration = entry_span.duration_s
     return result.to_dict()
 
 

@@ -18,19 +18,17 @@ Contents:
   :mod:`repro.sg.reducibility`, :mod:`repro.sg.fake_conflicts` -- the
   property checks,
 * :mod:`repro.sg.traces` -- projections and bounded trace equivalence,
-* :mod:`repro.sg.checker` -- an explicit
-  :class:`~repro.sg.checker.ExplicitChecker` facade mirroring the symbolic
-  one.
+* :mod:`repro.sg.checker` -- the
+  :class:`~repro.sg.checker.ExplicitVerification` context behind the
+  ``explicit`` engine of :func:`repro.api.verify`.
 """
 
 from repro.sg.state import State, StateGraph
 from repro.sg.builder import build_state_graph, infer_initial_values
-from repro.sg.checker import ExplicitChecker
 
 __all__ = [
     "State",
     "StateGraph",
     "build_state_graph",
     "infer_initial_values",
-    "ExplicitChecker",
 ]

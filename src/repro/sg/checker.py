@@ -8,8 +8,11 @@ on small specifications.
 :class:`ExplicitVerification` is the engine context: it owns the lazily
 built state graph (built once, shared by every check) and implements the
 property checks of the :mod:`repro.api.checks` registry as
-``_check_<name>`` appliers.  :class:`ExplicitChecker` is the historical
-facade, kept as a thin deprecation shim over :func:`repro.api.run`.
+``_check_<name>`` appliers.  Run it through the facade::
+
+    from repro.api import EngineConfig, verify
+
+    report = verify(stg, EngineConfig(engine="explicit"))
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from repro.sg.fake_conflicts import classify_conflicts
 from repro.sg.persistency import check_signal_persistency
 from repro.sg.reducibility import check_reducibility
 from repro.stg.stg import STG
-from repro.utils.timing import PhaseTimer
 
 
 class ExplicitVerification:
@@ -34,8 +36,8 @@ class ExplicitVerification:
     The explicit counterpart of
     :class:`repro.core.pipeline.VerificationPipeline`: the expensive
     intermediate -- the full state graph -- is built lazily on first
-    access and shared by every check, and :meth:`run` executes a selected
-    subset of the registered property checks.
+    access and shared by every check that
+    :func:`repro.api.checks.run_checks` applies.
 
     Parameters
     ----------
@@ -50,6 +52,9 @@ class ExplicitVerification:
         Enumeration budget (states); exceeding it marks the result as
         unbounded exploration failure.
     """
+
+    #: No BDDs here: check spans carry no manager cache deltas.
+    manager = None
 
     def __init__(self, stg: STG,
                  initial_values: Optional[Dict[str, bool]] = None,
@@ -146,68 +151,3 @@ class ExplicitVerification:
             [f"mutually complementary input sequences for "
              f"{', '.join(reducibility.offending_signals)}"]
             if reducibility.offending_signals else [])
-
-    # ------------------------------------------------------------------
-    # Full report
-    # ------------------------------------------------------------------
-    def run(self, checks=None) -> ImplementabilityReport:
-        """Run the selected property checks and build a report.
-
-        ``checks`` is a selection understood by
-        :func:`repro.api.checks.resolve_checks` (``None`` = the default
-        set).  Checks run grouped by their registry phase (``T+C``,
-        ``NI-p``, ``CSC``), sharing the lazily enumerated state graph.
-        """
-        from repro import obs
-        from repro.api.checks import (
-            CHECKS,
-            apply_check,
-            group_by_phase,
-            resolve_checks,
-        )
-
-        selected = resolve_checks(checks, engine="explicit")
-        stats = self.stg.statistics()
-        report = ImplementabilityReport(
-            stg_name=self.stg.name, method="explicit",
-            num_places=stats["places"],
-            num_transitions=stats["transitions"],
-            num_signals=stats["signals"])
-        timer = PhaseTimer()
-        for phase, names in group_by_phase(selected):
-            with timer.phase(phase):
-                for name in names:
-                    with obs.span("check", check=name, phase=phase):
-                        apply_check(self, CHECKS[name], report, "explicit")
-        report.timings = timer.as_dict()
-        return report
-
-
-class ExplicitChecker:
-    """Deprecated constructor-style facade over :func:`repro.api.run`.
-
-    Kept so existing callers (and the cross-validation test-suite) keep
-    working; new code should call :func:`repro.api.verify` with an
-    :class:`~repro.api.config.EngineConfig` instead.  The parameters
-    mirror :class:`ExplicitVerification`.
-    """
-
-    def __init__(self, stg: STG,
-                 initial_values: Optional[Dict[str, bool]] = None,
-                 arbitration_places: Optional[Iterable[str]] = None,
-                 max_states: int = 1_000_000) -> None:
-        self.stg = stg
-        self.initial_values = initial_values
-        self.arbitration_places = list(arbitration_places or ())
-        self.max_states = max_states
-
-    def check(self) -> ImplementabilityReport:
-        """Run every check and produce the report (via :mod:`repro.api`)."""
-        from repro import api
-
-        config = api.EngineConfig(
-            engine="explicit",
-            initial_values=self.initial_values,
-            arbitration_places=tuple(self.arbitration_places),
-            max_states=self.max_states)
-        return api.verify(self.stg, config)

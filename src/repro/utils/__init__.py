@@ -1,5 +1,9 @@
-"""Small shared utilities (timing, deterministic naming)."""
+"""Small shared utilities (cooperative deadlines)."""
 
-from repro.utils.timing import Stopwatch, PhaseTimer
+from repro.utils.timing import (
+    DeadlineExceeded,
+    check_deadline,
+    deadline_from_timeout,
+)
 
-__all__ = ["Stopwatch", "PhaseTimer"]
+__all__ = ["DeadlineExceeded", "check_deadline", "deadline_from_timeout"]

@@ -1,10 +1,15 @@
-"""Timing utilities used by the checker and the benchmark harness."""
+"""Cooperative deadlines for the engines' long-running loops.
+
+Durations are not measured here: every duration of a run is read from
+the one clock of :mod:`repro.obs` (:func:`repro.obs.timed`).  Deadlines
+are absolute :func:`time.monotonic` instants instead, so one set by a
+caller still means the same instant inside a worker thread or process.
+"""
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, Optional
-from contextlib import contextmanager
+from typing import Optional
 
 
 class DeadlineExceeded(Exception):
@@ -32,70 +37,3 @@ def check_deadline(deadline: Optional[float], context: str) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise DeadlineExceeded(
             f"cooperative deadline exceeded during {context}")
-
-
-class Stopwatch:
-    """A simple cumulative stopwatch.
-
-    >>> watch = Stopwatch()
-    >>> with watch:
-    ...     pass
-    >>> watch.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started: Optional[float] = None
-
-    def start(self) -> None:
-        if self._started is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._started is None:
-            raise RuntimeError("stopwatch not running")
-        delta = time.perf_counter() - self._started
-        self.elapsed += delta
-        self._started = None
-        return delta
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class PhaseTimer:
-    """Accumulates wall-clock time per named phase.
-
-    Mirrors the columns of the paper's Table 1 (T+C, NI-p, CSC, Total).
-    """
-
-    def __init__(self) -> None:
-        self._phases: Dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._phases[name] = self._phases.get(name, 0.0) + elapsed
-
-    def get(self, name: str) -> float:
-        """Seconds accumulated in a phase (0.0 if the phase never ran)."""
-        return self._phases.get(name, 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum of every recorded phase."""
-        return sum(self._phases.values())
-
-    def as_dict(self) -> Dict[str, float]:
-        """Copy of the per-phase timings."""
-        return dict(self._phases)

@@ -12,6 +12,8 @@ def dynamic_span_names(tracer, metrics, check_name):
     tracer.event(check_name)  # must-fire: RA501
     with span(check_name.upper()):  # must-fire: RA501
         pass
+    with obs.timed(check_name):  # must-fire: RA501
+        pass
     event("literal-is-fine", detail=check_name)
     metrics.counter("iterations-" + check_name)  # must-fire: RA501
     metrics.histogram("frontier")  # literal: clean

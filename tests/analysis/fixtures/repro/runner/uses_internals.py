@@ -2,11 +2,11 @@
 reaching verification internals.  The path fragment ``repro/runner/``
 marks this as front-end code."""
 
-from repro.core.checker import ImplementabilityChecker  # must-fire: RA202
 from repro.core.pipeline import VerificationPipeline  # must-fire: RA202
+from repro.sg.checker import ExplicitVerification  # must-fire: RA202
 
 
 def run_entry(stg, config):
-    checker = ImplementabilityChecker(stg)  # must-fire: RA201
     pipeline = VerificationPipeline(stg)  # must-fire: RA202
-    return checker, pipeline
+    oracle = ExplicitVerification(stg)  # must-fire: RA202
+    return pipeline, oracle

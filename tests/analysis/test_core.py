@@ -135,7 +135,7 @@ class TestConfig:
         assert config.rule_applies("RA402", "tools/x.py")  # scope "all"
 
     def test_every_rule_id_is_unique_and_catalogued(self):
-        assert len(RULES) == 20
+        assert len(RULES) == 19
         assert all(rule_id == rule.id for rule_id, rule in RULES.items())
         assert all(rule.scope in ("library", "all")
                    for rule in RULES.values())

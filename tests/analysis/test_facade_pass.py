@@ -1,7 +1,6 @@
-"""Facade-purity pass (RA201-RA205): shims constructed only in the
-facade layer, front-end code bound to repro.api, serve code kept to
-transport, delta code kept to traversal seeding, fabric scheduling
-metadata kept out of fingerprints and stable views."""
+"""Facade-purity pass (RA202-RA205): front-end code bound to repro.api,
+serve code kept to transport, delta code kept to traversal seeding,
+fabric scheduling metadata kept out of fingerprints and stable views."""
 
 from tools.analysis import facade
 
@@ -11,15 +10,13 @@ class TestFiring:
 
     def test_marked_lines_fire(self, run_pass, expected_lines):
         findings = run_pass(facade, self.FIXTURE)
-        for rule in ("RA201", "RA202"):
-            assert sorted(f.line for f in findings
-                          if f.rule == rule) == \
-                expected_lines(self.FIXTURE, rule), rule
+        assert sorted(f.line for f in findings if f.rule == "RA202") == \
+            expected_lines(self.FIXTURE, "RA202")
 
-    def test_shim_call_reports_the_facade_alternative(self, run_pass):
+    def test_bypass_reports_the_facade_alternative(self, run_pass):
         findings = run_pass(facade, self.FIXTURE)
-        shim, = [f for f in findings if f.rule == "RA201"]
-        assert "repro.api" in shim.message
+        assert findings
+        assert all("repro.api" in f.message for f in findings)
 
 
 class TestServeFiring:
@@ -72,8 +69,8 @@ def test_facade_only_frontend_is_clean(run_pass):
     assert run_pass(facade, "repro/runner/facade_only.py") == []
 
 
-def test_facade_layer_may_construct_shims(run_pass):
-    assert run_pass(facade, "repro/api/shim_home.py") == []
+def test_facade_layer_may_construct_internals(run_pass):
+    assert run_pass(facade, "repro/api/engine_home.py") == []
 
 
 def test_rules_scope_to_library_code(run_pass, fixture_config):

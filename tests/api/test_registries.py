@@ -117,6 +117,24 @@ class TestCheckRegistry:
         finally:
             register_check(original, replace=True)
 
+    @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+    def test_engines_share_the_one_check_loop(self, engine, monkeypatch):
+        from repro.api import checks as checks_module
+
+        seen = []
+        real_run_checks = checks_module.run_checks
+
+        def spy(context, selected, engine_name):
+            seen.append((list(selected), engine_name))
+            return real_run_checks(context, selected, engine_name)
+
+        monkeypatch.setattr(checks_module, "run_checks", spy)
+        report = verify(handshake(), EngineConfig(engine=engine),
+                        checks=["safeness", "csc"])
+        assert seen == [(["safeness", "csc"], engine)]
+        assert report.method == engine
+        assert list(report.timings) == ["T+C", "CSC"]
+
     def test_custom_check_runs_on_both_engines(self):
         register_check(CheckSpec(
             name="interface_width",
@@ -131,6 +149,7 @@ class TestCheckRegistry:
                 names = [verdict.name for verdict in report.verdicts]
                 assert "interface width" in names
                 assert all(verdict.holds for verdict in report.verdicts)
+                assert list(report.timings) == ["T+C", "extra"]
         finally:
             unregister_check("interface_width")
         with pytest.raises(UnknownCheckError):
@@ -150,17 +169,6 @@ class TestFacadeValidation:
         with pytest.raises(ApiError, match="unknown arbitration place"):
             verify(handshake(), EngineConfig(
                 engine=engine, arbitration_places=("p_nowhere",)))
-
-    def test_legacy_checker_shims_validate_too(self):
-        from repro.core import ImplementabilityChecker
-        from repro.sg import ExplicitChecker
-
-        with pytest.raises(ApiError):
-            ImplementabilityChecker(
-                handshake(), arbitration_places=["p_typo"]).check()
-        with pytest.raises(ApiError):
-            ExplicitChecker(
-                handshake(), arbitration_places=["p_typo"]).check()
 
     @pytest.mark.smoke
     def test_subset_run_reports_only_selected_checks(self):

@@ -61,9 +61,13 @@ class TestHitPath:
         assert warm.traversal_stats.to_dict() == \
             cold.traversal_stats.to_dict()
 
-    def test_hit_report_matches_cold_report_except_timings(self, store):
-        cold = bound_pipeline(store).run()
-        warm = bound_pipeline(store).run()
+    def test_hit_report_matches_cold_report_except_timings(self, tmp_path):
+        stg = build_example("muller_pipeline", 6)
+        directory = str(tmp_path / "shared")
+        config = api.EngineConfig(bdd_cache_dir=directory)
+        cold = api.verify(stg, config)
+        warm = api.verify(stg, config)
+        assert BDDStore.shared(directory).hits == 1
         cold_dict, warm_dict = cold.to_dict(), warm.to_dict()
         cold_dict["timings"] = warm_dict["timings"] = None
         assert cold_dict == warm_dict

@@ -8,9 +8,8 @@ property and the same reachable-state count.
 
 import pytest
 
-from repro.core import ImplementabilityChecker
+from repro.api import EngineConfig, verify
 from repro.report import ImplementabilityClass
-from repro.sg import ExplicitChecker
 from repro.stg.generators import (
     FIXED_EXAMPLES,
     master_read,
@@ -57,13 +56,15 @@ CONSISTENT_ONLY_FIELDS = [
 ]
 
 
+def symbolic_and_explicit(stg):
+    return verify(stg), verify(stg, EngineConfig(engine="explicit"))
+
+
 @pytest.mark.parametrize("name, factory", CROSS_VALIDATION_CASES,
                          ids=[name for name, _ in CROSS_VALIDATION_CASES])
 class TestSymbolicAgreesWithExplicit:
     def test_property_verdicts_agree(self, name, factory):
-        stg = factory()
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic, explicit = symbolic_and_explicit(factory())
         for field in ALWAYS_COMPARED_FIELDS:
             assert getattr(symbolic, field) == getattr(explicit, field), field
         if symbolic.consistent:
@@ -71,29 +72,23 @@ class TestSymbolicAgreesWithExplicit:
                 assert getattr(symbolic, field) == getattr(explicit, field), field
 
     def test_state_counts_agree_for_consistent_specs(self, name, factory):
-        stg = factory()
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic, explicit = symbolic_and_explicit(factory())
         if symbolic.consistent:
             assert symbolic.num_states == explicit.num_states
 
     def test_classification_agrees(self, name, factory):
-        stg = factory()
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic, explicit = symbolic_and_explicit(factory())
         assert symbolic.classification == explicit.classification
 
     def test_commutativity_agrees_when_symbolic_decides(self, name, factory):
-        stg = factory()
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic, explicit = symbolic_and_explicit(factory())
         if symbolic.commutative is not None:
             assert symbolic.commutative == explicit.commutative
 
 
-class TestSymbolicCheckerFacade:
+class TestSymbolicReport:
     def test_report_metadata(self):
-        report = ImplementabilityChecker(muller_pipeline(3)).check()
+        report = verify(muller_pipeline(3))
         assert report.method == "symbolic"
         assert report.num_states == 16
         assert report.bdd_peak_nodes >= report.bdd_final_nodes
@@ -101,47 +96,43 @@ class TestSymbolicCheckerFacade:
         assert set(report.timings) == {"T+C", "NI-p", "CSC"}
 
     def test_classifications(self):
-        assert ImplementabilityChecker(handshake_factory()).check() \
+        assert verify(handshake_factory()) \
             .classification is ImplementabilityClass.GATE
-        assert ImplementabilityChecker(
-            FIXED_EXAMPLES["csc_violation"]()).check() \
+        assert verify(FIXED_EXAMPLES["csc_violation"]()) \
             .classification is ImplementabilityClass.IO
-        assert ImplementabilityChecker(
-            FIXED_EXAMPLES["irreducible_csc"]()).check() \
+        assert verify(FIXED_EXAMPLES["irreducible_csc"]()) \
             .classification is ImplementabilityClass.SI
-        assert ImplementabilityChecker(
-            FIXED_EXAMPLES["inconsistent"]()).check() \
+        assert verify(FIXED_EXAMPLES["inconsistent"]()) \
             .classification is ImplementabilityClass.NOT_IMPLEMENTABLE
 
     def test_mutex_with_arbitration(self):
         stg = mutex_element()
-        report = ImplementabilityChecker(
-            stg, arbitration_places=mutex_arbitration_places(stg)).check()
+        report = verify(stg, EngineConfig(
+            arbitration_places=tuple(mutex_arbitration_places(stg))))
         assert report.output_persistent
         assert report.classification is ImplementabilityClass.GATE
 
     def test_ordering_strategies_do_not_change_verdicts(self):
         for ordering in ("force", "structural", "declaration", "signals_first"):
-            report = ImplementabilityChecker(muller_pipeline(3),
-                                             ordering=ordering).check()
+            report = verify(muller_pipeline(3),
+                            EngineConfig(ordering=ordering))
             assert report.num_states == 16
             assert report.classification is ImplementabilityClass.GATE
 
     def test_traversal_strategy_option(self):
-        report = ImplementabilityChecker(muller_pipeline(3),
-                                         traversal_strategy="frontier").check()
+        report = verify(muller_pipeline(3),
+                        EngineConfig(traversal_strategy="frontier"))
         assert report.num_states == 16
 
     def test_initial_values_override(self):
         stg = FIXED_EXAMPLES["handshake"]()
         stg._initial_values.clear()
-        report = ImplementabilityChecker(
-            stg, initial_values={"r": False, "a": False}).check()
+        report = verify(stg, EngineConfig(
+            initial_values={"r": False, "a": False}))
         assert report.consistent
 
     def test_summary_rendering(self):
-        report = ImplementabilityChecker(muller_pipeline(2)).check()
-        text = report.summary()
+        text = verify(muller_pipeline(2)).summary()
         assert "symbolic" in text
         assert "BDD nodes" in text
         assert "gate-implementable" in text

@@ -3,12 +3,13 @@
 The point of :class:`repro.core.pipeline.VerificationPipeline` is that the
 encoding / image / reachable-BDD chain is computed once and shared by all
 property checks, so these tests pin the caching behaviour as well as the
-equivalence with the :class:`ImplementabilityChecker` facade.
+reports the facade builds over it.
 """
 
 
-from repro import corpus
-from repro.core import ImplementabilityChecker, VerificationPipeline
+from repro import api, corpus
+from repro.api.checks import resolve_checks, run_checks
+from repro.core import VerificationPipeline
 from repro.core import pipeline as pipeline_module
 from repro.stg.generators import handshake, mutex_element, vme_read_cycle
 
@@ -35,7 +36,7 @@ class TestSharedChain:
         pipeline.csc()
         pipeline.signal_persistency()
         pipeline.deadlock_freedom()
-        pipeline.run(include_liveness=True)
+        run_checks(pipeline, resolve_checks(api.ALL), "symbolic")
         assert len(calls) == 1
 
     def test_property_results_are_cached(self):
@@ -47,51 +48,62 @@ class TestSharedChain:
         pipeline = VerificationPipeline(handshake())
         assert pipeline.traversal_stats.num_states == 4
 
+    def test_manager_never_forces_the_encoding(self):
+        pipeline = VerificationPipeline(handshake())
+        assert pipeline.manager is None
+        manager = pipeline.encoding.manager
+        assert pipeline.manager is manager
+
 
 class TestRunReport:
-    def test_matches_checker_facade(self):
+    def test_check_loop_matches_facade(self):
         stg = vme_read_cycle()
-        via_pipeline = VerificationPipeline(stg).run().as_dict()
-        via_checker = ImplementabilityChecker(stg).check().as_dict()
-        via_pipeline.pop("timings")
-        via_checker.pop("timings")
-        assert via_pipeline == via_checker
+        pipeline = VerificationPipeline(stg)
+        direct = run_checks(pipeline, resolve_checks(None), "symbolic")
+        via_facade = api.verify(stg)
+        # The facade adds only the traversal statistics to the loop's
+        # report.
+        stats = pipeline.traversal_stats
+        direct.num_states = stats.num_states
+        direct.bdd_peak_nodes = stats.peak_nodes
+        direct.bdd_final_nodes = stats.final_nodes
+        direct.bdd_variables = stats.num_variables
+        direct_fields = direct.as_dict()
+        facade_fields = via_facade.as_dict()
+        direct_fields.pop("timings")
+        facade_fields.pop("timings")
+        assert direct_fields == facade_fields
+        assert direct.verdicts == via_facade.verdicts
 
-    def test_checker_exposes_its_pipeline(self):
-        checker = ImplementabilityChecker(handshake())
-        assert checker.pipeline is None
-        report = checker.check()
-        assert isinstance(checker.pipeline, VerificationPipeline)
-        # The chain is reusable after check() without another traversal.
-        assert checker.pipeline.traversal_stats.num_states == report.num_states
-
-    def test_checker_config_is_read_at_call_time(self):
-        checker = ImplementabilityChecker(mutex_element())
-        assert checker.check().output_persistent is False
-        checker.arbitration_places = ["p_me"]
-        assert checker.check().output_persistent is True
+    def test_run_exposes_its_pipeline(self):
+        outcome = api.run(handshake())
+        assert isinstance(outcome.pipeline, VerificationPipeline)
+        # The chain is reusable after the run without another traversal.
+        assert outcome.pipeline.traversal_stats.num_states == \
+            outcome.report.num_states
 
     def test_liveness_fields_filled_only_on_request(self):
         stg = handshake()
-        plain = VerificationPipeline(stg).run()
+        plain = api.verify(stg)
         assert plain.deadlock_free is None and plain.reversible is None
-        live = VerificationPipeline(stg).run(include_liveness=True)
+        live = api.verify(stg, checks=api.ALL)
         assert live.deadlock_free is True
         assert live.reversible is True
         assert "live" in live.timings
 
     def test_arbitration_places_are_honoured(self):
         stg = mutex_element()
-        tolerant = VerificationPipeline(stg, arbitration_places=["p_me"]).run()
-        strict = VerificationPipeline(stg).run()
+        tolerant = api.verify(
+            stg, api.EngineConfig(arbitration_places=("p_me",)))
+        strict = api.verify(stg)
         assert tolerant.output_persistent is True
         assert strict.output_persistent is False
 
     def test_initial_values_override_copies_the_stg(self):
         stg = handshake()
-        pipeline = VerificationPipeline(stg, initial_values={"r": False})
-        assert pipeline.stg is not stg
-        assert pipeline.run().consistent is True
+        outcome = api.run(stg, api.EngineConfig(initial_values={"r": False}))
+        assert outcome.pipeline.stg is not stg
+        assert outcome.report.consistent is True
 
 
 class TestCorpusSweep:
@@ -100,8 +112,9 @@ class TestCorpusSweep:
     def test_full_corpus_matches_metadata(self):
         for name in corpus.names():
             entry = corpus.entry(name)
-            pipeline = VerificationPipeline(
+            report = api.verify(
                 corpus.load(name),
-                arbitration_places=entry.arbitration_places)
-            report = pipeline.run(include_liveness=True)
+                api.EngineConfig(
+                    arbitration_places=tuple(entry.arbitration_places)),
+                checks=api.ALL)
             assert entry.mismatches(report) == [], name

@@ -8,6 +8,7 @@ the sweep runner's worker pipes, the persistent RunStore and the CLI's
 
 import json
 
+from repro.api import ALL, verify
 from repro.core.pipeline import VerificationPipeline
 from repro.core.stats import TraversalStats
 from repro.report import ImplementabilityReport, PropertyVerdict
@@ -32,9 +33,7 @@ class TestTraversalStats:
         assert TraversalStats.from_dict(data).iterations == 2
 
     def test_live_stats_roundtrip(self):
-        pipeline = VerificationPipeline(handshake())
-        pipeline.run()
-        stats = pipeline.traversal_stats
+        stats = VerificationPipeline(handshake()).traversal_stats
         assert TraversalStats.from_dict(stats.to_dict()) == stats
 
 
@@ -46,34 +45,31 @@ class TestPropertyVerdict:
 
 class TestImplementabilityReport:
     def test_live_report_roundtrips_exactly(self):
-        report = VerificationPipeline(
-            vme_read_cycle()).run(include_liveness=True)
+        report = verify(vme_read_cycle(), checks=ALL)
         rebuilt = ImplementabilityReport.from_dict(report.to_dict())
         assert rebuilt == report
 
     def test_roundtrip_through_json(self):
-        report = VerificationPipeline(handshake()).run(include_liveness=True)
+        report = verify(handshake(), checks=ALL)
         text = json.dumps(report.to_dict())
         rebuilt = ImplementabilityReport.from_dict(json.loads(text))
         assert rebuilt == report
 
     def test_derived_properties_recompute(self):
-        report = VerificationPipeline(
-            vme_read_cycle()).run(include_liveness=True)
+        report = verify(vme_read_cycle(), checks=ALL)
         rebuilt = ImplementabilityReport.from_dict(report.to_dict())
         assert rebuilt.classification == report.classification
         assert rebuilt.csc_reducible == report.csc_reducible
         assert rebuilt.io_implementable == report.io_implementable
 
     def test_unknown_keys_ignored(self):
-        report = VerificationPipeline(handshake()).run()
+        report = verify(handshake())
         data = report.to_dict()
         data["added_in_a_future_schema"] = 42
         assert ImplementabilityReport.from_dict(data) == report
 
     def test_verdict_evidence_survives(self):
-        report = VerificationPipeline(
-            vme_read_cycle()).run(include_liveness=True)
+        report = verify(vme_read_cycle(), checks=ALL)
         rebuilt = ImplementabilityReport.from_dict(report.to_dict())
         assert [str(v) for v in rebuilt.verdicts] == \
             [str(v) for v in report.verdicts]

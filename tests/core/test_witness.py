@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ImplementabilityChecker
+from repro.api import ALL, EngineConfig, verify
 from repro.core.csc import compute_regions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
@@ -97,9 +97,9 @@ class TestFindFiringSequence:
 
 class TestLivenessPhase:
     def test_liveness_verdicts_added(self):
-        report = ImplementabilityChecker(mutex_element(),
-                                         arbitration_places=["p_me"],
-                                         include_liveness=True).check()
+        report = verify(mutex_element(),
+                        EngineConfig(arbitration_places=("p_me",)),
+                        checks=ALL)
         names = {verdict.name for verdict in report.verdicts}
         assert "deadlock freedom" in names
         assert "reversibility" in names
@@ -108,14 +108,13 @@ class TestLivenessPhase:
                    if verdict.name in ("deadlock freedom", "reversibility"))
 
     def test_liveness_failure_reported(self):
-        report = ImplementabilityChecker(fake_conflict_d1(),
-                                         include_liveness=True).check()
+        report = verify(fake_conflict_d1(), checks=ALL)
         by_name = {verdict.name: verdict for verdict in report.verdicts}
         assert not by_name["deadlock freedom"].holds
         assert not by_name["reversibility"].holds
 
     def test_liveness_not_included_by_default(self):
-        report = ImplementabilityChecker(csc_violation_example()).check()
+        report = verify(csc_violation_example())
         names = {verdict.name for verdict in report.verdicts}
         assert "deadlock freedom" not in names
         assert "live" not in report.timings

@@ -11,21 +11,21 @@ does not pin them.
 import pytest
 
 from repro import corpus
-from repro.core import VerificationPipeline
-from repro.sg import ExplicitChecker
+from repro.api import ALL, EngineConfig, verify
+
+
+def _report(entry, engine):
+    config = EngineConfig(engine=engine,
+                          arbitration_places=tuple(entry.arbitration_places))
+    return verify(corpus.load(entry.name), config, checks=ALL)
 
 
 def _symbolic_report(entry):
-    pipeline = VerificationPipeline(
-        corpus.load(entry.name),
-        arbitration_places=entry.arbitration_places)
-    return pipeline.run(include_liveness=True)
+    return _report(entry, "symbolic")
 
 
 def _explicit_report(entry):
-    return ExplicitChecker(
-        corpus.load(entry.name),
-        arbitration_places=entry.arbitration_places).check()
+    return _report(entry, "explicit")
 
 
 @pytest.mark.parametrize("name", corpus.names())

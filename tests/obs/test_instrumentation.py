@@ -55,6 +55,16 @@ class TestPipelineSpans:
         assert traversal["attrs"]["peak_nodes"] > 0
         assert traversal["bdd"]["lookups"] > 0
 
+    def test_traversal_wall_time_is_the_traversal_span(self):
+        sink = obs.InMemorySink()
+        stg = build_example("muller_pipeline", 3)
+        with obs.tracing(name=stg.name, sink=sink):
+            outcome = api.run(stg)
+        traversal, = [s for s in sink.spans()
+                      if s["name"] == "traversal"]
+        assert traversal["duration_s"] == \
+            round(outcome.traversal["wall_time_s"], 6)
+
     def test_iteration_events_report_frontier_sizes(self):
         sink = obs.InMemorySink()
         stg = build_example("muller_pipeline", 3)
@@ -113,6 +123,12 @@ class TestWorkerTraces:
         assert abs(stage_sum - wall) < 1e-5
         assert abs(stage_sum - result["duration"]) / result["duration"] \
             < 0.10
+
+    def test_entry_duration_is_the_entry_span(self):
+        result, records = traced_worker_run("vme_read")
+        entry, = [s for s in records
+                  if s["type"] == "span" and s["name"] == "entry"]
+        assert entry["duration_s"] == round(result["duration"], 6)
 
     def test_entry_span_parents_every_stage(self):
         _, records = traced_worker_run("vme_read")

@@ -1,8 +1,9 @@
-"""Tests for trace utilities and the explicit checker facade."""
+"""Tests for trace utilities and the explicit engine."""
 
 
+from repro.api import EngineConfig, verify
 from repro.report import ImplementabilityClass
-from repro.sg import ExplicitChecker, build_state_graph
+from repro.sg import build_state_graph
 from repro.sg.traces import (
     bounded_io_equivalent,
     bounded_trace_equivalent,
@@ -91,59 +92,63 @@ class TestTraces:
                                             ["a", "b", "c", "x"], depth=8)
 
 
-class TestExplicitChecker:
+def explicit(stg, **config):
+    return verify(stg, EngineConfig(engine="explicit", **config))
+
+
+class TestExplicitEngine:
     def test_handshake_is_gate_implementable(self):
-        report = ExplicitChecker(handshake()).check()
+        report = explicit(handshake())
         assert report.bounded and report.consistent
         assert report.output_persistent and report.csc
         assert report.classification is ImplementabilityClass.GATE
         assert report.gate_implementable
 
     def test_muller_pipeline_gate_implementable(self):
-        report = ExplicitChecker(muller_pipeline(3)).check()
+        report = explicit(muller_pipeline(3))
         assert report.classification is ImplementabilityClass.GATE
         assert report.num_states == 16
 
     def test_master_read_gate_implementable(self):
-        report = ExplicitChecker(master_read(2)).check()
+        report = explicit(master_read(2))
         assert report.classification is ImplementabilityClass.GATE
 
     def test_inconsistent_example_not_implementable(self):
-        report = ExplicitChecker(inconsistent_example()).check()
+        report = explicit(inconsistent_example())
         assert report.consistent is False
         assert report.classification is ImplementabilityClass.NOT_IMPLEMENTABLE
 
     def test_output_disabled_by_input_not_implementable(self):
-        report = ExplicitChecker(output_disabled_by_input()).check()
+        report = explicit(output_disabled_by_input())
         assert report.output_persistent is False
         assert report.classification is ImplementabilityClass.NOT_IMPLEMENTABLE
 
     def test_csc_violation_is_io_implementable(self):
-        report = ExplicitChecker(csc_violation_example()).check()
+        report = explicit(csc_violation_example())
         assert report.csc is False
         assert report.csc_reducible is True
         assert report.classification is ImplementabilityClass.IO
         assert report.io_implementable and not report.gate_implementable
 
     def test_irreducible_csc_is_only_si_implementable(self):
-        report = ExplicitChecker(irreducible_csc_example()).check()
+        report = explicit(irreducible_csc_example())
         assert report.csc is False
         assert report.csc_reducible is False
         assert report.classification is ImplementabilityClass.SI
 
     def test_mutex_with_arbitration_is_gate_implementable(self):
         stg = mutex_element()
-        report = ExplicitChecker(
-            stg, arbitration_places=mutex_arbitration_places(stg)).check()
+        report = explicit(
+            stg, arbitration_places=tuple(mutex_arbitration_places(stg)))
         assert report.output_persistent
         assert report.classification is ImplementabilityClass.GATE
 
     def test_mutex_without_arbitration_fails_persistency(self):
-        report = ExplicitChecker(mutex_element()).check()
+        report = explicit(mutex_element())
         assert report.output_persistent is False
 
     def test_report_contains_timings_and_summary(self):
-        report = ExplicitChecker(handshake()).check()
+        report = explicit(handshake())
         assert set(report.timings) == {"T+C", "NI-p", "CSC"}
         text = report.summary()
         assert "handshake" in text
@@ -151,14 +156,14 @@ class TestExplicitChecker:
         assert "gate-implementable" in text
 
     def test_report_as_dict(self):
-        report = ExplicitChecker(handshake()).check()
+        report = explicit(handshake())
         data = report.as_dict()
         assert data["states"] == 4
         assert data["method"] == "explicit"
         assert data["csc"] is True
 
     def test_fake_conflict_d1_rejected_by_fake_freedom(self):
-        report = ExplicitChecker(fake_conflict_d1()).check()
+        report = explicit(fake_conflict_d1())
         assert report.fake_free is False
         # Signal-level persistency still holds (Figure 3's point).
         assert report.output_persistent is True

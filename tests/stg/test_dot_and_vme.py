@@ -1,9 +1,9 @@
 """Tests for the DOT exports and the VME bus controller example."""
 
 
+from repro.api import EngineConfig, verify
 from repro.report import ImplementabilityClass
-from repro.sg import ExplicitChecker, build_state_graph
-from repro.core import ImplementabilityChecker
+from repro.sg import build_state_graph
 from repro.stg.dot import state_graph_to_dot, stg_to_dot, write_dot
 from repro.stg.generators import (
     handshake,
@@ -25,7 +25,7 @@ class TestVMEExample:
         assert build_state_graph(vme_read_cycle()).graph.num_states == 14
 
     def test_vme_is_io_implementable_only(self):
-        report = ImplementabilityChecker(vme_read_cycle()).check()
+        report = verify(vme_read_cycle())
         assert report.consistent and report.output_persistent
         assert report.csc is False
         assert report.csc_reducible is True
@@ -47,15 +47,15 @@ class TestVMEExample:
         assert "".join(expected) in codes
 
     def test_vme_resolved_is_gate_implementable(self):
-        report = ImplementabilityChecker(vme_read_cycle_resolved()).check()
+        report = verify(vme_read_cycle_resolved())
         assert report.csc is True
         assert report.classification is ImplementabilityClass.GATE
 
     def test_symbolic_and_explicit_agree_on_vme(self):
         for factory in (vme_read_cycle, vme_read_cycle_resolved):
             stg = factory()
-            symbolic = ImplementabilityChecker(stg).check()
-            explicit = ExplicitChecker(stg).check()
+            symbolic = verify(stg)
+            explicit = verify(stg, EngineConfig(engine="explicit"))
             assert symbolic.classification == explicit.classification
             assert symbolic.num_states == explicit.num_states
 

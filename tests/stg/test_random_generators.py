@@ -8,7 +8,7 @@ minimums) hold for every seed.
 
 import pytest
 
-from repro.core.pipeline import VerificationPipeline
+from repro.api import ALL, verify
 from repro.stg import generators
 from repro.stg.writer import to_g_string
 
@@ -44,7 +44,7 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("signals,seed", RING_CASES)
     def test_ring_pinned_verdicts(self, signals, seed):
         stg = generators.random_ring(signals, seed)
-        report = VerificationPipeline(stg).run(include_liveness=True)
+        report = verify(stg, checks=ALL)
         assert report.consistent
         assert report.output_persistent
         assert report.deadlock_free
@@ -54,7 +54,7 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("rings,seed", PARALLEL_CASES)
     def test_parallel_pinned_verdicts(self, rings, seed):
         stg = generators.random_parallel(rings, seed)
-        report = VerificationPipeline(stg).run(include_liveness=True)
+        report = verify(stg, checks=ALL)
         assert report.consistent
         assert report.output_persistent
         assert report.deadlock_free

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sg import ExplicitChecker, build_state_graph
+from repro.api import EngineConfig, verify
+from repro.sg import build_state_graph
 from repro.sg.traces import bounded_trace_equivalent
 from repro.stg import STGError, SignalKind
 from repro.stg.generators import (
@@ -19,6 +20,8 @@ from repro.stg.transform import (
     mirror_signal,
     relabel_signal,
 )
+
+EXPLICIT = EngineConfig(engine="explicit")
 
 
 class TestInsertSignal:
@@ -44,15 +47,15 @@ class TestInsertSignal:
     def test_insertion_sequences_new_signal(self):
         extended = insert_signal(handshake(), "x", rise_after="r+",
                                  fall_after="a+")
-        report = ExplicitChecker(extended).check()
+        report = verify(extended, EXPLICIT)
         assert report.consistent
         assert report.output_persistent
 
     def test_vme_csc_resolution(self):
         # The resolution shipped as a generator: CSC violated before the
         # insertion, satisfied afterwards, interface unchanged.
-        before = ExplicitChecker(vme_read_cycle()).check()
-        after = ExplicitChecker(vme_read_cycle_resolved()).check()
+        before = verify(vme_read_cycle(), EXPLICIT)
+        after = verify(vme_read_cycle_resolved(), EXPLICIT)
         assert before.csc is False and before.csc_reducible is True
         assert after.csc is True
         assert set(vme_read_cycle_resolved().inputs) == set(vme_read_cycle().inputs)
@@ -61,7 +64,7 @@ class TestInsertSignal:
     def test_csc_violation_example_resolution_by_insertion(self):
         stg = csc_violation_example()
         resolved = insert_signal(stg, "x", rise_after="b+", fall_after="c+")
-        report = ExplicitChecker(resolved).check()
+        report = verify(resolved, EXPLICIT)
         assert report.csc is True
 
     def test_duplicate_signal_rejected(self):
@@ -106,11 +109,11 @@ class TestInsertSignalProperties:
         # One of the two initial values of the inserted signal must give a
         # consistent extension (x+ and x- each fire exactly once per cycle,
         # so they alternate; which phase comes first decides the value).
-        if not ExplicitChecker(extended).check().consistent:
+        if not verify(extended, EXPLICIT).consistent:
             flipped = insert_signal(original, "x", rise_after=rise_after,
                                     fall_after=fall_after, kind=kind,
                                     initial_value=True)
-            assert ExplicitChecker(flipped).check().consistent
+            assert verify(flipped, EXPLICIT).consistent
 
 
 class TestHideExpose:
@@ -159,14 +162,14 @@ class TestRelabelAndMirror:
         original = handshake()
         renamed = relabel_signal(original, "a", "ack")
         assert build_state_graph(renamed).graph.num_states == 4
-        report = ExplicitChecker(renamed).check()
+        report = verify(renamed, EXPLICIT)
         assert report.gate_implementable
 
     def test_mirror_signal_flips_polarity_and_initial_value(self):
         original = handshake()
         mirrored = mirror_signal(original, "a")
         assert mirrored.initial_value("a") is True
-        report = ExplicitChecker(mirrored).check()
+        report = verify(mirrored, EXPLICIT)
         assert report.consistent
         assert report.gate_implementable
 

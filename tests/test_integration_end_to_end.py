@@ -16,13 +16,13 @@ import os
 import pytest
 
 from repro import corpus
+from repro.api import EngineConfig, verify
 from repro.cli import main as cli_main
-from repro.core import ImplementabilityChecker
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
 from repro.report import ImplementabilityClass
-from repro.sg import ExplicitChecker, build_state_graph
+from repro.sg import build_state_graph
 from repro.stg import read_g_file, to_g_string, parse_g
 from repro.synthesis import (
     derive_next_state_functions,
@@ -32,6 +32,7 @@ from repro.synthesis import (
 from repro.synthesis.netlist import to_verilog
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+EXPLICIT = EngineConfig(engine="explicit")
 
 
 def data_file(name: str) -> str:
@@ -49,8 +50,8 @@ class TestSendControllerFlow:
 
     def test_full_check_both_engines(self):
         stg = read_g_file(data_file("sbuf_send_ctl.g"))
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic = verify(stg)
+        explicit = verify(stg, EXPLICIT)
         assert symbolic.classification is ImplementabilityClass.GATE
         assert explicit.classification is ImplementabilityClass.GATE
         assert symbolic.num_states == explicit.num_states == 8
@@ -83,7 +84,7 @@ class TestChoiceControllerFlow:
 
     def test_check(self):
         stg = read_g_file(data_file("choice_controller.g"))
-        report = ImplementabilityChecker(stg).check()
+        report = verify(stg)
         assert report.consistent and report.output_persistent
         assert report.csc is True
         assert report.usc is False       # two branches share the code 001
@@ -91,8 +92,8 @@ class TestChoiceControllerFlow:
 
     def test_cross_validation(self):
         stg = read_g_file(data_file("choice_controller.g"))
-        symbolic = ImplementabilityChecker(stg).check()
-        explicit = ExplicitChecker(stg).check()
+        symbolic = verify(stg)
+        explicit = verify(stg, EXPLICIT)
         assert symbolic.num_states == explicit.num_states
         assert symbolic.usc == explicit.usc
         assert symbolic.csc == explicit.csc
@@ -114,7 +115,7 @@ class TestBrokenSpecificationFlow:
 
     def test_check_reports_inconsistency(self):
         stg = read_g_file(data_file("broken_double_rise.g"))
-        report = ImplementabilityChecker(stg).check()
+        report = verify(stg)
         assert report.consistent is False
         assert report.classification is ImplementabilityClass.NOT_IMPLEMENTABLE
 

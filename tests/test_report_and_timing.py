@@ -1,15 +1,16 @@
-"""Unit tests for the shared report type and the timing utilities."""
+"""Unit tests for the shared report type and its phase timings."""
 
 import time
 
 import pytest
 
+from repro import api, obs
 from repro.report import (
     ImplementabilityClass,
     ImplementabilityReport,
     PropertyVerdict,
 )
-from repro.utils.timing import PhaseTimer, Stopwatch
+from repro.stg.generators import muller_pipeline
 
 
 def make_report(**overrides):
@@ -117,53 +118,48 @@ class TestVerdictsAndRendering:
         assert "BDD nodes: peak 10, final 5" in with_stats.summary()
 
 
-class TestStopwatch:
-    def test_accumulates_time(self):
-        watch = Stopwatch()
-        with watch:
+class TestTimedSpans:
+    """``obs.timed``: the one clock behind report timings."""
+
+    def test_untraced_block_is_timed_but_inert(self):
+        with obs.timed("work", detail=1) as span:
             time.sleep(0.01)
-        first = watch.elapsed
-        with watch:
-            time.sleep(0.01)
-        assert watch.elapsed > first >= 0.01
+            span.annotate(ignored=True)
+        assert not span
+        assert span.duration_s >= 0.01
 
-    def test_double_start_rejected(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-        watch.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-
-class TestPhaseTimer:
-    def test_phases_accumulate_separately(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            time.sleep(0.01)
-        with timer.phase("b"):
-            time.sleep(0.01)
-        with timer.phase("a"):
-            time.sleep(0.01)
-        assert timer.get("a") > timer.get("b") > 0
-        assert timer.get("missing") == 0.0
-        assert timer.total == pytest.approx(timer.get("a") + timer.get("b"))
-
-    def test_as_dict_copy(self):
-        timer = PhaseTimer()
-        with timer.phase("x"):
-            pass
-        exported = timer.as_dict()
-        exported["x"] = 123.0
-        assert timer.get("x") != 123.0
-
-    def test_phase_records_time_even_on_exception(self):
-        timer = PhaseTimer()
+    def test_untraced_block_is_timed_even_when_it_raises(self):
         with pytest.raises(ValueError):
-            with timer.phase("failing"):
+            with obs.timed("work") as span:
+                time.sleep(0.01)
                 raise ValueError("boom")
-        assert timer.get("failing") >= 0.0
-        assert "failing" in timer.as_dict()
+        assert span.duration_s >= 0.01
+
+    def test_traced_block_is_the_real_span(self):
+        sink = obs.InMemorySink()
+        with obs.tracing(name="t", sink=sink):
+            with obs.timed("work") as span:
+                time.sleep(0.01)
+        record, = sink.spans()
+        assert span.duration_s >= 0.01
+        assert record["duration_s"] == round(span.duration_s, 6)
+
+
+class TestPhaseTimings:
+    @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+    def test_timings_are_the_check_spans(self, engine):
+        # Report timings and the trace come from the same spans, so
+        # they cannot disagree: each phase is its checks' span total.
+        sink = obs.InMemorySink()
+        with obs.tracing(name="t", sink=sink):
+            report = api.verify(muller_pipeline(3),
+                                api.EngineConfig(engine=engine))
+        per_phase = {}
+        for record in sink.spans():
+            if record["name"] == "check":
+                phase = record["attrs"]["phase"]
+                per_phase[phase] = (per_phase.get(phase, 0.0)
+                                    + record["duration_s"])
+        assert list(report.timings) == ["T+C", "NI-p", "CSC"]
+        for phase, seconds in report.timings.items():
+            assert seconds == pytest.approx(per_phase[phase], abs=1e-5)

@@ -6,8 +6,9 @@ Multi-pass AST analyzer gating the repo's hand-grown invariants:
   order-sensitive sinks, no hash()/id() ordering, no unseeded random;
 * **schema contracts** (RA101-RA104) -- to_dict/from_dict round-trips,
   live strip lists, SCHEMA_VERSION in fingerprint material;
-* **facade purity** (RA201-RA202) -- verification goes through
-  ``repro.api``, deprecation shims are not constructed elsewhere;
+* **facade purity** (RA202-RA205) -- verification goes through
+  ``repro.api``; serve and delta code stay in their lanes; fabric
+  metadata stays out of fingerprints;
 * **registry hygiene** (RA301-RA302) -- registered checks/engines/
   backends are tested and documented;
 * **lint** (RA401-RA404) -- the four rules folded in from the old

@@ -64,10 +64,7 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
     Rule("RA104", "fingerprint-schema",
          "fingerprint material hashed without a SCHEMA_VERSION in the "
          "material; schema bumps could no longer invalidate caches"),
-    # facade-purity pass (RA2xx)
-    Rule("RA201", "shim-constructed",
-         "deprecated checker shim constructed outside repro.api / "
-         "repro.engines / its defining module"),
+    # facade-purity pass (RA2xx; RA201 retired with the checker shims)
     Rule("RA202", "facade-bypass",
          "CLI/runner/worker code reaches verification internals instead "
          "of going through repro.api"),

@@ -1,18 +1,16 @@
-"""Facade-purity pass (RA201-RA204).
+"""Facade-purity pass (RA202-RA205).
 
-PR 3 demoted ``ImplementabilityChecker`` and ``ExplicitChecker`` to
-deprecation shims over :func:`repro.api.run`; everything user-facing
-(CLI, sweep runner, workers) must verify exclusively through the
-``repro.api`` facade so engines, checks and configs stay pluggable.
-This pass turns that convention into findings:
+``repro.api`` is the one verification entry point: everything
+user-facing (CLI, sweep runner, workers) must verify exclusively through
+it so engines, checks and configs stay pluggable.  This pass turns that
+convention into findings (RA201, which policed the retired
+constructor-style checker shims, was deleted with them; rule IDs are
+never reused):
 
-* **RA201** -- a module in ``src/repro`` (outside ``repro/api``,
-  ``repro/engines`` and the shims' own defining modules) *constructs*
-  one of the deprecated shims;
 * **RA202** -- front-end code (``cli.py``, ``__main__.py``, anything
   under ``runner/``) imports or calls verification internals
-  (``VerificationPipeline``, ``ExplicitVerification``, the shims)
-  instead of going through ``repro.api``;
+  (``VerificationPipeline``, ``ExplicitVerification``) instead of going
+  through ``repro.api``;
 * **RA203** -- serve-daemon code (anything under ``serve/``) reaches
   verification machinery at all: importing from the engine modules
   (``repro.core``, ``repro.sg``, ``repro.engines``) or naming the
@@ -49,21 +47,9 @@ from typing import List
 
 from tools.analysis.core import Finding, Project, SourceFile
 
-#: The PR-3 deprecation shims: constructing one outside the facade
-#: layer reintroduces the pre-facade call surface.
-DEPRECATED_SHIMS = ("ImplementabilityChecker", "ExplicitChecker")
-
 #: Engine-internal verification entry points front-end code must not
 #: touch (the facade threads them through the engine registry).
-VERIFICATION_INTERNALS = DEPRECATED_SHIMS + (
-    "VerificationPipeline", "ExplicitVerification")
-
-#: Modules allowed to name the shims: the facade layer, the engine
-#: adapters, the defining modules themselves and the package __init__
-#: re-exports that keep the deprecated import paths alive.
-_SHIM_ALLOWED_FRAGMENTS = (
-    "repro/api/", "repro/engines", "repro/core/checker",
-    "repro/sg/checker", "__init__")
+VERIFICATION_INTERNALS = ("VerificationPipeline", "ExplicitVerification")
 
 #: Front-end modules bound to the facade-only contract.
 _FRONTEND_FRAGMENTS = ("repro/cli", "repro/__main__", "repro/runner/")
@@ -97,10 +83,6 @@ _STABLE_VIEW_FRAGMENT = "fingerprint"
 _FABRIC_TOKENS = frozenset((
     "lease", "leases", "retry", "retries", "fault", "faults",
     "attempt", "attempts", "holder", "backoff"))
-
-
-def _shim_allowed(path: str) -> bool:
-    return any(fragment in path for fragment in _SHIM_ALLOWED_FRAGMENTS)
 
 
 def _is_frontend(path: str) -> bool:
@@ -205,13 +187,7 @@ def _check_file(source: SourceFile, findings: List[Finding]) -> None:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else (
                 func.attr if isinstance(func, ast.Attribute) else None)
-            if name in DEPRECATED_SHIMS and not _shim_allowed(source.path):
-                findings.append(Finding(
-                    rule="RA201", path=source.path, line=node.lineno,
-                    message=f"{name} is a deprecation shim; construct "
-                            f"verification through repro.api.run / "
-                            f"repro.api.verify instead"))
-            elif serve and name in VERIFICATION_INTERNALS:
+            if serve and name in VERIFICATION_INTERNALS:
                 findings.append(Finding(
                     rule="RA203", path=source.path, line=node.lineno,
                     message=f"serve-daemon code calls {name} directly; "

@@ -31,7 +31,7 @@ from typing import List, Optional, Set
 from tools.analysis.core import Finding, Project, SourceFile
 
 #: Emission methods whose first argument is the aggregation name.
-_SPAN_METHODS = ("span", "event")
+_SPAN_METHODS = ("span", "timed", "event")
 #: Metric factory/lookup methods on a registry; same literal-name rule.
 _METRIC_METHODS = ("counter", "gauge", "histogram")
 

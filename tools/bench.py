@@ -103,6 +103,7 @@ def _traced_pipeline_run(stg, sink):
     ``(wall_s, traversal_s, pipeline)``.  ``sink=None`` runs with
     tracing disabled (the no-op path)."""
     from repro import obs
+    from repro.api.checks import resolve_checks, run_checks
     from repro.core.pipeline import VerificationPipeline
 
     start = time.perf_counter()
@@ -111,7 +112,7 @@ def _traced_pipeline_run(stg, sink):
         traversal_start = time.perf_counter()
         pipeline.reached  # noqa: B018 - trigger the traversal on its own
         traversal_s = time.perf_counter() - traversal_start
-        pipeline.run()
+        run_checks(pipeline, resolve_checks(None), "symbolic")
     return time.perf_counter() - start, traversal_s, pipeline
 
 
