@@ -3,7 +3,9 @@
 The paper's traversal (Figure 5) updates the ``From`` set inside the loop
 over transitions ("chaining"), so states found while firing one transition
 are immediately available to the next one.  The ablation compares it with
-the plain frontier-at-a-time breadth-first image computation.
+the plain frontier-at-a-time breadth-first image computation, in both
+directions of the one fixpoint routine: the forward reachability
+traversal, and the backward closure behind the reversibility check.
 
 Run with::
 
@@ -14,7 +16,7 @@ import pytest
 
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.traversal import STRATEGIES, symbolic_traversal
+from repro.core.traversal import STRATEGIES, fixpoint, symbolic_traversal
 from repro.stg.generators import master_read, muller_pipeline, mutex_element
 
 CASES = [
@@ -53,3 +55,27 @@ def test_chaining_reduces_iterations():
         _, frontier = symbolic_traversal(encoding, strategy="frontier")
         assert chained.num_states == frontier.num_states
         assert chained.iterations <= frontier.iterations
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reversibility_closure_strategy(benchmark, strategy):
+    """Backward row: the reversibility closure of ``muller_pipeline(12)``
+    (the initial state un-fired over every transition inside the
+    reachable set), timed on a fresh manager each round so no round
+    reuses another's operation caches."""
+    stg = muller_pipeline(12)
+    last = {}
+
+    def prepare():
+        encoding = SymbolicEncoding(stg)
+        image = SymbolicImage(encoding)
+        reached, _ = symbolic_traversal(encoding, image=image)
+        last["reached"] = reached
+        return (image, encoding.initial_state(), stg.transitions,
+                "backward", strategy), {"restrict_to": reached}
+
+    closure = benchmark.pedantic(fixpoint, setup=prepare, rounds=3,
+                                 iterations=1, warmup_rounds=0)
+    benchmark.extra_info["strategy"] = strategy
+    benchmark.extra_info["direction"] = "backward"
+    assert closure == last["reached"]  # the pipeline is reversible

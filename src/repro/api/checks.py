@@ -233,5 +233,4 @@ register_check(CheckSpec(
     name="liveness",
     phase="live",
     description="deadlock freedom and reversibility extras",
-    engines=("symbolic",),
     in_default=False))

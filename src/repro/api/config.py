@@ -90,8 +90,8 @@ class EngineConfig:
         proves seeded and cold runs emit byte-identical stable JSON.
     deadline:
         Absolute :func:`time.monotonic` instant the entry must finish
-        by; the symbolic traversal checks it cooperatively once per
-        fixpoint iteration and raises
+        by; every symbolic fixpoint (the traversal and each closure)
+        checks it cooperatively once per iteration and raises
         :class:`~repro.utils.timing.DeadlineExceeded` past it, which
         the worker reports as a ``timeout`` record.  This is how the
         ``serial``/``thread``/``asyncio`` backends -- which cannot

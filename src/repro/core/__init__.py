@@ -9,8 +9,8 @@ The modules of this package implement Sections 4 and 5 of the paper:
   ``ASM(t)``, ``NPM(t)``, ``NSM(t)`` and ``E(a*)`` (Section 4),
 * :mod:`repro.core.image` -- the transition functions ``delta_N`` and
   ``delta_D`` and their inverses (Section 4),
-* :mod:`repro.core.traversal` -- the fixed-point symbolic traversal of
-  Figure 5, plus frozen-signal traversals,
+* :mod:`repro.core.traversal` -- the one chained fixpoint of Figure 5,
+  behind the reachability traversal and every backward/forward closure,
 * :mod:`repro.core.safeness` -- symbolic safeness checking (Section 5.1),
 * :mod:`repro.core.consistency` -- the ``Inconsistent`` characteristic
   functions (Section 5.1),

@@ -8,8 +8,8 @@ no transition at all.
 
 ``reversibility`` (every reachable state can return to the initial state)
 is also provided because it is a cheap, useful sanity check for cyclic
-specifications: it reuses the backward closure of the reducibility
-machinery.
+specifications: it is one chained backward closure
+(:func:`repro.core.traversal.fixpoint`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.traversal import frozen_backward_closure
+from repro.core.traversal import fixpoint
 
 
 @dataclass
@@ -77,18 +77,20 @@ class ReversibilityResult:
 
 
 def check_reversibility(encoding: SymbolicEncoding, reached: Function,
-                        image: Optional[SymbolicImage] = None
+                        image: Optional[SymbolicImage] = None,
+                        deadline: Optional[float] = None
                         ) -> ReversibilityResult:
     """Can every reachable state reach the initial state again?
 
-    Computes the backward closure of the initial state over all transitions
-    (restricted to the reachable set) and compares it with the reachable
-    set itself.
+    Computes the chained backward closure of the initial state over all
+    transitions (restricted to the reachable set) and compares it with
+    the reachable set itself.  ``deadline`` is the cooperative deadline
+    of :func:`~repro.core.traversal.fixpoint`.
     """
     image = image or SymbolicImage(encoding)
-    can_return = frozen_backward_closure(
-        image, encoding.initial_state(), encoding.stg.transitions,
-        restrict_to=reached)
+    can_return = fixpoint(image, encoding.initial_state(),
+                          encoding.stg.transitions, "backward", "chained",
+                          restrict_to=reached, deadline=deadline)
     stranded = reached - can_return
     if stranded.is_false():
         return ReversibilityResult(True)

@@ -96,9 +96,10 @@ class VerificationPipeline:
         self.traversal_strategy = traversal_strategy
         self.commutativity_fallback_states = commutativity_fallback_states
         #: Cooperative per-entry deadline (absolute ``time.monotonic``
-        #: instant): the traversal checks it once per fixpoint iteration
-        #: and raises :class:`~repro.utils.timing.DeadlineExceeded` past
-        #: it -- the timeout mechanism of non-preemptive backends.
+        #: instant): the traversal and the reversibility/reducibility
+        #: closures check it once per fixpoint iteration and raise
+        #: :class:`~repro.utils.timing.DeadlineExceeded` past it -- the
+        #: timeout mechanism of non-preemptive backends.
         self.deadline = deadline
         #: Optional hooks of the persistent BDD cache
         #: (:func:`repro.cache.bind_pipeline`).  The provider may return a
@@ -240,7 +241,8 @@ class VerificationPipeline:
     def complementary_inputs(self):
         return self._cached("complementary_inputs",
                             lambda: check_complementary_input_sequences(
-                                self.encoding, self.reached, self.image))
+                                self.encoding, self.reached, self.image,
+                                deadline=self.deadline))
 
     def deadlock_freedom(self):
         return self._cached("deadlock_freedom", lambda: check_deadlock_freedom(
@@ -248,7 +250,7 @@ class VerificationPipeline:
 
     def reversibility(self):
         return self._cached("reversibility", lambda: check_reversibility(
-            self.encoding, self.reached, self.image))
+            self.encoding, self.reached, self.image, deadline=self.deadline))
 
     def commutativity(self) -> Optional[bool]:
         """Commutativity via fake-freedom, with an explicit fallback.

@@ -30,7 +30,7 @@ from repro.core.charfun import CharacteristicFunctions
 from repro.core.csc import compute_regions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.traversal import frozen_backward_closure, frozen_forward_closure
+from repro.core.traversal import fixpoint
 
 
 # ----------------------------------------------------------------------
@@ -98,14 +98,17 @@ class SymbolicComplementaryResult:
 
 def check_complementary_input_sequences(encoding: SymbolicEncoding,
                                         reached: Function,
-                                        image: Optional[SymbolicImage] = None
+                                        image: Optional[SymbolicImage] = None,
+                                        deadline: Optional[float] = None
                                         ) -> SymbolicComplementaryResult:
     """Section 5.3: frozen-input backward+forward traversal per signal.
 
     For each non-input signal ``a`` with CSC contradictions, start from the
     quiescent-side contradictory states, close backward then forward firing
     only input transitions (non-inputs are "frozen"), and test whether an
-    excitation-side contradictory state is reached.
+    excitation-side contradictory state is reached.  Both closures are
+    chained :func:`~repro.core.traversal.fixpoint` runs bounded by the
+    reachable set, checking ``deadline`` once per iteration.
     """
     image = image or SymbolicImage(encoding)
     charfun = image.charfun
@@ -120,10 +123,11 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
                               | regions.qr_minus_states) & contradictory
         if quiescent_conflict.is_false():
             continue
-        backward = frozen_backward_closure(image, quiescent_conflict, inputs,
-                                           restrict_to=reached)
-        reached_frozen = frozen_forward_closure(image, backward, inputs,
-                                                restrict_to=reached)
+        backward = fixpoint(image, quiescent_conflict, inputs, "backward",
+                            "chained", restrict_to=reached, deadline=deadline)
+        reached_frozen = fixpoint(image, backward, inputs, "forward",
+                                  "chained", restrict_to=reached,
+                                  deadline=deadline)
         excitation_conflict = (regions.er_plus_states
                                | regions.er_minus_states) & contradictory
         if not (reached_frozen & excitation_conflict).is_false():

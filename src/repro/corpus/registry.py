@@ -54,11 +54,11 @@ def mismatches_against(expected: Mapping[str, object],
     ``classification`` value may be either an
     :class:`~repro.report.ImplementabilityClass` or its string form --
     both compare via ``str``).  Expected keys whose report field is
-    ``None`` (not computed by the engine that produced the report, e.g.
-    deadlock freedom on the explicit engine) are skipped rather than
-    counted as mismatches; so is the ``partial`` classification of a
-    check-subset run -- the class is *undecided* there, which is not
-    evidence against the recorded one.
+    ``None`` (not computed by the run that produced the report, e.g.
+    deadlock freedom without the opt-in liveness check) are skipped
+    rather than counted as mismatches; so is the ``partial``
+    classification of a check-subset run -- the class is *undecided*
+    there, which is not evidence against the recorded one.
     """
     from repro.report import ImplementabilityClass
 

@@ -53,7 +53,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
 
     Timeouts are enforced *cooperatively* here, for every backend: a
     ``timeout`` config knob (without an explicit ``deadline``) becomes
-    an absolute monotonic deadline the engines check once per traversal
+    an absolute monotonic deadline the engines check once per fixpoint
     iteration, and :class:`~repro.utils.timing.DeadlineExceeded`
     surfaces as a ``timeout`` record.  The ``process`` backend keeps
     its preemptive kill on top (a wedged C extension beats any

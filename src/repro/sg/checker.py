@@ -151,3 +151,16 @@ class ExplicitVerification:
             [f"mutually complementary input sequences for "
              f"{', '.join(reducibility.offending_signals)}"]
             if reducibility.offending_signals else [])
+
+    def _check_liveness(self, report: ImplementabilityReport) -> None:
+        deadlocks = self.graph.deadlocks()
+        stranded = self.graph.unreturnable()
+        report.deadlock_free = not deadlocks
+        report.reversible = not stranded
+        report.add_verdict("deadlock freedom", report.deadlock_free,
+                           [f"{len(deadlocks)} deadlock state(s)"]
+                           if deadlocks else [])
+        report.add_verdict("reversibility", report.reversible,
+                           [f"not reversible: {len(stranded)} state(s) "
+                            f"cannot reach the initial state again"]
+                           if stranded else [])

@@ -10,6 +10,7 @@ symbolic encoding of the paper does the same (the state vector
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
@@ -134,6 +135,26 @@ class StateGraph:
     def deadlocks(self) -> List[State]:
         """States without outgoing edges."""
         return [s for s, edges in self._successors.items() if not edges]
+
+    def unreturnable(self) -> List[State]:
+        """States from which the initial state cannot be reached again.
+
+        A reverse breadth-first search from the initial state; the graph
+        is reversible (the initial state is a home state) iff this is
+        empty.
+        """
+        predecessors: Dict[State, List[State]] = {
+            state: [] for state in self._successors}
+        for source, _, target in self.edges():
+            predecessors[target].append(source)
+        returning = {self.initial}
+        queue = deque([self.initial])
+        while queue:
+            for source in predecessors[queue.popleft()]:
+                if source not in returning:
+                    returning.add(source)
+                    queue.append(source)
+        return [s for s in self._successors if s not in returning]
 
     def __repr__(self) -> str:
         return f"StateGraph(states={self.num_states}, edges={self.num_edges})"

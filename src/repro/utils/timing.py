@@ -15,7 +15,8 @@ from typing import Optional
 class DeadlineExceeded(Exception):
     """A cooperative deadline expired mid-computation.
 
-    Raised by the symbolic traversal's fixpoint loop when the
+    Raised by the symbolic fixpoint loop (the traversal and every
+    closure) or the explicit state-graph enumeration when the
     ``deadline`` execution knob (an absolute :func:`time.monotonic`
     instant) has passed.  The worker primitive catches it and reports
     the entry as a ``timeout`` record, which is how the ``serial``,

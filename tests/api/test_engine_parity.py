@@ -27,6 +27,7 @@ CHECK_FIELDS = {
     "fake_conflicts": ("fake_free",),
     "csc": ("csc", "usc"),
     "reducibility": ("deterministic", "commutative", "complementary_free"),
+    "liveness": ("deadlock_free", "reversible"),
 }
 
 

@@ -68,10 +68,10 @@ class TestCheckRegistry:
             "consistency", "safeness", "persistency", "fake_conflicts",
             "csc", "reducibility", "liveness"]
 
-    def test_liveness_is_opt_in_and_symbolic_only(self):
-        assert "liveness" not in default_checks("symbolic")
-        assert "liveness" in supported_checks("symbolic")
-        assert "liveness" not in supported_checks("explicit")
+    def test_liveness_is_opt_in_on_both_engines(self):
+        for engine in ("symbolic", "explicit"):
+            assert "liveness" not in default_checks(engine)
+            assert "liveness" in supported_checks(engine)
 
     def test_resolve_none_is_the_default_set(self):
         assert resolve_checks(None, engine="explicit") == \
@@ -92,8 +92,17 @@ class TestCheckRegistry:
             resolve_checks(["cSc".lower() + "x"])  # "cscx"
 
     def test_engine_unsupported_check_is_an_error(self):
-        with pytest.raises(UnknownCheckError, match="not supported"):
-            resolve_checks(["liveness"], engine="explicit")
+        register_check(CheckSpec(
+            name="bdd_width",
+            phase="extra",
+            description="a symbolic-only probe",
+            engines=("symbolic",)))
+        try:
+            assert resolve_checks(["bdd_width"]) == ["bdd_width"]
+            with pytest.raises(UnknownCheckError, match="not supported"):
+                resolve_checks(["bdd_width"], engine="explicit")
+        finally:
+            unregister_check("bdd_width")
 
     def test_replacing_a_builtin_check_overrides_both_engines(self):
         from repro.api.checks import CHECKS

@@ -1,14 +1,11 @@
-"""Tests for the symbolic traversal (Figure 5) and the frozen closures."""
+"""Tests for the symbolic traversal (Figure 5) and the closures that
+share its fixpoint."""
 
 import pytest
 
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.traversal import (
-    frozen_backward_closure,
-    frozen_forward_closure,
-    symbolic_traversal,
-)
+from repro.core.traversal import fixpoint, symbolic_traversal
 from repro.sg import build_state_graph
 from repro.stg.generators import (
     csc_violation_example,
@@ -111,9 +108,9 @@ class TestFrozenClosures:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         full, _ = symbolic_traversal(encoding, image=image)
-        closure = frozen_forward_closure(
-            image, encoding.initial_state(), image.input_transitions(),
-            restrict_to=full)
+        closure = fixpoint(image, encoding.initial_state(),
+                           image.input_transitions(), "forward", "chained",
+                           restrict_to=full)
         # From the idle state both requests can rise independently: 4 states.
         assert encoding.count_states(closure) == 4
 
@@ -122,11 +119,11 @@ class TestFrozenClosures:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         full, _ = symbolic_traversal(encoding, image=image)
-        forward = frozen_forward_closure(
-            image, encoding.initial_state(), stg.transitions, restrict_to=full)
+        forward = fixpoint(image, encoding.initial_state(), stg.transitions,
+                           "forward", "chained", restrict_to=full)
         assert forward == full
-        backward = frozen_backward_closure(
-            image, encoding.initial_state(), stg.transitions, restrict_to=full)
+        backward = fixpoint(image, encoding.initial_state(), stg.transitions,
+                            "backward", "chained", restrict_to=full)
         assert backward == full
 
     def test_closure_respects_restriction(self):
@@ -134,6 +131,6 @@ class TestFrozenClosures:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         only_initial = encoding.initial_state()
-        closure = frozen_forward_closure(image, only_initial, stg.transitions,
-                                         restrict_to=only_initial)
+        closure = fixpoint(image, only_initial, stg.transitions, "forward",
+                           "chained", restrict_to=only_initial)
         assert closure == only_initial

@@ -52,4 +52,6 @@ def test_engines_agree_on_consistent_entries(name):
     assert symbolic.output_persistent == explicit.output_persistent
     assert symbolic.csc == explicit.csc
     assert symbolic.usc == explicit.usc
+    assert symbolic.deadlock_free == explicit.deadlock_free
+    assert symbolic.reversible == explicit.reversible
     assert symbolic.classification == explicit.classification

@@ -123,3 +123,67 @@ class TestDeadlineKnobSemantics:
         stripped = config.without_execution_knobs()
         assert stripped.deadline is None
         assert stripped.fault_plan is None
+
+
+class FakeClock:
+    """A stand-in for the ``time`` module of :mod:`repro.utils.timing`."""
+
+    def __init__(self, now=1000.0):
+        self.now = now
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock_jumps_in_closures(monkeypatch):
+    """A clock that stands still until the first backward firing, then
+    jumps an hour: the forward traversal finishes inside any budget,
+    and a closure's next fixpoint iteration finds its deadline gone."""
+    from repro.core.image import SymbolicImage
+    from repro.utils import timing
+
+    clock = FakeClock()
+    monkeypatch.setattr(timing, "time", clock)
+    fire_backward = SymbolicImage.fire_backward
+
+    def jump_then_fire(self, states, transition):
+        clock.now += 3600.0
+        return fire_backward(self, states, transition)
+
+    monkeypatch.setattr(SymbolicImage, "fire_backward", jump_then_fire)
+    return clock
+
+
+class TestClosureDeadlines:
+    """The liveness and reducibility closures honour the deadline, not
+    just the forward traversal."""
+
+    def test_verify_times_out_inside_the_liveness_closure(
+            self, clock_jumps_in_closures):
+        from repro.api import ALL, verify
+        from repro.stg.generators import muller_pipeline
+
+        config = EngineConfig(deadline=clock_jumps_in_closures.now + 1.0)
+        with pytest.raises(DeadlineExceeded, match="backward"):
+            verify(muller_pipeline(16), config, checks=ALL)
+
+    def test_serial_worker_records_a_liveness_timeout(
+            self, clock_jumps_in_closures):
+        plan = SweepPlan(names=["handshake"], backend="serial",
+                         config=EngineConfig(timeout=1.0))
+        result, = SweepRunner(plan).run().results
+        assert result.status == "timeout"
+        assert "backward symbolic fixpoint" in result.error
+
+    @pytest.mark.parametrize("check", ["reversibility",
+                                       "complementary_inputs"])
+    def test_pipeline_closures_check_an_expired_deadline(self, check):
+        from repro.core.pipeline import VerificationPipeline
+        from repro.stg.generators import csc_violation_example
+
+        pipeline = VerificationPipeline(csc_violation_example())
+        pipeline.reached  # traversed in time
+        pipeline.deadline = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded, match="symbolic fixpoint"):
+            getattr(pipeline, check)()
