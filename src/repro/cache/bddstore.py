@@ -51,6 +51,7 @@ from repro.bdd import serialize
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDError, BDDManager
 from repro.core.stats import TraversalStats
+from repro.utils.journal import atomic_write
 
 #: Bump when the store format or the fingerprint material changes
 #: incompatibly; part of every fingerprint, so old entries invalidate.
@@ -254,7 +255,6 @@ class BDDStore:
             if existing is not None and \
                     existing.get("fingerprint") != fingerprint:
                 path = self._alt_path(name, fingerprint)
-        temporary = path + ".tmp"
         meta = {
             "name": name,
             "fingerprint": fingerprint,
@@ -263,11 +263,13 @@ class BDDStore:
         }
         if g_text is not None:
             meta["g_text"] = g_text
-        with open(temporary, "w", encoding="utf-8") as handle:
+
+        def write(handle: TextIO) -> None:
             handle.write(FORMAT_HEADER + "\n")
             handle.write("meta " + json.dumps(meta, sort_keys=True) + "\n")
             serialize.dump([reached], handle)
-        os.replace(temporary, path)
+
+        atomic_write(path, write)
 
     # ------------------------------------------------------------------
     # Delta warm starts (repro.delta)

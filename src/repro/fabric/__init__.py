@@ -8,8 +8,9 @@ elastic, failure-tolerant fleet primitive:
   jitter (also reused by the serve client's opt-in retry);
 * :mod:`repro.fabric.leases` -- :class:`~repro.fabric.leases.LeaseStore`,
   an append-only JSONL journal of claim/renew/release records with
-  monotonic deadlines; expired leases become claimable again, so a dead
-  or wedged worker's entries are automatically re-issued;
+  wall-clock deadlines, shared safely by every process on one host;
+  expired leases become claimable again, so a dead or wedged worker's
+  entries are automatically re-issued;
 * :mod:`repro.fabric.coordinator` --
   :class:`~repro.fabric.coordinator.LeaseCoordinator`, the work-stealing
   dispatch loop replacing static ``--shard I/N`` round-robin: it claims

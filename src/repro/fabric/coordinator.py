@@ -49,6 +49,7 @@ from repro.runner.plan import SweepPlan, SweepTask
 from repro.runner.results import EntryResult, SweepResult
 from repro.runner.runner import ProgressCallback
 from repro.runner.store import RunStore
+from repro.utils.journal import atomic_write
 
 #: File the coordinator snapshots its metrics registry into (inside the
 #: lease directory); the sweep gate's chaos leg reads it to assert every
@@ -71,13 +72,16 @@ class LeaseCoordinator:
         composes with sharding; the common case is the full plan).
     leases:
         The :class:`~repro.fabric.leases.LeaseStore` (or its directory)
-        entries are claimed from.  Shared state: a second coordinator
-        pointed at the same directory refuses entries validly leased by
-        the first.
+        entries are claimed from.  Shared state: coordinators on one
+        host pointed at the same directory never hold a valid lease on
+        the same entry at once, whenever each of them started.
     store:
         Optional result cache, exactly as for the plain runner; also
         the source of the duration history behind longest-job-first
-        issue order.
+        issue order.  Coordinators that also share the store compute
+        each entry once: a result is stored before its lease is
+        released, and a fresh claim is answered from the store when
+        the entry's verdict already landed there.
     policy:
         The :class:`~repro.fabric.policy.RetryPolicy`; defaults to
         3 attempts with seeded-jitter exponential backoff.
@@ -220,6 +224,7 @@ class LeaseCoordinator:
             return pending
         claimed: Dict[int, Lease] = {}
         batch: List[backend_registry.WorkItem] = []
+        done: List[int] = []
         for position in self._issue_order(tasks, ready):
             task = tasks[position]
             lease = self.leases.claim(
@@ -228,6 +233,17 @@ class LeaseCoordinator:
             if lease is None:
                 continue  # validly leased elsewhere; steal after expiry
             self.metrics.counter("fabric.lease.claims").add(1)
+            # Another coordinator sharing the store may have finished
+            # the entry since triage: its verdict landed before its
+            # release, so this lookup sees it.
+            cached = (self.store.lookup(task.name, task.fingerprint)
+                      if self.store is not None else None)
+            if cached is not None:
+                self.leases.release(lease, cached.status)
+                results[position] = cached
+                done.append(position)
+                self._report_progress(cached)
+                continue
             claimed[position] = lease
             dispatches[position] += 1
             batch.append((position, self._dispatch_task(
@@ -235,11 +251,11 @@ class LeaseCoordinator:
         self.metrics.counter("fabric.lease.reclaims").add(
             self.leases.reclaimed - self._reclaims_seen())
         if not batch:
-            # All ready entries are leased by someone else: wait a beat
-            # for those leases to expire or release.
-            time.sleep(min(self.lease_duration / 4.0, 0.05))
-            return pending
-        done: List[int] = []
+            if not done:
+                # All ready entries are leased by someone else: wait a
+                # beat for those leases to expire or release.
+                time.sleep(min(self.lease_duration / 4.0, 0.05))
+            return [p for p in pending if p not in done]
         with obs.span("fabric.round", batch=len(batch)):
             stop_renewals = self._start_renewals(claimed, fault_plan, tasks)
             try:
@@ -372,6 +388,13 @@ class LeaseCoordinator:
             self.metrics.counter("fabric.retry.stalled").add(1)
             obs.event("fault-injected", kind="stall", entry=task.name)
             return
+        result.provenance = self._provenance(attempt=dispatches[position])
+        # Store before release: whoever claims the entry next must find
+        # the verdict.  Storing a verdict whose lease turns out lost is
+        # harmless (verdicts are deterministic per fingerprint, and
+        # error/timeout records are never served).
+        if self.store is not None:
+            self.store.put(result)
         released = self.leases.release(lease, result.status)
         if not released:
             # Lease genuinely lost mid-flight (expired and possibly
@@ -380,10 +403,7 @@ class LeaseCoordinator:
             self.metrics.counter("fabric.lease.lost").add(1)
             return
         self.metrics.counter("fabric.lease.releases").add(1)
-        result.provenance = self._provenance(attempt=dispatches[position])
         attempts[position] += 1
-        if self.store is not None:
-            self.store.put(result)
         if self.policy.should_retry(result.status, attempts[position]):
             if result.status == "timeout":
                 self.metrics.counter("fabric.retry.timeout").add(1)
@@ -418,8 +438,6 @@ class LeaseCoordinator:
             "reclaimed": self.leases.reclaimed,
             "metrics": self.metrics.snapshot(),
         }
-        path = os.path.join(self.leases.directory, METRICS_FILE)
-        with open(path + ".tmp", "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(path + ".tmp", path)
+        atomic_write(os.path.join(self.leases.directory, METRICS_FILE),
+                     lambda handle: handle.write(json.dumps(
+                         snapshot, indent=2, sort_keys=True) + "\n"))

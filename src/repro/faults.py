@@ -44,8 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
+
+from repro.utils.journal import Journal
 
 #: The injectable fault kinds, in spec order.
 FAULT_KINDS = ("crash", "hang", "truncate", "stall")
@@ -217,14 +220,17 @@ def plan_from_config(config: Mapping[str, object]) -> Optional[FaultPlan]:
 
 
 def torn_write(path: str, record: Mapping[str, object]) -> None:
-    """Append the *front half* of a JSONL record -- a simulated
-    crash-mid-write.
+    """Append the *front half* of a JSONL record, with no newline -- a
+    simulated crash mid-write.
 
-    The torn line still ends in a newline so subsequent appends stay
-    line-aligned (a real crash tears the final line of the file, which
-    the crash-mid-write tests exercise separately); loading the store
-    skips exactly the torn line and ``compact()`` repairs the file.
+    This is the real crash shape: the writer held the journal lock,
+    wrote part of its line and died.  The next append to the journal
+    starts on a fresh line, so readers skip exactly the torn line and
+    ``compact()`` repairs the file.
     """
     line = json.dumps(record, sort_keys=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line[:max(1, len(line) // 2)] + "\n")
+    journal = Journal(path)
+    with journal.locked():
+        journal.append(record)
+        cut = len(line) + 1 - max(1, len(line) // 2)
+        os.truncate(path, os.path.getsize(path) - cut)

@@ -16,9 +16,10 @@ Three built-ins cover the subsystem's consumers:
     Collects records and renders the human summary of
     :func:`repro.obs.report.render_trace`.
 
-Reading is as defensive as the RunStore: :func:`read_trace_records`
-skips corrupt or truncated lines (a killed sweep may leave a partial
-trailing line) with a :class:`TraceReadWarning` instead of failing, so
+Reading is as defensive as the RunStore, through the same
+:class:`~repro.utils.journal.Journal`: :func:`read_trace_records` skips
+corrupt or truncated lines (a killed sweep may leave a partial trailing
+line) with a :class:`TraceReadWarning` instead of failing, so
 ``tools/trace_report.py`` always renders what survived.
 """
 
@@ -27,8 +28,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from typing import Dict, List, Optional, Tuple
+
+from repro.utils.journal import Journal
 
 #: Length of the fingerprint prefix in per-entry trace file names --
 #: enough to never collide within a sweep while keeping names readable.
@@ -121,24 +123,17 @@ def read_trace_records(path: str) -> Tuple[List[Dict[str, object]], int]:
     or plain corruption -- are counted and skipped with a
     :class:`TraceReadWarning`, mirroring the RunStore's salvage
     semantics: observability must never make a sweep's artifacts
-    unreadable.
+    unreadable.  A trace file has one writer that is done with it, so
+    the read takes no lock and creates no file (artifact directories
+    are often read-only).
     """
     records: List[Dict[str, object]] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("trace record is not an object")
-            except ValueError:
-                skipped += 1
-                warnings.warn(
-                    f"skipping corrupt trace line {number} of {path} "
-                    f"(truncated write?)", TraceReadWarning, stacklevel=2)
-                continue
-            records.append(record)
-    return records, skipped
+
+    def keep(record: object) -> None:
+        if not isinstance(record, dict):
+            raise ValueError("trace record is not an object")
+        records.append(record)
+
+    journal = Journal(path, "trace line", TraceReadWarning)
+    journal.replay(keep)
+    return records, journal.skipped_lines

@@ -14,10 +14,15 @@ evicting each other.
 
 Error and timeout records are persisted (they are useful history) but
 never *served* as cache hits -- a failed entry is always retried on the
-next sweep.  Corrupt lines -- most commonly the truncated trailing line a
-killed sweep leaves behind -- are skipped with a :class:`RunStoreWarning`
-on load (never a crash: resuming from exactly that state is the point)
-and dropped for good by :meth:`RunStore.compact`.
+next sweep.  The file is a :class:`~repro.utils.journal.Journal`:
+corrupt lines -- most commonly the torn trailing line a killed sweep
+leaves behind -- are skipped with a :class:`RunStoreWarning` (never a
+crash: resuming from exactly that state is the point) and dropped for
+good by :meth:`RunStore.compact`.  Any number of processes on one host
+may share a store: every read and write holds the journal's lock and
+first folds in what other writers appended, so a compaction never drops
+another writer's record and a lookup sees every record that landed
+before it.
 
 Beyond caching, the store is the unit of distribution: N machines sweep
 disjoint ``--shard i/N`` slices into their own stores, and
@@ -31,13 +36,12 @@ exactly this.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import warnings
 from typing import Dict, Optional, Tuple, Union
 
 from repro.runner.results import EntryResult
+from repro.utils.journal import Journal
 
 RESULTS_FILE = "results.jsonl"
 
@@ -58,33 +62,30 @@ class RunStore:
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, RESULTS_FILE)
         self._index: Dict[Tuple[str, str], Dict[str, object]] = {}
-        #: Corrupt lines skipped by the last load; ``compact()`` repairs
-        #: the file (resume flows check this to know a repair is due).
-        self.skipped_lines = 0
-        self._load()
+        #: Records ``merge(compact=False)`` adopted that are not on disk
+        #: until the next ``compact()``.
+        self._unsaved: Dict[Tuple[str, str], Dict[str, object]] = {}
+        self._journal = Journal(self.path, "result record", RunStoreWarning)
+        with self._journal.locked():
+            self._replay()
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = (record["name"], record["fingerprint"])
-                except (ValueError, TypeError, KeyError):
-                    # The classic killed-sweep state: a trailing line cut
-                    # mid-write.  Never fatal -- resume depends on loading
-                    # everything that *did* land.
-                    self.skipped_lines += 1
-                    warnings.warn(
-                        f"{self.path}:{number}: skipping corrupt result "
-                        f"record (interrupted write?); compact() repairs "
-                        f"the file", RunStoreWarning, stacklevel=2)
-                    continue
-                self._index[key] = record
+    @property
+    def skipped_lines(self) -> int:
+        """Corrupt lines skipped so far; ``compact()`` repairs the file
+        (resume flows check this to know a repair is due)."""
+        return self._journal.skipped_lines
+
+    def _replay(self) -> None:
+        """Fold what other writers appended into the index (hold the lock)."""
+        self._journal.replay(self._apply, self._reset)
+
+    def _apply(self, record: Dict[str, object]) -> None:
+        self._index[(record["name"], record["fingerprint"])] = record
+
+    def _reset(self) -> None:
+        # Another writer compacted the file: rebuild the index from it,
+        # keeping the adoptions not written yet.
+        self._index = dict(self._unsaved)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -102,7 +103,9 @@ class RunStore:
         content and that actually carry a verdict; the returned result is
         marked :attr:`~repro.runner.results.EntryResult.cached`.
         """
-        record = self._index.get((name, fingerprint))
+        with self._journal.locked():
+            self._replay()
+            record = self._index.get((name, fingerprint))
         if record is None:
             return None
         if record.get("status") not in _VERDICT_STATUSES:
@@ -136,18 +139,18 @@ class RunStore:
             return
         record = result.to_dict()
         record["stored_at"] = time.time()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._index[(result.name, result.fingerprint)] = record
+        with self._journal.locked():
+            self._replay()
+            self._journal.append(record)
+            self._index[(result.name, result.fingerprint)] = record
 
     def compact(self) -> None:
         """Rewrite the JSONL file keeping the latest record per
         ``(name, fingerprint)`` key, dropping corrupt lines."""
-        with open(self.path + ".tmp", "w", encoding="utf-8") as handle:
-            for record in self._index.values():
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(self.path + ".tmp", self.path)
-        self.skipped_lines = 0
+        with self._journal.locked():
+            self._replay()
+            self._journal.rewrite(self._index.values())
+            self._unsaved.clear()
 
     # ------------------------------------------------------------------
     # Distribution: merging shard stores
@@ -183,13 +186,15 @@ class RunStore:
                     f"cannot merge {other!r}: no such run-store directory")
             other = RunStore(other)
         adopted = 0
-        for key, theirs in other._index.items():
-            mine = self._index.get(key)
-            if mine is None or self._prefers(theirs, mine):
-                self._index[key] = dict(theirs)
-                adopted += 1
-        if adopted and compact:
-            self.compact()
+        with self._journal.locked():
+            self._replay()
+            for key, theirs in other._index.items():
+                mine = self._index.get(key)
+                if mine is None or self._prefers(theirs, mine):
+                    self._index[key] = self._unsaved[key] = dict(theirs)
+                    adopted += 1
+            if adopted and compact:
+                self.compact()
         return adopted
 
     @staticmethod
@@ -226,23 +231,28 @@ class RunStore:
             raise ValueError(f"max_age must be >= 0, got {max_age}")
         now = time.time() if now is None else now
 
-        doomed = set()
-        if max_age is not None:
-            for key, record in self._index.items():
-                if now - _stored_at(record) > max_age:
-                    doomed.add(key)
-        if max_entries is not None:
-            survivors = [key for key in self._index if key not in doomed]
-            excess = len(survivors) - max_entries
-            if excess > 0:
-                oldest_first = sorted(
-                    range(len(survivors)),
-                    key=lambda i: (_stored_at(self._index[survivors[i]]), i))
-                doomed.update(survivors[i] for i in oldest_first[:excess])
-        for key in doomed:
-            del self._index[key]
-        if doomed:
-            self.compact()
+        with self._journal.locked():
+            self._replay()
+            doomed = set()
+            if max_age is not None:
+                for key, record in self._index.items():
+                    if now - _stored_at(record) > max_age:
+                        doomed.add(key)
+            if max_entries is not None:
+                survivors = [key for key in self._index
+                             if key not in doomed]
+                excess = len(survivors) - max_entries
+                if excess > 0:
+                    oldest_first = sorted(
+                        range(len(survivors)),
+                        key=lambda i: (_stored_at(self._index[survivors[i]]),
+                                       i))
+                    doomed.update(survivors[i]
+                                  for i in oldest_first[:excess])
+            for key in doomed:
+                del self._index[key]
+            if doomed:
+                self.compact()
         return len(doomed)
 
 

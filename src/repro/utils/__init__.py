@@ -1,4 +1,5 @@
-"""Small shared utilities (cooperative deadlines)."""
+"""Small shared utilities: cooperative deadlines (:mod:`.timing`) and
+the append-only JSONL journal (:mod:`.journal`, imported directly)."""
 
 from repro.utils.timing import (
     DeadlineExceeded,

@@ -7,6 +7,8 @@ and recomputes -- never crashes, never serves garbage.
 """
 
 import os
+import sys
+import threading
 import warnings
 
 import pytest
@@ -258,6 +260,41 @@ class TestSharedStore:
         assert store.misses == 1 and store.hits == 0
         api.run(stg, config, checks=("csc",))
         assert store.hits == 1  # second run served from the same object
+
+
+class TestConcurrentPuts:
+    def test_threads_rewriting_one_entry_never_collide(self, store):
+        """Every writer of one entry used to share one temporary file, so
+        a rename could find it already renamed away by another writer."""
+        pipeline = fresh_pipeline(scale=3)
+        reached, stats = pipeline.reached, pipeline.traversal_stats
+        name = pipeline_name(pipeline)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def writer():
+            barrier.wait(timeout=30)
+            try:
+                for _ in range(40):
+                    store.put(name, "f" * 64, reached, stats)
+            except OSError as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # One intact entry, no stray temporaries.
+        assert os.listdir(store.directory) == [f"{name}.bdd"]
+        assert store.find("f" * 64) is not None
 
 
 def pipeline_name(pipeline) -> str:

@@ -112,7 +112,7 @@ class TestWorkStealing:
         # A dead worker's lease: claimed long ago, never renewed.
         stale = leases.claim(lease_key(task), task.name, "dead-worker",
                              duration=5.0,
-                             now=time.monotonic() - 100.0)
+                             now=time.time() - 100.0)
         assert stale is not None
         coordinator = LeaseCoordinator(plan, leases=leases,
                                        policy=FAST_RETRY)

@@ -12,6 +12,7 @@ from repro.faults import (
     plan_from_config,
     torn_write,
 )
+from repro.utils.journal import Journal
 
 
 class TestSpecParsing:
@@ -94,8 +95,12 @@ class TestTornWrite:
             self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         torn_write(path, {"name": "victim", "fingerprint": "f1"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"ok": True}) + "\n")
+        # The real crash shape: the torn line has no newline ...
+        assert not (tmp_path / "results.jsonl").read_text().endswith("\n")
+        # ... and the next journal append starts on a fresh line.
+        journal = Journal(path)
+        with journal.locked():
+            journal.append({"ok": True})
         lines = open(path, encoding="utf-8").read().splitlines()
         assert len(lines) == 2
         with pytest.raises(ValueError):

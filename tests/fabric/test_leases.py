@@ -3,6 +3,7 @@ stealing, journal replay and crash repair.  Every test drives time with
 explicit ``now`` values -- nothing here sleeps."""
 
 import json
+import time
 
 import pytest
 
@@ -117,11 +118,31 @@ class TestJournalReplay:
         reloaded.compact()
         lines = [json.loads(line) for line in
                  open(tmp_path / LEASES_FILE, encoding="utf-8")]
-        assert [line["key"] for line in lines] == ["a::f"]
-        assert all(line["op"] == "claim" for line in lines)
+        claims = [line for line in lines if line["op"] == "claim"]
+        assert [line["key"] for line in claims] == ["a::f"]
+        # The released newest lease survives as one release record: it
+        # carries the highest token, so tokens never repeat.
+        assert [(line["op"], line["token"]) for line in lines
+                if line["op"] != "claim"] == [("release", done.token)]
         assert reloaded.skipped_lines == 0
         # And the compacted journal replays clean.
         assert len(LeaseStore(str(tmp_path))) == 1
+
+    def test_monotonic_deadlines_of_old_journals_read_as_expired(
+            self, tmp_path):
+        # Journals written before deadlines became wall-clock instants
+        # hold time.monotonic() values: seconds since boot, long past
+        # as time.time() instants, so their entries are claimable.
+        old = Lease(key="a::f", name="a", holder="w1", token=7,
+                    deadline=time.monotonic() + 3600.0)
+        with open(tmp_path / LEASES_FILE, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(dict(old.to_dict(), op="claim")) + "\n")
+        store = LeaseStore(str(tmp_path))
+        assert store.active_leases() == [old]
+        assert store.claimable("a::f")
+        stolen = store.claim("a::f", "a", "w2", duration=10.0)
+        assert stolen.token == 8
+        assert store.reclaimed == 1
 
     def test_lease_dict_round_trip(self):
         lease = Lease(key="a::f", name="a", holder="w1", token=3,

@@ -133,7 +133,8 @@ class TestRobustness:
         with open(path, "a") as handle:
             handle.write("garbage\n")
         # Re-record the same (name, fingerprint) key: latest wins.
-        rewritten = RunStore(str(tmp_path))
+        with pytest.warns(RunStoreWarning, match="corrupt result record"):
+            rewritten = RunStore(str(tmp_path))
         rewritten.put(make_result(fingerprint="a" * 64, duration=0.2))
         rewritten.compact()
         with open(path) as handle:

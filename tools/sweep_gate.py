@@ -36,7 +36,11 @@ so the distributed-sweep contract is checkable on any machine:
    stable JSON byte-identical to the clean serial sweep, and every
    injected fault class must be visible in the coordinator's
    ``fabric.retry.*`` metrics -- the proof that the fault tolerance
-   actually engaged rather than the dice all missing.
+   actually engaged rather than the dice all missing.  Then two
+   coordinators started together on one lease directory and one run
+   store must each reproduce the clean sweep byte for byte, and the
+   store must hold exactly one record per entry: no entry computed
+   twice.
 
 Every ``batch-check`` call is a real subprocess with a *different*
 ``PYTHONHASHSEED``, so the gate also proves the stable output is
@@ -62,8 +66,8 @@ BACKENDS = ("process", "thread", "serial", "asyncio")
 SHARD_BACKENDS = ("process", "thread", "serial", "asyncio")
 
 
-def run_repro(arguments, seed):
-    """Run ``python -m repro ...`` in a fresh interpreter."""
+def start_repro(arguments, seed):
+    """Start ``python -m repro ...`` in a fresh interpreter."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = (
         os.path.join(REPO_ROOT, "src")
@@ -71,15 +75,25 @@ def run_repro(arguments, seed):
            if environment.get("PYTHONPATH") else ""))
     environment["PYTHONHASHSEED"] = str(seed)
     command = [sys.executable, "-m", "repro", *arguments]
-    completed = subprocess.run(
+    return subprocess.Popen(
         command, env=environment, cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-    if completed.returncode != 0:
-        print(completed.stdout)
+
+
+def finish_repro(process):
+    """Wait for a started ``python -m repro``; exit the gate on failure."""
+    output, _ = process.communicate()
+    if process.returncode != 0:
+        print(output)
         raise SystemExit(
-            f"sweep-gate: {' '.join(command)} exited "
-            f"{completed.returncode}")
-    return completed.stdout
+            f"sweep-gate: {' '.join(process.args)} exited "
+            f"{process.returncode}")
+    return output
+
+
+def run_repro(arguments, seed):
+    """Run ``python -m repro ...`` in a fresh interpreter."""
+    return finish_repro(start_repro(arguments, seed))
 
 
 def batch_check(arguments, seed):
@@ -315,6 +329,47 @@ def check_chaos(workdir):
               for name in CHAOS_REQUIRED_METRICS}
     print(f"sweep-gate: ok: chaos sweep byte-identical to the clean "
           f"sweep with every fault class exercised ({counts})")
+    return check_two_coordinators(workdir, reference_path)
+
+
+def check_two_coordinators(workdir, reference_path):
+    """Two coordinators started together on one lease directory and one
+    run store: both must reproduce the clean sweep, and the store must
+    hold exactly one record per entry -- none was computed twice."""
+    import json
+    from collections import Counter
+
+    print("sweep-gate: two coordinators sharing leases and a store ...")
+    lease_dir = os.path.join(workdir, "duo-leases")
+    store_dir = os.path.join(workdir, "duo-store")
+    paths = [os.path.join(workdir, f"duo-swept-{number}.json")
+             for number in range(2)]
+    processes = [start_repro(["batch-check", "--backend", "thread",
+                              "--jobs", "2", "--leases", lease_dir,
+                              "--cache-dir", store_dir,
+                              "--stable-json", path], seed=1102 + number)
+                 for number, path in enumerate(paths)]
+    for process in processes:
+        finish_repro(process)
+    if any(read(path) != read(reference_path) for path in paths):
+        print("sweep-gate: FAIL: a coordinator sharing a lease directory "
+              "produced stable JSON differing from the clean serial sweep")
+        return False
+    with open(reference_path, encoding="utf-8") as handle:
+        entries = len(json.load(handle)["entries"])
+    with open(os.path.join(store_dir, "results.jsonl"),
+              encoding="utf-8") as handle:
+        stored = Counter((record["name"], record["fingerprint"])
+                         for record in map(json.loads, handle))
+    if len(stored) != entries or set(stored.values()) != {1}:
+        twice = sorted(name for (name, _), count in stored.items()
+                       if count > 1)
+        print(f"sweep-gate: FAIL: the shared store holds "
+              f"{sum(stored.values())} records for {entries} entries "
+              f"(computed twice: {', '.join(twice) or 'none'})")
+        return False
+    print(f"sweep-gate: ok: two coordinators byte-identical to the clean "
+          f"sweep, {entries} entries computed once each")
     return True
 
 
