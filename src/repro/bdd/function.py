@@ -12,6 +12,7 @@ from typing import Dict, Iterator, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BDDManager
+    from repro.bdd.operators import TransferSteps
 
 
 class Function:
@@ -181,6 +182,13 @@ class Function:
         from repro.bdd import operators
 
         return operators.and_exist(self, other, variables)
+
+    def transfer(self, steps: "TransferSteps",
+                 drop: Optional["Function"] = None) -> "Function":
+        """``((self|require) & assign) - drop`` in one pass (image kernel)."""
+        from repro.bdd import operators
+
+        return operators.transfer(self, steps, drop)
 
     def support(self) -> Sequence[str]:
         """The set of variables the function actually depends on."""

@@ -75,11 +75,15 @@ class BDDManager:
         # Variable order.
         self._var2level: Dict[str, int] = {}
         self._level2var: List[str] = []
-        # Operation caches.  Every binary connective has its own table
-        # with its own terminal short-circuits (see apply_and & friends);
-        # the derived operators of repro.bdd.operators get dedicated
+        # Operation caches.  ``ite``, negation and every binary
+        # connective have their own table with their own terminal
+        # short-circuits (see apply_and & friends); the derived operators
+        # of repro.bdd.operators (cofactor, quantification, relational
+        # product, the image kernel ``transfer``) get dedicated
         # memoisation tables as well, so a flood of e.g. conjunctions can
-        # never evict the cofactor results the image computation lives on.
+        # never evict the image results the traversal lives on.  Every
+        # table is in ``_evictable``: ``cache_limit`` bounds each one,
+        # and clear_caches/collect_garbage empty them all.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
@@ -90,10 +94,12 @@ class BDDManager:
         self._cof_cache: Dict[Tuple[int, int], int] = {}
         self._quant_cache: Dict[Tuple[bool, int, int], int] = {}
         self._andex_cache: Dict[Tuple[int, int, int], int] = {}
+        self._transfer_cache: Dict[Tuple[int, int, int], int] = {}
         self._evictable = (
-            self._ite_cache, self._and_cache, self._or_cache,
-            self._xor_cache, self._diff_cache, self._op_cache,
-            self._cof_cache, self._quant_cache, self._andex_cache)
+            self._ite_cache, self._not_cache, self._and_cache,
+            self._or_cache, self._xor_cache, self._diff_cache,
+            self._op_cache, self._cof_cache, self._quant_cache,
+            self._andex_cache, self._transfer_cache)
         # Interning table turning the frozensets that parameterise the
         # derived operators (quantified level sets, cofactor cubes, ...)
         # into small integers, so their cache keys hash in O(1).
@@ -276,15 +282,20 @@ class BDDManager:
             return FALSE_ID
         if node == FALSE_ID:
             return TRUE_ID
-        cached = self._not_cache.get(node)
+        cache = self._not_cache
+        self.cache_lookups += 1
+        cached = cache.get(node)
         if cached is not None:
+            self.cache_hits += 1
             return cached
         result = self._mk(
             self._level[node],
             self.negate(self._low[node]),
             self.negate(self._high[node]),
         )
-        self._not_cache[node] = result
+        if len(cache) >= self._cache_limit:
+            self._evict_oldest(cache)
+        cache[node] = result
         return result
 
     def _apply_children(self, f: int, g: int) -> Tuple[int, int, int, int, int]:
@@ -494,22 +505,21 @@ class BDDManager:
         """Drop every memoisation table (does not drop nodes)."""
         for cache in self._evictable:
             cache.clear()
-        self._not_cache.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate operation-cache statistics (monotonic counters).
 
         ``lookups``/``hits`` count every probe of a memoisation table
-        (the specialised binary applies, ``ite`` and the derived
-        operators all report here); ``evictions`` counts generational
-        half-evictions; ``entries`` is the current live entry total.
+        (negation, the specialised binary applies, ``ite`` and the
+        derived operators all report here); ``evictions`` counts
+        generational half-evictions; ``entries`` is the current live
+        entry total.
         """
         return {
             "lookups": self.cache_lookups,
             "hits": self.cache_hits,
             "evictions": self.cache_evictions,
-            "entries": (sum(len(cache) for cache in self._evictable)
-                        + len(self._not_cache)),
+            "entries": sum(len(cache) for cache in self._evictable),
         }
 
     def collect_garbage(self) -> int:

@@ -1,17 +1,19 @@
-"""Derived BDD operations: quantification, cofactors, composition, renaming.
+"""Derived BDD operations: quantification, cofactors, composition,
+renaming and the image kernel :func:`transfer`.
 
 All functions here take and return :class:`~repro.bdd.function.Function`
 handles.  Each operation memoises its recursion in a dedicated cache on
-the manager (quantification, cofactor and the relational product each
-own one; composition shares the generic ``_op_cache``), keyed by the
-node id plus a small interned id of the operation parameter
-(:meth:`~repro.bdd.manager.BDDManager.intern_key`) -- so cache probes
-hash integer tuples instead of re-hashing frozensets on every visit.
+the manager (quantification, cofactor, the relational product and
+``transfer`` each own one; composition shares the generic
+``_op_cache``), keyed by the node id plus a small interned id of the
+operation parameter (:meth:`~repro.bdd.manager.BDDManager.intern_key`)
+-- so cache probes hash integer tuples instead of re-hashing frozensets
+on every visit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
@@ -188,6 +190,111 @@ def _cofactor(manager: BDDManager, node: int,
 def restrict(f: Function, literals: Dict[str, bool]) -> Function:
     """Alias of :func:`cofactor` (classical name)."""
     return cofactor(f, literals)
+
+
+# ----------------------------------------------------------------------
+# Transfer: cofactor, product and difference in one pass
+# ----------------------------------------------------------------------
+class TransferSteps:
+    """A resolved cube of per-variable ``(require, assign)`` steps.
+
+    ``steps`` maps variable names to ``(require, assign)`` pairs.  The
+    steps are sorted by level once and every suffix of them is interned
+    (:meth:`~repro.bdd.manager.BDDManager.intern_key`), so a
+    :func:`transfer` cache probe hashes three integers.  Build one per
+    step cube and reuse it: resolution is the only per-cube cost.
+    """
+
+    __slots__ = ("manager", "levels", "requires", "assigns", "ids")
+
+    def __init__(self, manager: BDDManager,
+                 steps: Dict[str, Tuple[bool, bool]]) -> None:
+        resolved = sorted((manager.level_of(name), bool(require),
+                           bool(assign))
+                          for name, (require, assign) in steps.items())
+        self.manager = manager
+        self.levels = tuple(level for level, _, _ in resolved)
+        self.requires = tuple(require for _, require, _ in resolved)
+        self.assigns = tuple(assign for _, _, assign in resolved)
+        self.ids = tuple(manager.intern_key(("transfer", tuple(resolved[i:])))
+                         for i in range(len(resolved)))
+
+
+def transfer(f: Function, steps: TransferSteps,
+             drop: Optional[Function] = None) -> Function:
+    """``((f|require) & assign) - drop`` in one recursion.
+
+    ``f|require`` is the cofactor of ``f`` by the cube of the steps'
+    required values and ``assign`` the cube of their assigned values:
+    every state of ``f`` that holds each step variable at its required
+    value is moved to the assigned value, and the states in ``drop``
+    (default: none) are left out of the result.  When every ingredient
+    of an image step is a cube over the step variables -- the firing
+    functions of Section 4 are -- the whole step is one call.
+
+    At a step level the recursion follows ``f``'s required branch,
+    cofactors ``drop`` by the assigned value and emits the assigned
+    literal (a level ``f`` skips gets the literal inserted); above it,
+    it is a plain Shannon expansion of ``f`` and ``drop``; below the
+    last step, it is :meth:`~repro.bdd.manager.BDDManager.apply_diff`.
+    """
+    manager = f.manager
+    if steps.manager is not manager or (drop is not None
+                                        and drop.manager is not manager):
+        raise ValueError("cannot combine functions from different managers")
+    drop_node = FALSE_ID if drop is None else drop.node
+    return manager._wrap(_transfer(manager, f.node, drop_node, steps, 0))
+
+
+def _transfer(manager: BDDManager, f: int, drop: int, steps: TransferSteps,
+              index: int) -> int:
+    if f == FALSE_ID or drop == TRUE_ID:
+        return FALSE_ID
+    if index == len(steps.levels):
+        return manager.apply_diff(f, drop)
+    cache = manager._transfer_cache
+    key = (f, drop, steps.ids[index])
+    manager.cache_lookups += 1
+    cached = cache.get(key)
+    if cached is not None:
+        manager.cache_hits += 1
+        return cached
+    # The splits are inlined rather than calling _apply_children or
+    # _cofactors_at: this is every firing's recursion, and the two extra
+    # calls per node cost ~7% of an all-checks run.
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
+    step_level = steps.levels[index]
+    level_f = node_level[f]
+    level_drop = node_level[drop]
+    level = min(level_f, level_drop)
+    if level < step_level:
+        if level_f == level:
+            f0, f1 = node_low[f], node_high[f]
+        else:
+            f0 = f1 = f
+        if level_drop == level:
+            drop0, drop1 = node_low[drop], node_high[drop]
+        else:
+            drop0 = drop1 = drop
+        low = _transfer(manager, f0, drop0, steps, index)
+        high = _transfer(manager, f1, drop1, steps, index)
+        result = manager._mk(level, low, high)
+    else:
+        assign = steps.assigns[index]
+        if level_f == step_level:
+            f = node_high[f] if steps.requires[index] else node_low[f]
+        if level_drop == step_level:
+            drop = node_high[drop] if assign else node_low[drop]
+        rest = _transfer(manager, f, drop, steps, index + 1)
+        if assign:
+            result = manager._mk(step_level, FALSE_ID, rest)
+        else:
+            result = manager._mk(step_level, rest, FALSE_ID)
+    if len(cache) >= manager._cache_limit:
+        manager._evict_oldest(cache)
+    cache[key] = result
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ class CharacteristicFunctions:
         return cached
 
     # ------------------------------------------------------------------
-    # Cube literal dictionaries (used by the cofactor-based image)
+    # Cube literal dictionaries (the cofactors of the paper's pipeline)
     # ------------------------------------------------------------------
     def enabled_literals(self, transition: str) -> Dict[str, bool]:
         """The ``E(t)`` cube as a literal dictionary (for cofactoring)."""
@@ -92,16 +92,6 @@ class CharacteristicFunctions:
     def no_successor_literals(self, transition: str) -> Dict[str, bool]:
         """The ``NSM(t)`` cube as a literal dictionary (for cofactoring)."""
         places = self.encoding.stg.net.postset_of_transition(transition)
-        return {self.encoding.place_variable(p): False for p in places}
-
-    def all_successors_literals(self, transition: str) -> Dict[str, bool]:
-        """The ``ASM(t)`` cube as a literal dictionary."""
-        places = self.encoding.stg.net.postset_of_transition(transition)
-        return {self.encoding.place_variable(p): True for p in places}
-
-    def no_predecessor_literals(self, transition: str) -> Dict[str, bool]:
-        """The ``NPM(t)`` cube as a literal dictionary."""
-        places = self.encoding.stg.net.preset_of_transition(transition)
         return {self.encoding.place_variable(p): False for p in places}
 
     # ------------------------------------------------------------------

@@ -6,27 +6,26 @@
 
 ``delta_D`` extends it to STG full states by updating the variable of the
 fired signal (cofactor with respect to the old value, conjunction with the
-new value).  The inverse functions used by the backward traversal of the
-CSC-reducibility check are also provided; they handle self-loop places
-(``p`` in both the preset and the postset) explicitly.
+new value).  The inverse functions used by the backward traversals of the
+liveness and CSC-reducibility checks are also provided; they handle
+self-loop places (``p`` in both the preset and the postset) explicitly.
 
 All functions operate on characteristic functions over the variables of a
 :class:`~repro.core.encoding.SymbolicEncoding` and never enumerate states.
 
-The traversal fires every transition on every outer iteration, so each
-transition's ingredients -- the literal cubes to cofactor by, the
-characteristic-function products to conjoin, the signal literal of the
-label -- are precomputed **once** into a :class:`_FirePlan` instead of
-being re-derived from the net on every firing.  The plans also fuse
-commuting steps: the ``NSM(t)`` cofactor absorbs the old-signal-value
-cofactor and ``ASM(t)`` absorbs the new signal literal (both pairs
-commute because they constrain disjoint variables), so ``delta_D`` costs
-two cofactor passes and two conjunctions instead of four and three.
+``E(t)``, ``NPM(t)``, ``NSM(t)``, ``ASM(t)`` and the signal literals are
+all cubes, so the whole firing is one per-variable rewrite: each
+pre-only place goes 1 -> 0, each post-only place 0 -> 1, each self-loop
+place 1 -> 1 and the fired signal old -> new (backward firing swaps
+every pair).  A :class:`_FirePlan` resolves those steps **once** per
+transition, and every firing is one
+:func:`~repro.bdd.operators.transfer` recursion -- which also subtracts
+an optional ``drop`` set, the states a fixpoint has already seen.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
@@ -34,20 +33,22 @@ from repro.core.encoding import SymbolicEncoding
 
 
 class _FirePlan:
-    """Precomputed ingredients for firing one transition symbolically."""
+    """The resolved :class:`~repro.bdd.operators.TransferSteps` of one
+    transition."""
 
     __slots__ = (
-        "enabled_literals",      # E(t) cube as {place var: True}
-        "npm",                   # NPM(t) as a Function
-        "nsm_literals",          # NSM(t) cube as {place var: False}
-        "asm",                   # ASM(t) as a Function
-        "nsm_old_literals",      # NSM(t) + {signal: old value} (fused)
-        "asm_new",               # ASM(t) & new signal literal (fused)
-        "net_back_select",       # post-side place selection (net level)
-        "net_back_restore",      # pre-side place restore cube (net level)
-        "back_select_literals",  # net_back_select + {signal: target}
-        "back_restore",          # net_back_restore & old signal literal
+        "net_forward",   # delta_N: places only
+        "net_backward",  # inverse of delta_N
+        "forward",       # delta_D: places and the fired signal
+        "backward",      # inverse of delta_D
     )
+
+
+def _swapped(steps: Dict[str, Tuple[bool, bool]]
+             ) -> Dict[str, Tuple[bool, bool]]:
+    """The inverse rewrite: every ``(require, assign)`` pair reversed."""
+    return {name: (assign, require)
+            for name, (require, assign) in steps.items()}
 
 
 class SymbolicImage:
@@ -68,94 +69,66 @@ class SymbolicImage:
         return plan
 
     def _build_plan(self, transition: str) -> _FirePlan:
+        # Imported on the first firing, like every Function operator:
+        # importing this module (the daemon does at start-up) stays cheap.
+        from repro.bdd.operators import TransferSteps
+
         encoding = self.encoding
-        charfun = self.charfun
         manager = encoding.manager
         net = encoding.stg.net
         place = encoding.place_variable
 
-        plan = _FirePlan()
-        plan.enabled_literals = charfun.enabled_literals(transition)
-        plan.npm = charfun.no_predecessor_marked(transition)
-        plan.nsm_literals = charfun.no_successor_literals(transition)
-        plan.asm = charfun.all_successors_marked(transition)
-
-        label = encoding.stg.label_of(transition)
-        variable = encoding.signal_variable(label.signal)
-        old_value = not label.target_value
-        plan.nsm_old_literals = dict(plan.nsm_literals)
-        plan.nsm_old_literals[variable] = old_value
-        plan.asm_new = plan.asm & (
-            manager.var(variable) if label.target_value
-            else manager.nvar(variable))
-
-        # Backward firing: self-loop places (in both the preset and the
-        # postset) stay marked across the firing, so they are selected
-        # at 1 on the target side and restored to 1 on the source side.
         preset = net.preset_of_transition(transition)
         postset = net.postset_of_transition(transition)
-        both = preset & postset
-        pre_only = preset - both
-        post_only = postset - both
-        select = {place(p): True for p in post_only}
-        select.update({place(p): True for p in both})
-        select.update({place(p): False for p in pre_only})
-        restore = {place(p): True for p in pre_only}
-        restore.update({place(p): False for p in post_only})
-        restore.update({place(p): True for p in both})
-        plan.net_back_select = select
-        plan.net_back_restore = manager.cube(restore)
-        # The signal selection/restore commute with the place-side steps
-        # (disjoint variables), so both fold into single passes.
-        plan.back_select_literals = dict(select)
-        plan.back_select_literals[variable] = label.target_value
-        plan.back_restore = plan.net_back_restore & (
-            manager.nvar(variable) if label.target_value
-            else manager.var(variable))
+        places: Dict[str, Tuple[bool, bool]] = {}
+        for p in sorted(preset - postset):
+            places[place(p)] = (True, False)
+        for p in sorted(postset - preset):
+            places[place(p)] = (False, True)
+        # A self-loop place stays marked across the firing.
+        for p in sorted(preset & postset):
+            places[place(p)] = (True, True)
+        label = encoding.stg.label_of(transition)
+        full_state = dict(places)
+        full_state[encoding.signal_variable(label.signal)] = (
+            not label.target_value, label.target_value)
+
+        plan = _FirePlan()
+        plan.net_forward = TransferSteps(manager, places)
+        plan.net_backward = TransferSteps(manager, _swapped(places))
+        plan.forward = TransferSteps(manager, full_state)
+        plan.backward = TransferSteps(manager, _swapped(full_state))
         return plan
 
     # ------------------------------------------------------------------
     # Petri-net level
     # ------------------------------------------------------------------
     def fire_net(self, states: Function, transition: str) -> Function:
-        """``delta_N(states, t)``: the paper's cofactor/product pipeline."""
-        plan = self._plan(transition)
-        result = states.cofactor(plan.enabled_literals)
-        result = result & plan.npm
-        result = result.cofactor(plan.nsm_literals)
-        result = result & plan.asm
-        return result
+        """``delta_N(states, t)``: the paper's pipeline in one pass."""
+        return states.transfer(self._plan(transition).net_forward)
 
     def fire_net_backward(self, states: Function, transition: str) -> Function:
-        """Inverse of :meth:`fire_net`: predecessors of ``states`` under ``t``.
-
-        Self-loop handling lives in the plan construction (one place for
-        both the net-level and the signal-fused backward steps).
-        """
-        plan = self._plan(transition)
-        return states.cofactor(plan.net_back_select) & plan.net_back_restore
+        """Inverse of :meth:`fire_net`: predecessors of ``states`` under ``t``."""
+        return states.transfer(self._plan(transition).net_backward)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)
     # ------------------------------------------------------------------
-    def fire(self, states: Function, transition: str) -> Function:
-        """``delta_D(states, t)``: fire ``t`` and update its signal variable.
+    def fire(self, states: Function, transition: str,
+             drop: Optional[Function] = None) -> Function:
+        """``delta_D(states, t) - drop``: fire ``t``, update its signal.
 
         Following the paper, the cofactor with respect to the *old* signal
         value drops source states that would violate consistency (those are
-        reported separately by :mod:`repro.core.consistency`).
+        reported separately by :mod:`repro.core.consistency`).  ``drop``
+        (default: none) is subtracted in the same pass.
         """
-        plan = self._plan(transition)
-        result = states.cofactor(plan.enabled_literals)
-        result = result & plan.npm
-        result = result.cofactor(plan.nsm_old_literals)
-        return result & plan.asm_new
+        return states.transfer(self._plan(transition).forward, drop)
 
-    def fire_backward(self, states: Function, transition: str) -> Function:
-        """Inverse of :meth:`fire`: predecessors under ``t`` with signal undo."""
-        plan = self._plan(transition)
-        result = states.cofactor(plan.back_select_literals)
-        return result & plan.back_restore
+    def fire_backward(self, states: Function, transition: str,
+                      drop: Optional[Function] = None) -> Function:
+        """Inverse of :meth:`fire`: predecessors under ``t``, minus ``drop``."""
+        return states.transfer(self._plan(transition).backward, drop)
 
     # ------------------------------------------------------------------
     # Images over transition sets

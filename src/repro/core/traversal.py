@@ -47,11 +47,13 @@ def fixpoint(image: SymbolicImage, start: Function,
     ``direction`` is ``"forward"`` (:meth:`SymbolicImage.fire`) or
     ``"backward"`` (:meth:`SymbolicImage.fire_backward`); transitions
     fire in the given order.  Each transition's fresh states,
-    ``(fire(current, t) & restrict_to) - (reached | accumulated)``,
-    join the iteration's new states; in ``"chained"`` mode they also
-    join ``current`` before the next transition fires, while
-    ``"frontier"`` fires every transition from the same frontier.
-    ``restrict_to`` (typically the reachable set) bounds the closure.
+    ``fire(current, t, drop)``, join the iteration's new states; in
+    ``"chained"`` mode they also join ``current`` before the next
+    transition fires, while ``"frontier"`` fires every transition from
+    the same frontier.  ``drop`` is everything already seen --
+    ``start``, then every fresh set -- so the firing subtracts it in
+    the same BDD pass.  ``restrict_to`` (typically the reachable set)
+    bounds the closure: ``drop`` starts as ``start | ~restrict_to``.
     ``deadline`` is an absolute :func:`time.monotonic` instant checked
     once per outer iteration
     (:class:`~repro.utils.timing.DeadlineExceeded` past it).
@@ -82,7 +84,9 @@ def fixpoint(image: SymbolicImage, start: Function,
     # cost anything when a tracer is active.
     tracer = obs.active()
     context = f"{direction} symbolic fixpoint"
-    reached = from_set = start
+    reached = from_set = drop = start
+    if restrict_to is not None:
+        drop = drop | ~restrict_to
     with span:
         stats.observe_reached(reached.size())
         while True:
@@ -91,12 +95,10 @@ def fixpoint(image: SymbolicImage, start: Function,
             new = manager.false
             current = from_set
             for transition in transition_list:
-                to_set = fire(current, transition)
+                fresh = fire(current, transition, drop)
                 stats.images_computed += 1
-                if restrict_to is not None:
-                    to_set = to_set & restrict_to
-                fresh = to_set - (reached | new)
                 if not fresh.is_false():
+                    drop = drop | fresh
                     new = new | fresh
                     if chained:
                         current = current | fresh

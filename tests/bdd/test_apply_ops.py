@@ -1,11 +1,13 @@
-"""The specialised binary apply routines: correctness, caches, eviction.
+"""The specialised apply routines: correctness, caches, eviction.
 
 The kernel used to funnel every connective through the generic ``ite``;
 ``apply_and``/``apply_or``/``apply_xor``/``apply_diff`` now recurse
-directly with their own caches and terminal short-circuits.  These tests
-pin them against an ``ite``-based reference on exhaustive small cases
-and randomised functions, and cover the generational cache eviction that
-replaced the clear-everything policy.
+directly with their own caches and terminal short-circuits, and the
+image kernel ``transfer`` fuses a cofactor, a product and a difference
+into one recursion.  These tests pin them against references built
+from the plain operations on exhaustive small cases and randomised
+functions, and cover the generational cache eviction that replaced the
+clear-everything policy.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.bdd.manager import FALSE_ID, TRUE_ID
+from repro.bdd.operators import TransferSteps, transfer
 
 
 @pytest.fixture
@@ -110,6 +113,15 @@ class TestCacheCounters:
         assert after["lookups"] > before["lookups"]
         assert after["hits"] > before["hits"]
 
+    def test_negation_probes_are_counted(self, mgr):
+        f = mgr.apply_and(mgr.var("a").node, mgr.var("b").node)
+        before = mgr.cache_stats()
+        mgr.negate(f)  # misses on both internal nodes
+        mgr.negate(f)  # hits at the root
+        after = mgr.cache_stats()
+        assert after["lookups"] - before["lookups"] == 3
+        assert after["hits"] - before["hits"] == 1
+
     def test_stats_shape(self, mgr):
         stats = mgr.cache_stats()
         assert set(stats) == {"lookups", "hits", "evictions", "entries"}
@@ -120,6 +132,8 @@ class TestCacheCounters:
         _ = (a ^ b) - c
         _ = (a & b).exist(["a"])
         _ = (a | c).cofactor({"a": True})
+        _ = ~(a & c)
+        _ = transfer(a | c, TransferSteps(mgr, {"a": (True, False)}), b)
         assert mgr.cache_stats()["entries"] > 0
         mgr.clear_caches()
         assert mgr.cache_stats()["entries"] == 0
@@ -134,10 +148,12 @@ class TestGenerationalEviction:
             g = random_function(mgr, rng, depth=4)
             mgr.apply_and(f, g)
             mgr.apply_or(f, g)
+            mgr.negate(mgr.apply_xor(f, g))
         assert mgr.cache_evictions > 0
         # Bounded: at most the limit plus one in-flight generation.
         assert len(mgr._and_cache) <= 64 + 1
         assert len(mgr._or_cache) <= 64 + 1
+        assert len(mgr._not_cache) <= 64 + 1
 
     def test_eviction_drops_oldest_half_not_everything(self):
         mgr = BDDManager([f"x{i}" for i in range(10)], cache_limit=8)
@@ -165,3 +181,66 @@ class TestGenerationalEviction:
         second = mgr.intern_key(("quant", frozenset({3, 2, 1})))
         assert first == second
         assert mgr.intern_key(("cof", key)) != first
+
+
+def reference_transfer(mgr, f, steps, drop):
+    """The unfused pipeline: cofactor, then ``&`` the assigned cube, then ``-``."""
+    required = {name: require for name, (require, _) in steps.items()}
+    assigned = mgr.cube({name: assign for name, (_, assign) in steps.items()})
+    return (f.cofactor(required) & assigned) - drop
+
+
+def random_steps(mgr, rng):
+    """Up to four ``(require, assign)`` steps, self-loops (1 -> 1) included."""
+    names = rng.sample(mgr.variables, rng.randint(1, 4))
+    return {name: (rng.random() < 0.5, rng.random() < 0.5) for name in names}
+
+
+class TestTransfer:
+    """``transfer`` equals cofactor-then-``&``-then-``-`` on random input."""
+
+    def cases(self, mgr, rng, count):
+        drops = [mgr.false, mgr.true]
+        for index in range(count):
+            f = mgr._wrap(random_function(mgr, rng, depth=4))
+            steps = random_steps(mgr, rng)
+            drop = (drops[index % 2] if index % 3 == 0
+                    else mgr._wrap(random_function(mgr, rng, depth=4)))
+            yield f, steps, drop
+
+    def test_matches_the_unfused_reference(self):
+        mgr = BDDManager([f"x{i}" for i in range(8)])
+        rng = random.Random(17)
+        skipped = self_loops = 0
+        for f, steps, drop in self.cases(mgr, rng, 300):
+            resolved = TransferSteps(mgr, steps)
+            assert transfer(f, resolved, drop) == reference_transfer(
+                mgr, f, steps, drop), steps
+            skipped += bool(set(steps) - set(f.support()))
+            self_loops += (True, True) in steps.values()
+        # The draws exercise literal insertion and kept-marked steps.
+        assert skipped > 50 and self_loops > 50
+
+    def test_drop_defaults_to_false(self, mgr):
+        rng = random.Random(23)
+        for f, steps, _ in self.cases(mgr, rng, 40):
+            resolved = TransferSteps(mgr, steps)
+            assert transfer(f, resolved) == transfer(f, resolved, mgr.false)
+
+    def test_tiny_cache_limit_and_garbage_collection(self):
+        mgr = BDDManager([f"x{i}" for i in range(10)], cache_limit=8)
+        rng = random.Random(29)
+        for f, steps, drop in self.cases(mgr, rng, 120):
+            resolved = TransferSteps(mgr, steps)
+            result = transfer(f, resolved, drop)
+            mgr.collect_garbage()  # remaps ids, clears every cache
+            assert result == reference_transfer(mgr, f, steps, drop)
+            assert transfer(f, resolved, drop) == result
+        assert mgr.cache_evictions > 0
+        assert len(mgr._transfer_cache) <= 8 + 1
+
+    def test_steps_from_another_manager_are_rejected(self, mgr):
+        other = BDDManager(mgr.variables)
+        steps = TransferSteps(other, {"a": (True, False)})
+        with pytest.raises(ValueError):
+            transfer(mgr.var("b"), steps)

@@ -2,14 +2,22 @@
 
 The symbolic firing is validated against the explicit Petri-net/STG firing
 rule state by state on several examples, which is the strongest functional
-guarantee the rest of the engine builds upon.
+guarantee the rest of the engine builds upon.  On sets of states it is
+validated against the paper's four-step pipeline
+``((M_E(t) . NPM(t))_NSM(t)) . ASM(t)``, built literally from the
+:class:`CharacteristicFunctions` cubes, which the one-pass kernel
+replaces.
 """
+
+import random
 
 import pytest
 
+from repro import corpus
 from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
+from repro.core.pipeline import VerificationPipeline
 from repro.sg import build_state_graph
 from repro.stg.generators import (
     csc_violation_example,
@@ -19,7 +27,33 @@ from repro.stg.generators import (
     master_read,
     muller_pipeline,
     mutex_element,
+    random_parallel,
+    random_ring,
 )
+from repro.stg.parser import parse_g
+
+#: ``p_en`` is a self-loop place of both ``b`` transitions (a read arc):
+#: firing keeps it marked, the case no corpus entry has.
+READ_ARC = """\
+.model read_arc
+.inputs a
+.outputs b
+.graph
+p_en b+ b-
+b+ p_en
+b- p_en
+a+ b+
+b+ a-
+a- b-
+b- a+
+.marking { <b-,a+> p_en }
+.initial_values a=0 b=0
+.end
+"""
+
+
+def read_arc():
+    return parse_g(READ_ARC, name="read_arc")
 
 
 @pytest.fixture
@@ -82,8 +116,9 @@ class TestCharacteristicFunctions:
     fake_conflict_d1,
     lambda: muller_pipeline(3),
     lambda: master_read(2),
+    read_arc,
 ], ids=["handshake", "mutex", "csc_viol", "irreducible", "fake_d1",
-        "pipeline3", "master_read2"])
+        "pipeline3", "master_read2", "read_arc"])
 class TestImageAgainstExplicitFiring:
     def test_forward_image_matches_explicit_firing(self, factory):
         stg = factory()
@@ -192,3 +227,113 @@ class TestBackwardNetFiring:
         empty_post = encoding.manager.cube(
             {place(p): False for p in postset})
         assert image.fire_net_backward(empty_post, "r+").is_false()
+
+
+# ----------------------------------------------------------------------
+# The paper's pipeline as the oracle of the one-pass kernel
+# ----------------------------------------------------------------------
+def cube_cofactor(states, cube):
+    """The cube cofactor ``states_cube``: ``exists support(cube). states & cube``."""
+    return (states & cube).exist(cube.support())
+
+
+def paper_fire_net(charfun, states, transition):
+    """``delta_N``: ``((M_E(t) . NPM(t))_NSM(t)) . ASM(t)``."""
+    result = (cube_cofactor(states, charfun.enabled(transition))
+              & charfun.no_predecessor_marked(transition))
+    return (cube_cofactor(result, charfun.no_successor_marked(transition))
+            & charfun.all_successors_marked(transition))
+
+
+def paper_fire_net_backward(charfun, states, transition):
+    """The inverse of ``delta_N``: the pipeline with pre and post mirrored."""
+    result = (cube_cofactor(states, charfun.all_successors_marked(transition))
+              & charfun.no_successor_marked(transition))
+    return (cube_cofactor(result, charfun.no_predecessor_marked(transition))
+            & charfun.enabled(transition))
+
+
+def signal_literals(encoding, transition):
+    """The fired signal's ``(old, new)`` literals."""
+    label = encoding.stg.label_of(transition)
+    variable = encoding.signal_variable(label.signal)
+    positive = encoding.manager.var(variable)
+    negative = encoding.manager.nvar(variable)
+    if label.target_value:
+        return negative, positive
+    return positive, negative
+
+
+def paper_fire(charfun, states, transition):
+    """``delta_D``: ``delta_N`` then cofactor by old, conjoin new value."""
+    old, new = signal_literals(charfun.encoding, transition)
+    return cube_cofactor(paper_fire_net(charfun, states, transition),
+                         old) & new
+
+
+def paper_fire_backward(charfun, states, transition):
+    """The inverse of ``delta_D``."""
+    old, new = signal_literals(charfun.encoding, transition)
+    return cube_cofactor(paper_fire_net_backward(charfun, states, transition),
+                         new) & old
+
+
+def random_states(encoding, rng, cubes=3):
+    """A seeded union of random cubes over the encoding's variables."""
+    manager = encoding.manager
+    variables = encoding.all_variables
+    result = manager.false
+    for _ in range(cubes):
+        chosen = rng.sample(variables, min(len(variables), rng.randint(1, 4)))
+        result = result | manager.cube(
+            {name: rng.random() < 0.5 for name in chosen})
+    return result
+
+
+def _kernel_specs():
+    rng = random.Random(20261017)
+    specs = [(name, lambda name=name: corpus.load(name))
+             for name in corpus.names()] + [("read_arc", read_arc)]
+    for _ in range(6):
+        signals, seed = rng.randint(2, 8), rng.randrange(10_000)
+        specs.append((f"random_ring_n{signals}_s{seed}",
+                      lambda n=signals, s=seed: random_ring(n, s)))
+    for _ in range(4):
+        rings, seed = rng.randint(1, 4), rng.randrange(10_000)
+        specs.append((f"random_parallel_r{rings}_s{seed}",
+                      lambda n=rings, s=seed: random_parallel(n, s)))
+    return specs
+
+
+KERNEL_SPECS = _kernel_specs()
+
+
+@pytest.mark.parametrize("name, factory", KERNEL_SPECS,
+                         ids=[name for name, _ in KERNEL_SPECS])
+def test_firings_equal_the_paper_pipeline(name, factory):
+    """Every firing, with and without ``drop``, over the reached set and
+    seeded subsets and supersets of it, equals the four-step pipeline."""
+    pipeline = VerificationPipeline(factory())
+    encoding, image, reached = (pipeline.encoding, pipeline.image,
+                                pipeline.reached)
+    charfun = image.charfun
+    rng = random.Random(name)
+    state_sets = [reached,
+                  reached - random_states(encoding, rng),
+                  reached | random_states(encoding, rng)]
+    firings = ((image.fire, paper_fire),
+               (image.fire_backward, paper_fire_backward))
+    net_firings = ((image.fire_net, paper_fire_net),
+                   (image.fire_net_backward, paper_fire_net_backward))
+    for transition in encoding.stg.transitions:
+        for states in state_sets:
+            drop = random_states(encoding, rng) | (states & random_states(
+                encoding, rng))
+            for kernel, oracle in firings:
+                expected = oracle(charfun, states, transition)
+                assert kernel(states, transition) == expected, transition
+                assert kernel(states, transition, drop) == (
+                    expected - drop), transition
+            for kernel, oracle in net_firings:
+                assert kernel(states, transition) == oracle(
+                    charfun, states, transition), transition

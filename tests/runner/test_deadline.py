@@ -147,9 +147,9 @@ def clock_jumps_in_closures(monkeypatch):
     monkeypatch.setattr(timing, "time", clock)
     fire_backward = SymbolicImage.fire_backward
 
-    def jump_then_fire(self, states, transition):
+    def jump_then_fire(self, states, transition, drop=None):
         clock.now += 3600.0
-        return fire_backward(self, states, transition)
+        return fire_backward(self, states, transition, drop)
 
     monkeypatch.setattr(SymbolicImage, "fire_backward", jump_then_fire)
     return clock
