@@ -1,11 +1,13 @@
-"""Ablation C: traversal chaining strategy (Figure 5 vs plain BFS).
+"""Ablation C: traversal strategy (Figure 5 vs plain BFS vs saturation).
 
 The paper's traversal (Figure 5) updates the ``From`` set inside the loop
 over transitions ("chaining"), so states found while firing one transition
 are immediately available to the next one.  The ablation compares it with
-the plain frontier-at-a-time breadth-first image computation, in both
-directions of the one fixpoint routine: the forward reachability
-traversal, and the backward closure behind the reversibility check.
+the plain frontier-at-a-time breadth-first image computation and with
+saturation (the default: node-by-node local fixpoints, no global
+iterations), in both directions of the one fixpoint routine: the forward
+reachability traversal, and the backward closure behind the
+reversibility check.
 
 Run with::
 

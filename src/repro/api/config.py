@@ -29,8 +29,9 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.api.errors import ApiError
 
-#: Valid symbolic traversal strategies (Figure 5 chained vs frontier).
-TRAVERSAL_STRATEGIES = ("chained", "frontier")
+#: Valid symbolic traversal strategies: saturation (the default),
+#: Figure 5 chained, breadth-first frontier (:mod:`repro.core.traversal`).
+TRAVERSAL_STRATEGIES = ("saturation", "chained", "frontier")
 
 #: Config fields that are pure execution/observability knobs: they steer
 #: *where and how fast* a verdict is computed (and whether anyone
@@ -39,7 +40,8 @@ TRAVERSAL_STRATEGIES = ("chained", "frontier")
 #: stripped from client-supplied configs by the ``repro.serve`` daemon,
 #: which owns its own cache directories.
 EXECUTION_KNOB_FIELDS = ("timeout", "bdd_cache_dir", "trace_dir",
-                         "base_fingerprint", "deadline", "fault_plan")
+                         "base_fingerprint", "deadline", "fault_plan",
+                         "traversal_strategy")
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,12 @@ class EngineConfig:
     ordering:
         BDD variable-ordering strategy (symbolic engine).
     traversal_strategy:
-        ``"chained"`` (Figure 5) or ``"frontier"`` (symbolic engine).
+        ``"saturation"`` (the default), ``"chained"`` (Figure 5) or
+        ``"frontier"`` (symbolic engine).  An execution knob: every
+        strategy reaches the same canonical reachable BDD and closures,
+        so only the cost differs.  The field is excluded from every
+        fingerprint, and the ``repro.serve`` daemon strips it from
+        client configs like every other knob.
     max_states:
         Enumeration budget of the explicit engine.
     initial_values:
@@ -113,7 +120,7 @@ class EngineConfig:
 
     engine: str = "symbolic"
     ordering: str = "force"
-    traversal_strategy: str = "chained"
+    traversal_strategy: str = "saturation"
     max_states: int = 1_000_000
     initial_values: Optional[Tuple[Tuple[str, bool], ...]] = None
     arbitration_places: Tuple[str, ...] = ()

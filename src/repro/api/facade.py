@@ -73,9 +73,9 @@ def resolve_base(base: Union[str, STG], config: EngineConfig) -> str:
     * a benchmark-corpus entry name -- fingerprinted from the corpus
       entry's stored text.
 
-    The fingerprint is computed under ``config`` (ordering, traversal
-    strategy, initial values), i.e. it names *the base entry this very
-    config would have written*.
+    The fingerprint is computed under ``config`` (ordering, initial
+    values), i.e. it names *the base entry this very config would have
+    written*.
     """
     from repro.cache import reachable_fingerprint
     from repro.stg.writer import to_g_string

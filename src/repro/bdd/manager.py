@@ -21,7 +21,7 @@ if their root identifiers are equal.
 from __future__ import annotations
 
 import weakref
-from itertools import islice
+from itertools import count, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 FALSE_ID = 0
@@ -79,11 +79,12 @@ class BDDManager:
         # connective have their own table with their own terminal
         # short-circuits (see apply_and & friends); the derived operators
         # of repro.bdd.operators (cofactor, quantification, relational
-        # product, the image kernel ``transfer``) get dedicated
-        # memoisation tables as well, so a flood of e.g. conjunctions can
-        # never evict the image results the traversal lives on.  Every
-        # table is in ``_evictable``: ``cache_limit`` bounds each one,
-        # and clear_caches/collect_garbage empty them all.
+        # product, the image kernel ``transfer`` and both saturation
+        # recursions) get dedicated memoisation tables as well, so a
+        # flood of e.g. conjunctions can never evict the image results
+        # the traversal lives on.  Every table is in ``_evictable``:
+        # ``cache_limit`` bounds each one, and
+        # clear_caches/collect_garbage empty them all.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
@@ -95,18 +96,26 @@ class BDDManager:
         self._quant_cache: Dict[Tuple[bool, int, int], int] = {}
         self._andex_cache: Dict[Tuple[int, int, int], int] = {}
         self._transfer_cache: Dict[Tuple[int, int, int], int] = {}
+        self._sat_cache: Dict[Tuple[int, int, int], int] = {}
+        self._fire_cache: Dict[Tuple[int, int, int], int] = {}
         self._evictable = (
             self._ite_cache, self._not_cache, self._and_cache,
             self._or_cache, self._xor_cache, self._diff_cache,
             self._op_cache, self._cof_cache, self._quant_cache,
-            self._andex_cache, self._transfer_cache)
+            self._andex_cache, self._transfer_cache, self._sat_cache,
+            self._fire_cache)
         # Interning table turning the frozensets that parameterise the
         # derived operators (quantified level sets, cofactor cubes, ...)
         # into small integers, so their cache keys hash in O(1).
         self._key_ids: Dict[object, int] = {}
         self._cache_limit = cache_limit
-        # Live function handles (for garbage collection roots).
-        self._roots: "weakref.WeakSet" = weakref.WeakSet()
+        # Live function handles (for garbage collection roots), keyed by
+        # a serial number: handles compare equal by node, so a WeakSet
+        # would hold one of several handles to a node, and
+        # collect_garbage would leave the others on stale ids.
+        self._roots: "weakref.WeakValueDictionary[int, Function]" = (
+            weakref.WeakValueDictionary())
+        self._root_serial = count()
         # Statistics.
         self.gc_count = 0
         self.created_nodes = 2
@@ -230,7 +239,7 @@ class BDDManager:
         from repro.bdd.function import Function
 
         handle = Function(self, node)
-        self._roots.add(handle)
+        self._roots[next(self._root_serial)] = handle
         return handle
 
     # ------------------------------------------------------------------
@@ -528,7 +537,8 @@ class BDDManager:
         Returns the number of reclaimed nodes.  Node identifiers of live
         functions are remapped in place, so handles stay valid.
         """
-        live_roots = [h.node for h in self._roots]
+        handles = list(self._roots.values())
+        live_roots = [h.node for h in handles]
         marked = set([FALSE_ID, TRUE_ID])
         stack = [n for n in live_roots if n not in marked]
         while stack:
@@ -557,7 +567,7 @@ class BDDManager:
         }
         self.clear_caches()
         # Patch live handles.
-        for handle in self._roots:
+        for handle in handles:
             handle.node = remap[handle.node]
         self.gc_count += 1
         return reclaimed

@@ -13,7 +13,8 @@ on every visit.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
@@ -295,6 +296,223 @@ def _transfer(manager: BDDManager, f: int, drop: int, steps: TransferSteps,
         manager._evict_oldest(cache)
     cache[key] = result
     return result
+
+
+# ----------------------------------------------------------------------
+# Saturation: the least fixpoint of a set of local events, node by node
+# ----------------------------------------------------------------------
+#: ``SaturationEvents.next_top`` entry of a level with no event top at
+#: or below it (sorts after every variable level).
+_NO_TOP = 1 << 30
+
+
+class _Event:
+    """One event of a :class:`SaturationEvents` set: its steps plus the
+    interned :func:`_fire` cache key of every step suffix."""
+
+    __slots__ = ("levels", "requires", "assigns", "keys")
+
+    def __init__(self, steps: TransferSteps, set_id: int) -> None:
+        manager = steps.manager
+        self.levels = steps.levels
+        self.requires = steps.requires
+        self.assigns = steps.assigns
+        self.keys = tuple(manager.intern_key(("fire", set_id, ident))
+                          for ident in steps.ids)
+
+
+class SaturationEvents:
+    """A set of :class:`TransferSteps` events, grouped for :func:`saturate`.
+
+    An event's *top* is its first (smallest) step level.  ``by_top`` maps
+    each top level to its events, in the given order, and
+    ``next_top[k]`` is the smallest top at or below level ``k``.  The set
+    is interned by content (duplicates and step-less events dropped), so
+    two sets of the same events share every saturation cache entry.
+    """
+
+    __slots__ = ("manager", "ident", "by_top", "next_top")
+
+    def __init__(self, manager: BDDManager,
+                 events: Sequence[TransferSteps]) -> None:
+        unique: Dict[int, TransferSteps] = {}
+        for steps in events:
+            if steps.manager is not manager:
+                raise ValueError(
+                    "cannot combine functions from different managers")
+            if steps.levels:
+                unique.setdefault(steps.ids[0], steps)
+        self.manager = manager
+        self.ident = manager.intern_key(("saturate", tuple(sorted(unique))))
+        groups: Dict[int, List[_Event]] = {}
+        for steps in unique.values():
+            groups.setdefault(steps.levels[0], []).append(
+                _Event(steps, self.ident))
+        self.by_top = {top: tuple(group) for top, group in groups.items()}
+        next_top = [_NO_TOP] * (manager.num_vars + 1)
+        for level in range(manager.num_vars - 1, -1, -1):
+            next_top[level] = (level if level in self.by_top
+                               else next_top[level + 1])
+        self.next_top = tuple(next_top)
+
+
+#: ``on_round(level, firings, fresh)`` of :func:`saturate`.
+RoundHook = Callable[[int, int, Tuple[int, ...]], None]
+
+
+def saturate(f: Function, events: SaturationEvents,
+             on_round: Optional[RoundHook] = None) -> Function:
+    """The least superset of ``f`` closed under every event.
+
+    Firing an event moves each state whose step variables hold their
+    required values to the assigned values (:func:`transfer`); the
+    result is every state reachable from ``f`` by any sequence of
+    firings.  Saturation (Ciardo, Lüttgen & Siminiceanu, TACAS 2001)
+    computes it bottom-up: a node at level ``k`` is *saturated* once it
+    is closed under every event whose top is ``k`` or deeper.
+    ``_saturate`` saturates both children, then runs the local fixpoint
+    of the events whose top is ``k``; ``_fire`` applies an event's
+    remaining steps and saturates every node it builds.  A level a node
+    skips is a don't-care node there, so events whose top falls on it
+    still fire.  Both recursions are memoised per event set.
+
+    ``on_round`` is called after every local-fixpoint round that fired
+    an event, with the level, the number of firings and the firing
+    results that grew the node (empty for the round that confirms the
+    local fixpoint).
+    """
+    manager = f.manager
+    if events.manager is not manager:
+        raise ValueError("cannot combine functions from different managers")
+    return manager._wrap(_saturate(manager, events, on_round, f.node, 0))
+
+
+def _saturate(manager: BDDManager, events: SaturationEvents,
+              on_round: Optional[RoundHook], node: int, level: int) -> int:
+    if node <= TRUE_ID:
+        return node
+    top = events.next_top[level]
+    if top == _NO_TOP:
+        return node  # no event fires at or below this level
+    node_level = manager._level[node]
+    level = top if top < node_level else node_level
+    cache = manager._sat_cache
+    key = (node, level, events.ident)
+    manager.cache_lookups += 1
+    cached = cache.get(key)
+    if cached is not None:
+        manager.cache_hits += 1
+        return cached
+    if node_level == level:
+        low = _saturate(manager, events, on_round, manager._low[node],
+                        level + 1)
+        high = _saturate(manager, events, on_round, manager._high[node],
+                         level + 1)
+    else:
+        low = high = _saturate(manager, events, on_round, node, level + 1)
+    group = events.by_top.get(level)
+    if group is None:
+        result = manager._mk(level, low, high)
+    else:
+        result = _local_fixpoint(manager, events, on_round, group, level,
+                                 low, high)
+    if len(cache) >= manager._cache_limit:
+        manager._evict_oldest(cache)
+    cache[key] = result
+    return result
+
+
+def _fire(manager: BDDManager, events: SaturationEvents,
+          on_round: Optional[RoundHook], event: _Event, node: int,
+          index: int, level: int) -> int:
+    """Steps ``index..`` of ``event`` applied to ``node``, saturated.
+
+    ``node`` is saturated at ``level`` (closed under every event whose
+    top is ``level`` or deeper), and every remaining step is at
+    ``level`` or deeper -- so past the last step the node is the answer.
+    """
+    if node == FALSE_ID:
+        return FALSE_ID
+    if index == len(event.levels):
+        return node
+    step_level = event.levels[index]
+    node_level = manager._level[node]
+    level = min(step_level, node_level, events.next_top[level])
+    cache = manager._fire_cache
+    key = (node, level, event.keys[index])
+    manager.cache_lookups += 1
+    cached = cache.get(key)
+    if cached is not None:
+        manager.cache_hits += 1
+        return cached
+    if level < step_level:
+        if node_level == level:
+            node0, node1 = manager._low[node], manager._high[node]
+        else:
+            node0 = node1 = node
+        low = _fire(manager, events, on_round, event, node0, index,
+                    level + 1)
+        high = _fire(manager, events, on_round, event, node1, index,
+                     level + 1)
+    else:
+        if node_level == level:
+            node = (manager._high[node] if event.requires[index]
+                    else manager._low[node])
+        rest = _fire(manager, events, on_round, event, node, index + 1,
+                     level + 1)
+        if event.assigns[index]:
+            low, high = FALSE_ID, rest
+        else:
+            low, high = rest, FALSE_ID
+    group = events.by_top.get(level)
+    if group is None or low == high == FALSE_ID:
+        result = manager._mk(level, low, high)
+    else:
+        result = _local_fixpoint(manager, events, on_round, group, level,
+                                 low, high)
+    if len(cache) >= manager._cache_limit:
+        manager._evict_oldest(cache)
+    cache[key] = result
+    return result
+
+
+def _local_fixpoint(manager: BDDManager, events: SaturationEvents,
+                    on_round: Optional[RoundHook],
+                    group: Tuple[_Event, ...], level: int, low: int,
+                    high: int) -> int:
+    """Close the node ``(level, low, high)`` under the events whose top
+    is ``level``; both children are saturated one level down.
+
+    Each round fires every event whose source child changed since it
+    last fired; the fixpoint is reached when a round fires nothing or
+    grows nothing.
+    """
+    children = [low, high]
+    # The source each event last fired on; FALSE never needs firing.
+    fired_on = [FALSE_ID] * len(group)
+    while True:
+        firings = 0
+        fresh: List[int] = []
+        for position, event in enumerate(group):
+            source = children[event.requires[0]]
+            if source == fired_on[position]:
+                continue
+            fired_on[position] = source
+            firings += 1
+            image = _fire(manager, events, on_round, event, source, 1,
+                          level + 1)
+            target = children[event.assigns[0]]
+            merged = manager.apply_or(target, image)
+            if merged != target:
+                children[event.assigns[0]] = merged
+                fresh.append(image)
+        if not firings:
+            break
+        if on_round is not None:
+            on_round(level, firings, tuple(fresh))
+        if not fresh:
+            break
+    return manager._mk(level, children[0], children[1])
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ Each entry is one file per specification name, stamped with a
 **reachability fingerprint** (:func:`reachable_fingerprint`): a content
 hash of the canonical ``.g`` text plus exactly the
 :class:`~repro.api.config.EngineConfig` fields the reachable set depends
-on (ordering, traversal strategy, initial-value overrides).  A lookup
-whose fingerprint does not match -- the specification changed, the
+on (ordering, initial-value overrides).  A lookup whose fingerprint does
+not match -- the specification changed, the
 variable order changed -- is a miss and falls back to a cold traversal;
 a corrupt file warns with :class:`BDDStoreWarning` and recomputes
 (mirroring :class:`~repro.runner.store.RunStoreWarning` semantics).
@@ -58,7 +58,9 @@ from repro.utils.journal import atomic_write
 #: 2: the meta line records the canonical ``.g`` text of the stored
 #:    specification, so delta warm-starts can diff an edited STG
 #:    against the base without a side channel.
-BDD_SCHEMA_VERSION = 2
+#: 3: the traversal strategy left the fingerprint material: every
+#:    strategy reaches the same canonical reachable BDD.
+BDD_SCHEMA_VERSION = 3
 
 FORMAT_HEADER = f"bddstore {BDD_SCHEMA_VERSION}"
 
@@ -75,15 +77,15 @@ def reachable_fingerprint(g_text: str, config) -> str:
     Covers exactly what the reachable BDD depends on: the canonical
     ``.g`` text and the reachability-relevant
     :class:`~repro.api.config.EngineConfig` fields.  Check selection,
-    arbitration places, timeouts and the cache directory itself are
-    deliberately excluded -- they change what is *asked about* the
-    reachable set, never the set (or its BDD) itself.
+    arbitration places, timeouts, the traversal strategy and the cache
+    directory itself are deliberately excluded -- they change what is
+    *asked about* the reachable set, or how fast it is computed, never
+    the set (or its BDD) itself.
     """
     material = json.dumps({
         "schema": BDD_SCHEMA_VERSION,
         "g_text": g_text,
         "ordering": config.ordering,
-        "traversal_strategy": config.traversal_strategy,
         "initial_values": config.initial_values_dict,
     }, sort_keys=True)
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -8,7 +8,7 @@ no transition at all.
 
 ``reversibility`` (every reachable state can return to the initial state)
 is also provided because it is a cheap, useful sanity check for cyclic
-specifications: it is one chained backward closure
+specifications: it is one saturated backward closure
 (:func:`repro.core.traversal.fixpoint`).
 """
 
@@ -82,14 +82,14 @@ def check_reversibility(encoding: SymbolicEncoding, reached: Function,
                         ) -> ReversibilityResult:
     """Can every reachable state reach the initial state again?
 
-    Computes the chained backward closure of the initial state over all
-    transitions (restricted to the reachable set) and compares it with
-    the reachable set itself.  ``deadline`` is the cooperative deadline
-    of :func:`~repro.core.traversal.fixpoint`.
+    Computes the saturated backward closure of the initial state over
+    all transitions (restricted to the reachable set) and compares it
+    with the reachable set itself.  ``deadline`` is the cooperative
+    deadline of :func:`~repro.core.traversal.fixpoint`.
     """
     image = image or SymbolicImage(encoding)
     can_return = fixpoint(image, encoding.initial_state(),
-                          encoding.stg.transitions, "backward", "chained",
+                          encoding.stg.transitions, "backward", "saturation",
                           restrict_to=reached, deadline=deadline)
     stranded = reached - can_return
     if stranded.is_false():

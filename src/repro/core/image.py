@@ -20,16 +20,21 @@ place 1 -> 1 and the fired signal old -> new (backward firing swaps
 every pair).  A :class:`_FirePlan` resolves those steps **once** per
 transition, and every firing is one
 :func:`~repro.bdd.operators.transfer` recursion -- which also subtracts
-an optional ``drop`` set, the states a fixpoint has already seen.
+an optional ``drop`` set, the states a fixpoint has already seen.  The
+same resolved steps are the events of a saturation closure
+(:meth:`SymbolicImage.events`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
+
+if TYPE_CHECKING:
+    from repro.bdd.operators import SaturationEvents
 
 
 class _FirePlan:
@@ -59,6 +64,8 @@ class SymbolicImage:
         self.encoding = encoding
         self.charfun = charfun or CharacteristicFunctions(encoding)
         self._plans: Dict[str, _FirePlan] = {}
+        self._events: Dict[Tuple[Tuple[str, ...], str],
+                           "SaturationEvents"] = {}
 
     def _plan(self, transition: str) -> _FirePlan:
         """The cached :class:`_FirePlan` of ``transition`` (built once)."""
@@ -129,6 +136,23 @@ class SymbolicImage:
                       drop: Optional[Function] = None) -> Function:
         """Inverse of :meth:`fire`: predecessors under ``t``, minus ``drop``."""
         return states.transfer(self._plan(transition).backward, drop)
+
+    def events(self, transitions: Iterable[str],
+               direction: str) -> "SaturationEvents":
+        """The saturation events of ``transitions`` fired ``direction``
+        (``"forward"``: :meth:`fire`, ``"backward"``:
+        :meth:`fire_backward`); built once per transition list."""
+        key = (tuple(transitions), direction)
+        events = self._events.get(key)
+        if events is None:
+            from repro.bdd.operators import SaturationEvents
+
+            plans = [self._plan(t) for t in key[0]]
+            events = SaturationEvents(self.encoding.manager, [
+                plan.forward if direction == "forward" else plan.backward
+                for plan in plans])
+            self._events[key] = events
+        return events
 
     # ------------------------------------------------------------------
     # Images over transition sets

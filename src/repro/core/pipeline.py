@@ -64,7 +64,10 @@ class VerificationPipeline:
         Variable-ordering strategy of
         :class:`~repro.core.encoding.SymbolicEncoding`.
     traversal_strategy:
-        ``"chained"`` (Figure 5) or ``"frontier"``.
+        The :func:`~repro.core.traversal.fixpoint` strategy of the
+        traversal: ``"saturation"`` (the default), ``"chained"``
+        (Figure 5) or ``"frontier"``.  The reversibility and Section 5.3
+        closures always saturate.
     initial_values:
         Optional completion/override of the initial signal values (the
         STG is copied before they are applied).
@@ -83,7 +86,7 @@ class VerificationPipeline:
     def __init__(self, stg: STG,
                  arbitration_places: Optional[Iterable[str]] = None,
                  ordering: str = "force",
-                 traversal_strategy: str = "chained",
+                 traversal_strategy: str = "saturation",
                  initial_values: Optional[Dict[str, bool]] = None,
                  commutativity_fallback_states: int = 10_000,
                  deadline: Optional[float] = None) -> None:

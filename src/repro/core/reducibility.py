@@ -107,8 +107,10 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
     quiescent-side contradictory states, close backward then forward firing
     only input transitions (non-inputs are "frozen"), and test whether an
     excitation-side contradictory state is reached.  Both closures are
-    chained :func:`~repro.core.traversal.fixpoint` runs bounded by the
-    reachable set, checking ``deadline`` once per iteration.
+    saturation :func:`~repro.core.traversal.fixpoint` runs bounded by
+    the reachable set, checking ``deadline`` once per local-fixpoint
+    round.  Every signal's closures fire the same input events, so they
+    share the saturation caches.
     """
     image = image or SymbolicImage(encoding)
     charfun = image.charfun
@@ -124,9 +126,10 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
         if quiescent_conflict.is_false():
             continue
         backward = fixpoint(image, quiescent_conflict, inputs, "backward",
-                            "chained", restrict_to=reached, deadline=deadline)
+                            "saturation", restrict_to=reached,
+                            deadline=deadline)
         reached_frozen = fixpoint(image, backward, inputs, "forward",
-                                  "chained", restrict_to=reached,
+                                  "saturation", restrict_to=reached,
                                   deadline=deadline)
         excitation_conflict = (regions.er_plus_states
                                | regions.er_minus_states) & contradictory

@@ -35,8 +35,10 @@ from repro.api.config import EXECUTION_KNOB_FIELDS, EngineConfig
 #:     written by older schemas would not be byte-identical.
 #:  5: delta warm-starts made the path-dependent traversal statistics
 #:     (iterations, images, peak nodes) volatile -- they left the stable
-#:     view, and reports grew the ``delta`` provenance block.)
-SCHEMA_VERSION = 5
+#:     view, and reports grew the ``delta`` provenance block.
+#:  6: ``traversal_strategy`` became an execution knob -- every strategy
+#:     reaches the same canonical BDD -- and left the config material.)
+SCHEMA_VERSION = 6
 
 
 class PlanError(ValueError):
@@ -148,10 +150,10 @@ class SweepTask:
         :data:`~repro.api.config.EXECUTION_KNOB_FIELDS`), the check
         selection, the expected metadata the mismatch check runs
         against, and the result schema version.  Execution knobs
-        (timeout, delay, BDD-cache directory, trace directory)
-        deliberately do not participate: where and how fast a verdict
-        is computed -- and whether anyone watched -- never changes the
-        verdict.
+        (timeout, delay, BDD-cache directory, trace directory,
+        traversal strategy) deliberately do not participate: where and
+        how fast a verdict is computed -- and whether anyone watched --
+        never changes the verdict.
         """
         config = self.config.to_dict()
         for knob in EXECUTION_KNOB_FIELDS:

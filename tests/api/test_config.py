@@ -13,7 +13,7 @@ class TestDefaults:
         config = EngineConfig()
         assert config.engine == "symbolic"
         assert config.ordering == "force"
-        assert config.traversal_strategy == "chained"
+        assert config.traversal_strategy == "saturation"
         assert config.arbitration_places == ()
         assert config.initial_values is None
         assert config.timeout is None

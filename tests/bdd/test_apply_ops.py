@@ -4,7 +4,8 @@ The kernel used to funnel every connective through the generic ``ite``;
 ``apply_and``/``apply_or``/``apply_xor``/``apply_diff`` now recurse
 directly with their own caches and terminal short-circuits, and the
 image kernel ``transfer`` fuses a cofactor, a product and a difference
-into one recursion.  These tests pin them against references built
+into one recursion, and ``saturate`` closes a set under ``transfer``
+events node by node.  These tests pin them against references built
 from the plain operations on exhaustive small cases and randomised
 functions, and cover the generational cache eviction that replaced the
 clear-everything policy.
@@ -17,7 +18,12 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.bdd.manager import FALSE_ID, TRUE_ID
-from repro.bdd.operators import TransferSteps, transfer
+from repro.bdd.operators import (
+    SaturationEvents,
+    TransferSteps,
+    saturate,
+    transfer,
+)
 
 
 @pytest.fixture
@@ -244,3 +250,87 @@ class TestTransfer:
         steps = TransferSteps(other, {"a": (True, False)})
         with pytest.raises(ValueError):
             transfer(mgr.var("b"), steps)
+
+
+def reference_closure(mgr, f, events):
+    """The plain least fixpoint: fire every event until nothing is new."""
+    reached = f
+    while True:
+        grown = reached
+        for steps in events:
+            grown = grown | reference_transfer(mgr, reached, steps,
+                                               mgr.false)
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def resolve(mgr, events):
+    return SaturationEvents(mgr, [TransferSteps(mgr, steps)
+                                  for steps in events])
+
+
+class TestSaturate:
+    """``saturate`` equals the plain fixpoint of ``transfer`` firings."""
+
+    def cases(self, mgr, rng, count):
+        constants = [mgr.false, mgr.true]
+        for index in range(count):
+            f = (constants[index % 2] if index % 10 == 0
+                 else mgr._wrap(random_function(mgr, rng, depth=4)))
+            events = [random_steps(mgr, rng)
+                      for _ in range(rng.randint(1, 6))]
+            yield f, events
+
+    def test_matches_the_plain_fixpoint(self):
+        mgr = BDDManager([f"x{i}" for i in range(8)])
+        rng = random.Random(31)
+        grew = 0
+        for f, events in self.cases(mgr, rng, 200):
+            closure = saturate(f, resolve(mgr, events))
+            assert closure == reference_closure(mgr, f, events), events
+            grew += closure != f
+        assert grew > 60  # the draws are not vacuous
+
+    def test_rounds_report_their_firings_and_growth(self):
+        mgr = BDDManager([f"x{i}" for i in range(8)])
+        rng = random.Random(37)
+        for f, events in self.cases(mgr, rng, 60):
+            resolved = resolve(mgr, events)
+            rounds = []
+            closure = saturate(f, resolved,
+                               lambda *args: rounds.append(args))
+            assert all(level in resolved.by_top and firings > 0
+                       for level, firings, _ in rounds)
+            # Nodes a firing builds are saturated from scratch, so rounds
+            # may grow them even when ``f`` itself is already closed.
+            if closure != f:
+                assert any(fresh for *_, fresh in rounds)
+
+    def test_equal_event_sets_share_one_cache_id(self, mgr):
+        steps = [{"a": (True, False), "c": (False, True)},
+                 {"b": (False, True)}]
+        forward = resolve(mgr, steps)
+        assert resolve(mgr, steps[::-1] + steps).ident == forward.ident
+        assert resolve(mgr, steps[:1]).ident != forward.ident
+
+    def test_tiny_cache_limit_and_garbage_collection(self):
+        mgr = BDDManager([f"x{i}" for i in range(10)], cache_limit=8)
+        rng = random.Random(41)
+        for f, events in self.cases(mgr, rng, 80):
+            resolved = resolve(mgr, events)
+            result = saturate(f, resolved)
+            mgr.collect_garbage()  # remaps ids, clears every cache
+            assert result == reference_closure(mgr, f, events)
+            assert saturate(f, resolved) == result
+        assert mgr.cache_evictions > 0
+        assert len(mgr._sat_cache) <= 8 + 1
+        assert len(mgr._fire_cache) <= 8 + 1
+
+    def test_events_from_another_manager_are_rejected(self, mgr):
+        other = BDDManager(mgr.variables)
+        with pytest.raises(ValueError):
+            saturate(mgr.var("b"), resolve(other, [{"a": (True, False)}]))
+        with pytest.raises(ValueError):
+            SaturationEvents(mgr, [TransferSteps(other,
+                                                 {"a": (True, False)})])

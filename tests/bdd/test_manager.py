@@ -196,6 +196,17 @@ class TestGarbageCollection:
         assert f.evaluate({"a": True, "b": False, "c": False})
         assert not f.evaluate({"a": True, "b": False, "c": True})
 
+    def test_gc_remaps_every_handle_of_a_node(self):
+        # Handles compare equal by node, but each one must be remapped.
+        mgr = BDDManager(["a", "b", "c"])
+        garbage = mgr.var("a") ^ mgr.var("b") ^ mgr.var("c")
+        first = (mgr.var("b") | mgr.var("c")) & ~mgr.var("a")
+        second = mgr._wrap(first.node)
+        del garbage
+        assert mgr.collect_garbage() > 0
+        assert second.node == first.node
+        assert second == (mgr.var("b") | mgr.var("c")) & ~mgr.var("a")
+
     def test_gc_noop_when_everything_alive(self):
         mgr = BDDManager(["a", "b"])
         a, b = mgr.var("a"), mgr.var("b")

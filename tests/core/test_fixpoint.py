@@ -1,20 +1,27 @@
 """Differential tests of the one symbolic fixpoint routine.
 
-Chained (Figure 5) and frontier (breadth-first) closures must reach the
-*same BDD* in both directions from every start the checks use -- the
-reversibility closure of the initial state, the Section 5.3 closures of
-each quiescent-side CSC conflict over the input transitions, and an
-unrestricted closure of the initial state -- over the whole corpus plus
-seeded draws of the ``random_ring`` / ``random_parallel`` families and
-two hand-written non-live specifications.  On the non-corpus ones both
-engines must also agree on every check, the liveness verdicts built on
-those closures included (the explicit engine's state graph is the
-oracle).
+Every strategy -- saturation and frontier (breadth-first) -- must reach
+the *same BDD* as the chained one (Figure 5, the oracle) in both
+directions from every start the checks use -- the reversibility closure
+of the initial state, the Section 5.3 closures of each quiescent-side
+CSC conflict over the input transitions, and an unrestricted closure of
+the initial state -- over the whole corpus plus seeded draws of the
+``random_ring`` / ``random_parallel`` families and two hand-written
+non-live specifications.  Seeded starts inside and outside the
+reachable set check the ``restrict_to`` contract of saturation.  On the
+non-corpus ones both engines must also agree on every check, the
+liveness verdicts built on those closures included (the explicit
+engine's state graph is the oracle).
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro import corpus
 from repro.api import ALL, EngineConfig, verify
@@ -96,11 +103,101 @@ def test_chained_and_frontier_closures_are_identical(name, factory):
     pipeline = VerificationPipeline(factory())
     for label, start, transitions, restrict_to in closure_starts(pipeline):
         for direction in DIRECTIONS:
-            chained, frontier = (
-                fixpoint(pipeline.image, start, transitions, direction,
-                         strategy, restrict_to=restrict_to)
-                for strategy in STRATEGIES)
-            assert chained == frontier, f"{name}: {label} {direction}"
+            closures = {
+                strategy: fixpoint(pipeline.image, start, transitions,
+                                   direction, strategy,
+                                   restrict_to=restrict_to)
+                for strategy in STRATEGIES}
+            for strategy, closure in closures.items():
+                assert closure == closures["chained"], (
+                    f"{name}: {label} {direction} {strategy}")
+
+
+def random_cube(pipeline, rng):
+    """A seeded cube over up to three state variables."""
+    manager = pipeline.manager
+    cube = manager.true
+    for name in rng.sample(pipeline.encoding.all_variables,
+                           rng.randint(1, 3)):
+        cube = cube & (manager.var(name) if rng.random() < 0.5
+                       else manager.nvar(name))
+    return cube
+
+
+def states_next_to(pipeline, rng, count):
+    """Seeded single states outside R: a reachable state with one
+    variable flipped (a start the closure must leave R's bound for)."""
+    reached, manager = pipeline.reached, pipeline.manager
+    variables = pipeline.encoding.all_variables
+    starts = []
+    for _ in range(count):
+        state = (reached & random_cube(pipeline, rng)).pick_one(variables)
+        if state is None:
+            continue
+        flip = rng.choice(variables)
+        state[flip] = not state[flip]
+        start = manager.cube(state)
+        if (start & reached).is_false():
+            starts.append(start)
+    return starts
+
+
+@pytest.mark.parametrize("name, factory", SPECS,
+                         ids=[name for name, _ in SPECS])
+def test_saturation_matches_chained_from_seeded_starts(name, factory):
+    pipeline = VerificationPipeline(factory())
+    image, reached = pipeline.image, pipeline.reached
+    rng = random.Random(name)
+    inside = [reached & random_cube(pipeline, rng) for _ in range(3)]
+    outside = states_next_to(pipeline, rng, 2)
+    for transitions in (pipeline.stg.transitions, image.input_transitions()):
+        for direction in DIRECTIONS:
+            for start in inside:
+                for bound in (reached, None):
+                    assert (fixpoint(image, start, transitions, direction,
+                                     "saturation", restrict_to=bound)
+                            == fixpoint(image, start, transitions, direction,
+                                        "chained", restrict_to=bound)), (
+                        f"{name}: {direction} from inside R")
+            # Outside R the bound is applied to the unbounded closure.
+            for start in outside:
+                unbounded = fixpoint(image, start, transitions, direction,
+                                     "chained")
+                assert (fixpoint(image, start, transitions, direction,
+                                 "saturation", restrict_to=reached)
+                        == start | (unbounded & reached)), (
+                    f"{name}: {direction} from outside R")
+
+
+def test_the_seeded_starts_leave_the_reachable_set():
+    outside = [start
+               for name, factory in SPECS
+               for start in states_next_to(
+                   VerificationPipeline(factory()), random.Random(name), 2)]
+    assert len(outside) >= len(SPECS)
+
+
+#: The largest registered family scales with every check, in a fresh
+#: interpreter: saturation recurses once per level, and 201 variables
+#: must fit the default recursion limit.
+DEEP_SCRIPT = """\
+import sys
+from repro.api import ALL, verify
+from repro.stg.generators import master_read, muller_pipeline
+
+assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+for stg in (muller_pipeline(40), master_read(11)):
+    report = verify(stg, checks=ALL)
+    assert report.deadlock_free and report.reversible, stg.name
+"""
+
+
+def test_largest_scales_fit_the_default_recursion_limit():
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=source_root)
+    proc = subprocess.run([sys.executable, "-c", DEEP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_draws_reach_reducibility_closures():

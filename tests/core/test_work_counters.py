@@ -14,7 +14,7 @@ import sys
 import repro
 
 #: ``run(muller_pipeline(12), checks=ALL)`` in a fresh interpreter.
-PINNED = {"cache_lookups": 56_156, "created_nodes": 21_298}
+PINNED = {"cache_lookups": 21_277, "created_nodes": 8_248}
 TOLERANCE = 0.05
 
 SCRIPT = """\

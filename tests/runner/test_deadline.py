@@ -137,21 +137,23 @@ class FakeClock:
 
 @pytest.fixture
 def clock_jumps_in_closures(monkeypatch):
-    """A clock that stands still until the first backward firing, then
-    jumps an hour: the forward traversal finishes inside any budget,
-    and a closure's next fixpoint iteration finds its deadline gone."""
+    """A clock that stands still until the first backward closure asks
+    for its events, then jumps an hour: the forward traversal finishes
+    inside any budget, and the closure's next deadline check finds its
+    deadline gone."""
     from repro.core.image import SymbolicImage
     from repro.utils import timing
 
     clock = FakeClock()
     monkeypatch.setattr(timing, "time", clock)
-    fire_backward = SymbolicImage.fire_backward
+    events = SymbolicImage.events
 
-    def jump_then_fire(self, states, transition, drop=None):
-        clock.now += 3600.0
-        return fire_backward(self, states, transition, drop)
+    def jump_then_build(self, transitions, direction):
+        if direction == "backward":
+            clock.now += 3600.0
+        return events(self, transitions, direction)
 
-    monkeypatch.setattr(SymbolicImage, "fire_backward", jump_then_fire)
+    monkeypatch.setattr(SymbolicImage, "events", jump_then_build)
     return clock
 
 
