@@ -26,7 +26,9 @@ against those contexts::
             "single output", len(ctx.stg.outputs) == 1)))
 
 Checks always run in registration order regardless of the order they
-were selected in, so reports stay deterministic.
+were selected in, so reports stay deterministic.  :data:`CHECKS` is a
+:class:`~repro.utils.registry.Registry`; ``register_check``,
+``unregister_check`` and ``available_checks`` wrap its bound methods.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -45,6 +46,7 @@ from typing import (
 
 from repro.api.errors import UnknownCheckError
 from repro.report import ImplementabilityReport
+from repro.utils.registry import Registry
 
 #: Sentinel selecting every check the engine supports (the sweep runner
 #: uses this so cached verdicts are always complete).
@@ -76,37 +78,25 @@ class CheckSpec:
         return self.apply is not None or engine in self.engines
 
 
-CHECKS: Dict[str, CheckSpec] = {}
+CHECKS: Registry[CheckSpec] = Registry(UnknownCheckError)
+unregister_check = CHECKS.unregister
+available_checks = CHECKS.available
 
 
 def register_check(spec: CheckSpec, replace: bool = False) -> CheckSpec:
     """Register a property check (``replace=True`` to override)."""
-    if spec.name in CHECKS and not replace:
-        raise ValueError(f"duplicate check {spec.name!r}")
-    CHECKS[spec.name] = spec
-    return spec
-
-
-def unregister_check(name: str) -> None:
-    """Remove a registered check (mainly for tests and plug-in teardown)."""
-    CHECKS.pop(name, None)
-
-
-def available_checks() -> List[str]:
-    """Every registered check name, in canonical (registration) order."""
-    return list(CHECKS)
+    return CHECKS.register(spec.name, spec, replace)
 
 
 def default_checks(engine: str = "symbolic") -> List[str]:
     """The default selection for ``engine`` (every in-default check)."""
-    return [name for name, spec in CHECKS.items()
-            if spec.in_default and spec.supported_by(engine)]
+    return [name for name in supported_checks(engine)
+            if CHECKS[name].in_default]
 
 
 def supported_checks(engine: str) -> List[str]:
     """Every check the given built-in engine implements."""
-    return [name for name, spec in CHECKS.items()
-            if spec.supported_by(engine)]
+    return [name for name in CHECKS if CHECKS[name].supported_by(engine)]
 
 
 def resolve_checks(checks: Union[None, str, Iterable[str]],
@@ -134,8 +124,7 @@ def resolve_checks(checks: Union[None, str, Iterable[str]],
         checks = [part.strip() for part in checks.split(",") if part.strip()]
     requested = list(checks)
     for name in requested:
-        if name not in CHECKS:
-            raise UnknownCheckError(name, available_checks())
+        CHECKS.get(name)  # unknown name -> UnknownCheckError
         if name not in supported:
             raise UnknownCheckError(
                 name, supported,

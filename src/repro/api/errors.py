@@ -4,48 +4,27 @@ Everything the facade can reject -- an unknown engine, an unknown
 property check, an arbitration place that does not exist on the
 specification -- raises a subclass of :class:`ApiError` whose message is
 ready to be shown to a user verbatim (the CLI maps them to usage errors,
-exit status 2).  Unknown-name errors carry a did-you-mean suggestion
-built from the registered names, matching the behaviour of unknown
-corpus entries in ``batch-check``.
+exit status 2).  Unknown-name errors are
+:class:`~repro.utils.registry.UnknownNameError` subclasses: they list
+the registered names and suggest the close ones, like every registry.
 """
 
 from __future__ import annotations
 
-import difflib
-from typing import Iterable, Optional
-
-
-def suggest(name: str, options: Iterable[str]) -> str:
-    """A ``"; did you mean: ..."`` suffix (empty when nothing is close)."""
-    close = difflib.get_close_matches(name, list(options), n=3)
-    return f"; did you mean: {', '.join(close)}?" if close else ""
+from repro.utils.registry import UnknownNameError
 
 
 class ApiError(ValueError):
     """An invalid request to the verification facade."""
 
 
-class UnknownEngineError(ApiError):
+class UnknownEngineError(UnknownNameError, ApiError):
     """The requested engine is not registered."""
 
-    def __init__(self, name: str, options: Iterable[str],
-                 message: Optional[str] = None) -> None:
-        options = list(options)
-        self.engine = name
-        self.options = options
-        super().__init__(message or (
-            f"unknown engine {name!r}; available: "
-            f"{', '.join(options)}{suggest(name, options)}"))
+    kind = "engine"
 
 
-class UnknownCheckError(ApiError):
+class UnknownCheckError(UnknownNameError, ApiError):
     """The requested property check is not registered."""
 
-    def __init__(self, name: str, options: Iterable[str],
-                 message: Optional[str] = None) -> None:
-        options = list(options)
-        self.check = name
-        self.options = options
-        super().__init__(message or (
-            f"unknown check {name!r}; available: "
-            f"{', '.join(options)}{suggest(name, options)}"))
+    kind = "check"

@@ -35,10 +35,11 @@ import re
 from typing import Iterable, Optional, Union
 
 from repro.api.config import EngineConfig
-from repro.api.errors import ApiError, suggest
+from repro.api.errors import ApiError
 from repro.engines import EngineRun
 from repro.report import ImplementabilityReport
 from repro.stg.stg import STG
+from repro.utils.registry import suggest
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 

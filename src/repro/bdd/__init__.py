@@ -3,8 +3,8 @@
 This package is a self-contained, pure-Python BDD library used as the
 symbolic substrate of the reproduction.  It provides:
 
-* :class:`~repro.bdd.manager.BDDManager` -- node store, unique table,
-  ``ite`` and garbage collection,
+* :class:`~repro.bdd.manager.BDDManager` -- node store, unique table
+  and ``ite``,
 * :class:`~repro.bdd.function.Function` -- a handle to a BDD root with
   Python operator overloading (``&``, ``|``, ``~``, ``^``, ...),
 * quantification, cofactoring, composition and renaming
@@ -13,9 +13,7 @@ symbolic substrate of the reproduction.  It provides:
   (:mod:`repro.bdd.analysis`),
 * static variable-ordering heuristics and reordering by rebuild
   (:mod:`repro.bdd.ordering`),
-* irredundant sum-of-products cover extraction (:mod:`repro.bdd.cover`),
-* a small boolean-expression front end (:mod:`repro.bdd.expr`) and
-  Graphviz export (:mod:`repro.bdd.dot`).
+* irredundant sum-of-products cover extraction (:mod:`repro.bdd.cover`).
 
 The library uses plain (non-complemented) edges, so every boolean
 function has exactly one node identifier inside a given manager and
@@ -24,7 +22,6 @@ equality of functions is equality of identifiers.
 
 from repro.bdd.manager import BDDManager, BDDError, BDDOrderError
 from repro.bdd.function import Function
-from repro.bdd.expr import parse_expression
 from repro.bdd.ordering import force_ordering, reorder_by_rebuild
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "BDDError",
     "BDDOrderError",
     "Function",
-    "parse_expression",
     "force_ordering",
     "reorder_by_rebuild",
 ]

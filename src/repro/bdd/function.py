@@ -31,7 +31,7 @@ class Function:
     ========  =========================
     """
 
-    __slots__ = ("manager", "node", "__weakref__")
+    __slots__ = ("manager", "node")
 
     def __init__(self, manager: "BDDManager", node: int) -> None:
         self.manager = manager
@@ -225,24 +225,6 @@ class Function:
     def size(self) -> int:
         """Number of BDD nodes of this function (terminals included)."""
         return self.manager.size(self.node)
-
-    def to_cover(self) -> Sequence[Dict[str, bool]]:
-        """Irredundant sum-of-products cover (list of cubes)."""
-        from repro.bdd import cover
-
-        return cover.isop(self)
-
-    def to_expr(self) -> str:
-        """Human-readable sum-of-products expression string."""
-        from repro.bdd import cover
-
-        return cover.to_expression(self)
-
-    def to_dot(self) -> str:
-        """Graphviz DOT representation of the BDD."""
-        from repro.bdd import dot
-
-        return dot.to_dot(self)
 
     def __repr__(self) -> str:
         if self.is_true():

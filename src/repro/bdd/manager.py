@@ -1,4 +1,4 @@
-"""The BDD manager: node storage, unique table, ITE and garbage collection.
+"""The BDD manager: node storage, unique table and ITE.
 
 The manager owns every node.  A node is identified by a small integer.
 Identifier ``0`` is the constant FALSE terminal and identifier ``1`` is the
@@ -20,9 +20,10 @@ if their root identifiers are equal.
 
 from __future__ import annotations
 
-import weakref
-from itertools import count, islice
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.bdd.function import Function
 
 FALSE_ID = 0
 TRUE_ID = 1
@@ -83,8 +84,8 @@ class BDDManager:
         # recursions) get dedicated memoisation tables as well, so a
         # flood of e.g. conjunctions can never evict the image results
         # the traversal lives on.  Every table is in ``_evictable``:
-        # ``cache_limit`` bounds each one, and
-        # clear_caches/collect_garbage empty them all.
+        # ``cache_limit`` bounds each one, and clear_caches empties
+        # them all.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
@@ -109,15 +110,7 @@ class BDDManager:
         # into small integers, so their cache keys hash in O(1).
         self._key_ids: Dict[object, int] = {}
         self._cache_limit = cache_limit
-        # Live function handles (for garbage collection roots), keyed by
-        # a serial number: handles compare equal by node, so a WeakSet
-        # would hold one of several handles to a node, and
-        # collect_garbage would leave the others on stale ids.
-        self._roots: "weakref.WeakValueDictionary[int, Function]" = (
-            weakref.WeakValueDictionary())
-        self._root_serial = count()
         # Statistics.
-        self.gc_count = 0
         self.created_nodes = 2
         self.cache_lookups = 0
         self.cache_hits = 0
@@ -235,12 +228,8 @@ class BDDManager:
         """True for the two constant nodes."""
         return node <= TRUE_ID
 
-    def _wrap(self, node: int) -> "Function":
-        from repro.bdd.function import Function
-
-        handle = Function(self, node)
-        self._roots[next(self._root_serial)] = handle
-        return handle
+    def _wrap(self, node: int) -> Function:
+        return Function(self, node)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -531,47 +520,6 @@ class BDDManager:
             "entries": sum(len(cache) for cache in self._evictable),
         }
 
-    def collect_garbage(self) -> int:
-        """Remove nodes unreachable from any live :class:`Function` handle.
-
-        Returns the number of reclaimed nodes.  Node identifiers of live
-        functions are remapped in place, so handles stay valid.
-        """
-        handles = list(self._roots.values())
-        live_roots = [h.node for h in handles]
-        marked = set([FALSE_ID, TRUE_ID])
-        stack = [n for n in live_roots if n not in marked]
-        while stack:
-            node = stack.pop()
-            if node in marked:
-                continue
-            marked.add(node)
-            low, high = self._low[node], self._high[node]
-            if low not in marked:
-                stack.append(low)
-            if high not in marked:
-                stack.append(high)
-        reclaimed = len(self._level) - len(marked)
-        if reclaimed == 0:
-            return 0
-        # Build the remapping old id -> new id, preserving 0/1.
-        order = sorted(marked)
-        remap = {old: new for new, old in enumerate(order)}
-        new_level = [self._level[old] for old in order]
-        new_low = [remap[self._low[old]] for old in order]
-        new_high = [remap[self._high[old]] for old in order]
-        self._level, self._low, self._high = new_level, new_low, new_high
-        self._unique = {
-            (self._level[n], self._low[n], self._high[n]): n
-            for n in range(2, len(self._level))
-        }
-        self.clear_caches()
-        # Patch live handles.
-        for handle in handles:
-            handle.node = remap[handle.node]
-        self.gc_count += 1
-        return reclaimed
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -609,5 +557,4 @@ class BDDManager:
                 stack.append(self._high[current])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"BDDManager(vars={self.num_vars}, nodes={self.num_nodes}, "
-                f"gc={self.gc_count})")
+        return f"BDDManager(vars={self.num_vars}, nodes={self.num_nodes})"

@@ -39,7 +39,6 @@ The ``serve`` mode starts the always-warm verification daemon
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import os
 import sys
@@ -521,10 +520,8 @@ def batch_check_main(argv: List[str]) -> int:
 
             checks = resolve_checks(arguments.checks,
                                     engine=arguments.engine)
-        selection = [_resolve_entry(name, parser).name
-                     for name in (arguments.names or corpus.names())]
         plan = SweepPlan(
-            names=selection,
+            names=arguments.names or corpus.names(),
             families=[parse_family_spec(spec)
                       for spec in arguments.families],
             config=config,
@@ -536,9 +533,9 @@ def batch_check_main(argv: List[str]) -> int:
             backends.get(arguments.backend)  # unknown name -> usage error
         gc_keywords = (parse_gc_spec(arguments.cache_gc)
                        if arguments.cache_gc else None)
-        plan.tasks()  # expand now: bad family names/scales become usage
-    except (PlanError, api.ApiError, ValueError) as error:
-        parser.error(str(error))  # errors here, not tracebacks mid-sweep
+        plan.tasks()  # expand now: bad entry/family names and scales
+    except (PlanError, api.ApiError, corpus.CorpusError, ValueError) as error:
+        parser.error(str(error))  # become usage errors, not tracebacks
         return 2
 
     if arguments.write_dir:
@@ -668,22 +665,6 @@ def _write_swept_tasks(plan, directory: str) -> None:
             handle.write(task.g_text)
 
 
-def _resolve_entry(name: str, parser: argparse.ArgumentParser):
-    """Corpus lookup with a did-you-mean suggestion on unknown names.
-
-    ``parser.error`` exits with status 2, matching argparse's own usage
-    errors.
-    """
-    from repro import corpus
-
-    try:
-        return corpus.entry(name)
-    except corpus.CorpusError as error:
-        close = difflib.get_close_matches(name, corpus.names(), n=3)
-        suggestion = f"; did you mean: {', '.join(close)}?" if close else ""
-        parser.error(f"{error}{suggestion}")  # exits with status 2
-
-
 def _corpus_listing_dict() -> dict:
     """The machine-readable ``--list --json`` payload.
 
@@ -693,7 +674,6 @@ def _corpus_listing_dict() -> dict:
     instead of scraping the text table.
     """
     from repro import corpus
-    from repro.corpus import FAMILIES
 
     return {
         "entries": [corpus.entry(name).listing_dict()
@@ -702,7 +682,7 @@ def _corpus_listing_dict() -> dict:
             {"name": family.name,
              "expected": {key: _json_metadata_value(value)
                           for key, value in family.expected.items()}}
-            for family in FAMILIES.values()],
+            for family in map(corpus.family, corpus.FAMILIES)],
     }
 
 

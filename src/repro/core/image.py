@@ -42,10 +42,8 @@ class _FirePlan:
     transition."""
 
     __slots__ = (
-        "net_forward",   # delta_N: places only
-        "net_backward",  # inverse of delta_N
-        "forward",       # delta_D: places and the fired signal
-        "backward",      # inverse of delta_D
+        "forward",   # delta_D: places and the fired signal
+        "backward",  # inverse of delta_D
     )
 
 
@@ -87,36 +85,22 @@ class SymbolicImage:
 
         preset = net.preset_of_transition(transition)
         postset = net.postset_of_transition(transition)
-        places: Dict[str, Tuple[bool, bool]] = {}
+        steps: Dict[str, Tuple[bool, bool]] = {}
         for p in sorted(preset - postset):
-            places[place(p)] = (True, False)
+            steps[place(p)] = (True, False)
         for p in sorted(postset - preset):
-            places[place(p)] = (False, True)
+            steps[place(p)] = (False, True)
         # A self-loop place stays marked across the firing.
         for p in sorted(preset & postset):
-            places[place(p)] = (True, True)
+            steps[place(p)] = (True, True)
         label = encoding.stg.label_of(transition)
-        full_state = dict(places)
-        full_state[encoding.signal_variable(label.signal)] = (
+        steps[encoding.signal_variable(label.signal)] = (
             not label.target_value, label.target_value)
 
         plan = _FirePlan()
-        plan.net_forward = TransferSteps(manager, places)
-        plan.net_backward = TransferSteps(manager, _swapped(places))
-        plan.forward = TransferSteps(manager, full_state)
-        plan.backward = TransferSteps(manager, _swapped(full_state))
+        plan.forward = TransferSteps(manager, steps)
+        plan.backward = TransferSteps(manager, _swapped(steps))
         return plan
-
-    # ------------------------------------------------------------------
-    # Petri-net level
-    # ------------------------------------------------------------------
-    def fire_net(self, states: Function, transition: str) -> Function:
-        """``delta_N(states, t)``: the paper's pipeline in one pass."""
-        return states.transfer(self._plan(transition).net_forward)
-
-    def fire_net_backward(self, states: Function, transition: str) -> Function:
-        """Inverse of :meth:`fire_net`: predecessors of ``states`` under ``t``."""
-        return states.transfer(self._plan(transition).net_backward)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)
@@ -165,16 +149,6 @@ class SymbolicImage:
         result = self.encoding.manager.false
         for transition in transitions:
             result = result | self.fire(states, transition)
-        return result
-
-    def preimage(self, states: Function,
-                 transitions: Optional[Iterable[str]] = None) -> Function:
-        """Union of backward firings over ``transitions`` (default all)."""
-        if transitions is None:
-            transitions = self.encoding.stg.transitions
-        result = self.encoding.manager.false
-        for transition in transitions:
-            result = result | self.fire_backward(states, transition)
         return result
 
     def input_transitions(self) -> list:

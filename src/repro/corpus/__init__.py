@@ -19,7 +19,6 @@ verification engines.
 """
 
 from repro.corpus.loader import (
-    CorpusError,
     ensure_g_file,
     entry,
     g_text,
@@ -34,7 +33,9 @@ from repro.corpus.registry import (
     REGISTRY,
     REPORT_FIELDS,
     CorpusEntry,
+    CorpusError,
     ScalableFamily,
+    UnknownFamilyError,
     family,
     mismatches_against,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "REPORT_FIELDS",
     "CorpusEntry",
     "ScalableFamily",
+    "UnknownFamilyError",
     "family",
     "mismatches_against",
     "CorpusError",

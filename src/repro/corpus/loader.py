@@ -17,33 +17,16 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List
 
-from repro.corpus.registry import REGISTRY, CorpusEntry
+from repro.corpus.registry import REGISTRY
 from repro.stg.parser import parse_g
-from repro.stg.signals import STGError
 from repro.stg.stg import STG
 
-
-class CorpusError(STGError, KeyError):
-    """An unknown corpus entry was requested."""
-
-    # KeyError.__str__ renders the repr of the message (quotes included);
-    # restore normal exception formatting for user-facing output.
-    __str__ = BaseException.__str__
-
-
-def names() -> List[str]:
-    """All registered benchmark names, in registration order."""
-    return list(REGISTRY)
-
-
-def entry(name: str) -> CorpusEntry:
-    """Look up one entry; raises :class:`CorpusError` naming the options."""
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        available = ", ".join(names())
-        raise CorpusError(
-            f"unknown corpus entry {name!r}; available: {available}") from None
+#: All registered benchmark names, in registration order.
+names = REGISTRY.available
+#: Look up one entry; unknown names raise
+#: :class:`~repro.corpus.registry.CorpusError` with a did-you-mean
+#: suggestion.
+entry = REGISTRY.get
 
 
 def g_text(name: str) -> str:

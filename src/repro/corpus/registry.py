@@ -31,6 +31,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.report import ImplementabilityClass
 from repro.stg import generators
+from repro.stg.signals import STGError
+from repro.utils.registry import Registry, UnknownNameError
 
 #: Map from an ``expected`` metadata key to the matching
 #: :class:`repro.report.ImplementabilityReport` attribute.
@@ -153,6 +155,18 @@ class CorpusEntry:
         }
 
 
+class CorpusError(UnknownNameError, STGError, KeyError):
+    """An unknown corpus entry was requested."""
+
+    kind = "corpus entry"
+
+
+class UnknownFamilyError(UnknownNameError, KeyError):
+    """An unknown scalable benchmark family was requested."""
+
+    kind = "benchmark family"
+
+
 def _no_arbitration(stg) -> List[str]:
     return []
 
@@ -179,9 +193,8 @@ class ScalableFamily:
         return stg, list(self.arbitration(stg))
 
 
-FAMILIES: Dict[str, ScalableFamily] = {
-    fam.name: fam
-    for fam in (
+FAMILIES: Registry[ScalableFamily] = Registry(UnknownFamilyError)
+for _family in (
         ScalableFamily(
             name="muller_pipeline",
             builder=generators.muller_pipeline,
@@ -212,32 +225,19 @@ FAMILIES: Dict[str, ScalableFamily] = {
             builder=generators.random_parallel_family,
             expected={"consistent": True, "persistent": True,
                       "deadlock_free": True}),
-    )
-}
+):
+    FAMILIES.register(_family.name, _family)
+family = FAMILIES.get
 
 
-def family(name: str) -> ScalableFamily:
-    """Look up a scalable family; raises ``KeyError`` naming the options."""
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        available = ", ".join(FAMILIES)
-        raise KeyError(
-            f"unknown benchmark family {name!r}; available: {available}"
-            ) from None
-
-
-REGISTRY: Dict[str, CorpusEntry] = {}
+REGISTRY: Registry[CorpusEntry] = Registry(CorpusError)
 
 
 def register(entry: CorpusEntry) -> CorpusEntry:
-    if entry.name in REGISTRY:
-        raise ValueError(f"duplicate corpus entry {entry.name!r}")
     if (entry.text is None) == (entry.builder is None):
         raise ValueError(
             f"corpus entry {entry.name!r} needs exactly one of text/builder")
-    REGISTRY[entry.name] = entry
-    return entry
+    return REGISTRY.register(entry.name, entry)
 
 
 _GATE = ImplementabilityClass.GATE

@@ -17,7 +17,11 @@ Nothing outside this module hard-codes engine knowledge: the CLI, the
 sweep runner and the corpus batch-check all go through
 :func:`repro.api.run`, which dispatches here by
 :attr:`~repro.api.config.EngineConfig.engine` name.  Adding a backend is
-therefore one ``register`` call -- no CLI or runner changes.
+therefore one ``register`` call -- no CLI or runner changes.  The
+registry is a :class:`~repro.utils.registry.Registry`; ``register``,
+``unregister``, ``available`` and ``get`` are its bound methods, and
+unknown names raise :class:`~repro.api.errors.UnknownEngineError` with
+a did-you-mean suggestion.
 
 An engine is anything matching the :class:`Engine` protocol: a ``name``,
 the ``checks`` it supports (names from :mod:`repro.api.checks`), and a
@@ -27,17 +31,18 @@ the ``checks`` it supports (names from :mod:`repro.api.checks`), and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.api.errors import UnknownEngineError
+from repro.utils.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.api.config import EngineConfig
@@ -83,34 +88,11 @@ class Engine(Protocol):
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Engine] = {}
-
-
-def register(name: str, engine: Engine, replace: bool = False) -> Engine:
-    """Register an engine under ``name`` (``replace=True`` to override)."""
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"duplicate engine {name!r}")
-    _REGISTRY[name] = engine
-    return engine
-
-
-def unregister(name: str) -> None:
-    """Remove a registered engine (mainly for tests and plug-in teardown)."""
-    _REGISTRY.pop(name, None)
-
-
-def available() -> List[str]:
-    """Every registered engine name, in registration order."""
-    return list(_REGISTRY)
-
-
-def get(name: str) -> Engine:
-    """Look up an engine; unknown names raise :class:`UnknownEngineError`
-    with a did-you-mean suggestion."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownEngineError(name, available()) from None
+_REGISTRY: Registry[Engine] = Registry(UnknownEngineError)
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+available = _REGISTRY.available
+get = _REGISTRY.get
 
 
 # ----------------------------------------------------------------------

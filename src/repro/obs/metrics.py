@@ -1,11 +1,11 @@
 """Named counters, gauges and histograms with a metrics registry.
 
-The registry mirrors the :mod:`repro.engines` idiom -- ``register`` /
-``unregister`` / ``available`` / ``get`` with a did-you-mean error --
-but is an *instance* rather than module state: every
-:class:`~repro.obs.trace.Tracer` owns one, so concurrent sweep entries
-(thread backend) never share mutable metric state and a trace file's
-closing snapshot describes exactly one entry.
+:class:`MetricsRegistry` is a :class:`~repro.utils.registry.Registry`
+-- ``register`` / ``unregister`` / ``available`` / ``get`` with a
+did-you-mean :class:`MetricError`, like the engine registry -- but one
+per :class:`~repro.obs.trace.Tracer` rather than module state, so
+concurrent sweep entries (thread backend) never share mutable metric
+state and a trace file's closing snapshot describes exactly one entry.
 
 The convenience accessors (:meth:`MetricsRegistry.counter` /
 ``gauge`` / ``histogram``) get-or-create, so instrumentation sites can
@@ -21,15 +21,17 @@ runs produce identical stable output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from repro.api.errors import suggest
+from repro.utils.registry import Registry, UnknownNameError
 
 Number = Union[int, float]
 
 
-class MetricError(KeyError):
-    """Unknown or duplicate metric name."""
+class MetricError(UnknownNameError, KeyError):
+    """Unknown metric name, or a metric of another kind."""
+
+    kind = "metric"
 
 
 class Counter:
@@ -102,50 +104,23 @@ Metric = Union[Counter, Gauge, Histogram]
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
-class MetricsRegistry:
-    """One tracer's named metrics (register / available / get)."""
+class MetricsRegistry(Registry[Metric]):
+    """One tracer's named metrics, plus get-or-create accessors."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
-
-    def register(self, name: str, metric: Metric,
-                 replace: bool = False) -> Metric:
-        """Register ``metric`` under ``name`` (``replace=True`` to
-        override)."""
-        if name in self._metrics and not replace:
-            raise MetricError(f"duplicate metric {name!r}")
-        self._metrics[name] = metric
-        return metric
-
-    def unregister(self, name: str) -> None:
-        """Remove a registered metric (tests and plug-in teardown)."""
-        self._metrics.pop(name, None)
-
-    def available(self) -> List[str]:
-        """Every registered metric name, in registration order."""
-        return list(self._metrics)
-
-    def get(self, name: str) -> Metric:
-        """Look up a metric; unknown names raise :class:`MetricError`
-        with a did-you-mean suggestion."""
-        try:
-            return self._metrics[name]
-        except KeyError:
-            raise MetricError(
-                f"unknown metric {name!r}; available: "
-                f"{', '.join(self.available()) or '(none)'}"
-                f"{suggest(name, self.available())}") from None
+        super().__init__(MetricError)
 
     # ------------------------------------------------------------------
     # Get-or-create accessors (the instrumentation-site front door)
     # ------------------------------------------------------------------
     def _get_or_create(self, name: str, kind: str) -> Metric:
-        metric = self._metrics.get(name)
+        metric = self._items.get(name)
         if metric is None:
             metric = self.register(name, _KINDS[kind](name))
         elif metric.kind != kind:
             raise MetricError(
-                f"metric {name!r} is a {metric.kind}, not a {kind}")
+                name, self._items,
+                message=f"metric {name!r} is a {metric.kind}, not a {kind}")
         return metric
 
     def counter(self, name: str) -> Counter:
@@ -160,5 +135,5 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Every metric's summary, keyed by name (sorted for stable
         serialisation)."""
-        return {name: self._metrics[name].snapshot()
-                for name in sorted(self._metrics)}
+        return {name: self._items[name].snapshot()
+                for name in sorted(self._items)}

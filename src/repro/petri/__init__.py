@@ -10,8 +10,7 @@ Petri nets.  This package provides the uninterpreted layer:
 * :mod:`repro.petri.analysis` -- boundedness, safeness, deadlocks and
   explicit transition persistency,
 * :mod:`repro.petri.structure` -- structural classes (marked graph,
-  state machine, free choice) and conflict places,
-* :mod:`repro.petri.builders` -- convenience constructors.
+  state machine, free choice) and conflict places.
 """
 
 from repro.petri.net import PetriNet, Place, Transition, PetriNetError

@@ -4,7 +4,9 @@ The :class:`~repro.runner.runner.SweepRunner` decides *what* to execute
 (cache triage, result ordering, persistence); an :class:`ExecutorBackend`
 decides *how* -- in-process, on a thread pool, or on a pool of worker
 processes.  The module mirrors :mod:`repro.engines`: a small protocol, a
-name registry with did-you-mean errors, and built-in implementations::
+:class:`~repro.utils.registry.Registry` whose bound methods are
+``register`` / ``unregister`` / ``available`` / ``get`` (unknown names
+raise :class:`UnknownBackendError`), and built-in implementations::
 
     from repro.runner import backends
 
@@ -52,17 +54,15 @@ import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import (
+    Callable,
+    List,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-from repro.api.errors import suggest
 from repro.runner.plan import PlanError, SweepTask
 from repro.runner.results import EntryResult
 from repro.runner.worker import (
@@ -70,6 +70,7 @@ from repro.runner.worker import (
     execute_payload,
     execute_payload_async,
 )
+from repro.utils.registry import Registry, UnknownNameError
 
 #: One unit of backend work: the task plus its position in the shard's
 #: result list (``emit`` must be called with exactly that position).
@@ -83,16 +84,10 @@ _POLL_INTERVAL = 0.005
 _EXIT_DRAIN_TIMEOUT = 0.05
 
 
-class UnknownBackendError(PlanError):
+class UnknownBackendError(UnknownNameError, PlanError):
     """The requested execution backend is not registered."""
 
-    def __init__(self, name: str, options: Sequence[str]) -> None:
-        options = list(options)
-        self.backend = name
-        self.options = options
-        super().__init__(
-            f"unknown execution backend {name!r}; available: "
-            f"{', '.join(options)}{suggest(name, options)}")
+    kind = "execution backend"
 
 
 @runtime_checkable
@@ -117,38 +112,14 @@ class ExecutorBackend(Protocol):
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, ExecutorBackend] = {}
+_REGISTRY: Registry[ExecutorBackend] = Registry(UnknownBackendError)
+register = _REGISTRY.register
+unregister = _REGISTRY.unregister
+available = _REGISTRY.available
+get = _REGISTRY.get
 
 #: The backend used when neither the plan nor the runner names one.
 DEFAULT_BACKEND = "process"
-
-
-def register(name: str, backend: ExecutorBackend,
-             replace: bool = False) -> ExecutorBackend:
-    """Register a backend under ``name`` (``replace=True`` to override)."""
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"duplicate execution backend {name!r}")
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister(name: str) -> None:
-    """Remove a registered backend (mainly for tests and plug-ins)."""
-    _REGISTRY.pop(name, None)
-
-
-def available() -> List[str]:
-    """Every registered backend name, in registration order."""
-    return list(_REGISTRY)
-
-
-def get(name: str) -> ExecutorBackend:
-    """Look up a backend; unknown names raise :class:`UnknownBackendError`
-    with a did-you-mean suggestion."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownBackendError(name, available()) from None
 
 
 def resolve(backend) -> ExecutorBackend:

@@ -286,9 +286,8 @@ class SweepPlan:
         for family_name, scales in self.families:
             try:
                 family = corpus.family(family_name)
-            except KeyError as error:
-                # corpus.family's message, without KeyError's repr quotes
-                raise PlanError(error.args[0]) from None
+            except corpus.UnknownFamilyError as error:
+                raise PlanError(str(error)) from None
             for scale in scales:
                 try:
                     stg, arbitration = family.instantiate(scale)

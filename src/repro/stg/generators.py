@@ -25,6 +25,7 @@ from typing import List
 
 from repro.stg.signals import SignalKind
 from repro.stg.stg import STG
+from repro.utils.registry import UnknownNameError
 
 
 # ----------------------------------------------------------------------
@@ -558,6 +559,12 @@ FIXED_EXAMPLES = {
 }
 
 
+class UnknownExampleError(UnknownNameError, ValueError):
+    """No fixed example or scalable family has the requested name."""
+
+    kind = "example"
+
+
 def build_example(name: str, scale: int | None = None) -> STG:
     """Instantiate a named example.
 
@@ -572,4 +579,4 @@ def build_example(name: str, scale: int | None = None) -> STG:
         return SCALABLE_FAMILIES[name](scale)
     if name in FIXED_EXAMPLES:
         return FIXED_EXAMPLES[name]()
-    raise ValueError(f"unknown example {name!r}")
+    raise UnknownExampleError(name, [*FIXED_EXAMPLES, *SCALABLE_FAMILIES])

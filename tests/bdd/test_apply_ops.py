@@ -239,7 +239,7 @@ class TestTransfer:
         for f, steps, drop in self.cases(mgr, rng, 120):
             resolved = TransferSteps(mgr, steps)
             result = transfer(f, resolved, drop)
-            mgr.collect_garbage()  # remaps ids, clears every cache
+            mgr.clear_caches()
             assert result == reference_transfer(mgr, f, steps, drop)
             assert transfer(f, resolved, drop) == result
         assert mgr.cache_evictions > 0
@@ -320,7 +320,7 @@ class TestSaturate:
         for f, events in self.cases(mgr, rng, 80):
             resolved = resolve(mgr, events)
             result = saturate(f, resolved)
-            mgr.collect_garbage()  # remaps ids, clears every cache
+            mgr.clear_caches()
             assert result == reference_closure(mgr, f, events)
             assert saturate(f, resolved) == result
         assert mgr.cache_evictions > 0

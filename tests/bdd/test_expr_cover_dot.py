@@ -1,85 +1,14 @@
-"""Tests for the expression parser, ISOP cover extraction and DOT export."""
+"""Tests for ISOP cover extraction and its sum-of-products output."""
 
 import pytest
 
-from repro.bdd import BDDManager, parse_expression
+from repro.bdd import BDDManager
 from repro.bdd.cover import cover_function, cube_to_string, isop, to_expression
-from repro.bdd.dot import to_dot
-from repro.bdd.expr import ExpressionError
-from repro.bdd.manager import BDDOrderError
 
 
 @pytest.fixture
 def mgr():
     return BDDManager(["a", "b", "c", "d"])
-
-
-class TestParser:
-    def test_single_variable(self, mgr):
-        assert parse_expression(mgr, "a") == mgr.var("a")
-
-    def test_constants(self, mgr):
-        assert parse_expression(mgr, "1").is_true()
-        assert parse_expression(mgr, "0").is_false()
-
-    def test_negation_styles(self, mgr):
-        a = mgr.var("a")
-        assert parse_expression(mgr, "!a") == ~a
-        assert parse_expression(mgr, "~a") == ~a
-        assert parse_expression(mgr, "a'") == ~a
-
-    def test_and_or(self, mgr):
-        expected = (mgr.var("a") & mgr.var("b")) | mgr.var("c")
-        assert parse_expression(mgr, "a & b | c") == expected
-        assert parse_expression(mgr, "a*b + c") == expected
-
-    def test_juxtaposition_is_conjunction(self, mgr):
-        expected = mgr.var("a") & ~mgr.var("b") & mgr.var("c")
-        assert parse_expression(mgr, "a b' c") == expected
-
-    def test_precedence_not_over_and_over_or(self, mgr):
-        expected = (~mgr.var("a") & mgr.var("b")) | mgr.var("c")
-        assert parse_expression(mgr, "!a & b | c") == expected
-
-    def test_xor(self, mgr):
-        assert parse_expression(mgr, "a ^ b") == mgr.var("a") ^ mgr.var("b")
-
-    def test_implication_right_associative(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        assert parse_expression(mgr, "a -> b -> c") == (a >> (b >> c))
-
-    def test_iff(self, mgr):
-        a, b = mgr.var("a"), mgr.var("b")
-        assert parse_expression(mgr, "a <-> b") == a.iff(b)
-
-    def test_parentheses(self, mgr):
-        expected = mgr.var("a") & (mgr.var("b") | mgr.var("c"))
-        assert parse_expression(mgr, "a & (b | c)") == expected
-
-    def test_parenthesised_postfix_negation(self, mgr):
-        expected = ~(mgr.var("a") & mgr.var("b"))
-        assert parse_expression(mgr, "(a & b)'") == expected
-
-    def test_unknown_variable_raises_without_declare(self, mgr):
-        with pytest.raises(BDDOrderError):
-            parse_expression(mgr, "zz & a")
-
-    def test_declare_on_the_fly(self, mgr):
-        f = parse_expression(mgr, "new_sig & a", declare=True)
-        assert "new_sig" in mgr.variables
-        assert f == mgr.var("new_sig") & mgr.var("a")
-
-    def test_empty_expression_raises(self, mgr):
-        with pytest.raises(ExpressionError):
-            parse_expression(mgr, "   ")
-
-    def test_unbalanced_parenthesis_raises(self, mgr):
-        with pytest.raises(ExpressionError):
-            parse_expression(mgr, "(a & b")
-
-    def test_trailing_garbage_raises(self, mgr):
-        with pytest.raises(ExpressionError):
-            parse_expression(mgr, "a & b )")
 
 
 class TestIsop:
@@ -131,19 +60,8 @@ class TestExpressionOutput:
 
     def test_roundtrip_through_parser(self, mgr):
         f = (mgr.var("a") & ~mgr.var("b")) | (mgr.var("c") ^ mgr.var("d"))
-        text = to_expression(f)
-        assert parse_expression(mgr, text) == f
+        cubes = isop(f)
+        assert to_expression(f) == " + ".join(
+            cube_to_string(cube) for cube in cubes)
+        assert cover_function(f, cubes) == f
 
-
-class TestDot:
-    def test_dot_contains_nodes_and_edges(self, mgr):
-        f = mgr.var("a") & mgr.var("b")
-        text = to_dot(f)
-        assert text.startswith("digraph")
-        assert 'label="a"' in text
-        assert 'label="b"' in text
-        assert "style=dashed" in text
-
-    def test_dot_of_constant(self, mgr):
-        text = to_dot(mgr.true)
-        assert 'label="1"' in text

@@ -171,50 +171,34 @@ class TestComparisons:
             mgr.var("a") & 1  # type: ignore[operator]
 
 
-class TestGarbageCollection:
-    def test_gc_reclaims_dead_nodes(self):
-        mgr = BDDManager([f"x{i}" for i in range(12)])
-        keep = mgr.var("x0") & mgr.var("x1")
-        # Build and drop a large parity function.
-        f = mgr.false
-        for name in mgr.variables:
-            f = f ^ mgr.var(name)
-        before = mgr.num_nodes
-        del f
-        reclaimed = mgr.collect_garbage()
-        assert reclaimed > 0
-        assert mgr.num_nodes < before
-        # The kept function must survive and stay correct.
-        assert keep == mgr.var("x0") & mgr.var("x1")
+class TestNodeLifetime:
+    """Nodes live as long as their manager; only the caches are dropped."""
 
-    def test_gc_preserves_semantics_of_roots(self):
+    def test_clear_caches_keeps_every_node_and_handle(self):
         mgr = BDDManager(["a", "b", "c"])
         f = (mgr.var("a") | mgr.var("b")) & ~mgr.var("c")
-        _temporary = mgr.var("a") ^ mgr.var("b") ^ mgr.var("c")
-        del _temporary
-        mgr.collect_garbage()
+        nodes = mgr.num_nodes
+        mgr.clear_caches()
+        assert mgr.num_nodes == nodes
         assert f.evaluate({"a": True, "b": False, "c": False})
         assert not f.evaluate({"a": True, "b": False, "c": True})
+        # The unique table survived: rebuilding finds the same node.
+        assert ((mgr.var("a") | mgr.var("b")) & ~mgr.var("c")).node == f.node
+        assert mgr.num_nodes == nodes
 
-    def test_gc_remaps_every_handle_of_a_node(self):
-        # Handles compare equal by node, but each one must be remapped.
-        mgr = BDDManager(["a", "b", "c"])
-        garbage = mgr.var("a") ^ mgr.var("b") ^ mgr.var("c")
-        first = (mgr.var("b") | mgr.var("c")) & ~mgr.var("a")
-        second = mgr._wrap(first.node)
-        del garbage
-        assert mgr.collect_garbage() > 0
-        assert second.node == first.node
-        assert second == (mgr.var("b") | mgr.var("c")) & ~mgr.var("a")
+    def test_rebuilding_a_dropped_function_allocates_no_node(self):
+        mgr = BDDManager([f"x{i}" for i in range(12)])
 
-    def test_gc_noop_when_everything_alive(self):
-        mgr = BDDManager(["a", "b"])
-        a, b = mgr.var("a"), mgr.var("b")
-        functions = [a, b, a & b, a | b]
-        # Every node created so far is reachable from a live handle.
-        reclaimed = mgr.collect_garbage()
-        assert reclaimed == 0
-        assert functions[2] == a & b
+        def parity():
+            f = mgr.false
+            for name in mgr.variables:
+                f = f ^ mgr.var(name)
+            return f
+
+        node = parity().node  # every handle dropped at once
+        nodes = mgr.num_nodes
+        assert parity().node == node
+        assert mgr.num_nodes == nodes
 
 
 class TestSizes:

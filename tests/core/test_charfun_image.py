@@ -176,15 +176,6 @@ class TestImageSets:
         successors = image.image(initial)
         assert encoding.count_states(successors) == 1  # only r+ enabled
 
-    def test_preimage_of_initial_state(self):
-        stg = handshake()
-        encoding = SymbolicEncoding(stg)
-        image = SymbolicImage(encoding)
-        initial = encoding.initial_state()
-        predecessors = image.preimage(initial)
-        # Only a- leads back to the initial state.
-        assert encoding.count_states(predecessors) == 1
-
     def test_input_transitions_listed(self):
         stg = mutex_element()
         encoding = SymbolicEncoding(stg)
@@ -197,36 +188,32 @@ class TestImageSets:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         assert image.image(encoding.manager.false).is_false()
-        assert image.preimage(encoding.manager.false).is_false()
 
-
-class TestBackwardNetFiring:
-    """fire_net_backward inverts fire_net (both read one _FirePlan)."""
-
-    def test_net_backward_recovers_the_source_marking(self):
+    def test_preimage_of_initial_state(self):
         stg = handshake()
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        source = encoding.marking_minterm(stg.initial_marking())
+        initial = encoding.initial_state()
+        predecessors = encoding.manager.false
         for transition in stg.transitions:
-            forward = image.fire_net(source, transition)
-            if forward.is_false():
-                continue
-            back = image.fire_net_backward(forward, transition)
-            # The source marking is among the predecessors.
-            assert not (back & source).is_false()
+            predecessors |= image.fire_backward(initial, transition)
+        # Only a- leads back to the initial state.
+        assert encoding.count_states(predecessors) == 1
+        assert image.fire(predecessors, "a-") == initial
 
-    def test_net_backward_of_unreachable_target_is_empty(self):
+    def test_backward_firing_needs_the_postset_and_the_new_value(self):
         stg = handshake()
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        # States where no postset place of r+ is marked have no r+
-        # predecessor.
-        place = encoding.place_variable
-        postset = stg.net.postset_of_transition("r+")
-        empty_post = encoding.manager.cube(
-            {place(p): False for p in postset})
-        assert image.fire_net_backward(empty_post, "r+").is_false()
+        manager, place = encoding.manager, encoding.place_variable
+        # No state without a marked postset place of r+ has an r+
+        # predecessor ...
+        empty_post = manager.cube(
+            {place(p): False for p in stg.net.postset_of_transition("r+")})
+        assert image.fire_backward(empty_post, "r+").is_false()
+        # ... nor does one where r still has its old value.
+        assert image.fire_backward(
+            manager.nvar(encoding.signal_variable("r")), "r+").is_false()
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +310,6 @@ def test_firings_equal_the_paper_pipeline(name, factory):
                   reached | random_states(encoding, rng)]
     firings = ((image.fire, paper_fire),
                (image.fire_backward, paper_fire_backward))
-    net_firings = ((image.fire_net, paper_fire_net),
-                   (image.fire_net_backward, paper_fire_net_backward))
     for transition in encoding.stg.transitions:
         for states in state_sets:
             drop = random_states(encoding, rng) | (states & random_states(
@@ -334,6 +319,3 @@ def test_firings_equal_the_paper_pipeline(name, factory):
                 assert kernel(states, transition) == expected, transition
                 assert kernel(states, transition, drop) == (
                     expected - drop), transition
-            for kernel, oracle in net_firings:
-                assert kernel(states, transition) == oracle(
-                    charfun, states, transition), transition

@@ -79,16 +79,7 @@ class TestSection4WorkedExample:
         # The full pipeline equals the explicitly fired marking set.
         expected = encoding.markings_to_function(
             [stg.net.fire(transition, m) for m in enabled_markings[:3]])
-        assert image.fire_net(chi, transition) == expected
         assert step4 == expected
-
-    def test_delta_n_of_disabled_set_is_empty(self, mutex):
-        stg, encoding, charfun, image = mutex
-        reach = build_reachability_graph(stg.net)
-        disabled = [m for m in reach.markings
-                    if not stg.net.is_enabled("g1+", m)]
-        chi = encoding.markings_to_function(disabled)
-        assert image.fire_net(chi, "g1+").is_false()
 
 
 class TestFigure2StateModels:

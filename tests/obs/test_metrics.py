@@ -48,7 +48,7 @@ class TestRegistry:
     def test_duplicate_requires_replace(self):
         registry = MetricsRegistry()
         registry.register("images", Counter("images"))
-        with pytest.raises(MetricError):
+        with pytest.raises(ValueError, match="duplicate metric"):
             registry.register("images", Counter("images"))
         replacement = registry.register("images", Counter("images"),
                                         replace=True)

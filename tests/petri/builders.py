@@ -1,7 +1,7 @@
-"""Convenience constructors for Petri nets.
+"""Convenience constructors for the Petri-net tests.
 
-The generators in :mod:`repro.stg.generators` and many tests build nets
-from terse descriptions; the helpers here keep that code readable.
+The tests build nets from terse descriptions; the helpers here keep
+that code readable.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.petri import build_reachability_graph
 from repro.petri.analysis import check_boundedness, check_transition_persistency
-from repro.petri.builders import chain, parallel_join
 from repro.petri.structure import is_marked_graph
+
+from tests.petri.builders import chain, parallel_join
 
 
 @st.composite

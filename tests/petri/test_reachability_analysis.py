@@ -11,8 +11,9 @@ from repro.petri.analysis import (
     is_safe,
     live_transitions,
 )
-from repro.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
 from repro.petri.reachability import BoundViolation
+
+from tests.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
 
 
 @pytest.fixture

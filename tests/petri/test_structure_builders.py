@@ -3,7 +3,6 @@
 import pytest
 
 from repro.petri import PetriNet
-from repro.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
 from repro.petri.structure import (
     conflict_places,
     is_free_choice,
@@ -15,6 +14,8 @@ from repro.petri.structure import (
     structural_conflict_pairs,
     summarize_structure,
 )
+
+from tests.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
 
 
 class TestStructuralClasses:

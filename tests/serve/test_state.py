@@ -74,6 +74,18 @@ class TestConfigHygiene:
             state.make_task(CheckRequest(entry="no_such_entry"))
         assert info.value.status == 404
 
+    def test_misspelt_names_read_as_on_the_cli(self, state):
+        with pytest.raises(ProtocolError) as info:
+            state.make_task(CheckRequest(entry="handshak"))
+        assert str(info.value).startswith("unknown corpus entry 'handshak'")
+        assert str(info.value).endswith("did you mean: handshake?")
+        with pytest.raises(ProtocolError) as info:
+            state.make_task(CheckRequest(entry="handshake",
+                                         config={"engine": "symbolc"}))
+        assert str(info.value).startswith(
+            "invalid engine config: unknown engine 'symbolc'")
+        assert str(info.value).endswith("did you mean: symbolic?")
+
 
 class TestInterning:
     def test_g_text_requests_share_one_string_object(self, state):

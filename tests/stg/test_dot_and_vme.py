@@ -1,16 +1,10 @@
-"""Tests for the DOT exports and the VME bus controller example."""
+"""Tests for the VME bus controller example."""
 
 
 from repro.api import EngineConfig, verify
 from repro.report import ImplementabilityClass
 from repro.sg import build_state_graph
-from repro.stg.dot import state_graph_to_dot, stg_to_dot, write_dot
-from repro.stg.generators import (
-    handshake,
-    mutex_element,
-    vme_read_cycle,
-    vme_read_cycle_resolved,
-)
+from repro.stg.generators import vme_read_cycle, vme_read_cycle_resolved
 
 
 class TestVMEExample:
@@ -59,45 +53,3 @@ class TestVMEExample:
             assert symbolic.classification == explicit.classification
             assert symbolic.num_states == explicit.num_states
 
-
-class TestStgDot:
-    def test_contains_transitions_and_token(self):
-        text = stg_to_dot(handshake())
-        assert text.startswith("digraph")
-        assert 'label="r+"' in text
-        assert "&bull;" in text  # the initial token
-
-    def test_input_output_styles(self):
-        text = stg_to_dot(handshake())
-        assert "style=dashed" in text   # input transition
-        assert "style=solid" in text    # output transition
-
-    def test_explicit_places_rendered_as_circles(self):
-        text = stg_to_dot(mutex_element())
-        assert "shape=circle" in text
-        assert 'xlabel="p_me"' in text
-
-    def test_no_collapse_option(self):
-        collapsed = stg_to_dot(handshake(), collapse_places=True)
-        expanded = stg_to_dot(handshake(), collapse_places=False)
-        assert expanded.count("shape=circle") > collapsed.count("shape=circle")
-
-    def test_write_dot(self, tmp_path):
-        path = tmp_path / "stg.dot"
-        write_dot(stg_to_dot(handshake()), str(path))
-        assert path.read_text().startswith("digraph")
-
-
-class TestStateGraphDot:
-    def test_codes_and_initial_state(self):
-        stg = handshake()
-        graph = build_state_graph(stg).graph
-        text = state_graph_to_dot(graph, stg)
-        assert 'label="00"' in text
-        assert "doublecircle" in text   # the initial state
-
-    def test_every_edge_rendered(self):
-        stg = handshake()
-        graph = build_state_graph(stg).graph
-        text = state_graph_to_dot(graph, stg)
-        assert text.count("->") == graph.num_edges

@@ -170,13 +170,19 @@ class TestBatchCheck:
             main(["batch-check", "no_such_entry"])
         assert "available" in capsys.readouterr().err
 
-    def test_unknown_entry_exits_2_with_did_you_mean(self, capsys):
+    @pytest.mark.parametrize("argv, right", [
+        (["batch-check", "mutx_element"], "mutex_element"),
+        (["handshak"], "handshake"),
+        (["batch-check", "--family", "muler_pipeline:1-2"],
+         "muller_pipeline"),
+        (["batch-check", "handshake", "--checks", "cscx"], "csc"),
+    ], ids=["corpus-entry", "example", "family", "check"])
+    def test_unknown_entry_exits_2_with_did_you_mean(self, capsys, argv,
+                                                     right):
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch-check", "mutx_element"])
+            main(argv)
         assert excinfo.value.code == 2
-        error = capsys.readouterr().err
-        assert "did you mean" in error
-        assert "mutex_element" in error
+        assert f"did you mean: {right}" in capsys.readouterr().err
 
     def test_list_mode_prints_expected_metadata(self, capsys):
         assert main(["batch-check", "--list"]) == 0

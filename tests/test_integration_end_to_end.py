@@ -1,4 +1,4 @@
-"""End-to-end integration tests: .g file -> check -> synthesis -> netlist.
+"""End-to-end integration tests: .g file -> check -> synthesis -> verification.
 
 These tests exercise the complete tool flow on specification files stored
 in ``tests/data`` (written in the classical ASTG format, including one
@@ -29,7 +29,6 @@ from repro.synthesis import (
     synthesize_complex_gates,
     verify_implementation,
 )
-from repro.synthesis.netlist import to_verilog
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 EXPLICIT = EngineConfig(engine="explicit")
@@ -65,9 +64,6 @@ class TestSendControllerFlow:
         gates = synthesize_complex_gates(encoding, reached, image.charfun)
         graph = build_state_graph(stg).graph
         assert verify_implementation(encoding, graph, gates, functions).correct
-        verilog = to_verilog(stg, gates)
-        assert "module sbuf_send_ctl" in verilog
-        assert "assign ack" in verilog and "assign latch" in verilog
 
     def test_roundtrip_through_writer(self):
         stg = read_g_file(data_file("sbuf_send_ctl.g"))
