@@ -25,10 +25,10 @@ check: lint analyze test smoke
 ci: lint analyze test-ci sweep-gate serve-smoke
 
 lint:
-	$(PYTHON) tools/lint.py src tests tools
+	$(PYTHON) tools/lint.py src tests tools benchmarks examples
 
 analyze:
-	$(PYTHON) -m tools.analysis src tests tools
+	$(PYTHON) -m tools.analysis src tests tools benchmarks examples
 
 test:
 	$(PYTHON) -m pytest -q

@@ -6,8 +6,6 @@ this file only tunes pytest-benchmark defaults so a full run of
 laptop while still reporting stable medians.
 """
 
-import pytest
-
 
 def pytest_benchmark_update_machine_info(config, machine_info):
     machine_info["suite"] = "stg-implementability-repro"

@@ -18,7 +18,6 @@ from benchmarks.table1_common import (
     build_instance,
     expected_verdicts,
     report_to_row,
-    run_table1_row,
 )
 from repro.api import EngineConfig, verify
 

@@ -11,7 +11,7 @@ symbolic substrate of the reproduction.  It provides:
   (:mod:`repro.bdd.operators`),
 * model counting / enumeration and support computation
   (:mod:`repro.bdd.analysis`),
-* static variable-ordering heuristics and reordering by rebuild
+* the FORCE static variable-ordering heuristic
   (:mod:`repro.bdd.ordering`),
 * irredundant sum-of-products cover extraction (:mod:`repro.bdd.cover`).
 
@@ -22,7 +22,7 @@ equality of functions is equality of identifiers.
 
 from repro.bdd.manager import BDDManager, BDDError, BDDOrderError
 from repro.bdd.function import Function
-from repro.bdd.ordering import force_ordering, reorder_by_rebuild
+from repro.bdd.ordering import force_ordering
 
 __all__ = [
     "BDDManager",
@@ -30,5 +30,4 @@ __all__ = [
     "BDDOrderError",
     "Function",
     "force_ordering",
-    "reorder_by_rebuild",
 ]

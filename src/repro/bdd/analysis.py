@@ -126,23 +126,3 @@ def pick_one(f: Function, care_vars: Optional[Sequence[str]] = None
     for model in iter_models(f, care_vars):
         return model
     return None
-
-
-def essential_literals(f: Function) -> Dict[str, bool]:
-    """Literals implied by ``f`` (variables fixed in every model of ``f``).
-
-    Returns ``{name: value}`` for every variable ``name`` such that every
-    satisfying assignment of ``f`` sets it to ``value``.  Constants fix
-    nothing.
-    """
-    f_manager = f.manager
-    result: Dict[str, bool] = {}
-    if f.is_false() or f.is_true():
-        return result
-    for name in support(f):
-        positive = f_manager.var(name)
-        if (f - positive).is_false():
-            result[name] = True
-        elif (f & positive).is_false():
-            result[name] = False
-    return result

@@ -93,22 +93,11 @@ def _isop(manager: BDDManager, lower: int, upper: int,
     return cover, cubes
 
 
-def cube_to_string(cube: Cube, and_symbol: str = " ",
-                   negation: str = "'") -> str:
+def cube_to_string(cube: Cube) -> str:
     """Render one cube as a product-of-literals string (``a b' c``)."""
     if not cube:
         return "1"
     literals = []
     for name in sorted(cube):
-        literals.append(name if cube[name] else f"{name}{negation}")
-    return and_symbol.join(literals)
-
-
-def to_expression(f: Function, or_symbol: str = " + ") -> str:
-    """Render a function as an irredundant sum-of-products string."""
-    if f.is_true():
-        return "1"
-    if f.is_false():
-        return "0"
-    cubes = isop(f)
-    return or_symbol.join(cube_to_string(cube) for cube in cubes)
+        literals.append(name if cube[name] else f"{name}'")
+    return " ".join(literals)

@@ -52,10 +52,6 @@ class Function:
 
         return self.node == FALSE_ID
 
-    def is_constant(self) -> bool:
-        """True iff this is one of the two constant functions."""
-        return self.is_true() or self.is_false()
-
     def __bool__(self) -> bool:
         raise TypeError(
             "Function truth value is ambiguous; use is_true()/is_false() "
@@ -94,11 +90,6 @@ class Function:
     def __rshift__(self, other: "Function") -> "Function":
         return self.manager._wrap(
             self.manager.apply_implies(self.node, self._other_node(other)))
-
-    def iff(self, other: "Function") -> "Function":
-        """Logical equivalence ``f <-> g`` as a function."""
-        return self.manager._wrap(
-            self.manager.apply_iff(self.node, self._other_node(other)))
 
     def ite(self, then_f: "Function", else_f: "Function") -> "Function":
         """``self`` ? ``then_f`` : ``else_f``."""

@@ -21,7 +21,7 @@ if their root identifiers are equal.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bdd.function import Function
 
@@ -83,9 +83,8 @@ class BDDManager:
         # product, the image kernel ``transfer`` and both saturation
         # recursions) get dedicated memoisation tables as well, so a
         # flood of e.g. conjunctions can never evict the image results
-        # the traversal lives on.  Every table is in ``_evictable``:
-        # ``cache_limit`` bounds each one, and clear_caches empties
-        # them all.
+        # the traversal lives on.  Every table is in ``_evictable``,
+        # and ``cache_limit`` bounds each one.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
@@ -135,12 +134,6 @@ class BDDManager:
         self._level2var.append(name)
         return self.var(name)
 
-    def ensure_var(self, name: str) -> "Function":
-        """Return the projection of ``name``, declaring it if necessary."""
-        if name not in self._var2level:
-            return self.add_var(name)
-        return self.var(name)
-
     def var(self, name: str) -> "Function":
         """Return the projection function of an existing variable."""
         try:
@@ -148,15 +141,6 @@ class BDDManager:
         except KeyError as exc:
             raise BDDOrderError(f"unknown variable {name!r}") from exc
         node = self._mk(level, FALSE_ID, TRUE_ID)
-        return self._wrap(node)
-
-    def nvar(self, name: str) -> "Function":
-        """Return the negative literal (complement of the projection)."""
-        try:
-            level = self._var2level[name]
-        except KeyError as exc:
-            raise BDDOrderError(f"unknown variable {name!r}") from exc
-        node = self._mk(level, TRUE_ID, FALSE_ID)
         return self._wrap(node)
 
     def level_of(self, name: str) -> int:
@@ -431,10 +415,6 @@ class BDDManager:
         """Implication ``f' + g`` on node identifiers."""
         return self.negate(self.apply_diff(f, g))
 
-    def apply_iff(self, f: int, g: int) -> int:
-        """Equivalence on node identifiers."""
-        return self.negate(self.apply_xor(f, g))
-
     # ------------------------------------------------------------------
     # Cube helpers
     # ------------------------------------------------------------------
@@ -457,14 +437,6 @@ class BDDManager:
             else:
                 node = self._mk(level, node, FALSE_ID)
         return self._wrap(node)
-
-    def from_assignment(self, assignment: Dict[str, bool],
-                        care_vars: Optional[Sequence[str]] = None) -> "Function":
-        """Minterm of ``assignment`` over ``care_vars`` (default: its keys)."""
-        if care_vars is None:
-            return self.cube(assignment)
-        literals = {name: bool(assignment[name]) for name in care_vars}
-        return self.cube(literals)
 
     # ------------------------------------------------------------------
     # Cache / memory management
@@ -498,11 +470,6 @@ class BDDManager:
             ident = len(self._key_ids)
             self._key_ids[key] = ident
         return ident
-
-    def clear_caches(self) -> None:
-        """Drop every memoisation table (does not drop nodes)."""
-        for cache in self._evictable:
-            cache.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate operation-cache statistics (monotonic counters).

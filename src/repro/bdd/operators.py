@@ -188,11 +188,6 @@ def _cofactor(manager: BDDManager, node: int,
     return result
 
 
-def restrict(f: Function, literals: Dict[str, bool]) -> Function:
-    """Alias of :func:`cofactor` (classical name)."""
-    return cofactor(f, literals)
-
-
 # ----------------------------------------------------------------------
 # Transfer: cofactor, product and difference in one pass
 # ----------------------------------------------------------------------

@@ -1,33 +1,30 @@
-"""Variable-ordering heuristics and reordering.
+"""Static variable-ordering heuristics.
 
 The paper remarks (Section 6) that "BDDs may have an exponential size if
-appropriate heuristics for variable ordering are not used".  Two mechanisms
-are provided:
+appropriate heuristics for variable ordering are not used".  The order is
+computed before any BDD is built, from a variable "affinity" hypergraph
+(sets of variables that appear together, e.g. the places around a
+Petri-net transition), using the FORCE heuristic [Aloul, Markov, Sakallah
+2003], which is simple, deterministic and works well on the netlist-like
+structures of this project.
 
-* **static orders** computed before any BDD is built -- from a variable
-  "affinity" hypergraph (sets of variables that appear together, e.g. the
-  places around a Petri-net transition) using the FORCE heuristic
-  [Aloul, Markov, Sakallah 2003] which is simple, deterministic and works
-  well on the netlist-like structures of this project;
-* **reordering by rebuild** -- given already-built functions and a new
-  order, rebuild the functions into a fresh manager and return the copies.
-
-True in-place sifting is deliberately out of scope: the manager stores
-reduced nodes in insertion order and the project's workloads are handled
-well by the structural static orders (see ``benchmarks/test_variable_ordering.py``).
+Dynamic reordering (sifting) is deliberately out of scope: the manager
+stores reduced nodes in insertion order and the project's workloads are
+handled well by the structural static orders (see
+``benchmarks/test_variable_ordering.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.bdd.function import Function
-from repro.bdd.manager import BDDManager
+#: Maximum number of FORCE center-of-gravity sweeps; the loop stops early
+#: at a fixed point.
+_FORCE_ITERATIONS = 50
 
 
 def force_ordering(variables: Sequence[str],
-                   groups: Iterable[Sequence[str]],
-                   iterations: int = 50) -> List[str]:
+                   groups: Iterable[Sequence[str]]) -> List[str]:
     """Compute a variable order with the FORCE hypergraph heuristic.
 
     Parameters
@@ -38,9 +35,6 @@ def force_ordering(variables: Sequence[str],
         Hyperedges: collections of variables that interact and should be
         placed close together (for a Petri net: ``pre(t) U post(t)`` for
         each transition, plus place/signal co-occurrence groups).
-    iterations:
-        Maximum number of center-of-gravity sweeps; the loop stops early at
-        a fixed point.
 
     Returns
     -------
@@ -58,7 +52,7 @@ def force_ordering(variables: Sequence[str],
         return variables
     position: Dict[str, float] = {name: float(i)
                                   for i, name in enumerate(variables)}
-    for _ in range(iterations):
+    for _ in range(_FORCE_ITERATIONS):
         # Center of gravity of every hyperedge.
         centers = [sum(position[v] for v in edge) / len(edge)
                    for edge in hyperedges]
@@ -78,78 +72,3 @@ def force_ordering(variables: Sequence[str],
             break
         position = next_position
     return sorted(variables, key=lambda name: (position[name], name))
-
-
-def interleaved_ordering(chains: Sequence[Sequence[str]]) -> List[str]:
-    """Round-robin interleaving of several variable chains.
-
-    Useful when the model is a set of loosely-coupled pipelines: variables
-    at the same depth in different chains are placed next to each other.
-    Variables appearing in several chains keep their first position.
-    """
-    result: List[str] = []
-    seen = set()
-    longest = max((len(chain) for chain in chains), default=0)
-    for depth in range(longest):
-        for chain in chains:
-            if depth < len(chain) and chain[depth] not in seen:
-                seen.add(chain[depth])
-                result.append(chain[depth])
-    return result
-
-
-def copy_function(target: BDDManager, f: Function) -> Function:
-    """Copy ``f`` into ``target`` (which may use a different order).
-
-    Every variable in the support of ``f`` must already be declared in the
-    target manager.  The copy is performed bottom-up with memoisation, so
-    the cost is one ``ite`` per source node.
-    """
-    source = f.manager
-    cache: Dict[int, Function] = {}
-
-    def transfer(node: int) -> Function:
-        if source.is_terminal(node):
-            return target.true if node == 1 else target.false
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        name = source.var_at_level(source.node_level(node))
-        low = transfer(source.node_low(node))
-        high = transfer(source.node_high(node))
-        result = target.var(name).ite(high, low)
-        cache[node] = result
-        return result
-
-    return transfer(f.node)
-
-
-def reorder_by_rebuild(functions: Sequence[Function],
-                       new_order: Sequence[str]) -> Tuple[BDDManager, List[Function]]:
-    """Rebuild ``functions`` in a new manager that uses ``new_order``.
-
-    Returns the new manager and the transferred functions (in the same
-    order as the input).  The original manager is left untouched.
-    """
-    if not functions:
-        return BDDManager(new_order), []
-    source = functions[0].manager
-    for f in functions:
-        if f.manager is not source:
-            raise ValueError("all functions must share one manager")
-    missing = [name for name in source.variables if name not in set(new_order)]
-    order = list(new_order) + missing
-    target = BDDManager(order)
-    return target, [copy_function(target, f) for f in functions]
-
-
-def total_size(functions: Sequence[Function]) -> int:
-    """Number of distinct nodes used by a set of functions (shared DAG)."""
-    if not functions:
-        return 0
-    manager = functions[0].manager
-    seen = set()
-    for f in functions:
-        for node in manager.descendants(f.node):
-            seen.add(node)
-    return len(seen)

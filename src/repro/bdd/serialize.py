@@ -60,15 +60,6 @@ def dump(functions: Sequence[Function], stream: TextIO) -> None:
         stream.write(f"root {function.node}\n")
 
 
-def dumps(functions: Sequence[Function]) -> str:
-    """Serialise to a string."""
-    import io
-
-    buffer = io.StringIO()
-    dump(functions, buffer)
-    return buffer.getvalue()
-
-
 def load(stream: TextIO,
          manager: BDDManager | None = None) -> Tuple[BDDManager, List[Function]]:
     """Load functions from a stream produced by :func:`dump`.
@@ -139,11 +130,3 @@ def load(stream: TextIO,
         else:
             raise BDDError(f"unrecognised line: {line!r}")
     return manager, roots
-
-
-def loads(text: str,
-          manager: BDDManager | None = None) -> Tuple[BDDManager, List[Function]]:
-    """Load functions from a string."""
-    import io
-
-    return load(io.StringIO(text), manager)

@@ -1,11 +1,11 @@
-"""Persistent BDD caching: reachable-set reuse across runs and scales.
+"""Persistent BDD caching: reachable-set reuse across runs and edits.
 
 This package hosts the :class:`~repro.cache.bddstore.BDDStore` -- the
 sibling of the sweep runner's result cache that persists the reachable
 BDD per specification -- and :func:`bind_pipeline`, which wires a store
 into a :class:`~repro.core.pipeline.VerificationPipeline` so the
-traversal is skipped on a hit, warm-started on a family miss, and
-persisted after a cold run::
+traversal is skipped on a hit, seeded from a named base on a delta
+re-check, and persisted after a cold run::
 
     from repro.cache import BDDStore, bind_pipeline
 
@@ -20,8 +20,6 @@ is what the CLI's ``--bdd-cache DIR`` sets (both on single checks and on
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.cache.bddstore import (
     BDD_SCHEMA_VERSION,
@@ -39,27 +37,22 @@ __all__ = [
 ]
 
 
-def bind_pipeline(pipeline, store: BDDStore, name: str, config,
-                  g_text: Optional[str] = None) -> str:
+def bind_pipeline(pipeline, store: BDDStore, name: str, config) -> str:
     """Attach a :class:`BDDStore` to a pipeline's reachability hooks.
 
-    ``config`` is the run's :class:`~repro.api.config.EngineConfig`;
-    ``g_text`` is the canonical ``.g`` text (serialised from the
-    pipeline's STG when omitted -- the writer is deterministic, so both
-    spellings fingerprint identically).  Returns the reachability
-    fingerprint the store entry is keyed by.
+    ``config`` is the run's :class:`~repro.api.config.EngineConfig`.
+    Returns the reachability fingerprint of the pipeline's canonical
+    ``.g`` text, which keys the store entry.
 
     When ``config.base_fingerprint`` is set and the exact lookup
     misses, the provider asks :func:`repro.delta.warmstart.apply_base`
     for the strongest sound reuse of the named base entry (adopting it
     outright on structural identity, seeding the traversal for monotone
-    edits, pre-warming structurally otherwise); the family-scale
-    warm-start remains the fallback when no base was named.
+    edits); any other miss traverses cold.
     """
     from repro.stg.writer import to_g_string
 
-    if g_text is None:
-        g_text = to_g_string(pipeline.stg)
+    g_text = to_g_string(pipeline.stg)
     fingerprint = reachable_fingerprint(g_text, config)
     base_fingerprint = getattr(config, "base_fingerprint", None)
 
@@ -71,8 +64,6 @@ def bind_pipeline(pipeline, store: BDDStore, name: str, config,
             from repro.delta.warmstart import apply_base
 
             return apply_base(p, store, base_fingerprint)
-        # Miss: maybe pre-build structure from a smaller family scale.
-        p.warm_handle = store.warm_start(name, p.encoding.manager)
         return None
 
     def consumer(p, reached, stats):

@@ -1,4 +1,4 @@
-"""The persistent reachable-set cache: a BDD store warm-starting sweeps.
+"""The persistent reachable-set cache: a BDD store serving sweeps.
 
 A :class:`BDDStore` is the sibling of the sweep runner's
 :class:`~repro.runner.store.RunStore`: where the RunStore persists
@@ -19,16 +19,7 @@ variable order changed -- is a miss and falls back to a cold traversal;
 a corrupt file warns with :class:`BDDStoreWarning` and recomputes
 (mirroring :class:`~repro.runner.store.RunStoreWarning` semantics).
 
-Scalable-family instances (``family@scale`` names) additionally
-**warm-start**: when entry ``family@N`` misses, the store loads the
-nearest smaller scale's reachable set into the traversal's manager
-before the cold traversal runs.  The loaded BDD is *not* used as a state
-set (its states are not necessarily reachable at the new scale -- doing
-so would corrupt verdicts); it only pre-builds shared node structure and
-operation-cache entries, so the traversal result is byte-for-byte the
-cold result, just cheaper to construct.
-
-**Delta warm-starts** (:mod:`repro.delta`) generalise this to *edited*
+**Delta re-checks** (:mod:`repro.delta`) reuse an entry for *edited*
 specifications: :meth:`BDDStore.find` locates a base entry by
 fingerprint and schema-2 entries carry the base's canonical ``.g`` text
 in their meta line, so the engine can diff the edited STG against the
@@ -107,11 +98,9 @@ class BDDStore:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.warm_starts = 0
-        # Delta warm-start outcomes, by reuse tier (see repro.delta).
+        # Delta re-check outcomes, by reuse tier (see repro.delta).
         self.delta_hits = 0
         self.delta_seeds = 0
-        self.delta_prewarms = 0
         self.delta_colds = 0
 
     @classmethod
@@ -145,9 +134,8 @@ class BDDStore:
         Edited specifications usually keep their base's ``.model`` name,
         so one name legitimately maps to several live contents in an
         editor loop.  The first content keeps the primary ``name.bdd``
-        path (family warm-starts scan those); later different-content
-        puts land here instead of evicting the base entry a delta
-        re-check is about to ask for.
+        path; later different-content puts land here instead of
+        evicting the base entry a delta re-check is about to ask for.
         """
         return os.path.join(
             self.directory,
@@ -335,62 +323,6 @@ class BDDStore:
         return loaded, stored
 
     # ------------------------------------------------------------------
-    # Family warm starts
-    # ------------------------------------------------------------------
-    def warm_start(self, name: str, manager: BDDManager
-                   ) -> Optional[Function]:
-        """Pre-build node structure from the nearest smaller family scale.
-
-        For a ``family@scale`` entry that missed, load the stored
-        reachable set of the largest smaller scale whose variables all
-        exist in ``manager`` (scales of one family share most of their
-        variable names).  Returns the loaded function handle -- the
-        caller should keep it alive while traversing -- or ``None`` when
-        no compatible smaller scale is stored.  Purely structural: the
-        traversal still starts from the initial state, so its result is
-        exactly the cold one.
-        """
-        family = separator = None
-        for candidate_sep in ("@", "_"):  # task names vs STG model names
-            prefix, sep, scale_text = name.rpartition(candidate_sep)
-            if prefix and sep and scale_text.isdigit():
-                family, separator = prefix, sep
-                break
-        if family is None:
-            return None
-        scale = int(scale_text)
-        for candidate in self._smaller_scales(family, separator, scale):
-            path = self._path(f"{family}{separator}{candidate}")
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    self._read_meta(handle, path)
-                    loaded = self._load_bdd(handle, manager, path,
-                                            require_exact_order=False)
-            except (BDDError, ValueError, OSError):
-                continue  # corrupt or incompatible: try the next scale
-            if loaded is not None:
-                self.warm_starts += 1
-                return loaded
-        return None
-
-    def _smaller_scales(self, family: str, separator: str, scale: int):
-        """Stored scales of ``family`` below ``scale``, largest first."""
-        prefix = _SAFE_NAME.sub("_", family) + separator
-        scales = []
-        try:
-            entries = os.listdir(self.directory)
-        except OSError:
-            return []
-        for filename in entries:
-            if not (filename.startswith(prefix)
-                    and filename.endswith(".bdd")):
-                continue
-            scale_text = filename[len(prefix):-len(".bdd")]
-            if scale_text.isdigit() and int(scale_text) < scale:
-                scales.append(int(scale_text))
-        return sorted(scales, reverse=True)
-
-    # ------------------------------------------------------------------
     # File format helpers
     # ------------------------------------------------------------------
     @staticmethod
@@ -415,7 +347,7 @@ class BDDStore:
 
         The stored variable order is checked against the manager before
         anything is created: an exact-order mismatch on a hit is
-        corruption (the fingerprint pins the order), while a warm start
+        corruption (the fingerprint pins the order), while a delta seed
         merely requires the stored variables to be a subset of the
         manager's (returning ``None`` otherwise) so the load can never
         pollute the encoding's variable order.
@@ -431,7 +363,7 @@ class BDDStore:
                 raise BDDError("stored variable order differs from the "
                                "encoding's (stale entry)")
         elif not set(stored).issubset(manager.variables):
-            return None  # incompatible family scale: skip, do not warn
+            return None  # incompatible base: skip, do not warn
         del serialize_header
         handle.seek(position)
         _, roots = serialize.load(handle, manager=manager)

@@ -216,10 +216,9 @@ def build_batch_check_parser() -> argparse.ArgumentParser:
                         help="persist each entry's reachable-state BDD "
                              "under DIR (repro.cache.BDDStore): matching "
                              "entries skip the traversal on later sweeps "
-                             "-- even ones asking different --checks -- "
-                             "and family instances warm-start from the "
-                             "nearest smaller stored scale; verdicts are "
-                             "byte-identical with and without the store")
+                             "-- even ones asking different --checks; "
+                             "verdicts are byte-identical with and "
+                             "without the store")
     parser.add_argument("--trace", metavar="DIR", dest="trace_dir",
                         default=None,
                         help="write one JSONL trace file per swept entry "

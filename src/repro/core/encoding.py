@@ -26,7 +26,7 @@ Variable ordering strategies
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.bdd import BDDManager, Function
 from repro.bdd.ordering import force_ordering
@@ -135,13 +135,6 @@ class SymbolicEncoding:
         """Characteristic function of the STG's initial full state."""
         return self.state_minterm(self.stg.initial_marking(),
                                   self.stg.initial_state_vector())
-
-    def markings_to_function(self, markings: Iterable[Marking]) -> Function:
-        """Disjunction of marking minterms (the paper's ``X_M``)."""
-        result = self.manager.false
-        for marking in markings:
-            result = result | self.marking_minterm(marking)
-        return result
 
     # ------------------------------------------------------------------
     # Decoding (for counter-examples and tests)

@@ -39,11 +39,6 @@ class SymbolicConflictClassification:
                 and (self.first_disables_second_signal
                      != self.second_disables_first_signal))
 
-    @property
-    def is_real(self) -> bool:
-        return (self.observed and self.first_disables_second_signal
-                and self.second_disables_first_signal)
-
 
 @dataclass
 class SymbolicFakeConflictResult:

@@ -141,13 +141,10 @@ class SymbolicImage:
     # ------------------------------------------------------------------
     # Images over transition sets
     # ------------------------------------------------------------------
-    def image(self, states: Function,
-              transitions: Optional[Iterable[str]] = None) -> Function:
-        """Union of ``delta_D(states, t)`` over ``transitions`` (default all)."""
-        if transitions is None:
-            transitions = self.encoding.stg.transitions
+    def image(self, states: Function) -> Function:
+        """Union of ``delta_D(states, t)`` over every transition."""
         result = self.encoding.manager.false
-        for transition in transitions:
+        for transition in self.encoding.stg.transitions:
             result = result | self.fire(states, transition)
         return result
 

@@ -110,9 +110,6 @@ class VerificationPipeline:
         #: consumer observes a freshly traversed result (to persist it).
         self.reached_provider = None
         self.reached_consumer = None
-        #: Handle pinning warm-start nodes (loaded by a provider) live in
-        #: the manager for the duration of the traversal.
-        self.warm_handle = None
         #: Delta warm-start inputs (:mod:`repro.delta.warmstart`, set via
         #: the cache provider): a characteristic function of
         #: known-reachable states to seed the traversal from, the edit's
@@ -165,8 +162,8 @@ class VerificationPipeline:
         With a bound BDD cache (:func:`repro.cache.bind_pipeline`) the
         provider is consulted first: a hit adopts the persisted reachable
         set and its traversal statistics without traversing at all, a
-        miss may still warm-start the manager before the cold traversal,
-        whose result the consumer then persists.
+        miss may still seed the traversal from a delta base, and the
+        consumer then persists the traversal's result.
         """
         if self._reached is None:
             if self.reached_provider is not None:
@@ -182,8 +179,7 @@ class VerificationPipeline:
                 seed_transitions=self.seed_transitions,
                 seed_closed=self.seed_closed,
                 deadline=self.deadline)
-            self.warm_handle = None  # warm nodes no longer need pinning
-            self.seed_reached = None  # ditto for the delta seed
+            self.seed_reached = None  # the seed is no longer needed
             if self.reached_consumer is not None:
                 self.reached_consumer(self, self._reached,
                                       self._traversal_stats)

@@ -34,7 +34,7 @@ the iteration path and its cost differ.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.bdd import Function
@@ -51,9 +51,7 @@ def fixpoint(image: SymbolicImage, start: Function,
              transitions: Iterable[str], direction: str, strategy: str,
              restrict_to: Optional[Function] = None,
              deadline: Optional[float] = None, *,
-             stats: Optional[TraversalStats] = None,
-             observer: Optional[Callable[[Function], None]] = None
-             ) -> Function:
+             stats: Optional[TraversalStats] = None) -> Function:
     """Close ``start`` under ``transitions`` fired in ``direction``.
 
     ``direction`` is ``"forward"`` (:meth:`SymbolicImage.fire`) or
@@ -89,8 +87,7 @@ def fixpoint(image: SymbolicImage, start: Function,
     deadline.  The call is one ``closure`` span -- or, when the
     reachability traversal passes its ``stats``, the ``traversal`` span,
     and ``stats`` receives the iteration/image/BDD-size counters and the
-    span duration.  ``observer`` sees the fresh states of every
-    productive outer iteration; under saturation, once, all of them.
+    span duration.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown traversal strategy {strategy!r}")
@@ -109,11 +106,10 @@ def fixpoint(image: SymbolicImage, start: Function,
         stats.observe_reached(start.size())
         if strategy == "saturation":
             reached = _saturation(image, start, transition_list, direction,
-                                  restrict_to, deadline, stats, observer)
+                                  restrict_to, deadline, stats)
         else:
             reached = _iteration(image, start, transition_list, direction,
-                                 strategy, restrict_to, deadline, stats,
-                                 observer)
+                                 strategy, restrict_to, deadline, stats)
         span.annotate(iterations=stats.iterations,
                       images=stats.images_computed,
                       peak_nodes=stats.peak_nodes,
@@ -125,8 +121,7 @@ def fixpoint(image: SymbolicImage, start: Function,
 def _iteration(image: SymbolicImage, start: Function,
                transitions: List[str], direction: str, strategy: str,
                restrict_to: Optional[Function],
-               deadline: Optional[float], stats: TraversalStats,
-               observer: Optional[Callable[[Function], None]]
+               deadline: Optional[float], stats: TraversalStats
                ) -> Function:
     """The ``"chained"`` / ``"frontier"`` global loop."""
     fire = image.fire if direction == "forward" else image.fire_backward
@@ -164,16 +159,13 @@ def _iteration(image: SymbolicImage, start: Function,
             return reached
         reached = reached | new
         stats.observe_reached(reached.size())
-        if observer is not None:
-            observer(new)
         from_set = new
 
 
 def _saturation(image: SymbolicImage, start: Function,
                 transitions: List[str], direction: str,
                 restrict_to: Optional[Function],
-                deadline: Optional[float], stats: TraversalStats,
-                observer: Optional[Callable[[Function], None]]
+                deadline: Optional[float], stats: TraversalStats
                 ) -> Function:
     """The ``"saturation"`` closure (see :func:`fixpoint`)."""
     # Imported on the first closure, like the image kernel: importing
@@ -204,17 +196,13 @@ def _saturation(image: SymbolicImage, start: Function,
         reached = start | (reached & restrict_to)
     stats.observe_live_nodes(manager.num_nodes)
     stats.observe_reached(reached.size())
-    if observer is not None and reached != start:
-        observer(reached - start)
     return reached
 
 
 def symbolic_traversal(encoding: SymbolicEncoding,
                        image: Optional[SymbolicImage] = None,
-                       initial: Optional[Function] = None,
                        transitions: Optional[Iterable[str]] = None,
                        strategy: str = "saturation",
-                       observer: Optional[Callable[[Function], None]] = None,
                        seed: Optional[Function] = None,
                        seed_transitions: Optional[Iterable[str]] = None,
                        seed_closed: bool = False,
@@ -222,13 +210,10 @@ def symbolic_traversal(encoding: SymbolicEncoding,
                        ) -> Tuple[Function, TraversalStats]:
     """Compute the reachable full states of an STG symbolically.
 
-    The forward :func:`fixpoint` of ``initial`` (default: the STG's
-    initial full state) over ``transitions`` (default: all), plus the
-    Table 1 statistics.  ``image`` may be a pre-built
-    :class:`~repro.core.image.SymbolicImage` (shared caches);
-    ``observer`` is called with the starting set and then with the fresh
-    states of every iteration (under saturation: once, with all of
-    them).
+    The forward :func:`fixpoint` of the STG's initial full state over
+    ``transitions`` (default: all), plus the Table 1 statistics.
+    ``image`` may be a pre-built :class:`~repro.core.image.SymbolicImage`
+    (shared caches).
 
     ``seed`` holds *known-reachable* states to start from as well (the
     delta warm-start of :mod:`repro.delta.warmstart`): the fixpoint --
@@ -247,7 +232,7 @@ def symbolic_traversal(encoding: SymbolicEncoding,
     image = image or SymbolicImage(encoding)
     if transitions is None:
         transitions = encoding.stg.transitions
-    reached = initial if initial is not None else encoding.initial_state()
+    reached = encoding.initial_state()
     if seed is not None:
         reached = reached | seed
         if seed_closed:
@@ -257,10 +242,8 @@ def symbolic_traversal(encoding: SymbolicEncoding,
     manager = encoding.manager
     base_lookups = manager.cache_lookups
     base_hits = manager.cache_hits
-    if observer is not None:
-        observer(reached)
     reached = fixpoint(image, reached, transitions, "forward", strategy,
-                       deadline=deadline, stats=stats, observer=observer)
+                       deadline=deadline, stats=stats)
     stats.num_states = encoding.count_states(reached)
     stats.cache_lookups = manager.cache_lookups - base_lookups
     stats.cache_hits = manager.cache_hits - base_hits

@@ -19,12 +19,10 @@ verification engines.
 """
 
 from repro.corpus.loader import (
-    ensure_g_file,
     entry,
     g_text,
     load,
     names,
-    structurally_equal,
     write_all,
     write_g,
 )
@@ -50,12 +48,10 @@ __all__ = [
     "family",
     "mismatches_against",
     "CorpusError",
-    "ensure_g_file",
     "entry",
     "g_text",
     "load",
     "names",
-    "structurally_equal",
     "write_all",
     "write_g",
 ]

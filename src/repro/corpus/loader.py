@@ -6,16 +6,14 @@ Thin functions over :data:`repro.corpus.registry.REGISTRY`:
 * :func:`load` -- parse an entry's canonical text into an
   :class:`~repro.stg.stg.STG` via :func:`repro.stg.parser.parse_g` (the
   corpus exercises the same code path as an external ``.g`` file),
-* :func:`write_g` / :func:`write_all` / :func:`ensure_g_file` --
-  materialise entries as ``.g`` files on demand,
-* :func:`structurally_equal` -- STG equivalence used by the roundtrip
-  tests (parse -> write -> parse must be the identity).
+* :func:`write_g` / :func:`write_all` -- materialise entries as ``.g``
+  files on demand.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.corpus.registry import REGISTRY
 from repro.stg.parser import parse_g
@@ -56,46 +54,3 @@ def write_all(directory: str,
     for name in (list(selection) if selection is not None else names()):
         paths.append(write_g(name, os.path.join(directory, f"{name}.g")))
     return paths
-
-
-def ensure_g_file(name: str, directory: str) -> str:
-    """Path of ``<directory>/<name>.g``, materialising it when missing.
-
-    Existing files are left untouched (they are checked-in fixtures; a
-    dedicated test asserts they stay in sync with the registry).
-    """
-    path = os.path.join(directory, f"{name}.g")
-    if not os.path.exists(path):
-        write_g(name, path)
-    return path
-
-
-# ----------------------------------------------------------------------
-# Structural equivalence (roundtrip testing)
-# ----------------------------------------------------------------------
-def _arc_signature(stg: STG) -> Dict[str, object]:
-    """Hashable summary of the net structure with stable place identities.
-
-    Place names are kept as-is: both sides of a roundtrip comparison have
-    gone through the parser, which names implicit places canonically
-    (``<t1,t2>``), so name-level comparison is exact.
-    """
-    return {
-        "signals": {s: stg.kind_of(s) for s in stg.signals},
-        "initial_values": stg.initial_values,
-        "transitions": frozenset(stg.transitions),
-        "places": frozenset(stg.places),
-        "arcs": frozenset(
-            (place,
-             frozenset(stg.net.preset_of_place(place)),
-             frozenset(stg.net.postset_of_place(place)))
-            for place in stg.places),
-        "marking": {place: stg.initial_marking()[place]
-                    for place in stg.places
-                    if stg.initial_marking()[place]},
-    }
-
-
-def structurally_equal(first: STG, second: STG) -> bool:
-    """True when two STGs have identical interface, structure and marking."""
-    return _arc_signature(first) == _arc_signature(second)

@@ -9,15 +9,14 @@ exact canonical ``.g`` text).  ``repro.delta`` closes that gap:
 * :func:`diff_stg` computes the structural difference between a *base*
   STG and an *edited* one (added/removed transitions, places, arcs and
   signals, plus initial-marking/value changes) as an :class:`STGDelta`;
-* :func:`classify_delta` sorts a delta into one of three reuse tiers
-  (:data:`TIER_SEED` / :data:`TIER_PREWARM` / :data:`TIER_COLD`) by the
-  monotone-compatibility rules documented on the classifier;
+* :func:`classify_delta` sorts a delta into one of two reuse tiers
+  (:data:`TIER_SEED` / :data:`TIER_COLD`) by the monotone-compatibility
+  rules documented on the classifier;
 * :mod:`repro.delta.warmstart` turns a stored base reachable set into a
   **traversal seed** for monotone edits -- the base states extended with
   the new variables at their initial values are all genuinely reachable
   in the edited net, so the traversal starts from them instead of from
-  the single initial state -- and into a PR-5-style structural pre-warm
-  otherwise.
+  the single initial state -- and runs every other edit cold.
 
 The seed never touches verdicts: it only changes *where the fixpoint
 iteration starts*, the fixpoint itself is the same canonical reachable
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 from repro.delta.classify import (
     TIER_COLD,
-    TIER_PREWARM,
     TIER_SEED,
     TIERS,
     DeltaClassification,
@@ -46,7 +44,6 @@ __all__ = [
     "DeltaClassification",
     "STGDelta",
     "TIER_COLD",
-    "TIER_PREWARM",
     "TIER_SEED",
     "TIERS",
     "classify_delta",

@@ -21,18 +21,14 @@ run's reachable set may soundly be reused:
       net, and the iteration sweeps the full transition list from the
       seeded frontier.
 
-:data:`TIER_PREWARM` (additive, but the arc rule fails)
-    The edit adds an arc between existing nodes, changing an existing
-    transition's environment: base states may be unreachable or
-    non-closed in the edited net, so seeding would be unsound.  The
-    stored BDD is still loaded *structurally* (shared nodes, warm
-    operation caches) exactly like PR-5 family warm-starts -- the
-    traversal itself starts cold.
-
 :data:`TIER_COLD` (anything else)
     Removals, renames (a removal plus an addition), initial-marking or
     initial-value changes, signal-kind changes: nothing about the base
-    reachable set is trustworthy, run cold.
+    reachable set is trustworthy, run cold.  So is an addition that
+    fails the arc rule: an arc between existing nodes changes an
+    existing transition's environment, so base states may be
+    unreachable or non-closed in the edited net and seeding would be
+    unsound.
 
 Every decision is recorded with human-readable ``reasons`` so the
 ``delta`` provenance block on reports and the serve metrics can say
@@ -48,11 +44,10 @@ from repro.delta.diff import STGDelta
 from repro.stg.stg import STG
 
 TIER_SEED = "seed"
-TIER_PREWARM = "prewarm"
 TIER_COLD = "cold"
 
 #: The reuse tiers, strongest first.
-TIERS = (TIER_SEED, TIER_PREWARM, TIER_COLD)
+TIERS = (TIER_SEED, TIER_COLD)
 
 
 @dataclass(frozen=True)
@@ -104,8 +99,7 @@ def classify_delta(delta: STGDelta, edited: STG) -> DeltaClassification:
                 f"transition {transition!r}; base states may not be "
                 f"closed under it")
     if reasons:
-        return DeltaClassification(tier=TIER_PREWARM,
-                                   reasons=tuple(reasons))
+        return DeltaClassification(tier=TIER_COLD, reasons=tuple(reasons))
 
     # Closed mode needs both conditions: an added transition touching an
     # existing place could mark it in ways only old transitions consume,

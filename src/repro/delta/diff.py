@@ -52,20 +52,6 @@ class STGDelta:
         """True when the two STGs are structurally the same."""
         return not any(getattr(self, spec.name) for spec in fields(self))
 
-    @property
-    def additive(self) -> bool:
-        """True when the edit only *adds* structure.
-
-        No removals of any kind and no changes to the initial state or
-        the kind of surviving elements -- the precondition of both
-        warm-start tiers (see :func:`repro.delta.classify.
-        classify_delta` for the stricter seed-tier arc rule).
-        """
-        return not (self.removed_signals or self.removed_transitions
-                    or self.removed_places or self.removed_arcs
-                    or self.changed_markings or self.changed_initial_values
-                    or self.changed_signal_kinds)
-
     def summary(self) -> Dict[str, int]:
         """Per-category counts (the provenance/observability view)."""
         return {spec.name: len(getattr(self, spec.name))

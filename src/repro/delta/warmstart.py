@@ -17,16 +17,13 @@ applies the strongest sound reuse:
     variables at their initial values (every such state is genuinely
     reachable in the edited net via the base's own firing sequences)
     and hand the result to the traversal as its starting set.
-``prewarm``
-    Additive edit that changes an existing transition's environment:
-    load the base BDD structurally (shared nodes, warm caches), exactly
-    like a PR-5 family warm-start, and traverse cold.
 ``cold``
-    Anything else: no reuse.
+    Anything else, including a base entry stored without its
+    specification text: no reuse.
 
 The seeding contract (analyzer rule RA204): this module writes only the
 pipeline's ``seed_reached`` / ``seed_transitions`` / ``seed_closed`` /
-``warm_handle`` / ``delta_info`` attributes.  Verdicts, reports and the
+``delta_info`` attributes.  Verdicts, reports and the
 canonical fixpoint are untouched -- a seeded run's stable JSON is
 byte-identical to a cold run's, which the parity suite and the sweep
 gate's delta leg enforce.
@@ -40,12 +37,7 @@ from repro import obs
 from repro.bdd.function import Function
 from repro.core.encoding import SymbolicEncoding
 from repro.core.stats import TraversalStats
-from repro.delta.classify import (
-    TIER_COLD,
-    TIER_PREWARM,
-    TIER_SEED,
-    classify_delta,
-)
+from repro.delta.classify import TIER_COLD, classify_delta
 from repro.delta.diff import diff_stg
 from repro.stg.parser import parse_g
 
@@ -83,8 +75,8 @@ def apply_base(pipeline, store, base_fingerprint: str
 
     Returns ``(reached, stats)`` only for the ``hit`` tier (structural
     identity -- the provider then skips the traversal entirely);
-    otherwise configures the pipeline's seed or warm handle in place and
-    returns ``None`` so the traversal runs.  Always records the
+    otherwise configures the pipeline's seed in place (seed tier only)
+    and returns ``None`` so the traversal runs.  Always records the
     classification outcome on ``pipeline.delta_info``.
     """
     with obs.span("delta", base=base_fingerprint[:12]) as span:
@@ -109,11 +101,11 @@ def _apply_base(pipeline, store, base_fingerprint: str
 
     base_g_text = meta.get("g_text")
     if not isinstance(base_g_text, str) or not base_g_text:
-        # Pre-schema-2 entry: no base text to diff against, but the
-        # stored nodes are still worth loading structurally.
-        return _prewarm(pipeline, store, path, info,
-                        ["base entry predates schema 2 (no stored "
-                         "specification text); structural pre-warm only"])
+        # Only BDDStore.put(..., g_text=None) writes such an entry: with
+        # no base text there is nothing to diff against.
+        store.delta_colds += 1
+        info["reasons"] = ["base entry stores no specification text"]
+        return None
 
     base = parse_g(base_g_text)
     delta = diff_stg(base, pipeline.stg)
@@ -152,33 +144,11 @@ def _apply_base(pipeline, store, base_fingerprint: str
         obs.event("delta-hit", base=base_fingerprint[:12])
         return base_reached, stats
 
-    if classification.tier == TIER_SEED:
-        seed = extend_to_encoding(pipeline.encoding, base_reached,
-                                  base_variables)
-        pipeline.seed_reached = seed
-        pipeline.seed_transitions = list(delta.added_transitions)
-        pipeline.seed_closed = classification.closed
-        info["seed_nodes"] = seed.size()
-        store.delta_seeds += 1
-        return None
-
-    assert classification.tier == TIER_PREWARM
-    pipeline.warm_handle = base_reached
-    store.delta_prewarms += 1
-    return None
-
-
-def _prewarm(pipeline, store, path: str, info: dict, reasons: list
-             ) -> None:
-    loaded = store.load_entry(path, pipeline.encoding.manager)
-    if loaded is None:
-        store.delta_colds += 1
-        info["reasons"] = reasons + ["stored base variables are "
-                                     "incompatible with the edited "
-                                     "encoding"]
-        return None
-    info["tier"] = TIER_PREWARM
-    info["reasons"] = reasons
-    pipeline.warm_handle = loaded[0]
-    store.delta_prewarms += 1
+    seed = extend_to_encoding(pipeline.encoding, base_reached,
+                              base_variables)
+    pipeline.seed_reached = seed
+    pipeline.seed_transitions = list(delta.added_transitions)
+    pipeline.seed_closed = classification.closed
+    info["seed_nodes"] = seed.size()
+    store.delta_seeds += 1
     return None

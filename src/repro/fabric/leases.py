@@ -150,18 +150,6 @@ class LeaseStore:
     # ------------------------------------------------------------------
     # Lease protocol
     # ------------------------------------------------------------------
-    def holder_of(self, key: str,
-                  now: Optional[float] = None) -> Optional[Lease]:
-        """The *valid* (unexpired) lease on ``key``, or ``None``."""
-        lease = self._synced().get(key)
-        if lease is None or lease.expired(now):
-            return None
-        return lease
-
-    def claimable(self, key: str, now: Optional[float] = None) -> bool:
-        """True when ``key`` has no valid lease (free or expired)."""
-        return self.holder_of(key, now) is None
-
     def claim(self, key: str, name: str, holder: str, duration: float,
               now: Optional[float] = None) -> Optional[Lease]:
         """Claim ``key`` for ``duration`` seconds; ``None`` when another
@@ -224,12 +212,6 @@ class LeaseStore:
                 return False
             self._append("release", current, outcome=outcome)
         return True
-
-    def expired_leases(self, now: Optional[float] = None) -> List[Lease]:
-        """Active-table leases whose deadline has passed (claimable)."""
-        now = time.time() if now is None else now
-        return [lease for lease in self._synced().values()
-                if lease.expired(now)]
 
     def active_leases(self) -> List[Lease]:
         """Every lease in the active table, expired or not."""

@@ -43,7 +43,6 @@ from repro.obs.metrics import (
 from repro.obs.sinks import (
     InMemorySink,
     JSONLSink,
-    SummarySink,
     TraceReadWarning,
     read_trace_records,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "Span",
-    "SummarySink",
     "TRACE_SCHEMA_VERSION",
     "TraceReadWarning",
     "Tracer",

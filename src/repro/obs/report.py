@@ -13,8 +13,7 @@ RA501); ``check`` spans are additionally keyed by their ``check``
 attribute (``check:csc``), so a breakdown distinguishes the individual
 property checks without anyone inventing span names at runtime.
 
-Consumed by :class:`repro.obs.sinks.SummarySink`, the ``--profile``
-CLI view and ``tools/trace_report.py``.
+Consumed by the ``--profile`` CLI view and ``tools/trace_report.py``.
 """
 
 from __future__ import annotations
@@ -169,28 +168,6 @@ def merge_cache_tables(summaries: Iterable[Mapping[str, object]]
         slot["hit_rate"] = (round(slot["hits"] / slot["lookups"], 4)
                             if slot["lookups"] else None)
     return merged
-
-
-def render_trace(records: Iterable[Mapping[str, object]]) -> str:
-    """The human summary of one trace (SummarySink's output)."""
-    records = list(records)
-    summary = trace_summary(records)
-    wall = summary["wall_s"] or 0.0
-    lines = [f"trace: {summary.get('entry') or '?'} "
-             f"wall={wall:.3f}s spans={len(spans_of(records))} "
-             f"events={summary['events']}"]
-    stages = sorted(summary["stages"].items(),
-                    key=lambda item: item[1]["self_s"], reverse=True)
-    for label, entry in stages:
-        share = (entry["self_s"] / wall * 100.0) if wall else 0.0
-        lines.append(f"  {label:<24} self={entry['self_s']:8.3f}s "
-                     f"({share:5.1f}%)  n={entry['count']}")
-    for label, entry in sorted(summary["cache"].items()):
-        rate = entry["hit_rate"]
-        lines.append(f"  cache {label:<18} lookups={entry['lookups']:<9} "
-                     f"hits={entry['hits']:<9} "
-                     f"hit-rate={rate if rate is not None else '-'}")
-    return "\n".join(lines)
 
 
 def format_traversal(traversal: Optional[Mapping[str, object]]) -> str:

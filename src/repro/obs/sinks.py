@@ -1,6 +1,6 @@
 """Trace sinks: where a tracer's records go.
 
-Three built-ins cover the subsystem's consumers:
+Two built-ins cover the subsystem's consumers:
 
 :class:`InMemorySink`
     Keeps the records in a list -- the test and programmatic-API sink,
@@ -12,9 +12,6 @@ Three built-ins cover the subsystem's consumers:
     (:meth:`JSONLSink.for_entry`), so trace files are keyed by the same
     content fingerprint as the result cache and shard artifacts merge
     by simply pooling directories.
-:class:`SummarySink`
-    Collects records and renders the human summary of
-    :func:`repro.obs.report.render_trace`.
 
 Reading is as defensive as the RunStore, through the same
 :class:`~repro.utils.journal.Journal`: :func:`read_trace_records` skips
@@ -99,21 +96,6 @@ class JSONLSink:
 
     def close(self) -> None:
         self._handle.close()
-
-
-class SummarySink:
-    """Collect records and render the human-readable trace summary."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, object]] = []
-
-    def emit(self, record: Dict[str, object]) -> None:
-        self.records.append(dict(record))
-
-    def render(self) -> str:
-        from repro.obs.report import render_trace
-
-        return render_trace(self.records)
 
 
 def read_trace_records(path: str) -> Tuple[List[Dict[str, object]], int]:

@@ -7,10 +7,9 @@ Petri nets.  This package provides the uninterpreted layer:
   :class:`~repro.petri.net.Transition` -- the net structure ``(P, T, F, m0)``,
 * :class:`~repro.petri.marking.Marking` -- immutable token assignments,
 * :mod:`repro.petri.reachability` -- explicit reachability graphs,
-* :mod:`repro.petri.analysis` -- boundedness, safeness, deadlocks and
-  explicit transition persistency,
-* :mod:`repro.petri.structure` -- structural classes (marked graph,
-  state machine, free choice) and conflict places.
+* :mod:`repro.petri.analysis` -- boundedness, safeness and explicit
+  transition persistency (the oracle of the symbolic check),
+* :mod:`repro.petri.structure` -- conflict places.
 """
 
 from repro.petri.net import PetriNet, Place, Transition, PetriNetError

@@ -1,22 +1,20 @@
 """Behavioural analysis of Petri nets by explicit enumeration.
 
 These checks mirror the definitions of Sections 2 and 3 of the paper at the
-uninterpreted Petri-net level: boundedness, safeness, deadlock freedom and
-transition persistency (Definition 3.3(1): direct conflicts).
+uninterpreted Petri-net level: boundedness, safeness and transition
+persistency (Definition 3.3(1): direct conflicts).  The transition
+persistency check shares no code with the symbolic one, which makes it
+that check's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import (
-    BoundViolation,
-    ReachabilityGraph,
-    build_reachability_graph,
-)
+from repro.petri.reachability import BoundViolation, build_reachability_graph
 
 
 @dataclass
@@ -43,8 +41,7 @@ class BoundednessResult:
     num_markings: int = 0
 
 
-def check_boundedness(net: PetriNet, max_markings: int = 1_000_000,
-                      graph: Optional[ReachabilityGraph] = None
+def check_boundedness(net: PetriNet, max_markings: int = 1_000_000
                       ) -> BoundednessResult:
     """Check boundedness by explicit exploration.
 
@@ -53,28 +50,13 @@ def check_boundedness(net: PetriNet, max_markings: int = 1_000_000,
     far above any bounded instance, and truly unbounded nets would not
     terminate otherwise).
     """
-    if graph is None:
-        try:
-            graph = build_reachability_graph(net, max_markings=max_markings)
-        except BoundViolation:
-            return BoundednessResult(bounded=False)
+    try:
+        graph = build_reachability_graph(net, max_markings=max_markings)
+    except BoundViolation:
+        return BoundednessResult(bounded=False)
     bound = graph.max_tokens()
     return BoundednessResult(bounded=True, bound=bound, safe=bound <= 1,
                              num_markings=graph.num_markings)
-
-
-def is_safe(net: PetriNet, max_markings: int = 1_000_000) -> bool:
-    """True iff the net is 1-bounded (every reachable marking is safe)."""
-    result = check_boundedness(net, max_markings=max_markings)
-    return result.bounded and result.safe
-
-
-def find_deadlocks(net: PetriNet,
-                   graph: Optional[ReachabilityGraph] = None) -> List[Marking]:
-    """Reachable markings that enable no transition."""
-    if graph is None:
-        graph = build_reachability_graph(net)
-    return graph.deadlocks()
 
 
 @dataclass
@@ -106,7 +88,6 @@ class TransitionPersistencyResult:
 
 
 def check_transition_persistency(net: PetriNet,
-                                 graph: Optional[ReachabilityGraph] = None,
                                  first_violation_only: bool = False
                                  ) -> TransitionPersistencyResult:
     """Explicit check of Definition 3.3(1).
@@ -115,8 +96,7 @@ def check_transition_persistency(net: PetriNet,
     marking ``m`` and becomes disabled after firing another transition
     ``tj`` that is also enabled at ``m``.
     """
-    if graph is None:
-        graph = build_reachability_graph(net)
+    graph = build_reachability_graph(net)
     violations: List[PersistencyViolation] = []
     for marking in graph.markings:
         enabled = net.enabled_transitions(marking)
@@ -133,20 +113,3 @@ def check_transition_persistency(net: PetriNet,
                     if first_violation_only:
                         return TransitionPersistencyResult(False, violations)
     return TransitionPersistencyResult(not violations, violations)
-
-
-def live_transitions(net: PetriNet,
-                     graph: Optional[ReachabilityGraph] = None) -> List[str]:
-    """Transitions that fire at least once from the initial marking (L1-live)."""
-    if graph is None:
-        graph = build_reachability_graph(net)
-    fired = graph.fired_transitions()
-    return [t for t in net.transitions if t in fired]
-
-
-def is_quasi_live(net: PetriNet,
-                  graph: Optional[ReachabilityGraph] = None) -> bool:
-    """True iff every transition fires at least once (no dead transitions)."""
-    if graph is None:
-        graph = build_reachability_graph(net)
-    return not graph.dead_transitions()

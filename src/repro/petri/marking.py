@@ -53,26 +53,13 @@ class Marking(Mapping[str, int]):
         return NotImplemented
 
     # Queries -----------------------------------------------------------
-    @property
-    def marked_places(self) -> frozenset:
-        """The set of places holding at least one token."""
-        return frozenset(self._tokens)
-
     def total_tokens(self) -> int:
         """Total number of tokens in the marking."""
         return sum(self._tokens.values())
 
-    def is_safe(self) -> bool:
-        """True iff no place holds more than one token."""
-        return all(count <= 1 for count in self._tokens.values())
-
     def max_tokens(self) -> int:
         """The largest token count of any place (0 for the empty marking)."""
         return max(self._tokens.values(), default=0)
-
-    def covers(self, other: "Marking") -> bool:
-        """True iff this marking has at least as many tokens everywhere."""
-        return all(self[place] >= count for place, count in other.items())
 
     # Updates (produce new markings) ------------------------------------
     def add(self, places: Iterable[str], amount: int = 1) -> "Marking":
@@ -92,15 +79,6 @@ class Marking(Mapping[str, int]):
                     f"cannot remove {amount} token(s) from place {place!r}")
             tokens[place] = current
         return Marking(tokens)
-
-    def restricted_to(self, places: Iterable[str]) -> "Marking":
-        """Projection of the marking onto a subset of places."""
-        keep = set(places)
-        return Marking({p: c for p, c in self._tokens.items() if p in keep})
-
-    def as_vector(self, places: Iterable[str]) -> Tuple[int, ...]:
-        """Token counts as a tuple following the given place order."""
-        return tuple(self[place] for place in places)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{place}:{count}"

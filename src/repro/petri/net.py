@@ -9,7 +9,7 @@ place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.petri.marking import Marking
 
@@ -149,12 +149,6 @@ class PetriNet:
                 f"arc {source!r} -> {target!r} must connect a place and a "
                 f"transition that both exist in the net")
 
-    def ensure_place(self, name: str, tokens: int = 0) -> Place:
-        """Return the place ``name``, creating it if missing."""
-        if name in self._places:
-            return self._places[name]
-        return self.add_place(name, tokens)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -257,18 +251,6 @@ class PetriNet:
                 f"transition {transition!r} is not enabled at {marking!r}")
         after_consume = marking.remove(self._trans_pre[transition])
         return after_consume.add(self._trans_post[transition])
-
-    def fire_sequence(self, transitions: Iterable[str],
-                      marking: Optional[Marking] = None) -> Marking:
-        """Fire a sequence of transitions starting from ``marking``.
-
-        ``marking`` defaults to the initial marking.  Raises
-        :class:`PetriNetError` as soon as a transition is not enabled.
-        """
-        current = self.initial_marking if marking is None else marking
-        for transition in transitions:
-            current = self.fire(transition, current)
-        return current
 
     # ------------------------------------------------------------------
     # Copies

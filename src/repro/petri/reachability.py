@@ -9,7 +9,7 @@ the symbolic engine on every net that is small enough to enumerate.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet, PetriNetError
@@ -60,35 +60,9 @@ class ReachabilityGraph:
         except KeyError as exc:
             raise PetriNetError(f"marking not in the graph: {marking!r}") from exc
 
-    def edges(self) -> Iterator[Tuple[Marking, str, Marking]]:
-        """Iterate over all edges ``(source, transition, target)``."""
-        for source, outgoing in self._successors.items():
-            for transition, target in outgoing:
-                yield source, transition, target
-
-    def contains(self, marking: Marking) -> bool:
-        return marking in self._successors
-
-    def deadlocks(self) -> List[Marking]:
-        """Markings with no enabled transition."""
-        return [m for m, edges in self._successors.items() if not edges]
-
     def max_tokens(self) -> int:
         """The largest token count observed on any place in any marking."""
         return max((m.max_tokens() for m in self._successors), default=0)
-
-    def is_safe(self) -> bool:
-        """True iff every reachable marking is safe (1-bounded)."""
-        return all(m.is_safe() for m in self._successors)
-
-    def fired_transitions(self) -> Set[str]:
-        """Transitions that fire at least once in the graph."""
-        return {transition for _, transition, _ in self.edges()}
-
-    def dead_transitions(self) -> List[str]:
-        """Transitions of the net that never fire from the initial marking."""
-        fired = self.fired_transitions()
-        return [t for t in self.net.transitions if t not in fired]
 
     def __repr__(self) -> str:
         return (f"ReachabilityGraph(markings={self.num_markings}, "

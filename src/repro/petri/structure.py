@@ -1,20 +1,15 @@
 """Structural (marking-independent) properties of Petri nets.
 
 Several facts used by the paper depend only on the net structure:
-
-* *conflict places* -- places with more than one output transition -- are
-  the only possible sources of transition non-persistency (Section 5.2);
-* *marked graphs* (every place has at most one input and one output
-  transition) are always persistent, so the persistency and commutativity
-  phases are "negligible" for them (Section 6);
-* free-choice and state-machine subclasses, used for sanity checks of the
-  generators.
+*conflict places* -- places with more than one output transition -- are
+the only possible sources of transition non-persistency (Section 5.2),
+and source transitions and isolated places are flagged by the structural
+validation of an STG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from repro.petri.net import PetriNet
 
@@ -22,58 +17,6 @@ from repro.petri.net import PetriNet
 def conflict_places(net: PetriNet) -> List[str]:
     """Places with more than one output transition (``|p•| > 1``)."""
     return [p for p in net.places if len(net.postset_of_place(p)) > 1]
-
-
-def merge_places(net: PetriNet) -> List[str]:
-    """Places with more than one input transition (``|•p| > 1``)."""
-    return [p for p in net.places if len(net.preset_of_place(p)) > 1]
-
-
-def is_marked_graph(net: PetriNet) -> bool:
-    """True iff every place has at most one input and one output transition."""
-    return all(len(net.preset_of_place(p)) <= 1
-               and len(net.postset_of_place(p)) <= 1
-               for p in net.places)
-
-
-def is_state_machine(net: PetriNet) -> bool:
-    """True iff every transition has exactly one input and one output place."""
-    return all(len(net.preset_of_transition(t)) == 1
-               and len(net.postset_of_transition(t)) == 1
-               for t in net.transitions)
-
-
-def is_free_choice(net: PetriNet) -> bool:
-    """True iff the net is (extended) free choice.
-
-    Whenever two transitions share an input place, they have identical
-    presets; equivalently, every conflict is a free choice between
-    transitions with equal enabling conditions.
-    """
-    for place in net.places:
-        successors = sorted(net.postset_of_place(place))
-        if len(successors) < 2:
-            continue
-        presets = [frozenset(net.preset_of_transition(t)) for t in successors]
-        if any(preset != presets[0] for preset in presets[1:]):
-            return False
-    return True
-
-
-def structural_conflict_pairs(net: PetriNet) -> List[Tuple[str, str]]:
-    """Ordered pairs of distinct transitions sharing some input place.
-
-    These are the only candidate pairs for the persistency check
-    (Figure 6); any other pair can never disable one another directly.
-    """
-    pairs: Set[Tuple[str, str]] = set()
-    for place in conflict_places(net):
-        successors = sorted(net.postset_of_place(place))
-        for first in successors:
-            for second in successors:
-                if first != second:
-                    pairs.add((first, second))
-    return sorted(pairs)
 
 
 def source_transitions(net: PetriNet) -> List[str]:
@@ -85,46 +28,3 @@ def isolated_places(net: PetriNet) -> List[str]:
     """Places not connected to any transition."""
     return [p for p in net.places
             if not net.preset_of_place(p) and not net.postset_of_place(p)]
-
-
-@dataclass
-class StructuralSummary:
-    """Bundle of structural facts used by reports and the CLI."""
-
-    num_places: int
-    num_transitions: int
-    num_arcs: int
-    conflict_places: List[str]
-    marked_graph: bool
-    state_machine: bool
-    free_choice: bool
-    source_transitions: List[str]
-    isolated_places: List[str]
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "places": self.num_places,
-            "transitions": self.num_transitions,
-            "arcs": self.num_arcs,
-            "conflict_places": list(self.conflict_places),
-            "marked_graph": self.marked_graph,
-            "state_machine": self.state_machine,
-            "free_choice": self.free_choice,
-            "source_transitions": list(self.source_transitions),
-            "isolated_places": list(self.isolated_places),
-        }
-
-
-def summarize_structure(net: PetriNet) -> StructuralSummary:
-    """Compute a :class:`StructuralSummary` for a net."""
-    return StructuralSummary(
-        num_places=net.num_places,
-        num_transitions=net.num_transitions,
-        num_arcs=sum(1 for _ in net.arcs()),
-        conflict_places=conflict_places(net),
-        marked_graph=is_marked_graph(net),
-        state_machine=is_state_machine(net),
-        free_choice=is_free_choice(net),
-        source_transitions=source_transitions(net),
-        isolated_places=isolated_places(net),
-    )

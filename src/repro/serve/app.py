@@ -33,7 +33,6 @@ import json
 import os
 import signal
 import tempfile
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Sequence, Tuple
@@ -93,7 +92,6 @@ class ServeApp:
         self._handlers = set()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self._started_monotonic = 0.0
 
     # ------------------------------------------------------------------
@@ -154,40 +152,6 @@ class ServeApp:
         await self.serve_until_shutdown()
         print("repro-serve: drained and stopped", flush=True)
         return 0
-
-    # ------------------------------------------------------------------
-    # Test/embedding support: run the daemon on a background thread
-    # ------------------------------------------------------------------
-    def run_in_thread(self) -> "ServeApp":
-        """Start the daemon on a daemon thread; returns once it listens."""
-        ready = threading.Event()
-
-        def runner() -> None:
-            asyncio.run(self._thread_main(ready))
-
-        self._thread = threading.Thread(target=runner, daemon=True,
-                                        name="repro-serve-loop")
-        self._thread.start()
-        if not ready.wait(timeout=30):
-            raise RuntimeError("serve daemon failed to start")
-        return self
-
-    async def _thread_main(self, ready: threading.Event) -> None:
-        await self.start()
-        ready.set()
-        await self.serve_until_shutdown()
-
-    def stop(self, timeout: float = DRAIN_TIMEOUT_S) -> None:
-        """Gracefully stop a :meth:`run_in_thread` daemon and join it."""
-        if self._thread is None:
-            return
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.request_shutdown)
-            except RuntimeError:
-                pass  # loop already finished: nothing left to stop
-        self._thread.join(timeout=timeout)
-        self._thread = None
 
     # ------------------------------------------------------------------
     # Workers

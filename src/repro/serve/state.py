@@ -250,16 +250,12 @@ class WarmState:
         """Refresh the store-health gauges ahead of a metrics snapshot."""
         self.metrics.gauge("serve.bdd.hits").set(self.bdd_store.hits)
         self.metrics.gauge("serve.bdd.misses").set(self.bdd_store.misses)
-        self.metrics.gauge("serve.bdd.warm_starts").set(
-            self.bdd_store.warm_starts)
         self.metrics.gauge("serve.bdd.invalidations").set(
             self.bdd_store.invalidations)
         self.metrics.gauge("serve.bdd.delta_hits").set(
             self.bdd_store.delta_hits)
         self.metrics.gauge("serve.bdd.delta_seeds").set(
             self.bdd_store.delta_seeds)
-        self.metrics.gauge("serve.bdd.delta_prewarms").set(
-            self.bdd_store.delta_prewarms)
         self.metrics.gauge("serve.bdd.delta_colds").set(
             self.bdd_store.delta_colds)
         self.metrics.gauge("serve.runstore.records").set(

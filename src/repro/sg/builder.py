@@ -104,9 +104,7 @@ def build_state_graph(stg: STG,
     return StateGraphResult(graph, violations, truncated)
 
 
-def infer_initial_values(stg: STG,
-                         max_markings: Optional[int] = 100_000
-                         ) -> Dict[str, bool]:
+def infer_initial_values(stg: STG) -> Dict[str, bool]:
     """Infer initial signal values from the first observed transitions.
 
     Implements the simple scheme of Section 5.1: start with every signal
@@ -118,12 +116,14 @@ def infer_initial_values(stg: STG,
     The inference walks markings in BFS order, so the *first* enabling
     encountered decides; for a consistent STG any enabling of the signal
     gives the same answer.  Already-declared initial values are kept.
+    The walk raises :class:`~repro.petri.reachability.BoundViolation`
+    past 100,000 markings.
     """
     values: Dict[str, bool] = dict(stg.initial_values)
     unknown = {s for s in stg.signals if s not in values}
     if not unknown:
         return values
-    reach = build_reachability_graph(stg.net, max_markings=max_markings)
+    reach = build_reachability_graph(stg.net, max_markings=100_000)
     # BFS order is preserved by ReachabilityGraph.markings.
     for marking in reach.markings:
         if not unknown:

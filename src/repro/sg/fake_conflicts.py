@@ -49,11 +49,6 @@ class ConflictClassification:
                 and (self.first_disables_second_signal
                      != self.second_disables_first_signal))
 
-    @property
-    def is_real(self) -> bool:
-        return (self.observed and self.first_disables_second_signal
-                and self.second_disables_first_signal)
-
     def __str__(self) -> str:
         if not self.observed:
             return f"({self.first}, {self.second}): never enabled together"

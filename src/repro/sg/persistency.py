@@ -46,10 +46,6 @@ class PersistencyResult:
     violations: List[SignalPersistencyViolation] = field(default_factory=list)
     arbitration_skips: int = 0
 
-    def violating_signal_pairs(self) -> List[tuple]:
-        return sorted({(v.fired_signal, v.disabled_signal)
-                       for v in self.violations})
-
 
 def check_signal_persistency(graph: StateGraph, stg: STG,
                              arbitration_places: Optional[Iterable[str]] = None

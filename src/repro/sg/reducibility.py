@@ -191,12 +191,6 @@ class ReducibilityResult:
     complementary_free: bool
     offending_signals: List[str] = field(default_factory=list)
 
-    @property
-    def reducible(self) -> bool:
-        """True when every CSC violation can be repaired by signal insertion."""
-        return (self.deterministic and self.commutative
-                and self.complementary_free)
-
 
 def check_reducibility(graph: StateGraph, stg: STG) -> ReducibilityResult:
     """Run the three ingredient checks and combine them."""

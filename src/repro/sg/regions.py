@@ -15,7 +15,7 @@ codes* occurring in opposite excitation / quiescent regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.sg.state import State, StateGraph
 from repro.stg.stg import STG
@@ -64,9 +64,3 @@ def compute_regions(graph: StateGraph, stg: STG, signal: str) -> SignalRegions:
         if not value and not plus_enabled:
             qr_minus.append(state)
     return SignalRegions(signal, er_plus, er_minus, qr_plus, qr_minus)
-
-
-def compute_all_regions(graph: StateGraph, stg: STG) -> Dict[str, SignalRegions]:
-    """Regions for every signal of the STG."""
-    return {signal: compute_regions(graph, stg, signal)
-            for signal in stg.signals}

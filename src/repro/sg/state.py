@@ -74,9 +74,6 @@ class StateGraph:
         self._successors: Dict[State, List[Tuple[str, State]]] = {initial: []}
 
     # Construction -------------------------------------------------------
-    def _add_state(self, state: State) -> None:
-        self._successors.setdefault(state, [])
-
     def _add_edge(self, source: State, transition: str, target: State) -> None:
         self._successors.setdefault(source, []).append((transition, target))
         self._successors.setdefault(target, [])
@@ -103,9 +100,6 @@ class StateGraph:
         for source, outgoing in self._successors.items():
             for transition, target in outgoing:
                 yield source, transition, target
-
-    def contains(self, state: State) -> bool:
-        return state in self._successors
 
     def enabled_transitions(self, state: State) -> List[str]:
         """Labelled transitions enabled at a state (by its marking)."""

@@ -81,11 +81,6 @@ class SignalTransition:
         """Generic name ``a+`` / ``a-`` without the occurrence index."""
         return f"{self.signal}{self.polarity}"
 
-    def complement(self) -> "SignalTransition":
-        """The opposite-polarity transition of the same signal/index."""
-        polarity = FALLING if self.is_rising else RISING
-        return SignalTransition(self.signal, polarity, self.index)
-
     @staticmethod
     def parse(text: str) -> "SignalTransition":
         """Parse ``a+``, ``b-``, ``a+/2`` ... into a label."""

@@ -9,7 +9,7 @@ transition.  This class additionally records the initial signal values
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional
 
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -30,11 +30,11 @@ class STG:
     >>> stg = STG("handshake")
     >>> stg.add_signal("r", SignalKind.INPUT)
     >>> stg.add_signal("a", SignalKind.OUTPUT)
-    >>> for arc in ["r+ a+", "a+ r-", "r- a-", "a- r+"]:
+    >>> for arc in ["r+ a+", "a+ r-", "r- a-"]:
     ...     source, target = arc.split()
     ...     _ = stg.connect(source, target)
-    >>> stg.set_initial_marking_between("a-", "r+")
-    >>> sorted(stg.enabled_labels(stg.initial_marking()))
+    >>> _ = stg.connect("a-", "r+", tokens=1)
+    >>> stg.net.enabled_transitions(stg.initial_marking())
     ['r+']
     """
 
@@ -58,11 +58,6 @@ class STG:
         self._signals[name] = kind
         if initial_value is not None:
             self._initial_values[name] = bool(initial_value)
-
-    def add_signals(self, names: Iterable[str], kind: SignalKind) -> None:
-        """Declare several signals of the same kind."""
-        for name in names:
-            self.add_signal(name, kind)
 
     @property
     def signals(self) -> List[str]:
@@ -203,15 +198,6 @@ class STG:
         """Canonical name of the implicit place between two transitions."""
         return f"<{source},{target}>"
 
-    def set_initial_marking_between(self, source_label: str,
-                                    target_label: str, tokens: int = 1) -> None:
-        """Put tokens on the implicit place between two connected transitions."""
-        place = self.implicit_place_name(str(SignalTransition.parse(source_label)),
-                                         str(SignalTransition.parse(target_label)))
-        if not self.net.has_place(place):
-            raise STGError(f"no implicit place {place!r}; call connect() first")
-        self.net.set_initial_tokens(place, tokens)
-
     # ------------------------------------------------------------------
     # Labelling function
     # ------------------------------------------------------------------
@@ -251,17 +237,6 @@ class STG:
     # ------------------------------------------------------------------
     def initial_marking(self) -> Marking:
         return self.net.initial_marking
-
-    def enabled_labels(self, marking: Marking) -> List[str]:
-        """Names of the transitions enabled at ``marking``."""
-        return self.net.enabled_transitions(marking)
-
-    def enabled_signals(self, marking: Marking) -> Set[str]:
-        """Signals with at least one enabled transition at ``marking``."""
-        return {self.signal_of(t) for t in self.net.enabled_transitions(marking)}
-
-    def fire(self, transition: str, marking: Marking) -> Marking:
-        return self.net.fire(transition, marking)
 
     # ------------------------------------------------------------------
     # Copies / renaming

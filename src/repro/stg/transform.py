@@ -1,61 +1,20 @@
-"""Behaviour-preserving and interface transformations of STGs.
+"""Behaviour-preserving transformations of STGs.
 
 The paper distinguishes between transformations that keep the interface
 (insertion of internal signals to repair *reducible* CSC violations,
 Section 3.4) and transformations that change it (required for irreducible
-violations).  This module provides the corresponding tools:
-
-* :func:`insert_signal` -- splice a new signal's rising and falling
-  transitions after two existing transitions; the observable (projected)
-  behaviour is preserved, which is exactly the mechanism used to resolve
-  reducible CSC conflicts by hand or by an encoding tool;
-* :func:`hide_signals` / :func:`expose_signals` -- move signals between the
-  output and internal partitions (interface changes, relevant for the
-  SI- vs I/O-implementability distinction);
-* :func:`relabel_signal` -- consistent renaming;
-* :func:`mirror_signal` -- swap the rising and falling transitions of a
-  signal (active-low view), flipping its initial value.
-
-Every function returns a new :class:`~repro.stg.stg.STG`; inputs are never
-mutated.
+violations).  :func:`insert_signal` is the interface-preserving one: it
+splices a new signal's rising and falling transitions after two existing
+transitions.  The observable (projected) behaviour is preserved, which is
+exactly the mechanism used to resolve reducible CSC conflicts by hand or
+by an encoding tool.  It returns a new :class:`~repro.stg.stg.STG`; the
+input is never mutated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-from repro.stg.signals import STGError, SignalKind, SignalTransition
+from repro.stg.signals import STGError, SignalKind
 from repro.stg.stg import STG
-
-
-def _clone_with_signals(stg: STG, signal_kinds: Dict[str, SignalKind],
-                        initial_values: Dict[str, bool],
-                        rename: Optional[Dict[str, str]] = None) -> STG:
-    """Rebuild ``stg`` with new signal kinds / names / initial values."""
-    rename = rename or {}
-    clone = STG(stg.name)
-    for signal in stg.signals:
-        new_name = rename.get(signal, signal)
-        clone.add_signal(new_name, signal_kinds[signal],
-                         initial_value=initial_values.get(signal))
-    for place in stg.places:
-        clone.add_place(place, stg.initial_marking()[place])
-    for transition in stg.transitions:
-        label = stg.label_of(transition)
-        new_label = SignalTransition(rename.get(label.signal, label.signal),
-                                     label.polarity, label.index)
-        clone.add_transition(new_label)
-    mapping = {}
-    for transition in stg.transitions:
-        label = stg.label_of(transition)
-        new_label = SignalTransition(rename.get(label.signal, label.signal),
-                                     label.polarity, label.index)
-        mapping[transition] = str(new_label)
-    for source, target in stg.net.arcs():
-        new_source = mapping.get(source, source)
-        new_target = mapping.get(target, target)
-        clone.add_arc(new_source, new_target)
-    return clone
 
 
 def insert_signal(stg: STG, signal: str, rise_after: str, fall_after: str,
@@ -111,80 +70,3 @@ def _splice_after(stg: STG, anchor: str, new_label: str) -> None:
     stg.add_place(bridge)
     stg.net.add_arc(anchor, bridge)
     stg.net.add_arc(bridge, new_transition)
-
-
-def hide_signals(stg: STG, signals: Iterable[str]) -> STG:
-    """Turn the given output signals into internal (hidden) signals.
-
-    Hiding changes the interface: the result is compared with the original
-    by *trace* equivalence over the remaining observable signals rather
-    than by I/O equivalence (Definitions 2.4 / 2.5).
-    """
-    to_hide = set(signals)
-    kinds = {}
-    for name in stg.signals:
-        kind = stg.kind_of(name)
-        if name in to_hide:
-            if kind is SignalKind.INPUT:
-                raise STGError(f"cannot hide input signal {name!r}")
-            kind = SignalKind.INTERNAL
-        kinds[name] = kind
-    unknown = to_hide - set(stg.signals)
-    if unknown:
-        raise STGError(f"unknown signals {sorted(unknown)}")
-    return _clone_with_signals(stg, kinds, stg.initial_values)
-
-
-def expose_signals(stg: STG, signals: Iterable[str]) -> STG:
-    """Turn the given internal signals into observable outputs."""
-    to_expose = set(signals)
-    kinds = {}
-    for name in stg.signals:
-        kind = stg.kind_of(name)
-        if name in to_expose:
-            if kind is SignalKind.INPUT:
-                raise STGError(f"signal {name!r} is an input")
-            kind = SignalKind.OUTPUT
-        kinds[name] = kind
-    unknown = to_expose - set(stg.signals)
-    if unknown:
-        raise STGError(f"unknown signals {sorted(unknown)}")
-    return _clone_with_signals(stg, kinds, stg.initial_values)
-
-
-def relabel_signal(stg: STG, old: str, new: str) -> STG:
-    """Rename a signal consistently in the interface and the labelling."""
-    stg.kind_of(old)
-    if stg.has_signal(new):
-        raise STGError(f"signal {new!r} already exists")
-    kinds = {name: stg.kind_of(name) for name in stg.signals}
-    return _clone_with_signals(stg, kinds, stg.initial_values,
-                               rename={old: new})
-
-
-def mirror_signal(stg: STG, signal: str) -> STG:
-    """Swap the polarities of one signal (active-low view).
-
-    Every ``signal+`` transition becomes ``signal-`` and vice versa, and
-    the initial value is complemented, so the state graph is isomorphic
-    with the signal's column inverted.
-    """
-    stg.kind_of(signal)
-    clone = STG(stg.name)
-    for name in stg.signals:
-        value = stg.initial_value(name)
-        if name == signal and value is not None:
-            value = not value
-        clone.add_signal(name, stg.kind_of(name), initial_value=value)
-    for place in stg.places:
-        clone.add_place(place, stg.initial_marking()[place])
-    mapping = {}
-    for transition in stg.transitions:
-        label = stg.label_of(transition)
-        if label.signal == signal:
-            label = label.complement()
-        mapping[transition] = str(label)
-        clone.add_transition(label)
-    for source, target in stg.net.arcs():
-        clone.add_arc(mapping.get(source, source), mapping.get(target, target))
-    return clone

@@ -14,7 +14,6 @@ from typing import List, Set, Tuple
 
 from repro.petri.structure import (
     conflict_places,
-    is_marked_graph,
     isolated_places,
     source_transitions,
 )
@@ -126,32 +125,3 @@ def direct_conflict_pairs(stg: STG) -> List[Tuple[str, str]]:
                 if first != second:
                     pairs.add((first, second))
     return sorted(pairs)
-
-
-def conflict_signal_pairs(stg: STG) -> List[Tuple[str, str]]:
-    """Distinct signal pairs involved in some direct transition conflict."""
-    pairs: Set[Tuple[str, str]] = set()
-    for first, second in direct_conflict_pairs(stg):
-        signal_a = stg.signal_of(first)
-        signal_b = stg.signal_of(second)
-        if signal_a != signal_b:
-            pairs.add((signal_a, signal_b))
-    return sorted(pairs)
-
-
-def input_choice_only(stg: STG) -> bool:
-    """True when every direct conflict involves only input signals.
-
-    Such conflicts model environment choice and never violate output
-    persistency; the STG is then structurally persistent for non-inputs.
-    """
-    for first, second in direct_conflict_pairs(stg):
-        if not stg.is_input(stg.signal_of(first)) \
-                or not stg.is_input(stg.signal_of(second)):
-            return False
-    return True
-
-
-def is_marked_graph_stg(stg: STG) -> bool:
-    """True when the underlying net is a marked graph (always persistent)."""
-    return is_marked_graph(stg.net)

@@ -123,16 +123,14 @@ def synthesize_generalized_c_element(encoding: SymbolicEncoding,
 
 
 def synthesize_complex_gates(encoding: SymbolicEncoding, reached: Function,
-                             charfun: Optional[CharacteristicFunctions] = None,
-                             signals: Optional[List[str]] = None
+                             charfun: Optional[CharacteristicFunctions] = None
                              ) -> Dict[str, ComplexGate]:
     """Complex-gate implementations for every non-input signal."""
     from repro import obs
 
     with obs.span("synthesis", manager=encoding.manager,
                   style="complex-gate") as span:
-        functions = derive_next_state_functions(encoding, reached, charfun,
-                                                signals)
+        functions = derive_next_state_functions(encoding, reached, charfun)
         gates = {signal: synthesize_complex_gate(encoding, function)
                  for signal, function in functions.items()}
         span.annotate(gates=len(gates))
@@ -141,16 +139,14 @@ def synthesize_complex_gates(encoding: SymbolicEncoding, reached: Function,
 
 def synthesize_generalized_c_elements(encoding: SymbolicEncoding,
                                       reached: Function,
-                                      charfun: Optional[CharacteristicFunctions] = None,
-                                      signals: Optional[List[str]] = None
+                                      charfun: Optional[CharacteristicFunctions] = None
                                       ) -> Dict[str, GeneralizedCElement]:
     """gC implementations for every non-input signal."""
     from repro import obs
 
     with obs.span("synthesis", manager=encoding.manager,
                   style="gc-element") as span:
-        functions = derive_next_state_functions(encoding, reached, charfun,
-                                                signals)
+        functions = derive_next_state_functions(encoding, reached, charfun)
         gates = {signal: synthesize_generalized_c_element(encoding, function)
                  for signal, function in functions.items()}
         span.annotate(gates=len(gates))

@@ -18,7 +18,7 @@ criterion the checker reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
@@ -46,18 +46,6 @@ class NextStateFunction:
         """True when the on- and off-sets do not overlap (CSC for the signal)."""
         return self.on_set.disjoint(self.off_set)
 
-    def value_at(self, code: Dict[str, bool],
-                 encoding: SymbolicEncoding) -> Optional[bool]:
-        """Required output value at a binary code (None on a don't-care)."""
-        literals = {encoding.signal_variable(s): bool(v)
-                    for s, v in code.items()}
-        point = encoding.manager.cube(literals)
-        if not (point & self.on_set).is_false():
-            return True
-        if not (point & self.off_set).is_false():
-            return False
-        return None
-
 
 def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
                                charfun: CharacteristicFunctions,
@@ -84,30 +72,27 @@ def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
 
 def derive_next_state_functions(encoding: SymbolicEncoding, reached: Function,
                                 charfun: Optional[CharacteristicFunctions] = None,
-                                signals: Optional[List[str]] = None,
-                                require_csc: bool = True,
-                                require_consistency: bool = True
+                                require_csc: bool = True
                                 ) -> Dict[str, NextStateFunction]:
-    """Next-state functions for every non-input signal (or a given list).
+    """Next-state functions for every non-input signal.
 
     With ``require_csc`` (default) a :class:`SynthesisError` is raised as
     soon as one signal has overlapping on/off sets; with it disabled the
     ill-defined functions are still returned (useful for diagnostics).
-    With ``require_consistency`` (default) the reachable set is first
-    checked for a consistent state assignment -- synthesising from an
-    inconsistent specification would silently produce garbage.
+    The reachable set is first checked for a consistent state assignment
+    -- synthesising from an inconsistent specification would silently
+    produce garbage.
     """
-    charfun = charfun or CharacteristicFunctions(encoding)
-    if require_consistency:
-        from repro.core.consistency import check_consistency
+    from repro.core.consistency import check_consistency
 
-        consistency = check_consistency(encoding, reached, charfun)
-        if not consistency.consistent:
-            raise SynthesisError(
-                "the specification has an inconsistent state assignment "
-                f"(signals {', '.join(consistency.violating_signals)}); "
-                "refusing to derive logic from it")
-    targets = signals if signals is not None else encoding.stg.noninput_signals
+    charfun = charfun or CharacteristicFunctions(encoding)
+    consistency = check_consistency(encoding, reached, charfun)
+    if not consistency.consistent:
+        raise SynthesisError(
+            "the specification has an inconsistent state assignment "
+            f"(signals {', '.join(consistency.violating_signals)}); "
+            "refusing to derive logic from it")
+    targets = encoding.stg.noninput_signals
     if not targets:
         raise SynthesisError("the specification has no non-input signals")
     functions: Dict[str, NextStateFunction] = {}

@@ -1,7 +1,8 @@
 """Acceptance criterion: the analyzer gates this repository and the
 repository passes it.
 
-``python -m tools.analysis src tests tools`` must exit 0 -- every
+``python -m tools.analysis src tests tools benchmarks examples`` must
+exit 0 -- every
 determinism finding in src/repro was fixed (not baselined), the schema
 and facade contracts hold, and every registered name is tested and
 documented."""
@@ -14,7 +15,7 @@ from tools.analysis.cli import main
 
 
 def test_default_invocation_is_clean(in_repo_root, capsys):
-    assert main(["src", "tests", "tools"]) == 0
+    assert main(["src", "tests", "tools", "benchmarks", "examples"]) == 0
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
 

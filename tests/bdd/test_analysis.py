@@ -4,7 +4,6 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.bdd.analysis import (
-    essential_literals,
     evaluate,
     iter_models,
     pick_one,
@@ -130,21 +129,3 @@ class TestEvaluate:
         f = mgr.var("a") & mgr.var("b")
         with pytest.raises(ValueError):
             evaluate(f, {"a": True})
-
-
-class TestEssentialLiterals:
-    def test_constants_fix_nothing(self, mgr):
-        assert essential_literals(mgr.true) == {}
-        assert essential_literals(mgr.false) == {}
-
-    def test_cube_fixes_all_its_literals(self, mgr):
-        f = mgr.cube({"a": True, "b": False})
-        assert essential_literals(f) == {"a": True, "b": False}
-
-    def test_disjunction_fixes_nothing(self, mgr):
-        f = mgr.var("a") | mgr.var("b")
-        assert essential_literals(f) == {}
-
-    def test_mixed(self, mgr):
-        f = mgr.var("a") & (mgr.var("b") | mgr.var("c"))
-        assert essential_literals(f) == {"a": True}

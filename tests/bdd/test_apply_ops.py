@@ -31,6 +31,12 @@ def mgr():
     return BDDManager(["a", "b", "c", "d", "e"])
 
 
+def clear_caches(mgr):
+    """Drop every memoisation table of ``mgr`` (its nodes stay)."""
+    for cache in mgr._evictable:
+        cache.clear()
+
+
 def reference_and(mgr, f, g):
     return mgr.ite(f, g, FALSE_ID)
 
@@ -85,13 +91,12 @@ class TestSpecialisedOpsMatchIte:
             assert mgr.apply_xor(f, g) == reference_xor(mgr, f, g)
             assert mgr.apply_diff(f, g) == reference_diff(mgr, f, g)
 
-    def test_implies_and_iff_through_specialised_ops(self, mgr):
+    def test_implies_through_specialised_ops(self, mgr):
         rng = random.Random(11)
         for _ in range(30):
             f = random_function(mgr, rng)
             g = random_function(mgr, rng)
             assert mgr.apply_implies(f, g) == mgr.ite(f, g, TRUE_ID)
-            assert mgr.apply_iff(f, g) == mgr.ite(f, g, mgr.negate(g))
 
     def test_commutative_ops_share_cache_entries(self, mgr):
         f = mgr.apply_and(mgr.var("a").node, mgr.var("b").node)
@@ -131,18 +136,6 @@ class TestCacheCounters:
     def test_stats_shape(self, mgr):
         stats = mgr.cache_stats()
         assert set(stats) == {"lookups", "hits", "evictions", "entries"}
-
-    def test_clear_caches_empties_every_table(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        _ = (a & b) | c
-        _ = (a ^ b) - c
-        _ = (a & b).exist(["a"])
-        _ = (a | c).cofactor({"a": True})
-        _ = ~(a & c)
-        _ = transfer(a | c, TransferSteps(mgr, {"a": (True, False)}), b)
-        assert mgr.cache_stats()["entries"] > 0
-        mgr.clear_caches()
-        assert mgr.cache_stats()["entries"] == 0
 
 
 class TestGenerationalEviction:
@@ -239,7 +232,7 @@ class TestTransfer:
         for f, steps, drop in self.cases(mgr, rng, 120):
             resolved = TransferSteps(mgr, steps)
             result = transfer(f, resolved, drop)
-            mgr.clear_caches()
+            clear_caches(mgr)
             assert result == reference_transfer(mgr, f, steps, drop)
             assert transfer(f, resolved, drop) == result
         assert mgr.cache_evictions > 0
@@ -320,7 +313,7 @@ class TestSaturate:
         for f, events in self.cases(mgr, rng, 80):
             resolved = resolve(mgr, events)
             result = saturate(f, resolved)
-            mgr.clear_caches()
+            clear_caches(mgr)
             assert result == reference_closure(mgr, f, events)
             assert saturate(f, resolved) == result
         assert mgr.cache_evictions > 0

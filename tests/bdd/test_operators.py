@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bdd import BDDManager
-from repro.bdd import operators
 from repro.bdd.manager import BDDOrderError
 
 
@@ -114,10 +113,6 @@ class TestCofactor:
     def test_empty_cofactor_is_identity(self, mgr):
         f = mgr.var("a") | mgr.var("d")
         assert f.cofactor({}) == f
-
-    def test_restrict_alias(self, mgr):
-        f = mgr.var("a") & mgr.var("b")
-        assert operators.restrict(f, {"a": True}) == f.cofactor({"a": True})
 
 
 class TestCompose:

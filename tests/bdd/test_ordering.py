@@ -1,9 +1,6 @@
-"""Tests for variable-ordering heuristics and reorder-by-rebuild."""
+"""Tests for the FORCE variable-ordering heuristic."""
 
-import pytest
-
-from repro.bdd import BDDManager, force_ordering, reorder_by_rebuild
-from repro.bdd.ordering import copy_function, interleaved_ordering, total_size
+from repro.bdd import force_ordering
 
 
 class TestForceOrdering:
@@ -33,95 +30,3 @@ class TestForceOrdering:
         variables = [f"v{i}" for i in range(10)]
         groups = [[f"v{i}", f"v{(i * 3) % 10}"] for i in range(10)]
         assert force_ordering(variables, groups) == force_ordering(variables, groups)
-
-
-class TestInterleavedOrdering:
-    def test_round_robin(self):
-        order = interleaved_ordering([["a0", "a1"], ["b0", "b1"]])
-        assert order == ["a0", "b0", "a1", "b1"]
-
-    def test_uneven_chains(self):
-        order = interleaved_ordering([["a0", "a1", "a2"], ["b0"]])
-        assert order == ["a0", "b0", "a1", "a2"]
-
-    def test_duplicates_keep_first_position(self):
-        order = interleaved_ordering([["x", "y"], ["y", "z"]])
-        assert order == ["x", "y", "z"]
-
-    def test_empty(self):
-        assert interleaved_ordering([]) == []
-
-
-class TestReorderByRebuild:
-    def test_function_semantics_preserved(self):
-        mgr = BDDManager(["a", "b", "c", "d"])
-        f = (mgr.var("a") & mgr.var("c")) | (mgr.var("b") & mgr.var("d"))
-        new_mgr, (g,) = reorder_by_rebuild([f], ["a", "c", "b", "d"])
-        assert new_mgr.variables == ["a", "c", "b", "d"]
-        for model in f.iter_models():
-            assert g.evaluate(model)
-        assert f.sat_count() == g.sat_count()
-
-    def test_good_order_shrinks_interleaved_conjunction(self):
-        # f = (a0 & b0) | (a1 & b1) | ... is exponentially sensitive to order.
-        n = 6
-        bad_order = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
-        mgr = BDDManager(bad_order)
-        f = mgr.false
-        for i in range(n):
-            f = f | (mgr.var(f"a{i}") & mgr.var(f"b{i}"))
-        good_order = []
-        for i in range(n):
-            good_order.extend([f"a{i}", f"b{i}"])
-        _, (g,) = reorder_by_rebuild([f], good_order)
-        assert g.size() < f.size()
-
-    def test_missing_variables_appended(self):
-        mgr = BDDManager(["a", "b", "c"])
-        f = mgr.var("a")
-        new_mgr, _ = reorder_by_rebuild([f], ["a"])
-        assert set(new_mgr.variables) == {"a", "b", "c"}
-
-    def test_empty_function_list(self):
-        mgr, functions = reorder_by_rebuild([], ["x", "y"])
-        assert functions == []
-        assert mgr.variables == ["x", "y"]
-
-    def test_mixed_managers_rejected(self):
-        mgr1 = BDDManager(["a"])
-        mgr2 = BDDManager(["a"])
-        with pytest.raises(ValueError):
-            reorder_by_rebuild([mgr1.var("a"), mgr2.var("a")], ["a"])
-
-
-class TestCopyFunction:
-    def test_copy_preserves_models(self):
-        source = BDDManager(["p", "q", "r"])
-        f = (source.var("p") | source.var("q")) & ~source.var("r")
-        target = BDDManager(["r", "q", "p"])
-        g = copy_function(target, f)
-        assert sorted(map(sorted, (m.items() for m in f.iter_models()))) == \
-            sorted(map(sorted, (m.items() for m in g.iter_models())))
-
-    def test_copy_constants(self):
-        source = BDDManager(["x"])
-        target = BDDManager(["x"])
-        assert copy_function(target, source.true).is_true()
-        assert copy_function(target, source.false).is_false()
-
-
-class TestTotalSize:
-    def test_empty(self):
-        assert total_size([]) == 0
-
-    def test_sharing_counted_once(self):
-        mgr = BDDManager(["a", "b"])
-        f = mgr.var("a") & mgr.var("b")
-        g = mgr.var("a") & mgr.var("b")
-        assert total_size([f, g]) == f.size()
-
-    def test_union_of_distinct_functions(self):
-        mgr = BDDManager(["a", "b"])
-        f = mgr.var("a")
-        g = mgr.var("b")
-        assert total_size([f, g]) == 4  # two internal nodes + two terminals

@@ -5,7 +5,9 @@ import pytest
 
 from repro.bdd import BDDManager
 from repro.bdd.manager import BDDError
-from repro.bdd.serialize import dump, dumps, load, loads
+from repro.bdd.serialize import dump, load
+
+from tests.bdd.serialize_text import dumps, loads
 
 
 @pytest.fixture

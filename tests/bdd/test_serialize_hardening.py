@@ -12,47 +12,48 @@ import pytest
 
 from repro import corpus
 from repro.bdd import BDDError
-from repro.bdd import serialize
 from repro.core.pipeline import VerificationPipeline
 from repro.stg.parser import parse_g
+
+from tests.bdd.serialize_text import dumps, loads
 
 
 class TestHeaderRejection:
     def test_empty_stream(self):
         with pytest.raises(BDDError, match="empty stream"):
-            serialize.loads("")
+            loads("")
 
     def test_unrelated_header(self):
         with pytest.raises(BDDError, match="not a bdd-serialized stream"):
-            serialize.loads("hello world\n")
+            loads("hello world\n")
 
     def test_future_format_version(self):
         with pytest.raises(BDDError,
                            match="unsupported bdd-serialized format "
                                  "version '99'"):
-            serialize.loads("bdd-serialized 99\nvars a\nroots 1\nroot 1\n")
+            loads("bdd-serialized 99\nvars a\nroots 1\nroot 1\n")
 
     def test_json_garbage_is_not_a_parse_crash(self):
         with pytest.raises(BDDError):
-            serialize.loads('{"vars": ["a"]}\n')
+            loads('{"vars": ["a"]}\n')
 
     def test_malformed_node_ids_raise_bdd_error(self):
         text = ("bdd-serialized 1\nvars a\nroots 1\n"
                 "node two a 0 1\nroot 2\n")
         with pytest.raises(BDDError, match="malformed node line"):
-            serialize.loads(text)
+            loads(text)
 
     def test_malformed_root_line_raises_bdd_error(self):
         text = ("bdd-serialized 1\nvars a\nroots 1\n"
                 "node 2 a 0 1\nroot x\n")
         with pytest.raises(BDDError, match="malformed root line"):
-            serialize.loads(text)
+            loads(text)
 
     def test_unknown_child_reference(self):
         text = ("bdd-serialized 1\nvars a\nroots 1\n"
                 "node 5 a 0 9\nroot 5\n")
         with pytest.raises(BDDError, match="unknown child"):
-            serialize.loads(text)
+            loads(text)
 
 
 def reachable_of(name: str):
@@ -67,8 +68,8 @@ def reachable_of(name: str):
 class TestCorpusRoundTrips:
     def test_round_trip_preserves_semantics_and_node_count(self, name):
         pipeline, reached = reachable_of(name)
-        text = serialize.dumps([reached])
-        manager, roots = serialize.loads(text)
+        text = dumps([reached])
+        manager, roots = loads(text)
         assert len(roots) == 1
         loaded = roots[0]
         # Same variable order -> identical canonical structure.
@@ -79,8 +80,8 @@ class TestCorpusRoundTrips:
 
     def test_round_trip_into_existing_manager_is_identity(self, name):
         pipeline, reached = reachable_of(name)
-        text = serialize.dumps([reached])
-        _, roots = serialize.loads(text,
+        text = dumps([reached])
+        _, roots = loads(text,
                                    manager=pipeline.encoding.manager)
         # Canonicity in one manager: the loaded root IS the original.
         assert roots[0].node == reached.node
@@ -93,13 +94,13 @@ class TestSharingPreserved:
         # Two overlapping slices of the reachable set share most nodes.
         variable = encoding.all_variables[0]
         part = reached.cofactor({variable: True})
-        text = serialize.dumps([reached, part])
+        text = dumps([reached, part])
         node_lines = [line for line in text.splitlines()
                       if line.startswith("node ")]
         # Sharing: emitting both costs less than the sum of their sizes.
         internal = (reached.size() - 2) + (part.size() - 2)
         assert len(node_lines) < internal
-        manager, roots = serialize.loads(text)
+        manager, roots = loads(text)
         shared = (set(manager.descendants(roots[0].node))
                   | set(manager.descendants(roots[1].node)))
         assert len(shared) == len(node_lines) + 2

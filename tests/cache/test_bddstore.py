@@ -1,4 +1,4 @@
-"""The persistent reachable-set cache: hits, invalidation, warm starts.
+"""The persistent reachable-set cache: hits, invalidation, overflow paths.
 
 The invalidation contract mirrors the RunStore's: a fingerprint mismatch
 (content or engine-config change) silently falls back to a cold
@@ -181,39 +181,6 @@ class TestNameSharing:
             f"{pipeline_name(cold)}.bdd"]
         bound_pipeline(store).reached
         assert store.hits == 1
-
-
-class TestWarmStart:
-    def test_smaller_scale_warm_starts_the_next(self, store):
-        small = bound_pipeline(store, scale=5)
-        small.reached
-        large = bound_pipeline(store, scale=6)
-        large.reached
-        assert store.warm_starts == 1
-        assert large.traversal_stats.iterations > 0  # still a real run
-
-    def test_warm_start_does_not_change_the_result(self, store):
-        plain = fresh_pipeline(scale=6)
-        plain_reached = plain.reached
-        bound_pipeline(store, scale=5).reached
-        warm = bound_pipeline(store, scale=6)
-        warm.reached
-        care = plain.encoding.all_variables
-        assert (warm.reached.sat_count(care)
-                == plain_reached.sat_count(care))
-        stats = warm.traversal_stats.to_dict()
-        plain_stats = plain.traversal_stats.to_dict()
-        for volatile in ("wall_time_s", "peak_live_nodes",
-                         "cache_lookups", "cache_hits"):
-            stats.pop(volatile)
-            plain_stats.pop(volatile)
-        assert stats == plain_stats
-
-    def test_unrelated_names_do_not_warm_start(self, store):
-        manager_pipeline = fresh_pipeline(scale=4)
-        assert store.warm_start("no-scale-suffix",
-                                manager_pipeline.encoding.manager) is None
-        assert store.warm_starts == 0
 
 
 class TestEngineIntegration:

@@ -213,7 +213,7 @@ class TestImageSets:
         assert image.fire_backward(empty_post, "r+").is_false()
         # ... nor does one where r still has its old value.
         assert image.fire_backward(
-            manager.nvar(encoding.signal_variable("r")), "r+").is_false()
+            ~manager.var(encoding.signal_variable("r")), "r+").is_false()
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +245,7 @@ def signal_literals(encoding, transition):
     label = encoding.stg.label_of(transition)
     variable = encoding.signal_variable(label.signal)
     positive = encoding.manager.var(variable)
-    negative = encoding.manager.nvar(variable)
+    negative = ~positive
     if label.target_value:
         return negative, positive
     return positive, negative

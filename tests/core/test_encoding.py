@@ -6,6 +6,8 @@ from repro.core.encoding import ORDERING_STRATEGIES, SymbolicEncoding
 from repro.petri import Marking
 from repro.stg.generators import handshake, muller_pipeline, mutex_element
 
+from tests.core.markings import markings_to_function
+
 
 class TestVariables:
     def test_one_variable_per_place_and_signal(self):
@@ -89,7 +91,7 @@ class TestStateConstruction:
         encoding = SymbolicEncoding(stg)
         m0 = stg.initial_marking()
         m1 = stg.net.fire("r+", m0)
-        chi = encoding.markings_to_function([m0, m1])
+        chi = markings_to_function(encoding, [m0, m1])
         assert chi.sat_count(care_vars=encoding.place_variables) == 2
 
     def test_decode_roundtrip(self):

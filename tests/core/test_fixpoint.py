@@ -119,8 +119,8 @@ def random_cube(pipeline, rng):
     cube = manager.true
     for name in rng.sample(pipeline.encoding.all_variables,
                            rng.randint(1, 3)):
-        cube = cube & (manager.var(name) if rng.random() < 0.5
-                       else manager.nvar(name))
+        literal = manager.var(name)
+        cube = cube & (literal if rng.random() < 0.5 else ~literal)
     return cube
 
 

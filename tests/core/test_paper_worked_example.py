@@ -22,6 +22,8 @@ from repro.sg import build_state_graph
 from repro.sg.traces import bounded_trace_equivalent
 from repro.stg.generators import fake_conflict_d1, fake_conflict_d2, mutex_element
 
+from tests.core.markings import markings_to_function
+
 
 @pytest.fixture
 def mutex():
@@ -39,7 +41,7 @@ class TestSection4WorkedExample:
         stg, encoding, _, _ = mutex
         reach = build_reachability_graph(stg.net)
         markings = reach.markings[:5]
-        chi = encoding.markings_to_function(markings)
+        chi = markings_to_function(encoding, markings)
         assert chi.sat_count(care_vars=encoding.place_variables) == 5
         for marking in markings:
             assert encoding.marking_minterm(marking) <= chi
@@ -52,8 +54,8 @@ class TestSection4WorkedExample:
                             if stg.net.is_enabled(transition, m)]
         disabled_markings = [m for m in reach.markings
                              if not stg.net.is_enabled(transition, m)]
-        chi = encoding.markings_to_function(
-            enabled_markings[:3] + disabled_markings[:3])
+        chi = markings_to_function(
+            encoding, enabled_markings[:3] + disabled_markings[:3])
 
         # Step 1: the cofactor w.r.t. E(t) selects the markings enabling t
         # and removes the predecessor places from the support.
@@ -77,7 +79,8 @@ class TestSection4WorkedExample:
             assert step4 <= encoding.manager.var(variable)
 
         # The full pipeline equals the explicitly fired marking set.
-        expected = encoding.markings_to_function(
+        expected = markings_to_function(
+            encoding,
             [stg.net.fire(transition, m) for m in enabled_markings[:3]])
         assert step4 == expected
 

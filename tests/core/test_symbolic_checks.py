@@ -265,5 +265,7 @@ class TestFakeConflicts:
         encoding, image, reached = symbolic_setup(stg)
         result = classify_conflicts(encoding, reached, image)
         assert result.fake_free(stg)
-        real = [c for c in result.classifications if c.is_real]
+        real = [c for c in result.classifications
+                if c.observed and c.first_disables_second_signal
+                and c.second_disables_first_signal]
         assert {(c.first, c.second) for c in real} == {("g1+", "g2+")}

@@ -85,12 +85,6 @@ class TestTraversalStrategies:
         assert stats.num_variables == len(encoding.all_variables)
         assert stats.final_nodes == reached.size()
 
-    def test_observer_sees_growing_sets(self):
-        encoding = SymbolicEncoding(handshake())
-        observed = []
-        symbolic_traversal(encoding, observer=observed.append)
-        assert len(observed) >= 2  # initial set plus at least one frontier
-
     def test_restricted_transition_set(self):
         # Firing only the input transitions of the handshake stays within
         # the two states reachable by r alone.

@@ -14,6 +14,8 @@ from repro import corpus
 from repro.stg import parse_g, to_g_string
 from repro.stg.parser import SpecificationNotFound, read_g_file
 
+from tests.corpus.files import ensure_g_file, structurally_equal
+
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "data")
 
@@ -63,13 +65,13 @@ class TestRoundtrip:
     def test_parse_write_parse_is_identity(self, name):
         first = corpus.load(name)
         second = parse_g(to_g_string(first))
-        assert corpus.structurally_equal(first, second)
+        assert structurally_equal(first, second)
 
     @pytest.mark.parametrize("name", corpus.names())
     def test_canonical_text_parses_through_file_reader(self, name, tmp_path):
         path = corpus.write_g(name, str(tmp_path / f"{name}.g"))
         stg = read_g_file(path)
-        assert corpus.structurally_equal(stg, corpus.load(name))
+        assert structurally_equal(stg, corpus.load(name))
 
 
 class TestMaterialisation:
@@ -80,7 +82,7 @@ class TestMaterialisation:
         assert all(os.path.exists(p) for p in paths)
 
     def test_ensure_g_file_creates_missing(self, tmp_path):
-        path = corpus.ensure_g_file("handshake", str(tmp_path))
+        path = ensure_g_file("handshake", str(tmp_path))
         assert os.path.exists(path)
         with open(path, encoding="utf-8") as handle:
             assert handle.read() == corpus.g_text("handshake")
@@ -88,7 +90,7 @@ class TestMaterialisation:
     def test_ensure_g_file_keeps_existing(self, tmp_path):
         path = tmp_path / "handshake.g"
         path.write_text("# sentinel\n")
-        assert corpus.ensure_g_file("handshake", str(tmp_path)) == str(path)
+        assert ensure_g_file("handshake", str(tmp_path)) == str(path)
         assert path.read_text() == "# sentinel\n"
 
     @pytest.mark.parametrize("name", CHECKED_IN)

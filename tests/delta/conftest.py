@@ -3,7 +3,7 @@
 The canonical editor-loop scenario: a Muller-pipeline base specification
 plus small programmatic edits of every reuse tier -- a disconnected
 probe cycle (seed, closed), the same cycle reading an existing place
-(seed, full sweep), an arc between existing nodes (prewarm) and
+(seed, full sweep), and an arc between existing nodes and
 removals/renames (cold).
 """
 

@@ -2,7 +2,6 @@
 
 from repro.delta import (
     TIER_COLD,
-    TIER_PREWARM,
     TIER_SEED,
     TIERS,
     DeltaClassification,
@@ -49,17 +48,15 @@ class TestSeedTier:
         assert c.closed
 
 
-class TestPrewarmTier:
-    def test_arc_between_existing_nodes_is_prewarm(self, base_stg,
-                                                   edit_new_arc):
+class TestColdTier:
+    def test_arc_between_existing_nodes_is_cold(self, base_stg,
+                                                edit_new_arc):
         c = classify_delta(diff_stg(base_stg, edit_new_arc), edit_new_arc)
-        assert c.tier == TIER_PREWARM
+        assert c.tier == TIER_COLD
         assert not c.closed
         assert any("changes existing transition" in reason
                    for reason in c.reasons)
 
-
-class TestColdTier:
     def test_removed_arc_is_cold(self, base_with_cycle, edit_removed_arc):
         c = classify_delta(diff_stg(base_with_cycle, edit_removed_arc),
                            edit_removed_arc)
@@ -84,7 +81,7 @@ class TestColdTier:
 
 class TestSerialisation:
     def test_tiers_catalogue(self):
-        assert TIERS == (TIER_SEED, TIER_PREWARM, TIER_COLD)
+        assert TIERS == (TIER_SEED, TIER_COLD)
 
     def test_round_trip(self, base_stg, edit_closed):
         c = classify_delta(diff_stg(base_stg, edit_closed), edit_closed)

@@ -10,7 +10,6 @@ class TestIdentity:
     def test_self_diff_is_identical(self, base_stg):
         delta = diff_stg(base_stg, base_stg)
         assert delta.identical
-        assert delta.additive
         assert delta == STGDelta()
 
     def test_model_rename_is_not_an_edit(self, base_stg, copy_stg):
@@ -29,7 +28,7 @@ class TestAdditions:
         assert delta.added_transitions == ("xprobe+", "xprobe-")
         assert delta.added_places == ("p_xprobe0", "p_xprobe1")
         assert len(delta.added_arcs) == 4
-        assert delta.additive and not delta.identical
+        assert not delta.identical
         assert not delta.removed_signals
 
     def test_arcs_are_sorted_pairs(self, base_stg, edit_closed):
@@ -44,14 +43,12 @@ class TestRemovalsAndChanges:
                                          edit_removed_arc):
         delta = diff_stg(base_with_cycle, edit_removed_arc)
         assert delta.removed_arcs == (("p_xprobe1", "xprobe-"),)
-        assert not delta.additive
 
     def test_signal_rename_is_removal_plus_addition(self, base_with_cycle,
                                                     edit_renamed):
         delta = diff_stg(base_with_cycle, edit_renamed)
         assert delta.removed_signals == ("xprobe",)
         assert delta.added_signals == ("yprobe",)
-        assert not delta.additive
 
     def test_changed_initial_value(self, base_stg, copy_stg):
         edited = copy_stg(base_stg)
@@ -61,7 +58,6 @@ class TestRemovalsAndChanges:
             **{signal: not bool(edited.initial_values.get(signal))}))
         delta = diff_stg(base_stg, edited)
         assert delta.changed_initial_values == (signal,)
-        assert not delta.additive
 
     def test_changed_signal_kind(self, base_with_cycle, copy_stg):
         edited = copy_stg(base_with_cycle)

@@ -28,7 +28,7 @@ BUILTINS = ("process", "thread", "serial", "asyncio")
 SCENARIOS = (
     ("edit_closed", "base_stg", "seed"),
     ("edit_open", "base_stg", "seed"),
-    ("edit_new_arc", "base_stg", "prewarm"),
+    ("edit_new_arc", "base_stg", "cold"),
     ("edit_removed_arc", "base_with_cycle", "cold"),
     ("edit_renamed", "base_with_cycle", "cold"),
 )

@@ -9,7 +9,8 @@ import pytest
 
 from repro import api
 from repro.cache import BDDStore
-from repro.delta import TIER_COLD, TIER_PREWARM, TIER_SEED
+from repro.core.pipeline import VerificationPipeline
+from repro.delta import TIER_COLD, TIER_SEED
 from repro.delta.warmstart import TIER_HIT
 
 
@@ -74,16 +75,16 @@ class TestHitTier:
             api.run(populated, config).traversal["iterations"]
 
 
-class TestPrewarmTier:
-    def test_new_arc_prewarms(self, populated, config, store,
-                              edit_new_arc):
-        warm = api.run(edit_new_arc, config, base=populated)
-        assert warm.report.delta["tier"] == TIER_PREWARM
-        assert store.delta_prewarms == 1
-        assert store.delta_seeds == 0
-
-
 class TestColdTier:
+    def test_new_arc_runs_cold(self, populated, config, store,
+                               edit_new_arc):
+        warm = api.run(edit_new_arc, config, base=populated)
+        assert warm.report.delta["tier"] == TIER_COLD
+        assert store.delta_colds == 1
+        assert store.delta_seeds == 0
+        assert any("changes existing transition" in reason
+                   for reason in warm.report.delta["reasons"])
+
     def test_removed_arc_falls_back_cold(self, base_with_cycle, config,
                                          store, edit_removed_arc):
         api.run(base_with_cycle, config)
@@ -99,6 +100,18 @@ class TestColdTier:
         assert warm.report.delta["tier"] == TIER_COLD
         assert warm.report.delta["reasons"] == \
             ["no stored entry matches the base fingerprint"]
+
+    def test_base_without_specification_text_is_cold(
+            self, base_stg, config, store, edit_closed):
+        # Only a direct put without g_text writes such an entry.
+        pipeline = VerificationPipeline(base_stg)
+        store.put("textless", "f" * 64, pipeline.reached,
+                  pipeline.traversal_stats)
+        warm = api.run(edit_closed, config, base="f" * 64)
+        assert warm.report.delta["tier"] == TIER_COLD
+        assert warm.report.delta["reasons"] == \
+            ["base entry stores no specification text"]
+        assert store.delta_colds == 1
 
 
 class TestFacadeValidation:

@@ -16,13 +16,26 @@ def store(tmp_path):
     return LeaseStore(str(tmp_path))
 
 
+def holder_of(store, key, now=None):
+    """The valid (unexpired) lease on ``key`` in the lease table, if any."""
+    for lease in store.active_leases():
+        if lease.key == key and not lease.expired(now):
+            return lease
+    return None
+
+
+def claimable(store, key, now=None):
+    """True when ``key`` has no valid lease (free or expired)."""
+    return holder_of(store, key, now) is None
+
+
 class TestLifecycle:
     def test_claim_grants_until_the_deadline(self, store):
         lease = store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
         assert lease is not None
         assert lease.deadline == 110.0
-        assert store.holder_of("e::f1", now=105.0) == lease
-        assert not store.claimable("e::f1", now=105.0)
+        assert holder_of(store, "e::f1", now=105.0) == lease
+        assert not claimable(store, "e::f1", now=105.0)
 
     def test_valid_lease_blocks_a_second_claim(self, store):
         store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
@@ -42,7 +55,7 @@ class TestLifecycle:
         lease = store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
         renewed = store.renew(lease, duration=10.0, now=108.0)
         assert renewed.deadline == 118.0
-        assert store.holder_of("e::f1", now=115.0) == renewed
+        assert holder_of(store, "e::f1", now=115.0) == renewed
 
     def test_renew_of_a_superseded_lease_fails(self, store):
         old = store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
@@ -56,7 +69,7 @@ class TestLifecycle:
     def test_release_frees_the_entry(self, store):
         lease = store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
         assert store.release(lease, "ok", now=105.0)
-        assert store.claimable("e::f1", now=105.0)
+        assert claimable(store, "e::f1", now=105.0)
         assert len(store) == 0
 
     def test_stale_release_is_rejected(self, store):
@@ -64,19 +77,20 @@ class TestLifecycle:
         new = store.claim("e::f1", "e", "w2", duration=10.0, now=111.0)
         # w1 comes back from the dead: its token was superseded.
         assert not store.release(old, "ok", now=112.0)
-        assert store.holder_of("e::f1", now=112.0) == new
+        assert holder_of(store, "e::f1", now=112.0) == new
 
     def test_expired_release_is_rejected_and_frees_the_entry(self, store):
         lease = store.claim("e::f1", "e", "w1", duration=10.0, now=100.0)
         assert not store.release(lease, "ok", now=111.0)
         # The dead lease is dropped, so the entry is immediately
         # claimable rather than waiting for the next expiry scan.
-        assert store.claimable("e::f1", now=111.0)
+        assert claimable(store, "e::f1", now=111.0)
 
     def test_expired_leases_listing(self, store):
         store.claim("a::f", "a", "w1", duration=10.0, now=100.0)
         store.claim("b::f", "b", "w1", duration=30.0, now=100.0)
-        expired = store.expired_leases(now=120.0)
+        expired = [lease for lease in store.active_leases()
+                   if lease.expired(120.0)]
         assert [lease.key for lease in expired] == ["a::f"]
         assert len(store.active_leases()) == 2
 
@@ -139,7 +153,7 @@ class TestJournalReplay:
             handle.write(json.dumps(dict(old.to_dict(), op="claim")) + "\n")
         store = LeaseStore(str(tmp_path))
         assert store.active_leases() == [old]
-        assert store.claimable("a::f")
+        assert claimable(store, "a::f")
         stolen = store.claim("a::f", "a", "w2", duration=10.0)
         assert stolen.token == 8
         assert store.reclaimed == 1

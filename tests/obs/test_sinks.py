@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.obs.sinks import (
     FINGERPRINT_PREFIX,
     JSONLSink,
@@ -81,14 +80,3 @@ class TestSalvageReads:
         records, skipped = read_trace_records(str(path))
         assert skipped == 0
         assert len(records) == 1
-
-
-class TestSummarySink:
-    def test_renders_the_human_summary(self):
-        sink = obs.SummarySink()
-        with obs.tracing(name="vme_read", sink=sink):
-            with obs.span("traversal"):
-                pass
-        text = sink.render()
-        assert "vme_read" in text
-        assert "traversal" in text

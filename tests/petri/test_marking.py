@@ -44,32 +44,10 @@ class TestEqualityAndHashing:
 
 
 class TestQueries:
-    def test_marked_places(self):
-        m = Marking({"a": 1, "b": 0, "c": 3})
-        assert m.marked_places == frozenset({"a", "c"})
-
     def test_total_and_max(self):
         m = Marking({"a": 1, "b": 2})
         assert m.total_tokens() == 3
         assert m.max_tokens() == 2
-
-    def test_is_safe(self):
-        assert Marking({"a": 1, "b": 1}).is_safe()
-        assert not Marking({"a": 2}).is_safe()
-
-    def test_covers(self):
-        big = Marking({"a": 2, "b": 1})
-        small = Marking({"a": 1})
-        assert big.covers(small)
-        assert not small.covers(big)
-
-    def test_as_vector(self):
-        m = Marking({"a": 1, "c": 2})
-        assert m.as_vector(["a", "b", "c"]) == (1, 0, 2)
-
-    def test_restricted_to(self):
-        m = Marking({"a": 1, "b": 2, "c": 1})
-        assert m.restricted_to(["a", "c"]) == Marking({"a": 1, "c": 1})
 
 
 class TestUpdates:

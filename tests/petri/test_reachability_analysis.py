@@ -1,16 +1,9 @@
-"""Tests for explicit reachability, boundedness, deadlock and persistency."""
+"""Tests for explicit reachability, boundedness and persistency."""
 
 import pytest
 
 from repro.petri import Marking, PetriNet, build_reachability_graph
-from repro.petri.analysis import (
-    check_boundedness,
-    check_transition_persistency,
-    find_deadlocks,
-    is_quasi_live,
-    is_safe,
-    live_transitions,
-)
+from repro.petri.analysis import check_boundedness, check_transition_persistency
 from repro.petri.reachability import BoundViolation
 
 from tests.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
@@ -52,7 +45,7 @@ class TestReachabilityGraph:
 
     def test_initial_marking_contained(self, cycle):
         graph = build_reachability_graph(cycle)
-        assert graph.contains(cycle.initial_marking)
+        assert cycle.initial_marking in graph.markings
 
     def test_successors_labelled_with_transitions(self, cycle):
         graph = build_reachability_graph(cycle)
@@ -92,17 +85,12 @@ class TestReachabilityGraph:
         assert graph.initial == other_start
         assert graph.num_markings == 3
 
-    def test_edges_iteration_consistent_with_counts(self, cycle):
-        graph = build_reachability_graph(cycle)
-        assert len(list(graph.edges())) == graph.num_edges
-
 
 class TestBoundedness:
     def test_safe_net(self, cycle):
         result = check_boundedness(cycle)
         assert result.bounded and result.safe
         assert result.bound == 1
-        assert is_safe(cycle)
 
     def test_unbounded_net_reported(self, unbounded_net):
         result = check_boundedness(unbounded_net, max_markings=50)
@@ -124,30 +112,6 @@ class TestBoundedness:
         assert result.bounded
         assert result.bound == 2
         assert not result.safe
-
-
-class TestDeadlocksAndLiveness:
-    def test_cycle_has_no_deadlock(self, cycle):
-        assert find_deadlocks(cycle) == []
-
-    def test_choice_net_consumes_token_and_deadlocks(self, conflict_net):
-        deadlocks = find_deadlocks(conflict_net)
-        assert len(deadlocks) == 2  # either branch ends stuck
-
-    def test_live_transitions(self, conflict_net):
-        assert set(live_transitions(conflict_net)) == {"ta", "tb"}
-
-    def test_quasi_liveness(self, cycle, conflict_net):
-        assert is_quasi_live(cycle)
-        assert is_quasi_live(conflict_net)
-
-    def test_dead_transition_detected(self):
-        net = net_from_arcs([("p0", "t0"), ("t0", "p1")],
-                            initial_marking={"p0": 1})
-        net.add_transition("never")
-        net.add_place("unmarked")
-        net.add_arc("unmarked", "never")
-        assert not is_quasi_live(net)
 
 
 class TestTransitionPersistency:

@@ -1,66 +1,24 @@
-"""Tests for structural classification and the builder helpers."""
+"""Tests for structural net queries and the builder helpers."""
 
 import pytest
 
 from repro.petri import PetriNet
-from repro.petri.structure import (
-    conflict_places,
-    is_free_choice,
-    is_marked_graph,
-    is_state_machine,
-    isolated_places,
-    merge_places,
-    source_transitions,
-    structural_conflict_pairs,
-    summarize_structure,
-)
+from repro.petri.structure import conflict_places, isolated_places, source_transitions
 
-from tests.petri.builders import chain, free_choice_cell, net_from_arcs, parallel_join
+from tests.petri.builders import chain, net_from_arcs, parallel_join
 
 
-class TestStructuralClasses:
-    def test_chain_is_marked_graph(self):
+class TestStructuralQueries:
+    def test_chain_has_no_conflict_place(self):
         net = chain(["t0", "t1", "t2"], closed=True)
-        assert is_marked_graph(net)
         assert conflict_places(net) == []
 
-    def test_choice_cell_is_state_machine(self):
-        net = free_choice_cell({"ta": [], "tb": []})
-        assert is_state_machine(net)
-        assert not is_marked_graph(net)
-
-    def test_parallel_join_is_marked_graph_but_not_state_machine(self):
-        net = parallel_join([["a0"], ["b0"]])
-        assert is_marked_graph(net)
-        assert not is_state_machine(net)
-
-    def test_free_choice_recognition(self):
-        net = free_choice_cell({"ta": [], "tb": []})
-        assert is_free_choice(net)
-
-    def test_non_free_choice(self):
-        # tb needs p0 and p1; ta needs only p0 -> asymmetric confusion.
-        net = net_from_arcs(
-            [("p0", "ta"), ("p0", "tb"), ("p1", "tb"),
-             ("ta", "p2"), ("tb", "p3")],
-            initial_marking={"p0": 1, "p1": 1},
-        )
-        assert not is_free_choice(net)
-
-    def test_conflict_and_merge_places(self):
+    def test_conflict_places(self):
         net = net_from_arcs(
             [("p0", "ta"), ("p0", "tb"), ("ta", "p1"), ("tb", "p1")],
             initial_marking={"p0": 1},
         )
         assert conflict_places(net) == ["p0"]
-        assert merge_places(net) == ["p1"]
-
-    def test_structural_conflict_pairs(self):
-        net = net_from_arcs(
-            [("p0", "ta"), ("p0", "tb"), ("ta", "p1"), ("tb", "p2")],
-            initial_marking={"p0": 1},
-        )
-        assert structural_conflict_pairs(net) == [("ta", "tb"), ("tb", "ta")]
 
     def test_source_transitions_and_isolated_places(self):
         net = PetriNet()
@@ -68,15 +26,6 @@ class TestStructuralClasses:
         net.add_place("orphan_p")
         assert source_transitions(net) == ["orphan_t"]
         assert isolated_places(net) == ["orphan_p"]
-
-    def test_summary(self):
-        net = free_choice_cell({"ta": [], "tb": []})
-        summary = summarize_structure(net)
-        assert summary.num_places == 1
-        assert summary.num_transitions == 2
-        assert summary.conflict_places == ["p_choice"]
-        assert summary.state_machine
-        assert summary.as_dict()["free_choice"] is True
 
 
 class TestNetFromArcs:

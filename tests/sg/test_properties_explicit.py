@@ -14,7 +14,7 @@ from repro.sg.reducibility import (
     check_determinism,
     check_reducibility,
 )
-from repro.sg.regions import compute_all_regions, compute_regions
+from repro.sg.regions import compute_regions
 from repro.stg.generators import (
     asymmetric_fake_conflict_example,
     csc_resolved_example,
@@ -34,6 +34,11 @@ from repro.stg.generators import (
 
 def graph_of(stg):
     return build_state_graph(stg).graph
+
+
+def signal_pairs(result):
+    """The ``(fired, disabled)`` signal pairs of a persistency result."""
+    return {(v.fired_signal, v.disabled_signal) for v in result.violations}
 
 
 class TestConsistency:
@@ -69,7 +74,7 @@ class TestPersistency:
         stg = output_disabled_by_input()
         result = check_signal_persistency(graph_of(stg), stg)
         assert not result.persistent
-        assert ("a", "b") in result.violating_signal_pairs()
+        assert ("a", "b") in signal_pairs(result)
 
     def test_input_choice_is_allowed(self):
         stg = irreducible_csc_example()
@@ -79,7 +84,7 @@ class TestPersistency:
         stg = mutex_element()
         result = check_signal_persistency(graph_of(stg), stg)
         assert not result.persistent
-        assert ("g1", "g2") in result.violating_signal_pairs()
+        assert ("g1", "g2") in signal_pairs(result)
 
     def test_mutex_persistent_with_declared_arbitration(self):
         stg = mutex_element()
@@ -114,7 +119,8 @@ class TestRegions:
     def test_regions_cover_all_states(self):
         stg = mutex_element()
         graph = graph_of(stg)
-        for signal, regions in compute_all_regions(graph, stg).items():
+        for signal in stg.signals:
+            regions = compute_regions(graph, stg, signal)
             covered = (set(regions.er_plus) | set(regions.er_minus)
                        | set(regions.qr_plus) | set(regions.qr_minus))
             assert covered == set(graph.states)
@@ -195,12 +201,14 @@ class TestReducibility:
     def test_csc_violation_is_reducible(self):
         stg = csc_violation_example()
         result = check_reducibility(graph_of(stg), stg)
-        assert result.reducible
+        assert (result.deterministic and result.commutative
+                and result.complementary_free)
 
     def test_irreducible_example_detected(self):
         stg = irreducible_csc_example()
         result = check_reducibility(graph_of(stg), stg)
-        assert not result.reducible
+        assert not (result.deterministic and result.commutative
+                    and result.complementary_free)
         assert result.offending_signals == ["o"]
 
     def test_complementary_check_ignores_csc_clean_signals(self):
@@ -244,7 +252,8 @@ class TestFakeConflicts:
         stg = mutex_element()
         result = classify_conflicts(stg)
         real_pairs = {(c.first, c.second) for c in result.classifications
-                      if c.is_real}
+                      if c.observed and c.first_disables_second_signal
+                      and c.second_disables_first_signal}
         assert ("g1+", "g2+") in real_pairs
 
     def test_marked_graph_has_no_conflicts(self):

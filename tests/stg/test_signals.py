@@ -53,10 +53,6 @@ class TestLabelSemantics:
     def test_generic_name_drops_index(self):
         assert SignalTransition.parse("a+/5").generic == "a+"
 
-    def test_complement(self):
-        label = SignalTransition.parse("a+/2")
-        assert label.complement() == SignalTransition("a", "-", 2)
-
     def test_equality_and_hash(self):
         assert SignalTransition.parse("x+") == SignalTransition("x", "+", 1)
         assert hash(SignalTransition.parse("x+")) == hash(SignalTransition("x", "+"))

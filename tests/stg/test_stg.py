@@ -29,11 +29,6 @@ class TestSignals:
         with pytest.raises(STGError):
             stg.kind_of("ghost")
 
-    def test_add_signals_bulk(self):
-        stg = STG()
-        stg.add_signals(["a", "b", "c"], SignalKind.OUTPUT)
-        assert stg.outputs == ["a", "b", "c"]
-
 
 class TestInitialValues:
     def test_values_from_declaration(self):
@@ -60,7 +55,8 @@ class TestInitialValues:
 
     def test_set_initial_values_bulk(self):
         stg = STG()
-        stg.add_signals(["a", "b"], SignalKind.INPUT)
+        stg.add_signal("a", SignalKind.INPUT)
+        stg.add_signal("b", SignalKind.INPUT)
         stg.set_initial_values({"a": True, "b": False})
         assert stg.initial_values == {"a": True, "b": False}
 
@@ -117,19 +113,6 @@ class TestTransitionsAndPlaces:
         second = stg.connect("a+", "a-")
         assert first != second
 
-    def test_set_initial_marking_between(self):
-        stg = STG()
-        stg.add_signal("a", SignalKind.OUTPUT)
-        stg.connect("a-", "a+")
-        stg.set_initial_marking_between("a-", "a+")
-        assert stg.initial_marking()["<a-,a+>"] == 1
-
-    def test_set_initial_marking_between_missing_place(self):
-        stg = STG()
-        stg.add_signal("a", SignalKind.OUTPUT)
-        with pytest.raises(STGError):
-            stg.set_initial_marking_between("a-", "a+")
-
     def test_label_of_unlabelled_transition(self):
         stg = STG()
         stg.net.add_transition("raw")
@@ -138,18 +121,6 @@ class TestTransitionsAndPlaces:
 
 
 class TestBehaviourHelpers:
-    def test_enabled_labels_and_signals(self):
-        stg = handshake()
-        m0 = stg.initial_marking()
-        assert stg.enabled_labels(m0) == ["r+"]
-        assert stg.enabled_signals(m0) == {"r"}
-
-    def test_fire_follows_net_semantics(self):
-        stg = handshake()
-        m0 = stg.initial_marking()
-        m1 = stg.fire("r+", m0)
-        assert stg.enabled_labels(m1) == ["a+"]
-
     def test_statistics(self):
         stats = mutex_element().statistics()
         assert stats["places"] == 9

@@ -1,4 +1,4 @@
-"""Tests for STG transformations (signal insertion, hiding, renaming...)."""
+"""Tests for the STG signal-insertion transformation."""
 
 import pytest
 
@@ -9,17 +9,10 @@ from repro.stg import STGError, SignalKind
 from repro.stg.generators import (
     csc_violation_example,
     handshake,
-    mutex_element,
     vme_read_cycle,
     vme_read_cycle_resolved,
 )
-from repro.stg.transform import (
-    expose_signals,
-    hide_signals,
-    insert_signal,
-    mirror_signal,
-    relabel_signal,
-)
+from repro.stg.transform import insert_signal
 
 EXPLICIT = EngineConfig(engine="explicit")
 
@@ -114,71 +107,3 @@ class TestInsertSignalProperties:
                                     fall_after=fall_after, kind=kind,
                                     initial_value=True)
             assert verify(flipped, EXPLICIT).consistent
-
-
-class TestHideExpose:
-    def test_hide_outputs(self):
-        stg = hide_signals(mutex_element(), ["g1"])
-        assert "g1" in stg.internals
-        assert "g2" in stg.outputs
-
-    def test_hide_input_rejected(self):
-        with pytest.raises(STGError):
-            hide_signals(mutex_element(), ["r1"])
-
-    def test_hide_unknown_rejected(self):
-        with pytest.raises(STGError):
-            hide_signals(mutex_element(), ["ghost"])
-
-    def test_hiding_preserves_state_space(self):
-        original = mutex_element()
-        hidden = hide_signals(original, ["g1", "g2"])
-        assert build_state_graph(hidden).graph.num_states == \
-            build_state_graph(original).graph.num_states
-
-    def test_expose_round_trip(self):
-        original = mutex_element()
-        hidden = hide_signals(original, ["g1"])
-        restored = expose_signals(hidden, ["g1"])
-        assert set(restored.outputs) == set(original.outputs)
-
-    def test_expose_input_rejected(self):
-        with pytest.raises(STGError):
-            expose_signals(mutex_element(), ["r1"])
-
-
-class TestRelabelAndMirror:
-    def test_relabel_signal(self):
-        stg = relabel_signal(handshake(), "a", "ack")
-        assert "ack" in stg.outputs and not stg.has_signal("a")
-        assert "ack+" in stg.transitions
-        assert stg.initial_value("ack") is False
-
-    def test_relabel_to_existing_name_rejected(self):
-        with pytest.raises(STGError):
-            relabel_signal(handshake(), "a", "r")
-
-    def test_relabel_preserves_behaviour(self):
-        original = handshake()
-        renamed = relabel_signal(original, "a", "ack")
-        assert build_state_graph(renamed).graph.num_states == 4
-        report = verify(renamed, EXPLICIT)
-        assert report.gate_implementable
-
-    def test_mirror_signal_flips_polarity_and_initial_value(self):
-        original = handshake()
-        mirrored = mirror_signal(original, "a")
-        assert mirrored.initial_value("a") is True
-        report = verify(mirrored, EXPLICIT)
-        assert report.consistent
-        assert report.gate_implementable
-
-    def test_mirror_preserves_state_count(self):
-        original = mutex_element()
-        mirrored = mirror_signal(original, "g1")
-        assert build_state_graph(mirrored).graph.num_states == \
-            build_state_graph(original).graph.num_states
-
-    def test_mirror_unknown_signal_rejected(self):
-        with pytest.raises(STGError):
-            mirror_signal(handshake(), "ghost")

@@ -44,13 +44,15 @@ class TestNextStateFunctions:
         assert function.on_set == r
         assert function.off_set == ~r
 
-    def test_value_at_specific_codes(self):
+    def test_on_and_off_sets_at_specific_codes(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
         function = derive_next_state_functions(
             encoding, reached, image.charfun)["a"]
-        assert function.value_at({"r": True, "a": False}, encoding) is True
-        assert function.value_at({"r": False, "a": True}, encoding) is False
+        r = encoding.manager.var(encoding.signal_variable("r"))
+        a = encoding.manager.var(encoding.signal_variable("a"))
+        assert (r & ~a) <= function.on_set
+        assert (~r & a) <= function.off_set
 
     def test_unreachable_codes_are_dont_care(self):
         stg = muller_pipeline(2)

@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-from repro import corpus
 from repro.api import EngineConfig, verify
 from repro.cli import main as cli_main
 from repro.core.encoding import SymbolicEncoding
@@ -30,12 +29,14 @@ from repro.synthesis import (
     verify_implementation,
 )
 
+from tests.corpus.files import ensure_g_file
+
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 EXPLICIT = EngineConfig(engine="explicit")
 
 
 def data_file(name: str) -> str:
-    return corpus.ensure_g_file(os.path.splitext(name)[0], DATA_DIR)
+    return ensure_g_file(os.path.splitext(name)[0], DATA_DIR)
 
 
 class TestSendControllerFlow:
