@@ -8,7 +8,7 @@ identity canonical).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BDDManager
@@ -134,6 +134,12 @@ class Function:
         from repro.bdd.manager import FALSE_ID
 
         return self.manager.apply_and(self.node, self._other_node(other)) == FALSE_ID
+
+    def meets(self, cubes: Sequence["Function"]) -> List[bool]:
+        """For each cube, whether ``self & cube`` is satisfiable (one pass)."""
+        from repro.bdd import operators
+
+        return operators.meets(self, cubes)
 
     # ------------------------------------------------------------------
     # Derived operations (delegate to repro.bdd.operators / analysis)

@@ -1,14 +1,16 @@
 """Derived BDD operations: quantification, cofactors, composition,
-renaming and the image kernel :func:`transfer`.
+renaming, the image kernel :func:`transfer` and the cube query
+:func:`meets`.
 
-All functions here take and return :class:`~repro.bdd.function.Function`
-handles.  Each operation memoises its recursion in a dedicated cache on
-the manager (quantification, cofactor, the relational product and
+All functions here take :class:`~repro.bdd.function.Function` handles.
+Each operation memoises its recursion in a dedicated cache on the
+manager (quantification, cofactor, the relational product and
 ``transfer`` each own one; composition shares the generic
 ``_op_cache``), keyed by the node id plus a small interned id of the
 operation parameter (:meth:`~repro.bdd.manager.BDDManager.intern_key`)
 -- so cache probes hash integer tuples instead of re-hashing frozensets
-on every visit.
+on every visit.  :func:`meets` builds no node, so its memo lives for
+one call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
 from repro.bdd.function import Function
-from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
+from repro.bdd.manager import (BDDError, BDDManager, BDDOrderError, FALSE_ID,
+                               TRUE_ID)
 
 
 def _levels_of(manager: BDDManager, variables: Sequence[str]) -> FrozenSet[int]:
@@ -136,6 +139,69 @@ def _and_exist(manager: BDDManager, f: int, g: int,
         manager._evict_oldest(cache)
     cache[key] = result
     return result
+
+
+# ----------------------------------------------------------------------
+# Cube queries: which of many cubes does f meet?
+# ----------------------------------------------------------------------
+def meets(f: Function, cubes: Sequence[Function]) -> List[bool]:
+    """``[not (f & cube).is_false() for cube in cubes]`` in one pass.
+
+    Every node of ``f`` gets the bitmask of the cubes it meets, bottom
+    up: the TRUE terminal meets every cube, FALSE none, and a node at
+    level ``k`` meets a cube through its low child unless the cube holds
+    the variable at 1, through its high child unless it holds it at 0.
+    A level ``f`` skips is free, and below the deepest cube literal
+    every node but FALSE meets every cube.  No product is built and no
+    node is created; each node visited counts one ``cache_lookups``.
+
+    Raises :class:`~repro.bdd.manager.BDDError` when an argument is not
+    a satisfiable conjunction of literals (TRUE is the empty cube).
+    """
+    manager = f.manager
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
+    everything = (1 << len(cubes)) - 1
+    # Per level: the cubes that may take the low branch (they do not
+    # hold the variable at 1) and the high branch (not held at 0).
+    via_low = [everything] * manager.num_vars
+    via_high = [everything] * manager.num_vars
+    deepest = -1
+    for index, cube in enumerate(cubes):
+        if cube.manager is not manager:
+            raise ValueError("cannot combine functions from different managers")
+        bit = 1 << index
+        node = cube.node
+        if node == FALSE_ID:
+            raise BDDError(f"meets() takes cubes; argument {index} is FALSE")
+        while node != TRUE_ID:
+            level = node_level[node]
+            if node_low[node] == FALSE_ID:
+                via_low[level] &= ~bit
+                node = node_high[node]
+            elif node_high[node] == FALSE_ID:
+                via_high[level] &= ~bit
+                node = node_low[node]
+            else:
+                raise BDDError(
+                    f"meets() takes cubes; argument {index} is not a cube")
+            deepest = max(deepest, level)
+    memo = {FALSE_ID: 0, TRUE_ID: everything}
+
+    def visit(node: int) -> int:
+        mask = memo.get(node)
+        if mask is None:
+            level = node_level[node]
+            if level > deepest:
+                return everything
+            manager.cache_lookups += 1
+            mask = ((visit(node_low[node]) & via_low[level])
+                    | (visit(node_high[node]) & via_high[level]))
+            memo[node] = mask
+        return mask
+
+    mask = visit(f.node)
+    return [bool(mask >> index & 1) for index in range(len(cubes))]
 
 
 # ----------------------------------------------------------------------

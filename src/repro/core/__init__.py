@@ -16,8 +16,8 @@ The modules of this package implement Sections 4 and 5 of the paper:
 * :mod:`repro.core.consistency` -- the ``Inconsistent`` characteristic
   functions (Section 5.1),
 * :mod:`repro.core.persistency` -- the algorithms of Figure 6,
-* :mod:`repro.core.csc` -- excitation/quiescent regions and the CSC check
-  (Section 5.3),
+* :mod:`repro.core.csc` -- the CSC check on the next-state on/off sets,
+  and the excitation/quiescent regions (Section 5.3),
 * :mod:`repro.core.reducibility` -- determinism and the detection of
   mutually complementary input sequences by frozen-input traversal
   (Section 5.3),

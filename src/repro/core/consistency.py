@@ -7,7 +7,13 @@ The characteristic function of inconsistent states is
     Inconsistent(a)  = Inconsistent(a+) + Inconsistent(a-)
     Inconsistent(D)  = sum over all signals
 
-and the STG is inconsistent iff the reachable set intersects it.
+and the STG is inconsistent iff the reachable set intersects it.  Since
+``E(a+)`` is the sum of ``E(t)`` over the transitions ``t`` labelled
+``a+``, ``Inconsistent(a)`` is a sum of cubes: ``E(t) . a`` for each
+rising and ``E(t) . a'`` for each falling transition of ``a``.  One
+:meth:`~repro.bdd.Function.meets` pass over ``R`` tests every cube; only
+a violating signal has ``R . Inconsistent(a)`` built, to pick its
+witness state.
 """
 
 from __future__ import annotations
@@ -48,16 +54,21 @@ def inconsistent_states(encoding: SymbolicEncoding,
 def check_consistency(encoding: SymbolicEncoding, reached: Function,
                       charfun: Optional[CharacteristicFunctions] = None
                       ) -> SymbolicConsistencyResult:
-    """Intersect the reachable set with the inconsistency functions."""
+    """Ask which transitions the reachable set enables at the wrong value."""
     charfun = charfun or CharacteristicFunctions(encoding)
-    violating: List[str] = []
-    witnesses: Dict[str, dict] = {}
-    for signal in encoding.stg.signals:
+    stg = encoding.stg
+    transitions = stg.transitions
+    labels = [stg.label_of(transition) for transition in transitions]
+    cubes = [encoding.manager.cube({
+        **charfun.enabled_literals(transition),
+        encoding.signal_variable(label.signal): label.is_rising})
+        for transition, label in zip(transitions, labels)]
+    hit = {label.signal for label, meets in zip(labels, reached.meets(cubes))
+           if meets}
+    violating = [signal for signal in stg.signals if signal in hit]
+    witnesses = {}
+    for signal in violating:
         bad = reached & inconsistent_states(encoding, charfun, signal)
-        if bad.is_false():
-            continue
-        violating.append(signal)
-        model = bad.pick_one(encoding.all_variables)
-        if model is not None:
-            witnesses[signal] = encoding.decode_state(model)
+        witnesses[signal] = encoding.decode_state(
+            bad.pick_one(encoding.all_variables))
     return SymbolicConsistencyResult(not violating, violating, witnesses)

@@ -9,9 +9,33 @@ abstracting the place variables:
     QR(a+) = exists_P ( R . a  . not E(a-) )
     QR(a-) = exists_P ( R . a' . not E(a+) )
 
-and CSC(a) holds iff ``ER(a+) n QR(a-)`` and ``ER(a-) n QR(a+)`` are both
-empty.  USC (unique state coding) is additionally reported by comparing
-the number of reachable full states with the number of distinct codes.
+and CSC(a) holds iff ``CONT(a) = ER(a+).QR(a-) + ER(a-).QR(a+)`` is
+empty.  The check decides it from the next-state function instead
+(Cortadella, Kishinevsky, Kondratyev, Lavagno & Yakovlev, *Logic
+Synthesis for Asynchronous Controllers and Interfaces*, 2002):
+
+    N(a)   = a ? not E(a-) : E(a+)      (the value a is heading to)
+    ON(a)  = exists_P ( R . N(a) )
+    OFF(a) = exists_P ( R . not N(a) )
+
+and ``ON(a) . OFF(a) = CONT(a)`` for every STG, consistent or not.  The
+projection keeps ``a``, so split both sides on it.  ``QR(a+)`` lies in
+``a = 1`` and ``QR(a-)`` in ``a = 0``, so ``CONT(a)`` is ``ER(a-) .
+QR(a+)`` where ``a = 1`` and ``ER(a+) . QR(a-)`` where ``a = 0``.  Where
+``a = 1``, ``N(a) = not E(a-)``: ``ON`` is ``QR(a+)`` and ``OFF`` is
+``exists_P (R . a . E(a-))``, which is ``ER(a-)`` there.  Where ``a =
+0``, ``N(a) = E(a+)``: ``ON`` is ``ER(a+)`` there and ``OFF`` is
+``QR(a-)``.  No step assumes consistency (``E(a+)`` never enters the
+``a = 1`` half, ``E(a-)`` never the ``a = 0`` half).  So ``ON(a) .
+OFF(a)`` and ``CONT(a)`` are one function -- the same BDD node, hence the
+same witness code -- built from two products and two projections
+instead of four of each.  USC (unique state coding) is additionally
+reported by comparing the number of reachable full states with the
+number of distinct codes.
+
+:func:`compute_regions` builds the four regions themselves, with and
+without the place variables, for the signals whose regions a caller
+needs (the complementary-sequence check, logic derivation).
 """
 
 from __future__ import annotations
@@ -97,11 +121,16 @@ def check_csc(encoding: SymbolicEncoding, reached: Function,
     charfun = charfun or CharacteristicFunctions(encoding)
     to_check = signals if signals is not None \
         else encoding.stg.noninput_signals
+    places = encoding.place_variables
     violating: List[str] = []
     witnesses: Dict[str, dict] = {}
     for signal in to_check:
-        regions = compute_regions(encoding, reached, charfun, signal)
-        conflict = regions.contradictory_codes
+        next_state = encoding.signal(signal).ite(
+            ~charfun.generic_enabled(signal, "-"),
+            charfun.generic_enabled(signal, "+"))
+        on = (reached & next_state).exist(places)
+        off = (reached - next_state).exist(places)
+        conflict = on & off
         if conflict.is_false():
             continue
         violating.append(signal)

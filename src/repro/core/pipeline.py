@@ -241,6 +241,7 @@ class VerificationPipeline:
         return self._cached("complementary_inputs",
                             lambda: check_complementary_input_sequences(
                                 self.encoding, self.reached, self.image,
+                                self.csc().violating_signals,
                                 deadline=self.deadline))
 
     def deadlock_freedom(self):

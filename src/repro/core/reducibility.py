@@ -8,10 +8,13 @@ symbolic representation:
   determinism when their firing produces different successor states; for a
   safe net the successors differ exactly when the structural effects of
   the two transitions differ, which turns the check into a per-pair
-  emptiness test, refining the paper's ``E(ti) n E(tj)`` formulation;
+  emptiness test, refining the paper's ``E(ti) n E(tj)`` formulation.
+  ``E(ti) . E(tj)`` is a cube, so one
+  :meth:`~repro.bdd.Function.meets` pass over ``R`` tests every pair;
 
 * **mutually complementary input sequences** -- the frozen-signal
-  backward+forward traversal described at the end of Section 5.3.
+  backward+forward traversal described at the end of Section 5.3, run
+  for the signals that violate CSC.
 
 The third condition, commutativity, is covered through fake-conflict
 freedom (Section 5.4): a fake-free STG is commutative.  The pipeline
@@ -23,7 +26,7 @@ when fake conflicts are present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
@@ -58,30 +61,27 @@ def check_determinism(encoding: SymbolicEncoding, reached: Function,
                       ) -> SymbolicDeterminismResult:
     """Definition 3.5(1) on the reachable set.
 
-    For every pair of distinct transitions carrying the same generic label,
-    the set ``R . E(ti) . E(tj)`` is computed (the paper's formulation);
-    the pair is only reported as a violation when the two transitions also
-    have different structural effects, because equal effects produce the
-    same successor state and determinism is preserved.
+    A pair of distinct transitions carrying the same generic label
+    violates determinism when the reachable set meets the cube ``E(ti) .
+    E(tj)`` (the paper's formulation) and the two transitions have
+    different structural effects; equal effects produce the same
+    successor state, so such pairs are not tested at all.
     """
     charfun = charfun or CharacteristicFunctions(encoding)
     stg = encoding.stg
     by_generic: Dict[str, List[str]] = {}
     for transition in stg.transitions:
         by_generic.setdefault(stg.label_of(transition).generic, []).append(transition)
-    violations: List[Tuple[str, str]] = []
-    for generic, transitions in by_generic.items():
-        if len(transitions) < 2:
-            continue
-        for i, first in enumerate(transitions):
-            for second in transitions[i + 1:]:
-                both = reached & charfun.enabled(first) & charfun.enabled(second)
-                if both.is_false():
-                    continue
-                if _structural_effect(encoding, first) == \
-                        _structural_effect(encoding, second):
-                    continue
-                violations.append((first, second))
+    pairs = [(first, second) for transitions in by_generic.values()
+             for i, first in enumerate(transitions)
+             for second in transitions[i + 1:]
+             if _structural_effect(encoding, first)
+             != _structural_effect(encoding, second)]
+    cubes = [encoding.manager.cube({**charfun.enabled_literals(first),
+                                    **charfun.enabled_literals(second)})
+             for first, second in pairs]
+    violations = [pair for pair, hit in zip(pairs, reached.meets(cubes))
+                  if hit]
     return SymbolicDeterminismResult(not violations, violations)
 
 
@@ -98,29 +98,29 @@ class SymbolicComplementaryResult:
 
 def check_complementary_input_sequences(encoding: SymbolicEncoding,
                                         reached: Function,
-                                        image: Optional[SymbolicImage] = None,
+                                        image: SymbolicImage,
+                                        signals: Sequence[str],
                                         deadline: Optional[float] = None
                                         ) -> SymbolicComplementaryResult:
     """Section 5.3: frozen-input backward+forward traversal per signal.
 
-    For each non-input signal ``a`` with CSC contradictions, start from the
-    quiescent-side contradictory states, close backward then forward firing
-    only input transitions (non-inputs are "frozen"), and test whether an
+    ``signals`` are the non-input signals with CSC contradictions
+    (:attr:`~repro.core.csc.SymbolicCSCResult.violating_signals`); no
+    other signal can offend.  For each, start from the quiescent-side
+    contradictory states, close backward then forward firing only input
+    transitions (non-inputs are "frozen"), and test whether an
     excitation-side contradictory state is reached.  Both closures are
     saturation :func:`~repro.core.traversal.fixpoint` runs bounded by
     the reachable set, checking ``deadline`` once per local-fixpoint
     round.  Every signal's closures fire the same input events, so they
     share the saturation caches.
     """
-    image = image or SymbolicImage(encoding)
     charfun = image.charfun
     inputs = image.input_transitions()
     offending: List[str] = []
-    for signal in encoding.stg.noninput_signals:
+    for signal in signals:
         regions = compute_regions(encoding, reached, charfun, signal)
         contradictory = regions.contradictory_codes
-        if contradictory.is_false():
-            continue
         quiescent_conflict = (regions.qr_plus_states
                               | regions.qr_minus_states) & contradictory
         if quiescent_conflict.is_false():

@@ -7,6 +7,12 @@ already marked (and is not simultaneously consumed).  Detecting such an
 *overflow firing* is therefore a sound and complete safeness check for
 nets explored under safe semantics: the traversal reaches every marking up
 to the first overflow, and the overflow itself is caught here.
+
+Each overflow pair ``(t, p)`` -- ``p`` in the postset of ``t`` but not
+its preset -- is the cube ``E(t) . p``, and the pair overflows iff the
+reachable set meets that cube.  One :meth:`~repro.bdd.Function.meets`
+pass over ``R`` answers every pair; only the first pair that hits has
+its product ``R . E(t) . p`` built, to pick the witness state.
 """
 
 from __future__ import annotations
@@ -40,23 +46,16 @@ def check_safeness(encoding: SymbolicEncoding, reached: Function,
     """Detect overflow firings from the reachable set."""
     charfun = charfun or CharacteristicFunctions(encoding)
     net = encoding.stg.net
-    overflows: List[Tuple[str, str]] = []
-    witness = None
-    for transition in net.transitions:
-        preset = net.preset_of_transition(transition)
-        postset = net.postset_of_transition(transition)
-        overflow_places = postset - preset
-        if not overflow_places:
-            continue
-        enabled_states = reached & charfun.enabled(transition)
-        if enabled_states.is_false():
-            continue
-        for place in sorted(overflow_places):
-            bad = enabled_states & encoding.place(place)
-            if not bad.is_false():
-                overflows.append((transition, place))
-                if witness is None:
-                    model = bad.pick_one(encoding.all_variables)
-                    if model is not None:
-                        witness = encoding.decode_state(model)
-    return SafenessResult(not overflows, overflows, witness)
+    pairs = [(transition, place) for transition in net.transitions
+             for place in sorted(net.postset_of_transition(transition)
+                                 - net.preset_of_transition(transition))]
+    cubes = [encoding.manager.cube({**charfun.enabled_literals(transition),
+                                    encoding.place_variable(place): True})
+             for transition, place in pairs]
+    overflows = [pair for pair, hit in zip(pairs, reached.meets(cubes))
+                 if hit]
+    if not overflows:
+        return SafenessResult(True)
+    bad = reached & cubes[pairs.index(overflows[0])]
+    return SafenessResult(False, overflows, encoding.decode_state(
+        bad.pick_one(encoding.all_variables)))

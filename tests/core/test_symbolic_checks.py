@@ -43,6 +43,22 @@ def symbolic_setup(stg):
     return encoding, image, reached
 
 
+def enables(stg, marking, transition):
+    """Net semantics, no BDDs: every preset place of ``transition`` is
+    marked in ``marking``."""
+    return all(marking[place]
+               for place in stg.net.preset_of_transition(transition))
+
+
+def enabled_at_wrong_value(stg, witness, signal):
+    """The decoded state has ``signal`` at 1 with a rising transition of
+    it enabled, or at 0 with a falling one."""
+    value = witness["code"][signal]
+    return any(enables(stg, witness["marking"], transition)
+               and stg.label_of(transition).is_rising == value
+               for transition in stg.transitions_of_signal(signal))
+
+
 class TestConsistency:
     @pytest.mark.parametrize("factory, expected", [
         (handshake, True),
@@ -64,6 +80,7 @@ class TestConsistency:
         assert result.violating_signals == ["b"]
         witness = result.witnesses["b"]
         assert witness["code"]["b"] is True  # b+ enabled while b already 1
+        assert enabled_at_wrong_value(stg, witness, "b")
 
     def test_wrong_initial_value_detected(self):
         stg = handshake()
@@ -72,6 +89,9 @@ class TestConsistency:
         result = check_consistency(encoding, reached, image.charfun)
         assert not result.consistent
         assert "r" in result.violating_signals
+        assert set(result.witnesses) == set(result.violating_signals)
+        for signal, witness in result.witnesses.items():
+            assert enabled_at_wrong_value(stg, witness, signal)
 
 
 class TestSafeness:
@@ -102,8 +122,12 @@ class TestSafeness:
         encoding, image, reached = symbolic_setup(stg)
         result = check_safeness(encoding, reached, image.charfun)
         assert not result.safe
-        assert any(place == "p_shared" for _, place in result.overflows)
-        assert result.witness is not None
+        assert result.overflows == [("a+", "p_shared"), ("b+", "p_shared")]
+        # The witness enables the first overflowing transition and
+        # already marks the place it overflows.
+        marking = result.witness["marking"]
+        assert enables(stg, marking, "a+")
+        assert marking["p_shared"] == 1
 
 
 class TestPersistency:
@@ -218,24 +242,25 @@ class TestReducibility:
         assert not result.deterministic
         assert ("a+", "a+/2") in result.violating_pairs
 
-    def test_csc_violation_is_complementary_free(self):
-        stg = csc_violation_example()
+    @staticmethod
+    def complementary(stg):
         encoding, image, reached = symbolic_setup(stg)
-        assert check_complementary_input_sequences(encoding, reached, image).free
+        violators = check_csc(encoding, reached,
+                              image.charfun).violating_signals
+        return check_complementary_input_sequences(encoding, reached, image,
+                                                   violators)
+
+    def test_csc_violation_is_complementary_free(self):
+        assert self.complementary(csc_violation_example()).free
 
     def test_irreducible_example_detected(self):
-        stg = irreducible_csc_example()
-        encoding, image, reached = symbolic_setup(stg)
-        result = check_complementary_input_sequences(encoding, reached, image)
+        result = self.complementary(irreducible_csc_example())
         assert not result.free
         assert result.offending_signals == ["o"]
 
     def test_csc_clean_examples_trivially_free(self):
         for factory in (handshake, mutex_element, lambda: muller_pipeline(3)):
-            stg = factory()
-            encoding, image, reached = symbolic_setup(stg)
-            assert check_complementary_input_sequences(
-                encoding, reached, image).free
+            assert self.complementary(factory()).free
 
 
 class TestFakeConflicts:

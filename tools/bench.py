@@ -14,13 +14,15 @@ trajectory of the symbolic hot path is tracked in-repo::
     python tools/bench.py --before old.json        # embed a baseline run
 
 Per kernel row the harness records wall time (total and traversal-only),
-traversal iterations and image counts, the Reached-BDD peak/final sizes,
-the peak number of live manager nodes and the manager's operation-cache
-hit rate.  Stat collection runs through :mod:`repro.obs` (an in-memory
-tracer around every row), so the hit rate comes from the traversal
-span's BDD delta -- the same numbers ``--trace`` files carry -- with
-the :class:`~repro.core.stats.TraversalStats` counters as fallback on
-old checkouts.  The ``tracing`` section commits the observability
+the self-time of each property check (``checks_s``), traversal
+iterations and image counts, the Reached-BDD peak/final sizes, the peak
+number of live manager nodes and the manager's operation-cache hit rate.
+Stat collection runs through :mod:`repro.obs` (an in-memory tracer
+around every row), so the check times are the ``check:<name>`` stages of
+:func:`repro.obs.report.stage_breakdown` and the hit rate comes from the
+traversal span's BDD delta -- the same numbers ``--trace`` files carry
+-- with the :class:`~repro.core.stats.TraversalStats` counters as
+fallback on old checkouts.  The ``tracing`` section commits the observability
 layer's own cost (no-op span nanoseconds, disabled-path and
 enabled-path overhead: disabled must stay under 2%).  The
 ``bdd_cache`` section is the headline number of the persistent
@@ -124,6 +126,15 @@ def _traversal_cache_rate(records) -> "float | None":
     return entry["hit_rate"] if entry else None
 
 
+def _check_self_times(records) -> dict:
+    """Check name -> self-time of its ``check`` span, in seconds."""
+    from repro.obs.report import stage_breakdown
+
+    return {label[len("check:"):]: round(entry["self_s"], 4)
+            for label, entry in sorted(stage_breakdown(records).items())
+            if label.startswith("check:")}
+
+
 def bench_kernel_row(row: str, repeats: int = 2) -> dict:
     """Best-of-``repeats`` timing of one pipeline run (noise damping).
 
@@ -156,6 +167,7 @@ def bench_kernel_row(row: str, repeats: int = 2) -> dict:
         "name": row,
         "wall_s": round(wall_s, 4),
         "traversal_s": round(traversal_s, 4),
+        "checks_s": _check_self_times(best_records),
         "iterations": stats.get("iterations"),
         "images": stats.get("images_computed"),
         "bdd_peak": stats.get("peak_nodes"),
