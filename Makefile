@@ -7,8 +7,8 @@
 # `make ci` mirrors .github/workflows/ci.yml on one machine: lint, the
 # analyzer (python -m tools.analysis -- determinism, schema round-trips,
 # facade purity, registry hygiene), the suite with slow-test timings,
-# then the sweep gate (tools/sweep_gate.py) -- every execution backend
-# must produce byte-identical stable JSON, merging four shard stores
+# then the sweep gate (tools/sweep_gate.py) -- both execution backends
+# (process, serial) must produce byte-identical stable JSON, merging four shard stores
 # must reproduce the unsharded sweep, and the chaos leg must prove the
 # lease fabric: a sweep under deterministic fault injection (crashes,
 # hangs, torn writes, renewal stalls) byte-identical to a clean sweep,

@@ -107,9 +107,9 @@ class BDDStore:
     def shared(cls, directory: str) -> "BDDStore":
         """The process-wide store instance of ``directory``.
 
-        Every consumer of the same cache directory -- each entry of a
-        thread-backend sweep, every request of the ``repro.serve``
-        daemon -- gets the *same* object, so the effectiveness counters
+        Every consumer of the same cache directory -- each entry of an
+        in-process sweep, every request of the ``repro.serve`` daemon --
+        gets the *same* object, so the effectiveness counters
         aggregate across runs (the daemon's warm-repeat tests and
         ``/metrics`` read exactly these).  Safe to share: lookups
         deserialise into the caller's own manager and writes are

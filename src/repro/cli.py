@@ -22,7 +22,7 @@ per-property verdict against the registry's expected metadata::
     stg-check batch-check --list
     stg-check batch-check --list --json - # machine-readable listing
     stg-check batch-check --jobs 4 --cache-dir .repro-cache
-    stg-check batch-check --shard 0/8 --jobs 2 --backend thread
+    stg-check batch-check --shard 0/8 --backend serial
     stg-check batch-check --family random_ring:1-100 --json report.json
     stg-check batch-check --cache-dir store --resume
     stg-check batch-check --merge shard-0 shard-1 --cache-dir merged
@@ -158,9 +158,11 @@ def build_batch_check_parser() -> argparse.ArgumentParser:
                         help="number of concurrent workers (default: 1)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend: process (worker pool, the "
-                             "default; the only one enforcing --timeout), "
-                             "thread, serial, or any backend registered "
-                             "via repro.runner.backends.register; all "
+                             "default; the only one that runs entries in "
+                             "parallel and kills an entry past "
+                             "--timeout), serial (in-process loop), or "
+                             "any backend registered via "
+                             "repro.runner.backends.register; all "
                              "backends produce byte-identical stable "
                              "results")
     parser.add_argument("--shard", default="0/1", metavar="I/N",

@@ -272,7 +272,8 @@ class VerificationPipeline:
         from repro.sg.reducibility import check_commutativity
 
         result = build_state_graph(
-            self.stg, max_states=self.commutativity_fallback_states)
+            self.stg, max_states=self.commutativity_fallback_states,
+            deadline=self.deadline)
         return check_commutativity(result.graph, self.stg).commutative
 
     # ------------------------------------------------------------------

@@ -127,7 +127,7 @@ class SymbolicEngine:
             from repro.cache import BDDStore, bind_pipeline
 
             # One store object per cache directory, process-wide: the
-            # serve daemon and thread-backend sweeps share it, so its
+            # serve daemon and in-process sweeps share it, so its
             # effectiveness counters aggregate across runs.
             bind_pipeline(pipeline, BDDStore.shared(config.bdd_cache_dir),
                           name=stg.name, config=config)

@@ -4,8 +4,9 @@
 -- ``register`` / ``unregister`` / ``available`` / ``get`` with a
 did-you-mean :class:`MetricError`, like the engine registry -- but one
 per :class:`~repro.obs.trace.Tracer` rather than module state, so
-concurrent sweep entries (thread backend) never share mutable metric
-state and a trace file's closing snapshot describes exactly one entry.
+concurrent entries (the serve daemon's thread pool) never share
+mutable metric state and a trace file's closing snapshot describes
+exactly one entry.
 
 The convenience accessors (:meth:`MetricsRegistry.counter` /
 ``gauge`` / ``histogram``) get-or-create, so instrumentation sites can

@@ -22,10 +22,10 @@ events (the per-iteration frontier sizes of the traversal).  Closed
 spans and events are emitted as plain dict records to the tracer's
 sinks (:mod:`repro.obs.sinks`).
 
-Activation uses a :class:`contextvars.ContextVar`, so the ``thread``
-execution backend can trace concurrent entries without cross-talk; the
-activator must always reset the variable (``activated`` does) because
-pool threads outlive individual tasks.
+Activation uses a :class:`contextvars.ContextVar`, so the serve
+daemon's thread pool can trace concurrent entries without cross-talk;
+the activator must always reset the variable (``activated`` does)
+because pool threads outlive individual tasks.
 
 Span *names are string literals* by contract -- variable data goes into
 attributes (``span("check", check=name)``, never ``span(name)``).  The
@@ -365,8 +365,8 @@ def event(name: str, **attrs: object) -> None:
 def activated(tracer: Tracer):
     """Activate ``tracer`` for the dynamic extent of the ``with`` block.
 
-    Always resets the context variable on exit: worker threads of the
-    ``thread`` backend are pooled, so a leaked activation would bleed
+    Always resets the context variable on exit: the serve daemon's
+    executor threads are pooled, so a leaked activation would bleed
     into the next task scheduled on the same thread.
     """
     token = _ACTIVE.set(tracer)

@@ -19,8 +19,8 @@ The moving parts:
   content fingerprints that key the cache;
 * :mod:`~repro.runner.backends` -- the pluggable execution layer: an
   :class:`~repro.runner.backends.ExecutorBackend` registry with
-  ``process`` (worker pool, per-entry timeouts), ``thread`` and
-  ``serial`` built-ins, all producing byte-identical stable results;
+  ``process`` (worker pool, kills an entry past its timeout) and
+  ``serial`` built-ins, both producing byte-identical stable results;
 * :mod:`~repro.runner.worker` -- self-contained task execution, every
   in-check failure reported as an ``error`` result;
 * :class:`~repro.runner.store.RunStore` -- append-only JSONL persistence

@@ -2,16 +2,16 @@
 
 The :class:`~repro.runner.runner.SweepRunner` decides *what* to execute
 (cache triage, result ordering, persistence); an :class:`ExecutorBackend`
-decides *how* -- in-process, on a thread pool, or on a pool of worker
-processes.  The module mirrors :mod:`repro.engines`: a small protocol, a
+decides *how* -- in this process, or on a pool of worker processes.  The
+module mirrors :mod:`repro.engines`: a small protocol, a
 :class:`~repro.utils.registry.Registry` whose bound methods are
 ``register`` / ``unregister`` / ``available`` / ``get`` (unknown names
 raise :class:`UnknownBackendError`), and built-in implementations::
 
     from repro.runner import backends
 
-    backends.available()       # ["process", "thread", "serial", "asyncio"]
-    backend = backends.get("thread")
+    backends.available()       # ["process", "serial"]
+    backend = backends.get("serial")
 
     backends.register("remote", MyRemoteBackend())   # plug-ins welcome
 
@@ -20,40 +20,31 @@ reports each finished :class:`~repro.runner.results.EntryResult` through
 an ``emit`` callback, so the runner's output -- plan-ordered results,
 :meth:`~repro.runner.results.SweepResult.stable_json_dict` -- is
 byte-identical across backends (the parity tests and the CI sweep matrix
-pin exactly that).  The differences are operational:
+pin exactly that).  Every backend honours ``timeout`` through the
+cooperative deadline the engines check
+(:func:`~repro.runner.worker.execute_payload`).  The differences are
+operational:
 
 ``process`` (the default)
     One worker process per task, bounded by ``jobs``.  The only backend
-    that enforces per-entry timeouts (the scheduler terminates the
-    worker) and survives hard crashes of a check.  With ``jobs=1`` it
-    degrades to in-process execution -- zero fork overhead, the historic
-    ``--jobs 1`` behaviour.
-``thread``
-    A ``jobs``-wide thread pool in this process.  No fork/spawn cost and
-    shared imports, but no timeout enforcement and no isolation from
-    interpreter-killing failures; best for IO-dominated or many-tiny-task
-    sweeps.
+    that runs entries in parallel, kills a wedged entry (the scheduler
+    terminates the worker past its timeout) and survives a hard crash
+    of a check.  With ``jobs=1`` it degrades to in-process execution --
+    zero fork overhead, the historic ``--jobs 1`` behaviour.
 ``serial``
     Plain in-process loop, ignoring ``jobs``.  The reference
-    implementation the others are compared against, and the easiest to
+    implementation ``process`` is compared against, and the easiest to
     debug (a ``pdb`` session sees the whole sweep).
-``asyncio``
-    An asyncio event loop driving a ``jobs``-wide thread pool through
-    :func:`~repro.runner.worker.execute_payload_async` -- the exact
-    machinery the :mod:`repro.serve` daemon schedules requests with, so
-    the service's execution path is a first-class, parity-gated sweep
-    backend.  Operationally like ``thread`` (no timeout enforcement,
-    shared process); the event loop is owned by ``execute`` and must
-    not already be running on the calling thread.
+
+There is no thread-pool backend: the checks are pure-Python BDD
+traversals that hold the GIL from parse to report, so a thread pool
+cannot verify two entries at once and measured slower than ``serial``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     List,
@@ -65,11 +56,7 @@ from typing import (
 
 from repro.runner.plan import PlanError, SweepTask
 from repro.runner.results import EntryResult
-from repro.runner.worker import (
-    child_main,
-    execute_payload,
-    execute_payload_async,
-)
+from repro.runner.worker import child_main, execute_payload
 from repro.utils.registry import Registry, UnknownNameError
 
 #: One unit of backend work: the task plus its position in the shard's
@@ -96,12 +83,10 @@ class ExecutorBackend(Protocol):
 
     ``execute`` must call ``emit(position, result)`` exactly once per
     item, in any order and from any thread (the runner serialises its
-    side).  ``supports_timeouts`` advertises whether per-entry timeouts
-    are enforced; backends without it simply let a slow task run.
+    side).
     """
 
     name: str
-    supports_timeouts: bool
 
     def execute(self, items: Sequence[WorkItem], jobs: int,
                 emit: EmitCallback) -> None:
@@ -137,8 +122,9 @@ def resolve(backend) -> ExecutorBackend:
 def _execute_inline(items: Sequence[WorkItem], emit: EmitCallback) -> None:
     """Shared in-process loop (serial backend, process backend at jobs=1).
 
-    Entry-level failures are still captured by the worker module;
-    per-entry timeouts need process isolation and are not enforced here.
+    Entry-level failures are still captured by the worker module, and
+    ``timeout`` holds through its cooperative deadline; nothing here can
+    kill an entry that stops checking it.
     """
     for position, task in items:
         emit(position,
@@ -149,94 +135,33 @@ class SerialBackend:
     """Plain in-process execution, one task after another."""
 
     name = "serial"
-    supports_timeouts = False
 
     def execute(self, items: Sequence[WorkItem], jobs: int,
                 emit: EmitCallback) -> None:
         _execute_inline(items, emit)
 
 
-class ThreadBackend:
-    """A ``jobs``-wide thread pool in the current process.
-
-    Each task builds its own pipeline/BDD manager, so tasks never share
-    mutable engine state; the GIL still serialises pure-Python engine
-    work, which makes this backend shine on IO-dominated sweeps and
-    many-tiny-task plans rather than single huge traversals.
-    """
-
-    name = "thread"
-    supports_timeouts = False
-
-    def execute(self, items: Sequence[WorkItem], jobs: int,
-                emit: EmitCallback) -> None:
-        def run_one(item: WorkItem) -> None:
-            position, task = item
-            emit(position,
-                 EntryResult.from_dict(execute_payload(task.to_payload())))
-
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            # list() propagates the first worker exception, if any.
-            list(pool.map(run_one, items))
-
-
-class AsyncioBackend:
-    """An event loop scheduling tasks onto a bounded thread pool.
-
-    The sweep-facing face of the :mod:`repro.serve` execution machinery:
-    each work item becomes a coroutine that awaits
-    :func:`~repro.runner.worker.execute_payload_async` under a
-    ``jobs``-wide semaphore, exactly how the daemon's worker coroutines
-    run queued jobs.  Results are emitted from the event-loop thread as
-    their coroutines complete; like every backend, the runner re-orders
-    them into plan order, so stable JSON is byte-identical with
-    ``process``/``thread``/``serial`` (the sweep gate proves it).
-
-    ``execute`` owns its event loop via :func:`asyncio.run`; calling it
-    from a thread that already runs a loop is an error (the daemon does
-    not -- it awaits the shared primitive directly).
-    """
-
-    name = "asyncio"
-    supports_timeouts = False
-
-    def execute(self, items: Sequence[WorkItem], jobs: int,
-                emit: EmitCallback) -> None:
-        asyncio.run(self._execute(list(items), max(1, jobs), emit))
-
-    async def _execute(self, items: Sequence[WorkItem], jobs: int,
-                       emit: EmitCallback) -> None:
-        semaphore = asyncio.Semaphore(jobs)
-
-        async def run_one(position: int, task: SweepTask) -> None:
-            async with semaphore:
-                result = await execute_payload_async(
-                    task.to_payload(), executor=pool)
-            emit(position, EntryResult.from_dict(result))
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            await asyncio.gather(*(run_one(position, task)
-                                   for position, task in items))
-
-
 class ProcessBackend:
     """One worker process per task, bounded concurrency (the default).
 
-    Per-process isolation is what makes per-entry timeouts enforceable
-    (the scheduler terminates the worker) and worker crashes reportable
-    without losing the sweep.  ``jobs=1`` runs in-process instead: zero
-    fork overhead, exceptions still captured per entry (the historic
-    sequential mode; timeouts need ``jobs >= 2``).
+    Per-process isolation is what lets the scheduler kill a wedged
+    entry past its timeout and report a worker crash without losing the
+    sweep.  ``jobs=1`` runs in-process instead: zero fork overhead,
+    exceptions still captured per entry and the cooperative deadline
+    still honoured, but no kill (the historic sequential mode).
     """
 
     name = "process"
-    supports_timeouts = True
 
     def execute(self, items: Sequence[WorkItem], jobs: int,
                 emit: EmitCallback) -> None:
         if jobs == 1:
             _execute_inline(items, emit)
             return
+        # Imported here so that importing the runner loads no
+        # multiprocessing machinery when no pool is started.
+        import multiprocessing
+
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
@@ -318,6 +243,4 @@ class ProcessBackend:
 
 
 register("process", ProcessBackend())
-register("thread", ThreadBackend())
 register("serial", SerialBackend())
-register("asyncio", AsyncioBackend())

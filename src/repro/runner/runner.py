@@ -10,8 +10,8 @@ shard end to end:
    against the same store only schedules the missing fingerprints.
 2. **Execution** -- the remaining tasks run on the selected
    :class:`~repro.runner.backends.ExecutorBackend` (``process`` worker
-   pool by default, ``thread`` or ``serial`` in-process variants, or any
-   registered plug-in), bounded by ``jobs``.
+   pool by default, the ``serial`` in-process loop, or any registered
+   plug-in), bounded by ``jobs``.
 3. **Collection** -- every result is persisted into the RunStore *as it
    completes* (a killed sweep keeps everything already finished), stamped
    with its execution provenance (backend, shard), and returned in plan
@@ -93,7 +93,7 @@ class SweepRunner:
         Stamps execution provenance, persists the result immediately (so
         a killed sweep loses only in-flight tasks, not finished ones) and
         forwards it to the progress callback -- all under the emit lock,
-        because thread backends call this concurrently.
+        because a plug-in backend may call this from several threads.
         """
         provenance = {"backend": self.backend.name,
                       "shard": str(self.plan.shard)}

@@ -5,21 +5,14 @@
 :meth:`~repro.runner.plan.SweepTask.to_payload` dict -- plain data, no
 registry access needed -- parses the canonical ``.g`` text, runs the
 requested engine and returns an
-:class:`~repro.runner.results.EntryResult` dict.  The ``serial`` and
-``thread`` backends call it in-process (it keeps no module state, so
-concurrent calls are safe); the ``process`` backend wraps it in
+:class:`~repro.runner.results.EntryResult` dict.  The ``serial`` backend
+and the :mod:`repro.serve` daemon call it in-process (it keeps no module
+state, so concurrent calls are safe); the ``process`` backend wraps it in
 :func:`child_main`, which ships the result dict back through the worker's
 pipe.  Everything that can go wrong inside the check (parse errors,
 engine exceptions) is caught and reported as an ``error`` result, so one
 poisoned entry never kills the sweep; only the process-level failures
 (crash, timeout) are handled by the pool scheduler.
-
-:func:`execute_payload_async` is the asynchronous face of the same
-primitive: it runs :func:`execute_payload` on an executor thread without
-blocking the event loop, propagating the caller's context (so an
-activated :mod:`repro.obs` tracer keeps receiving the entry's spans).
-The ``asyncio`` backend and the :mod:`repro.serve` daemon are both built
-on it.
 
 Both :func:`execute_payload` and :func:`child_main` are module-level
 functions so they pickle under every multiprocessing start method.
@@ -27,11 +20,9 @@ functions so they pickle under every multiprocessing start method.
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import time
 import traceback
-from typing import Dict, Optional
+from typing import Dict
 
 from repro import faults, obs
 from repro.runner.results import EntryResult
@@ -46,8 +37,8 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     :mod:`repro.obs` tracer writing one JSONL file keyed by the task
     fingerprint; the root ``entry`` span then parents every stage span
     the engine emits.  Tracing never changes the result: the stamp is
-    activation-scoped (contextvars), so concurrent thread-backend
-    entries stay isolated, and the sweep gate proves traced/untraced
+    activation-scoped (contextvars), so concurrent daemon entries
+    stay isolated, and the sweep gate proves traced/untraced
     stable-JSON byte parity.  The record's ``duration`` is the ``entry``
     span's own (:func:`repro.obs.timed`), traced or not.
 
@@ -57,7 +48,8 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     iteration, and :class:`~repro.utils.timing.DeadlineExceeded`
     surfaces as a ``timeout`` record.  The ``process`` backend keeps
     its preemptive kill on top (a wedged C extension beats any
-    cooperative check); the others rely on this path alone.
+    cooperative check); ``serial`` and the daemon rely on this path
+    alone.
 
     A ``fault_plan`` knob (the lease fabric's chaos dial) injects
     deterministic failures: ``crash`` raises before verification (an
@@ -121,27 +113,6 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             entry_span.annotate(status=result.status)
     result.duration = entry_span.duration_s
     return result.to_dict()
-
-
-async def execute_payload_async(payload: Dict[str, object],
-                                executor: Optional[object] = None
-                                ) -> Dict[str, object]:
-    """Run one task payload on ``executor`` without blocking the loop.
-
-    The one async execution primitive: the ``asyncio`` backend bounds it
-    with a semaphore per work item, and the ``repro.serve`` daemon's
-    worker coroutines call it per job.  ``executor`` is a
-    ``concurrent.futures`` executor (the event loop's default thread
-    pool when ``None``).  The payload executes in a *copy of the
-    caller's context*: ``loop.run_in_executor`` does not propagate
-    contextvars by itself, so without the copy a request-scoped
-    :mod:`repro.obs` tracer activated around this call would lose every
-    span the entry emits on the executor thread.
-    """
-    loop = asyncio.get_running_loop()
-    context = contextvars.copy_context()
-    return await loop.run_in_executor(
-        executor, lambda: context.run(execute_payload, payload))
 
 
 def _check(payload: Dict[str, object]):

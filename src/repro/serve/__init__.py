@@ -5,9 +5,9 @@ startup, corpus expansion and cold caches on every invocation.  This
 package keeps all of that *warm* in one long-lived process: an asyncio
 HTTP/JSON daemon (``stg-check serve`` / ``python -m repro serve``) that
 accepts ``.g`` text or corpus-entry requests, queues them on a bounded
-job queue, runs them on a worker pool built on the exact execution
-primitive of the ``asyncio`` sweep backend
-(:func:`repro.runner.worker.execute_payload_async`), and streams
+job queue, runs them on a thread pool through the sweep worker's
+execution primitive (:func:`repro.serve.state.execute_payload_async`
+awaits :func:`repro.runner.worker.execute_payload`), and streams
 per-job progress events as JSON lines.
 
 The contracts, in one sentence each:

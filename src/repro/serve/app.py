@@ -6,9 +6,9 @@ either a single JSON object or a chunked ``application/x-ndjson`` event
 stream (:mod:`repro.serve.protocol`).  The execution model is a bounded
 ``asyncio.Queue`` of :class:`~repro.serve.jobs.Job` objects drained by
 ``--jobs`` worker coroutines, each of which runs its job through
-:meth:`~repro.serve.state.WarmState.run_task` -- the same
-:func:`~repro.runner.worker.execute_payload_async` primitive the
-``asyncio`` sweep backend is built on -- on a shared thread pool.
+:meth:`~repro.serve.state.WarmState.run_task`: the sweep worker's
+primitive on a shared thread pool, awaited through
+:func:`~repro.serve.state.execute_payload_async`.
 
 Routes::
 

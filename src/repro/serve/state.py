@@ -30,14 +30,16 @@ same entry.  Client configs pass through
 the daemon stamps its own BDD-cache directory on: callers choose *what*
 to verify, never where the daemon caches or how long it may run.
 
-Verification itself happens in :func:`repro.runner.worker.
-execute_payload_async` -- the serve layer never touches engine
-internals (analyzer rule RA203 pins that).
+Verification itself happens in :func:`execute_payload_async`, which
+runs the sweep worker's :func:`~repro.runner.worker.execute_payload` on
+an executor thread -- the serve layer never touches engine internals
+(analyzer rule RA203 pins that).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import os
 import re
 from typing import Dict, Optional, Tuple
@@ -48,7 +50,7 @@ from repro.obs import MetricsRegistry
 from repro.runner.plan import SweepTask, normalise_expected
 from repro.runner.results import EntryResult
 from repro.runner.store import RunStore
-from repro.runner.worker import execute_payload_async
+from repro.runner.worker import execute_payload
 from repro.serve.protocol import CheckRequest, ProtocolError, anonymous_name
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
@@ -60,6 +62,26 @@ BDD_STORE_DIR = "bdd-store"
 #: Interned material of one verification subject: cache name, canonical
 #: ``.g`` text, arbitration places and normalised expected verdicts.
 _Material = Tuple[str, str, Tuple[str, ...], Dict[str, object]]
+
+
+async def execute_payload_async(payload: Dict[str, object],
+                                executor: Optional[object] = None
+                                ) -> Dict[str, object]:
+    """Run one task payload on ``executor`` without blocking the loop.
+
+    The daemon's execution primitive: :meth:`WarmState.run_task` calls
+    it per job.  ``executor`` is a ``concurrent.futures`` executor (the
+    event loop's default thread pool when ``None``).  The payload
+    executes in a *copy of the caller's context*:
+    ``loop.run_in_executor`` does not propagate contextvars by itself,
+    so without the copy a request-scoped :mod:`repro.obs` tracer
+    activated around this call would lose every span the entry emits
+    on the executor thread.
+    """
+    loop = asyncio.get_running_loop()
+    context = contextvars.copy_context()
+    return await loop.run_in_executor(
+        executor, lambda: context.run(execute_payload, payload))
 
 
 class WarmState:
@@ -222,10 +244,10 @@ class WarmState:
         The double-checked single-flight dance: a RunStore hit is free;
         on a miss the fingerprint's lock serialises concurrent
         duplicates, and whoever wins re-checks the store before paying
-        for :func:`~repro.runner.worker.execute_payload_async`.  The
-        losers then hit the record the winner persisted -- N concurrent
-        identical requests run one traversal (the concurrency tests
-        assert exactly that through these counters).
+        for :func:`execute_payload_async`.  The losers then hit the
+        record the winner persisted -- N concurrent identical requests
+        run one traversal (the concurrency tests assert exactly that
+        through these counters).
         """
         hit = self.run_store.lookup(task.name, task.fingerprint)
         if hit is not None:

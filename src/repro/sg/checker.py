@@ -126,7 +126,7 @@ class ExplicitVerification:
                            [str(v) for v in persistency.violations[:5]])
 
     def _check_fake_conflicts(self, report: ImplementabilityReport) -> None:
-        conflicts = classify_conflicts(self.stg)
+        conflicts = classify_conflicts(self.graph, self.stg)
         report.fake_free = conflicts.fake_free(self.stg)
         report.add_verdict(
             "fake-conflict freedom", bool(report.fake_free),

@@ -21,9 +21,9 @@ transitions are persistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.petri.reachability import ReachabilityGraph, build_reachability_graph
+from repro.sg.state import StateGraph
 from repro.stg.stg import STG
 from repro.stg.validate import direct_conflict_pairs
 
@@ -87,15 +87,14 @@ class FakeConflictResult:
         return True
 
 
-def classify_conflicts(stg: STG,
-                       reach: Optional[ReachabilityGraph] = None
-                       ) -> FakeConflictResult:
+def classify_conflicts(graph: StateGraph, stg: STG) -> FakeConflictResult:
     """Classify every structural conflict pair of the STG.
 
-    ``reach`` may be passed in to reuse an existing reachability graph.
+    The pairs are observed at the distinct markings of ``graph``.  A
+    complete state graph holds every reachable marking; on one truncated
+    by its state budget the classification covers the explored markings.
     """
-    if reach is None:
-        reach = build_reachability_graph(stg.net)
+    markings = dict.fromkeys(state.marking for state in graph.states)
     # Collect unordered structural pairs.
     ordered = direct_conflict_pairs(stg)
     unordered = sorted({tuple(sorted(pair)) for pair in ordered})
@@ -106,7 +105,7 @@ def classify_conflicts(stg: STG,
         second_kills_first = False
         signal_first = stg.signal_of(first)
         signal_second = stg.signal_of(second)
-        for marking in reach.markings:
+        for marking in markings:
             if not (stg.net.is_enabled(first, marking)
                     and stg.net.is_enabled(second, marking)):
                 continue

@@ -1,11 +1,11 @@
 """Non-firing fixture for RA203: serve-daemon code that stays on the
-transport/caching side of the line -- stores, the worker primitive, the
-facade's config type.  Must report nothing."""
+transport/caching side of the line -- stores, the daemon's execution
+primitive, the facade's config type.  Must report nothing."""
 
 from repro.api.config import EngineConfig
 from repro.cache import BDDStore
 from repro.runner.store import RunStore
-from repro.runner.worker import execute_payload_async
+from repro.serve.state import execute_payload_async
 
 
 async def handle_check(payload, state_dir):

@@ -82,7 +82,7 @@ def test_real_repo_registries_are_covered(in_repo_root):
     registrations = registry._literal_registrations(project)
     names = {r.name for r in registrations}
     # the three registries the facade exposes
-    assert {"symbolic", "explicit", "process", "thread", "serial",
+    assert {"symbolic", "explicit", "process", "serial",
             "csc", "consistency"} <= names
     assert registry.run(project) == []
 

@@ -106,7 +106,8 @@ class TestChoiceControllersCrossValidation:
     @settings(max_examples=20, deadline=None)
     @given(stg=choice_controllers())
     def test_fake_conflict_classification_agrees(self, stg):
-        explicit_result = explicit_conflicts(stg)
+        explicit_graph = build_state_graph(stg).graph
+        explicit_result = explicit_conflicts(explicit_graph, stg)
         encoding, image, reached, _ = symbolic_setup(stg)
         symbolic_result = symbolic_conflicts(encoding, reached, image)
         assert explicit_result.fake_free(stg) == symbolic_result.fake_free(stg)

@@ -21,7 +21,7 @@ from repro.runner.plan import SweepTask
 from repro.runner.results import EntryResult
 from repro.stg.writer import to_g_string
 
-BUILTINS = ("process", "thread", "serial", "asyncio")
+BUILTINS = ("process", "serial")
 
 #: Edit fixtures by expected reuse tier (the removed-arc and renamed
 #: edits diff against base_with_cycle; the rest against base_stg).
@@ -94,7 +94,7 @@ def test_seed_parity_on_every_backend(backend, base_stg, edit_closed,
                        config=api.EngineConfig(
                            bdd_cache_dir=cache,
                            base_fingerprint=fingerprint)))],
-        1, lambda pos, res: results.update({pos: res}))
+        2, lambda pos, res: results.update({pos: res}))
     delta = results[0]
     assert delta.status == "ok"
     assert stable(delta) == stable(cold)

@@ -27,7 +27,7 @@ def stable_json(sweep):
 
 def coordinate(tmp_path, config=None, policy=FAST_RETRY, names=SELECTION,
                lease_duration=30.0, **kwargs):
-    plan = SweepPlan(names=list(names), jobs=2, backend="thread",
+    plan = SweepPlan(names=list(names), jobs=2, backend="process",
                      config=config or EngineConfig())
     coordinator = LeaseCoordinator(
         plan, leases=str(tmp_path / "leases"), policy=policy,

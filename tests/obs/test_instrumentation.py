@@ -140,7 +140,7 @@ class TestWorkerTraces:
         assert {"parse", "traversal"} <= {s["name"] for s in spans}
 
     def test_meta_carries_provenance_and_fingerprint(self):
-        provenance = {"backend": "thread", "shard": "2/4"}
+        provenance = {"backend": "serial", "shard": "2/4"}
         result, records = traced_worker_run("vme_read",
                                             provenance=provenance)
         meta = trace_meta(records)

@@ -41,7 +41,7 @@ class TestAggregation:
         first, second = tmp_path / "a", tmp_path / "b"
         first.mkdir(), second.mkdir()
         write_trace(first, "slow", "aaa111", wall=2.0)
-        write_trace(second, "fast", "bbb222", wall=0.5, backend="thread")
+        write_trace(second, "fast", "bbb222", wall=0.5, backend="serial")
         assert trace_report.main([str(first), str(second)]) == 0
         out = capsys.readouterr().out
         assert "2 entries from 2 trace files" in out

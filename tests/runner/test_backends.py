@@ -4,18 +4,21 @@ The contracts the ISSUE pins:
 
 * the backend registry mirrors ``repro.engines`` (register/available/get,
   did-you-mean on unknown names),
-* ``process``, ``thread``, ``serial`` and ``asyncio`` produce
-  byte-identical ``SweepResult.stable_json_dict()`` output for the same
-  plan,
+* ``process`` and ``serial`` produce byte-identical
+  ``SweepResult.stable_json_dict()`` output for the same plan,
 * failure isolation holds on every backend, and
 * results carry per-entry execution provenance while the stable view
   stays provenance-free.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.runner import (
     SweepPlan,
     SweepRunner,
@@ -27,7 +30,7 @@ from repro.runner import (
 SELECTION = ["handshake", "vme_read", "mutex_element", "inconsistent",
              "random_ring_n4_s1"]
 
-BUILTINS = ("process", "thread", "serial", "asyncio")
+BUILTINS = ("process", "serial")
 
 
 def stable_json(sweep):
@@ -36,10 +39,8 @@ def stable_json(sweep):
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        names = backends.available()
-        for name in BUILTINS:
-            assert name in names
-        assert names[0] == backends.DEFAULT_BACKEND == "process"
+        assert backends.available() == list(BUILTINS)
+        assert backends.DEFAULT_BACKEND == "process"
 
     def test_get_returns_the_named_backend(self):
         for name in BUILTINS:
@@ -47,9 +48,19 @@ class TestRegistry:
 
     def test_unknown_backend_has_did_you_mean(self):
         with pytest.raises(UnknownBackendError) as info:
-            backends.get("thraed")
-        assert "unknown execution backend 'thraed'" in str(info.value)
-        assert "thread" in str(info.value)
+            backends.get("serail")
+        assert "unknown execution backend 'serail'" in str(info.value)
+        assert "did you mean: serial" in str(info.value)
+
+    @pytest.mark.parametrize("name", ["thread", "asyncio"])
+    def test_thread_pool_backends_are_not_registered(self, name):
+        # The checks hold the GIL from parse to report, so a thread pool
+        # never beat serial; both were deleted rather than kept as knobs.
+        with pytest.raises(UnknownBackendError) as info:
+            backends.get(name)
+        assert str(info.value).startswith(
+            f"unknown execution backend '{name}'; "
+            f"available: process, serial")
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -71,7 +82,7 @@ class TestRegistry:
     def test_resolve_accepts_instances_names_and_none(self):
         instance = backends.SerialBackend()
         assert backends.resolve(instance) is instance
-        assert backends.resolve("thread").name == "thread"
+        assert backends.resolve("serial").name == "serial"
         assert backends.resolve(None).name == backends.DEFAULT_BACKEND
 
 
@@ -92,22 +103,14 @@ class TestBackendParity:
         assert sweep.backend == "serial"
 
     def test_runner_backend_overrides_plan(self):
-        plan = SweepPlan(names=["handshake"], backend="serial")
-        sweep = SweepRunner(plan, backend="thread").run()
-        assert sweep.backend == "thread"
+        plan = SweepPlan(names=["handshake"], backend="process")
+        sweep = SweepRunner(plan, backend="serial").run()
+        assert sweep.backend == "serial"
 
-    @pytest.mark.parametrize("backend", ["thread", "asyncio"])
-    def test_results_preserve_plan_order_on_pools(self, backend):
-        sweep = run_sweep(SweepPlan(names=SELECTION, jobs=4),
-                          backend=backend)
+    def test_results_preserve_plan_order_on_pools(self):
+        sweep = run_sweep(SweepPlan(names=SELECTION, jobs=2),
+                          backend="process")
         assert [result.name for result in sweep] == SELECTION
-
-    def test_asyncio_backend_is_the_serve_machinery(self):
-        # The daemon awaits execute_payload_async directly; the backend
-        # must be the same primitive behind the sweep-facing protocol.
-        backend = backends.get("asyncio")
-        assert isinstance(backend, backends.AsyncioBackend)
-        assert not backend.supports_timeouts
 
 
 class TestFailureIsolationAcrossBackends:
@@ -132,16 +135,16 @@ class TestFailureIsolationAcrossBackends:
 
 class TestProvenance:
     def test_fresh_results_are_stamped(self):
-        sweep = run_sweep(SweepPlan(names=["handshake"], backend="thread"))
+        sweep = run_sweep(SweepPlan(names=["handshake"], backend="serial"))
         provenance = sweep.results[0].provenance
-        assert provenance == {"backend": "thread", "shard": "0/1"}
+        assert provenance == {"backend": "serial", "shard": "0/1"}
 
     def test_cached_results_keep_the_computing_backend(self, tmp_path):
         plan = SweepPlan(names=["handshake"])
-        run_sweep(plan, cache_dir=str(tmp_path), backend="thread")
+        run_sweep(plan, cache_dir=str(tmp_path), backend="process")
         second = run_sweep(plan, cache_dir=str(tmp_path), backend="serial")
         assert second.results[0].cached
-        assert second.results[0].provenance["backend"] == "thread"
+        assert second.results[0].provenance["backend"] == "process"
 
     def test_header_records_backend_but_stable_json_does_not(self):
         sweep = run_sweep(SweepPlan(names=["handshake"]), backend="serial")
@@ -150,3 +153,19 @@ class TestProvenance:
         stable = sweep.stable_json_dict()
         assert "backend" not in stable
         assert "provenance" not in stable["entries"][0]
+
+
+class TestImportFootprint:
+    def test_runner_import_loads_no_pool_or_event_loop_machinery(self):
+        # A fresh interpreter: the test process has imported them all.
+        script = ("import sys\n"
+                  "import repro.api, repro.runner\n"
+                  "print(' '.join(name for name in ('asyncio', "
+                  "'multiprocessing', 'concurrent.futures') "
+                  "if name in sys.modules))\n")
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=source_root),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -74,7 +74,7 @@ class TestCliFlags:
         assert "hit_rate=" in output
 
     def test_profile_works_on_every_backend(self, capsys):
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             exit_code = main(["batch-check", "handshake",
                               "--backend", backend, "--profile", "1"])
             assert exit_code == 0

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import corpus
 from repro.api import EngineConfig
 from repro.runner import SweepPlan, SweepRunner, SweepTask
 from repro.utils.timing import (
@@ -48,7 +49,7 @@ class SlowPlan(SweepPlan):
 
 #: The backends with no preemptive kill of their own: they rely
 #: entirely on the cooperative in-engine deadline checks.
-COOPERATIVE_BACKENDS = ("serial", "thread", "asyncio")
+COOPERATIVE_BACKENDS = ("serial",)
 
 
 class TestCooperativeTimeouts:
@@ -189,3 +190,36 @@ class TestClosureDeadlines:
         pipeline.deadline = time.monotonic() - 1.0
         with pytest.raises(DeadlineExceeded, match="symbolic fixpoint"):
             getattr(pipeline, check)()
+
+    def test_commutativity_fallback_checks_an_expired_deadline(self):
+        # irreducible_csc has fake conflicts, so commutativity falls back
+        # to enumerating the explicit state graph.
+        from repro.core.pipeline import VerificationPipeline
+
+        pipeline = VerificationPipeline(corpus.load("irreducible_csc"))
+        pipeline.reached  # traversed in time
+        assert not pipeline.fake_free()
+        pipeline.deadline = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded, match="explicit"):
+            pipeline.commutativity()
+
+    def test_commutativity_fallback_decides_before_its_deadline(self):
+        from repro.core.pipeline import VerificationPipeline
+        from repro.sg.builder import build_state_graph
+        from repro.sg.reducibility import check_commutativity
+
+        stg = corpus.load("irreducible_csc")
+        pipeline = VerificationPipeline(stg)
+        pipeline.deadline = time.monotonic() + 60.0
+        expected = check_commutativity(build_state_graph(stg).graph,
+                                       stg).commutative
+        assert pipeline.commutativity() is expected
+
+    def test_explicit_fake_conflicts_check_an_expired_deadline(self):
+        from repro.api import verify
+
+        config = EngineConfig(engine="explicit",
+                              deadline=time.monotonic() - 1.0)
+        with pytest.raises(DeadlineExceeded, match="explicit"):
+            verify(corpus.load("irreducible_csc"), config,
+                   checks=["fake_conflicts"])

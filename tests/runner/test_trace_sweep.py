@@ -55,7 +55,7 @@ class TestPerEntryTraceFiles:
         assert meta["provenance"]["backend"] == "serial"
         assert meta["provenance"]["shard"] == "0/1"
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_write_disjoint_files(self, tmp_path,
                                                     backend):
         sweep = run_sweep(traced_plan(tmp_path, backend=backend, jobs=2))

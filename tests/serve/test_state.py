@@ -2,13 +2,18 @@
 
 import asyncio
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import corpus
-from repro.runner import SweepPlan
+from repro import corpus, obs
+from repro.api import EngineConfig
+from repro.runner import SweepPlan, SweepTask
+from repro.runner.results import EntryResult
+from repro.runner.worker import execute_payload
 from repro.serve.protocol import CheckRequest, ProtocolError
-from repro.serve.state import WarmState
+from repro.serve.state import WarmState, execute_payload_async
 
 
 @pytest.fixture
@@ -137,3 +142,80 @@ class TestRunTask:
         assert state.metrics.counter("serve.runstore.hits").value == 3
         assert len({json.dumps(result.stable_dict(), sort_keys=True)
                     for result in results}) == 1
+
+
+class TestExecutePayloadAsync:
+    def test_expired_deadline_is_a_timeout_record(self):
+        task = SweepTask(name="handshake", g_text=corpus.g_text("handshake"),
+                         config=EngineConfig(deadline=time.monotonic() - 1.0))
+        result = asyncio.run(execute_payload_async(task.to_payload()))
+        assert result["status"] == "timeout"
+        assert "DeadlineExceeded" in result["error"]
+
+    def test_unparsable_payload_is_an_error_record(self):
+        task = SweepTask(name="poisoned", g_text=".bogus_directive\n")
+        result = asyncio.run(execute_payload_async(task.to_payload()))
+        assert result["name"] == "poisoned"
+        assert result["status"] == "error"
+
+    def test_record_matches_the_synchronous_worker(self):
+        payload = SweepPlan(names=["vme_read"]).tasks()[0].to_payload()
+        awaited = asyncio.run(execute_payload_async(payload))
+        assert awaited["status"] == "ok"
+        assert EntryResult.from_dict(awaited).stable_dict() == \
+            EntryResult.from_dict(execute_payload(payload)).stable_dict()
+
+    def test_spans_reach_the_tracer_activated_around_the_call(self):
+        # run_in_executor does not carry contextvars over by itself; the
+        # primitive's context copy routes the entry's spans to the caller.
+        sink = obs.InMemorySink()
+        tracer = obs.Tracer(sinks=[sink])
+        payload = SweepPlan(names=["handshake"]).tasks()[0].to_payload()
+
+        async def scenario():
+            with obs.activated(tracer):
+                return await execute_payload_async(payload)
+
+        assert asyncio.run(scenario())["status"] == "ok"
+        tracer.finish()
+        assert {"entry", "parse", "traversal"} <= {
+            record["name"] for record in sink.spans()}
+
+    def test_runs_on_the_given_executor(self):
+        class CountingExecutor(ThreadPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        payload = SweepPlan(names=["handshake"]).tasks()[0].to_payload()
+        with CountingExecutor(max_workers=1) as executor:
+            result = asyncio.run(execute_payload_async(payload,
+                                                       executor=executor))
+        assert result["status"] == "ok"
+        assert executor.submitted == 1
+
+    def test_the_event_loop_runs_while_an_entry_executes(self):
+        payload = SweepPlan(names=["handshake"]).tasks()[0].to_payload()
+
+        async def scenario():
+            ticks = 0
+
+            async def ticker():
+                nonlocal ticks
+                while True:
+                    ticks += 1
+                    await asyncio.sleep(0)
+
+            ticking = asyncio.ensure_future(ticker())
+            await asyncio.sleep(0)
+            before = ticks
+            result = await execute_payload_async(payload)
+            ran = ticks - before
+            ticking.cancel()
+            return result, ran
+
+        result, ran = asyncio.run(scenario())
+        assert result["status"] == "ok"
+        assert ran > 0  # a blocking call would have starved the ticker

@@ -30,6 +30,24 @@ from repro.stg.generators import (
     mutex_element,
     output_disabled_by_input,
 )
+from repro.stg.parser import parse_g
+
+
+UNBOUNDED_G = """\
+.model unbounded
+.inputs a
+.outputs b
+.graph
+a+ p1 p2
+p1 a-
+a- a+
+p2 b+
+b+ b-
+b- p3
+.marking { <a-,a+> }
+.initial_values a=0 b=0
+.end
+"""
 
 
 def graph_of(stg):
@@ -220,19 +238,19 @@ class TestReducibility:
 class TestFakeConflicts:
     def test_d1_has_symmetric_fake_conflict(self):
         stg = fake_conflict_d1()
-        result = classify_conflicts(stg)
+        result = classify_conflicts(graph_of(stg), stg)
         assert len(result.symmetric_fake) == 1
         assert not result.fake_free(stg)
 
     def test_d2_has_no_conflicts(self):
         stg = fake_conflict_d2()
-        result = classify_conflicts(stg)
+        result = classify_conflicts(graph_of(stg), stg)
         assert result.classifications == []
         assert result.fake_free(stg)
 
     def test_asymmetric_fake_conflict_detected(self):
         stg = asymmetric_fake_conflict_example()
-        result = classify_conflicts(stg)
+        result = classify_conflicts(graph_of(stg), stg)
         assert len(result.asymmetric_fake) == 1
         assert not result.fake_free(stg)
 
@@ -243,14 +261,14 @@ class TestFakeConflicts:
         # by the fake-freedom well-formedness check (Section 3.5) -- which
         # is consistent with it not being I/O-implementable.
         stg = irreducible_csc_example()
-        result = classify_conflicts(stg)
+        result = classify_conflicts(graph_of(stg), stg)
         assert len(result.classifications) == 1
         assert result.classifications[0].is_fake_symmetric
         assert not result.fake_free(stg)
 
     def test_mutex_grant_conflict_is_real(self):
         stg = mutex_element()
-        result = classify_conflicts(stg)
+        result = classify_conflicts(graph_of(stg), stg)
         real_pairs = {(c.first, c.second) for c in result.classifications
                       if c.observed and c.first_disables_second_signal
                       and c.second_disables_first_signal}
@@ -258,4 +276,46 @@ class TestFakeConflicts:
 
     def test_marked_graph_has_no_conflicts(self):
         stg = muller_pipeline(3)
-        assert classify_conflicts(stg).classifications == []
+        assert classify_conflicts(graph_of(stg), stg).classifications == []
+
+    def test_explicit_engine_stays_within_the_state_budget(self):
+        # p3 collects a token per cycle: the net is unbounded, and the
+        # classification must observe only the budgeted state graph.
+        from repro.api import EngineConfig, verify
+
+        stg = parse_g(UNBOUNDED_G)
+        report = verify(stg, EngineConfig(engine="explicit", max_states=200),
+                        checks=["fake_conflicts"])
+        assert report.fake_free
+
+    def test_truncated_graph_classifies_only_the_explored_markings(self):
+        # The grants are enabled together only after both requests: a
+        # graph cut at the initial state never observes the conflict.
+        stg = mutex_element()
+        truncated = build_state_graph(stg, max_states=1)
+        assert truncated.truncated
+        [cut] = classify_conflicts(truncated.graph, stg).classifications
+        assert (cut.first, cut.second) == ("g1+", "g2+")
+        assert not cut.observed
+        [full] = classify_conflicts(graph_of(stg), stg).classifications
+        assert full.observed
+
+    @pytest.mark.parametrize("factory", [
+        fake_conflict_d1, fake_conflict_d2, asymmetric_fake_conflict_example,
+        irreducible_csc_example, mutex_element, lambda: muller_pipeline(3),
+    ], ids=["d1", "d2", "asymmetric", "irreducible_csc", "mutex",
+            "muller_pipeline_3"])
+    def test_classification_matches_the_symbolic_one(self, factory):
+        from repro.core.pipeline import VerificationPipeline
+
+        def booleans(result):
+            return {(c.first, c.second):
+                    (c.observed, c.first_disables_second_signal,
+                     c.second_disables_first_signal)
+                    for c in result.classifications}
+
+        stg = factory()
+        explicit = classify_conflicts(graph_of(stg), stg)
+        symbolic = VerificationPipeline(stg).conflicts()
+        assert booleans(explicit) == booleans(symbolic)
+        assert explicit.fake_free(stg) == symbolic.fake_free(stg)

@@ -339,7 +339,7 @@ class TestBatchCheckRunnerFlags:
 class TestBatchCheckBackends:
     """The execution-backend flag and its error paths."""
 
-    @pytest.mark.parametrize("backend", ["process", "thread", "serial"])
+    @pytest.mark.parametrize("backend", ["process", "serial"])
     def test_every_builtin_backend_sweeps(self, backend, capsys):
         assert main(["batch-check", "handshake", "vme_read",
                      "--backend", backend, "--jobs", "2"]) == 0
@@ -347,35 +347,43 @@ class TestBatchCheckBackends:
 
     def test_unknown_backend_exits_2_with_did_you_mean(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch-check", "handshake", "--backend", "thraed"])
+            main(["batch-check", "handshake", "--backend", "proces"])
         assert excinfo.value.code == 2
-        assert "did you mean: thread" in capsys.readouterr().err
+        assert "did you mean: process" in capsys.readouterr().err
+
+    def test_thread_backend_exits_2_naming_the_two_backends(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch-check", "handshake", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert ("unknown execution backend 'thread'; "
+                "available: process, serial") in capsys.readouterr().err
 
     def test_backends_print_identical_verdict_lines(self, capsys):
         outputs = {}
-        for backend in ("process", "thread", "serial"):
+        for backend in ("process", "serial"):
             assert main(["batch-check", "handshake", "inconsistent",
                          "--backend", backend]) == 0
             outputs[backend] = "\n".join(
                 line for line in capsys.readouterr().out.splitlines()
                 if not line.startswith("batch-check:"))
-        assert outputs["process"] == outputs["thread"] == outputs["serial"]
+        assert outputs["process"] == outputs["serial"]
 
     def test_json_header_records_backend_and_shard(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        assert main(["batch-check", "handshake", "--backend", "thread",
-                     "--shard", "0/2", "--json", str(path)]) == 0
+        assert main(["batch-check", "handshake", "--backend", "process",
+                     "--jobs", "2", "--shard", "0/2",
+                     "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
-        assert payload["backend"] == "thread"
+        assert payload["backend"] == "process"
         assert payload["shard"] == "0/2"
         assert payload["entries"][0]["provenance"] == {
-            "backend": "thread", "shard": "0/2"}
+            "backend": "process", "shard": "0/2"}
 
     def test_stable_json_has_no_provenance_or_timing(self, tmp_path,
                                                      capsys):
         path = tmp_path / "stable.json"
-        assert main(["batch-check", "handshake", "--backend", "thread",
-                     "--stable-json", str(path)]) == 0
+        assert main(["batch-check", "handshake", "--backend", "process",
+                     "--jobs", "2", "--stable-json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert "backend" not in payload
         entry = payload["entries"][0]

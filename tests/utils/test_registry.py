@@ -125,7 +125,7 @@ PUBLIC = {
     "execution backend": Public(
         lambda: _functions(backends.register, backends.unregister,
                            backends.available, backends.get),
-        UnknownBackendError, (PlanError, ValueError), "thred", "thread"),
+        UnknownBackendError, (PlanError, ValueError), "serail", "serial"),
     # perfbench reads CHECKS[name].
     "check": Public(
         lambda: CHECKS, UnknownCheckError, (ApiError, ValueError),

@@ -16,7 +16,7 @@ never reused):
   (``repro.core``, ``repro.sg``, ``repro.engines``) or naming the
   internals directly.  The daemon layer is transport, queueing and
   caching only -- it verifies exclusively through the facade (via the
-  :func:`repro.runner.worker.execute_payload_async` primitive), which
+  :func:`repro.serve.state.execute_payload_async` primitive), which
   is what keeps daemon verdicts byte-identical to batch-check runs;
 * **RA204** -- incremental-verification code (anything under
   ``repro/delta/``) reaches verdict machinery: importing from

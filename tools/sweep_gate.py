@@ -5,14 +5,11 @@ This is the off-GitHub mirror of the ``sweep`` and ``merge`` jobs of
 ``.github/workflows/ci.yml`` (``make ci`` runs it after lint and tests),
 so the distributed-sweep contract is checkable on any machine:
 
-1. **Backend parity** -- the same plan swept on every registered built-in
-   backend (``process``, ``thread``, ``serial``, ``asyncio``) must
-   produce byte-identical stable JSON (``batch-check --stable-json``).
-   The ``asyncio`` leg is what gates the ``repro.serve`` daemon's
-   execution path: the daemon schedules jobs through exactly the
-   primitive this backend wraps.
+1. **Backend parity** -- the same plan swept on both built-in backends
+   (``process``, ``serial``) must produce byte-identical stable JSON
+   (``batch-check --stable-json``).
 2. **Shard/merge reproduction** -- the corpus swept as four separate
-   ``--shard i/4`` runs (rotating through the backends, each into its
+   ``--shard i/4`` runs (alternating between the backends, each into its
    own run store) and recombined with ``batch-check --merge`` must
    reproduce the unsharded reference sweep byte for byte.
 3. **BDD-cache parity** -- the same sweep with no ``--bdd-cache``,
@@ -60,10 +57,10 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-BACKENDS = ("process", "thread", "serial", "asyncio")
-#: Backend used by shard i of the 4-way partition (each backend at least
-#: once, mirroring the CI matrix).
-SHARD_BACKENDS = ("process", "thread", "serial", "asyncio")
+BACKENDS = ("process", "serial")
+#: Backend used by shard i of the 4-way partition (each backend twice,
+#: mirroring the CI matrix).
+SHARD_BACKENDS = ("process", "serial", "process", "serial")
 
 
 def start_repro(arguments, seed):
@@ -304,7 +301,7 @@ def check_chaos(workdir):
                 seed=1100)
     lease_dir = os.path.join(workdir, "chaos-leases")
     chaos_path = os.path.join(workdir, "chaos-swept.json")
-    batch_check(["--backend", "thread", "--jobs", "2",
+    batch_check(["--backend", "process", "--jobs", "2",
                  "--leases", lease_dir,
                  "--retry", CHAOS_RETRY_SPEC,
                  "--inject-faults", CHAOS_FAULT_SPEC,
@@ -344,7 +341,7 @@ def check_two_coordinators(workdir, reference_path):
     store_dir = os.path.join(workdir, "duo-store")
     paths = [os.path.join(workdir, f"duo-swept-{number}.json")
              for number in range(2)]
-    processes = [start_repro(["batch-check", "--backend", "thread",
+    processes = [start_repro(["batch-check", "--backend", "process",
                               "--jobs", "2", "--leases", lease_dir,
                               "--cache-dir", store_dir,
                               "--stable-json", path], seed=1102 + number)
