@@ -206,9 +206,10 @@ def build_batch_check_parser() -> argparse.ArgumentParser:
                              "leases renew every quarter duration")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-entry timeout; needs the process backend "
-                             "with --jobs >= 2 to be enforceable (the "
-                             "worker is terminated)")
+                        help="per-entry timeout, checked cooperatively "
+                             "on every backend; the process backend with "
+                             "--jobs >= 2 also terminates a worker that "
+                             "stops checking it")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persist per-entry results under DIR and skip "
                              "entries whose content and engine config are "

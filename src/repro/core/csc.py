@@ -29,13 +29,22 @@ QR(a+)`` where ``a = 1`` and ``ER(a+) . QR(a-)`` where ``a = 0``.  Where
 ``a = 1`` half, ``E(a-)`` never the ``a = 0`` half).  So ``ON(a) .
 OFF(a)`` and ``CONT(a)`` are one function -- the same BDD node, hence the
 same witness code -- built from two products and two projections
-instead of four of each.  USC (unique state coding) is additionally
-reported by comparing the number of reachable full states with the
-number of distinct codes.
+instead of four of each.
 
-:func:`compute_regions` builds the four regions themselves, with and
-without the place variables, for the signals whose regions a caller
-needs (the complementary-sequence check, logic derivation).
+USC (unique state coding) is decided first, by comparing the number of
+reachable full states with the number of distinct codes.  When the two
+are equal every reachable code belongs to exactly one reachable state.
+A code in ``ON(a) . OFF(a)`` needs two reachable states that share it,
+one with ``N(a)`` and one without, so under USC every ``CONT(a)`` is
+empty: CSC holds, and no ``ON(a)`` or ``OFF(a)`` is built.  Otherwise
+each violator's ``CONT(a)`` is kept on the result, where the
+complementary-sequence check (:mod:`repro.core.reducibility`) starts
+from it.
+
+:func:`compute_regions` builds the four code-level regions of one
+signal; logic synthesis
+(:func:`repro.synthesis.functions.derive_next_state_function`) is its
+one production caller.
 """
 
 from __future__ import annotations
@@ -50,38 +59,32 @@ from repro.core.encoding import SymbolicEncoding
 
 @dataclass
 class SignalRegionsSymbolic:
-    """Region characteristic functions of one signal.
-
-    ``er_plus`` / ``er_minus`` / ``qr_plus`` / ``qr_minus`` are functions
-    over the *signal* variables only (codes); the ``*_states`` variants
-    keep the place variables (full states) for use by the reducibility
-    check.
-    """
+    """Region characteristic functions of one signal, over the *signal*
+    variables only (codes)."""
 
     signal: str
     er_plus: Function
     er_minus: Function
     qr_plus: Function
     qr_minus: Function
-    er_plus_states: Function
-    er_minus_states: Function
-    qr_plus_states: Function
-    qr_minus_states: Function
-
-    @property
-    def contradictory_codes(self) -> Function:
-        """``CONT(a)``: codes breaking CSC for this signal."""
-        return (self.er_plus & self.qr_minus) | (self.er_minus & self.qr_plus)
 
 
 @dataclass
 class SymbolicCSCResult:
-    """Outcome of the symbolic CSC check."""
+    """Outcome of the symbolic CSC check.
+
+    ``contradictions`` maps each violating signal to its ``CONT(a)``
+    (a function over the codes).  It is an intermediate for the
+    complementary-sequence check, never part of the verdict: it is left
+    out of comparisons and is not serialised.
+    """
 
     csc: bool
     usc: bool
     violating_signals: List[str] = field(default_factory=list)
     witnesses: Dict[str, dict] = field(default_factory=dict)
+    contradictions: Dict[str, Function] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.csc:
@@ -92,55 +95,55 @@ class SymbolicCSCResult:
 def compute_regions(encoding: SymbolicEncoding, reached: Function,
                     charfun: CharacteristicFunctions,
                     signal: str) -> SignalRegionsSymbolic:
-    """Excitation / quiescent regions of one signal."""
+    """Excitation / quiescent regions of one signal, projected on codes."""
     places = encoding.place_variables
     variable = encoding.signal(signal)
     e_plus = charfun.generic_enabled(signal, "+")
     e_minus = charfun.generic_enabled(signal, "-")
-    er_plus_states = reached & e_plus
-    er_minus_states = reached & e_minus
-    qr_plus_states = (reached & variable) - e_minus
-    qr_minus_states = (reached & ~variable) - e_plus
     return SignalRegionsSymbolic(
         signal=signal,
-        er_plus=er_plus_states.exist(places),
-        er_minus=er_minus_states.exist(places),
-        qr_plus=qr_plus_states.exist(places),
-        qr_minus=qr_minus_states.exist(places),
-        er_plus_states=er_plus_states,
-        er_minus_states=er_minus_states,
-        qr_plus_states=qr_plus_states,
-        qr_minus_states=qr_minus_states,
+        er_plus=(reached & e_plus).exist(places),
+        er_minus=(reached & e_minus).exist(places),
+        qr_plus=((reached & variable) - e_minus).exist(places),
+        qr_minus=((reached & ~variable) - e_plus).exist(places),
     )
+
+
+def next_state(encoding: SymbolicEncoding, charfun: CharacteristicFunctions,
+               signal: str) -> Function:
+    """``N(a) = a ? not E(a-) : E(a+)``, the value ``a`` is heading to."""
+    return encoding.signal(signal).ite(~charfun.generic_enabled(signal, "-"),
+                                       charfun.generic_enabled(signal, "+"))
 
 
 def check_csc(encoding: SymbolicEncoding, reached: Function,
               charfun: Optional[CharacteristicFunctions] = None,
               signals: Optional[List[str]] = None) -> SymbolicCSCResult:
     """CSC over all non-input signals (or an explicit signal list)."""
+    if _check_usc(encoding, reached):
+        return SymbolicCSCResult(True, True)
     charfun = charfun or CharacteristicFunctions(encoding)
     to_check = signals if signals is not None \
         else encoding.stg.noninput_signals
     places = encoding.place_variables
-    violating: List[str] = []
+    contradictions: Dict[str, Function] = {}
     witnesses: Dict[str, dict] = {}
     for signal in to_check:
-        next_state = encoding.signal(signal).ite(
-            ~charfun.generic_enabled(signal, "-"),
-            charfun.generic_enabled(signal, "+"))
-        on = (reached & next_state).exist(places)
-        off = (reached - next_state).exist(places)
+        heading = next_state(encoding, charfun, signal)
+        on = (reached & heading).exist(places)
+        off = (reached - heading).exist(places)
         conflict = on & off
         if conflict.is_false():
             continue
-        violating.append(signal)
+        contradictions[signal] = conflict
         model = conflict.pick_one(encoding.signal_variables)
         if model is not None:
             code = {s: bool(model.get(encoding.signal_variable(s), False))
                     for s in encoding.stg.signals}
             witnesses[signal] = {"code": code}
-    usc = _check_usc(encoding, reached)
-    return SymbolicCSCResult(not violating, usc, violating, witnesses)
+    violating = list(contradictions)
+    return SymbolicCSCResult(not violating, False, violating, witnesses,
+                             contradictions)
 
 
 def _check_usc(encoding: SymbolicEncoding, reached: Function) -> bool:

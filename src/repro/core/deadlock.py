@@ -10,6 +10,16 @@ no transition at all.
 is also provided because it is a cheap, useful sanity check for cyclic
 specifications: it is one saturated backward closure
 (:func:`repro.core.traversal.fixpoint`).
+
+Reversibility implies deadlock freedom up to one state.  A reachable
+state other than the initial one that can return to the initial state
+has a successor, so it enables a transition; the initial state itself
+can return in zero steps, so it is not covered.  Hence "reversible, and
+the initial state enables a transition" means deadlock-free.  The
+pipeline (:meth:`repro.core.pipeline.VerificationPipeline.
+deadlock_freedom`) tests that first and builds :func:`deadlock_states`
+only when it fails, so every deadlock count and witness still comes
+from :func:`check_deadlock_freedom`.
 """
 
 from __future__ import annotations

@@ -29,7 +29,11 @@ from typing import Dict, Iterable, Optional
 from repro import obs
 from repro.core.consistency import check_consistency
 from repro.core.csc import check_csc
-from repro.core.deadlock import check_deadlock_freedom, check_reversibility
+from repro.core.deadlock import (
+    DeadlockResult,
+    check_deadlock_freedom,
+    check_reversibility,
+)
 from repro.core.encoding import SymbolicEncoding
 from repro.core.fake_conflicts import classify_conflicts
 from repro.core.image import SymbolicImage
@@ -241,12 +245,27 @@ class VerificationPipeline:
         return self._cached("complementary_inputs",
                             lambda: check_complementary_input_sequences(
                                 self.encoding, self.reached, self.image,
-                                self.csc().violating_signals,
+                                self.csc().contradictions,
                                 deadline=self.deadline))
 
     def deadlock_freedom(self):
-        return self._cached("deadlock_freedom", lambda: check_deadlock_freedom(
-            self.encoding, self.reached, self.charfun))
+        """Deadlock freedom, read off reversibility where that decides it.
+
+        A reversible specification whose initial state enables a
+        transition is deadlock-free (the argument is in
+        :mod:`repro.core.deadlock`); only the others run
+        :func:`~repro.core.deadlock.check_deadlock_freedom`, which counts
+        the deadlocks and picks the witness.
+        """
+        return self._cached("deadlock_freedom", self._compute_deadlock_freedom)
+
+    def _compute_deadlock_freedom(self):
+        net = self.stg.net
+        if (self.reversibility().reversible
+                and net.enabled_transitions(net.initial_marking)):
+            return DeadlockResult(True)
+        return check_deadlock_freedom(self.encoding, self.reached,
+                                      self.charfun)
 
     def reversibility(self):
         return self._cached("reversibility", lambda: check_reversibility(

@@ -14,7 +14,22 @@ symbolic representation:
 
 * **mutually complementary input sequences** -- the frozen-signal
   backward+forward traversal described at the end of Section 5.3, run
-  for the signals that violate CSC.
+  for the signals that violate CSC.  It starts from the states whose
+  code is in ``CONT(a)`` (:attr:`~repro.core.csc.SymbolicCSCResult.
+  contradictions`) and that lie in a quiescent region, and looks for
+  the ones that lie in an excitation region.  Both sets come from
+  ``CONT(a)`` and the next-state function ``N(a) = a ? not E(a-) :
+  E(a+)`` (:func:`repro.core.csc.next_state`), with no region
+  projected:
+
+      QR(a+) + QR(a-) = R . (a . not E(a-) + a' . not E(a+))
+                      = R . not (a xor N(a))
+      ER(a+) + ER(a-) = R . (E(a+) + E(a-))
+
+  (the regions here keep the place variables).  The excitation side
+  stays in ``E`` form rather than ``a xor N(a)``, which equals it only
+  on consistent states, so inconsistent specifications get the same
+  sets too.
 
 The third condition, commutativity, is covered through fake-conflict
 freedom (Section 5.4): a fake-free STG is commutative.  The pipeline
@@ -26,11 +41,11 @@ when fake conflicts are present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
-from repro.core.csc import compute_regions
+from repro.core.csc import next_state
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import fixpoint
@@ -96,20 +111,38 @@ class SymbolicComplementaryResult:
     offending_signals: List[str] = field(default_factory=list)
 
 
+def conflict_sets(encoding: SymbolicEncoding, reached: Function,
+                  charfun: CharacteristicFunctions, signal: str,
+                  contradictory: Function) -> Tuple[Function, Function]:
+    """The quiescent- and excitation-side states of ``CONT(a)``.
+
+    ``contradictory`` is the signal's ``CONT(a)``; the two sets are the
+    reachable states with such a code in ``QR(a+) + QR(a-)`` and in
+    ``ER(a+) + ER(a-)`` respectively (see the module docstring).
+    """
+    conflict = reached & contradictory
+    changing = encoding.signal(signal) ^ next_state(encoding, charfun, signal)
+    excited = (charfun.generic_enabled(signal, "+")
+               | charfun.generic_enabled(signal, "-"))
+    return conflict - changing, conflict & excited
+
+
 def check_complementary_input_sequences(encoding: SymbolicEncoding,
                                         reached: Function,
                                         image: SymbolicImage,
-                                        signals: Sequence[str],
+                                        contradictions: Mapping[str, Function],
                                         deadline: Optional[float] = None
                                         ) -> SymbolicComplementaryResult:
     """Section 5.3: frozen-input backward+forward traversal per signal.
 
-    ``signals`` are the non-input signals with CSC contradictions
-    (:attr:`~repro.core.csc.SymbolicCSCResult.violating_signals`); no
+    ``contradictions`` maps each non-input signal with CSC
+    contradictions to its ``CONT(a)``
+    (:attr:`~repro.core.csc.SymbolicCSCResult.contradictions`); no
     other signal can offend.  For each, start from the quiescent-side
     contradictory states, close backward then forward firing only input
     transitions (non-inputs are "frozen"), and test whether an
-    excitation-side contradictory state is reached.  Both closures are
+    excitation-side contradictory state is reached
+    (:func:`conflict_sets`).  Both closures are
     saturation :func:`~repro.core.traversal.fixpoint` runs bounded by
     the reachable set, checking ``deadline`` once per local-fixpoint
     round.  Every signal's closures fire the same input events, so they
@@ -118,21 +151,15 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
     charfun = image.charfun
     inputs = image.input_transitions()
     offending: List[str] = []
-    for signal in signals:
-        regions = compute_regions(encoding, reached, charfun, signal)
-        contradictory = regions.contradictory_codes
-        quiescent_conflict = (regions.qr_plus_states
-                              | regions.qr_minus_states) & contradictory
-        if quiescent_conflict.is_false():
-            continue
+    for signal, contradictory in contradictions.items():
+        quiescent_conflict, excitation_conflict = conflict_sets(
+            encoding, reached, charfun, signal, contradictory)
         backward = fixpoint(image, quiescent_conflict, inputs, "backward",
                             "saturation", restrict_to=reached,
                             deadline=deadline)
         reached_frozen = fixpoint(image, backward, inputs, "forward",
                                   "saturation", restrict_to=reached,
                                   deadline=deadline)
-        excitation_conflict = (regions.er_plus_states
-                               | regions.er_minus_states) & contradictory
         if not (reached_frozen & excitation_conflict).is_false():
             offending.append(signal)
     return SymbolicComplementaryResult(not offending, offending)

@@ -165,7 +165,10 @@ class ExplicitEngine:
             arbitration_places=config.arbitration_places,
             max_states=config.max_states,
             deadline=config.deadline)
-        return EngineRun(report=run_checks(context, checks, self.name))
+        report = run_checks(context, checks, self.name)
+        if context.graph_built:
+            report.num_states = context.graph.num_states
+        return EngineRun(report=report)
 
 
 register("symbolic", SymbolicEngine())

@@ -89,6 +89,11 @@ class ExplicitVerification:
         return self.build_result.graph
 
     @property
+    def graph_built(self) -> bool:
+        """True once some check has enumerated the state graph."""
+        return self._build_result is not None
+
+    @property
     def boundedness(self):
         if self._boundedness is None:
             self._boundedness = check_boundedness(
@@ -100,7 +105,6 @@ class ExplicitVerification:
     # ------------------------------------------------------------------
     def _check_consistency(self, report: ImplementabilityReport) -> None:
         result = self.build_result
-        report.num_states = self.graph.num_states
         report.bounded = self.boundedness.bounded and not result.truncated
         consistency = check_consistency(self.graph, self.stg)
         report.consistent = consistency.consistent and result.consistent

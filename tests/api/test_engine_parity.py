@@ -14,6 +14,7 @@ import pytest
 
 from repro import corpus
 from repro.api import ALL, EngineConfig, verify
+from repro.api.checks import supported_checks
 
 #: The hand-written, fixed-size entries (family-derived entries are
 #: covered by the family sweeps and the existing cross-engine tests).
@@ -69,6 +70,18 @@ def test_engines_agree_through_the_facade(name):
         for field in fields:
             assert getattr(symbolic, field) == getattr(explicit, field), \
                 f"{name}: engines disagree on {check}/{field}"
+
+
+@pytest.mark.parametrize("check", supported_checks("explicit"))
+def test_single_check_reports_the_state_count(check):
+    """Every check that enumerates the state graph reports its size;
+    ``safeness`` works on the net alone and builds no graph."""
+    counts = {engine: verify(corpus.load("vme_read"),
+                             EngineConfig(engine=engine),
+                             checks=[check]).num_states
+              for engine in ("symbolic", "explicit")}
+    expected = 0 if check == "safeness" else counts["symbolic"]
+    assert counts == {"symbolic": 14, "explicit": expected}
 
 
 @pytest.mark.smoke

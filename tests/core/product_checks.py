@@ -1,18 +1,24 @@
-"""Product-based reference versions of four symbolic checks.
+"""Product-based reference versions of five symbolic checks.
 
 Each builds the product of the reachable set with the bad states and
 compares it with FALSE: ``R . E(t) . p`` (safeness), ``R .
 Inconsistent(a)`` (consistency), ``R . E(ti) . E(tj)`` (determinism), and
 the four regions ``ER(a+)``, ``ER(a-)``, ``QR(a+)``, ``QR(a-)`` whose
-cross intersections are ``CONT(a)`` (CSC).  The checks under
-``repro.core`` answer the same questions with one ``meets`` pass or with
-the next-state on/off sets; these versions are their parity oracle.
+cross intersections are ``CONT(a)`` (CSC) and whose contradictory states
+start and end the frozen-input closures (complementary input sequences).
+The checks under ``repro.core`` answer the same questions with one
+``meets`` pass, with the next-state on/off sets, and from CSC's own
+``CONT(a)``; these versions are their parity oracle.
 """
 
 from repro.core.consistency import SymbolicConsistencyResult
 from repro.core.csc import SymbolicCSCResult
-from repro.core.reducibility import SymbolicDeterminismResult
+from repro.core.reducibility import (
+    SymbolicComplementaryResult,
+    SymbolicDeterminismResult,
+)
 from repro.core.safeness import SafenessResult
+from repro.core.traversal import fixpoint
 
 
 def safeness(encoding, reached, charfun):
@@ -83,17 +89,49 @@ def determinism(encoding, reached, charfun):
     return SymbolicDeterminismResult(not violations, violations)
 
 
-def contradictory_codes(encoding, reached, charfun, signal):
-    """``CONT(a) = ER(a+).QR(a-) + ER(a-).QR(a+)`` over the codes."""
-    places = encoding.place_variables
+def state_regions(encoding, reached, charfun, signal):
+    """``(ER(a+), ER(a-), QR(a+), QR(a-))`` over the full states."""
     variable = encoding.signal(signal)
     e_plus = charfun.generic_enabled(signal, "+")
     e_minus = charfun.generic_enabled(signal, "-")
-    er_plus = (reached & e_plus).exist(places)
-    er_minus = (reached & e_minus).exist(places)
-    qr_plus = ((reached & variable) - e_minus).exist(places)
-    qr_minus = ((reached & ~variable) - e_plus).exist(places)
+    return (reached & e_plus, reached & e_minus,
+            (reached & variable) - e_minus, (reached & ~variable) - e_plus)
+
+
+def contradictory_codes(encoding, reached, charfun, signal):
+    """``CONT(a) = ER(a+).QR(a-) + ER(a-).QR(a+)`` over the codes."""
+    places = encoding.place_variables
+    er_plus, er_minus, qr_plus, qr_minus = (
+        region.exist(places)
+        for region in state_regions(encoding, reached, charfun, signal))
     return (er_plus & qr_minus) | (er_minus & qr_plus)
+
+
+def conflict_sets(encoding, reached, charfun, signal):
+    """The quiescent- and excitation-side states whose code is in
+    ``CONT(a)``."""
+    contradictory = contradictory_codes(encoding, reached, charfun, signal)
+    er_plus, er_minus, qr_plus, qr_minus = state_regions(
+        encoding, reached, charfun, signal)
+    return ((qr_plus | qr_minus) & contradictory,
+            (er_plus | er_minus) & contradictory)
+
+
+def complementary_input_sequences(encoding, reached, image, signals):
+    offending = []
+    inputs = image.input_transitions()
+    for signal in signals:
+        quiescent, excitation = conflict_sets(encoding, reached,
+                                              image.charfun, signal)
+        if quiescent.is_false():
+            continue
+        backward = fixpoint(image, quiescent, inputs, "backward",
+                            "saturation", restrict_to=reached)
+        frozen = fixpoint(image, backward, inputs, "forward", "saturation",
+                          restrict_to=reached)
+        if not (frozen & excitation).is_false():
+            offending.append(signal)
+    return SymbolicComplementaryResult(not offending, offending)
 
 
 def csc(encoding, reached, charfun):

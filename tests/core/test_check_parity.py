@@ -1,7 +1,10 @@
 """The ``meets``-based and next-state-based checks equal the product-based
 reference (:mod:`tests.core.product_checks`) field for field: verdicts,
 overflow lists, violating signals and pairs, and every witness state or
-code."""
+code.  For every CSC violator, ``CONT(a)`` and the complementary-sequence
+check's start and target sets are the oracle's BDD nodes, and the check
+run from CSC's ``CONT(a)`` gives the oracle's verdict over every
+non-input signal."""
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.core.pipeline import VerificationPipeline
 from repro.core.reducibility import (
     check_complementary_input_sequences,
     check_determinism,
+    conflict_sets,
 )
 from repro.core.safeness import check_safeness
 from repro.stg import STG, SignalKind
@@ -58,6 +62,27 @@ def nondeterministic_example():
     return stg
 
 
+def inconsistent_csc_example():
+    """An inconsistent CSC violator.  After ``o+`` and ``a+``, ``o+/2`` is
+    enabled while ``o = 1``; ``a+/2`` then ``o+/3`` reach the same code
+    with ``o-`` enabled.  The first state is quiescent by its code but
+    excited by ``E(o+)``, so the excitation-side conflict set holds it
+    only in ``E`` form, not as ``o xor N(o)``."""
+    stg = STG("inconsistent_csc")
+    stg.add_signal("a", SignalKind.INPUT, initial_value=False)
+    stg.add_signal("o", SignalKind.OUTPUT, initial_value=False)
+    stg.add_place("p0", tokens=1)
+    stg.ensure_transition("o+")
+    stg.ensure_transition("a+/2")
+    stg.add_arc("p0", "o+")
+    stg.add_arc("p0", "a+/2")
+    stg.connect("o+", "a+")
+    stg.connect("a+", "o+/2")
+    stg.connect("a+/2", "o+/3")
+    stg.connect("o+/3", "o-")
+    return stg
+
+
 def wrong_initial_value():
     stg = handshake()
     stg.set_initial_value("r", True)  # r+ initially enabled while r=1
@@ -67,6 +92,7 @@ def wrong_initial_value():
 FIXTURES = {
     "unsafe": unsafe_example,
     "inconsistent": inconsistent_example,
+    "inconsistent_csc": inconsistent_csc_example,
     "wrong_initial_value": wrong_initial_value,
     "nondeterministic": nondeterministic_example,
     "csc_violation": csc_violation_example,
@@ -90,10 +116,17 @@ def assert_parity(stg):
         product_checks.determinism(encoding, reached, charfun)
     csc = check_csc(encoding, reached, charfun)
     assert csc == product_checks.csc(encoding, reached, charfun)
+    assert list(csc.contradictions) == csc.violating_signals
+    for signal, contradictory in csc.contradictions.items():
+        assert contradictory == product_checks.contradictory_codes(
+            encoding, reached, charfun, signal)
+        assert conflict_sets(encoding, reached, charfun, signal,
+                             contradictory) == \
+            product_checks.conflict_sets(encoding, reached, charfun, signal)
     # Only a CSC violator can have complementary input sequences.
     assert check_complementary_input_sequences(
-        encoding, reached, pipeline.image, csc.violating_signals) == \
-        check_complementary_input_sequences(
+        encoding, reached, pipeline.image, csc.contradictions) == \
+        product_checks.complementary_input_sequences(
             encoding, reached, pipeline.image, stg.noninput_signals)
 
 
@@ -124,3 +157,5 @@ def test_fixtures_reach_every_failing_path():
     assert not pipelines["nondeterministic"].determinism().deterministic
     assert not pipelines["csc_violation"].csc().csc
     assert not pipelines["irreducible_csc"].complementary_inputs().free
+    assert not pipelines["inconsistent_csc"].consistency().consistent
+    assert not pipelines["inconsistent_csc"].complementary_inputs().free

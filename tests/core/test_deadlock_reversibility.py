@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.core.pipeline
+from repro.api import EngineConfig, verify
 from repro.core.deadlock import (
     check_deadlock_freedom,
     check_reversibility,
@@ -9,6 +11,7 @@ from repro.core.deadlock import (
 )
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
+from repro.core.pipeline import VerificationPipeline
 from repro.core.traversal import symbolic_traversal
 from repro.petri import build_reachability_graph
 from repro.stg.generators import (
@@ -20,6 +23,25 @@ from repro.stg.generators import (
     output_disabled_by_input,
     vme_read_cycle,
 )
+from repro.stg.parser import parse_g
+from tests.core.test_check_parity import nondeterministic_example
+
+#: ``a+`` fires once, then ``b`` toggles forever: deadlock-free, but
+#: ``p0`` is never marked again.
+TRANSIENT = """\
+.model transient
+.inputs a
+.outputs b
+.graph
+p0 a+
+a+ p1
+p1 b+
+b+ b-
+b- p1
+.marking { %s }
+.initial_values a=0 b=0
+.end
+"""
 
 
 def setup(stg):
@@ -89,3 +111,50 @@ class TestReversibility:
         stg = handshake()
         encoding, image, reached = setup(stg)
         assert "reversible" in str(check_reversibility(encoding, reached, image))
+
+
+class TestLivenessThroughThePipeline:
+    """The ``liveness`` check, run through the facade on both engines.
+
+    The pipeline decides deadlock freedom from reversibility when it can,
+    so these specs cover each branch of that order: a deadlock with
+    stranded states, stranded states without a deadlock, and a
+    reversible spec whose initial state enables nothing.
+    """
+
+    #: name -> (factory, states, deadlock states, stranded states)
+    SPECS = {
+        "deadlocks_and_irreversible": (nondeterministic_example, 5, 2, 4),
+        "irreversible_deadlock_free": (
+            lambda: parse_g(TRANSIENT % "p0", name="transient"), 3, 0, 2),
+        "reversible_initial_deadlock": (
+            lambda: parse_g(TRANSIENT % "", name="transient"), 1, 1, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_engines_agree(self, name):
+        factory, states, deadlocks, stranded = self.SPECS[name]
+        reports = {engine: verify(factory(), EngineConfig(engine=engine),
+                                  checks=["liveness"])
+                   for engine in ("symbolic", "explicit")}
+        symbolic, explicit = reports["symbolic"], reports["explicit"]
+        assert symbolic.num_states == explicit.num_states == states
+        assert symbolic.deadlock_free is explicit.deadlock_free \
+            is (deadlocks == 0)
+        assert symbolic.reversible is explicit.reversible is (stranded == 0)
+        assert symbolic.verdicts == explicit.verdicts
+        encoding, image, reached = setup(factory())
+        direct = check_deadlock_freedom(encoding, reached, image.charfun)
+        assert direct.num_deadlocks == deadlocks
+        assert check_reversibility(encoding, reached,
+                                   image).num_unreturnable == stranded
+
+    def test_reversible_spec_skips_the_deadlock_product(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("deadlock_states built for a reversible spec")
+
+        monkeypatch.setattr(repro.core.pipeline, "check_deadlock_freedom",
+                            fail)
+        pipeline = VerificationPipeline(muller_pipeline(5))
+        assert pipeline.deadlock_freedom().deadlock_free
+        assert pipeline.reversibility().reversible

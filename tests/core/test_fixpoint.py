@@ -25,11 +25,11 @@ import repro
 
 from repro import corpus
 from repro.api import ALL, EngineConfig, verify
-from repro.core.csc import compute_regions
 from repro.core.pipeline import VerificationPipeline
 from repro.core.traversal import DIRECTIONS, STRATEGIES, fixpoint
 from repro.stg.generators import fake_conflict_d1, random_parallel, random_ring
 from repro.stg.parser import parse_g
+from tests.core import product_checks
 
 #: Deadlock-free but not reversible: ``s+`` fires once, then the
 #: a/b cycle never re-marks ``p0``.
@@ -84,9 +84,8 @@ def closure_starts(pipeline):
               ("unrestricted", initial, every, None)]
     inputs = image.input_transitions()
     for signal in encoding.stg.noninput_signals:
-        regions = compute_regions(encoding, reached, pipeline.charfun, signal)
-        conflict = ((regions.qr_plus_states | regions.qr_minus_states)
-                    & regions.contradictory_codes)
+        conflict, _ = product_checks.conflict_sets(encoding, reached,
+                                                   pipeline.charfun, signal)
         if conflict.is_false():
             continue
         backward = fixpoint(image, conflict, inputs, "backward", "chained",

@@ -4,7 +4,7 @@ persistency, CSC, determinism, complementary sequences, fake conflicts)."""
 import pytest
 
 from repro.core.consistency import check_consistency
-from repro.core.csc import check_csc, compute_regions
+from repro.core.csc import _check_usc, check_csc, compute_regions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.fake_conflicts import classify_conflicts
 from repro.core.image import SymbolicImage
@@ -34,6 +34,7 @@ from repro.stg.generators import (
     mutex_element,
     output_disabled_by_input,
 )
+from tests.core import product_checks
 
 
 def symbolic_setup(stg):
@@ -204,11 +205,30 @@ class TestCSC:
     def test_regions_partition_reached_set(self):
         stg = mutex_element()
         encoding, image, reached = symbolic_setup(stg)
+        codes = reached.exist(encoding.place_variables)
         for signal in stg.signals:
+            er_plus, er_minus, qr_plus, qr_minus = \
+                product_checks.state_regions(encoding, reached,
+                                             image.charfun, signal)
+            assert er_plus | er_minus | qr_plus | qr_minus == reached
             regions = compute_regions(encoding, reached, image.charfun, signal)
-            union = (regions.er_plus_states | regions.er_minus_states
-                     | regions.qr_plus_states | regions.qr_minus_states)
-            assert union == reached
+            assert (regions.er_plus | regions.er_minus | regions.qr_plus
+                    | regions.qr_minus) == codes
+
+    def test_usc_spec_builds_no_on_off_sets(self):
+        """Under USC the check is the USC count alone: the same BDD work,
+        and no ``CONT(a)`` for the complementary-sequence check."""
+        def lookups(check):
+            encoding, image, reached = symbolic_setup(muller_pipeline(5))
+            before = encoding.manager.cache_lookups
+            result = check(encoding, reached)
+            return result, encoding.manager.cache_lookups - before
+
+        result, csc_lookups = lookups(check_csc)
+        usc, usc_lookups = lookups(_check_usc)
+        assert usc and result.usc and result.csc
+        assert result.contradictions == {}
+        assert csc_lookups == usc_lookups > 0
 
     def test_only_requested_signals_checked(self):
         stg = csc_violation_example()
@@ -245,10 +265,10 @@ class TestReducibility:
     @staticmethod
     def complementary(stg):
         encoding, image, reached = symbolic_setup(stg)
-        violators = check_csc(encoding, reached,
-                              image.charfun).violating_signals
+        contradictions = check_csc(encoding, reached,
+                                   image.charfun).contradictions
         return check_complementary_input_sequences(encoding, reached, image,
-                                                   violators)
+                                                   contradictions)
 
     def test_csc_violation_is_complementary_free(self):
         assert self.complementary(csc_violation_example()).free

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import ALL, EngineConfig, verify
-from repro.core.csc import compute_regions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
@@ -16,6 +15,7 @@ from repro.stg.generators import (
     mutex_element,
     vme_read_cycle,
 )
+from tests.core import product_checks
 
 
 def setup(stg):
@@ -44,8 +44,10 @@ class TestFindFiringSequence:
         encoding, image, reached = setup(stg)
         charfun = image.charfun
         # Target: the famous CSC-conflict code on its quiescent side.
-        regions = compute_regions(encoding, reached, charfun, "d")
-        target = regions.qr_minus_states & regions.contradictory_codes
+        qr_minus = product_checks.state_regions(encoding, reached, charfun,
+                                                "d")[3]
+        target = qr_minus & product_checks.contradictory_codes(
+            encoding, reached, charfun, "d")
         sequence = find_firing_sequence(encoding, target, image)
         assert sequence
         marking = stg.initial_marking()

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro import corpus
-from repro.cli import build_argument_parser, load_specification, main
+from repro.cli import (
+    build_argument_parser,
+    build_batch_check_parser,
+    load_specification,
+    main,
+)
 from repro.stg import write_g
 from repro.stg.generators import handshake
 
@@ -26,6 +31,14 @@ class TestArgumentParser:
         assert arguments.explicit
         assert arguments.ordering == "declaration"
         assert arguments.arbitration == ["p_me"]
+
+    def test_timeout_help_says_every_backend_honours_it(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping
+        text = " ".join(build_batch_check_parser().format_help().split())
+        assert ("--timeout SECONDS per-entry timeout, checked cooperatively "
+                "on every backend; the process backend with --jobs >= 2 "
+                "also terminates a worker that stops checking it") in text
+        assert "enforceable" not in text
 
 
 class TestLoadSpecification:

@@ -62,6 +62,7 @@ QUICK_ROWS = (
     "muller_pipeline@16",
     "master_read@8",
     "parallel_handshakes@10",
+    "random_parallel@5",
 )
 FULL_ROWS = QUICK_ROWS + (
     "muller_pipeline@24",
