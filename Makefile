@@ -49,14 +49,12 @@ sweep-gate:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# The tracked benchmark harnesses: kernel rows + cold/warm --bdd-cache
-# sweep to BENCH_sweep.json, then the serve-daemon load test (8
-# concurrent clients, cold vs warm p50/p99, plus the incremental
-# edit-loop scenario: cold vs --base-seeded re-checks) to
-# BENCH_serve.json.
+# The perf ledger, one tool and one file: kernel rows with per-stage
+# self-times, the tracing row, the cold/warm --bdd-cache sweep and the
+# serve daemon (8 concurrent clients, cold vs warm p50/p99, plus the
+# edit loop: cold vs --base-seeded re-checks) to BENCH.json.
 bench:
 	$(PYTHON) tools/bench.py --quick
-	$(PYTHON) tools/load_test.py --output BENCH_serve.json
 
 bench-pytest:
 	$(PYTHON) -m pytest benchmarks --benchmark-only

@@ -21,7 +21,7 @@ Quickstart::
 When no tracer is active (the default), :func:`span` returns a shared
 no-op span and :func:`event` returns immediately -- the disabled path
 is one context-variable read, benchmarked in the ``tracing`` section
-of ``BENCH_sweep.json``.
+of ``BENCH.json``.
 
 Span and metric *names are string literals*; variable data goes into
 attributes (``obs.span("check", check=name)``).  The analyzer's RA501

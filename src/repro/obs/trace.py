@@ -8,7 +8,7 @@ one ``ContextVar`` read and a ``None`` test, no allocation, no clock
 call.  The instrumentation baked into the kernel hot paths
 (:mod:`repro.core.traversal`, :mod:`repro.core.pipeline`) therefore
 costs nothing measurable when nobody asked for a trace; the tracked
-``tracing`` section of ``BENCH_sweep.json`` pins that overhead.  The
+``tracing`` section of ``BENCH.json`` pins that overhead.  The
 few sites whose duration also lands in a result use :func:`timed`,
 whose disabled path reads the clock and nothing else.
 

@@ -227,28 +227,3 @@ class ImplementabilityReport:
                               for verdict in kwargs.get("verdicts") or []]
         kwargs["timings"] = dict(kwargs.get("timings") or {})
         return cls(**kwargs)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary (used by the benchmark harness to print rows)."""
-        return {
-            "name": self.stg_name,
-            "method": self.method,
-            "places": self.num_places,
-            "transitions": self.num_transitions,
-            "signals": self.num_signals,
-            "states": self.num_states,
-            "bounded": self.bounded,
-            "safe": self.safe,
-            "consistent": self.consistent,
-            "persistent": self.output_persistent,
-            "csc": self.csc,
-            "usc": self.usc,
-            "csc_reducible": self.csc_reducible,
-            "fake_free": self.fake_free,
-            "deadlock_free": self.deadlock_free,
-            "reversible": self.reversible,
-            "classification": str(self.classification),
-            "bdd_peak": self.bdd_peak_nodes,
-            "bdd_final": self.bdd_final_nodes,
-            "timings": dict(self.timings),
-        }

@@ -1,8 +1,8 @@
 """A stdlib blocking client for the verification daemon.
 
 :class:`ServeClient` speaks the :mod:`repro.serve.protocol` schema over
-``http.client`` -- no extra dependencies, usable from tests, the load
-harness (``tools/load_test.py``) and scripts alike::
+``http.client`` -- no extra dependencies, usable from tests, the perf
+ledger (``tools/bench.py``) and scripts alike::
 
     from repro.serve import ServeClient
 

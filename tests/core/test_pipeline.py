@@ -68,8 +68,8 @@ class TestRunReport:
         direct.bdd_peak_nodes = stats.peak_nodes
         direct.bdd_final_nodes = stats.final_nodes
         direct.bdd_variables = stats.num_variables
-        direct_fields = direct.as_dict()
-        facade_fields = via_facade.as_dict()
+        direct_fields = direct.to_dict()
+        facade_fields = via_facade.to_dict()
         direct_fields.pop("timings")
         facade_fields.pop("timings")
         assert direct_fields == facade_fields

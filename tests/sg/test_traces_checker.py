@@ -155,10 +155,10 @@ class TestExplicitEngine:
         assert "classification" in text
         assert "gate-implementable" in text
 
-    def test_report_as_dict(self):
+    def test_report_to_dict(self):
         report = explicit(handshake())
-        data = report.as_dict()
-        assert data["states"] == 4
+        data = report.to_dict()
+        assert data["num_states"] == 4
         assert data["method"] == "explicit"
         assert data["csc"] is True
 

@@ -101,12 +101,12 @@ class TestVerdictsAndRendering:
         assert "d0" in text and "d9" not in text
         assert "7 more" in text
 
-    def test_as_dict_round_trip_fields(self):
+    def test_to_dict_fields(self):
         report = make_report()
         report.timings = {"T+C": 0.5, "CSC": 0.25}
-        data = report.as_dict()
-        assert data["name"] == "spec"
-        assert data["csc_reducible"] is True
+        data = report.to_dict()
+        assert data["stg_name"] == "spec"
+        assert report.csc_reducible is True
         assert data["timings"] == {"T+C": 0.5, "CSC": 0.25}
         assert report.total_time == pytest.approx(0.75)
 

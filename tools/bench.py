@@ -1,36 +1,39 @@
 #!/usr/bin/env python
-"""The tracked benchmark harness: kernel rows + BDD-cache sweep timing.
-
-Runs the Table-1 benchmark rows (corpus entries and scalable-family
-instances) through the symbolic :class:`~repro.core.pipeline.
-VerificationPipeline` and times a real ``batch-check`` sweep twice --
-once against a cold ``--bdd-cache`` store and once against the warm one
--- then emits everything as ``BENCH_sweep.json`` so the performance
-trajectory of the symbolic hot path is tracked in-repo::
+"""The perf ledger: kernel rows, tracing cost, BDD-cache sweep and the
+serve daemon, written to one ``BENCH.json``::
 
     python tools/bench.py --quick                  # the CI subset
     python tools/bench.py                          # the full row set
-    python tools/bench.py --kernel-only            # skip the sweep section
     python tools/bench.py --before old.json        # embed a baseline run
 
-Per kernel row the harness records wall time (total and traversal-only),
-the self-time of each property check (``checks_s``), traversal
-iterations and image counts, the Reached-BDD peak/final sizes, the peak
-number of live manager nodes and the manager's operation-cache hit rate.
-Stat collection runs through :mod:`repro.obs` (an in-memory tracer
-around every row), so the check times are the ``check:<name>`` stages of
-:func:`repro.obs.report.stage_breakdown` and the hit rate comes from the
-traversal span's BDD delta -- the same numbers ``--trace`` files carry
--- with the :class:`~repro.core.stats.TraversalStats` counters as
-fallback on old checkouts.  The ``tracing`` section commits the observability
-layer's own cost (no-op span nanoseconds, disabled-path and
-enabled-path overhead: disabled must stay under 2%).  The
-``bdd_cache`` section is the headline number of the persistent
-reachable-set cache: the warm sweep serves every reachable BDD from
-the store and must beat the cold sweep by a wide margin.
+The ledger (``"schema": 2``) has four sections:
 
-The output schema is plain JSON (``schema`` marks revisions); a run
-captured on an older kernel can be embedded under ``"before"`` with
+* ``kernel`` -- one row per Table-1 corpus entry, built-in example or
+  ``family@scale`` instance, each the fastest of :data:`REPEATS`
+  pipeline runs with every check (liveness included).  Every time in a
+  row comes from the run's own :mod:`repro.obs` trace: ``wall_s`` is
+  the root span, ``stages`` maps each stage of
+  :func:`repro.obs.report.stage_breakdown` (``ordering``, ``encoding``,
+  ``traversal``, ``closure``, ``check:<name>``) to its self-time, and
+  ``unattributed_s`` is the root's own self-time, so the stages plus
+  ``unattributed_s`` sum to ``wall_s``.  ``stages.traversal`` is the
+  forward fixpoint alone.  The hit rate is the traversal span's BDD
+  operation-cache delta; the work counters come from the
+  :class:`~repro.core.stats.TraversalStats`.
+* ``tracing`` -- the observability layer's own cost: the no-op span
+  nanoseconds, and the disabled-path and enabled-path overhead of a
+  pipeline run (disabled must stay under 2%).
+* ``bdd_cache`` -- one ``batch-check`` sweep timed against a cold and
+  then a warm ``--bdd-cache`` store.
+* ``serve`` -- a real ``python -m repro serve`` daemon under
+  :data:`SERVE_CLIENTS` concurrent clients: a cold round of distinct
+  specifications, the same requests again warm, and the edit loop (one
+  large base, one-signal edits re-checked cold and with ``base=``).
+  The tool exits non-zero unless the daemon's own counters prove that
+  every cold request missed both stores, every warm request hit the
+  RunStore and every delta edit seeded the traversal.
+
+A run captured earlier can be embedded under ``"before"`` with
 ``--before`` so one committed file shows the trajectory.
 """
 
@@ -40,25 +43,47 @@ import argparse
 import json
 import os
 import platform
-import shutil
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-SCHEMA = 1
+from repro import corpus, obs  # noqa: E402
+from repro.api.checks import ALL, resolve_checks, run_checks  # noqa: E402
+from repro.core.pipeline import VerificationPipeline  # noqa: E402
+from repro.obs.report import (  # noqa: E402
+    cache_breakdown,
+    stage_breakdown,
+    trace_wall_s,
+)
+from repro.serve import ServeClient  # noqa: E402
+from repro.stg.generators import build_example  # noqa: E402
+from repro.stg.parser import parse_g  # noqa: E402
+from repro.stg.stg import SignalKind  # noqa: E402
+from repro.stg.writer import to_g_string  # noqa: E402
 
-#: Kernel rows: corpus entry names and ``family@scale`` instances.  The
-#: quick set is the CI subset; the full set adds the scales where the
+SCHEMA = 2
+
+#: Kernel rows and the tracing row report the fastest of this many runs.
+REPEATS = 3
+
+#: Kernel rows: corpus entries, built-in examples and ``family@scale``
+#: instances.  The quick set is the CI subset: ``random_parallel@5`` is
+#: the non-USC CSC violator, ``fake_conflict_d1`` deadlocks, is not
+#: reversible and has fake conflicts, so the deadlock and commutativity
+#: fallbacks have a row.  The full set adds the scales where the
 #: traversal genuinely dominates (seconds, not milliseconds).
 QUICK_ROWS = (
     "vme_read",
     "master_read_2",
     "muller_pipeline_4",
     "mutex3",
+    "fake_conflict_d1",
     "muller_pipeline@16",
     "master_read@8",
     "parallel_handshakes@10",
@@ -87,134 +112,121 @@ QUICK_SWEEP = ("handshake", "--family", "muller_pipeline:12-18",
 FULL_SWEEP = ("handshake", "--family", "muller_pipeline:16-24",
               *_DEFAULT_CHECKS)
 
+#: The serve rounds: concurrent clients, requests per client and round,
+#: and daemon workers.
+SERVE_CLIENTS = 8
+SERVE_REQUESTS_PER_CLIENT = 3
+SERVE_JOBS = 4
+#: Corpus entries the cold and warm rounds cycle through -- a mix of
+#: cheap and mid-size specifications.
+SERVE_ENTRIES = ("handshake", "vme_read", "mutex_element", "sbuf_send_ctl",
+                 "master_read_2", "muller_pipeline_4", "random_ring_n4_s1",
+                 "random_ring_n6_s3")
+#: Scale of the edit-loop base -- large enough that a cold re-check
+#: costs real traversal time, so the seeded speedup is not noise.
+EDIT_LOOP_SCALE = 18
+#: Distinct one-signal edits re-checked against the base, each way.
+EDIT_LOOP_EDITS = 6
+#: The daemon counters committed with the serve section.
+SERVE_COUNTERS = ("serve.requests", "serve.runstore.hits",
+                  "serve.runstore.misses", "serve.bdd.hits",
+                  "serve.bdd.misses", "serve.delta.requests",
+                  "serve.bdd.delta_seeds", "serve.bdd.delta_colds")
 
+_LISTENING = re.compile(r"listening on http://([0-9.]+):(\d+)")
+
+
+# ----------------------------------------------------------------------
+# Kernel rows and the tracing row
+# ----------------------------------------------------------------------
 def build_row_stg(row: str):
-    """A row is a corpus entry name or a ``family@scale`` instance."""
-    from repro.stg.generators import build_example
-    from repro.stg.parser import parse_g
-
+    """A row is ``family@scale``, a corpus entry or a built-in example."""
     if "@" in row:
         family, _, scale = row.partition("@")
         return build_example(family, int(scale))
-    from repro import corpus
-
-    return parse_g(corpus.entry(row).g_text, name=row)
-
-
-def _traced_pipeline_run(stg, sink):
-    """One full pipeline run under ``repro.obs`` tracing; returns
-    ``(wall_s, traversal_s, pipeline)``.  ``sink=None`` runs with
-    tracing disabled (the no-op path)."""
-    from repro import obs
-    from repro.api.checks import resolve_checks, run_checks
-    from repro.core.pipeline import VerificationPipeline
-
-    start = time.perf_counter()
-    with obs.tracing(name=stg.name, sink=sink):
-        pipeline = VerificationPipeline(stg)
-        traversal_start = time.perf_counter()
-        pipeline.reached  # noqa: B018 - trigger the traversal on its own
-        traversal_s = time.perf_counter() - traversal_start
-        run_checks(pipeline, resolve_checks(None), "symbolic")
-    return time.perf_counter() - start, traversal_s, pipeline
+    if row in corpus.names():
+        return parse_g(corpus.entry(row).g_text, name=row)
+    return build_example(row)
 
 
-def _traversal_cache_rate(records) -> "float | None":
-    """Hit rate from the traversal span's BDD operation-cache delta."""
-    from repro.obs.report import cache_breakdown
+def traced_run(stg, sink):
+    """One pipeline run with every check, under a root ``entry`` span.
 
-    entry = cache_breakdown(records).get("traversal")
-    return entry["hit_rate"] if entry else None
-
-
-def _check_self_times(records) -> dict:
-    """Check name -> self-time of its ``check`` span, in seconds."""
-    from repro.obs.report import stage_breakdown
-
-    return {label[len("check:"):]: round(entry["self_s"], 4)
-            for label, entry in sorted(stage_breakdown(records).items())
-            if label.startswith("check:")}
-
-
-def bench_kernel_row(row: str, repeats: int = 2) -> dict:
-    """Best-of-``repeats`` timing of one pipeline run (noise damping).
-
-    Every repeat runs under a :class:`repro.obs.InMemorySink` tracer;
-    the cache hit rate comes from the traversal span's BDD delta (the
-    same numbers ``--trace`` files carry), with the stats counters as
-    fallback for kernels whose manager predates the obs layer -- so the
-    rate is only ever ``None`` when neither source exists.
+    Returns ``(wall_s, pipeline)``.  With ``sink=None`` the run is
+    untraced -- the instrumentation stays on its no-op path -- and the
+    root span only reads the clock.
     """
-    from repro import obs
+    with obs.tracing(name=stg.name, sink=sink):
+        with obs.timed("entry", entry=stg.name) as root:
+            pipeline = VerificationPipeline(stg)
+            run_checks(pipeline, resolve_checks(ALL), "symbolic")
+    return root.duration_s, pipeline
 
+
+def row_times(records) -> dict:
+    """``wall_s``, per-stage self-times and ``unattributed_s`` of a trace.
+
+    Self-times telescope (:mod:`repro.obs.report`), so the stages plus
+    the root span's own self-time, ``unattributed_s``, sum to the root
+    span's duration, ``wall_s``.
+    """
+    stages = {label: entry["self_s"] for label, entry
+              in sorted(stage_breakdown(records).items())}
+    unattributed_s = stages.pop("entry")
+    return {"wall_s": trace_wall_s(records), "stages": stages,
+            "unattributed_s": unattributed_s}
+
+
+def kernel_row(row: str) -> dict:
+    """The fastest of :data:`REPEATS` traced runs of one row."""
     stg = build_row_stg(row)
-    wall_s = traversal_s = float("inf")
-    pipeline, best_records = None, []
-    for _ in range(max(repeats, 1)):
+    runs = []
+    for _ in range(REPEATS):
         sink = obs.InMemorySink()
-        elapsed, repeat_traversal_s, pipeline = _traced_pipeline_run(
-            stg, sink)
-        traversal_s = min(traversal_s, repeat_traversal_s)
-        if elapsed < wall_s:
-            wall_s, best_records = elapsed, sink.records
-
+        wall_s, pipeline = traced_run(stg, sink)
+        runs.append((wall_s, sink.records))
+    records = min(runs, key=lambda run: run[0])[1]
+    # Every repeat does the same work, so any run's counters will do.
     stats = pipeline.traversal_stats.to_dict()
-    rate = _traversal_cache_rate(best_records)
-    if rate is None:
-        hits = stats.get("cache_hits", 0)
-        lookups = stats.get("cache_lookups", 0)
-        rate = round(hits / lookups, 4) if lookups else None
     return {
         "name": row,
-        "wall_s": round(wall_s, 4),
-        "traversal_s": round(traversal_s, 4),
-        "checks_s": _check_self_times(best_records),
-        "iterations": stats.get("iterations"),
-        "images": stats.get("images_computed"),
-        "bdd_peak": stats.get("peak_nodes"),
-        "bdd_final": stats.get("final_nodes"),
-        "states": stats.get("num_states"),
-        "peak_live_nodes": stats.get("peak_live_nodes", 0),
-        "cache_hit_rate": rate,
+        **row_times(records),
+        "cache_hit_rate": cache_breakdown(records)["traversal"]["hit_rate"],
+        "iterations": stats["iterations"],
+        "images": stats["images_computed"],
+        "bdd_peak": stats["peak_nodes"],
+        "bdd_final": stats["final_nodes"],
+        "states": stats["num_states"],
+        "peak_live_nodes": stats["peak_live_nodes"],
     }
 
 
-def bench_tracing_overhead(row: str = "muller_pipeline_4",
-                           repeats: int = 3,
-                           noop_loops: int = 200_000) -> dict:
-    """The cost of the observability layer itself, committed in-repo.
-
-    Three numbers:
+def tracing_overhead(row: str = "muller_pipeline_4",
+                     noop_loops: int = 200_000) -> dict:
+    """The cost of the observability layer itself.
 
     * ``noop_span_ns`` -- per-call cost of ``obs.span(...)`` with no
-      tracer active (one ContextVar read + a None test);
-    * ``disabled_overhead_pct`` -- that no-op cost times the number of
-      emission sites one pipeline run actually hits, as a fraction of
-      the untraced wall time: the overhead the instrumentation adds
-      when tracing is *off* (the <2 percent contract);
-    * ``enabled_overhead_pct`` -- full-tracing (in-memory sink) wall
-      time against the disabled path, best-of-``repeats`` each.
+      tracer active (one ContextVar read and a None test);
+    * ``disabled_overhead_pct`` -- that cost times the number of
+      records one traced run emits, as a share of the untraced wall
+      time: what the instrumentation adds when tracing is off (the <2%
+      contract);
+    * ``enabled_overhead_pct`` -- the traced (in-memory sink) run
+      against the untraced one, fastest of :data:`REPEATS` each.
     """
-    from repro import obs
-
     stg = build_row_stg(row)
-    disabled_s = min(_traced_pipeline_run(stg, None)[0]
-                     for _ in range(max(repeats, 1)))
-    enabled_s = float("inf")
-    emissions = 0
-    for _ in range(max(repeats, 1)):
+    disabled_s = min(traced_run(stg, None)[0] for _ in range(REPEATS))
+    enabled = []
+    for _ in range(REPEATS):
         sink = obs.InMemorySink()
-        elapsed = _traced_pipeline_run(stg, sink)[0]
-        if elapsed < enabled_s:
-            enabled_s, emissions = elapsed, len(sink.records)
+        enabled.append((traced_run(stg, sink)[0], len(sink.records)))
+    enabled_s, emissions = min(enabled)
 
     start = time.perf_counter()
     for _ in range(noop_loops):
         with obs.span("bench-noop"):
             pass
     noop_span_ns = (time.perf_counter() - start) / noop_loops * 1e9
-
-    disabled_overhead_s = emissions * noop_span_ns * 1e-9
     return {
         "row": row,
         "noop_span_ns": round(noop_span_ns, 1),
@@ -222,25 +234,31 @@ def bench_tracing_overhead(row: str = "muller_pipeline_4",
         "disabled_s": round(disabled_s, 4),
         "enabled_s": round(enabled_s, 4),
         "disabled_overhead_pct": round(
-            disabled_overhead_s / disabled_s * 100.0, 4)
-        if disabled_s else None,
+            emissions * noop_span_ns * 1e-9 / disabled_s * 100.0, 4),
         "enabled_overhead_pct": round(
-            (enabled_s - disabled_s) / disabled_s * 100.0, 2)
-        if disabled_s else None,
+            (enabled_s - disabled_s) / disabled_s * 100.0, 2),
     }
 
 
-def batch_check_seconds(arguments, workdir) -> float:
-    """Wall time of one ``python -m repro batch-check ...`` subprocess."""
+# ----------------------------------------------------------------------
+# The BDD-cache sweep
+# ----------------------------------------------------------------------
+def repro_environment() -> dict:
+    """The environment of a ``python -m repro`` subprocess of this tree."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = (
         os.path.join(REPO_ROOT, "src")
         + (os.pathsep + environment["PYTHONPATH"]
            if environment.get("PYTHONPATH") else ""))
+    return environment
+
+
+def batch_check_seconds(arguments, workdir) -> float:
+    """Wall time of one ``python -m repro batch-check ...`` subprocess."""
     command = [sys.executable, "-m", "repro", "batch-check", *arguments]
     start = time.perf_counter()
     completed = subprocess.run(
-        command, env=environment, cwd=workdir,
+        command, env=repro_environment(), cwd=workdir,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     elapsed = time.perf_counter() - start
     if completed.returncode != 0:
@@ -250,97 +268,282 @@ def batch_check_seconds(arguments, workdir) -> float:
     return elapsed
 
 
-def bench_bdd_cache(sweep_arguments) -> dict:
+def bdd_cache_sweep(sweep_arguments) -> dict:
     """Time the same sweep against a cold and then a warm BDD store."""
-    workdir = tempfile.mkdtemp(prefix="repro-bench-")
-    try:
-        store = os.path.join(workdir, "bdd-store")
-        arguments = [*sweep_arguments, "--bdd-cache", store]
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
+        arguments = [*sweep_arguments, "--bdd-cache",
+                     os.path.join(workdir, "bdd-store")]
         cold_s = batch_check_seconds(arguments, workdir)
         warm_s = batch_check_seconds(arguments, workdir)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
     return {
         "sweep": " ".join(sweep_arguments),
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
-        "speedup": round(cold_s / warm_s, 2) if warm_s else None,
+        "speedup": round(cold_s / warm_s, 2),
     }
 
 
-def main() -> int:
+# ----------------------------------------------------------------------
+# The serve daemon
+# ----------------------------------------------------------------------
+def cold_requests():
+    """The cold round's ``(name, g_text)`` requests, client by client.
+
+    Client ``c``'s ``r``-th request checks ``SERVE_ENTRIES[(c + r) %
+    len(SERVE_ENTRIES)]`` under a ``.model`` name of its own, so no two
+    requests share content.  Renaming only the task would not do: the
+    BDD store keys on the canonical text, whose ``.model`` line names
+    the specification, so a shared text would let one request's
+    reachable set serve the next.  The warm round sends the same list.
+    """
+    requests = []
+    for client in range(SERVE_CLIENTS):
+        for index in range(SERVE_REQUESTS_PER_CLIENT):
+            entry = SERVE_ENTRIES[(client + index) % len(SERVE_ENTRIES)]
+            name = f"{entry}_r{len(requests)}"
+            text = re.sub(r"^\.model .*$", f".model {name}",
+                          corpus.entry(entry).g_text, count=1,
+                          flags=re.MULTILINE)
+            requests.append((name, text))
+    return requests
+
+
+def edit_loop_specs():
+    """The base text and the cold and delta one-signal edit variants.
+
+    Every variant keeps the base's ``.model`` name (a re-checked saved
+    file) and adds a disconnected two-phase cycle of a fresh internal
+    signal -- the seed-tier shape, where the daemon extends the base's
+    reachable set instead of traversing from the initial state.
+    """
+    base = to_g_string(build_example("muller_pipeline", EDIT_LOOP_SCALE))
+
+    def variant(signal):
+        stg = parse_g(base)
+        rising, falling = f"{signal}+", f"{signal}-"
+        p0, p1 = f"p_{signal}0", f"p_{signal}1"
+        stg.add_signal(signal, SignalKind.INTERNAL, initial_value=False)
+        stg.add_place(p0, tokens=1)
+        stg.add_place(p1)
+        stg.add_transition(rising)
+        stg.add_transition(falling)
+        for arc in ((p0, rising), (rising, p1),
+                    (p1, falling), (falling, p0)):
+            stg.add_arc(*arc)
+        return to_g_string(stg)
+
+    colds = [variant(f"cold{index}") for index in range(EDIT_LOOP_EDITS)]
+    deltas = [variant(f"edit{index}") for index in range(EDIT_LOOP_EDITS)]
+    return base, colds, deltas
+
+
+def percentile(sorted_values, fraction):
+    """Nearest-rank percentile of an already-sorted latency list."""
+    rank = round(fraction * (len(sorted_values) - 1))
+    return sorted_values[rank]
+
+
+def summarise(latencies) -> dict:
+    return {
+        "requests": len(latencies),
+        "p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
+        "p99_ms": round(percentile(latencies, 0.99) * 1000, 3),
+        "max_ms": round(latencies[-1] * 1000, 3),
+        "total_s": round(sum(latencies), 3),
+    }
+
+
+def timed_check(client, **request) -> "tuple[float, dict]":
+    """``(seconds, result)`` of one check request; exits unless ok."""
+    start = time.perf_counter()
+    result = client.check(**request)
+    elapsed = time.perf_counter() - start
+    if result["status"] != "ok":
+        raise SystemExit(f"bench: serve request {request.get('name')!r} "
+                         f"ended {result['status']}")
+    return elapsed, result
+
+
+def run_round(client, requests):
+    """Send ``requests`` from :data:`SERVE_CLIENTS` concurrent clients,
+    each its own consecutive slice; returns the sorted latencies."""
+    def client_run(chunk):
+        return [timed_check(client, g_text=text, name=name)[0]
+                for name, text in chunk]
+
+    size = SERVE_REQUESTS_PER_CLIENT
+    chunks = [requests[start:start + size]
+              for start in range(0, len(requests), size)]
+    with ThreadPoolExecutor(max_workers=SERVE_CLIENTS) as pool:
+        per_client = list(pool.map(client_run, chunks))
+    return sorted(latency for chunk in per_client for latency in chunk)
+
+
+def run_edit_loop(client):
+    """The sequential editor loop: base check, then cold vs delta edits.
+
+    Returns ``(cold_latencies, delta_latencies)``, both sorted; exits
+    if any delta re-check fails to engage the seed tier (a delta number
+    that silently measured a cold traversal would be meaningless).
+    """
+    base, colds, deltas = edit_loop_specs()
+    timed_check(client, g_text=base, name="editloop-base", checks=["csc"])
+    cold_latencies = [
+        timed_check(client, g_text=text, name=f"editloop-cold{index}",
+                    checks=["csc"])[0]
+        for index, text in enumerate(colds)]
+    delta_latencies = []
+    for index, text in enumerate(deltas):
+        elapsed, result = timed_check(
+            client, g_text=text, name=f"editloop-edit{index}",
+            checks=["csc"], base="editloop-base")
+        delta = result["entry"]["report"]["delta"]
+        if not delta or delta["tier"] != "seed":
+            raise SystemExit(f"bench: delta edit {index} did not seed: "
+                             f"{delta}")
+        delta_latencies.append(elapsed)
+    return sorted(cold_latencies), sorted(delta_latencies)
+
+
+def daemon_counters(client) -> dict:
+    metrics = client.metrics()["metrics"]
+    return {name: metrics[name]["value"] for name in SERVE_COUNTERS}
+
+
+def require_rises(before, after, expected) -> None:
+    """Exit unless each counter in ``expected`` rose by exactly that."""
+    for name, rise in expected.items():
+        if after[name] - before[name] != rise:
+            raise SystemExit(f"bench: {name} rose by "
+                             f"{after[name] - before[name]}, not {rise}")
+
+
+def drive_daemon(client) -> dict:
+    """The cold and warm rounds and the edit loop, checked by counters."""
+    requests = cold_requests()
+    start = daemon_counters(client)
+    cold = run_round(client, requests)
+    after_cold = daemon_counters(client)
+    require_rises(start, after_cold, {"serve.runstore.misses": len(requests),
+                                      "serve.bdd.misses": len(requests)})
+    warm = run_round(client, requests)
+    after_warm = daemon_counters(client)
+    require_rises(after_cold, after_warm,
+                  {"serve.runstore.hits": len(requests)})
+    cold_edits, delta_edits = run_edit_loop(client)
+    counters = daemon_counters(client)
+    require_rises(after_warm, counters,
+                  {"serve.bdd.delta_seeds": EDIT_LOOP_EDITS})
+    rounds = {"cold": summarise(cold), "warm": summarise(warm)}
+    return {
+        "clients": SERVE_CLIENTS,
+        "requests_per_client": SERVE_REQUESTS_PER_CLIENT,
+        "jobs": SERVE_JOBS,
+        "entries": list(SERVE_ENTRIES),
+        "rounds": rounds,
+        "speedup_p50": round(rounds["cold"]["p50_ms"]
+                             / rounds["warm"]["p50_ms"], 1),
+        "edit_loop": {
+            "scale": EDIT_LOOP_SCALE,
+            "edits": EDIT_LOOP_EDITS,
+            "cold": summarise(cold_edits),
+            "delta": summarise(delta_edits),
+            "speedup_p50": round(percentile(cold_edits, 0.50)
+                                 / percentile(delta_edits, 0.50), 1),
+        },
+        "daemon_counters": counters,
+    }
+
+
+def serve_section() -> dict:
+    """Boot ``python -m repro serve`` on a fresh state directory, drive
+    it, and shut it down drained."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as state_dir, \
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--jobs", str(SERVE_JOBS), "--state-dir", state_dir],
+                env=repro_environment(), cwd=REPO_ROOT,
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True) as process:
+        try:
+            line = process.stdout.readline()
+            match = _LISTENING.search(line)
+            if not match:
+                raise SystemExit(f"bench: daemon failed to start: {line!r}")
+            client = ServeClient(host=match.group(1),
+                                 port=int(match.group(2)))
+            section = drive_daemon(client)
+            client.shutdown()
+            process.wait(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+    return section
+
+
+# ----------------------------------------------------------------------
+# The command line
+# ----------------------------------------------------------------------
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the symbolic hot path and emit "
-                    "BENCH_sweep.json")
+        description="Run the perf ledger and write BENCH.json")
     parser.add_argument("--quick", action="store_true",
-                        help="the fast CI subset of rows and sweep scales")
-    parser.add_argument("--kernel-only", action="store_true",
-                        help="skip the cold/warm --bdd-cache sweep section")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="where to write the JSON report (default: "
-                             "BENCH_sweep.json in the repo root; '-' for "
-                             "stdout only)")
-    parser.add_argument("--before", default=None, metavar="PATH",
-                        help="embed a previously captured run under "
-                             "'before' for before/after comparison")
-    parser.add_argument("--label", default="current",
-                        help="label recorded in the report (default: "
-                             "current)")
-    parser.add_argument("--repeats", type=int, default=2, metavar="N",
-                        help="kernel rows report the best of N runs "
-                             "(default: 2)")
-    arguments = parser.parse_args()
+                        help="the CI subset of kernel rows and sweep scales")
+    parser.add_argument("--output", metavar="PATH",
+                        default=os.path.join(REPO_ROOT, "BENCH.json"),
+                        help="where to write the ledger (default: "
+                             "BENCH.json in the repo root)")
+    parser.add_argument("--before", metavar="PATH",
+                        help="embed a previously captured ledger under "
+                             "'before'")
+    arguments = parser.parse_args(argv)
 
     rows = QUICK_ROWS if arguments.quick else FULL_ROWS
-    report = {
-        "schema": SCHEMA,
-        "label": arguments.label,
-        "quick": arguments.quick,
-        "python": platform.python_version(),
-        "kernel": [],
-    }
-
-    print(f"bench: {len(rows)} kernel rows ...")
+    report = {"schema": SCHEMA, "quick": arguments.quick,
+              "python": platform.python_version(), "kernel": []}
+    print(f"bench: {len(rows)} kernel rows, every check ...")
     for row in rows:
-        result = bench_kernel_row(row, repeats=arguments.repeats)
+        result = kernel_row(row)
         report["kernel"].append(result)
-        rate = result["cache_hit_rate"]
-        print(f"  {row:<24} wall={result['wall_s']:8.3f}s "
-              f"traversal={result['traversal_s']:8.3f}s "
-              f"iters={result['iterations']:<3} "
-              f"peak={result['bdd_peak']:<6} "
-              f"hit-rate={rate if rate is not None else '-'}")
+        print(f"  {row:<24} wall={result['wall_s']:8.4f}s "
+              f"traversal={result['stages']['traversal']:8.4f}s "
+              f"unattributed={result['unattributed_s']:.4f}s "
+              f"iters={result['iterations']:<4} "
+              f"hit-rate={result['cache_hit_rate']}")
 
-    print("bench: tracing overhead (no-op span path) ...")
-    report["tracing"] = bench_tracing_overhead()
-    print(f"  noop-span={report['tracing']['noop_span_ns']}ns "
-          f"disabled-overhead="
-          f"{report['tracing']['disabled_overhead_pct']}% "
-          f"enabled-overhead="
-          f"{report['tracing']['enabled_overhead_pct']}%")
+    print("bench: tracing overhead ...")
+    tracing = report["tracing"] = tracing_overhead()
+    print(f"  noop-span={tracing['noop_span_ns']}ns "
+          f"disabled={tracing['disabled_overhead_pct']}% "
+          f"enabled={tracing['enabled_overhead_pct']}%")
 
-    if not arguments.kernel_only:
-        sweep = QUICK_SWEEP if arguments.quick else FULL_SWEEP
-        print(f"bench: cold vs warm --bdd-cache sweep "
-              f"({' '.join(sweep)}) ...")
-        report["bdd_cache"] = bench_bdd_cache(sweep)
-        print(f"  cold={report['bdd_cache']['cold_s']}s "
-              f"warm={report['bdd_cache']['warm_s']}s "
-              f"speedup={report['bdd_cache']['speedup']}x")
+    sweep = QUICK_SWEEP if arguments.quick else FULL_SWEEP
+    print(f"bench: cold vs warm --bdd-cache sweep ({' '.join(sweep)}) ...")
+    bdd_cache = report["bdd_cache"] = bdd_cache_sweep(sweep)
+    print(f"  cold={bdd_cache['cold_s']}s warm={bdd_cache['warm_s']}s "
+          f"speedup={bdd_cache['speedup']}x")
+
+    print(f"bench: serve daemon, {SERVE_CLIENTS} clients x "
+          f"{SERVE_REQUESTS_PER_CLIENT} requests, cold vs warm, then the "
+          f"edit loop (muller_pipeline@{EDIT_LOOP_SCALE}, "
+          f"{EDIT_LOOP_EDITS} edits) ...")
+    serve = report["serve"] = serve_section()
+    for label, latencies in (("cold", serve["rounds"]["cold"]),
+                             ("warm", serve["rounds"]["warm"]),
+                             ("edit cold", serve["edit_loop"]["cold"]),
+                             ("edit delta", serve["edit_loop"]["delta"])):
+        print(f"  {label:<10} p50 {latencies['p50_ms']:9.3f} ms   "
+              f"p99 {latencies['p99_ms']:9.3f} ms")
+    print(f"  p50 speedup: warm {serve['speedup_p50']}x, "
+          f"delta {serve['edit_loop']['speedup_p50']}x")
 
     if arguments.before:
         with open(arguments.before, encoding="utf-8") as handle:
             report["before"] = json.load(handle)
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if arguments.output != "-":
-        path = arguments.output or os.path.join(REPO_ROOT,
-                                                "BENCH_sweep.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"bench: wrote {path}")
-    else:
-        print(text)
+    with open(arguments.output, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"bench: wrote {arguments.output}")
     return 0
 
 
