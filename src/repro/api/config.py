@@ -101,8 +101,9 @@ class EngineConfig:
         checks it cooperatively once per iteration and raises
         :class:`~repro.utils.timing.DeadlineExceeded` past it, which
         the worker reports as a ``timeout`` record.  This is how the
-        ``serial``/``thread``/``asyncio`` backends -- which cannot
-        preempt a running entry -- still honour ``timeout`` budgets.
+        ``serial`` backend (and ``process`` with ``jobs=1``), which runs
+        entries in-process and cannot preempt one, still honours
+        ``timeout`` budgets.
         Normally derived from ``timeout`` by the worker; an execution
         knob excluded from every fingerprint.
     fault_plan:

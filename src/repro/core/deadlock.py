@@ -11,6 +11,17 @@ is also provided because it is a cheap, useful sanity check for cyclic
 specifications: it is one saturated backward closure
 (:func:`repro.core.traversal.fixpoint`).
 
+Most marked graphs never need that closure.  A marked graph whose every
+place lies on a circuit and whose every circuit carries a token is live
+and reversible by its structure
+(:func:`repro.petri.structure.is_live_reversible_marked_graph`).  The
+pipeline (:meth:`repro.core.pipeline.VerificationPipeline.
+reversibility`) takes that answer only when the consistency and
+safeness checks also pass: those two guards make the symbolic states
+exactly the net's states, and make the code return with the marking.
+Every other specification, and so every failing verdict and count,
+goes through :func:`check_reversibility`.
+
 Reversibility implies deadlock freedom up to one state.  A reachable
 state other than the initial one that can return to the initial state
 has a successor, so it enables a transition; the initial state itself

@@ -31,6 +31,7 @@ from repro.core.consistency import check_consistency
 from repro.core.csc import check_csc
 from repro.core.deadlock import (
     DeadlockResult,
+    ReversibilityResult,
     check_deadlock_freedom,
     check_reversibility,
 )
@@ -47,6 +48,7 @@ from repro.core.reducibility import (
 )
 from repro.core.safeness import check_safeness
 from repro.core.traversal import symbolic_traversal
+from repro.petri.structure import is_live_reversible_marked_graph
 from repro.report import ImplementabilityReport
 from repro.stg.stg import STG
 
@@ -268,8 +270,49 @@ class VerificationPipeline:
                                       self.charfun)
 
     def reversibility(self):
-        return self._cached("reversibility", lambda: check_reversibility(
-            self.encoding, self.reached, self.image, deadline=self.deadline))
+        """Reversibility, read off the net's structure where that decides it.
+
+        :func:`~repro.petri.structure.is_live_reversible_marked_graph`
+        proves a marked graph live and reversible as a net.  The symbolic
+        state space is a different object: a state is a marking with one
+        boolean per place plus a code, and the firing rule of
+        :mod:`repro.core.image` refuses two kinds of firing.  It refuses
+        ``a+`` when ``a = 1`` (and ``a-`` when ``a = 0``), and it refuses
+        a firing that would mark a post-only place already holding a
+        token.  Two guards close the gap:
+
+        * When consistency and safeness hold, no reachable state meets
+          either case (each check looks for exactly those states), and
+          the initial marking is safe
+          (:func:`~repro.core.safeness.check_safeness` fails an initial
+          count above one).  So every reachable state fires whatever
+          its marking enables, and the symbolic markings are exactly
+          the net's markings.
+        * The code returns with the marking.  From a reachable state
+          the net fires some sequence back to the initial marking, and
+          the symbolic engine follows it.  The whole cycle from the
+          initial state (it fires every transition of a component
+          equally often) ends at the initial marking, so the engine can
+          fire it again and again, and each pass moves signal ``a`` by
+          the same amount: its ``a+`` firings minus its ``a-`` firings.
+          ``a+`` fires only from ``a = 0`` and ``a-`` only from ``a =
+          1``, so ``a`` stays 0 or 1 and the amount is 0.
+
+        Without the consistency guard the shortcut is wrong: on
+        ``broken_double_rise`` and ``inconsistent`` the structure passes
+        but the closure finds stranded states.  Every spec that fails a
+        guard runs :func:`~repro.core.deadlock.check_reversibility`, so
+        every failing verdict and count still comes from the symbolic
+        closure.
+        """
+        return self._cached("reversibility", self._compute_reversibility)
+
+    def _compute_reversibility(self):
+        if (is_live_reversible_marked_graph(self.stg.net)
+                and self.consistency().consistent and self.safeness().safe):
+            return ReversibilityResult(True)
+        return check_reversibility(self.encoding, self.reached, self.image,
+                                   deadline=self.deadline)
 
     def commutativity(self) -> Optional[bool]:
         """Commutativity via fake-freedom, with an explicit fallback.

@@ -6,7 +6,10 @@ enables a transition whose firing would add a token to a place that is
 already marked (and is not simultaneously consumed).  Detecting such an
 *overflow firing* is therefore a sound and complete safeness check for
 nets explored under safe semantics: the traversal reaches every marking up
-to the first overflow, and the overflow itself is caught here.
+to the first overflow, and the overflow itself is caught here.  The
+encoding reads any initial count above 0 as one token, so an initial
+count above 1 is checked on the net first and fails with the initial
+state as witness.
 
 Each overflow pair ``(t, p)`` -- ``p`` in the postset of ``t`` but not
 its preset -- is the cube ``E(t) . p``, and the pair overflows iff the
@@ -32,10 +35,15 @@ class SafenessResult:
     safe: bool
     overflows: List[Tuple[str, str]] = field(default_factory=list)
     witness: Optional[dict] = None
+    #: Places the initial marking gives more than one token.
+    overmarked: List[str] = field(default_factory=list)
 
     def __str__(self) -> str:
         if self.safe:
             return "safe (1-bounded)"
+        if self.overmarked:
+            return ("not safe: the initial marking puts more than one "
+                    "token on " + ", ".join(self.overmarked))
         pairs = ", ".join(f"{t} overflows {p}" for t, p in self.overflows[:5])
         return f"not safe: {pairs}"
 
@@ -44,8 +52,15 @@ def check_safeness(encoding: SymbolicEncoding, reached: Function,
                    charfun: Optional[CharacteristicFunctions] = None
                    ) -> SafenessResult:
     """Detect overflow firings from the reachable set."""
+    stg = encoding.stg
+    net = stg.net
+    overmarked = [place for place in net.places
+                  if net.place(place).initial_tokens > 1]
+    if overmarked:
+        return SafenessResult(False, witness={
+            "marking": stg.initial_marking(),
+            "code": stg.initial_state_vector()}, overmarked=overmarked)
     charfun = charfun or CharacteristicFunctions(encoding)
-    net = encoding.stg.net
     pairs = [(transition, place) for transition in net.transitions
              for place in sorted(net.postset_of_transition(transition)
                                  - net.preset_of_transition(transition))]

@@ -222,10 +222,11 @@ def symbolic_traversal(encoding: SymbolicEncoding,
     under every transition outside ``seed_transitions`` (strictly
     monotone "closed" edits), so only those fire.
 
-    ``deadline`` is the cooperative timeout of the backends that cannot
-    preempt an entry (``serial``/``thread``/``asyncio``): an absolute
-    :func:`time.monotonic` instant checked once per iteration (under
-    saturation, once per local-fixpoint round).
+    ``deadline`` is the cooperative timeout of in-process execution
+    (the ``serial`` backend, and ``process`` with ``jobs=1``), which
+    cannot preempt an entry: an absolute :func:`time.monotonic` instant
+    checked once per iteration (under saturation, once per
+    local-fixpoint round).
 
     Returns ``(reached, stats)``.
     """

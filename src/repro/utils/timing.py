@@ -19,10 +19,10 @@ class DeadlineExceeded(Exception):
     closure) or the explicit state-graph enumeration when the
     ``deadline`` execution knob (an absolute :func:`time.monotonic`
     instant) has passed.  The worker primitive catches it and reports
-    the entry as a ``timeout`` record, which is how the ``serial``,
-    ``thread`` and ``asyncio`` backends -- none of which can preempt a
-    running entry the way the ``process`` backend can -- still honour
-    per-entry time budgets.
+    the entry as a ``timeout`` record, which is how the ``serial``
+    backend (and ``process`` with ``jobs=1``) -- which runs entries
+    in-process and cannot preempt one the way ``process`` worker
+    processes can be killed -- still honours per-entry time budgets.
     """
 
 

@@ -155,6 +155,9 @@ class TestLivenessThroughThePipeline:
 
         monkeypatch.setattr(repro.core.pipeline, "check_deadlock_freedom",
                             fail)
-        pipeline = VerificationPipeline(muller_pipeline(5))
-        assert pipeline.deadlock_freedom().deadlock_free
-        assert pipeline.reversibility().reversible
+        # The pipeline is a live marked graph, decided from its structure;
+        # the mutex element is not one, so the closure decides it.
+        for stg in (muller_pipeline(5), mutex_element()):
+            pipeline = VerificationPipeline(stg)
+            assert pipeline.deadlock_freedom().deadlock_free
+            assert pipeline.reversibility().reversible

@@ -3,6 +3,7 @@ persistency, CSC, determinism, complementary sequences, fake conflicts)."""
 
 import pytest
 
+from repro.api import EngineConfig, verify
 from repro.core.consistency import check_consistency
 from repro.core.csc import _check_usc, check_csc, compute_regions
 from repro.core.encoding import SymbolicEncoding
@@ -34,6 +35,7 @@ from repro.stg.generators import (
     mutex_element,
     output_disabled_by_input,
 )
+from repro.stg.parser import parse_g
 from tests.core import product_checks
 
 
@@ -95,6 +97,26 @@ class TestConsistency:
             assert enabled_at_wrong_value(stg, witness, signal)
 
 
+#: A four-transition ring whose one marked place holds two tokens.
+TWO_TOKENS = """\
+.model two_tokens
+.inputs a
+.outputs b
+.graph
+p0 a+
+a+ p1
+p1 b+
+b+ p2
+p2 a-
+a- p3
+p3 b-
+b- p0
+.marking { p0=2 }
+.initial_values a=0 b=0
+.end
+"""
+
+
 class TestSafeness:
     @pytest.mark.parametrize("factory", [
         handshake, mutex_element, lambda: muller_pipeline(4),
@@ -129,6 +151,23 @@ class TestSafeness:
         marking = result.witness["marking"]
         assert enables(stg, marking, "a+")
         assert marking["p_shared"] == 1
+
+    def test_over_marked_initial_place_is_unsafe_in_both_engines(self):
+        # The encoding reads p0=2 as one token; the ring itself never
+        # overflows a place, so only the initial count shows the fault.
+        reports = {engine: verify(parse_g(TWO_TOKENS),
+                                  EngineConfig(engine=engine),
+                                  checks=["safeness"])
+                   for engine in ("symbolic", "explicit")}
+        assert reports["symbolic"].safe is False
+        assert reports["explicit"].safe is False
+        verdict, = [verdict for verdict in reports["symbolic"].verdicts
+                    if verdict.name == "safeness"]
+        assert "p0" in verdict.details[0]
+        encoding, image, reached = symbolic_setup(parse_g(TWO_TOKENS))
+        result = check_safeness(encoding, reached, image.charfun)
+        assert result.overmarked == ["p0"]
+        assert result.witness["marking"]["p0"] == 2
 
 
 class TestPersistency:

@@ -14,7 +14,7 @@ import sys
 import repro
 
 #: ``run(muller_pipeline(12), checks=ALL)`` in a fresh interpreter.
-PINNED = {"cache_lookups": 2_275, "created_nodes": 885}
+PINNED = {"cache_lookups": 1_951, "created_nodes": 885}
 TOLERANCE = 0.05
 
 SCRIPT = """\

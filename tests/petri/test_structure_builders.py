@@ -3,7 +3,13 @@
 import pytest
 
 from repro.petri import PetriNet
-from repro.petri.structure import conflict_places, isolated_places, source_transitions
+from repro.petri.structure import (
+    conflict_places,
+    is_live_reversible_marked_graph,
+    is_marked_graph,
+    isolated_places,
+    source_transitions,
+)
 
 from tests.petri.builders import chain, net_from_arcs, parallel_join
 
@@ -26,6 +32,46 @@ class TestStructuralQueries:
         net.add_place("orphan_p")
         assert source_transitions(net) == ["orphan_t"]
         assert isolated_places(net) == ["orphan_p"]
+
+
+#: Two rings, ``t`` through ``p0``/``p1`` and ``u`` through ``pu0``/``pu1``.
+RING_T = [("p0", "t0"), ("t0", "p1"), ("p1", "t1"), ("t1", "p0")]
+RING_U = [("pu0", "u0"), ("u0", "pu1"), ("pu1", "u1"), ("u1", "pu0")]
+
+
+class TestLiveReversibleMarkedGraph:
+    @pytest.mark.parametrize("arcs, marking, expected", [
+        (RING_T, {"p0": 1}, True),
+        (RING_T, {}, False),  # an unmarked circuit: not live
+        (RING_T + RING_U, {"p0": 1}, False),
+        (RING_T + RING_U, {"p0": 1, "pu1": 1}, True),
+        # pb carries tokens from ring t to ring u and lies on no circuit
+        (RING_T + RING_U + [("t0", "pb"), ("pb", "u0")],
+         {"p0": 1, "pu0": 1}, False),
+        # ... unless ring u feeds back to ring t
+        (RING_T + RING_U + [("t0", "pb"), ("pb", "u0"),
+                            ("u1", "pc"), ("pc", "t0")],
+         {"p0": 1, "pu0": 1, "pc": 1}, True),
+        ([("p0", "t0"), ("t0", "p1")], {"p0": 1}, False),  # source place
+        (RING_T + [("p0", "t2"), ("t2", "p1")], {"p0": 1}, False),
+        (RING_T + [("t0", "ps"), ("ps", "t0")], {"p0": 1, "ps": 1}, True),
+    ], ids=["marked_ring", "unmarked_ring", "one_ring_unmarked",
+            "both_rings_marked", "bridge", "bridge_closed", "source_place",
+            "choice", "marked_self_loop"])
+    def test_structure_decides_liveness_and_reversibility(
+            self, arcs, marking, expected):
+        net = net_from_arcs(arcs, initial_marking=marking)
+        assert is_live_reversible_marked_graph(net) is expected
+
+    def test_a_transition_without_input_place_fails(self):
+        net = net_from_arcs(RING_T, initial_marking={"p0": 1})
+        net.add_transition("orphan")
+        assert is_marked_graph(net)
+        assert not is_live_reversible_marked_graph(net)
+
+    def test_marked_graph_allows_missing_sides(self):
+        assert is_marked_graph(net_from_arcs([("p0", "t0"), ("t0", "p1")]))
+        assert not is_marked_graph(net_from_arcs(RING_T + [("p0", "t2")]))
 
 
 class TestNetFromArcs:

@@ -162,18 +162,21 @@ class TestClosureDeadlines:
     """The liveness and reducibility closures honour the deadline, not
     just the forward traversal."""
 
+    # The mutex element is not a marked graph, so its liveness check
+    # runs the reversibility closure (a live marked graph is decided
+    # from its structure without one).
     def test_verify_times_out_inside_the_liveness_closure(
             self, clock_jumps_in_closures):
         from repro.api import ALL, verify
-        from repro.stg.generators import muller_pipeline
+        from repro.stg.generators import mutex_element
 
         config = EngineConfig(deadline=clock_jumps_in_closures.now + 1.0)
         with pytest.raises(DeadlineExceeded, match="backward"):
-            verify(muller_pipeline(16), config, checks=ALL)
+            verify(mutex_element(6), config, checks=ALL)
 
     def test_serial_worker_records_a_liveness_timeout(
             self, clock_jumps_in_closures):
-        plan = SweepPlan(names=["handshake"], backend="serial",
+        plan = SweepPlan(names=["mutex_element"], backend="serial",
                          config=EngineConfig(timeout=1.0))
         result, = SweepRunner(plan).run().results
         assert result.status == "timeout"
@@ -185,7 +188,9 @@ class TestClosureDeadlines:
         from repro.core.pipeline import VerificationPipeline
         from repro.stg.generators import csc_violation_example
 
-        pipeline = VerificationPipeline(csc_violation_example())
+        stg = (corpus.load("mutex_element") if check == "reversibility"
+               else csc_violation_example())
+        pipeline = VerificationPipeline(stg)
         pipeline.reached  # traversed in time
         pipeline.deadline = time.monotonic() - 1.0
         with pytest.raises(DeadlineExceeded, match="symbolic fixpoint"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.petri import build_reachability_graph
 from repro.petri.analysis import check_boundedness
+from repro.petri.structure import is_marked_graph
 from repro.stg import STG, SignalKind
 from repro.stg.generators import (
     FIXED_EXAMPLES,
@@ -26,13 +27,6 @@ from repro.stg.generators import (
     pipeline_with_environment,
 )
 from repro.stg.validate import direct_conflict_pairs, validate_structure
-
-
-def is_marked_graph(net):
-    """Every place has at most one input and one output transition."""
-    return all(len(net.preset_of_place(place)) <= 1
-               and len(net.postset_of_place(place)) <= 1
-               for place in net.places)
 
 
 def conflict_signal_pairs(stg):

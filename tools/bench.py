@@ -76,8 +76,11 @@ REPEATS = 3
 #: instances.  The quick set is the CI subset: ``random_parallel@5`` is
 #: the non-USC CSC violator, ``fake_conflict_d1`` deadlocks, is not
 #: reversible and has fake conflicts, so the deadlock and commutativity
-#: fallbacks have a row.  The full set adds the scales where the
-#: traversal genuinely dominates (seconds, not milliseconds).
+#: fallbacks have a row.  ``mutex@6`` is the largest quick row that is
+#: not a marked graph, so its liveness check runs the reversibility
+#: closure that a live marked graph decides from its structure.  The
+#: full set adds the scales where the traversal genuinely dominates
+#: (seconds, not milliseconds).
 QUICK_ROWS = (
     "vme_read",
     "master_read_2",
@@ -88,6 +91,7 @@ QUICK_ROWS = (
     "master_read@8",
     "parallel_handshakes@10",
     "random_parallel@5",
+    "mutex@6",
 )
 FULL_ROWS = QUICK_ROWS + (
     "muller_pipeline@24",
