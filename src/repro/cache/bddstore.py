@@ -15,7 +15,8 @@ hash of the canonical ``.g`` text plus exactly the
 :class:`~repro.api.config.EngineConfig` fields the reachable set depends
 on (ordering, initial-value overrides).  A lookup whose fingerprint does
 not match -- the specification changed, the
-variable order changed -- is a miss and falls back to a cold traversal;
+variable order changed -- is a miss and falls back to a cold traversal,
+and so is an entry an older :data:`BDD_SCHEMA_VERSION` wrote;
 a corrupt file warns with :class:`BDDStoreWarning` and recomputes
 (mirroring :class:`~repro.runner.store.RunStoreWarning` semantics).
 
@@ -51,15 +52,23 @@ from repro.utils.journal import atomic_write
 #:    against the base without a side channel.
 #: 3: the traversal strategy left the fingerprint material: every
 #:    strategy reaches the same canonical reachable BDD.
-BDD_SCHEMA_VERSION = 3
+#: 4: the default ``force`` order changed (seeded with the token-flow
+#:    DFS, hyperedges weighted by 1/(|e|-1)), so stored BDDs are over
+#:    another variable order.
+BDD_SCHEMA_VERSION = 4
 
 FORMAT_HEADER = f"bddstore {BDD_SCHEMA_VERSION}"
+_HEADER = re.compile(r"bddstore (\d+)")
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.@-]")
 
 
 class BDDStoreWarning(UserWarning):
     """A non-fatal BDD-store problem (e.g. a corrupt entry recomputed)."""
+
+
+class _StaleEntry(BDDError):
+    """An entry written under an older :data:`BDD_SCHEMA_VERSION`."""
 
 
 def reachable_fingerprint(g_text: str, config) -> str:
@@ -184,6 +193,10 @@ class BDDStore:
                 reached = self._load_bdd(handle, manager, path,
                                          require_exact_order=True)
                 stats = TraversalStats.from_dict(meta.get("stats") or {})
+        except _StaleEntry:
+            self.invalidations += 1
+            self.misses += 1
+            return None
         except (BDDError, ValueError, OSError) as error:
             warnings.warn(
                 f"{path}: corrupt BDD-store entry ({error}); falling "
@@ -209,6 +222,10 @@ class BDDStore:
                 reached = self._load_bdd(handle, manager, path,
                                          require_exact_order=True)
                 stats = TraversalStats.from_dict(meta.get("stats") or {})
+        except _StaleEntry:
+            self.invalidations += 1
+            self.misses += 1
+            return None
         except (BDDError, ValueError, OSError) as error:
             warnings.warn(
                 f"{path}: corrupt BDD-store entry ({error}); falling "
@@ -329,6 +346,10 @@ class BDDStore:
     def _read_meta(handle: TextIO, path: str) -> dict:
         header = handle.readline().strip()
         if header != FORMAT_HEADER:
+            older = _HEADER.fullmatch(header)
+            if older and int(older.group(1)) < BDD_SCHEMA_VERSION:
+                raise _StaleEntry(f"store header {header!r} predates "
+                                  f"{FORMAT_HEADER!r}")
             raise BDDError(f"unrecognised store header {header!r} "
                            f"(expected {FORMAT_HEADER!r})")
         meta_line = handle.readline()

@@ -10,13 +10,23 @@ Variable ordering strategies
 ----------------------------
 
 ``"force"`` (default)
-    FORCE hypergraph heuristic over co-occurrence groups (the places and
-    signal around every transition), which keeps tightly-coupled places
-    next to each other -- the "appropriate heuristics" Section 6 alludes
-    to.
+    FORCE hypergraph heuristic (Aloul, Markov & Sakallah, GLSVLSI 2003)
+    over co-occurrence groups -- the places and signal around every
+    transition, which are exactly the variables of the transition's
+    forward event -- keeping tightly-coupled places next to each other:
+    the "appropriate heuristics" Section 6 alludes to.  FORCE starts
+    from the ``"structural"`` token-flow order, not from declaration
+    order, and weights each hyperedge by ``1/(|e| - 1)`` (the clique
+    net model) when it averages a variable's new position, so a
+    fork/join transition's wide hyperedge pulls no harder than a
+    two-place one.  Saturation's cost follows each event's span from
+    its top to its bottom variable (Ciardo, Lüttgen & Siminiceanu,
+    TACAS 2001), which is the quantity FORCE shrinks.
 ``"structural"``
     Depth-first interleaving: each place variable is followed by the
     signal of the transition it feeds, approximating the token flow.
+    Roots and successors are taken in name order, so the order does not
+    depend on how a ``.g`` file lists its arcs.
 ``"declaration"``
     Places then signals, both in declaration order (a deliberately naive
     baseline for the ordering ablation benchmark).
@@ -26,10 +36,10 @@ Variable ordering strategies
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.bdd import BDDManager, Function
-from repro.bdd.ordering import force_ordering
+from repro.bdd.ordering import force_ordering, spans
 from repro.petri.marking import Marking
 from repro.stg.stg import STG
 
@@ -65,6 +75,10 @@ class SymbolicEncoding:
         with obs.span("ordering", strategy=ordering) as span:
             order = self._compute_order(ordering)
             span.annotate(variables=len(order))
+            if obs.active() is not None:
+                events = spans(order, self._co_occurrence_groups())
+                span.annotate(event_span=(sum(events) / len(events)
+                                          if events else 0.0))
         self.manager = manager if manager is not None else BDDManager()
         for name in order:
             if name not in self.manager.variables:
@@ -194,41 +208,59 @@ class SymbolicEncoding:
         return groups
 
     def _force_order(self) -> List[str]:
-        variables = ([self.place_variable(p) for p in self.stg.net.places]
-                     + [self.signal_variable(s) for s in self.stg.signals])
-        return force_ordering(variables, self._co_occurrence_groups())
+        return force_ordering(self._structural_order(),
+                              self._co_occurrence_groups())
 
     def _structural_order(self) -> List[str]:
-        """Depth-first order over the net graph, signal next to its places."""
+        """Depth-first order over the net graph, signal next to its places.
+
+        The walk starts from the initially marked places, then sweeps the
+        rest, both in place-name order; a place's output transitions and
+        a transition's output places are taken in name order too.  So the
+        order depends on the net and its names, not on the order a
+        ``.g`` file lists its arcs.  The walk keeps an explicit stack of
+        per-place generators instead of recursing, so a net of any depth
+        is ordered without hitting the interpreter's recursion limit.
+        """
         stg = self.stg
+        net = stg.net
         order: List[str] = []
         seen = set()
 
-        def visit_place(place: str) -> None:
-            variable = self.place_variable(place)
-            if variable in seen:
-                return
-            seen.add(variable)
-            order.append(variable)
-            for transition in sorted(stg.net.postset_of_place(place)):
+        def successors(place: str) -> Iterator[str]:
+            # Lazy: a transition's signal joins the order only once the
+            # places reached through the previous transition are done.
+            for transition in sorted(net.postset_of_place(place)):
                 try:
                     signal_variable = self.signal_variable(
                         stg.signal_of(transition))
-                except Exception:
+                except Exception:  # unlabelled transition in a plain net
                     signal_variable = None
                 if signal_variable is not None and signal_variable not in seen:
                     seen.add(signal_variable)
                     order.append(signal_variable)
-                for successor in sorted(stg.net.postset_of_transition(transition)):
-                    visit_place(successor)
+                yield from sorted(net.postset_of_transition(transition))
 
-        # Start from initially marked places, then cover the rest.
+        def visit(root: str) -> None:
+            stack: List[Iterator[str]] = [iter((root,))]
+            while stack:
+                place = next(stack[-1], None)
+                if place is None:
+                    stack.pop()
+                    continue
+                variable = self.place_variable(place)
+                if variable not in seen:
+                    seen.add(variable)
+                    order.append(variable)
+                    stack.append(successors(place))
+
+        places = sorted(net.places)
         initial = stg.initial_marking()
-        for place in stg.net.places:
+        for place in places:
             if initial[place] > 0:
-                visit_place(place)
-        for place in stg.net.places:
-            visit_place(place)
+                visit(place)
+        for place in places:
+            visit(place)
         for signal in stg.signals:
             variable = self.signal_variable(signal)
             if variable not in seen:

@@ -10,7 +10,7 @@ that check's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -33,12 +33,20 @@ class BoundednessResult:
         Convenience flag: ``bound <= 1``.
     num_markings:
         Number of reachable markings visited.
+    overmarked:
+        The places some reachable marking gives more than one token,
+        sorted (empty when safe).
+    witness:
+        The first such marking in breadth-first order (``None`` when
+        safe).
     """
 
     bounded: bool
     bound: int = 0
     safe: bool = False
     num_markings: int = 0
+    overmarked: List[str] = field(default_factory=list)
+    witness: Optional[Marking] = None
 
 
 def check_boundedness(net: PetriNet, max_markings: int = 1_000_000
@@ -55,8 +63,14 @@ def check_boundedness(net: PetriNet, max_markings: int = 1_000_000
     except BoundViolation:
         return BoundednessResult(bounded=False)
     bound = graph.max_tokens()
-    return BoundednessResult(bounded=True, bound=bound, safe=bound <= 1,
-                             num_markings=graph.num_markings)
+    overfull = [marking for marking in graph.markings
+                if marking.max_tokens() > 1]
+    return BoundednessResult(
+        bounded=True, bound=bound, safe=bound <= 1,
+        num_markings=graph.num_markings,
+        overmarked=sorted({place for marking in overfull
+                           for place in marking if marking[place] > 1}),
+        witness=overfull[0] if overfull else None)
 
 
 @dataclass

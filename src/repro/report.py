@@ -125,12 +125,15 @@ class ImplementabilityReport:
         CSC failing -- the reducibility check not run at all.  A
         reducibility check that *ran* but left only commutativity
         undecided still classifies as SI (the undecided verdict blocks
-        the I/O upgrade, not the classification).
+        the I/O upgrade, not the classification).  An unsafe net is not
+        implementable: the paper's encoding is of safe nets, and the
+        symbolic engine's other verdicts describe a truncated state
+        space.
         """
         basics = (self.bounded, self.consistent, self.output_persistent)
         if any(part is None for part in basics):
             return ImplementabilityClass.PARTIAL
-        basic = all(bool(part) for part in basics)
+        basic = all(bool(part) for part in basics) and self.safe is not False
         if not basic:
             return ImplementabilityClass.NOT_IMPLEMENTABLE
         if self.csc is None:

@@ -37,8 +37,11 @@ from repro.api.config import EXECUTION_KNOB_FIELDS, EngineConfig
 #:     (iterations, images, peak nodes) volatile -- they left the stable
 #:     view, and reports grew the ``delta`` provenance block.
 #:  6: ``traversal_strategy`` became an execution knob -- every strategy
-#:     reaches the same canonical BDD -- and left the config material.)
-SCHEMA_VERSION = 6
+#:     reaches the same canonical BDD -- and left the config material.
+#:  7: the default ``force`` variable order changed, so records carry
+#:     other ``final_nodes``, and an unsafe specification is classified
+#:     not implementable.)
+SCHEMA_VERSION = 7
 
 
 class PlanError(ValueError):

@@ -119,8 +119,17 @@ class ExplicitVerification:
     def _check_safeness(self, report: ImplementabilityReport) -> None:
         boundedness = self.boundedness
         report.safe = boundedness.safe if boundedness.bounded else False
-        report.add_verdict("safeness", bool(report.safe),
-                           [] if report.safe else ["a place holds >1 token"])
+        if report.safe:
+            details = []
+        elif not boundedness.bounded:
+            details = ["not safe: the net is not bounded"]
+        else:
+            marking = ", ".join(f"{place}={boundedness.witness[place]}"
+                                for place in sorted(boundedness.witness))
+            details = [f"not safe: more than one token on "
+                       f"{', '.join(boundedness.overmarked)}, e.g. in the "
+                       f"reachable marking {{ {marking} }}"]
+        report.add_verdict("safeness", bool(report.safe), details)
 
     def _check_persistency(self, report: ImplementabilityReport) -> None:
         persistency = check_signal_persistency(

@@ -1,6 +1,11 @@
-"""Tests for the FORCE variable-ordering heuristic."""
+"""Tests for the FORCE variable-ordering heuristic and event spans."""
 
 from repro.bdd import force_ordering
+from repro.bdd.ordering import spans
+from repro.core.encoding import SymbolicEncoding
+from repro.stg.generators import build_example
+from repro.stg.parser import parse_g
+from repro.stg.writer import to_g_string
 
 
 class TestForceOrdering:
@@ -30,3 +35,42 @@ class TestForceOrdering:
         variables = [f"v{i}" for i in range(10)]
         groups = [[f"v{i}", f"v{(i * 3) % 10}"] for i in range(10)]
         assert force_ordering(variables, groups) == force_ordering(variables, groups)
+
+    def test_group_order_and_repeated_members_do_not_matter(self):
+        variables = [f"v{i}" for i in range(8)]
+        groups = [[f"v{i}", f"v{(i * 3) % 8}", f"v{(i + 5) % 8}"]
+                  for i in range(8)]
+        order = force_ordering(variables, groups)
+        assert force_ordering(variables, groups[::-1]) == order
+        assert force_ordering(variables,
+                              [group + group[:1] for group in groups]) == order
+
+
+class TestSpans:
+    def test_span_is_the_distance_between_first_and_last_member(self):
+        order = ["a", "b", "c", "d"]
+        assert spans(order, [["a", "d"], ["c", "b"], ["b"]]) == [3, 1, 0]
+
+    def test_members_outside_the_order_are_ignored(self):
+        assert spans(["a", "b"], [["a", "ghost", "b"], ["ghost"]]) == [1]
+
+
+def total_event_span(family, scale):
+    """Summed event span of the default order of a family instance's
+    ``.g`` round trip -- the net as ``batch-check`` parses it."""
+    stg = parse_g(to_g_string(build_example(family, scale)))
+    encoding = SymbolicEncoding(stg)
+    return sum(spans(encoding.all_variables,
+                     encoding._co_occurrence_groups()))
+
+
+class TestDefaultOrderSpans:
+    def test_wide_hyperedges_are_weighted_down_on_master_read(self):
+        # 563 seeded with declaration order and unweighted; the
+        # token-flow seed alone still gives 527 -- the go/done hub
+        # places' wide fork/join hyperedges need the 1/(|e|-1) weight.
+        assert total_event_span("master_read", 8) <= 400
+
+    def test_token_flow_seed_shortens_muller_pipeline(self):
+        # 324 seeded with declaration order, 335 with the weight alone.
+        assert total_event_span("muller_pipeline", 14) <= 200

@@ -15,11 +15,13 @@ import pytest
 
 from repro import api
 from repro.cache import (
+    BDD_SCHEMA_VERSION,
     BDDStore,
     BDDStoreWarning,
     bind_pipeline,
     reachable_fingerprint,
 )
+from repro.cache.bddstore import FORMAT_HEADER
 from repro.core.pipeline import VerificationPipeline
 from repro.stg.generators import build_example
 from repro.stg.writer import to_g_string
@@ -113,7 +115,7 @@ class TestInvalidation:
         cold.reached
         path = store._path(pipeline_name(cold))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("bddstore 2\nmeta {not json\ngarbage\n")
+            handle.write(f"{FORMAT_HEADER}\nmeta {{not json\ngarbage\n")
         recovered = bound_pipeline(store)
         with pytest.warns(BDDStoreWarning, match="corrupt BDD-store"):
             recovered.reached
@@ -130,6 +132,30 @@ class TestInvalidation:
             handle.write("bddstore 999\n")
         with pytest.warns(BDDStoreWarning):
             bound_pipeline(store).reached
+
+    def test_older_schema_entry_is_a_silent_miss(self, store):
+        # An entry written before the last schema bump is stale, not
+        # corrupt: a plain invalidation, recomputed and re-persisted in
+        # place without a warning.
+        cold = bound_pipeline(store)
+        cold.reached
+        path = store._path(pipeline_name(cold))
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert lines[0] == FORMAT_HEADER + "\n"
+        lines[0] = f"bddstore {BDD_SCHEMA_VERSION - 1}\n"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        stale = bound_pipeline(store)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # must NOT warn: plain miss
+            stale.reached
+        assert (store.hits, store.misses, store.invalidations) == (0, 2, 1)
+        assert stale.traversal_stats.iterations > 0
+        assert sorted(entry for entry in os.listdir(store.directory)
+                      if entry.endswith(".bdd")) == [os.path.basename(path)]
+        bound_pipeline(store).reached
+        assert store.hits == 1
 
     def test_truncated_bdd_section_is_corrupt(self, store):
         cold = bound_pipeline(store)
@@ -170,7 +196,7 @@ class TestNameSharing:
         cold.reached
         path = store._path(pipeline_name(cold))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("bddstore 2\nmeta {not json\ngarbage\n")
+            handle.write(f"{FORMAT_HEADER}\nmeta {{not json\ngarbage\n")
         recovered = bound_pipeline(store)
         with pytest.warns(BDDStoreWarning, match="corrupt BDD-store"):
             recovered.reached

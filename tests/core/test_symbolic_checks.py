@@ -3,7 +3,7 @@ persistency, CSC, determinism, complementary sequences, fake conflicts)."""
 
 import pytest
 
-from repro.api import EngineConfig, verify
+from repro.api import ALL, EngineConfig, verify
 from repro.core.consistency import check_consistency
 from repro.core.csc import _check_usc, check_csc, compute_regions
 from repro.core.encoding import SymbolicEncoding
@@ -19,6 +19,7 @@ from repro.core.reducibility import (
 )
 from repro.core.safeness import check_safeness
 from repro.core.traversal import symbolic_traversal
+from repro.report import ImplementabilityClass
 from repro.stg import STG, SignalKind
 from repro.stg.generators import (
     asymmetric_fake_conflict_example,
@@ -168,6 +169,29 @@ class TestSafeness:
         result = check_safeness(encoding, reached, image.charfun)
         assert result.overmarked == ["p0"]
         assert result.witness["marking"]["p0"] == 2
+
+    @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+    def test_unsafe_spec_is_not_implementable(self, engine):
+        # The symbolic engine's other verdicts describe the truncated
+        # 1-safe state space (4 states, consistent, CSC), so safeness
+        # alone must decide the class.
+        report = verify(parse_g(TWO_TOKENS), EngineConfig(engine=engine),
+                        checks=ALL)
+        assert report.safe is False
+        assert report.classification is \
+            ImplementabilityClass.NOT_IMPLEMENTABLE
+        verdict, = [verdict for verdict in report.verdicts
+                    if verdict.name == "safeness"]
+        assert not verdict.holds
+        assert "p0" in verdict.details[0]
+
+    def test_explicit_safeness_names_the_places_and_a_marking(self):
+        report = verify(parse_g(TWO_TOKENS), EngineConfig(engine="explicit"),
+                        checks=["safeness"])
+        verdict, = report.verdicts
+        assert verdict.details == [
+            "not safe: more than one token on p0, p1, p2, p3, e.g. in the "
+            "reachable marking { p0=2 }"]
 
 
 class TestPersistency:

@@ -19,7 +19,9 @@ from tools import bench  # noqa: E402
 
 from repro import corpus  # noqa: E402
 from repro.api import EngineConfig  # noqa: E402
+from repro.bdd.ordering import spans  # noqa: E402
 from repro.cache import reachable_fingerprint  # noqa: E402
+from repro.core.encoding import SymbolicEncoding  # noqa: E402
 from repro.delta import TIER_SEED, classify_delta, diff_stg  # noqa: E402
 from repro.stg.generators import build_example  # noqa: E402
 from repro.stg.parser import parse_g  # noqa: E402
@@ -44,6 +46,21 @@ class TestKernelRow:
                                                        expected):
         assert (to_g_string(bench.build_row_stg(row))
                 == to_g_string(expected()))
+
+    def test_family_rows_are_parsed_from_their_g_text(self):
+        # The order a net lists its places is the order the parser met
+        # them in the text, not the generator's.
+        row = bench.build_row_stg("master_read@4")
+        parsed = parse_g(to_g_string(build_example("master_read", 4)))
+        assert row.net.places == parsed.net.places
+        assert row.net.places != build_example("master_read", 4).net.places
+
+    def test_row_records_the_mean_event_span_of_its_order(self):
+        row = bench.kernel_row("master_read@8")
+        encoding = SymbolicEncoding(bench.build_row_stg("master_read@8"))
+        events = spans(encoding.all_variables,
+                       encoding._co_occurrence_groups())
+        assert row["event_span"] == round(sum(events) / len(events), 2)
 
 
 class TestServeRequests:

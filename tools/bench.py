@@ -18,8 +18,12 @@ The ledger (``"schema": 2``) has four sections:
   ``unattributed_s`` is the root's own self-time, so the stages plus
   ``unattributed_s`` sum to ``wall_s``.  ``stages.traversal`` is the
   forward fixpoint alone.  The hit rate is the traversal span's BDD
-  operation-cache delta; the work counters come from the
-  :class:`~repro.core.stats.TraversalStats`.
+  operation-cache delta; ``event_span`` is the mean span of a forward
+  event (a transition's places and signal) under the run's variable
+  order, as the ``ordering`` span records it; the work counters come
+  from the :class:`~repro.core.stats.TraversalStats`.  A
+  ``family@scale`` row is parsed from its ``.g`` text, like every
+  other entry point parses it.
 * ``tracing`` -- the observability layer's own cost: the no-op span
   nanoseconds, and the disabled-path and enabled-path overhead of a
   pipeline run (disabled must stay under 2%).
@@ -144,10 +148,15 @@ _LISTENING = re.compile(r"listening on http://([0-9.]+):(\d+)")
 # Kernel rows and the tracing row
 # ----------------------------------------------------------------------
 def build_row_stg(row: str):
-    """A row is ``family@scale``, a corpus entry or a built-in example."""
+    """A row is ``family@scale``, a corpus entry or a built-in example.
+
+    A ``family@scale`` row is parsed from its ``.g`` text, as
+    ``batch-check``, the daemon and perfbench parse it, so the row
+    measures the net users verify, not the generator's in-memory one.
+    """
     if "@" in row:
         family, _, scale = row.partition("@")
-        return build_example(family, int(scale))
+        return parse_g(to_g_string(build_example(family, int(scale))))
     if row in corpus.names():
         return parse_g(corpus.entry(row).g_text, name=row)
     return build_example(row)
@@ -181,6 +190,15 @@ def row_times(records) -> dict:
             "unattributed_s": unattributed_s}
 
 
+def event_span(records) -> float:
+    """The mean forward-event span of the run's variable order, as its
+    ``ordering`` span recorded it."""
+    ordering = next(record for record in records
+                    if record.get("type") == "span"
+                    and record.get("name") == "ordering")
+    return round(ordering["attrs"]["event_span"], 2)
+
+
 def kernel_row(row: str) -> dict:
     """The fastest of :data:`REPEATS` traced runs of one row."""
     stg = build_row_stg(row)
@@ -196,6 +214,7 @@ def kernel_row(row: str) -> dict:
         "name": row,
         **row_times(records),
         "cache_hit_rate": cache_breakdown(records)["traversal"]["hit_rate"],
+        "event_span": event_span(records),
         "iterations": stats["iterations"],
         "images": stats["images_computed"],
         "bdd_peak": stats["peak_nodes"],
@@ -512,6 +531,7 @@ def main(argv=None) -> int:
         print(f"  {row:<24} wall={result['wall_s']:8.4f}s "
               f"traversal={result['stages']['traversal']:8.4f}s "
               f"unattributed={result['unattributed_s']:.4f}s "
+              f"span={result['event_span']} "
               f"iters={result['iterations']:<4} "
               f"hit-rate={result['cache_hit_rate']}")
 
