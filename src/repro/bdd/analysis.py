@@ -18,23 +18,28 @@ def support(f: Function) -> List[str]:
     return [manager.var_at_level(level) for level in sorted(levels)]
 
 
+class _OutsideCare(Exception):
+    """The count walk met a node outside the care set."""
+
+
 def sat_count(f: Function, care_vars: Optional[Sequence[str]] = None) -> int:
     """Number of satisfying assignments of ``f`` over ``care_vars``.
 
     ``care_vars`` defaults to every declared variable; it must contain the
-    support of ``f``.
+    support of ``f``.  The count walk checks that as it goes, so a valid
+    care set costs one walk over ``f``.
     """
     manager = f.manager
     if care_vars is None:
         care_vars = manager.variables
     care_levels = sorted(manager.level_of(name) for name in care_vars)
-    support_levels = {manager.level_of(name) for name in support(f)}
-    if not support_levels.issubset(care_levels):
-        missing = support_levels.difference(care_levels)
-        names = [manager.var_at_level(level) for level in sorted(missing)]
-        raise ValueError(f"care set does not cover the support: missing {names}")
-    position = {level: i for i, level in enumerate(care_levels)}
+    # Per level: its index among the care levels, or None outside them.
+    position: List[Optional[int]] = [None] * manager.num_vars
+    for i, level in enumerate(care_levels):
+        position[level] = i
     n = len(care_levels)
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
     cache: Dict[int, int] = {}
 
     def models_below(node: int, from_position: int) -> int:
@@ -43,18 +48,25 @@ def sat_count(f: Function, care_vars: Optional[Sequence[str]] = None) -> int:
             return 0
         if node == TRUE_ID:
             return 1 << (n - from_position)
-        level = manager.node_level(node)
-        pos = position[level]
+        pos = position[node_level[node]]
+        if pos is None:
+            raise _OutsideCare
         base = cache.get(node)
         if base is None:
-            base = (models_below(manager.node_low(node), pos + 1)
-                    + models_below(manager.node_high(node), pos + 1))
+            base = (models_below(node_low[node], pos + 1)
+                    + models_below(node_high[node], pos + 1))
             cache[node] = base
         # Care variables skipped between ``from_position`` and this node are
         # free: each doubles the count.
         return base << (pos - from_position)
 
-    return models_below(f.node, 0)
+    try:
+        return models_below(f.node, 0)
+    except _OutsideCare:
+        missing = [name for name in support(f)
+                   if position[manager.level_of(name)] is None]
+        raise ValueError(f"care set does not cover the support: "
+                         f"missing {missing}") from None
 
 
 def evaluate(f: Function, assignment: Dict[str, bool]) -> bool:

@@ -8,7 +8,8 @@ identity canonical).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    TYPE_CHECKING)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BDDManager
@@ -135,8 +136,9 @@ class Function:
 
         return self.manager.apply_and(self.node, self._other_node(other)) == FALSE_ID
 
-    def meets(self, cubes: Sequence["Function"]) -> List[bool]:
-        """For each cube, whether ``self & cube`` is satisfiable (one pass)."""
+    def meets(self, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
+        """For each cube, given as a literal mapping ``{variable: value}``,
+        whether ``self`` meets it (one pass, no cube built)."""
         from repro.bdd import operators
 
         return operators.meets(self, cubes)

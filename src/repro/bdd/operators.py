@@ -15,12 +15,11 @@ one call.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.bdd.function import Function
-from repro.bdd.manager import (BDDError, BDDManager, BDDOrderError, FALSE_ID,
-                               TRUE_ID)
+from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
 
 
 def _levels_of(manager: BDDManager, variables: Sequence[str]) -> FrozenSet[int]:
@@ -75,15 +74,19 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
         return cached
     low = _quantify(manager, manager.node_low(node), levels, top, key_id,
                     conjunction)
-    high = _quantify(manager, manager.node_high(node), levels, top, key_id,
-                     conjunction)
-    if level in levels:
-        if conjunction:
+    if level in levels and low == (FALSE_ID if conjunction else TRUE_ID):
+        # The low branch already decides the abstraction: the high
+        # branch is never visited.
+        result = low
+    else:
+        high = _quantify(manager, manager.node_high(node), levels, top,
+                         key_id, conjunction)
+        if level not in levels:
+            result = manager._mk(level, low, high)
+        elif conjunction:
             result = manager.apply_and(low, high)
         else:
             result = manager.apply_or(low, high)
-    else:
-        result = manager._mk(level, low, high)
     if len(cache) >= manager._cache_limit:
         manager._evict_oldest(cache)
     cache[key] = result
@@ -144,19 +147,23 @@ def _and_exist(manager: BDDManager, f: int, g: int,
 # ----------------------------------------------------------------------
 # Cube queries: which of many cubes does f meet?
 # ----------------------------------------------------------------------
-def meets(f: Function, cubes: Sequence[Function]) -> List[bool]:
-    """``[not (f & cube).is_false() for cube in cubes]`` in one pass.
+def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
+    """``[not (f & manager.cube(literals)).is_false() for literals in
+    cubes]`` in one pass.
 
-    Every node of ``f`` gets the bitmask of the cubes it meets, bottom
-    up: the TRUE terminal meets every cube, FALSE none, and a node at
-    level ``k`` meets a cube through its low child unless the cube holds
-    the variable at 1, through its high child unless it holds it at 0.
-    A level ``f`` skips is free, and below the deepest cube literal
-    every node but FALSE meets every cube.  No product is built and no
-    node is created; each node visited counts one ``cache_lookups``.
+    Each cube is a literal mapping ``{variable: value}``, the form
+    :meth:`~repro.bdd.manager.BDDManager.cube` takes; the empty mapping
+    is the TRUE cube.  No cube BDD is built: every node of ``f`` gets the
+    bitmask of the cubes it meets, bottom up.  The TRUE terminal meets
+    every cube, FALSE none, and a node at level ``k`` meets a cube
+    through its low child unless the cube holds the variable at 1,
+    through its high child unless it holds it at 0.  A level ``f`` skips
+    is free, and below the deepest cube literal every node but FALSE
+    meets every cube.  No product is built and no node is created; each
+    node visited counts one ``cache_lookups``.
 
-    Raises :class:`~repro.bdd.manager.BDDError` when an argument is not
-    a satisfiable conjunction of literals (TRUE is the empty cube).
+    Raises :class:`~repro.bdd.manager.BDDOrderError` when a mapping
+    names an unknown variable.
     """
     manager = f.manager
     node_level, node_low, node_high = (manager._level, manager._low,
@@ -167,25 +174,16 @@ def meets(f: Function, cubes: Sequence[Function]) -> List[bool]:
     via_low = [everything] * manager.num_vars
     via_high = [everything] * manager.num_vars
     deepest = -1
-    for index, cube in enumerate(cubes):
-        if cube.manager is not manager:
-            raise ValueError("cannot combine functions from different managers")
+    for index, literals in enumerate(cubes):
         bit = 1 << index
-        node = cube.node
-        if node == FALSE_ID:
-            raise BDDError(f"meets() takes cubes; argument {index} is FALSE")
-        while node != TRUE_ID:
-            level = node_level[node]
-            if node_low[node] == FALSE_ID:
+        for name, value in literals.items():
+            level = manager.level_of(name)
+            if value:
                 via_low[level] &= ~bit
-                node = node_high[node]
-            elif node_high[node] == FALSE_ID:
-                via_high[level] &= ~bit
-                node = node_low[node]
             else:
-                raise BDDError(
-                    f"meets() takes cubes; argument {index} is not a cube")
-            deepest = max(deepest, level)
+                via_high[level] &= ~bit
+            if level > deepest:
+                deepest = level
     memo = {FALSE_ID: 0, TRUE_ID: everything}
 
     def visit(node: int) -> int:
@@ -263,8 +261,11 @@ class TransferSteps:
     ``steps`` maps variable names to ``(require, assign)`` pairs.  The
     steps are sorted by level once and every suffix of them is interned
     (:meth:`~repro.bdd.manager.BDDManager.intern_key`), so a
-    :func:`transfer` cache probe hashes three integers.  Build one per
-    step cube and reuse it: resolution is the only per-cube cost.
+    :func:`transfer` cache probe hashes three integers.  A suffix is
+    interned as the chain ``("transfer", step, tail_id)``, built from
+    the last step back, so resolving ``k`` steps interns ``k`` small
+    keys.  Build one per step cube and reuse it: resolution is the only
+    per-cube cost.
     """
 
     __slots__ = ("manager", "levels", "requires", "assigns", "ids")
@@ -278,8 +279,12 @@ class TransferSteps:
         self.levels = tuple(level for level, _, _ in resolved)
         self.requires = tuple(require for _, require, _ in resolved)
         self.assigns = tuple(assign for _, _, assign in resolved)
-        self.ids = tuple(manager.intern_key(("transfer", tuple(resolved[i:])))
-                         for i in range(len(resolved)))
+        ids = []
+        tail = None
+        for step in reversed(resolved):
+            tail = manager.intern_key(("transfer", step, tail))
+            ids.append(tail)
+        self.ids = tuple(reversed(ids))
 
 
 def transfer(f: Function, steps: TransferSteps,
@@ -418,7 +423,7 @@ class SaturationEvents:
 
 
 #: ``on_round(level, firings, fresh)`` of :func:`saturate`.
-RoundHook = Callable[[int, int, Tuple[int, ...]], None]
+RoundHook = Callable[[int, int, int], None]
 
 
 def saturate(f: Function, events: SaturationEvents,
@@ -438,9 +443,9 @@ def saturate(f: Function, events: SaturationEvents,
     still fire.  Both recursions are memoised per event set.
 
     ``on_round`` is called after every local-fixpoint round that fired
-    an event, with the level, the number of firings and the firing
-    results that grew the node (empty for the round that confirms the
-    local fixpoint).
+    an event, with the level, the number of firings and the number of
+    firing results that grew the node (0 for the round that confirms
+    the local fixpoint).
     """
     manager = f.manager
     if events.manager is not manager:
@@ -552,8 +557,7 @@ def _local_fixpoint(manager: BDDManager, events: SaturationEvents,
     # The source each event last fired on; FALSE never needs firing.
     fired_on = [FALSE_ID] * len(group)
     while True:
-        firings = 0
-        fresh: List[int] = []
+        firings = fresh = 0
         for position, event in enumerate(group):
             source = children[event.requires[0]]
             if source == fired_on[position]:
@@ -566,11 +570,11 @@ def _local_fixpoint(manager: BDDManager, events: SaturationEvents,
             merged = manager.apply_or(target, image)
             if merged != target:
                 children[event.assigns[0]] = merged
-                fresh.append(image)
+                fresh += 1
         if not firings:
             break
         if on_round is not None:
-            on_round(level, firings, tuple(fresh))
+            on_round(level, firings, fresh)
         if not fresh:
             break
     return manager._mk(level, children[0], children[1])

@@ -11,9 +11,9 @@ and the STG is inconsistent iff the reachable set intersects it.  Since
 ``E(a+)`` is the sum of ``E(t)`` over the transitions ``t`` labelled
 ``a+``, ``Inconsistent(a)`` is a sum of cubes: ``E(t) . a`` for each
 rising and ``E(t) . a'`` for each falling transition of ``a``.  One
-:meth:`~repro.bdd.Function.meets` pass over ``R`` tests every cube; only
-a violating signal has ``R . Inconsistent(a)`` built, to pick its
-witness state.
+:meth:`~repro.bdd.Function.meets` pass over ``R`` tests every cube from
+its literals, with no cube built; only a violating signal has ``R .
+Inconsistent(a)`` built, to pick its witness state.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ def check_consistency(encoding: SymbolicEncoding, reached: Function,
     stg = encoding.stg
     transitions = stg.transitions
     labels = [stg.label_of(transition) for transition in transitions]
-    cubes = [encoding.manager.cube({
-        **charfun.enabled_literals(transition),
-        encoding.signal_variable(label.signal): label.is_rising})
-        for transition, label in zip(transitions, labels)]
+    cubes = [{**charfun.enabled_literals(transition),
+              encoding.signal_variable(label.signal): label.is_rising}
+             for transition, label in zip(transitions, labels)]
     hit = {label.signal for label, meets in zip(labels, reached.meets(cubes))
            if meets}
     violating = [signal for signal in stg.signals if signal in hit]

@@ -32,8 +32,12 @@ same witness code -- built from two products and two projections
 instead of four of each.
 
 USC (unique state coding) is decided first, by comparing the number of
-reachable full states with the number of distinct codes.  When the two
-are equal every reachable code belongs to exactly one reachable state.
+reachable full states with the number of distinct codes.  The state
+count is the one the traversal already took
+(:attr:`~repro.core.stats.TraversalStats.num_states`, exact on a cold
+traversal, a BDD-store hit and both delta tiers), so only the codes
+are counted here.  When the two are equal every reachable code belongs
+to exactly one reachable state.
 A code in ``ON(a) . OFF(a)`` needs two reachable states that share it,
 one with ``N(a)`` and one without, so under USC every ``CONT(a)`` is
 empty: CSC holds, and no ``ON(a)`` or ``OFF(a)`` is built.  Otherwise
@@ -117,10 +121,15 @@ def next_state(encoding: SymbolicEncoding, charfun: CharacteristicFunctions,
 
 
 def check_csc(encoding: SymbolicEncoding, reached: Function,
+              num_states: int,
               charfun: Optional[CharacteristicFunctions] = None,
               signals: Optional[List[str]] = None) -> SymbolicCSCResult:
-    """CSC over all non-input signals (or an explicit signal list)."""
-    if _check_usc(encoding, reached):
+    """CSC over all non-input signals (or an explicit signal list).
+
+    ``num_states`` is the number of full states in ``reached``, as the
+    traversal counted it.
+    """
+    if _check_usc(encoding, reached, num_states):
         return SymbolicCSCResult(True, True)
     charfun = charfun or CharacteristicFunctions(encoding)
     to_check = signals if signals is not None \
@@ -146,9 +155,10 @@ def check_csc(encoding: SymbolicEncoding, reached: Function,
                              contradictions)
 
 
-def _check_usc(encoding: SymbolicEncoding, reached: Function) -> bool:
-    """USC: every reachable full state has a distinct binary code."""
-    num_states = encoding.count_states(reached)
+def _check_usc(encoding: SymbolicEncoding, reached: Function,
+               num_states: int) -> bool:
+    """USC: every one of the ``num_states`` reachable full states has a
+    distinct binary code."""
     codes = reached.exist(encoding.place_variables)
     num_codes = codes.sat_count(care_vars=encoding.signal_variables)
     return num_states == num_codes

@@ -129,21 +129,27 @@ class SymbolicEncoding:
     # ------------------------------------------------------------------
     # Constructors for sets of states
     # ------------------------------------------------------------------
+    def _marking_literals(self, marking: Marking) -> Dict[str, bool]:
+        return {self.place_variable(p): marking[p] > 0
+                for p in self.stg.net.places}
+
+    def _code_literals(self, values: Dict[str, bool]) -> Dict[str, bool]:
+        return {self.signal_variable(s): bool(values[s])
+                for s in self.stg.signals}
+
     def marking_minterm(self, marking: Marking) -> Function:
         """Characteristic function of a single safe marking (places only)."""
-        literals = {self.place_variable(p): marking[p] > 0
-                    for p in self.stg.net.places}
-        return self.manager.cube(literals)
+        return self.manager.cube(self._marking_literals(marking))
 
     def code_minterm(self, values: Dict[str, bool]) -> Function:
         """Characteristic function of one binary code (signals only)."""
-        literals = {self.signal_variable(s): bool(values[s])
-                    for s in self.stg.signals}
-        return self.manager.cube(literals)
+        return self.manager.cube(self._code_literals(values))
 
     def state_minterm(self, marking: Marking, values: Dict[str, bool]) -> Function:
-        """Characteristic function of one full state ``(marking, code)``."""
-        return self.marking_minterm(marking) & self.code_minterm(values)
+        """Characteristic function of one full state ``(marking, code)``:
+        one cube over the places and signals."""
+        return self.manager.cube({**self._marking_literals(marking),
+                                  **self._code_literals(values)})
 
     def initial_state(self) -> Function:
         """Characteristic function of the STG's initial full state."""

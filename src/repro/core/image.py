@@ -17,12 +17,15 @@ All functions operate on characteristic functions over the variables of a
 all cubes, so the whole firing is one per-variable rewrite: each
 pre-only place goes 1 -> 0, each post-only place 0 -> 1, each self-loop
 place 1 -> 1 and the fired signal old -> new (backward firing swaps
-every pair).  A :class:`_FirePlan` resolves those steps **once** per
-transition, and every firing is one
+every pair).  :class:`SymbolicImage` resolves those steps into
+:class:`~repro.bdd.operators.TransferSteps` **once** per transition and
+direction, and every firing is one
 :func:`~repro.bdd.operators.transfer` recursion -- which also subtracts
 an optional ``drop`` set, the states a fixpoint has already seen.  The
 same resolved steps are the events of a saturation closure
-(:meth:`SymbolicImage.events`).
+(:meth:`SymbolicImage.events`).  A transition's backward steps are
+built on the first backward firing or backward :meth:`events` call:
+only the closures fire backward, and a live marked graph runs none.
 """
 
 from __future__ import annotations
@@ -34,24 +37,7 @@ from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 
 if TYPE_CHECKING:
-    from repro.bdd.operators import SaturationEvents
-
-
-class _FirePlan:
-    """The resolved :class:`~repro.bdd.operators.TransferSteps` of one
-    transition."""
-
-    __slots__ = (
-        "forward",   # delta_D: places and the fired signal
-        "backward",  # inverse of delta_D
-    )
-
-
-def _swapped(steps: Dict[str, Tuple[bool, bool]]
-             ) -> Dict[str, Tuple[bool, bool]]:
-    """The inverse rewrite: every ``(require, assign)`` pair reversed."""
-    return {name: (assign, require)
-            for name, (require, assign) in steps.items()}
+    from repro.bdd.operators import SaturationEvents, TransferSteps
 
 
 class SymbolicImage:
@@ -61,25 +47,29 @@ class SymbolicImage:
                  charfun: Optional[CharacteristicFunctions] = None) -> None:
         self.encoding = encoding
         self.charfun = charfun or CharacteristicFunctions(encoding)
-        self._plans: Dict[str, _FirePlan] = {}
+        #: Per direction, the resolved steps of each transition fired
+        #: that way so far.
+        self._steps: Dict[str, Dict[str, "TransferSteps"]] = {
+            "forward": {}, "backward": {}}
         self._events: Dict[Tuple[Tuple[str, ...], str],
                            "SaturationEvents"] = {}
 
-    def _plan(self, transition: str) -> _FirePlan:
-        """The cached :class:`_FirePlan` of ``transition`` (built once)."""
-        plan = self._plans.get(transition)
-        if plan is None:
-            plan = self._build_plan(transition)
-            self._plans[transition] = plan
-        return plan
+    def _transfer_steps(self, transition: str,
+                        direction: str) -> "TransferSteps":
+        """The steps of ``transition`` fired ``direction`` (built once)."""
+        resolved = self._steps[direction]
+        steps = resolved.get(transition)
+        if steps is None:
+            steps = self._resolve(transition, direction == "backward")
+            resolved[transition] = steps
+        return steps
 
-    def _build_plan(self, transition: str) -> _FirePlan:
+    def _resolve(self, transition: str, backward: bool) -> "TransferSteps":
         # Imported on the first firing, like every Function operator:
         # importing this module (the daemon does at start-up) stays cheap.
         from repro.bdd.operators import TransferSteps
 
         encoding = self.encoding
-        manager = encoding.manager
         net = encoding.stg.net
         place = encoding.place_variable
 
@@ -96,11 +86,11 @@ class SymbolicImage:
         label = encoding.stg.label_of(transition)
         steps[encoding.signal_variable(label.signal)] = (
             not label.target_value, label.target_value)
-
-        plan = _FirePlan()
-        plan.forward = TransferSteps(manager, steps)
-        plan.backward = TransferSteps(manager, _swapped(steps))
-        return plan
+        if backward:
+            # The inverse rewrite: every (require, assign) pair reversed.
+            steps = {name: (assign, require)
+                     for name, (require, assign) in steps.items()}
+        return TransferSteps(encoding.manager, steps)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)
@@ -114,12 +104,14 @@ class SymbolicImage:
         reported separately by :mod:`repro.core.consistency`).  ``drop``
         (default: none) is subtracted in the same pass.
         """
-        return states.transfer(self._plan(transition).forward, drop)
+        return states.transfer(self._transfer_steps(transition, "forward"),
+                               drop)
 
     def fire_backward(self, states: Function, transition: str,
                       drop: Optional[Function] = None) -> Function:
         """Inverse of :meth:`fire`: predecessors under ``t``, minus ``drop``."""
-        return states.transfer(self._plan(transition).backward, drop)
+        return states.transfer(self._transfer_steps(transition, "backward"),
+                               drop)
 
     def events(self, transitions: Iterable[str],
                direction: str) -> "SaturationEvents":
@@ -131,10 +123,8 @@ class SymbolicImage:
         if events is None:
             from repro.bdd.operators import SaturationEvents
 
-            plans = [self._plan(t) for t in key[0]]
             events = SaturationEvents(self.encoding.manager, [
-                plan.forward if direction == "forward" else plan.backward
-                for plan in plans])
+                self._transfer_steps(t, direction) for t in key[0]])
             self._events[key] = events
         return events
 

@@ -237,7 +237,8 @@ class VerificationPipeline:
 
     def csc(self):
         return self._cached("csc", lambda: check_csc(
-            self.encoding, self.reached, self.charfun))
+            self.encoding, self.reached, self.traversal_stats.num_states,
+            self.charfun))
 
     def determinism(self):
         return self._cached("determinism", lambda: check_determinism(

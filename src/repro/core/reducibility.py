@@ -10,7 +10,8 @@ symbolic representation:
   the two transitions differ, which turns the check into a per-pair
   emptiness test, refining the paper's ``E(ti) n E(tj)`` formulation.
   ``E(ti) . E(tj)`` is a cube, so one
-  :meth:`~repro.bdd.Function.meets` pass over ``R`` tests every pair;
+  :meth:`~repro.bdd.Function.meets` pass over ``R`` tests every pair
+  from the cubes' literals, with no cube built;
 
 * **mutually complementary input sequences** -- the frozen-signal
   backward+forward traversal described at the end of Section 5.3, run
@@ -92,8 +93,8 @@ def check_determinism(encoding: SymbolicEncoding, reached: Function,
              for second in transitions[i + 1:]
              if _structural_effect(encoding, first)
              != _structural_effect(encoding, second)]
-    cubes = [encoding.manager.cube({**charfun.enabled_literals(first),
-                                    **charfun.enabled_literals(second)})
+    cubes = [{**charfun.enabled_literals(first),
+              **charfun.enabled_literals(second)}
              for first, second in pairs]
     violations = [pair for pair, hit in zip(pairs, reached.meets(cubes))
                   if hit]

@@ -14,8 +14,9 @@ state as witness.
 Each overflow pair ``(t, p)`` -- ``p`` in the postset of ``t`` but not
 its preset -- is the cube ``E(t) . p``, and the pair overflows iff the
 reachable set meets that cube.  One :meth:`~repro.bdd.Function.meets`
-pass over ``R`` answers every pair; only the first pair that hits has
-its product ``R . E(t) . p`` built, to pick the witness state.
+pass over ``R`` answers every pair from the cubes' literals, with no
+cube built; only the first pair that hits has its cube and the product
+``R . E(t) . p`` built, to pick the witness state.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ def check_safeness(encoding: SymbolicEncoding, reached: Function,
     pairs = [(transition, place) for transition in net.transitions
              for place in sorted(net.postset_of_transition(transition)
                                  - net.preset_of_transition(transition))]
-    cubes = [encoding.manager.cube({**charfun.enabled_literals(transition),
-                                    encoding.place_variable(place): True})
+    cubes = [{**charfun.enabled_literals(transition),
+              encoding.place_variable(place): True}
              for transition, place in pairs]
     overflows = [pair for pair, hit in zip(pairs, reached.meets(cubes))
                  if hit]
     if not overflows:
         return SafenessResult(True)
-    bad = reached & cubes[pairs.index(overflows[0])]
+    bad = reached & encoding.manager.cube(cubes[pairs.index(overflows[0])])
     return SafenessResult(False, overflows, encoding.decode_state(
         bad.pick_one(encoding.all_variables)))

@@ -81,7 +81,8 @@ def fixpoint(image: SymbolicImage, start: Function,
     ``deadline`` is checked once before saturating and once per
     local-fixpoint round (every round that fired an event), each round
     counts in ``stats.iterations``, and each productive one emits an
-    ``iteration`` event with its ``level``.
+    ``iteration`` event with its ``level``, its ``firings`` and
+    ``fresh``, the number of firing results that grew the node.
 
     :class:`~repro.utils.timing.DeadlineExceeded` is raised past the
     deadline.  The call is one ``closure`` span -- or, when the
@@ -176,17 +177,17 @@ def _saturation(image: SymbolicImage, start: Function,
     tracer = obs.active()
     context = f"{direction} symbolic fixpoint"
 
-    def on_round(level: int, firings: int, fresh: Tuple[int, ...]) -> None:
+    def on_round(level: int, firings: int, fresh: int) -> None:
         check_deadline(deadline, context)
         stats.iterations += 1
         stats.images_computed += firings
         stats.observe_live_nodes(manager.num_nodes)
         if fresh and tracer is not None:
+            # O(1) attributes only: sizing the fresh BDDs here would
+            # cost the traced traversal as much as the saturation.
             tracer.event("iteration", direction=direction,
                          strategy="saturation", iteration=stats.iterations,
-                         level=level,
-                         frontier_nodes=sum(manager.size(node)
-                                            for node in fresh),
+                         level=level, fresh=fresh, firings=firings,
                          live_nodes=manager.num_nodes)
 
     check_deadline(deadline, context)

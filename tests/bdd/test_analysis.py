@@ -55,10 +55,18 @@ class TestSatCount:
         f = mgr.var("a") | mgr.var("b")
         assert sat_count(f, care_vars=["a", "b"]) == 3
 
-    def test_care_set_must_cover_support(self, mgr):
-        f = mgr.var("a") & mgr.var("c")
-        with pytest.raises(ValueError):
-            sat_count(f, care_vars=["a"])
+    @pytest.mark.parametrize("make, care, missing", [
+        (lambda m: m.var("a") & m.var("c"), ["a"], "['c']"),
+        (lambda m: m.var("a") & m.var("c"), ["c", "d"], "['a']"),
+        # Found below a covered root; named in manager order.
+        (lambda m: m.var("a") & (m.var("d") | m.var("b")), ["a", "c"],
+         "['b', 'd']"),
+    ], ids=["below-the-root", "at-the-root", "several"])
+    def test_care_set_must_cover_support(self, mgr, make, care, missing):
+        with pytest.raises(ValueError) as error:
+            sat_count(make(mgr), care_vars=care)
+        assert str(error.value) == (
+            f"care set does not cover the support: missing {missing}")
 
     def test_count_with_gap_levels(self, mgr):
         # Function skipping variable b between a and c.

@@ -1,5 +1,7 @@
 """Unit tests for quantification, cofactors, composition and renaming."""
 
+import random
+
 import pytest
 
 from repro.bdd import BDDManager
@@ -42,6 +44,51 @@ class TestExist:
 
     def test_exist_of_false_is_false(self, mgr):
         assert mgr.false.exist(["a", "b"]).is_false()
+
+
+def random_function(manager, rng):
+    """A random union of cubes over the manager's variables."""
+    names = manager.variables
+    result = manager.false
+    for _ in range(rng.randint(1, 6)):
+        picked = rng.sample(names, rng.randint(1, len(names)))
+        result = result | manager.cube(
+            {name: rng.random() < 0.5 for name in picked})
+    return result
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_quantifiers_match_the_cofactor_oracle(seed):
+    """``exist`` is the sum of the cofactors and ``forall`` their
+    product, one quantified variable at a time."""
+    rng = random.Random(seed)
+    mgr = BDDManager([f"v{i}" for i in range(6)])
+    f = random_function(mgr, rng)
+    names = rng.sample(mgr.variables, rng.randint(1, 4))
+    some, every = f, f
+    for name in names:
+        some = some.cofactor({name: False}) | some.cofactor({name: True})
+        every = every.cofactor({name: False}) & every.cofactor({name: True})
+    assert f.exist(names) == some
+    assert f.forall(names) == every
+
+
+class TestQuantifierShortcut:
+    """A low branch that already decides a quantified node leaves the
+    high branch -- here one with a quantified level of its own --
+    unvisited."""
+
+    def test_exist_stops_at_a_true_low_branch(self, mgr):
+        f = ~mgr.var("a") | (mgr.var("b") ^ mgr.var("c") ^ mgr.var("d"))
+        lookups = mgr.cache_lookups
+        assert f.exist(["a", "d"]).is_true()
+        assert mgr.cache_lookups - lookups == 1  # the root only
+
+    def test_forall_stops_at_a_false_low_branch(self, mgr):
+        f = mgr.var("a") & (mgr.var("b") ^ mgr.var("c") ^ mgr.var("d"))
+        lookups = mgr.cache_lookups
+        assert f.forall(["a", "d"]).is_false()
+        assert mgr.cache_lookups - lookups == 1
 
 
 class TestForall:

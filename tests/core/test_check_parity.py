@@ -114,7 +114,8 @@ def assert_parity(stg):
         product_checks.consistency(encoding, reached, charfun)
     assert check_determinism(encoding, reached, charfun) == \
         product_checks.determinism(encoding, reached, charfun)
-    csc = check_csc(encoding, reached, charfun)
+    csc = check_csc(encoding, reached, pipeline.traversal_stats.num_states,
+                    charfun)
     assert csc == product_checks.csc(encoding, reached, charfun)
     assert list(csc.contradictions) == csc.violating_signals
     for signal, contradictory in csc.contradictions.items():

@@ -99,9 +99,10 @@ class TestChoiceControllersCrossValidation:
     @given(stg=choice_controllers())
     def test_csc_verdicts_agree(self, stg):
         explicit_graph = build_state_graph(stg).graph
-        encoding, image, reached, _ = symbolic_setup(stg)
+        encoding, image, reached, stats = symbolic_setup(stg)
         assert explicit_csc(explicit_graph, stg).csc == \
-            symbolic_csc(encoding, reached, image.charfun).csc
+            symbolic_csc(encoding, reached, stats.num_states,
+                         image.charfun).csc
 
     @settings(max_examples=20, deadline=None)
     @given(stg=choice_controllers())

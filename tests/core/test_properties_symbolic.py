@@ -83,8 +83,9 @@ class TestRandomisedCrossValidation:
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
-        assert symbolic_csc(encoding, reached, image.charfun).csc == \
+        reached, stats = symbolic_traversal(encoding, image=image)
+        assert symbolic_csc(encoding, reached, stats.num_states,
+                            image.charfun).csc == \
             explicit_csc(explicit, stg).csc
 
     @settings(max_examples=15, deadline=None)

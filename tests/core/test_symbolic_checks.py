@@ -253,14 +253,16 @@ class TestCSC:
     def test_verdicts(self, factory, expect_csc, expect_usc):
         stg = factory()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, image.charfun)
+        result = check_csc(encoding, reached, encoding.count_states(reached),
+                           image.charfun)
         assert result.csc is expect_csc
         assert result.usc is expect_usc
 
     def test_violating_signals_and_witness_code(self):
         stg = csc_violation_example()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, image.charfun)
+        result = check_csc(encoding, reached, encoding.count_states(reached),
+                           image.charfun)
         assert set(result.violating_signals) == {"b", "c"}
         witness = result.witnesses["b"]["code"]
         assert witness == {"a": True, "b": False, "c": False}
@@ -283,8 +285,9 @@ class TestCSC:
         and no ``CONT(a)`` for the complementary-sequence check."""
         def lookups(check):
             encoding, image, reached = symbolic_setup(muller_pipeline(5))
+            num_states = encoding.count_states(reached)
             before = encoding.manager.cache_lookups
-            result = check(encoding, reached)
+            result = check(encoding, reached, num_states)
             return result, encoding.manager.cache_lookups - before
 
         result, csc_lookups = lookups(check_csc)
@@ -296,7 +299,8 @@ class TestCSC:
     def test_only_requested_signals_checked(self):
         stg = csc_violation_example()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, image.charfun, signals=["b"])
+        result = check_csc(encoding, reached, encoding.count_states(reached),
+                           image.charfun, signals=["b"])
         assert result.violating_signals == ["b"]
 
 
@@ -329,6 +333,7 @@ class TestReducibility:
     def complementary(stg):
         encoding, image, reached = symbolic_setup(stg)
         contradictions = check_csc(encoding, reached,
+                                   encoding.count_states(reached),
                                    image.charfun).contradictions
         return check_complementary_input_sequences(encoding, reached, image,
                                                    contradictions)

@@ -1,10 +1,12 @@
 """tools/bench.py: kernel-row times read from the row's trace, row-name
-resolution, and the serve section's requests -- in-process, no daemon.
+resolution, the serve section's requests and the ledger comparison --
+in-process, no daemon.
 
 The serve section itself (daemon boot, counter checks) runs end to end
 in ``make bench`` and the CI ``bench`` job.
 """
 
+import json
 import os
 import sys
 
@@ -55,6 +57,10 @@ class TestKernelRow:
         assert row.net.places == parsed.net.places
         assert row.net.places != build_example("master_read", 4).net.places
 
+    def test_row_records_the_traversal_lookups(self):
+        row = bench.kernel_row("vme_read")
+        assert row["cache_lookups"] > 0
+
     def test_row_records_the_mean_event_span_of_its_order(self):
         row = bench.kernel_row("master_read@8")
         encoding = SymbolicEncoding(bench.build_row_stg("master_read@8"))
@@ -85,3 +91,81 @@ class TestServeRequests:
                                   config)
             for name, text in requests}
         assert len(fingerprints) == len(requests)
+
+
+def ledger(*rows):
+    return {"schema": bench.SCHEMA, "kernel": [
+        {"name": name, "wall_s": wall_s, "stages": stages,
+         "unattributed_s": 0.0, **extra}
+        for name, wall_s, stages, extra in rows]}
+
+
+OLD = ledger(
+    ("spec_a", 0.010, {"traversal": 0.006, "check:csc": 0.002}, {}),
+    ("spec_b", 0.020, {"traversal": 0.015, "closure": 0.004}, {}),
+    ("gone", 0.5, {"traversal": 0.5}, {}))
+NEW = ledger(
+    ("spec_a", 0.008, {"traversal": 0.005, "check:csc": 0.001},
+     {"cache_lookups": 900}),
+    ("spec_b", 0.016, {"traversal": 0.015}, {"cache_lookups": 1200}),
+    ("added", 0.1, {"traversal": 0.1}, {"cache_lookups": 5}))
+
+
+def block(lines, name):
+    """``{label: [old, "->", new, change, ...]}`` of one report block."""
+    start = lines.index(name) + 1
+    figures = {}
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        figures[line[:24].strip()] = line[24:].split()
+    return figures
+
+
+class TestCompare:
+    def test_rows_in_both_ledgers_get_their_deltas(self):
+        lines = bench.compare_ledgers(OLD, NEW)
+        assert [line for line in lines if not line.startswith(" ")] == \
+            ["spec_a", "spec_b", "total"]
+        spec_a = block(lines, "spec_a")
+        assert list(spec_a) == ["wall", "check:csc", "traversal",
+                                "traversal lookups"]
+        assert spec_a["wall"] == ["10.000", "->", "8.000", "-2.000",
+                                  "(-20.0%)"]
+        assert spec_a["check:csc"][:4] == ["2.000", "->", "1.000",
+                                           "-1.000"]
+
+    def test_a_stage_missing_from_one_run_took_no_time(self):
+        spec_b = block(bench.compare_ledgers(OLD, NEW), "spec_b")
+        assert spec_b["closure"][:4] == ["4.000", "->", "0.000", "-4.000"]
+
+    def test_totals_sum_the_common_rows(self):
+        total = block(bench.compare_ledgers(OLD, NEW), "total")
+        assert total["wall"][:4] == ["30.000", "->", "24.000", "-6.000"]
+        assert total["traversal"][:3] == ["21.000", "->", "20.000"]
+
+    def test_lookups_missing_from_a_ledger_read_not_available(self):
+        lines = bench.compare_ledgers(OLD, NEW)
+        for name in ("spec_a", "spec_b", "total"):
+            assert block(lines, name)["traversal lookups"] == ["n/a"]
+        lines = bench.compare_ledgers(NEW, NEW)
+        assert block(lines, "spec_a")["traversal lookups"][:4] == \
+            ["900", "->", "900", "+0"]
+        assert block(lines, "total")["traversal lookups"][:3] == \
+            ["2105", "->", "2105"]
+
+    def test_compare_option_reads_both_ledgers_and_runs_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        old_path.write_text(json.dumps(OLD))
+        new_path.write_text(json.dumps(NEW))
+
+        def no_rows(row):
+            raise AssertionError("--compare ran a kernel row")
+
+        monkeypatch.setattr(bench, "kernel_row", no_rows)
+        assert bench.main(["--compare", str(old_path),
+                           "--output", str(new_path)]) == 0
+        output = capsys.readouterr().out
+        assert "spec_a" in output and "total" in output
+        assert json.loads(new_path.read_text()) == NEW

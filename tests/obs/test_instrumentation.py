@@ -66,14 +66,22 @@ class TestPipelineSpans:
             round(outcome.traversal["wall_time_s"], 6)
 
     def test_iteration_events_report_frontier_sizes(self):
-        sink = obs.InMemorySink()
-        stg = build_example("muller_pipeline", 3)
-        with obs.tracing(name=stg.name, sink=sink):
-            api.run(stg)
-        iterations = [e for e in events_of(sink.records)
-                      if e["name"] == "iteration"]
-        assert iterations
-        assert all(e["attrs"]["frontier_nodes"] > 0 for e in iterations)
+        """A saturation round reports how many firings grew its node (no
+        BDD is sized); a global iteration reports its frontier's size."""
+        def iterations(strategy):
+            sink = obs.InMemorySink()
+            stg = build_example("muller_pipeline", 3)
+            with obs.tracing(name=stg.name, sink=sink):
+                api.run(stg, api.EngineConfig(traversal_strategy=strategy))
+            found = [e["attrs"] for e in events_of(sink.records)
+                     if e["name"] == "iteration"]
+            assert found
+            return found
+
+        saturation = iterations("saturation")
+        assert all(e["fresh"] > 0 and e["firings"] >= e["fresh"]
+                   and "frontier_nodes" not in e for e in saturation)
+        assert all(e["frontier_nodes"] > 0 for e in iterations("chained"))
 
     def test_check_spans_are_keyed_by_check_attr(self):
         sink = obs.InMemorySink()

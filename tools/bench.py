@@ -5,6 +5,7 @@ serve daemon, written to one ``BENCH.json``::
     python tools/bench.py --quick                  # the CI subset
     python tools/bench.py                          # the full row set
     python tools/bench.py --before old.json        # embed a baseline run
+    python tools/bench.py --compare old.json       # BENCH.json vs old.json
 
 The ledger (``"schema": 2``) has four sections:
 
@@ -21,7 +22,8 @@ The ledger (``"schema": 2``) has four sections:
   operation-cache delta; ``event_span`` is the mean span of a forward
   event (a transition's places and signal) under the run's variable
   order, as the ``ordering`` span records it; the work counters come
-  from the :class:`~repro.core.stats.TraversalStats`.  A
+  from the :class:`~repro.core.stats.TraversalStats`, among them
+  ``cache_lookups``, the traversal's BDD operation-cache probes.  A
   ``family@scale`` row is parsed from its ``.g`` text, like every
   other entry point parses it.
 * ``tracing`` -- the observability layer's own cost: the no-op span
@@ -38,7 +40,11 @@ The ledger (``"schema": 2``) has four sections:
   RunStore and every delta edit seeded the traversal.
 
 A run captured earlier can be embedded under ``"before"`` with
-``--before`` so one committed file shows the trajectory.
+``--before`` so one committed file shows the trajectory.  ``--compare
+OLD`` runs nothing: for each kernel row present in both ``OLD`` and the
+ledger at ``--output``, it prints the change in ``wall_s``, in each
+stage's self-time and in the traversal's lookups, then the same sums
+over those rows.
 """
 
 from __future__ import annotations
@@ -221,6 +227,7 @@ def kernel_row(row: str) -> dict:
         "bdd_final": stats["final_nodes"],
         "states": stats["num_states"],
         "peak_live_nodes": stats["peak_live_nodes"],
+        "cache_lookups": stats["cache_lookups"],
     }
 
 
@@ -505,6 +512,61 @@ def serve_section() -> dict:
 
 
 # ----------------------------------------------------------------------
+# Comparing two ledgers
+# ----------------------------------------------------------------------
+def _stage_ms(row) -> dict:
+    """Milliseconds of the whole row (``wall``) and of each stage."""
+    figures = {"wall": row["wall_s"] * 1000}
+    for stage, seconds in row["stages"].items():
+        figures[stage] = seconds * 1000
+    return figures
+
+
+def _delta_line(label, old, new, digits=3) -> str:
+    if old is None or new is None:
+        return f"  {label:<22} {'n/a':>10}"
+    line = (f"  {label:<22} {old:10.{digits}f} -> {new:10.{digits}f} "
+            f"{new - old:+10.{digits}f}")
+    if old:
+        line += f" ({(new - old) / old:+.1%})"
+    return line
+
+
+def compare_ledgers(old: dict, new: dict) -> list:
+    """The report of ``--compare``: one block per kernel row present in
+    both ledgers (in ``new``'s order), then a ``total`` block summing
+    each figure over those rows.  A stage a run never entered took 0
+    ms; a lookup count missing from either ledger reads ``n/a``."""
+    before = {row["name"]: row for row in old.get("kernel", [])}
+    lines = []
+    times = {}
+    lookups = [0, 0]
+    for row in new.get("kernel", []):
+        previous = before.get(row["name"])
+        if previous is None:
+            continue
+        lines.append(row["name"])
+        old_ms, new_ms = _stage_ms(previous), _stage_ms(row)
+        for label in ["wall"] + sorted((set(old_ms) | set(new_ms))
+                                       - {"wall"}):
+            pair = (old_ms.get(label, 0.0), new_ms.get(label, 0.0))
+            lines.append(_delta_line(label, *pair))
+            total = times.setdefault(label, [0.0, 0.0])
+            total[0] += pair[0]
+            total[1] += pair[1]
+        pair = (previous.get("cache_lookups"), row.get("cache_lookups"))
+        lines.append(_delta_line("traversal lookups", *pair, digits=0))
+        lookups = [None if value is None or sum_ is None else sum_ + value
+                   for sum_, value in zip(lookups, pair)]
+    if lines:
+        lines.append("total")
+        for label in ["wall"] + sorted(set(times) - {"wall"}):
+            lines.append(_delta_line(label, *times[label]))
+        lines.append(_delta_line("traversal lookups", *lookups, digits=0))
+    return lines
+
+
+# ----------------------------------------------------------------------
 # The command line
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
@@ -519,7 +581,21 @@ def main(argv=None) -> int:
     parser.add_argument("--before", metavar="PATH",
                         help="embed a previously captured ledger under "
                              "'before'")
+    parser.add_argument("--compare", metavar="OLD",
+                        help="run nothing; print the per-row deltas of "
+                             "the ledger at --output against OLD")
     arguments = parser.parse_args(argv)
+
+    if arguments.compare:
+        ledgers = []
+        for path in (arguments.compare, arguments.output):
+            with open(path, encoding="utf-8") as handle:
+                ledgers.append(json.load(handle))
+        lines = compare_ledgers(*ledgers)
+        print(f"bench: {arguments.output} against {arguments.compare} "
+              f"(times in ms)")
+        print("\n".join(lines) if lines else "  no kernel row in common")
+        return 0
 
     rows = QUICK_ROWS if arguments.quick else FULL_ROWS
     report = {"schema": SCHEMA, "quick": arguments.quick,
