@@ -7,7 +7,8 @@ symbolic substrate of the reproduction.  It provides:
   and ``ite``,
 * :class:`~repro.bdd.function.Function` -- a handle to a BDD root with
   Python operator overloading (``&``, ``|``, ``~``, ``^``, ...),
-* quantification, cofactoring, composition and renaming
+* existential quantification, cofactoring, the image kernel
+  ``transfer``, saturation and the cube query ``meets``
   (:mod:`repro.bdd.operators`),
 * model counting / enumeration and support computation
   (:mod:`repro.bdd.analysis`),

@@ -152,35 +152,11 @@ class Function:
 
         return operators.exist(self, variables)
 
-    def forall(self, variables: Sequence[str]) -> "Function":
-        """Universal quantification over ``variables``."""
-        from repro.bdd import operators
-
-        return operators.forall(self, variables)
-
     def cofactor(self, literals: Dict[str, bool]) -> "Function":
         """Cofactor with respect to a cube given as ``{var: polarity}``."""
         from repro.bdd import operators
 
         return operators.cofactor(self, literals)
-
-    def compose(self, substitutions: Dict[str, "Function"]) -> "Function":
-        """Simultaneous functional composition ``f[var := g]``."""
-        from repro.bdd import operators
-
-        return operators.compose(self, substitutions)
-
-    def rename(self, mapping: Dict[str, str]) -> "Function":
-        """Rename variables (must map to variables, used for primed copies)."""
-        from repro.bdd import operators
-
-        return operators.rename(self, mapping)
-
-    def and_exist(self, other: "Function", variables: Sequence[str]) -> "Function":
-        """Relational product: ``exists variables . (self & other)``."""
-        from repro.bdd import operators
-
-        return operators.and_exist(self, other, variables)
 
     def transfer(self, steps: "TransferSteps",
                  drop: Optional["Function"] = None) -> "Function":

@@ -79,31 +79,28 @@ class BDDManager:
         # Operation caches.  ``ite``, negation and every binary
         # connective have their own table with their own terminal
         # short-circuits (see apply_and & friends); the derived operators
-        # of repro.bdd.operators (cofactor, quantification, relational
-        # product, the image kernel ``transfer`` and both saturation
-        # recursions) get dedicated memoisation tables as well, so a
-        # flood of e.g. conjunctions can never evict the image results
-        # the traversal lives on.  Every table is in ``_evictable``,
-        # and ``cache_limit`` bounds each one.
+        # of repro.bdd.operators (cofactor, quantification, the image
+        # kernel ``transfer`` and both saturation recursions) get
+        # dedicated memoisation tables as well, so a flood of e.g.
+        # conjunctions can never evict the image results the traversal
+        # lives on.  Every table is in ``_evictable``, and
+        # ``cache_limit`` bounds each one.
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._and_cache: Dict[Tuple[int, int], int] = {}
         self._or_cache: Dict[Tuple[int, int], int] = {}
         self._xor_cache: Dict[Tuple[int, int], int] = {}
         self._diff_cache: Dict[Tuple[int, int], int] = {}
-        self._op_cache: Dict[Tuple, int] = {}
         self._cof_cache: Dict[Tuple[int, int], int] = {}
-        self._quant_cache: Dict[Tuple[bool, int, int], int] = {}
-        self._andex_cache: Dict[Tuple[int, int, int], int] = {}
+        self._quant_cache: Dict[Tuple[int, int], int] = {}
         self._transfer_cache: Dict[Tuple[int, int, int], int] = {}
         self._sat_cache: Dict[Tuple[int, int, int], int] = {}
         self._fire_cache: Dict[Tuple[int, int, int], int] = {}
         self._evictable = (
             self._ite_cache, self._not_cache, self._and_cache,
             self._or_cache, self._xor_cache, self._diff_cache,
-            self._op_cache, self._cof_cache, self._quant_cache,
-            self._andex_cache, self._transfer_cache, self._sat_cache,
-            self._fire_cache)
+            self._cof_cache, self._quant_cache, self._transfer_cache,
+            self._sat_cache, self._fire_cache)
         # Interning table turning the frozensets that parameterise the
         # derived operators (quantified level sets, cofactor cubes, ...)
         # into small integers, so their cache keys hash in O(1).

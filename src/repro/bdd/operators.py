@@ -1,16 +1,14 @@
-"""Derived BDD operations: quantification, cofactors, composition,
-renaming, the image kernel :func:`transfer` and the cube query
-:func:`meets`.
+"""Derived BDD operations: quantification, cofactors, the image kernel
+:func:`transfer`, saturation and the cube query :func:`meets`.
 
 All functions here take :class:`~repro.bdd.function.Function` handles.
 Each operation memoises its recursion in a dedicated cache on the
-manager (quantification, cofactor, the relational product and
-``transfer`` each own one; composition shares the generic
-``_op_cache``), keyed by the node id plus a small interned id of the
-operation parameter (:meth:`~repro.bdd.manager.BDDManager.intern_key`)
--- so cache probes hash integer tuples instead of re-hashing frozensets
-on every visit.  :func:`meets` builds no node, so its memo lives for
-one call.
+manager (quantification, cofactor, ``transfer`` and both saturation
+recursions each own one), keyed by the node id plus a small interned id
+of the operation parameter
+(:meth:`~repro.bdd.manager.BDDManager.intern_key`) -- so cache probes
+hash integer tuples instead of re-hashing frozensets on every visit.
+:func:`meets` builds no node, so its memo lives for one call.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.bdd.function import Function
-from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
+from repro.bdd.manager import BDDManager, FALSE_ID, TRUE_ID
 
 
 def _levels_of(manager: BDDManager, variables: Sequence[str]) -> FrozenSet[int]:
@@ -40,25 +38,12 @@ def exist(f: Function, variables: Sequence[str]) -> Function:
     if not levels:
         return f
     key_id = manager.intern_key(("quant", levels))
-    result = _quantify(manager, f.node, levels, max(levels), key_id,
-                       conjunction=False)
-    return manager._wrap(result)
-
-
-def forall(f: Function, variables: Sequence[str]) -> Function:
-    """Universal quantification ``forall variables . f``."""
-    manager = f.manager
-    levels = _levels_of(manager, variables)
-    if not levels:
-        return f
-    key_id = manager.intern_key(("quant", levels))
-    result = _quantify(manager, f.node, levels, max(levels), key_id,
-                       conjunction=True)
+    result = _quantify(manager, f.node, levels, max(levels), key_id)
     return manager._wrap(result)
 
 
 def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
-              top: int, key_id: int, conjunction: bool) -> int:
+              top: int, key_id: int) -> int:
     if manager.is_terminal(node):
         return node
     level = manager.node_level(node)
@@ -66,78 +51,24 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
         # Every quantified variable is above this node: nothing to abstract.
         return node
     cache = manager._quant_cache
-    key = (conjunction, node, key_id)
+    key = (node, key_id)
     manager.cache_lookups += 1
     cached = cache.get(key)
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    low = _quantify(manager, manager.node_low(node), levels, top, key_id,
-                    conjunction)
-    if level in levels and low == (FALSE_ID if conjunction else TRUE_ID):
+    low = _quantify(manager, manager.node_low(node), levels, top, key_id)
+    if level in levels and low == TRUE_ID:
         # The low branch already decides the abstraction: the high
         # branch is never visited.
         result = low
     else:
         high = _quantify(manager, manager.node_high(node), levels, top,
-                         key_id, conjunction)
+                         key_id)
         if level not in levels:
             result = manager._mk(level, low, high)
-        elif conjunction:
-            result = manager.apply_and(low, high)
         else:
             result = manager.apply_or(low, high)
-    if len(cache) >= manager._cache_limit:
-        manager._evict_oldest(cache)
-    cache[key] = result
-    return result
-
-
-def and_exist(f: Function, g: Function, variables: Sequence[str]) -> Function:
-    """Relational product ``exists variables . (f & g)`` in one pass."""
-    manager = f.manager
-    if g.manager is not manager:
-        raise ValueError("cannot combine functions from different managers")
-    levels = _levels_of(manager, variables)
-    key_id = manager.intern_key(("andex", levels))
-    result = _and_exist(manager, f.node, g.node, levels, key_id)
-    return manager._wrap(result)
-
-
-def _and_exist(manager: BDDManager, f: int, g: int,
-               levels: FrozenSet[int], key_id: int) -> int:
-    if f == FALSE_ID or g == FALSE_ID:
-        return FALSE_ID
-    if f == TRUE_ID and g == TRUE_ID:
-        return TRUE_ID
-    if f == TRUE_ID or g == TRUE_ID:
-        single = g if f == TRUE_ID else f
-        if not levels:
-            return single
-        quant_id = manager.intern_key(("quant", levels))
-        return _quantify(manager, single, levels, max(levels), quant_id,
-                         conjunction=False)
-    cache = manager._andex_cache
-    key = (min(f, g), max(f, g), key_id)
-    manager.cache_lookups += 1
-    cached = cache.get(key)
-    if cached is not None:
-        manager.cache_hits += 1
-        return cached
-    level = min(manager.node_level(f), manager.node_level(g))
-    f0, f1 = manager._cofactors_at(f, level)
-    g0, g1 = manager._cofactors_at(g, level)
-    if level in levels:
-        low = _and_exist(manager, f0, g0, levels, key_id)
-        if low == TRUE_ID:
-            result = TRUE_ID
-        else:
-            high = _and_exist(manager, f1, g1, levels, key_id)
-            result = manager.apply_or(low, high)
-    else:
-        low = _and_exist(manager, f0, g0, levels, key_id)
-        high = _and_exist(manager, f1, g1, levels, key_id)
-        result = manager._mk(level, low, high) if low != high else low
     if len(cache) >= manager._cache_limit:
         manager._evict_oldest(cache)
     cache[key] = result
@@ -210,7 +141,9 @@ def cofactor(f: Function, literals: Dict[str, bool]) -> Function:
 
     ``literals`` maps variable names to the value they are fixed to.  The
     result does not depend on the fixed variables; this corresponds to the
-    paper's cube-generalised cofactor ``f_c``.
+    paper's cube-generalised cofactor ``f_c``.  No check calls it: it is
+    the oracle the tests hold :func:`transfer` (whose ``f|require`` is
+    this cofactor) and :func:`exist` (the sum of the cofactors) to.
     """
     manager = f.manager
     if not literals:
@@ -578,65 +511,3 @@ def _local_fixpoint(manager: BDDManager, events: SaturationEvents,
         if not fresh:
             break
     return manager._mk(level, children[0], children[1])
-
-
-# ----------------------------------------------------------------------
-# Composition and renaming
-# ----------------------------------------------------------------------
-def compose(f: Function, substitutions: Dict[str, Function]) -> Function:
-    """Simultaneous composition: replace each variable by a function.
-
-    Implemented by a single recursive pass that rebuilds the function with
-    ``ite`` at substituted variables, so simultaneous substitution is exact
-    (no sequential-composition artefacts).
-    """
-    manager = f.manager
-    if not substitutions:
-        return f
-    by_level: Dict[int, int] = {}
-    for name, g in substitutions.items():
-        if g.manager is not manager:
-            raise ValueError("substitution functions must share the manager")
-        by_level[manager.level_of(name)] = g.node
-    key_id = manager.intern_key(("compose", frozenset(by_level.items())))
-    result = _compose(manager, f.node, by_level, key_id)
-    return manager._wrap(result)
-
-
-def _compose(manager: BDDManager, node: int, by_level: Dict[int, int],
-             key_id: int) -> int:
-    if manager.is_terminal(node):
-        return node
-    cache = manager._op_cache
-    key = (node, key_id)
-    manager.cache_lookups += 1
-    cached = cache.get(key)
-    if cached is not None:
-        manager.cache_hits += 1
-        return cached
-    level = manager.node_level(node)
-    low = _compose(manager, manager.node_low(node), by_level, key_id)
-    high = _compose(manager, manager.node_high(node), by_level, key_id)
-    replacement = by_level.get(level)
-    if replacement is None:
-        replacement = manager._mk(level, FALSE_ID, TRUE_ID)
-    result = manager.ite(replacement, high, low)
-    if len(cache) >= manager._cache_limit:
-        manager._evict_oldest(cache)
-    cache[key] = result
-    return result
-
-
-def rename(f: Function, mapping: Dict[str, str]) -> Function:
-    """Rename variables according to ``mapping`` (old name -> new name).
-
-    Every target variable must already be declared.  Renaming is a special
-    case of composition with projection functions.
-    """
-    manager = f.manager
-    substitutions = {}
-    for old, new in mapping.items():
-        if new not in manager.variables:
-            raise BDDOrderError(f"rename target {new!r} is not declared")
-        substitutions[old] = manager.var(new)
-    return compose(f, substitutions)

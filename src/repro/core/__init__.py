@@ -15,14 +15,14 @@ The modules of this package implement Sections 4 and 5 of the paper:
 * :mod:`repro.core.safeness` -- symbolic safeness checking (Section 5.1),
 * :mod:`repro.core.consistency` -- the ``Inconsistent`` characteristic
   functions (Section 5.1),
-* :mod:`repro.core.persistency` -- the algorithms of Figure 6,
+* :mod:`repro.core.conflicts` -- one pass over the pairs of transitions
+  sharing an input place: transition and signal persistency (Figure 6)
+  and the fake-conflict classification (Section 5.4),
 * :mod:`repro.core.csc` -- the CSC check on the next-state on/off sets,
   and the excitation/quiescent regions (Section 5.3),
 * :mod:`repro.core.reducibility` -- determinism and the detection of
   mutually complementary input sequences by frozen-input traversal
   (Section 5.3),
-* :mod:`repro.core.fake_conflicts` -- symbolic fake-conflict analysis
-  (Section 5.4),
 * :mod:`repro.core.pipeline` -- the
   :class:`~repro.core.pipeline.VerificationPipeline`: the shared
   encoding / image / reachable-BDD chain, computed once and reused by

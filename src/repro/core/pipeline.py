@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro import obs
+from repro.core.conflicts import check_conflict_pairs
 from repro.core.consistency import check_consistency
 from repro.core.csc import check_csc
 from repro.core.deadlock import (
@@ -36,12 +37,7 @@ from repro.core.deadlock import (
     check_reversibility,
 )
 from repro.core.encoding import SymbolicEncoding
-from repro.core.fake_conflicts import classify_conflicts
 from repro.core.image import SymbolicImage
-from repro.core.persistency import (
-    check_signal_persistency,
-    check_transition_persistency,
-)
 from repro.core.reducibility import (
     check_complementary_input_sequences,
     check_determinism,
@@ -217,23 +213,15 @@ class VerificationPipeline:
         return self._cached("safeness", lambda: check_safeness(
             self.encoding, self.reached, self.charfun))
 
-    def signal_persistency(self):
-        return self._cached("signal_persistency",
-                            lambda: check_signal_persistency(
-                                self.encoding, self.reached, self.image,
-                                arbitration_places=self.arbitration_places))
-
-    def transition_persistency(self):
-        return self._cached("transition_persistency",
-                            lambda: check_transition_persistency(
-                                self.encoding, self.reached, self.image))
-
-    def conflicts(self):
-        return self._cached("conflicts", lambda: classify_conflicts(
-            self.encoding, self.reached, self.image))
+    def conflict_pairs(self):
+        """Transition and signal persistency and the fake-conflict
+        classification, from one pass over the conflict pairs."""
+        return self._cached("conflict_pairs", lambda: check_conflict_pairs(
+            self.encoding, self.reached, self.image,
+            arbitration_places=self.arbitration_places))
 
     def fake_free(self) -> bool:
-        return bool(self.conflicts().fake_free(self.stg))
+        return bool(self.conflict_pairs().conflicts.fake_free(self.stg))
 
     def csc(self):
         return self._cached("csc", lambda: check_csc(
@@ -359,8 +347,9 @@ class VerificationPipeline:
                            [str(safeness)] if not safeness.safe else [])
 
     def _check_persistency(self, report: ImplementabilityReport) -> None:
-        signal_persistency = self.signal_persistency()
-        transition_persistency = self.transition_persistency()
+        pairs = self.conflict_pairs()
+        signal_persistency = pairs.signal_persistency
+        transition_persistency = pairs.transition_persistency
         report.output_persistent = signal_persistency.persistent
         report.add_verdict("signal persistency", signal_persistency.persistent,
                            [str(v) for v in signal_persistency.violations[:5]])
@@ -369,7 +358,7 @@ class VerificationPipeline:
                            [str(v) for v in transition_persistency.violations[:5]])
 
     def _check_fake_conflicts(self, report: ImplementabilityReport) -> None:
-        conflicts = self.conflicts()
+        conflicts = self.conflict_pairs().conflicts
         report.fake_free = conflicts.fake_free(self.stg)
         report.add_verdict(
             "fake-conflict freedom", bool(report.fake_free),

@@ -16,6 +16,9 @@ asymmetric fake conflicts involving a non-input signal.  Fake-freedom
 substitutes the expensive commutativity check (Section 5.4): a fake-free
 STG is commutative, and it has a persistent SG iff all non-input
 transitions are persistent.
+
+The symbolic engine (:mod:`repro.core.conflicts`) reports its
+classification in the same types.
 """
 
 from __future__ import annotations

@@ -5,23 +5,27 @@ graphs (pure concurrency).  Here random free-choice controllers are
 generated: one choice place selects between several input bursts, each
 burst optionally followed by an output pulse.  These specifications
 exercise conflicts, repeated codes and (sometimes) CSC violations, and
-the explicit and symbolic engines must agree on every verdict.
+the explicit and symbolic engines must agree on every verdict.  So must
+they on mutual exclusion elements whose grants conflict at an
+arbitration place and at a second shared place.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import EngineConfig, verify
+from repro.core.conflicts import check_conflict_pairs
 from repro.core.consistency import check_consistency as symbolic_consistency
 from repro.core.csc import check_csc as symbolic_csc
 from repro.core.encoding import SymbolicEncoding
-from repro.core.fake_conflicts import classify_conflicts as symbolic_conflicts
 from repro.core.image import SymbolicImage
-from repro.core.persistency import check_signal_persistency as symbolic_persistency
 from repro.core.traversal import symbolic_traversal
 from repro.sg import build_state_graph
 from repro.sg.csc import check_csc as explicit_csc
 from repro.sg.fake_conflicts import classify_conflicts as explicit_conflicts
 from repro.sg.persistency import check_signal_persistency as explicit_persistency
 from repro.stg import STG, SignalKind
+from repro.stg.generators import mutex_element
 
 
 @st.composite
@@ -92,7 +96,8 @@ class TestChoiceControllersCrossValidation:
         explicit_graph = build_state_graph(stg).graph
         encoding, image, reached, _ = symbolic_setup(stg)
         explicit_result = explicit_persistency(explicit_graph, stg)
-        symbolic_result = symbolic_persistency(encoding, reached, image)
+        symbolic_result = check_conflict_pairs(
+            encoding, reached, image).signal_persistency
         assert explicit_result.persistent == symbolic_result.persistent
 
     @settings(max_examples=25, deadline=None)
@@ -110,6 +115,34 @@ class TestChoiceControllersCrossValidation:
         explicit_graph = build_state_graph(stg).graph
         explicit_result = explicit_conflicts(explicit_graph, stg)
         encoding, image, reached, _ = symbolic_setup(stg)
-        symbolic_result = symbolic_conflicts(encoding, reached, image)
+        symbolic_result = check_conflict_pairs(
+            encoding, reached, image).conflicts
         assert explicit_result.fake_free(stg) == symbolic_result.fake_free(stg)
         assert booleans(explicit_result) == booleans(symbolic_result)
+
+
+def mutex_with_a_second_shared_place(users):
+    """``mutex_element(users)`` whose grants also share the marked place
+    ``p_me2``: every two grants conflict at ``p_me`` and at ``p_me2``."""
+    stg = mutex_element(users)
+    stg.add_place("p_me2", tokens=1)
+    for index in range(1, users + 1):
+        stg.add_arc("p_me2", f"g{index}+")
+        stg.add_arc(f"g{index}-", "p_me2")
+    return stg
+
+
+@pytest.mark.parametrize("users", range(2, 7))
+def test_arbitration_is_decided_per_pair_on_both_engines(users):
+    """A grant disabling another across ``p_me`` is arbitration, even
+    though the two grants share ``p_me2`` as well (Definition 3.2's
+    footnote, per pair on both engines)."""
+    stg = mutex_with_a_second_shared_place(users)
+    verdicts = {}
+    for engine in ("symbolic", "explicit"):
+        config = EngineConfig(engine=engine, arbitration_places=("p_me",))
+        report = verify(stg, config, checks=["persistency"])
+        verdict, = [verdict for verdict in report.verdicts
+                    if verdict.name == "signal persistency"]
+        verdicts[engine] = (verdict.holds, verdict.details)
+    assert verdicts["symbolic"] == verdicts["explicit"] == (True, [])

@@ -34,7 +34,7 @@ class TestSharedChain:
         pipeline = VerificationPipeline(vme_read_cycle())
         pipeline.consistency()
         pipeline.csc()
-        pipeline.signal_persistency()
+        pipeline.conflict_pairs()
         pipeline.deadlock_freedom()
         run_checks(pipeline, resolve_checks(api.ALL), "symbolic")
         assert len(calls) == 1

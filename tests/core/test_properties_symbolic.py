@@ -9,11 +9,11 @@ count and on every property verdict.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.conflicts import check_conflict_pairs
 from repro.core.consistency import check_consistency as symbolic_consistency
 from repro.core.csc import check_csc as symbolic_csc
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.persistency import check_signal_persistency as symbolic_persistency
 from repro.core.traversal import symbolic_traversal
 from repro.sg import build_state_graph
 from repro.sg.csc import check_csc as explicit_csc
@@ -74,7 +74,8 @@ class TestRandomisedCrossValidation:
         image = SymbolicImage(encoding)
         reached, _ = symbolic_traversal(encoding, image=image)
         assert symbolic_consistency(encoding, reached, image.charfun).consistent
-        assert symbolic_persistency(encoding, reached, image).persistent
+        assert check_conflict_pairs(
+            encoding, reached, image).signal_persistency.persistent
         assert explicit_persistency(explicit.graph, stg).persistent
 
     @settings(max_examples=15, deadline=None)

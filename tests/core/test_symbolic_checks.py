@@ -4,15 +4,11 @@ persistency, CSC, determinism, complementary sequences, fake conflicts)."""
 import pytest
 
 from repro.api import ALL, EngineConfig, verify
+from repro.core.conflicts import check_conflict_pairs
 from repro.core.consistency import check_consistency
 from repro.core.csc import _check_usc, check_csc, compute_regions
 from repro.core.encoding import SymbolicEncoding
-from repro.core.fake_conflicts import classify_conflicts
 from repro.core.image import SymbolicImage
-from repro.core.persistency import (
-    check_signal_persistency,
-    check_transition_persistency,
-)
 from repro.core.reducibility import (
     check_complementary_input_sequences,
     check_determinism,
@@ -45,6 +41,11 @@ def symbolic_setup(stg):
     image = SymbolicImage(encoding)
     reached, _ = symbolic_traversal(encoding, image=image)
     return encoding, image, reached
+
+
+def conflict_pairs(stg, arbitration_places=()):
+    encoding, image, reached = symbolic_setup(stg)
+    return check_conflict_pairs(encoding, reached, image, arbitration_places)
 
 
 def enables(stg, marking, transition):
@@ -197,14 +198,12 @@ class TestSafeness:
 class TestPersistency:
     def test_marked_graphs_are_persistent(self):
         for stg in (muller_pipeline(4), master_read(2)):
-            encoding, image, reached = symbolic_setup(stg)
-            assert check_signal_persistency(encoding, reached, image).persistent
-            assert check_transition_persistency(encoding, reached, image).persistent
+            pairs = conflict_pairs(stg)
+            assert pairs.signal_persistency.persistent
+            assert pairs.transition_persistency.persistent
 
     def test_output_disabled_by_input(self):
-        stg = output_disabled_by_input()
-        encoding, image, reached = symbolic_setup(stg)
-        result = check_signal_persistency(encoding, reached, image)
+        result = conflict_pairs(output_disabled_by_input()).signal_persistency
         assert not result.persistent
         assert ("a+", "b+") in result.violating_pairs()
         witness = result.violations[0].witness
@@ -212,32 +211,28 @@ class TestPersistency:
 
     def test_mutex_needs_arbitration(self):
         stg = mutex_element()
-        encoding, image, reached = symbolic_setup(stg)
-        plain = check_signal_persistency(encoding, reached, image)
+        plain = conflict_pairs(stg).signal_persistency
         assert not plain.persistent
-        tolerant = check_signal_persistency(
-            encoding, reached, image,
-            arbitration_places=mutex_arbitration_places(stg))
+        tolerant = conflict_pairs(
+            stg, mutex_arbitration_places(stg)).signal_persistency
         assert tolerant.persistent
         assert tolerant.arbitration_skips > 0
 
     def test_fake_conflict_d1_signal_persistent_but_not_transition_persistent(self):
         stg = fake_conflict_d1()
-        encoding, image, reached = symbolic_setup(stg)
-        assert check_signal_persistency(encoding, reached, image).persistent
-        transition_level = check_transition_persistency(encoding, reached, image)
+        pairs = conflict_pairs(stg)
+        assert pairs.signal_persistency.persistent
+        transition_level = pairs.transition_persistency
         assert not transition_level.persistent
         assert ("a+", "b+/2") in transition_level.violating_pairs()
 
     def test_input_choice_allowed(self):
         stg = irreducible_csc_example()
-        encoding, image, reached = symbolic_setup(stg)
-        assert check_signal_persistency(encoding, reached, image).persistent
+        assert conflict_pairs(stg).signal_persistency.persistent
 
     def test_asymmetric_fake_conflict_violates_persistency(self):
         stg = asymmetric_fake_conflict_example()
-        encoding, image, reached = symbolic_setup(stg)
-        assert not check_signal_persistency(encoding, reached, image).persistent
+        assert not conflict_pairs(stg).signal_persistency.persistent
 
 
 class TestCSC:
@@ -354,29 +349,25 @@ class TestReducibility:
 class TestFakeConflicts:
     def test_d1_symmetric_fake(self):
         stg = fake_conflict_d1()
-        encoding, image, reached = symbolic_setup(stg)
-        result = classify_conflicts(encoding, reached, image)
+        result = conflict_pairs(stg).conflicts
         assert len(result.symmetric_fake) == 1
         assert not result.fake_free(stg)
 
     def test_d2_no_conflicts(self):
         stg = fake_conflict_d2()
-        encoding, image, reached = symbolic_setup(stg)
-        result = classify_conflicts(encoding, reached, image)
+        result = conflict_pairs(stg).conflicts
         assert result.classifications == []
         assert result.fake_free(stg)
 
     def test_asymmetric_fake_conflict(self):
         stg = asymmetric_fake_conflict_example()
-        encoding, image, reached = symbolic_setup(stg)
-        result = classify_conflicts(encoding, reached, image)
+        result = conflict_pairs(stg).conflicts
         assert len(result.asymmetric_fake) == 1
         assert not result.fake_free(stg)
 
     def test_mutex_real_conflict_is_fake_free(self):
         stg = mutex_element()
-        encoding, image, reached = symbolic_setup(stg)
-        result = classify_conflicts(encoding, reached, image)
+        result = conflict_pairs(stg).conflicts
         assert result.fake_free(stg)
         real = [c for c in result.classifications
                 if c.observed and c.first_disables_second_signal

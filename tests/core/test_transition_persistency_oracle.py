@@ -27,7 +27,7 @@ SPECS = ([(name, None) for name in corpus.names()]
 def test_symbolic_pairs_equal_the_explicit_oracle(name, scale):
     stg = (corpus.load(name) if scale is None
            else corpus.family(name).builder(scale))
-    symbolic = VerificationPipeline(stg).transition_persistency()
+    symbolic = VerificationPipeline(stg).conflict_pairs().transition_persistency
     explicit = check_transition_persistency(stg.net)
     assert symbolic.violating_pairs() == explicit.conflicting_pairs()
     assert symbolic.persistent == explicit.persistent

@@ -316,6 +316,6 @@ class TestFakeConflicts:
 
         stg = factory()
         explicit = classify_conflicts(graph_of(stg), stg)
-        symbolic = VerificationPipeline(stg).conflicts()
+        symbolic = VerificationPipeline(stg).conflict_pairs().conflicts
         assert booleans(explicit) == booleans(symbolic)
         assert explicit.fake_free(stg) == symbolic.fake_free(stg)

@@ -61,7 +61,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+if REPO_ROOT not in sys.path:  # run as a script, tools/ is sys.path[0]
+    sys.path.insert(0, REPO_ROOT)
+
+from tools.repro_process import repro_environment, serve_daemon  # noqa: E402
 
 from repro import corpus, obs  # noqa: E402
 from repro.api.checks import ALL, resolve_checks, run_checks  # noqa: E402
@@ -71,7 +74,6 @@ from repro.obs.report import (  # noqa: E402
     stage_breakdown,
     trace_wall_s,
 )
-from repro.serve import ServeClient  # noqa: E402
 from repro.stg.generators import build_example  # noqa: E402
 from repro.stg.parser import parse_g  # noqa: E402
 from repro.stg.stg import SignalKind  # noqa: E402
@@ -146,8 +148,6 @@ SERVE_COUNTERS = ("serve.requests", "serve.runstore.hits",
                   "serve.runstore.misses", "serve.bdd.hits",
                   "serve.bdd.misses", "serve.delta.requests",
                   "serve.bdd.delta_seeds", "serve.bdd.delta_colds")
-
-_LISTENING = re.compile(r"listening on http://([0-9.]+):(\d+)")
 
 
 # ----------------------------------------------------------------------
@@ -273,16 +273,6 @@ def tracing_overhead(row: str = "muller_pipeline_4",
 # ----------------------------------------------------------------------
 # The BDD-cache sweep
 # ----------------------------------------------------------------------
-def repro_environment() -> dict:
-    """The environment of a ``python -m repro`` subprocess of this tree."""
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = (
-        os.path.join(REPO_ROOT, "src")
-        + (os.pathsep + environment["PYTHONPATH"]
-           if environment.get("PYTHONPATH") else ""))
-    return environment
-
-
 def batch_check_seconds(arguments, workdir) -> float:
     """Wall time of one ``python -m repro batch-check ...`` subprocess."""
     command = [sys.executable, "-m", "repro", "batch-check", *arguments]
@@ -488,26 +478,10 @@ def drive_daemon(client) -> dict:
 def serve_section() -> dict:
     """Boot ``python -m repro serve`` on a fresh state directory, drive
     it, and shut it down drained."""
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as state_dir, \
-            subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve", "--port", "0",
-                 "--jobs", str(SERVE_JOBS), "--state-dir", state_dir],
-                env=repro_environment(), cwd=REPO_ROOT,
-                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                text=True) as process:
-        try:
-            line = process.stdout.readline()
-            match = _LISTENING.search(line)
-            if not match:
-                raise SystemExit(f"bench: daemon failed to start: {line!r}")
-            client = ServeClient(host=match.group(1),
-                                 port=int(match.group(2)))
-            section = drive_daemon(client)
-            client.shutdown()
-            process.wait(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
+    with serve_daemon("bench", "--jobs", str(SERVE_JOBS)) as client:
+        section = drive_daemon(client)
+        client.shutdown()
+        client.process.wait(timeout=30)
     return section
 
 

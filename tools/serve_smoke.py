@@ -22,17 +22,14 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
-import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+if REPO_ROOT not in sys.path:  # run as a script, tools/ is sys.path[0]
+    sys.path.insert(0, REPO_ROOT)
 
-from repro.serve import ServeClient  # noqa: E402
-
-_LISTENING = re.compile(r"listening on http://([0-9.]+):(\d+)")
+from tools.repro_process import serve_daemon  # noqa: E402
 
 RAW_G_TEXT = """.model smoke_toggle
 .inputs a
@@ -61,27 +58,8 @@ def fail(message):
     raise SystemExit(f"serve-smoke: FAIL: {message}")
 
 
-def main():
-    state_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = (
-        os.path.join(REPO_ROOT, "src")
-        + (os.pathsep + environment["PYTHONPATH"]
-           if environment.get("PYTHONPATH") else ""))
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--jobs", "2", "--state-dir", state_dir],
-        env=environment, cwd=REPO_ROOT, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, text=True)
-    line = process.stdout.readline()
-    match = _LISTENING.search(line)
-    if not match:
-        process.kill()
-        fail(f"daemon did not start: {line!r}")
-    host, port = match.group(1), int(match.group(2))
-    client = ServeClient(host=host, port=port)
-    print(f"serve-smoke: daemon up on {host}:{port}")
-
+def walk_lifecycle(client):
+    """Steps 1-5 against a running daemon."""
     health = client.health()
     if health.get("status") != "ok":
         fail(f"/healthz reported {health}")
@@ -123,13 +101,18 @@ def main():
     print(f"serve-smoke: /metrics ok ({len(metrics)} series, "
           f"runstore hits {hits})")
 
-    client.shutdown()
-    try:
-        process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        fail("daemon did not exit after /shutdown")
-    tail = process.stdout.read()
+
+def main():
+    with serve_daemon("serve-smoke", "--jobs", "2") as client:
+        print(f"serve-smoke: daemon up on {client.host}:{client.port}")
+        walk_lifecycle(client)
+        client.shutdown()
+        process = client.process
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            fail("daemon did not exit after /shutdown")
+        tail = process.stdout.read()
     if process.returncode != 0:
         fail(f"daemon exited {process.returncode}: {tail}")
     if "drained and stopped" not in tail:

@@ -56,6 +56,10 @@ import sys
 import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:  # run as a script, tools/ is sys.path[0]
+    sys.path.insert(0, REPO_ROOT)
+
+from tools.repro_process import repro_environment  # noqa: E402
 
 BACKENDS = ("process", "serial")
 #: Backend used by shard i of the 4-way partition (each backend twice,
@@ -65,15 +69,10 @@ SHARD_BACKENDS = ("process", "serial", "process", "serial")
 
 def start_repro(arguments, seed):
     """Start ``python -m repro ...`` in a fresh interpreter."""
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = (
-        os.path.join(REPO_ROOT, "src")
-        + (os.pathsep + environment["PYTHONPATH"]
-           if environment.get("PYTHONPATH") else ""))
-    environment["PYTHONHASHSEED"] = str(seed)
     command = [sys.executable, "-m", "repro", *arguments]
     return subprocess.Popen(
-        command, env=environment, cwd=REPO_ROOT,
+        command, env=repro_environment(PYTHONHASHSEED=str(seed)),
+        cwd=REPO_ROOT,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
 
 
