@@ -63,10 +63,18 @@ def sat_count(f: Function, care_vars: Optional[Sequence[str]] = None) -> int:
     try:
         return models_below(f.node, 0)
     except _OutsideCare:
-        missing = [name for name in support(f)
-                   if position[manager.level_of(name)] is None]
-        raise ValueError(f"care set does not cover the support: "
-                         f"missing {missing}") from None
+        raise _not_covered(f, [pos is not None for pos in position]) \
+            from None
+
+
+def _not_covered(f: Function, in_care: List[bool]) -> ValueError:
+    """The error for a care set (``in_care``, per level) that misses
+    part of the support of ``f``."""
+    manager = f.manager
+    missing = [name for name in support(f)
+               if not in_care[manager.level_of(name)]]
+    return ValueError(f"care set does not cover the support: "
+                      f"missing {missing}")
 
 
 def evaluate(f: Function, assignment: Dict[str, bool]) -> bool:
@@ -90,7 +98,8 @@ def iter_models(f: Function, care_vars: Optional[Sequence[str]] = None
 
     Models are produced in lexicographic order of the care variables (in
     manager order, False < True).  The number of yielded models equals
-    :func:`sat_count` with the same care set.
+    :func:`sat_count` with the same care set.  No check enumerates
+    models: this is the reference the tests hold :func:`pick_one` to.
     """
     manager = f.manager
     if care_vars is None:
@@ -132,9 +141,47 @@ def iter_models(f: Function, care_vars: Optional[Sequence[str]] = None
 
 def pick_one(f: Function, care_vars: Optional[Sequence[str]] = None
              ) -> Optional[Dict[str, bool]]:
-    """Return one satisfying assignment over ``care_vars`` or ``None``."""
+    """Return one satisfying assignment over ``care_vars`` or ``None``.
+
+    The model is the first :func:`iter_models` yields: the care
+    variables are read in manager order, and each takes the low branch
+    unless it leads to FALSE; a variable ``f`` does not test there is
+    False.  The model is read along one path.  When ``care_vars`` is
+    narrower than every declared variable, one walk over ``f``'s nodes
+    first checks that it covers the support (raising
+    :class:`ValueError` otherwise).
+    """
     if f.is_false():
         return None
-    for model in iter_models(f, care_vars):
-        return model
-    return None
+    manager = f.manager
+    if care_vars is None:
+        care_vars = manager.variables
+    care_levels = sorted(manager.level_of(name) for name in care_vars)
+    in_care = [False] * manager.num_vars
+    for level in care_levels:
+        in_care[level] = True
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
+    if not all(in_care):
+        seen = set()
+        stack = [f.node]
+        while stack:
+            node = stack.pop()
+            if node <= TRUE_ID or node in seen:
+                continue
+            if not in_care[node_level[node]]:
+                raise _not_covered(f, in_care)
+            seen.add(node)
+            stack.append(node_low[node])
+            stack.append(node_high[node])
+    model: Dict[str, bool] = {}
+    node = f.node
+    for level in care_levels:
+        value = False
+        if node_level[node] == level:
+            if node_low[node] == FALSE_ID:
+                node, value = node_high[node], True
+            else:
+                node = node_low[node]
+        model[manager.var_at_level(level)] = value
+    return model

@@ -9,7 +9,7 @@ identity canonical).
 from __future__ import annotations
 
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
-                    TYPE_CHECKING)
+                    Tuple, TYPE_CHECKING)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BDDManager
@@ -92,6 +92,12 @@ class Function:
         return self.manager._wrap(
             self.manager.apply_implies(self.node, self._other_node(other)))
 
+    def split(self, other: "Function") -> Tuple["Function", "Function"]:
+        """``(self & other, self - other)`` in one recursion."""
+        inside, outside = self.manager.apply_split(self.node,
+                                                   self._other_node(other))
+        return self.manager._wrap(inside), self.manager._wrap(outside)
+
     def ite(self, then_f: "Function", else_f: "Function") -> "Function":
         """``self`` ? ``then_f`` : ``else_f``."""
         return self.manager._wrap(
@@ -131,10 +137,11 @@ class Function:
         return other < self
 
     def disjoint(self, other: "Function") -> bool:
-        """True iff the two functions have no common satisfying assignment."""
-        from repro.bdd.manager import FALSE_ID
+        """True iff the two functions have no common satisfying assignment
+        (one walk that builds no node)."""
+        from repro.bdd import operators
 
-        return self.manager.apply_and(self.node, self._other_node(other)) == FALSE_ID
+        return operators.disjoint(self, other)
 
     def meets(self, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
         """For each cube, given as a literal mapping ``{variable: value}``,

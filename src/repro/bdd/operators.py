@@ -1,5 +1,6 @@
 """Derived BDD operations: quantification, cofactors, the image kernel
-:func:`transfer`, saturation and the cube query :func:`meets`.
+:func:`transfer`, saturation and the queries :func:`meets` and
+:func:`disjoint`.
 
 All functions here take :class:`~repro.bdd.function.Function` handles.
 Each operation memoises its recursion in a dedicated cache on the
@@ -8,7 +9,7 @@ recursions each own one), keyed by the node id plus a small interned id
 of the operation parameter
 (:meth:`~repro.bdd.manager.BDDManager.intern_key`) -- so cache probes
 hash integer tuples instead of re-hashing frozensets on every visit.
-:func:`meets` builds no node, so its memo lives for one call.
+The two queries build no node, so their memos live for one call.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ def exist(f: Function, variables: Sequence[str]) -> Function:
 
 def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
               top: int, key_id: int) -> int:
-    if manager.is_terminal(node):
-        return node
-    level = manager.node_level(node)
+    level = manager._level[node]
     if level > top:
-        # Every quantified variable is above this node: nothing to abstract.
+        # Every quantified variable is above this node (terminals sit
+        # below every level): nothing to abstract.
         return node
     cache = manager._quant_cache
     key = (node, key_id)
@@ -57,14 +57,13 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    low = _quantify(manager, manager.node_low(node), levels, top, key_id)
+    low = _quantify(manager, manager._low[node], levels, top, key_id)
     if level in levels and low == TRUE_ID:
         # The low branch already decides the abstraction: the high
         # branch is never visited.
         result = low
     else:
-        high = _quantify(manager, manager.node_high(node), levels, top,
-                         key_id)
+        high = _quantify(manager, manager._high[node], levels, top, key_id)
         if level not in levels:
             result = manager._mk(level, low, high)
         else:
@@ -76,7 +75,7 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
 
 
 # ----------------------------------------------------------------------
-# Cube queries: which of many cubes does f meet?
+# Queries: which of many cubes does f meet, does f meet g?
 # ----------------------------------------------------------------------
 def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
     """``[not (f & manager.cube(literals)).is_false() for literals in
@@ -133,6 +132,49 @@ def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
     return [bool(mask >> index & 1) for index in range(len(cubes))]
 
 
+def disjoint(f: Function, g: Function) -> bool:
+    """``(f & g).is_false()`` without building the product.
+
+    A walk over the node pairs the product's recursion would visit.  It
+    stops at the first pair that meets -- a path to TRUE in both -- and
+    remembers only the pairs found disjoint, so no node is built and
+    the memo lives for one call.  Each pair visited counts one
+    ``cache_lookups``.
+    """
+    manager = f.manager
+    g_node = f._other_node(g)  # the connectives' type and manager checks
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
+    apart = set()
+
+    def meet(f: int, g: int) -> bool:
+        if f == FALSE_ID or g == FALSE_ID:
+            return False
+        if f == TRUE_ID or g == TRUE_ID or f == g:
+            return True
+        if f > g:  # commutative: one memo entry per unordered pair
+            f, g = g, f
+        key = (f, g)
+        if key in apart:
+            return False
+        manager.cache_lookups += 1
+        level, level_g = node_level[f], node_level[g]
+        if level <= level_g:
+            f0, f1 = node_low[f], node_high[f]
+        else:
+            f0 = f1 = f
+        if level_g <= level:
+            g0, g1 = node_low[g], node_high[g]
+        else:
+            g0 = g1 = g
+        if meet(f0, g0) or meet(f1, g1):
+            return True
+        apart.add(key)
+        return False
+
+    return not meet(f.node, g_node)
+
+
 # ----------------------------------------------------------------------
 # Cofactor / restrict
 # ----------------------------------------------------------------------
@@ -157,10 +199,8 @@ def cofactor(f: Function, literals: Dict[str, bool]) -> Function:
 
 def _cofactor(manager: BDDManager, node: int,
               assignment: Dict[int, bool], top: int, key_id: int) -> int:
-    if manager.is_terminal(node):
-        return node
-    level = manager.node_level(node)
-    if level > top:
+    level = manager._level[node]
+    if level > top:  # terminals included: they sit below every level
         return node
     cache = manager._cof_cache
     key = (node, key_id)
@@ -170,13 +210,13 @@ def _cofactor(manager: BDDManager, node: int,
         manager.cache_hits += 1
         return cached
     if level in assignment:
-        child = (manager.node_high(node) if assignment[level]
-                 else manager.node_low(node))
+        child = (manager._high[node] if assignment[level]
+                 else manager._low[node])
         result = _cofactor(manager, child, assignment, top, key_id)
     else:
-        low = _cofactor(manager, manager.node_low(node), assignment, top,
+        low = _cofactor(manager, manager._low[node], assignment, top,
                         key_id)
-        high = _cofactor(manager, manager.node_high(node), assignment, top,
+        high = _cofactor(manager, manager._high[node], assignment, top,
                          key_id)
         result = manager._mk(level, low, high) if low != high else low
     if len(cache) >= manager._cache_limit:
@@ -259,9 +299,9 @@ def _transfer(manager: BDDManager, f: int, drop: int, steps: TransferSteps,
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    # The splits are inlined rather than calling _apply_children or
-    # _cofactors_at: this is every firing's recursion, and the two extra
-    # calls per node cost ~7% of an all-checks run.
+    # The splits are inlined, as in the manager's binary applies: this
+    # is every firing's recursion, and two helper calls per node cost
+    # ~7% of an all-checks run.
     node_level, node_low, node_high = (manager._level, manager._low,
                                        manager._high)
     step_level = steps.levels[index]

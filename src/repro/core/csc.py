@@ -31,6 +31,11 @@ OFF(a)`` and ``CONT(a)`` are one function -- the same BDD node, hence the
 same witness code -- built from two products and two projections
 instead of four of each.
 
+The two products are one split of ``R`` by ``N(a)``:
+``R . N(a)`` and ``R . not N(a)`` walk the same node pairs, so
+:meth:`~repro.bdd.Function.split` returns both from one recursion and
+one cache, at half the lookups of a product and a difference.
+
 USC (unique state coding) is decided first, by comparing the number of
 reachable full states with the number of distinct codes.  The state
 count is the one the traversal already took
@@ -138,10 +143,8 @@ def check_csc(encoding: SymbolicEncoding, reached: Function,
     contradictions: Dict[str, Function] = {}
     witnesses: Dict[str, dict] = {}
     for signal in to_check:
-        heading = next_state(encoding, charfun, signal)
-        on = (reached & heading).exist(places)
-        off = (reached - heading).exist(places)
-        conflict = on & off
+        on, off = reached.split(next_state(encoding, charfun, signal))
+        conflict = on.exist(places) & off.exist(places)
         if conflict.is_false():
             continue
         contradictions[signal] = conflict

@@ -32,6 +32,15 @@ symbolic representation:
   on consistent states, so inconsistent specifications get the same
   sets too.
 
+  Only the quiescent side is built.  The backward closure is bounded
+  by ``R``, so the forward closure ``F`` starts inside ``R``; ``R`` is
+  closed under forward firing, so ``F`` stays inside it and the forward
+  closure needs no bound.  With ``F`` a subset of ``R``, ``F`` meets
+  ``R . CONT(a) . (E(a+) + E(a-))`` exactly when it meets ``CONT(a) .
+  (E(a+) + E(a-))``, a small set over codes and places.  The check
+  tests the latter with :meth:`~repro.bdd.Function.disjoint`, a walk
+  that builds no product.  No step assumes consistency.
+
 The third condition, commutativity, is covered through fake-conflict
 freedom (Section 5.4): a fake-free STG is commutative.  The pipeline
 (:mod:`repro.core.pipeline`) therefore derives the commutativity verdict
@@ -112,20 +121,24 @@ class SymbolicComplementaryResult:
     offending_signals: List[str] = field(default_factory=list)
 
 
-def conflict_sets(encoding: SymbolicEncoding, reached: Function,
-                  charfun: CharacteristicFunctions, signal: str,
-                  contradictory: Function) -> Tuple[Function, Function]:
-    """The quiescent- and excitation-side states of ``CONT(a)``.
-
-    ``contradictory`` is the signal's ``CONT(a)``; the two sets are the
-    reachable states with such a code in ``QR(a+) + QR(a-)`` and in
-    ``ER(a+) + ER(a-)`` respectively (see the module docstring).
-    """
-    conflict = reached & contradictory
+def quiescent_conflicts(encoding: SymbolicEncoding, reached: Function,
+                        charfun: CharacteristicFunctions, signal: str,
+                        contradictory: Function) -> Function:
+    """The start of the frozen closures: ``(R . CONT(a)) - (a xor
+    N(a))``, the reachable states whose code is in ``contradictory``
+    (the signal's ``CONT(a)``) and that lie in ``QR(a+) + QR(a-)``."""
     changing = encoding.signal(signal) ^ next_state(encoding, charfun, signal)
-    excited = (charfun.generic_enabled(signal, "+")
-               | charfun.generic_enabled(signal, "-"))
-    return conflict - changing, conflict & excited
+    return (reached & contradictory) - changing
+
+
+def excited_conflicts(charfun: CharacteristicFunctions, signal: str,
+                      contradictory: Function) -> Function:
+    """The target of the frozen closures: ``CONT(a) . (E(a+) + E(a-))``,
+    a set over codes and places.  It is not bounded by ``R``: the
+    forward closure it is tested against lies in ``R`` already (see the
+    module docstring)."""
+    return contradictory & (charfun.generic_enabled(signal, "+")
+                            | charfun.generic_enabled(signal, "-"))
 
 
 def check_complementary_input_sequences(encoding: SymbolicEncoding,
@@ -140,27 +153,27 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
     contradictions to its ``CONT(a)``
     (:attr:`~repro.core.csc.SymbolicCSCResult.contradictions`); no
     other signal can offend.  For each, start from the quiescent-side
-    contradictory states, close backward then forward firing only input
-    transitions (non-inputs are "frozen"), and test whether an
-    excitation-side contradictory state is reached
-    (:func:`conflict_sets`).  Both closures are
-    saturation :func:`~repro.core.traversal.fixpoint` runs bounded by
-    the reachable set, checking ``deadline`` once per local-fixpoint
-    round.  Every signal's closures fire the same input events, so they
-    share the saturation caches.
+    contradictory states (:func:`quiescent_conflicts`), close backward
+    then forward firing only input transitions (non-inputs are
+    "frozen"), and test whether the closure meets
+    :func:`excited_conflicts`.  Both closures are saturation
+    :func:`~repro.core.traversal.fixpoint` runs, checking ``deadline``
+    once per local-fixpoint round.  The backward one is bounded by the
+    reachable set; the forward one starts inside it and needs no bound.
+    Every signal's closures fire the same input events, so they share
+    the saturation caches.
     """
     charfun = image.charfun
     inputs = image.input_transitions()
     offending: List[str] = []
     for signal, contradictory in contradictions.items():
-        quiescent_conflict, excitation_conflict = conflict_sets(
-            encoding, reached, charfun, signal, contradictory)
-        backward = fixpoint(image, quiescent_conflict, inputs, "backward",
-                            "saturation", restrict_to=reached,
-                            deadline=deadline)
-        reached_frozen = fixpoint(image, backward, inputs, "forward",
-                                  "saturation", restrict_to=reached,
-                                  deadline=deadline)
-        if not (reached_frozen & excitation_conflict).is_false():
+        start = quiescent_conflicts(encoding, reached, charfun, signal,
+                                    contradictory)
+        backward = fixpoint(image, start, inputs, "backward", "saturation",
+                            restrict_to=reached, deadline=deadline)
+        frozen = fixpoint(image, backward, inputs, "forward", "saturation",
+                          deadline=deadline)
+        if not frozen.disjoint(excited_conflicts(charfun, signal,
+                                                 contradictory)):
             offending.append(signal)
     return SymbolicComplementaryResult(not offending, offending)

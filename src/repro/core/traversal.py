@@ -88,13 +88,15 @@ def fixpoint(image: SymbolicImage, start: Function,
     deadline.  The call is one ``closure`` span -- or, when the
     reachability traversal passes its ``stats``, the ``traversal`` span,
     and ``stats`` receives the iteration/image/BDD-size counters and the
-    span duration.
+    span duration.  Without ``stats`` or an active tracer nothing reads
+    the BDD sizes, so the closure sizes no BDD (each size is a walk).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown traversal strategy {strategy!r}")
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown fixpoint direction {direction!r}")
     manager = image.encoding.manager
+    sized = stats is not None or obs.active() is not None
     if stats is None:
         stats = TraversalStats()
         span = obs.timed("closure", manager=manager, direction=direction,
@@ -104,13 +106,15 @@ def fixpoint(image: SymbolicImage, start: Function,
                          strategy=strategy)
     transition_list: List[str] = list(transitions)
     with span:
-        stats.observe_reached(start.size())
+        if sized:
+            stats.observe_reached(start.size())
         if strategy == "saturation":
             reached = _saturation(image, start, transition_list, direction,
-                                  restrict_to, deadline, stats)
+                                  restrict_to, deadline, stats, sized)
         else:
             reached = _iteration(image, start, transition_list, direction,
-                                 strategy, restrict_to, deadline, stats)
+                                 strategy, restrict_to, deadline, stats,
+                                 sized)
         span.annotate(iterations=stats.iterations,
                       images=stats.images_computed,
                       peak_nodes=stats.peak_nodes,
@@ -122,8 +126,8 @@ def fixpoint(image: SymbolicImage, start: Function,
 def _iteration(image: SymbolicImage, start: Function,
                transitions: List[str], direction: str, strategy: str,
                restrict_to: Optional[Function],
-               deadline: Optional[float], stats: TraversalStats
-               ) -> Function:
+               deadline: Optional[float], stats: TraversalStats,
+               sized: bool) -> Function:
     """The ``"chained"`` / ``"frontier"`` global loop."""
     fire = image.fire if direction == "forward" else image.fire_backward
     chained = strategy == "chained"
@@ -159,15 +163,16 @@ def _iteration(image: SymbolicImage, start: Function,
         if new.is_false():
             return reached
         reached = reached | new
-        stats.observe_reached(reached.size())
+        if sized:
+            stats.observe_reached(reached.size())
         from_set = new
 
 
 def _saturation(image: SymbolicImage, start: Function,
                 transitions: List[str], direction: str,
                 restrict_to: Optional[Function],
-                deadline: Optional[float], stats: TraversalStats
-                ) -> Function:
+                deadline: Optional[float], stats: TraversalStats,
+                sized: bool) -> Function:
     """The ``"saturation"`` closure (see :func:`fixpoint`)."""
     # Imported on the first closure, like the image kernel: importing
     # this module (the daemon does at start-up) stays cheap.
@@ -196,7 +201,8 @@ def _saturation(image: SymbolicImage, start: Function,
     if restrict_to is not None:
         reached = start | (reached & restrict_to)
     stats.observe_live_nodes(manager.num_nodes)
-    stats.observe_reached(reached.size())
+    if sized:
+        stats.observe_reached(reached.size())
     return reached
 
 

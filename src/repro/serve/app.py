@@ -28,6 +28,7 @@ write leaves behind (the shutdown tests reload the store and assert
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import os
@@ -177,8 +178,11 @@ class ServeApp:
             # worker's entry/stage spans back to this request: the
             # execution primitive copies the context onto its executor
             # thread, and obs.tracing() without a trace_dir leaves the
-            # outer activation in place.
-            with obs.activated(job.tracer):
+            # outer activation in place.  Without a reader of those
+            # spans the kernel runs untraced; the request and
+            # queue_wait spans the metrics read stay on the job.
+            with (obs.activated(job.tracer) if job.traced
+                  else contextlib.nullcontext()):
                 result = await self.state.run_task(
                     job.task, executor=self._executor)
         except Exception as error:  # pragma: no cover - defensive
@@ -289,7 +293,8 @@ class ServeApp:
             return
         job = Job(next(self._job_ids), task,
                   asyncio.get_running_loop(),
-                  extra_sinks=self._trace_sinks(task))
+                  extra_sinks=self._trace_sinks(task),
+                  stream=request.stream)
         self.metrics.counter("serve.requests").add(1)
         try:
             self._queue.put_nowait(job)

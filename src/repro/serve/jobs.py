@@ -7,6 +7,8 @@ the per-job event queue the handler streams from, and a request-scoped
 ``request -> queue_wait`` on the handler side and (once a worker picks
 the job up and activates the tracer around the execution primitive)
 ``request -> entry -> parse/traversal/check...`` on the worker side.
+The worker activates it only when something reads those spans
+(:attr:`Job.traced`): a streamed request or a ``--trace`` directory.
 
 The bridge between the two worlds is :class:`StreamSink`: a tracer sink
 that forwards every closed span as a protocol ``stage`` event onto the
@@ -55,9 +57,13 @@ class Job:
 
     def __init__(self, job_id: int, task: SweepTask,
                  loop: asyncio.AbstractEventLoop,
-                 extra_sinks=()) -> None:
+                 extra_sinks=(), stream: bool = False) -> None:
         self.id = job_id
         self.task = task
+        #: Whether anything reads the worker-side spans: the streamed
+        #: ``stage`` events or a trace file.  A plain request's reply
+        #: carries neither, so its worker runs untraced.
+        self.traced = stream or bool(extra_sinks)
         #: Events the handler streams to the client; workers (and the
         #: tracer sink) produce, exactly one handler consumes.
         self.events: "asyncio.Queue[dict]" = asyncio.Queue()

@@ -147,3 +147,41 @@ class TestAlgebraicLaws:
         assert ~~f == f
         total = 1 << len(VARIABLES)
         assert sat_count(f) + sat_count(~f) == total
+
+
+class TestQueriesAgainstProducts:
+    """The one-recursion split, the non-building ``disjoint`` and the
+    one-walk ``pick_one`` against the operations they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ast1=_expressions(), ast2=_expressions())
+    def test_split_is_the_product_and_the_difference(self, ast1, ast2):
+        manager = BDDManager(VARIABLES)
+        f = _build_bdd(manager, ast1)
+        g = _build_bdd(manager, ast2)
+        assert f.split(g) == (f & g, f - g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ast1=_expressions(), ast2=_expressions())
+    def test_disjoint_agrees_with_the_empty_product(self, ast1, ast2):
+        manager = BDDManager(VARIABLES)
+        f = _build_bdd(manager, ast1)
+        g = _build_bdd(manager, ast2)
+        nodes = manager.num_nodes
+        disjoint = f.disjoint(g)
+        assert manager.num_nodes == nodes  # no node built
+        assert disjoint == (f & g).is_false()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ast=_expressions(),
+           care=st.sets(st.sampled_from(VARIABLES)))
+    def test_pick_one_is_the_first_model(self, ast, care):
+        manager = BDDManager(VARIABLES)
+        f = _build_bdd(manager, ast)
+        care_vars = sorted(care)
+        if f.is_false() or set(f.support()) <= care:
+            assert f.pick_one(care_vars) == \
+                next(f.iter_models(care_vars), None)
+        else:
+            with pytest.raises(ValueError):
+                f.pick_one(care_vars)

@@ -2,9 +2,9 @@
 reference (:mod:`tests.core.product_checks`) field for field: verdicts,
 overflow lists, violating signals and pairs, and every witness state or
 code.  For every CSC violator, ``CONT(a)`` and the complementary-sequence
-check's start and target sets are the oracle's BDD nodes, and the check
-run from CSC's ``CONT(a)`` gives the oracle's verdict over every
-non-input signal."""
+check's start set are the oracle's BDD nodes, its target set inside
+``R`` is the oracle's excitation side, and the check run from CSC's
+``CONT(a)`` gives the oracle's verdict over every non-input signal."""
 
 import pytest
 
@@ -15,7 +15,8 @@ from repro.core.pipeline import VerificationPipeline
 from repro.core.reducibility import (
     check_complementary_input_sequences,
     check_determinism,
-    conflict_sets,
+    excited_conflicts,
+    quiescent_conflicts,
 )
 from repro.core.safeness import check_safeness
 from repro.stg import STG, SignalKind
@@ -121,9 +122,14 @@ def assert_parity(stg):
     for signal, contradictory in csc.contradictions.items():
         assert contradictory == product_checks.contradictory_codes(
             encoding, reached, charfun, signal)
-        assert conflict_sets(encoding, reached, charfun, signal,
-                             contradictory) == \
-            product_checks.conflict_sets(encoding, reached, charfun, signal)
+        quiescent, excitation = product_checks.conflict_sets(
+            encoding, reached, charfun, signal)
+        assert quiescent_conflicts(encoding, reached, charfun, signal,
+                                   contradictory) == quiescent
+        # The target is not bounded by R; inside R it is the oracle's
+        # excitation side.
+        assert (reached & excited_conflicts(charfun, signal,
+                                            contradictory)) == excitation
     # Only a CSC violator can have complementary input sequences.
     assert check_complementary_input_sequences(
         encoding, reached, pipeline.image, csc.contradictions) == \

@@ -6,14 +6,17 @@ real ``python -m repro serve`` process and walks the whole lifecycle:
 
 1. ``/healthz`` answers ``ok``;
 2. a cold streamed check emits the full event ladder
-   (``queued`` -> ``running`` -> stage events -> ``result``);
+   (``queued`` -> ``running`` -> stage events, ``queue_wait`` and
+   ``entry`` among them -> ``result``);
 3. the warm repeat of the same request is served from the run store
    (``cached`` true, byte-identical stable verdict);
 4. a raw ``.g``-text request round-trips;
 5. ``/metrics`` exposes the documented counters and proves the warm
    repeat hit the cache (``serve.runstore.hits >= 1``);
 6. ``POST /shutdown`` drains the daemon, which exits 0 and reports
-   "drained and stopped".
+   "drained and stopped";
+7. a second daemon answers the same check cold without streaming (its
+   worker runs untraced) with the streamed check's stable verdict.
 
 Exit status: 0 when every step holds, 1 (via SystemExit) otherwise.
 """
@@ -59,7 +62,8 @@ def fail(message):
 
 
 def walk_lifecycle(client):
-    """Steps 1-5 against a running daemon."""
+    """Steps 1-5 against a running daemon; returns the cold streamed
+    result."""
     health = client.health()
     if health.get("status") != "ok":
         fail(f"/healthz reported {health}")
@@ -69,8 +73,11 @@ def walk_lifecycle(client):
     kinds = [event["type"] for event in events]
     if kinds[:2] != ["queued", "running"] or kinds[-1] != "result":
         fail(f"cold stream event ladder wrong: {kinds}")
-    if "stage" not in kinds:
-        fail(f"cold stream carried no stage events: {kinds}")
+    stages = {event["stage"] for event in events
+              if event["type"] == "stage"}
+    if not {"queue_wait", "entry"} <= stages:
+        fail(f"cold stream lacks queue_wait/entry stage events: "
+             f"{sorted(stages)}")
     cold = events[-1]
     if cold["status"] != "ok" or cold["cached"]:
         fail(f"cold handshake check not ok/uncached: {cold['status']}, "
@@ -81,8 +88,7 @@ def walk_lifecycle(client):
     warm = client.check(entry="handshake")
     if not warm["cached"]:
         fail("warm repeat was not served from the run store")
-    if json.dumps(warm["stable"], sort_keys=True) != \
-            json.dumps(cold["stable"], sort_keys=True):
+    if stable(warm) != stable(cold):
         fail("warm stable verdict differs from cold")
     print("serve-smoke: warm repeat cached, stable verdict identical")
 
@@ -100,12 +106,28 @@ def walk_lifecycle(client):
         fail(f"serve.runstore.hits is {hits}; warm repeat not proven")
     print(f"serve-smoke: /metrics ok ({len(metrics)} series, "
           f"runstore hits {hits})")
+    return cold
+
+
+def stable(result):
+    return json.dumps(result["stable"], sort_keys=True)
+
+
+def check_plain_cold(client, streamed):
+    """Step 7: a cold check without streaming, against the streamed one."""
+    plain = client.check(entry="handshake")
+    if plain["status"] != "ok" or plain["cached"]:
+        fail(f"cold plain handshake check not ok/uncached: "
+             f"{plain['status']}, cached={plain['cached']}")
+    if stable(plain) != stable(streamed):
+        fail("plain cold stable verdict differs from the streamed one")
+    print("serve-smoke: plain cold check ok, stable verdict identical")
 
 
 def main():
     with serve_daemon("serve-smoke", "--jobs", "2") as client:
         print(f"serve-smoke: daemon up on {client.host}:{client.port}")
-        walk_lifecycle(client)
+        streamed = walk_lifecycle(client)
         client.shutdown()
         process = client.process
         try:
@@ -118,6 +140,8 @@ def main():
     if "drained and stopped" not in tail:
         fail(f"daemon shutdown message missing: {tail!r}")
     print("serve-smoke: daemon drained and exited 0")
+    with serve_daemon("serve-smoke", "--jobs", "1") as client:
+        check_plain_cold(client, streamed)
     print("serve-smoke: PASS")
     return 0
 
