@@ -40,7 +40,7 @@ TRAVERSAL_STRATEGIES = ("saturation", "chained", "frontier")
 #: stripped from client-supplied configs by the ``repro.serve`` daemon,
 #: which owns its own cache directories.
 EXECUTION_KNOB_FIELDS = ("timeout", "bdd_cache_dir", "trace_dir",
-                         "base_fingerprint", "deadline", "fault_plan",
+                         "base_fingerprint", "fault_plan",
                          "traversal_strategy")
 
 
@@ -71,8 +71,18 @@ class EngineConfig:
         Places whose output/output conflicts model arbitration; validated
         against the specification's actual places by the facade.
     timeout:
-        Per-entry wall-clock budget in seconds (an execution knob: it is
-        excluded from cache fingerprints).
+        Per-entry wall-clock budget in seconds.  Each engine's ``run``
+        turns it into an absolute :func:`time.monotonic` deadline
+        (:func:`~repro.utils.timing.deadline_from_timeout`) when it
+        starts; every symbolic fixpoint (the traversal and each closure)
+        and the explicit enumeration check that deadline cooperatively
+        once per iteration and raise
+        :class:`~repro.utils.timing.DeadlineExceeded` past it, which the
+        sweep worker reports as a ``timeout`` record.  So the budget
+        holds for a direct :func:`repro.api.verify` call and on every
+        sweep backend, including ``serial``, which cannot preempt an
+        entry.  An execution knob: it is excluded from cache
+        fingerprints.
     bdd_cache_dir:
         Directory of the persistent reachable-set cache
         (:class:`repro.cache.BDDStore`); the symbolic engine serves the
@@ -95,17 +105,6 @@ class EngineConfig:
         the traversal starts, never its fixpoint, so the field is
         excluded from every fingerprint and the sweep gate's delta leg
         proves seeded and cold runs emit byte-identical stable JSON.
-    deadline:
-        Absolute :func:`time.monotonic` instant the entry must finish
-        by; every symbolic fixpoint (the traversal and each closure)
-        checks it cooperatively once per iteration and raises
-        :class:`~repro.utils.timing.DeadlineExceeded` past it, which
-        the worker reports as a ``timeout`` record.  This is how the
-        ``serial`` backend (and ``process`` with ``jobs=1``), which runs
-        entries in-process and cannot preempt one, still honours
-        ``timeout`` budgets.
-        Normally derived from ``timeout`` by the worker; an execution
-        knob excluded from every fingerprint.
     fault_plan:
         Spec string of a :class:`repro.faults.FaultPlan` -- the
         deterministic chaos dial of the lease fabric (worker crashes,
@@ -129,7 +128,6 @@ class EngineConfig:
     bdd_cache_dir: Optional[str] = None
     trace_dir: Optional[str] = None
     base_fingerprint: Optional[str] = None
-    deadline: Optional[float] = None
     fault_plan: Optional[str] = None
     commutativity_fallback_states: int = 10_000
 
@@ -167,10 +165,6 @@ class EngineConfig:
             raise ApiError(
                 f"base_fingerprint must be a 64-char lowercase hex "
                 f"reachability fingerprint, got {self.base_fingerprint!r}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ApiError(
-                f"deadline must be a positive monotonic instant, "
-                f"got {self.deadline}")
         if self.fault_plan is not None:
             from repro.faults import FaultSpecError, parse_fault_spec
             try:
@@ -226,7 +220,6 @@ class EngineConfig:
             "bdd_cache_dir": self.bdd_cache_dir,
             "trace_dir": self.trace_dir,
             "base_fingerprint": self.base_fingerprint,
-            "deadline": self.deadline,
             "fault_plan": self.fault_plan,
             "commutativity_fallback_states":
                 self.commutativity_fallback_states,

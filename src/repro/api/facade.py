@@ -11,9 +11,10 @@ synthesis drivers, external tooling -- verifies through this facade::
 
 Incremental re-verification (:mod:`repro.delta`) is part of the same
 front door: with a persistent BDD cache configured, ``base=`` names the
-entry to warm-start from -- a benchmark-corpus entry name or a raw
-reachability fingerprint -- and the returned report carries a ``delta``
-provenance block saying which reuse tier applied::
+entry to warm-start from -- an STG, a benchmark-corpus entry name or a
+raw reachability fingerprint (see :func:`resolve_base`) -- and the
+returned report carries a ``delta`` provenance block saying which reuse
+tier applied::
 
     config = EngineConfig(bdd_cache_dir=".repro-bdd-cache")
     verify(base_stg, config)                               # populate
@@ -32,7 +33,7 @@ misbehaving deep inside an engine.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.api.config import EngineConfig
 from repro.api.errors import ApiError
@@ -62,8 +63,9 @@ def validate_arbitration_places(stg: STG,
             f"{suggest(unknown[0], known)}")
 
 
-def resolve_base(base: Union[str, STG], config: EngineConfig) -> str:
-    """Turn a ``base=`` reference into a reachability fingerprint.
+def resolve_base(base: Union[str, STG], config: EngineConfig,
+                 tasks: Optional[Mapping[str, str]] = None) -> str:
+    """Turn a ``base=`` reference into the key its store entry has.
 
     Accepts, in order of preference:
 
@@ -71,30 +73,36 @@ def resolve_base(base: Union[str, STG], config: EngineConfig) -> str:
       (what the serve daemon's ``queued`` events and
       :func:`repro.cache.reachable_fingerprint` hand out);
     * an :class:`STG` -- fingerprinted from its canonical ``.g`` text;
-    * a benchmark-corpus entry name -- fingerprinted from the corpus
-      entry's stored text.
+    * a name in ``tasks``, a table of task name -> ``.g`` text the
+      caller has verified (the serve daemon passes the tasks it built);
+    * a benchmark-corpus entry name.
 
-    The fingerprint is computed under ``config`` (ordering, initial
-    values), i.e. it names *the base entry this very config would have
-    written*.
+    A name is fingerprinted through the text the task was stored under
+    (:func:`repro.cache.canonical_g_text`), under ``config`` (ordering,
+    initial values): the result names *the entry this very config
+    would have written*.  Anything else raises :class:`ApiError`.
     """
-    from repro.cache import reachable_fingerprint
-    from repro.stg.writer import to_g_string
+    from repro.cache import canonical_g_text, reachable_fingerprint
 
     if isinstance(base, STG):
+        from repro.stg.writer import to_g_string
+
         return reachable_fingerprint(to_g_string(base), config)
     base = str(base)
     if _FINGERPRINT.fullmatch(base):
         return base
-    from repro.corpus import entry as corpus_entry
+    g_text = (tasks or {}).get(base)
+    if g_text is None:
+        from repro import corpus
 
-    try:
-        found = corpus_entry(base)
-    except KeyError:
-        raise ApiError(
-            f"base {base!r} is neither a reachability fingerprint nor a "
-            f"benchmark-corpus entry name") from None
-    return reachable_fingerprint(found.g_text, config)
+        try:
+            g_text = corpus.entry(base).g_text
+        except KeyError:
+            raise ApiError(
+                f"base {base!r} is neither a reachability fingerprint "
+                f"nor a known task or benchmark-corpus entry name"
+            ) from None
+    return reachable_fingerprint(canonical_g_text(base, g_text), config)
 
 
 def run(stg: STG, config: Optional[EngineConfig] = None,

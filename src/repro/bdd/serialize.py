@@ -60,12 +60,11 @@ def dump(functions: Sequence[Function], stream: TextIO) -> None:
         stream.write(f"root {function.node}\n")
 
 
-def load(stream: TextIO,
-         manager: BDDManager | None = None) -> Tuple[BDDManager, List[Function]]:
-    """Load functions from a stream produced by :func:`dump`.
+def read_variables(stream: TextIO) -> List[str]:
+    """Read the header and ``vars`` line of a :func:`dump` stream.
 
-    A fresh manager with the stored variable order is created unless an
-    existing one (already containing all stored variables) is supplied.
+    Returns the stored variable order; the stream is left at the
+    ``roots`` line, where :func:`load` continues when handed the order.
     """
     header_line = stream.readline()
     if not header_line:
@@ -83,7 +82,21 @@ def load(stream: TextIO,
     vars_line = stream.readline().split()
     if not vars_line or vars_line[0] != "vars":
         raise BDDError("missing 'vars' line")
-    variables = vars_line[1:]
+    return vars_line[1:]
+
+
+def load(stream: TextIO, manager: BDDManager | None = None,
+         variables: Sequence[str] | None = None
+         ) -> Tuple[BDDManager, List[Function]]:
+    """Load functions from a stream produced by :func:`dump`.
+
+    A fresh manager with the stored variable order is created unless an
+    existing one is supplied, which gains any stored variable it lacks.
+    ``variables`` is the order :func:`read_variables` already read off
+    this stream (a caller that vets it before anything is created).
+    """
+    if variables is None:
+        variables = read_variables(stream)
     roots_line = stream.readline().split()
     if len(roots_line) != 2 or roots_line[0] != "roots":
         raise BDDError("missing 'roots' line")

@@ -21,6 +21,8 @@ is what the CLI's ``--bdd-cache DIR`` sets (both on single checks and on
 
 from __future__ import annotations
 
+import functools
+
 from repro.cache.bddstore import (
     BDD_SCHEMA_VERSION,
     BDDStore,
@@ -33,8 +35,27 @@ __all__ = [
     "BDDStore",
     "BDDStoreWarning",
     "bind_pipeline",
+    "canonical_g_text",
     "reachable_fingerprint",
 ]
+
+
+@functools.lru_cache(maxsize=256)
+def canonical_g_text(name: str, g_text: str) -> str:
+    """The ``.g`` text a task named ``name`` is stored under.
+
+    A task is verified as ``parse_g(g_text, name=name)``, and
+    :func:`bind_pipeline` keys its entry by the fingerprint of that STG
+    written back, which differs from ``g_text`` whenever the source is
+    not already in the writer's form.  So a reference to a task by name
+    must be fingerprinted through this text, not the raw one.
+    Memoised: a daemon in an edit loop resolves the same base on every
+    request.
+    """
+    from repro.stg.parser import parse_g
+    from repro.stg.writer import to_g_string
+
+    return to_g_string(parse_g(g_text, name=name))
 
 
 def bind_pipeline(pipeline, store: BDDStore, name: str, config) -> str:
@@ -42,7 +63,8 @@ def bind_pipeline(pipeline, store: BDDStore, name: str, config) -> str:
 
     ``config`` is the run's :class:`~repro.api.config.EngineConfig`.
     Returns the reachability fingerprint of the pipeline's canonical
-    ``.g`` text, which keys the store entry.
+    ``.g`` text, which keys the store entry (for a task given as text,
+    the text :func:`canonical_g_text` computes).
 
     When ``config.base_fingerprint`` is set and the exact lookup
     misses, the provider asks :func:`repro.delta.warmstart.apply_base`

@@ -170,6 +170,19 @@ class BDDStore:
         if not os.path.exists(path):
             self.misses += 1
             return None
+        return self._read_entry(path, name, fingerprint, manager)
+
+    def _read_entry(self, path: str, name: str, fingerprint: str,
+                    manager: BDDManager
+                    ) -> Optional[Tuple[Function, TraversalStats]]:
+        """:meth:`lookup` against one entry file.
+
+        A primary file that holds another content defers to the
+        overflow file of ``(name, fingerprint)`` (see :meth:`_alt_path`),
+        which this same method reads; without one the content or the
+        engine config changed -- a plain invalidation, not corruption.
+        """
+        overflow = self._alt_path(name, fingerprint)
         try:
             with open(path, encoding="utf-8") as handle:
                 meta = self._read_meta(handle, path)
@@ -177,64 +190,27 @@ class BDDStore:
                     raise BDDError(
                         f"entry records name {meta.get('name')!r}, "
                         f"expected {name!r}")
-                if meta.get("fingerprint") != fingerprint:
-                    # Another content owns the primary path; an editor
-                    # loop may have parked this one on its overflow
-                    # path (see :meth:`_alt_path`).
-                    alternate = self._alt_path(name, fingerprint)
-                    if os.path.exists(alternate):
-                        return self._lookup_file(alternate, name,
-                                                 fingerprint, manager)
-                    # Content or engine config changed: a plain
-                    # invalidation, not corruption.
-                    self.invalidations += 1
-                    self.misses += 1
-                    return None
-                reached = self._load_bdd(handle, manager, path,
-                                         require_exact_order=True)
-                stats = TraversalStats.from_dict(meta.get("stats") or {})
+                if meta.get("fingerprint") == fingerprint:
+                    reached, _ = self._load_bdd(handle, manager,
+                                                require_exact_order=True)
+                    stats = TraversalStats.from_dict(meta.get("stats") or {})
+                    self.hits += 1
+                    return reached, stats
         except _StaleEntry:
-            self.invalidations += 1
-            self.misses += 1
-            return None
+            pass  # an older schema wrote it: a plain invalidation
         except (BDDError, ValueError, OSError) as error:
             warnings.warn(
                 f"{path}: corrupt BDD-store entry ({error}); falling "
                 f"back to a cold traversal", BDDStoreWarning,
-                stacklevel=2)
+                stacklevel=3)
             self.misses += 1
             return None
-        self.hits += 1
-        return reached, stats
-
-    def _lookup_file(self, path: str, name: str, fingerprint: str,
-                     manager: BDDManager
-                     ) -> Optional[Tuple[Function, TraversalStats]]:
-        """:meth:`lookup` semantics against one specific entry file."""
-        try:
-            with open(path, encoding="utf-8") as handle:
-                meta = self._read_meta(handle, path)
-                if (meta.get("name") != name
-                        or meta.get("fingerprint") != fingerprint):
-                    self.invalidations += 1
-                    self.misses += 1
-                    return None
-                reached = self._load_bdd(handle, manager, path,
-                                         require_exact_order=True)
-                stats = TraversalStats.from_dict(meta.get("stats") or {})
-        except _StaleEntry:
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        except (BDDError, ValueError, OSError) as error:
-            warnings.warn(
-                f"{path}: corrupt BDD-store entry ({error}); falling "
-                f"back to a cold traversal", BDDStoreWarning,
-                stacklevel=2)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return reached, stats
+        else:
+            if path != overflow and os.path.exists(overflow):
+                return self._read_entry(overflow, name, fingerprint, manager)
+        self.invalidations += 1
+        self.misses += 1
+        return None
 
     def put(self, name: str, fingerprint: str, reached: Function,
             stats: TraversalStats, g_text: Optional[str] = None) -> None:
@@ -320,24 +296,14 @@ class BDDStore:
         try:
             with open(path, encoding="utf-8") as handle:
                 self._read_meta(handle, path)
-                position = handle.tell()
-                handle.readline()  # serialize header
-                vars_line = handle.readline().split()
-                if not vars_line or vars_line[0] != "vars":
-                    raise BDDError("missing 'vars' line")
-                stored = tuple(vars_line[1:])
-                handle.seek(position)
-                loaded = self._load_bdd(handle, manager, path,
-                                        require_exact_order=False)
+                return self._load_bdd(handle, manager,
+                                      require_exact_order=False)
         except (BDDError, ValueError, OSError) as error:
             warnings.warn(
                 f"{path}: corrupt BDD-store entry ({error}); delta "
                 f"warm-start falls back to a cold traversal",
                 BDDStoreWarning, stacklevel=2)
             return None
-        if loaded is None:
-            return None
-        return loaded, stored
 
     # ------------------------------------------------------------------
     # File format helpers
@@ -362,32 +328,27 @@ class BDDStore:
         return meta
 
     @staticmethod
-    def _load_bdd(handle: TextIO, manager: BDDManager, path: str,
-                  require_exact_order: bool) -> Optional[Function]:
+    def _load_bdd(handle: TextIO, manager: BDDManager,
+                  require_exact_order: bool
+                  ) -> Optional[Tuple[Function, Tuple[str, ...]]]:
         """Load the serialised BDD section into an *existing* manager.
 
-        The stored variable order is checked against the manager before
-        anything is created: an exact-order mismatch on a hit is
-        corruption (the fingerprint pins the order), while a delta seed
-        merely requires the stored variables to be a subset of the
-        manager's (returning ``None`` otherwise) so the load can never
-        pollute the encoding's variable order.
+        Returns ``(reached, stored_variables)``.  The stored variable
+        order is checked against the manager before anything is
+        created: an exact-order mismatch on a hit is corruption (the
+        fingerprint pins the order), while a delta seed merely requires
+        the stored variables to be a subset of the manager's (returning
+        ``None`` otherwise) so the load can never pollute the encoding's
+        variable order.
         """
-        position = handle.tell()
-        serialize_header = handle.readline()  # validated by serialize.load
-        vars_line = handle.readline().split()
-        if not vars_line or vars_line[0] != "vars":
-            raise BDDError("missing 'vars' line")
-        stored = vars_line[1:]
+        stored = serialize.read_variables(handle)
         if require_exact_order:
             if stored != manager.variables:
                 raise BDDError("stored variable order differs from the "
                                "encoding's (stale entry)")
         elif not set(stored).issubset(manager.variables):
             return None  # incompatible base: skip, do not warn
-        del serialize_header
-        handle.seek(position)
-        _, roots = serialize.load(handle, manager=manager)
+        _, roots = serialize.load(handle, manager=manager, variables=stored)
         if len(roots) != 1:
             raise BDDError(f"expected one root, found {len(roots)}")
-        return roots[0]
+        return roots[0], tuple(stored)

@@ -50,10 +50,9 @@ each violator's ``CONT(a)`` is kept on the result, where the
 complementary-sequence check (:mod:`repro.core.reducibility`) starts
 from it.
 
-:func:`compute_regions` builds the four code-level regions of one
-signal; logic synthesis
-(:func:`repro.synthesis.functions.derive_next_state_function`) is its
-one production caller.
+Logic synthesis
+(:func:`repro.synthesis.functions.derive_next_state_function`) reads
+its on- and off-sets off the same split.
 """
 
 from __future__ import annotations
@@ -64,18 +63,6 @@ from typing import Dict, List, Optional
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
-
-
-@dataclass
-class SignalRegionsSymbolic:
-    """Region characteristic functions of one signal, over the *signal*
-    variables only (codes)."""
-
-    signal: str
-    er_plus: Function
-    er_minus: Function
-    qr_plus: Function
-    qr_minus: Function
 
 
 @dataclass
@@ -99,23 +86,6 @@ class SymbolicCSCResult:
         if self.csc:
             return "CSC satisfied"
         return "CSC violated for " + ", ".join(self.violating_signals)
-
-
-def compute_regions(encoding: SymbolicEncoding, reached: Function,
-                    charfun: CharacteristicFunctions,
-                    signal: str) -> SignalRegionsSymbolic:
-    """Excitation / quiescent regions of one signal, projected on codes."""
-    places = encoding.place_variables
-    variable = encoding.signal(signal)
-    e_plus = charfun.generic_enabled(signal, "+")
-    e_minus = charfun.generic_enabled(signal, "-")
-    return SignalRegionsSymbolic(
-        signal=signal,
-        er_plus=(reached & e_plus).exist(places),
-        er_minus=(reached & e_minus).exist(places),
-        qr_plus=((reached & variable) - e_minus).exist(places),
-        qr_minus=((reached & ~variable) - e_plus).exist(places),
-    )
 
 
 def next_state(encoding: SymbolicEncoding, charfun: CharacteristicFunctions,

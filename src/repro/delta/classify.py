@@ -38,7 +38,7 @@ Every decision is recorded with human-readable ``reasons`` so the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.delta.diff import STGDelta
 from repro.stg.stg import STG
@@ -60,17 +60,6 @@ class DeltaClassification:
     #: transitions.
     closed: bool = False
     reasons: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"tier": self.tier, "closed": self.closed,
-                "reasons": list(self.reasons)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DeltaClassification":
-        return cls(tier=str(data["tier"]),
-                   closed=bool(data.get("closed", False)),
-                   reasons=tuple(str(reason)
-                                 for reason in data.get("reasons", ())))
 
 
 def classify_delta(delta: STGDelta, edited: STG) -> DeltaClassification:

@@ -57,25 +57,6 @@ class STGDelta:
         return {spec.name: len(getattr(self, spec.name))
                 for spec in fields(self)}
 
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-serialisable form."""
-        return {spec.name: [list(item) if isinstance(item, tuple) else item
-                            for item in getattr(self, spec.name)]
-                for spec in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "STGDelta":
-        """Rebuild a delta from :meth:`to_dict` output."""
-        kwargs = {}
-        for spec in fields(cls):
-            values = data.get(spec.name) or ()
-            if spec.name.endswith("_arcs"):
-                kwargs[spec.name] = tuple(
-                    (str(source), str(target)) for source, target in values)
-            else:
-                kwargs[spec.name] = tuple(str(value) for value in values)
-        return cls(**kwargs)
-
 
 def diff_stg(base: STG, edited: STG) -> STGDelta:
     """The structural delta turning ``base`` into ``edited``.

@@ -25,7 +25,12 @@ a did-you-mean suggestion.
 
 An engine is anything matching the :class:`Engine` protocol: a ``name``,
 the ``checks`` it supports (names from :mod:`repro.api.checks`), and a
-``run(stg, config, checks)`` returning an :class:`EngineRun`.
+``run(stg, config, checks)`` returning an :class:`EngineRun`.  A run
+owns its time budget: the built-in engines turn ``config.timeout`` into
+the cooperative deadline their loops check
+(:func:`~repro.utils.timing.deadline_from_timeout`) as they start, so
+every front door -- the facade, the sweep worker, the daemon -- gets
+the same budget from the one knob.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from typing import (
 
 from repro.api.errors import UnknownEngineError
 from repro.utils.registry import Registry
+from repro.utils.timing import deadline_from_timeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from repro.api.config import EngineConfig
@@ -122,7 +128,7 @@ class SymbolicEngine:
             initial_values=config.initial_values_dict,
             commutativity_fallback_states=config.
             commutativity_fallback_states,
-            deadline=config.deadline)
+            deadline=deadline_from_timeout(config.timeout))
         if config.bdd_cache_dir:
             from repro.cache import BDDStore, bind_pipeline
 
@@ -164,7 +170,7 @@ class ExplicitEngine:
             initial_values=config.initial_values_dict,
             arbitration_places=config.arbitration_places,
             max_states=config.max_states,
-            deadline=config.deadline)
+            deadline=deadline_from_timeout(config.timeout))
         report = run_checks(context, checks, self.name)
         if context.graph_built:
             report.num_states = context.graph.num_states

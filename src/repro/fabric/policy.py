@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 #: Entry statuses that are retryable by default: both mean "no verdict
 #: was produced", never "the verdict was bad".
@@ -101,32 +101,6 @@ class RetryPolicy:
             draw = int.from_bytes(digest[:8], "big") / _HASH_SPAN
             delay *= 1.0 - self.jitter * draw
         return delay
-
-    # ------------------------------------------------------------------
-    # Round-trip schema
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay": self.base_delay,
-            "multiplier": self.multiplier,
-            "max_delay": self.max_delay,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "retry_statuses": list(self.retry_statuses),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RetryPolicy":
-        return cls(
-            max_attempts=int(data.get("max_attempts", 3)),
-            base_delay=float(data.get("base_delay", 0.05)),
-            multiplier=float(data.get("multiplier", 2.0)),
-            max_delay=float(data.get("max_delay", 2.0)),
-            jitter=float(data.get("jitter", 0.5)),
-            seed=int(data.get("seed", 0)),
-            retry_statuses=tuple(
-                data.get("retry_statuses") or DEFAULT_RETRY_STATUSES))
 
 
 #: Spec keys of :func:`parse_retry_spec` mapped to dataclass fields.

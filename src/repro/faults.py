@@ -26,8 +26,8 @@ Four fault kinds cover the recovery paths the fabric promises:
     The worker primitive raises before verifying -- the entry yields an
     ``error`` record, retried by policy.
 ``hang``
-    The entry starts with an already-expired cooperative deadline, so
-    the traversal's per-iteration check raises
+    The entry runs with a one-nanosecond ``timeout``, so the engine's
+    first cooperative deadline check raises
     :class:`~repro.utils.timing.DeadlineExceeded` -- a ``timeout``
     record, retried by policy.
 ``truncate``
@@ -126,11 +126,6 @@ class FaultPlan:
         """The same plan evaluated under dispatch attempt ``attempt``."""
         return replace(self, attempt=attempt)
 
-    @property
-    def active(self) -> bool:
-        """True when any fault kind has a non-zero rate."""
-        return any(getattr(self, kind) > 0.0 for kind in FAULT_KINDS)
-
     # ------------------------------------------------------------------
     # The spec string (CLI flag, EngineConfig.fault_plan knob)
     # ------------------------------------------------------------------
@@ -147,29 +142,6 @@ class FaultPlan:
         if self.attempt != 1:
             parts.append(f"attempt={self.attempt}")
         return ",".join(parts)
-
-    # ------------------------------------------------------------------
-    # Round-trip schema
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "crash": self.crash,
-            "hang": self.hang,
-            "truncate": self.truncate,
-            "stall": self.stall,
-            "attempt": self.attempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":
-        return cls(
-            seed=int(data.get("seed", 0)),
-            crash=float(data.get("crash", 0.0)),
-            hang=float(data.get("hang", 0.0)),
-            truncate=float(data.get("truncate", 0.0)),
-            stall=float(data.get("stall", 0.0)),
-            attempt=int(data.get("attempt", 1)))
 
 
 def parse_fault_spec(spec: str) -> FaultPlan:

@@ -257,11 +257,6 @@ class Tracer:
         current = self._stack[-1] if self._stack else None
         self._emit_event(current, name, attrs)
 
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     def finish(self) -> None:
         """Emit the end record (metrics snapshot) and close the sinks."""
         if self._finished:

@@ -21,9 +21,8 @@ an ``emit`` callback, so the runner's output -- plan-ordered results,
 :meth:`~repro.runner.results.SweepResult.stable_json_dict` -- is
 byte-identical across backends (the parity tests and the CI sweep matrix
 pin exactly that).  Every backend honours ``timeout`` through the
-cooperative deadline the engines check
-(:func:`~repro.runner.worker.execute_payload`).  The differences are
-operational:
+cooperative deadline each engine derives from it as it starts
+(:mod:`repro.engines`).  The differences are operational:
 
 ``process`` (the default)
     One worker process per task, bounded by ``jobs``.  The only backend
@@ -123,8 +122,8 @@ def _execute_inline(items: Sequence[WorkItem], emit: EmitCallback) -> None:
     """Shared in-process loop (serial backend, process backend at jobs=1).
 
     Entry-level failures are still captured by the worker module, and
-    ``timeout`` holds through its cooperative deadline; nothing here can
-    kill an entry that stops checking it.
+    ``timeout`` holds through the engines' cooperative deadline; nothing
+    here can kill an entry that stops checking it.
     """
     for position, task in items:
         emit(position,

@@ -183,6 +183,29 @@ class SweepTask:
         }
 
 
+def corpus_task(name: str, config: EngineConfig,
+                checks: Optional[Sequence[str]] = None) -> SweepTask:
+    """The task of one registered corpus entry under ``config``.
+
+    The text, the arbitration places (which replace ``config``'s) and
+    the normalised expected verdicts all come from the registry entry.
+    :class:`SweepPlan` expansion and the ``repro.serve`` daemon both
+    build corpus tasks here, so a daemon request and a ``batch-check``
+    run of the same entry share one fingerprint -- the RunStore key and
+    the stable verdict -- by construction.
+    """
+    from repro import corpus
+
+    entry = corpus.entry(name)
+    return SweepTask(
+        name=entry.name,
+        g_text=entry.g_text,
+        config=replace(config,
+                       arbitration_places=tuple(entry.arbitration_places)),
+        expected=normalise_expected(entry.expected),
+        checks=tuple(checks) if checks is not None else None)
+
+
 # ----------------------------------------------------------------------
 # Family scale ranges
 # ----------------------------------------------------------------------
@@ -268,24 +291,13 @@ class SweepPlan:
             self._expanded = self._expand()
         return list(self._expanded)
 
-    def _task_config(self, arbitration: Sequence[str]) -> EngineConfig:
-        """The plan config specialised to one entry's arbitration places."""
-        return replace(self.config, arbitration_places=tuple(arbitration))
-
     def _expand(self) -> List[SweepTask]:
         from repro import corpus
         from repro.stg.writer import to_g_string
 
         checks = tuple(self.checks) if self.checks is not None else None
-        tasks: List[SweepTask] = []
-        for name in (self.names or corpus.names()):
-            entry = corpus.entry(name)
-            tasks.append(SweepTask(
-                name=entry.name,
-                g_text=entry.g_text,
-                config=self._task_config(entry.arbitration_places),
-                expected=normalise_expected(entry.expected),
-                checks=checks))
+        tasks = [corpus_task(name, self.config, checks)
+                 for name in (self.names or corpus.names())]
         for family_name, scales in self.families:
             try:
                 family = corpus.family(family_name)
@@ -301,7 +313,8 @@ class SweepPlan:
                 tasks.append(SweepTask(
                     name=f"{family.name}@{scale}",
                     g_text=to_g_string(stg),
-                    config=self._task_config(arbitration),
+                    config=replace(self.config,
+                                   arbitration_places=tuple(arbitration)),
                     expected=normalise_expected(family.expected),
                     checks=checks))
         return tasks

@@ -71,10 +71,6 @@ class EntryResult:
     # Derived views
     # ------------------------------------------------------------------
     @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
     def display_status(self) -> str:
         """The status tag the CLI prints (``cached`` marks provenance).
 

@@ -26,7 +26,7 @@ from typing import Dict
 
 from repro import faults, obs
 from repro.runner.results import EntryResult
-from repro.utils.timing import DeadlineExceeded, deadline_from_timeout
+from repro.utils.timing import DeadlineExceeded
 
 
 def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
@@ -42,21 +42,21 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     stable-JSON byte parity.  The record's ``duration`` is the ``entry``
     span's own (:func:`repro.obs.timed`), traced or not.
 
-    Timeouts are enforced *cooperatively* here, for every backend: a
-    ``timeout`` config knob (without an explicit ``deadline``) becomes
-    an absolute monotonic deadline the engines check once per fixpoint
-    iteration, and :class:`~repro.utils.timing.DeadlineExceeded`
-    surfaces as a ``timeout`` record.  The ``process`` backend keeps
-    its preemptive kill on top (a wedged C extension beats any
-    cooperative check); ``serial`` and the daemon rely on this path
-    alone.
+    Timeouts are enforced *cooperatively* inside the engines, for every
+    backend: each engine turns the config's ``timeout`` into the
+    deadline its fixpoints check, and the
+    :class:`~repro.utils.timing.DeadlineExceeded` they raise surfaces
+    here as a ``timeout`` record.  The ``process`` backend keeps its
+    preemptive kill on top (a wedged C extension beats any cooperative
+    check); ``serial`` and the daemon rely on the engines alone.
 
     A ``fault_plan`` knob (the lease fabric's chaos dial) injects
     deterministic failures: ``crash`` raises before verification (an
-    ``error`` record), ``hang`` starts the entry with an
-    already-expired deadline so the cooperative check fires (a
-    ``timeout`` record).  Both are recovered by the coordinator's
-    retry, which re-dispatches with a bumped attempt number.
+    ``error`` record), ``hang`` runs the entry with a one-nanosecond
+    ``timeout``, which has expired by the engine's first cooperative
+    check (a ``timeout`` record).  Both are recovered by the
+    coordinator's retry, which re-dispatches with a bumped attempt
+    number.
     """
     name = str(payload["name"])
     config = dict(payload.get("config") or {})
@@ -65,16 +65,12 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     delay = float(payload.get("delay") or 0.0)
     trace_dir = config.get("trace_dir")
     plan = faults.plan_from_config(config)
-    if config.get("deadline") is None and config.get("timeout") is not None:
-        config["deadline"] = deadline_from_timeout(
-            float(config["timeout"]))
     if plan is not None and plan.decides("hang", fingerprint):
-        # A simulated wedge: the entry starts past its deadline, so the
-        # engines' cooperative check raises on the first iteration --
-        # the genuine timeout path, without burning wall clock.
-        config["deadline"] = max(1e-9, time.monotonic() - 1.0)
-    payload = dict(payload)
-    payload["config"] = config
+        # A simulated wedge: the budget runs out before the engine's
+        # first cooperative check, which raises -- the genuine timeout
+        # path, without burning wall clock.
+        config["timeout"] = 1e-9
+        payload = dict(payload, config=config)
     meta = {"engine": engine,
             "provenance": dict(payload.get("provenance") or {})}
     with obs.tracing(trace_dir if trace_dir else None, name=name,

@@ -74,8 +74,9 @@ class CheckRequest:
 
     ``base`` (schema 2) requests a delta warm-start: a corpus entry
     name, the task name of an earlier request on this daemon, or a raw
-    reachability fingerprint.  The warm state resolves it against the
-    shared BDD store (:meth:`repro.serve.state.WarmState.resolve_base`).
+    reachability fingerprint.  The warm state resolves it with the
+    facade's :func:`repro.api.facade.resolve_base`, passing its table of
+    earlier task texts.
     """
 
     entry: Optional[str] = None

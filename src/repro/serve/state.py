@@ -11,21 +11,25 @@ life and owns
   that *does* recompute -- say, a different check subset over the same
   specification -- still skips the reachability traversal; the store's
   hit counters prove it.  Schema-2 ``base`` requests stretch the same
-  store to *edited* specifications: :meth:`WarmState.resolve_base`
-  turns the reference into a fingerprint and the engine's delta
-  warm-start seeds the traversal from the base entry),
-* the interned corpus materialisations and raw ``.g`` texts (repeat
-  requests re-use the parsed entry data instead of re-expanding it),
+  store to *edited* specifications: the facade's
+  :func:`~repro.api.facade.resolve_base` turns the reference into a
+  fingerprint and the engine's delta warm-start seeds the traversal
+  from the base entry),
+* the table of task texts by name, so a later request can say
+  ``base=<an earlier task's name>``,
 * the per-fingerprint single-flight locks (N concurrent requests for
   the same content cost one computation), and
 * the daemon-wide :class:`~repro.obs.metrics.MetricsRegistry` that
   ``GET /metrics`` snapshots.
 
-Task construction mirrors :class:`~repro.runner.plan.SweepPlan`
-expansion exactly -- same name, canonical text, arbitration-place
-specialisation and normalised expected metadata -- so a daemon verdict
-is byte-identical (stable view) to the ``batch-check`` verdict for the
-same entry.  Client configs pass through
+The daemon derives nothing a batch-check run derives differently:
+corpus requests become tasks through
+:func:`~repro.runner.plan.corpus_task`, the builder
+:class:`~repro.runner.plan.SweepPlan` expands corpus entries with, so a
+daemon verdict is byte-identical (stable view) to the ``batch-check``
+verdict for the same entry; base references resolve through the
+facade's resolver, which keys names exactly as the engine stores them.
+Client configs pass through
 :meth:`~repro.api.config.EngineConfig.without_execution_knobs` before
 the daemon stamps its own BDD-cache directory on: callers choose *what*
 to verify, never where the daemon caches or how long it may run.
@@ -41,27 +45,23 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import os
-import re
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Optional
 
 from repro.api.config import EngineConfig
-from repro.cache import BDDStore, reachable_fingerprint
+from repro.api.errors import ApiError
+from repro.api.facade import resolve_base
+from repro.cache import BDDStore
 from repro.obs import MetricsRegistry
-from repro.runner.plan import SweepTask, normalise_expected
+from repro.runner.plan import SweepTask, corpus_task
 from repro.runner.results import EntryResult
 from repro.runner.store import RunStore
 from repro.runner.worker import execute_payload
 from repro.serve.protocol import CheckRequest, ProtocolError, anonymous_name
 
-_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
-
 #: Subdirectories of the daemon state directory.
 RUN_STORE_DIR = "run-store"
 BDD_STORE_DIR = "bdd-store"
-
-#: Interned material of one verification subject: cache name, canonical
-#: ``.g`` text, arbitration places and normalised expected verdicts.
-_Material = Tuple[str, str, Tuple[str, ...], Dict[str, object]]
 
 
 async def execute_payload_async(payload: Dict[str, object],
@@ -95,15 +95,10 @@ class WarmState:
         self.bdd_dir = os.path.join(self.state_dir, BDD_STORE_DIR)
         self.bdd_store = BDDStore.shared(self.bdd_dir)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._corpus_materials: Dict[str, _Material] = {}
-        self._g_texts: Dict[str, str] = {}
         self._flights: Dict[str, asyncio.Lock] = {}
         #: Task name -> raw ``.g`` text of every task this daemon has
         #: built, so a later request can say ``base=<that name>``.
         self._task_sources: Dict[str, str] = {}
-        #: (name, raw text) -> canonical text, as the worker would
-        #: serialise it (parse under the task name, write back).
-        self._canonical_texts: Dict[Tuple[str, str], str] = {}
         self._prime_metrics()
 
     def _prime_metrics(self) -> None:
@@ -127,105 +122,41 @@ class WarmState:
     def make_task(self, request: CheckRequest) -> SweepTask:
         """Build the :class:`SweepTask` a request describes.
 
-        Corpus requests expand exactly like
-        :meth:`~repro.runner.plan.SweepPlan.tasks` does -- including the
-        arbitration-place specialisation from registry metadata -- so
-        the fingerprint (and therefore the RunStore key and the stable
+        Corpus requests are built by :func:`~repro.runner.plan.corpus_task`,
+        as :meth:`~repro.runner.plan.SweepPlan.tasks` builds them, so the
+        fingerprint (and therefore the RunStore key and the stable
         verdict) matches a ``batch-check`` run of the same entry.
         """
-        if request.entry is not None:
-            name, g_text, arbitration, expected = \
-                self._corpus_material(request.entry)
-            if request.name is not None:
-                name = request.name
-        else:
-            g_text = self._intern_g_text(request.g_text)
-            name = request.name or anonymous_name(g_text)
-            arbitration = None
-            expected = {}
         try:
             config = EngineConfig.from_dict(dict(request.config or {}))
         except Exception as error:
             raise ProtocolError(f"invalid engine config: {error}") from None
         config = config.without_execution_knobs().with_overrides(
             bdd_cache_dir=self.bdd_dir)
-        if arbitration is not None:
-            config = config.with_overrides(
-                arbitration_places=tuple(arbitration))
         if request.base is not None:
             self.metrics.counter("serve.delta.requests").add(1)
-            config = config.with_overrides(
-                base_fingerprint=self.resolve_base(request.base, config))
-        self._task_sources[name] = g_text
-        return SweepTask(name=name, g_text=g_text, config=config,
-                         expected=expected, delay=request.delay,
-                         checks=request.checks,
-                         provenance={"backend": "serve"})
-
-    def resolve_base(self, base: str, config: EngineConfig) -> str:
-        """Turn a request's ``base`` reference into a BDD-store fingerprint.
-
-        Accepts a raw 64-hex reachability fingerprint (as echoed in the
-        ``base`` field of delta ``queued`` events -- distinct from the
-        event's ``fingerprint``, which keys the RunStore), the task
-        name of an earlier request on this daemon, or a corpus entry
-        name; anything else is a 404
-        :class:`ProtocolError`.  Names are canonicalised exactly the way
-        the worker stores entries -- parse the task's text under its
-        name, write it back -- so the fingerprint matches what the base
-        run deposited in the shared store.
-        """
-        if _FINGERPRINT.fullmatch(base):
-            return base
-        g_text = self._task_sources.get(base)
-        name = base
-        if g_text is None:
             try:
-                name, g_text, _, _ = self._corpus_material(base)
-            except ProtocolError:
+                fingerprint = resolve_base(request.base, config,
+                                           tasks=self._task_sources)
+            except ApiError:
                 raise ProtocolError(
-                    f"unknown base {base!r}: not a reachability "
+                    f"unknown base {request.base!r}: not a reachability "
                     f"fingerprint, a previously checked task name, or a "
                     f"corpus entry", status=404) from None
-        return reachable_fingerprint(self._canonical_text(name, g_text),
-                                     config)
-
-    def _canonical_text(self, name: str, g_text: str) -> str:
-        """The worker-side canonical serialisation of a task's text."""
-        key = (name, g_text)
-        canonical = self._canonical_texts.get(key)
-        if canonical is None:
-            from repro.stg.parser import parse_g
-            from repro.stg.writer import to_g_string
-
-            canonical = to_g_string(parse_g(g_text, name=name))
-            self._canonical_texts[key] = canonical
-        return canonical
-
-    def _corpus_material(self, entry_name: str) -> _Material:
-        """The interned materialisation of a registered corpus entry.
-
-        Computed once per entry name for the daemon's lifetime:
-        ``g_text`` materialisation can mean running a family builder,
-        which repeat requests must not pay again.
-        """
-        material = self._corpus_materials.get(entry_name)
-        if material is None:
-            from repro import corpus
-
+            config = config.with_overrides(base_fingerprint=fingerprint)
+        if request.entry is not None:
             try:
-                entry = corpus.entry(entry_name)
-            except Exception as error:
+                task = corpus_task(request.entry, config, request.checks)
+            except KeyError as error:
                 raise ProtocolError(str(error), status=404) from None
-            material = (entry.name, entry.g_text,
-                        tuple(entry.arbitration_places),
-                        normalise_expected(entry.expected))
-            self._corpus_materials[entry_name] = material
-        return material
-
-    def _intern_g_text(self, g_text: str) -> str:
-        """One canonical string object per distinct ``.g`` source."""
-        return self._g_texts.setdefault(g_text, g_text)
+        else:
+            task = SweepTask(
+                name=request.name or anonymous_name(request.g_text),
+                g_text=request.g_text, config=config, checks=request.checks)
+        name = request.name or task.name
+        self._task_sources[name] = task.g_text
+        return replace(task, name=name, delay=request.delay,
+                       provenance={"backend": "serve"})
 
     # ------------------------------------------------------------------
     # Execution (single-flight, store-backed)
@@ -282,5 +213,3 @@ class WarmState:
             self.bdd_store.delta_colds)
         self.metrics.gauge("serve.runstore.records").set(
             len(self.run_store))
-        self.metrics.gauge("serve.intern.entries").set(
-            len(self._corpus_materials) + len(self._g_texts))

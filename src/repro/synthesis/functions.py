@@ -10,6 +10,13 @@ circuit must drive:
   at 0 (``QR(a-)``),
 * **don't-care set** -- codes that are not reachable at all.
 
+Both sets are read off the split the CSC check makes
+(:mod:`repro.core.csc`): with ``N(a) = a ? not E(a-) : E(a+)``, the
+on-set is ``exists_P (R . N(a))`` and the off-set ``exists_P (R . not
+N(a))``.  Under a consistent state assignment ``E(a+)`` holds only where
+``a = 0`` and ``E(a-)`` only where ``a = 1``, so the excitation regions
+are the on-set where ``a = 0`` and the off-set where ``a = 1``.
+
 CSC is exactly the condition making on- and off-set disjoint, so the
 derivation refuses to proceed (per signal) when they overlap -- the same
 criterion the checker reports.
@@ -22,7 +29,7 @@ from typing import Dict, Optional
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
-from repro.core.csc import compute_regions
+from repro.core.csc import next_state
 from repro.core.encoding import SymbolicEncoding
 
 
@@ -50,23 +57,26 @@ class NextStateFunction:
 def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
                                charfun: CharacteristicFunctions,
                                signal: str) -> NextStateFunction:
-    """Derive the next-state function of one non-input signal."""
+    """Derive the next-state function of one non-input signal.
+
+    The excitation regions are exact under a consistent state
+    assignment, which :func:`derive_next_state_functions` enforces.
+    """
     if encoding.stg.is_input(signal):
         raise SynthesisError(
             f"signal {signal!r} is an input; the environment drives it")
-    regions = compute_regions(encoding, reached, charfun, signal)
     places = encoding.place_variables
-    on_set = regions.er_plus | regions.qr_plus
-    off_set = regions.er_minus | regions.qr_minus
-    reachable_codes = reached.exist(places)
-    dont_care = ~reachable_codes
+    variable = encoding.signal(signal)
+    on, off = reached.split(next_state(encoding, charfun, signal))
+    on_set = on.exist(places)
+    off_set = off.exist(places)
     return NextStateFunction(
         signal=signal,
         on_set=on_set,
         off_set=off_set,
-        dont_care=dont_care,
-        excitation_on=regions.er_plus,
-        excitation_off=regions.er_minus,
+        dont_care=~reached.exist(places),
+        excitation_on=on_set - variable,
+        excitation_off=off_set & variable,
     )
 
 

@@ -16,9 +16,11 @@ class DeadlineExceeded(Exception):
     """A cooperative deadline expired mid-computation.
 
     Raised by the symbolic fixpoint loop (the traversal and every
-    closure) or the explicit state-graph enumeration when the
-    ``deadline`` execution knob (an absolute :func:`time.monotonic`
-    instant) has passed.  The worker primitive catches it and reports
+    closure) or the explicit state-graph enumeration when the deadline
+    an engine derived from the ``timeout`` execution knob (an absolute
+    :func:`time.monotonic` instant) has passed.  A direct
+    :func:`repro.api.verify` call propagates it; the sweep worker
+    primitive catches it and reports
     the entry as a ``timeout`` record, which is how the ``serial``
     backend (and ``process`` with ``jobs=1``) -- which runs entries
     in-process and cannot preempt one the way ``process`` worker

@@ -6,7 +6,7 @@ import pytest
 from repro.api import ALL, EngineConfig, verify
 from repro.core.conflicts import check_conflict_pairs
 from repro.core.consistency import check_consistency
-from repro.core.csc import _check_usc, check_csc, compute_regions
+from repro.core.csc import _check_usc, check_csc
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.reducibility import (
@@ -271,9 +271,9 @@ class TestCSC:
                 product_checks.state_regions(encoding, reached,
                                              image.charfun, signal)
             assert er_plus | er_minus | qr_plus | qr_minus == reached
-            regions = compute_regions(encoding, reached, image.charfun, signal)
-            assert (regions.er_plus | regions.er_minus | regions.qr_plus
-                    | regions.qr_minus) == codes
+            places = encoding.place_variables
+            assert (er_plus.exist(places) | er_minus.exist(places)
+                    | qr_plus.exist(places) | qr_minus.exist(places)) == codes
 
     def test_usc_spec_builds_no_on_off_sets(self):
         """Under USC the check is the USC count alone: the same BDD work,

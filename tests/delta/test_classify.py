@@ -4,7 +4,6 @@ from repro.delta import (
     TIER_COLD,
     TIER_SEED,
     TIERS,
-    DeltaClassification,
     classify_delta,
     diff_stg,
 )
@@ -82,7 +81,3 @@ class TestColdTier:
 class TestSerialisation:
     def test_tiers_catalogue(self):
         assert TIERS == (TIER_SEED, TIER_COLD)
-
-    def test_round_trip(self, base_stg, edit_closed):
-        c = classify_delta(diff_stg(base_stg, edit_closed), edit_closed)
-        assert DeltaClassification.from_dict(c.to_dict()) == c

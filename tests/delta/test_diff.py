@@ -71,10 +71,6 @@ class TestRemovalsAndChanges:
 
 
 class TestSerialisation:
-    def test_round_trip(self, base_stg, edit_closed):
-        delta = diff_stg(base_stg, edit_closed)
-        assert STGDelta.from_dict(delta.to_dict()) == delta
-
     def test_summary_counts(self, base_stg, edit_closed):
         summary = diff_stg(base_stg, edit_closed).summary()
         assert summary["added_signals"] == 1

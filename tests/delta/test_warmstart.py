@@ -7,8 +7,9 @@ against a populated BDD store -- and observed through the report's
 
 import pytest
 
-from repro import api
-from repro.cache import BDDStore
+from repro import api, corpus
+from repro.api.facade import resolve_base
+from repro.cache import BDDStore, bind_pipeline
 from repro.core.pipeline import VerificationPipeline
 from repro.delta import TIER_COLD, TIER_SEED
 from repro.delta.warmstart import TIER_HIT
@@ -112,6 +113,26 @@ class TestColdTier:
         assert warm.report.delta["reasons"] == \
             ["base entry stores no specification text"]
         assert store.delta_colds == 1
+
+
+class TestBaseByCorpusName:
+    """A corpus entry named as the base resolves to the key its run
+    stored, even where the registry text is not in the writer's form."""
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_resolves_to_the_stored_key(self, name, config, store):
+        stored = bind_pipeline(VerificationPipeline(corpus.load(name)),
+                               store, name=name, config=config)
+        assert resolve_base(name, config) == stored
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_edit_warm_starts_from_the_entry(self, name, config, copy_stg,
+                                             add_probe_cycle):
+        base = corpus.load(name)
+        api.run(base, config, checks=["consistency"])
+        edited = add_probe_cycle(copy_stg(base))
+        outcome = api.run(edited, config, checks=["consistency"], base=name)
+        assert outcome.report.delta["tier"] in (TIER_SEED, TIER_HIT)
 
 
 class TestFacadeValidation:

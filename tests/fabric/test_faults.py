@@ -32,10 +32,6 @@ class TestSpecParsing:
         with pytest.raises(FaultSpecError):
             parse_fault_spec(spec)
 
-    def test_dict_round_trip(self):
-        plan = FaultPlan(seed=2, hang=0.3, attempt=4)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-
     def test_plan_from_config_reads_the_knob(self):
         assert plan_from_config({}) is None
         assert plan_from_config({"fault_plan": None}) is None
@@ -78,10 +74,6 @@ class TestDecisions:
     def test_unknown_kind_raises(self):
         with pytest.raises(FaultSpecError):
             FaultPlan().decides("meltdown", "fp")
-
-    def test_active_property(self):
-        assert not FaultPlan().active
-        assert FaultPlan(stall=0.01).active
 
     def test_out_of_range_rates_raise(self):
         with pytest.raises(FaultSpecError):

@@ -28,10 +28,6 @@ class TestSpecParsing:
         with pytest.raises(RetrySpecError):
             parse_retry_spec(spec)
 
-    def test_policy_dict_round_trip(self):
-        policy = RetryPolicy(max_attempts=5, jitter=0.1, seed=3)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-
 
 class TestRetryDecisions:
     def test_default_retryable_statuses_are_the_non_verdicts(self):

@@ -1,6 +1,6 @@
-"""Cooperative deadlines: the ``deadline``/``timeout`` execution knobs
-enforced inside the engines, so *every* backend -- not just the
-preemptive ``process`` pool -- yields ``timeout`` records."""
+"""Cooperative deadlines: the ``timeout`` execution knob enforced inside
+the engines, so a direct facade call raises and *every* backend -- not
+just the preemptive ``process`` pool -- yields ``timeout`` records."""
 
 import time
 
@@ -35,14 +35,14 @@ class TestCheckDeadline:
 
 
 class SlowPlan(SweepPlan):
-    """A plan whose first task sleeps past its cooperative budget."""
+    """A plan whose first task runs out of its budget inside the engine."""
 
     def __init__(self, config, **kwargs):
         super().__init__(names=["handshake"], **kwargs)
         self._slow_config = config
 
     def tasks(self):
-        slow = SweepTask(name="slow", g_text="", delay=0.3,
+        slow = SweepTask(name="slow", g_text=corpus.g_text("vme_read"),
                          config=self._slow_config)
         return [slow] + super().tasks()
 
@@ -56,7 +56,7 @@ class TestCooperativeTimeouts:
     @pytest.mark.parametrize("backend", COOPERATIVE_BACKENDS)
     def test_timeout_knob_times_out_on_cooperative_backends(
             self, backend):
-        plan = SlowPlan(EngineConfig(timeout=0.05), jobs=2,
+        plan = SlowPlan(EngineConfig(timeout=1e-9), jobs=2,
                         backend=backend)
         sweep = SweepRunner(plan).run()
         by_name = {result.name: result for result in sweep}
@@ -66,23 +66,24 @@ class TestCooperativeTimeouts:
 
     @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
     def test_both_engines_check_the_deadline(self, engine):
-        plan = SlowPlan(EngineConfig(engine=engine, timeout=0.05),
+        plan = SlowPlan(EngineConfig(engine=engine, timeout=1e-9),
                         backend="serial")
         sweep = SweepRunner(plan).run()
         by_name = {result.name: result for result in sweep}
         assert by_name["slow"].status == "timeout"
 
-    def test_explicit_deadline_knob_overrides_timeout_derivation(self):
-        # An already-expired absolute deadline: the entry times out on
-        # its first traversal iteration without any sleeping.
-        config = EngineConfig(deadline=time.monotonic() - 1.0)
-        plan = SweepPlan(names=["handshake"], backend="serial",
-                         config=config)
-        sweep = SweepRunner(plan).run()
-        assert sweep.results[0].status == "timeout"
+    @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
+    def test_the_facade_honours_the_timeout(self, engine):
+        # No worker in between: the engine derives the deadline from
+        # the config's timeout itself.
+        from repro.api import verify
+
+        with pytest.raises(DeadlineExceeded):
+            verify(corpus.load("vme_read"),
+                   EngineConfig(engine=engine, timeout=1e-9))
 
     def test_generous_deadline_changes_nothing(self):
-        config = EngineConfig(deadline=time.monotonic() + 300.0)
+        config = EngineConfig(timeout=300.0)
         reference = SweepRunner(SweepPlan(names=["handshake"],
                                           backend="serial")).run()
         sweep = SweepRunner(SweepPlan(names=["handshake"],
@@ -94,35 +95,35 @@ class TestCooperativeTimeouts:
 
 
 class TestDeadlineKnobSemantics:
-    def test_deadline_and_fault_plan_are_execution_knobs(self):
+    def test_timeout_and_fault_plan_are_execution_knobs(self):
         from repro.api.config import EXECUTION_KNOB_FIELDS
 
-        assert "deadline" in EXECUTION_KNOB_FIELDS
+        assert "timeout" in EXECUTION_KNOB_FIELDS
         assert "fault_plan" in EXECUTION_KNOB_FIELDS
         base = SweepPlan(names=["handshake"]).tasks()[0]
         knobbed = SweepPlan(
             names=["handshake"],
-            config=EngineConfig(deadline=time.monotonic() + 60.0,
+            config=EngineConfig(timeout=60.0,
                                 fault_plan="crash=0.5,seed=1")
         ).tasks()[0]
         assert base.fingerprint == knobbed.fingerprint
 
-    def test_bad_deadline_and_fault_plan_are_config_errors(self):
+    def test_bad_timeout_and_fault_plan_are_config_errors(self):
         from repro.api import ApiError
 
         with pytest.raises(ApiError):
-            EngineConfig(deadline=0.0)
+            EngineConfig(timeout=0.0)
         with pytest.raises(ApiError):
             EngineConfig(fault_plan="bogus")
 
     def test_knobs_round_trip_through_the_config_dict(self):
-        config = EngineConfig(deadline=12345.0,
+        config = EngineConfig(timeout=12345.0,
                               fault_plan="hang=0.25,seed=3")
         replayed = EngineConfig.from_dict(config.to_dict())
-        assert replayed.deadline == 12345.0
+        assert replayed.timeout == 12345.0
         assert replayed.fault_plan == "hang=0.25,seed=3"
         stripped = config.without_execution_knobs()
-        assert stripped.deadline is None
+        assert stripped.timeout is None
         assert stripped.fault_plan is None
 
 
@@ -170,7 +171,7 @@ class TestClosureDeadlines:
         from repro.api import ALL, verify
         from repro.stg.generators import mutex_element
 
-        config = EngineConfig(deadline=clock_jumps_in_closures.now + 1.0)
+        config = EngineConfig(timeout=1.0)
         with pytest.raises(DeadlineExceeded, match="backward"):
             verify(mutex_element(6), config, checks=ALL)
 
@@ -223,8 +224,7 @@ class TestClosureDeadlines:
     def test_explicit_fake_conflicts_check_an_expired_deadline(self):
         from repro.api import verify
 
-        config = EngineConfig(engine="explicit",
-                              deadline=time.monotonic() - 1.0)
+        config = EngineConfig(engine="explicit", timeout=1e-9)
         with pytest.raises(DeadlineExceeded, match="explicit"):
             verify(corpus.load("irreducible_csc"), config,
                    checks=["fake_conflicts"])

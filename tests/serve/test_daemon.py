@@ -139,7 +139,7 @@ class TestMetricsEndpoint:
                      "serve.entry.seconds", "serve.runstore.hits",
                      "serve.runstore.misses", "serve.runstore.records",
                      "serve.bdd.hits", "serve.bdd.misses",
-                     "serve.intern.entries", "serve.uptime.seconds"):
+                     "serve.uptime.seconds"):
             assert name in metrics, name
         assert metrics["serve.requests"]["kind"] == "counter"
         assert metrics["serve.requests"]["value"] == 1

@@ -54,6 +54,12 @@ class TestParseCheckRequest:
         with pytest.raises(ProtocolError, match="'check'"):
             parse_check_request({"entry": "a", "check": ["csc"]})
 
+    def test_deadline_is_not_a_config_key(self):
+        # ``timeout`` is the config's one time budget.
+        with pytest.raises(ProtocolError, match="'deadline'") as info:
+            parse_check_request({"entry": "a", "config": {"deadline": 1.0}})
+        assert info.value.status == 400
+
 
 class TestEvents:
     def test_queued_event_carries_the_schema_version(self):

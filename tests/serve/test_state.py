@@ -2,18 +2,20 @@
 
 import asyncio
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import corpus, obs
 from repro.api import EngineConfig
+from repro.cache import BDDStore, bind_pipeline, canonical_g_text
+from repro.core.pipeline import VerificationPipeline
 from repro.runner import SweepPlan, SweepTask
 from repro.runner.results import EntryResult
 from repro.runner.worker import execute_payload
 from repro.serve.protocol import CheckRequest, ProtocolError
 from repro.serve.state import WarmState, execute_payload_async
+from repro.stg.parser import parse_g
 
 
 @pytest.fixture
@@ -26,13 +28,15 @@ class TestMakeTaskParity:
         # The whole serving story hangs on this: same entry, same
         # fingerprint, therefore same RunStore key and stable verdict
         # as a batch-check sweep.
-        for name in ("handshake", "vme_read", "mutex_element"):
-            planned = {task.name: task
-                       for task in SweepPlan(names=[name]).tasks()}[name]
+        planned = {task.name: task for task in SweepPlan().tasks()}
+        assert list(planned) == corpus.names()
+        for name, task in planned.items():
             served = state.make_task(CheckRequest(entry=name))
-            assert served.fingerprint == planned.fingerprint
-            assert served.g_text == planned.g_text
-            assert served.expected == planned.expected
+            assert served.fingerprint == task.fingerprint
+            assert served.g_text == task.g_text
+            assert served.expected == task.expected
+            assert served.config.arbitration_places == \
+                task.config.arbitration_places
 
     def test_checks_subset_changes_the_fingerprint(self, state):
         full = state.make_task(CheckRequest(entry="handshake"))
@@ -93,12 +97,6 @@ class TestConfigHygiene:
 
 
 class TestInterning:
-    def test_g_text_requests_share_one_string_object(self, state):
-        text = corpus.entry("handshake").g_text
-        first = state.make_task(CheckRequest(g_text=text))
-        second = state.make_task(CheckRequest(g_text="".join(text)))
-        assert first.g_text is second.g_text
-
     def test_anonymous_g_text_requests_share_one_name(self, state):
         text = corpus.entry("handshake").g_text
         first = state.make_task(CheckRequest(g_text=text))
@@ -107,11 +105,44 @@ class TestInterning:
         assert first.name.startswith("g-")
         assert first.fingerprint == second.fingerprint
 
-    def test_corpus_materialisation_is_computed_once(self, state):
-        state.make_task(CheckRequest(entry="handshake"))
-        material = state._corpus_materials["handshake"]
-        state.make_task(CheckRequest(entry="handshake"))
-        assert state._corpus_materials["handshake"] is material
+
+class TestBaseResolution:
+    def test_bases_resolve_to_the_stored_keys(self, state):
+        # Every corpus entry, then a task whose text (not in the
+        # writer's form) was checked under another name.
+        state.make_task(CheckRequest(g_text=corpus.g_text("sbuf_send_ctl"),
+                                     name="edited-ctl"))
+        sources = {name: corpus.g_text(name) for name in corpus.names()}
+        sources["edited-ctl"] = corpus.g_text("sbuf_send_ctl")
+        store = BDDStore.shared(state.bdd_dir)
+        for name, text in sources.items():
+            task = state.make_task(CheckRequest(entry="handshake",
+                                                base=name))
+            stored = bind_pipeline(
+                VerificationPipeline(parse_g(text, name=name)), store,
+                name=name, config=task.config)
+            assert task.config.base_fingerprint == stored, name
+
+    def test_a_resolved_base_is_not_parsed_again(self, state, monkeypatch):
+        from repro.stg import parser
+
+        text = corpus.g_text("vme_read")
+        state.make_task(CheckRequest(g_text=text, name="memo-base"))
+        canonical_g_text.cache_clear()
+        parses = []
+
+        def counting_parse(*args, **kwargs):
+            parses.append(args)
+            return parse_g(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_g", counting_parse)
+        first, second = (
+            state.make_task(CheckRequest(g_text=text, name="memo-edit",
+                                         base="memo-base"))
+            for _ in range(2))
+        assert first.config.base_fingerprint == \
+            second.config.base_fingerprint
+        assert len(parses) == 1
 
 
 class TestRunTask:
@@ -147,7 +178,7 @@ class TestRunTask:
 class TestExecutePayloadAsync:
     def test_expired_deadline_is_a_timeout_record(self):
         task = SweepTask(name="handshake", g_text=corpus.g_text("handshake"),
-                         config=EngineConfig(deadline=time.monotonic() - 1.0))
+                         config=EngineConfig(timeout=1e-9))
         result = asyncio.run(execute_payload_async(task.to_payload()))
         assert result["status"] == "timeout"
         assert "DeadlineExceeded" in result["error"]

@@ -26,6 +26,9 @@ so the distributed-sweep contract is checkable on any machine:
    traversal from the cached base entry) must produce stable JSON
    byte-identical to a cold re-check, report the seed reuse tier, and
    leave the base entry intact for further edits of the same model.
+   The same holds when ``--base`` names a corpus entry whose registry
+   text is not in the writer's form (:data:`CORPUS_BASE`): the name
+   must resolve to the key the base's check stored.
 6. **Chaos parity** -- the corpus swept through the lease coordinator
    (``--leases``) under deterministic fault injection
    (``--inject-faults``: worker crashes, hangs, torn store writes,
@@ -194,18 +197,25 @@ def check_trace_parity(workdir):
     return True
 
 
-def write_delta_specs(workdir):
-    """The base and two edited specs of the delta leg, as ``.g`` files.
+#: The corpus entry the delta leg also names as a base: its registry text
+#: differs from the text the engine stores it under.
+CORPUS_BASE = "sbuf_send_ctl"
 
-    Both edits keep the base's ``.model`` name -- the realistic editor
-    loop, where a saved file is re-checked in place -- and add a
-    disconnected two-phase probe cycle on a fresh internal signal (the
-    canonical seed-tier shape).  Generation is in-process (the writer is
-    deterministic); every *verification* below runs in a
+
+def write_delta_specs(workdir):
+    """The specs of the delta leg, as ``.g`` files.
+
+    A base with two edits, then :data:`CORPUS_BASE`'s registry text
+    with one edit.  Every edit keeps its base's ``.model`` name -- the
+    realistic editor loop, where a saved file is re-checked in place --
+    and adds a disconnected two-phase probe cycle on a fresh internal
+    signal (the canonical seed-tier shape).  Generation is in-process
+    (the writer is deterministic); every *verification* below runs in a
     hash-seed-varied subprocess.
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     try:
+        from repro import corpus
         from repro.stg.generators import build_example
         from repro.stg.parser import parse_g
         from repro.stg.stg import SignalKind
@@ -213,13 +223,8 @@ def write_delta_specs(workdir):
     finally:
         sys.path.pop(0)
 
-    base = build_example("muller_pipeline", 6)
-    paths = [os.path.join(workdir, "base.g")]
-    with open(paths[0], "w", encoding="utf-8") as handle:
-        handle.write(to_g_string(base))
-
-    for signal in ("xprobe", "yprobe"):
-        edited = parse_g(to_g_string(base))
+    def probed(g_text, signal):
+        edited = parse_g(g_text)
         rising, falling = f"{signal}+", f"{signal}-"
         p0, p1 = f"p_{signal}0", f"p_{signal}1"
         edited.add_signal(signal, SignalKind.INTERNAL,
@@ -231,32 +236,52 @@ def write_delta_specs(workdir):
         for arc in ((p0, rising), (rising, p1),
                     (p1, falling), (falling, p0)):
             edited.add_arc(*arc)
-        paths.append(os.path.join(workdir, f"edited-{signal}.g"))
+        return to_g_string(edited)
+
+    base = to_g_string(build_example("muller_pipeline", 6))
+    entry = corpus.g_text(CORPUS_BASE)
+    texts = {"base.g": base,
+             "edited-xprobe.g": probed(base, "xprobe"),
+             "edited-yprobe.g": probed(base, "yprobe"),
+             f"{CORPUS_BASE}.g": entry,
+             f"edited-{CORPUS_BASE}.g": probed(entry, "xprobe")}
+    paths = []
+    for filename, text in texts.items():
+        paths.append(os.path.join(workdir, filename))
         with open(paths[-1], "w", encoding="utf-8") as handle:
-            handle.write(to_g_string(edited))
+            handle.write(text)
     return paths
+
+
+def seeded_recheck(base_path, edit_path, reference, store, prefix, seed):
+    """Check ``base_path`` into ``store``, then re-check ``edit_path``
+    cold and with ``--base reference``: the warm start must report the
+    seed tier and write the cold re-check's stable JSON."""
+    cold_path, delta_path = f"{prefix}-cold.json", f"{prefix}-warm.json"
+    run_repro([edit_path, "--stable-json", cold_path], seed=seed)
+    run_repro([base_path, "--bdd-cache", store], seed=seed + 2)
+    stdout = run_repro([edit_path, "--bdd-cache", store,
+                        "--base", reference,
+                        "--stable-json", delta_path], seed=seed + 4)
+    if "delta: tier seed" not in stdout:
+        print(f"sweep-gate: FAIL: the --base {reference} re-check did not "
+              f"report the seed reuse tier (the warm start never engaged)")
+        return False
+    if read(delta_path) != read(cold_path):
+        print(f"sweep-gate: FAIL: --base {reference} warm-started stable "
+              f"JSON differs from the cold re-check")
+        return False
+    return True
 
 
 def check_delta_parity(workdir):
     print("sweep-gate: delta parity (cold re-check vs --base "
           "warm-started re-check) ...")
-    base_path, edit1_path, edit2_path = write_delta_specs(workdir)
+    base_path, edit1_path, edit2_path, entry_path, entry_edit_path = \
+        write_delta_specs(workdir)
     store = os.path.join(workdir, "delta-bdd-store")
-    cold_path = os.path.join(workdir, "delta-cold.json")
-    delta_path = os.path.join(workdir, "delta-warm.json")
-
-    run_repro([edit1_path, "--stable-json", cold_path], seed=901)
-    run_repro([base_path, "--bdd-cache", store], seed=903)  # populate
-    stdout = run_repro([edit1_path, "--bdd-cache", store,
-                        "--base", base_path,
-                        "--stable-json", delta_path], seed=905)
-    if "delta: tier seed" not in stdout:
-        print("sweep-gate: FAIL: the --base re-check did not report the "
-              "seed reuse tier (the warm start never engaged)")
-        return False
-    if read(delta_path) != read(cold_path):
-        print("sweep-gate: FAIL: --base warm-started stable JSON "
-              "differs from the cold re-check")
+    if not seeded_recheck(base_path, edit1_path, base_path, store,
+                          os.path.join(workdir, "delta"), seed=901):
         return False
     # A second, different edit against the same base: the first edit's
     # run shares the base's model name, so this only seeds if its
@@ -267,8 +292,12 @@ def check_delta_parity(workdir):
         print("sweep-gate: FAIL: the base entry did not survive the "
               "first edit's run (second re-check fell back to cold)")
         return False
+    if not seeded_recheck(entry_path, entry_edit_path, CORPUS_BASE, store,
+                          os.path.join(workdir, "delta-entry"), seed=909):
+        return False
     print("sweep-gate: ok: seed-tier warm starts byte-identical to the "
-          "cold re-check, base entry survives the edit loop")
+          "cold re-check, base entry survives the edit loop, corpus "
+          "entry names resolve")
     return True
 
 
