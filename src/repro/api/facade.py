@@ -77,17 +77,22 @@ def resolve_base(base: Union[str, STG], config: EngineConfig,
       caller has verified (the serve daemon passes the tasks it built);
     * a benchmark-corpus entry name.
 
-    A name is fingerprinted through the text the task was stored under
-    (:func:`repro.cache.canonical_g_text`), under ``config`` (ordering,
+    An STG or a name is fingerprinted through the text its run was
+    stored under (:func:`repro.cache.stored_g_text`, memoised per name
+    by :func:`repro.cache.canonical_g_text`), with ``config``'s
+    initial-value overrides applied, under ``config`` (ordering,
     initial values): the result names *the entry this very config
     would have written*.  Anything else raises :class:`ApiError`.
     """
-    from repro.cache import canonical_g_text, reachable_fingerprint
+    from repro.cache import (
+        canonical_g_text,
+        reachable_fingerprint,
+        stored_g_text,
+    )
 
     if isinstance(base, STG):
-        from repro.stg.writer import to_g_string
-
-        return reachable_fingerprint(to_g_string(base), config)
+        return reachable_fingerprint(
+            stored_g_text(base, config.initial_values_dict), config)
     base = str(base)
     if _FINGERPRINT.fullmatch(base):
         return base
@@ -102,7 +107,8 @@ def resolve_base(base: Union[str, STG], config: EngineConfig,
                 f"base {base!r} is neither a reachability fingerprint "
                 f"nor a known task or benchmark-corpus entry name"
             ) from None
-    return reachable_fingerprint(canonical_g_text(base, g_text), config)
+    return reachable_fingerprint(
+        canonical_g_text(base, g_text, config.initial_values or ()), config)
 
 
 def run(stg: STG, config: Optional[EngineConfig] = None,

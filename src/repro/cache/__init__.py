@@ -22,6 +22,7 @@ is what the CLI's ``--bdd-cache DIR`` sets (both on single checks and on
 from __future__ import annotations
 
 import functools
+from typing import Mapping, Optional, Tuple
 
 from repro.cache.bddstore import (
     BDD_SCHEMA_VERSION,
@@ -37,34 +38,59 @@ __all__ = [
     "bind_pipeline",
     "canonical_g_text",
     "reachable_fingerprint",
+    "stored_g_text",
 ]
 
 
+def stored_g_text(stg, initial_values: Optional[Mapping[str, bool]]) -> str:
+    """The ``.g`` text a run of ``stg`` is stored under.
+
+    The pipeline verifies a copy of ``stg`` with the config's
+    ``initial_values`` overrides applied, and :func:`bind_pipeline`
+    keys the entry by that copy written back, so a base reference must
+    be fingerprinted through the same text.  Only overrides of declared
+    signals that change a value are applied; an STG that already
+    carries them (the pipeline's own) is written as it is.
+    """
+    from repro.stg.writer import to_g_string
+
+    changes = {signal: value
+               for signal, value in (initial_values or {}).items()
+               if stg.has_signal(signal)
+               and stg.initial_value(signal) != value}
+    if changes:
+        stg = stg.copy()
+        stg.set_initial_values(changes)
+    return to_g_string(stg)
+
+
 @functools.lru_cache(maxsize=256)
-def canonical_g_text(name: str, g_text: str) -> str:
+def canonical_g_text(name: str, g_text: str,
+                     initial_values: Tuple[Tuple[str, bool], ...]) -> str:
     """The ``.g`` text a task named ``name`` is stored under.
 
-    A task is verified as ``parse_g(g_text, name=name)``, and
-    :func:`bind_pipeline` keys its entry by the fingerprint of that STG
-    written back, which differs from ``g_text`` whenever the source is
-    not already in the writer's form.  So a reference to a task by name
+    A task is verified as ``parse_g(g_text, name=name)`` under the
+    config's ``initial_values`` overrides (a sorted tuple of pairs, as
+    :class:`~repro.api.config.EngineConfig` holds them), and
+    :func:`bind_pipeline` keys its entry by :func:`stored_g_text` of
+    that STG, which differs from ``g_text`` whenever the source is not
+    already in the writer's form.  So a reference to a task by name
     must be fingerprinted through this text, not the raw one.
     Memoised: a daemon in an edit loop resolves the same base on every
     request.
     """
     from repro.stg.parser import parse_g
-    from repro.stg.writer import to_g_string
 
-    return to_g_string(parse_g(g_text, name=name))
+    return stored_g_text(parse_g(g_text, name=name), dict(initial_values))
 
 
 def bind_pipeline(pipeline, store: BDDStore, name: str, config) -> str:
     """Attach a :class:`BDDStore` to a pipeline's reachability hooks.
 
     ``config`` is the run's :class:`~repro.api.config.EngineConfig`.
-    Returns the reachability fingerprint of the pipeline's canonical
-    ``.g`` text, which keys the store entry (for a task given as text,
-    the text :func:`canonical_g_text` computes).
+    Returns the reachability fingerprint of the pipeline's
+    :func:`stored_g_text`, which keys the store entry (for a task given
+    as text, the text :func:`canonical_g_text` computes).
 
     When ``config.base_fingerprint`` is set and the exact lookup
     misses, the provider asks :func:`repro.delta.warmstart.apply_base`
@@ -72,9 +98,7 @@ def bind_pipeline(pipeline, store: BDDStore, name: str, config) -> str:
     outright on structural identity, seeding the traversal for monotone
     edits); any other miss traverses cold.
     """
-    from repro.stg.writer import to_g_string
-
-    g_text = to_g_string(pipeline.stg)
+    g_text = stored_g_text(pipeline.stg, config.initial_values_dict)
     fingerprint = reachable_fingerprint(g_text, config)
     base_fingerprint = getattr(config, "base_fingerprint", None)
 

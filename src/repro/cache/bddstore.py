@@ -25,7 +25,10 @@ specifications: :meth:`BDDStore.find` locates a base entry by
 fingerprint and schema-2 entries carry the base's canonical ``.g`` text
 in their meta line, so the engine can diff the edited STG against the
 base and -- for strictly monotone edits -- seed the traversal from the
-stored reachable set instead of the single initial state.
+stored reachable set instead of the single initial state.  A store
+object remembers where it last found each base it was asked for, so a
+re-check reads one entry's meta instead of scanning every file its
+editor loop has stored.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import time
 import warnings
 from typing import Dict, Optional, TextIO, Tuple
 
+from repro import obs
 from repro.bdd import serialize
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDError, BDDManager
@@ -111,6 +115,10 @@ class BDDStore:
         self.delta_hits = 0
         self.delta_seeds = 0
         self.delta_colds = 0
+        #: Base fingerprint -> the file :meth:`find` last found it in:
+        #: one entry per base asked for, checked against the file's
+        #: meta on every use.
+        self._found: Dict[str, str] = {}
 
     @classmethod
     def shared(cls, directory: str) -> "BDDStore":
@@ -228,16 +236,6 @@ class BDDStore:
         clobbering the base entry would turn every subsequent re-check
         cold.  An unreadable primary is overwritten as before.
         """
-        path = self._path(name)
-        if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    existing = self._read_meta(handle, path)
-            except (BDDError, ValueError, OSError):
-                existing = None  # corrupt primary: reclaim it
-            if existing is not None and \
-                    existing.get("fingerprint") != fingerprint:
-                path = self._alt_path(name, fingerprint)
         meta = {
             "name": name,
             "fingerprint": fingerprint,
@@ -252,7 +250,28 @@ class BDDStore:
             handle.write("meta " + json.dumps(meta, sort_keys=True) + "\n")
             serialize.dump([reached], handle)
 
-        atomic_write(path, write)
+        with obs.span("bddstore.put"):
+            path = self._path(name)
+            if self._holds_another(path, fingerprint):
+                path = self._alt_path(name, fingerprint)
+            atomic_write(path, write)
+
+    def _holds_another(self, path: str, fingerprint: str) -> bool:
+        """Whether the primary ``path`` holds a content other than
+        ``fingerprint`` (so :meth:`put` must park on the overflow path).
+
+        A missing or unreadable primary holds nothing worth keeping.  A
+        primary :meth:`find` last found a base in holds that base and
+        is not read again: in an editor loop every edit's put lands
+        beside the base it was just diffed against.
+        """
+        if not os.path.exists(path):
+            return False
+        for base, location in list(self._found.items()):
+            if location == path:
+                return base != fingerprint
+        meta = self._meta_of(path)
+        return meta is not None and meta.get("fingerprint") != fingerprint
 
     # ------------------------------------------------------------------
     # Delta warm starts (repro.delta)
@@ -262,26 +281,45 @@ class BDDStore:
 
         Returns ``(path, meta)`` without deserialising the BDD section,
         so callers can read the base's canonical ``g_text`` and decide
-        on a reuse tier before paying for the load.  Corrupt entries
-        are skipped silently (a later :meth:`lookup` of the same file
-        will warn).
+        on a reuse tier before paying for the load.  The file this
+        store last found ``fingerprint`` in is read first; only when
+        it is unknown, gone or now holds another content are the
+        entries scanned in sorted order, which also finds entries other
+        processes wrote.  Corrupt entries are skipped silently (a later
+        :meth:`lookup` of the same file will warn).
         """
+        with obs.span("bddstore.find") as span:
+            path = self._found.get(fingerprint)
+            if path is not None:
+                meta = self._meta_of(path)
+                if meta is not None and meta.get("fingerprint") == fingerprint:
+                    span.annotate(scanned=0)
+                    return path, meta
+                self._found.pop(fingerprint, None)
+            found, scanned = self._scan(fingerprint)
+            span.annotate(scanned=scanned)
+            if found is not None:
+                self._found[fingerprint] = found[0]
+            return found
+
+    def _scan(self, fingerprint: str
+              ) -> Tuple[Optional[Tuple[str, dict]], int]:
+        """The first entry in sorted order stored under ``fingerprint``,
+        and how many entry metas were read to find it."""
         try:
             entries = sorted(os.listdir(self.directory))
         except OSError:
-            return None
+            return None, 0
+        scanned = 0
         for filename in entries:
             if not filename.endswith(".bdd"):
                 continue
             path = os.path.join(self.directory, filename)
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    meta = self._read_meta(handle, path)
-            except (BDDError, ValueError, OSError):
-                continue
-            if meta.get("fingerprint") == fingerprint:
-                return path, meta
-        return None
+            meta = self._meta_of(path)
+            scanned += 1
+            if meta is not None and meta.get("fingerprint") == fingerprint:
+                return (path, meta), scanned
+        return None, scanned
 
     def load_entry(self, path: str, manager: BDDManager
                    ) -> Optional[Tuple[Function, Tuple[str, ...]]]:
@@ -291,25 +329,44 @@ class BDDStore:
         stored variables are not a subset of the manager's (an
         incompatible base) or the entry is corrupt (which warns).  Used
         by the delta warm-start path after :meth:`find` has picked the
-        entry and read its meta.
+        entry and read its meta, so the meta line is skipped, not
+        decoded again.
         """
-        try:
-            with open(path, encoding="utf-8") as handle:
-                self._read_meta(handle, path)
-                return self._load_bdd(handle, manager,
-                                      require_exact_order=False)
-        except (BDDError, ValueError, OSError) as error:
-            warnings.warn(
-                f"{path}: corrupt BDD-store entry ({error}); delta "
-                f"warm-start falls back to a cold traversal",
-                BDDStoreWarning, stacklevel=2)
-            return None
+        with obs.span("bddstore.load"):
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    self._meta_payload(handle)
+                    return self._load_bdd(handle, manager,
+                                          require_exact_order=False)
+            except (BDDError, ValueError, OSError) as error:
+                warnings.warn(
+                    f"{path}: corrupt BDD-store entry ({error}); delta "
+                    f"warm-start falls back to a cold traversal",
+                    BDDStoreWarning, stacklevel=2)
+                return None
 
     # ------------------------------------------------------------------
     # File format helpers
     # ------------------------------------------------------------------
+    def _meta_of(self, path: str) -> Optional[dict]:
+        """The meta of one entry file; ``None`` when it is missing,
+        stale or corrupt."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return self._read_meta(handle, path)
+        except (BDDError, ValueError, OSError):
+            return None
+
     @staticmethod
     def _read_meta(handle: TextIO, path: str) -> dict:
+        meta = json.loads(BDDStore._meta_payload(handle))
+        if not isinstance(meta, dict):
+            raise BDDError("malformed 'meta' payload")
+        return meta
+
+    @staticmethod
+    def _meta_payload(handle: TextIO) -> str:
+        """Check the header, then return the meta line's undecoded JSON."""
         header = handle.readline().strip()
         if header != FORMAT_HEADER:
             older = _HEADER.fullmatch(header)
@@ -318,14 +375,10 @@ class BDDStore:
                                   f"{FORMAT_HEADER!r}")
             raise BDDError(f"unrecognised store header {header!r} "
                            f"(expected {FORMAT_HEADER!r})")
-        meta_line = handle.readline()
-        tag, _, payload = meta_line.partition(" ")
+        tag, _, payload = handle.readline().partition(" ")
         if tag != "meta":
             raise BDDError("missing 'meta' line")
-        meta = json.loads(payload)
-        if not isinstance(meta, dict):
-            raise BDDError("malformed 'meta' payload")
-        return meta
+        return payload
 
     @staticmethod
     def _load_bdd(handle: TextIO, manager: BDDManager,

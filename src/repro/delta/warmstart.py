@@ -31,6 +31,7 @@ gate's delta leg enforce.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Tuple
 
 from repro import obs
@@ -40,10 +41,23 @@ from repro.core.stats import TraversalStats
 from repro.delta.classify import TIER_COLD, classify_delta
 from repro.delta.diff import diff_stg
 from repro.stg.parser import parse_g
+from repro.stg.stg import STG
 
 #: Pseudo-tier recorded when the base is structurally identical and the
 #: stored reachable set is adopted wholesale (no traversal at all).
 TIER_HIT = "hit"
+
+
+@functools.lru_cache(maxsize=32)
+def base_stg(g_text: str) -> STG:
+    """The base STG stored with ``g_text``, parsed once per process.
+
+    An editor loop re-checks every edit against the same base, so the
+    parse is memoised like :func:`repro.cache.canonical_g_text`.  Every
+    re-check shares the returned object: callers only read it (as
+    :func:`~repro.delta.diff.diff_stg` does).
+    """
+    return parse_g(g_text)
 
 
 def extend_to_encoding(encoding: SymbolicEncoding, base_reached: Function,
@@ -107,9 +121,11 @@ def _apply_base(pipeline, store, base_fingerprint: str
         info["reasons"] = ["base entry stores no specification text"]
         return None
 
-    base = parse_g(base_g_text)
-    delta = diff_stg(base, pipeline.stg)
-    classification = classify_delta(delta, pipeline.stg)
+    with obs.span("delta.parse_base"):
+        base = base_stg(base_g_text)
+    with obs.span("delta.classify"):
+        delta = diff_stg(base, pipeline.stg)
+        classification = classify_delta(delta, pipeline.stg)
     info["tier"] = classification.tier
     info["closed"] = classification.closed
     info["reasons"] = list(classification.reasons)

@@ -18,7 +18,8 @@ life and owns
 * the table of task texts by name, so a later request can say
   ``base=<an earlier task's name>``,
 * the per-fingerprint single-flight locks (N concurrent requests for
-  the same content cost one computation), and
+  the same content cost one computation; a lock lives only while some
+  request holds or awaits it), and
 * the daemon-wide :class:`~repro.obs.metrics.MetricsRegistry` that
   ``GET /metrics`` snapshots.
 
@@ -43,10 +44,11 @@ an executor thread -- the serve layer never touches engine internals
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
 import os
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import AsyncIterator, Dict, Optional
 
 from repro.api.config import EngineConfig
 from repro.api.errors import ApiError
@@ -84,6 +86,17 @@ async def execute_payload_async(payload: Dict[str, object],
         executor, lambda: context.run(execute_payload, payload))
 
 
+class _Flight:
+    """One fingerprint's single-flight lock and how many requests hold
+    or await it."""
+
+    __slots__ = ("lock", "users")
+
+    def __init__(self) -> None:
+        self.lock = asyncio.Lock()
+        self.users = 0
+
+
 class WarmState:
     """Everything the daemon keeps warm between requests."""
 
@@ -95,7 +108,7 @@ class WarmState:
         self.bdd_dir = os.path.join(self.state_dir, BDD_STORE_DIR)
         self.bdd_store = BDDStore.shared(self.bdd_dir)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._flights: Dict[str, asyncio.Lock] = {}
+        self._flights: Dict[str, _Flight] = {}
         #: Task name -> raw ``.g`` text of every task this daemon has
         #: built, so a later request can say ``base=<that name>``.
         self._task_sources: Dict[str, str] = {}
@@ -161,12 +174,24 @@ class WarmState:
     # ------------------------------------------------------------------
     # Execution (single-flight, store-backed)
     # ------------------------------------------------------------------
-    def flight_lock(self, fingerprint: str) -> asyncio.Lock:
-        """The single-flight lock of one task fingerprint."""
-        lock = self._flights.get(fingerprint)
-        if lock is None:
-            lock = self._flights[fingerprint] = asyncio.Lock()
-        return lock
+    @contextlib.asynccontextmanager
+    async def single_flight(self, fingerprint: str) -> AsyncIterator[None]:
+        """Hold the single-flight lock of one task fingerprint.
+
+        The last request out drops the lock, so the table holds only
+        fingerprints in flight, not every task the daemon has served.
+        """
+        flight = self._flights.get(fingerprint)
+        if flight is None:
+            flight = self._flights[fingerprint] = _Flight()
+        flight.users += 1
+        try:
+            async with flight.lock:
+                yield
+        finally:
+            flight.users -= 1
+            if not flight.users:
+                del self._flights[fingerprint]
 
     async def run_task(self, task: SweepTask,
                        executor: Optional[object] = None) -> EntryResult:
@@ -185,7 +210,7 @@ class WarmState:
             self.metrics.counter("serve.runstore.hits").add(1)
             return hit
         self.metrics.counter("serve.runstore.misses").add(1)
-        async with self.flight_lock(task.fingerprint):
+        async with self.single_flight(task.fingerprint):
             hit = self.run_store.lookup(task.name, task.fingerprint)
             if hit is not None:
                 self.metrics.counter("serve.runstore.hits").add(1)

@@ -5,14 +5,18 @@ against a populated BDD store -- and observed through the report's
 ``delta`` provenance block and the store's delta counters.
 """
 
+import os
+import shutil
+
 import pytest
 
-from repro import api, corpus
+from repro import api, corpus, obs
 from repro.api.facade import resolve_base
 from repro.cache import BDDStore, bind_pipeline
 from repro.core.pipeline import VerificationPipeline
-from repro.delta import TIER_COLD, TIER_SEED
+from repro.delta import TIER_COLD, TIER_SEED, warmstart
 from repro.delta.warmstart import TIER_HIT
+from repro.stg.parser import parse_g
 
 
 @pytest.fixture
@@ -133,6 +137,129 @@ class TestBaseByCorpusName:
         edited = add_probe_cycle(copy_stg(base))
         outcome = api.run(edited, config, checks=["consistency"], base=name)
         assert outcome.report.delta["tier"] in (TIER_SEED, TIER_HIT)
+
+
+class TestInitialValueOverrides:
+    """A base is keyed by the text its run stored: the STG with the
+    config's initial-value overrides applied."""
+
+    def test_name_stg_and_stored_keys_agree_and_an_edit_seeds(
+            self, tmp_path, copy_stg, add_probe_cycle):
+        config = api.EngineConfig(initial_values={"d": True},
+                                  bdd_cache_dir=str(tmp_path / "store"))
+        base = parse_g(corpus.g_text("vme_read"), name="vme_read")
+        assert base.initial_value("d") is False  # the override matters
+        stored = bind_pipeline(
+            VerificationPipeline(base,
+                                 initial_values=config.initial_values_dict),
+            BDDStore.shared(config.bdd_cache_dir), name="vme_read",
+            config=config)
+        assert resolve_base("vme_read", config) == stored
+        assert resolve_base(base, config) == stored
+
+        api.run(base, config, checks=["consistency"])
+        edited = add_probe_cycle(copy_stg(base))
+        outcome = api.run(edited, config, checks=["consistency"],
+                          base="vme_read")
+        assert outcome.report.delta["tier"] == TIER_SEED
+
+
+class TestEditHistory:
+    """An editor loop parks one overflow entry per edit beside its base
+    (every edit keeps the base's ``.model`` name); a re-check's cost
+    must not grow with that history."""
+
+    EDITS = 50
+
+    @pytest.fixture
+    def history(self, base_stg, config, copy_stg, add_probe_cycle):
+        api.run(base_stg, config, checks=["csc"])
+
+        def edit(index):
+            return add_probe_cycle(copy_stg(base_stg),
+                                   signal=f"probe{index}")
+
+        for index in range(self.EDITS):
+            outcome = api.run(edit(index), config, checks=["csc"],
+                              base=base_stg)
+            assert outcome.report.delta["tier"] == TIER_SEED
+        return edit
+
+    def test_a_recheck_reads_at_most_two_entry_metas(
+            self, history, base_stg, config, store, monkeypatch):
+        stored = [name for name in os.listdir(store.directory)
+                  if name.endswith(".bdd")]
+        assert len(stored) == self.EDITS + 1
+        reads = []
+        read_meta = BDDStore._read_meta
+
+        def counting(handle, path):
+            reads.append(path)
+            return read_meta(handle, path)
+
+        monkeypatch.setattr(BDDStore, "_read_meta", staticmethod(counting))
+        outcome = api.run(history(self.EDITS), config, checks=["csc"],
+                          base=base_stg)
+        assert outcome.report.delta["tier"] == TIER_SEED
+        assert len(reads) <= 2
+
+    def test_entries_another_store_wrote_are_still_found(
+            self, history, base_stg, config):
+        # A fresh object on the same directory (another process) knows
+        # no paths yet and scans.
+        other = BDDStore(config.bdd_cache_dir)
+        found = other.find(resolve_base(base_stg, config))
+        assert found is not None
+        assert found[1]["name"] == base_stg.name
+
+    def test_a_base_file_that_changed_is_not_trusted(
+            self, history, base_stg, config, store):
+        fingerprint = resolve_base(base_stg, config)
+        path, _ = store.find(fingerprint)
+        edit = sorted(name for name in os.listdir(store.directory)
+                      if name.endswith(".bdd"))[0]
+        shutil.copyfile(os.path.join(store.directory, edit), path)
+        assert store.find(fingerprint) is None  # now holds an edit
+        os.remove(path)
+        assert store.find(fingerprint) is None
+        api.run(base_stg, config, checks=["csc"])
+        assert store.find(fingerprint)[0] == path
+
+
+class TestDeltaSpans:
+    def test_a_traced_recheck_shows_where_the_delta_time_goes(
+            self, populated, config, edit_closed):
+        sink = obs.InMemorySink()
+        with obs.tracing(name="recheck", sink=sink):
+            api.run(edit_closed, config, checks=["csc"], base=populated)
+        spans = {record["name"]: record for record in sink.spans()}
+        delta = spans["delta"]
+        for name in ("bddstore.find", "delta.parse_base", "delta.classify",
+                     "bddstore.load"):
+            assert spans[name]["parent"] == delta["id"], name
+        assert spans["bddstore.find"]["attrs"]["scanned"] == 1
+        assert "bddstore.put" in spans
+
+
+class TestBaseParse:
+    def test_rechecks_against_one_base_parse_it_once(
+            self, populated, config, copy_stg, add_probe_cycle,
+            monkeypatch):
+        warmstart.base_stg.cache_clear()
+        parses = []
+
+        def counting_parse(*args, **kwargs):
+            parses.append(args)
+            return parse_g(*args, **kwargs)
+
+        monkeypatch.setattr(warmstart, "parse_g", counting_parse)
+        for index in range(3):
+            edited = add_probe_cycle(copy_stg(populated),
+                                     signal=f"probe{index}")
+            outcome = api.run(edited, config, checks=["csc"],
+                              base=populated)
+            assert outcome.report.delta["tier"] == TIER_SEED
+        assert len(parses) == 1
 
 
 class TestFacadeValidation:

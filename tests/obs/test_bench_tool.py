@@ -1,6 +1,7 @@
 """tools/bench.py: kernel-row times read from the row's trace, row-name
-resolution, the serve section's requests and the ledger comparison --
-in-process, no daemon.
+resolution, the alternating repeats of the tracing and BDD-cache rows,
+the serve section's requests and edit-loop block and the ledger
+comparison -- in-process, no daemon.
 
 The serve section itself (daemon boot, counter checks) runs end to end
 in ``make bench`` and the CI ``bench`` job.
@@ -67,6 +68,73 @@ class TestKernelRow:
         events = spans(encoding.all_variables,
                        encoding._co_occurrence_groups())
         assert row["event_span"] == round(sum(events) / len(events), 2)
+
+
+class TestAlternatingRows:
+    """The tracing and BDD-cache rows alternate their two kinds of run
+    and report the median of the repeats with the repeats' min-max."""
+
+    def test_tracing_pairs_alternate_and_report_the_median_share(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        monkeypatch.setattr(bench, "TRACING_PAIRS", 4)
+        kinds = []
+        # Traced runs cost 10% more, except in the second repeat (20%).
+        shares = iter([10.0] * 4 + [20.0] * 4 + [10.0] * 4)
+
+        def fake_run(stg, sink):
+            kinds.append("traced" if sink is not None else "untraced")
+            if sink is None:
+                return 0.010, None
+            if len(kinds) <= 2:  # the untimed warm-up
+                return 0.011, None
+            sink.emit({"type": "span", "name": "entry"})
+            return 0.010 * (1 + next(shares) / 100.0), None
+
+        monkeypatch.setattr(bench, "traced_run", fake_run)
+        row = bench.tracing_overhead(noop_loops=10)
+        assert kinds == ["untraced", "traced"] * (1 + 3 * 4)
+        assert row["enabled_overhead_pct"] == 10.0
+        assert row["enabled_overhead_pct_range"] == [10.0, 20.0]
+        assert row["disabled_s"] == 0.01
+        assert row["emission_sites"] == 1
+        assert (row["repeats"], row["pairs_per_repeat"]) == (3, 4)
+
+    def test_cache_sweeps_alternate_fresh_and_warm_stores(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        stores = []
+        seconds = iter([9.0, 2.0, 1.0, 3.0, 1.0, 2.4, 1.2])
+
+        def fake_sweep(arguments, workdir):
+            stores.append(os.path.basename(arguments[-1]))
+            return next(seconds)
+
+        monkeypatch.setattr(bench, "batch_check_seconds", fake_sweep)
+        row = bench.bdd_cache_sweep(("handshake",))
+        assert stores == ["warm", "cold-0", "warm", "cold-1", "warm",
+                          "cold-2", "warm"]
+        assert (row["cold_s"], row["warm_s"]) == (2.4, 1.0)
+        assert row["speedup"] == 2.0
+        assert row["speedup_range"] == [2.0, 3.0]
+
+
+class TestEditLoopBlock:
+    def test_first_and_last_windows_show_growth_with_history(self):
+        assert bench.EDIT_LOOP_EDITS >= 2 * bench.EDIT_LOOP_WINDOW
+        delta = [0.001 * (index + 1)
+                 for index in range(bench.EDIT_LOOP_EDITS)]
+        cold = sorted([0.040] * bench.EDIT_LOOP_EDITS)
+        block = bench.edit_loop_section(cold, delta)
+        window = bench.EDIT_LOOP_WINDOW
+        assert block["delta_p50_first_ten_ms"] == \
+            bench.p50_ms(delta[:window])
+        assert block["delta_p50_last_ten_ms"] == \
+            bench.p50_ms(delta[-window:])
+        assert (block["delta_p50_first_ten_ms"]
+                < block["delta_p50_last_ten_ms"])
+        assert block["delta"]["requests"] == bench.EDIT_LOOP_EDITS
+        assert block["delta"]["max_ms"] == max(delta) * 1000
 
 
 class TestServeRequests:

@@ -175,6 +175,19 @@ class TestRunTask:
                     for result in results}) == 1
 
 
+    def test_finished_flights_leave_no_lock_behind(self, state):
+        tasks = [state.make_task(CheckRequest(entry=name))
+                 for name in ("handshake", "vme_read", "mutex_element")]
+
+        async def scenario():
+            await asyncio.gather(*(state.run_task(task)
+                                   for task in tasks + tasks))
+            return dict(state._flights)
+
+        assert asyncio.run(scenario()) == {}
+        assert state.metrics.counter("serve.runstore.misses").value == 6
+
+
 class TestExecutePayloadAsync:
     def test_expired_deadline_is_a_timeout_record(self):
         task = SweepTask(name="handshake", g_text=corpus.g_text("handshake"),

@@ -28,13 +28,20 @@ The ledger (``"schema": 2``) has four sections:
   other entry point parses it.
 * ``tracing`` -- the observability layer's own cost: the no-op span
   nanoseconds, and the disabled-path and enabled-path overhead of a
-  pipeline run (disabled must stay under 2%).
-* ``bdd_cache`` -- one ``batch-check`` sweep timed against a cold and
-  then a warm ``--bdd-cache`` store.
+  pipeline run (disabled must stay under 2%).  The enabled overhead
+  is the median of :data:`ALTERNATING_REPEATS` repeats, each the
+  median of :data:`TRACING_PAIRS` back-to-back untraced/traced pairs,
+  with the repeats' min-max beside it.
+* ``bdd_cache`` -- one ``batch-check`` sweep timed against a fresh
+  and against a warm ``--bdd-cache`` store, alternating, over
+  :data:`ALTERNATING_REPEATS` pairs: the median speedup and its
+  min-max.
 * ``serve`` -- a real ``python -m repro serve`` daemon under
   :data:`SERVE_CLIENTS` concurrent clients: a cold round of distinct
   specifications, the same requests again warm, and the edit loop (one
-  large base, one-signal edits re-checked cold and with ``base=``).
+  large base, one-signal edits re-checked cold and with ``base=``; the
+  delta p50 of the first and of the last ten edits shows whether a
+  re-check's cost grows with the edits stored before it).
   The tool exits non-zero unless the daemon's own counters prove that
   every cold request missed both stores, every warm request hit the
   RunStore and every delta edit seeded the traversal.
@@ -54,6 +61,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -81,8 +89,16 @@ from repro.stg.writer import to_g_string  # noqa: E402
 
 SCHEMA = 2
 
-#: Kernel rows and the tracing row report the fastest of this many runs.
+#: Kernel rows report the fastest of this many runs.
 REPEATS = 3
+#: The tracing and BDD-cache rows report the median of this many
+#: alternating repeats and their min-max.
+ALTERNATING_REPEATS = 5
+#: Untraced/traced run pairs per tracing repeat.  One pipeline run of
+#: the row takes about a millisecond and a shared VM drifts by tens of
+#: percent over seconds, so each repeat is the median of many adjacent
+#: pairs: both halves of a pair see the same speed.
+TRACING_PAIRS = 100
 
 #: Kernel rows: corpus entries, built-in examples and ``family@scale``
 #: instances.  The quick set is the CI subset: ``random_parallel@5`` is
@@ -120,12 +136,13 @@ FULL_ROWS = QUICK_ROWS + (
 #: measurement is the family scale sweep it claims to be; the default
 #: check set (everything but the liveness extras, whose backward
 #: closure dwarfs the forward traversal at large scales) keeps the
-#: comparison about the traversal.
+#: comparison about the traversal.  The scales are large enough that
+#: the traversals, not the interpreter's start, set the speedup.
 _DEFAULT_CHECKS = ("--checks", "consistency,safeness,persistency,"
                                "fake_conflicts,csc,reducibility")
-QUICK_SWEEP = ("handshake", "--family", "muller_pipeline:12-18",
+QUICK_SWEEP = ("handshake", "--family", "muller_pipeline:36-44",
                *_DEFAULT_CHECKS)
-FULL_SWEEP = ("handshake", "--family", "muller_pipeline:16-24",
+FULL_SWEEP = ("handshake", "--family", "muller_pipeline:40-56",
               *_DEFAULT_CHECKS)
 
 #: The serve rounds: concurrent clients, requests per client and round,
@@ -141,8 +158,11 @@ SERVE_ENTRIES = ("handshake", "vme_read", "mutex_element", "sbuf_send_ctl",
 #: Scale of the edit-loop base -- large enough that a cold re-check
 #: costs real traversal time, so the seeded speedup is not noise.
 EDIT_LOOP_SCALE = 18
-#: Distinct one-signal edits re-checked against the base, each way.
-EDIT_LOOP_EDITS = 6
+#: Distinct one-signal edits re-checked against the base, each way:
+#: enough that the first and the last :data:`EDIT_LOOP_WINDOW` delta
+#: re-checks run beside a short and a long edit history.
+EDIT_LOOP_EDITS = 30
+EDIT_LOOP_WINDOW = 10
 #: The daemon counters committed with the serve section.
 SERVE_COUNTERS = ("serve.requests", "serve.runstore.hits",
                   "serve.runstore.misses", "serve.bdd.hits",
@@ -238,19 +258,31 @@ def tracing_overhead(row: str = "muller_pipeline_4",
     * ``noop_span_ns`` -- per-call cost of ``obs.span(...)`` with no
       tracer active (one ContextVar read and a None test);
     * ``disabled_overhead_pct`` -- that cost times the number of
-      records one traced run emits, as a share of the untraced wall
-      time: what the instrumentation adds when tracing is off (the <2%
-      contract);
+      records one traced run emits, as a share of the median untraced
+      wall time: what the instrumentation adds when tracing is off (the
+      <2% contract);
     * ``enabled_overhead_pct`` -- the traced (in-memory sink) run
-      against the untraced one, fastest of :data:`REPEATS` each.
+      against the untraced one: the median of
+      :data:`ALTERNATING_REPEATS` repeats, each the median share of
+      :data:`TRACING_PAIRS` adjacent untraced/traced pairs;
+      ``enabled_overhead_pct_range`` is the repeats' min-max.
     """
     stg = build_row_stg(row)
-    disabled_s = min(traced_run(stg, None)[0] for _ in range(REPEATS))
-    enabled = []
-    for _ in range(REPEATS):
-        sink = obs.InMemorySink()
-        enabled.append((traced_run(stg, sink)[0], len(sink.records)))
-    enabled_s, emissions = min(enabled)
+    traced_run(stg, None)  # warm both paths up, untimed
+    traced_run(stg, obs.InMemorySink())
+    disabled, enabled, repeats = [], [], []
+    for _ in range(ALTERNATING_REPEATS):
+        shares = []
+        for _ in range(TRACING_PAIRS):
+            untraced_s = traced_run(stg, None)[0]
+            sink = obs.InMemorySink()
+            traced_s = traced_run(stg, sink)[0]
+            disabled.append(untraced_s)
+            enabled.append(traced_s)
+            shares.append((traced_s - untraced_s) / untraced_s * 100.0)
+        repeats.append(statistics.median(shares))
+    emissions = len(sink.records)
+    disabled_s = statistics.median(disabled)
 
     start = time.perf_counter()
     for _ in range(noop_loops):
@@ -259,14 +291,17 @@ def tracing_overhead(row: str = "muller_pipeline_4",
     noop_span_ns = (time.perf_counter() - start) / noop_loops * 1e9
     return {
         "row": row,
+        "repeats": ALTERNATING_REPEATS,
+        "pairs_per_repeat": TRACING_PAIRS,
         "noop_span_ns": round(noop_span_ns, 1),
         "emission_sites": emissions,
         "disabled_s": round(disabled_s, 4),
-        "enabled_s": round(enabled_s, 4),
+        "enabled_s": round(statistics.median(enabled), 4),
         "disabled_overhead_pct": round(
             emissions * noop_span_ns * 1e-9 / disabled_s * 100.0, 4),
-        "enabled_overhead_pct": round(
-            (enabled_s - disabled_s) / disabled_s * 100.0, 2),
+        "enabled_overhead_pct": round(statistics.median(repeats), 2),
+        "enabled_overhead_pct_range": [round(min(repeats), 2),
+                                       round(max(repeats), 2)],
     }
 
 
@@ -289,17 +324,30 @@ def batch_check_seconds(arguments, workdir) -> float:
 
 
 def bdd_cache_sweep(sweep_arguments) -> dict:
-    """Time the same sweep against a cold and then a warm BDD store."""
+    """Time the same sweep against a fresh and a warm BDD store.
+
+    The warm store is filled by one untimed sweep.  Then each of
+    :data:`ALTERNATING_REPEATS` pairs times a sweep against a new empty
+    store and one against the warm store; ``speedup`` is the median of
+    the pairs' cold/warm ratios and ``speedup_range`` their min-max.
+    """
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
-        arguments = [*sweep_arguments, "--bdd-cache",
-                     os.path.join(workdir, "bdd-store")]
-        cold_s = batch_check_seconds(arguments, workdir)
-        warm_s = batch_check_seconds(arguments, workdir)
+        def sweep_seconds(store):
+            return batch_check_seconds(
+                [*sweep_arguments, "--bdd-cache",
+                 os.path.join(workdir, store)], workdir)
+
+        sweep_seconds("warm")
+        pairs = [(sweep_seconds(f"cold-{index}"), sweep_seconds("warm"))
+                 for index in range(ALTERNATING_REPEATS)]
+    speedups = [cold_s / warm_s for cold_s, warm_s in pairs]
     return {
         "sweep": " ".join(sweep_arguments),
-        "cold_s": round(cold_s, 3),
-        "warm_s": round(warm_s, 3),
-        "speedup": round(cold_s / warm_s, 2),
+        "repeats": ALTERNATING_REPEATS,
+        "cold_s": round(statistics.median(cold for cold, _ in pairs), 3),
+        "warm_s": round(statistics.median(warm for _, warm in pairs), 3),
+        "speedup": round(statistics.median(speedups), 2),
+        "speedup_range": [round(min(speedups), 2), round(max(speedups), 2)],
     }
 
 
@@ -402,9 +450,10 @@ def run_round(client, requests):
 def run_edit_loop(client):
     """The sequential editor loop: base check, then cold vs delta edits.
 
-    Returns ``(cold_latencies, delta_latencies)``, both sorted; exits
-    if any delta re-check fails to engage the seed tier (a delta number
-    that silently measured a cold traversal would be meaningless).
+    Returns ``(cold_latencies, delta_latencies)``, the cold ones sorted
+    and the delta ones in the order they were sent; exits if any delta
+    re-check fails to engage the seed tier (a delta number that
+    silently measured a cold traversal would be meaningless).
     """
     base, colds, deltas = edit_loop_specs()
     timed_check(client, g_text=base, name="editloop-base", checks=["csc"])
@@ -422,7 +471,27 @@ def run_edit_loop(client):
             raise SystemExit(f"bench: delta edit {index} did not seed: "
                              f"{delta}")
         delta_latencies.append(elapsed)
-    return sorted(cold_latencies), sorted(delta_latencies)
+    return sorted(cold_latencies), delta_latencies
+
+
+def p50_ms(latencies) -> float:
+    """The nearest-rank median of unsorted latencies, in milliseconds."""
+    return round(percentile(sorted(latencies), 0.50) * 1000, 3)
+
+
+def edit_loop_section(cold_edits, delta_edits) -> dict:
+    """The ledger's edit-loop block, from the sorted cold latencies and
+    the delta latencies in the order the edits were sent."""
+    return {
+        "scale": EDIT_LOOP_SCALE,
+        "edits": EDIT_LOOP_EDITS,
+        "cold": summarise(cold_edits),
+        "delta": summarise(sorted(delta_edits)),
+        "delta_p50_first_ten_ms": p50_ms(delta_edits[:EDIT_LOOP_WINDOW]),
+        "delta_p50_last_ten_ms": p50_ms(delta_edits[-EDIT_LOOP_WINDOW:]),
+        "speedup_p50": round(percentile(cold_edits, 0.50)
+                             / percentile(sorted(delta_edits), 0.50), 1),
+    }
 
 
 def daemon_counters(client) -> dict:
@@ -463,14 +532,7 @@ def drive_daemon(client) -> dict:
         "rounds": rounds,
         "speedup_p50": round(rounds["cold"]["p50_ms"]
                              / rounds["warm"]["p50_ms"], 1),
-        "edit_loop": {
-            "scale": EDIT_LOOP_SCALE,
-            "edits": EDIT_LOOP_EDITS,
-            "cold": summarise(cold_edits),
-            "delta": summarise(delta_edits),
-            "speedup_p50": round(percentile(cold_edits, 0.50)
-                                 / percentile(delta_edits, 0.50), 1),
-        },
+        "edit_loop": edit_loop_section(cold_edits, delta_edits),
         "daemon_counters": counters,
     }
 
@@ -589,13 +651,15 @@ def main(argv=None) -> int:
     tracing = report["tracing"] = tracing_overhead()
     print(f"  noop-span={tracing['noop_span_ns']}ns "
           f"disabled={tracing['disabled_overhead_pct']}% "
-          f"enabled={tracing['enabled_overhead_pct']}%")
+          f"enabled={tracing['enabled_overhead_pct']}% "
+          f"(repeats {tracing['enabled_overhead_pct_range']})")
 
     sweep = QUICK_SWEEP if arguments.quick else FULL_SWEEP
     print(f"bench: cold vs warm --bdd-cache sweep ({' '.join(sweep)}) ...")
     bdd_cache = report["bdd_cache"] = bdd_cache_sweep(sweep)
     print(f"  cold={bdd_cache['cold_s']}s warm={bdd_cache['warm_s']}s "
-          f"speedup={bdd_cache['speedup']}x")
+          f"speedup={bdd_cache['speedup']}x "
+          f"(pairs {bdd_cache['speedup_range']})")
 
     print(f"bench: serve daemon, {SERVE_CLIENTS} clients x "
           f"{SERVE_REQUESTS_PER_CLIENT} requests, cold vs warm, then the "
@@ -610,6 +674,9 @@ def main(argv=None) -> int:
               f"p99 {latencies['p99_ms']:9.3f} ms")
     print(f"  p50 speedup: warm {serve['speedup_p50']}x, "
           f"delta {serve['edit_loop']['speedup_p50']}x")
+    print(f"  delta p50 over the first ten edits "
+          f"{serve['edit_loop']['delta_p50_first_ten_ms']} ms, the last "
+          f"ten {serve['edit_loop']['delta_p50_last_ten_ms']} ms")
 
     if arguments.before:
         with open(arguments.before, encoding="utf-8") as handle:
