@@ -23,12 +23,10 @@ equality of functions is equality of identifiers.
 
 from repro.bdd.manager import BDDManager, BDDError, BDDOrderError
 from repro.bdd.function import Function
-from repro.bdd.ordering import force_ordering
 
 __all__ = [
     "BDDManager",
     "BDDError",
     "BDDOrderError",
     "Function",
-    "force_ordering",
 ]

@@ -130,7 +130,7 @@ class BDDManager:
         level = len(self._level2var)
         self._var2level[name] = level
         self._level2var.append(name)
-        return self.var(name)
+        return self._wrap(self._mk(level, FALSE_ID, TRUE_ID))
 
     def var(self, name: str) -> "Function":
         """Return the projection function of an existing variable."""
@@ -147,6 +147,11 @@ class BDDManager:
             return self._var2level[name]
         except KeyError as exc:
             raise BDDOrderError(f"unknown variable {name!r}") from exc
+
+    def has_var(self, name: str) -> bool:
+        """True when ``name`` is a declared variable (one table probe,
+        no copy of :attr:`variables`)."""
+        return name in self._var2level
 
     def var_at_level(self, level: int) -> str:
         """Return the variable name at a given level."""
@@ -486,14 +491,16 @@ class BDDManager:
         ``polarity`` True means the positive literal.  The empty dictionary
         yields the constant TRUE.
         """
+        return self.cube_at((self.level_of(name), value)
+                            for name, value in literals.items())
+
+    def cube_at(self, literals: Iterable[Tuple[int, bool]]) -> "Function":
+        """The cube of ``(level, polarity)`` literals, at most one per
+        level: :meth:`cube` for a caller that holds levels already."""
         # Build the cube bottom-up in reverse level order so every _mk call
         # is constant time (no need for full ite).
-        items = sorted(
-            ((self.level_of(name), value) for name, value in literals.items()),
-            reverse=True,
-        )
         node = TRUE_ID
-        for level, value in items:
+        for level, value in sorted(literals, reverse=True):
             if value:
                 node = self._mk(level, FALSE_ID, node)
             else:

@@ -104,10 +104,11 @@ def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
     via_low = [everything] * manager.num_vars
     via_high = [everything] * manager.num_vars
     deepest = -1
+    level_of = manager.level_of
     for index, literals in enumerate(cubes):
         bit = 1 << index
         for name, value in literals.items():
-            level = manager.level_of(name)
+            level = level_of(name)
             if value:
                 via_low[level] &= ~bit
             else:
@@ -231,33 +232,65 @@ def _cofactor(manager: BDDManager, node: int,
 class TransferSteps:
     """A resolved cube of per-variable ``(require, assign)`` steps.
 
-    ``steps`` maps variable names to ``(require, assign)`` pairs.  The
-    steps are sorted by level once and every suffix of them is interned
-    (:meth:`~repro.bdd.manager.BDDManager.intern_key`), so a
-    :func:`transfer` cache probe hashes three integers.  A suffix is
-    interned as the chain ``("transfer", step, tail_id)``, built from
-    the last step back, so resolving ``k`` steps interns ``k`` small
-    keys.  Build one per step cube and reuse it: resolution is the only
-    per-cube cost.
+    ``steps`` maps variable names to ``(require, assign)`` pairs; a
+    caller that holds levels already builds the same object with
+    :meth:`at_levels`.  The steps are sorted by level once
+    (``resolved``).  The first :func:`transfer` interns every suffix of
+    them (:meth:`~repro.bdd.manager.BDDManager.intern_key`), as the
+    chain ``("transfer", step, tail_id)``, so a cache probe hashes three
+    integers.  Steps only ever fired by :func:`saturate` intern nothing
+    here (its events key their own chains).  Build one per step cube and
+    reuse it: resolution is the only per-cube cost.
     """
 
-    __slots__ = ("manager", "levels", "requires", "assigns", "ids")
+    __slots__ = ("manager", "resolved", "levels", "requires", "assigns",
+                 "ids")
 
     def __init__(self, manager: BDDManager,
-                 steps: Dict[str, Tuple[bool, bool]]) -> None:
-        resolved = sorted((manager.level_of(name), bool(require),
-                           bool(assign))
-                          for name, (require, assign) in steps.items())
+                 steps: Mapping[str, Tuple[bool, bool]]) -> None:
+        self._resolve(manager, sorted(
+            (manager.level_of(name), bool(require), bool(assign))
+            for name, (require, assign) in steps.items()))
+
+    @classmethod
+    def at_levels(cls, manager: BDDManager,
+                  resolved: Sequence[Tuple[int, bool, bool]]
+                  ) -> "TransferSteps":
+        """The steps of ``(level, require, assign)`` triples, sorted by
+        level, one per level."""
+        steps = cls.__new__(cls)
+        steps._resolve(manager, resolved)
+        return steps
+
+    def _resolve(self, manager: BDDManager,
+                 resolved: Sequence[Tuple[int, bool, bool]]) -> None:
         self.manager = manager
-        self.levels = tuple(level for level, _, _ in resolved)
-        self.requires = tuple(require for _, require, _ in resolved)
-        self.assigns = tuple(assign for _, _, assign in resolved)
-        ids = []
-        tail = None
-        for step in reversed(resolved):
-            tail = manager.intern_key(("transfer", step, tail))
-            ids.append(tail)
-        self.ids = tuple(reversed(ids))
+        self.resolved = tuple(resolved)
+        self.levels, self.requires, self.assigns = (
+            tuple(zip(*self.resolved)) if self.resolved else ((), (), ()))
+        #: The interned id of every suffix; ``None`` until the first
+        #: :func:`transfer` of these steps.
+        self.ids: Optional[Tuple[int, ...]] = None
+
+    def intern(self) -> None:
+        """Intern the id of every suffix, once."""
+        if self.ids is None:
+            self.ids = _intern_chain(self.manager, ("transfer",),
+                                     self.resolved)
+
+
+def _intern_chain(manager: BDDManager, tag: Tuple[object, ...],
+                  resolved: Sequence[Tuple[int, bool, bool]]
+                  ) -> Tuple[int, ...]:
+    """The interned id of every suffix of ``resolved``: the chain
+    ``tag + (step, tail_id)``, built from the last step back, so equal
+    suffixes get equal ids and ``k`` steps intern ``k`` small keys."""
+    ids = []
+    tail = None
+    for step in reversed(resolved):
+        tail = manager.intern_key((*tag, step, tail))
+        ids.append(tail)
+    return tuple(reversed(ids))
 
 
 def transfer(f: Function, steps: TransferSteps,
@@ -283,6 +316,7 @@ def transfer(f: Function, steps: TransferSteps,
                                         and drop.manager is not manager):
         raise ValueError("cannot combine functions from different managers")
     drop_node = FALSE_ID if drop is None else drop.node
+    steps.intern()
     return manager._wrap(_transfer(manager, f.node, drop_node, steps, 0))
 
 
@@ -347,17 +381,19 @@ _NO_TOP = 1 << 30
 
 class _Event:
     """One event of a :class:`SaturationEvents` set: its steps plus the
-    interned :func:`_fire` cache key of every step suffix."""
+    interned :func:`saturate` firing-cache key of every step suffix,
+    the chain ``("fire", set_id, step, tail_key)``: two events of one set
+    that end in the same steps share those keys' cache entries.
+    """
 
     __slots__ = ("levels", "requires", "assigns", "keys")
 
     def __init__(self, steps: TransferSteps, set_id: int) -> None:
-        manager = steps.manager
         self.levels = steps.levels
         self.requires = steps.requires
         self.assigns = steps.assigns
-        self.keys = tuple(manager.intern_key(("fire", set_id, ident))
-                          for ident in steps.ids)
+        self.keys = _intern_chain(steps.manager, ("fire", set_id),
+                                  steps.resolved)
 
 
 class SaturationEvents:
@@ -374,13 +410,13 @@ class SaturationEvents:
 
     def __init__(self, manager: BDDManager,
                  events: Sequence[TransferSteps]) -> None:
-        unique: Dict[int, TransferSteps] = {}
+        unique: Dict[Tuple[Tuple[int, bool, bool], ...], TransferSteps] = {}
         for steps in events:
             if steps.manager is not manager:
                 raise ValueError(
                     "cannot combine functions from different managers")
             if steps.levels:
-                unique.setdefault(steps.ids[0], steps)
+                unique.setdefault(steps.resolved, steps)
         self.manager = manager
         self.ident = manager.intern_key(("saturate", tuple(sorted(unique))))
         groups: Dict[int, List[_Event]] = {}
@@ -409,11 +445,17 @@ def saturate(f: Function, events: SaturationEvents,
     firings.  Saturation (Ciardo, Lüttgen & Siminiceanu, TACAS 2001)
     computes it bottom-up: a node at level ``k`` is *saturated* once it
     is closed under every event whose top is ``k`` or deeper.
-    ``_saturate`` saturates both children, then runs the local fixpoint
-    of the events whose top is ``k``; ``_fire`` applies an event's
-    remaining steps and saturates every node it builds.  A level a node
-    skips is a don't-care node there, so events whose top falls on it
-    still fire.  Both recursions are memoised per event set.
+    ``saturate_node`` saturates both children, then runs the local
+    fixpoint of the events whose top is ``k``; ``fire`` applies an
+    event's remaining steps and saturates every node it builds.  A level
+    a node skips is a don't-care node there, so events whose top falls
+    on it still fire.  Both recursions are memoised per event set.
+
+    The three recursions are closures over the node arrays, the two
+    caches and the event set's tables, read once per call.  They count
+    their cache lookups and hits locally and add them to the manager's
+    counters when the call ends, also when ``on_round`` raises, so the
+    counters stay exact.
 
     ``on_round`` is called after every local-fixpoint round that fired
     an event, with the level, the number of firings and the number of
@@ -423,131 +465,139 @@ def saturate(f: Function, events: SaturationEvents,
     manager = f.manager
     if events.manager is not manager:
         raise ValueError("cannot combine functions from different managers")
-    return manager._wrap(_saturate(manager, events, on_round, f.node, 0))
+    node_level, node_low, node_high = (manager._level, manager._low,
+                                       manager._high)
+    mk, apply_or = manager._mk, manager.apply_or
+    sat_cache, fire_cache = manager._sat_cache, manager._fire_cache
+    limit, evict = manager._cache_limit, manager._evict_oldest
+    next_top, by_top, ident = events.next_top, events.by_top, events.ident
+    lookups = hits = 0
 
-
-def _saturate(manager: BDDManager, events: SaturationEvents,
-              on_round: Optional[RoundHook], node: int, level: int) -> int:
-    if node <= TRUE_ID:
-        return node
-    top = events.next_top[level]
-    if top == _NO_TOP:
-        return node  # no event fires at or below this level
-    node_level = manager._level[node]
-    level = top if top < node_level else node_level
-    cache = manager._sat_cache
-    key = (node, level, events.ident)
-    manager.cache_lookups += 1
-    cached = cache.get(key)
-    if cached is not None:
-        manager.cache_hits += 1
-        return cached
-    if node_level == level:
-        low = _saturate(manager, events, on_round, manager._low[node],
-                        level + 1)
-        high = _saturate(manager, events, on_round, manager._high[node],
-                         level + 1)
-    else:
-        low = high = _saturate(manager, events, on_round, node, level + 1)
-    group = events.by_top.get(level)
-    if group is None:
-        result = manager._mk(level, low, high)
-    else:
-        result = _local_fixpoint(manager, events, on_round, group, level,
-                                 low, high)
-    if len(cache) >= manager._cache_limit:
-        manager._evict_oldest(cache)
-    cache[key] = result
-    return result
-
-
-def _fire(manager: BDDManager, events: SaturationEvents,
-          on_round: Optional[RoundHook], event: _Event, node: int,
-          index: int, level: int) -> int:
-    """Steps ``index..`` of ``event`` applied to ``node``, saturated.
-
-    ``node`` is saturated at ``level`` (closed under every event whose
-    top is ``level`` or deeper), and every remaining step is at
-    ``level`` or deeper -- so past the last step the node is the answer.
-    """
-    if node == FALSE_ID:
-        return FALSE_ID
-    if index == len(event.levels):
-        return node
-    step_level = event.levels[index]
-    node_level = manager._level[node]
-    level = min(step_level, node_level, events.next_top[level])
-    cache = manager._fire_cache
-    key = (node, level, event.keys[index])
-    manager.cache_lookups += 1
-    cached = cache.get(key)
-    if cached is not None:
-        manager.cache_hits += 1
-        return cached
-    if level < step_level:
-        if node_level == level:
-            node0, node1 = manager._low[node], manager._high[node]
+    def saturate_node(node: int, level: int) -> int:
+        nonlocal lookups, hits
+        if node <= TRUE_ID:
+            return node
+        top = next_top[level]
+        if top == _NO_TOP:
+            return node  # no event fires at or below this level
+        level_node = node_level[node]
+        level = top if top < level_node else level_node
+        key = (node, level, ident)
+        lookups += 1
+        cached = sat_cache.get(key)
+        if cached is not None:
+            hits += 1
+            return cached
+        if level_node == level:
+            low = saturate_node(node_low[node], level + 1)
+            high = saturate_node(node_high[node], level + 1)
         else:
-            node0 = node1 = node
-        low = _fire(manager, events, on_round, event, node0, index,
-                    level + 1)
-        high = _fire(manager, events, on_round, event, node1, index,
-                     level + 1)
-    else:
-        if node_level == level:
-            node = (manager._high[node] if event.requires[index]
-                    else manager._low[node])
-        rest = _fire(manager, events, on_round, event, node, index + 1,
-                     level + 1)
-        if event.assigns[index]:
-            low, high = FALSE_ID, rest
+            low = high = saturate_node(node, level + 1)
+        group = by_top.get(level)
+        if group is None:
+            result = mk(level, low, high)
         else:
-            low, high = rest, FALSE_ID
-    group = events.by_top.get(level)
-    if group is None or low == high == FALSE_ID:
-        result = manager._mk(level, low, high)
-    else:
-        result = _local_fixpoint(manager, events, on_round, group, level,
-                                 low, high)
-    if len(cache) >= manager._cache_limit:
-        manager._evict_oldest(cache)
-    cache[key] = result
-    return result
+            result = local_fixpoint(group, level, low, high)
+        if len(sat_cache) >= limit:
+            evict(sat_cache)
+        sat_cache[key] = result
+        return result
 
+    def fire(event: _Event, node: int, index: int, level: int) -> int:
+        """Steps ``index..`` of ``event`` applied to ``node``, saturated.
 
-def _local_fixpoint(manager: BDDManager, events: SaturationEvents,
-                    on_round: Optional[RoundHook],
-                    group: Tuple[_Event, ...], level: int, low: int,
-                    high: int) -> int:
-    """Close the node ``(level, low, high)`` under the events whose top
-    is ``level``; both children are saturated one level down.
+        ``node`` is saturated at ``level`` (closed under every event
+        whose top is ``level`` or deeper), and every remaining step is
+        at ``level`` or deeper -- so past the last step the node is the
+        answer.
+        """
+        nonlocal lookups, hits
+        if node == FALSE_ID:
+            return FALSE_ID
+        levels = event.levels
+        if index == len(levels):
+            return node
+        step_level = levels[index]
+        level_node = node_level[node]
+        # The smallest of the step's, the node's and the next top's
+        # level, without a call to ``min``.
+        level = next_top[level]
+        if step_level < level:
+            level = step_level
+        if level_node < level:
+            level = level_node
+        key = (node, level, event.keys[index])
+        lookups += 1
+        cached = fire_cache.get(key)
+        if cached is not None:
+            hits += 1
+            return cached
+        if level < step_level:
+            if level_node == level:
+                node0, node1 = node_low[node], node_high[node]
+            else:
+                node0 = node1 = node
+            low = fire(event, node0, index, level + 1)
+            high = fire(event, node1, index, level + 1)
+        else:
+            if level_node == level:
+                node = (node_high[node] if event.requires[index]
+                        else node_low[node])
+            rest = fire(event, node, index + 1, level + 1)
+            if event.assigns[index]:
+                low, high = FALSE_ID, rest
+            else:
+                low, high = rest, FALSE_ID
+        group = by_top.get(level)
+        if group is None or low == high == FALSE_ID:
+            result = mk(level, low, high)
+        else:
+            result = local_fixpoint(group, level, low, high)
+        if len(fire_cache) >= limit:
+            evict(fire_cache)
+        fire_cache[key] = result
+        return result
 
-    Each round fires every event whose source child changed since it
-    last fired; the fixpoint is reached when a round fires nothing or
-    grows nothing.
-    """
-    children = [low, high]
-    # The source each event last fired on; FALSE never needs firing.
-    fired_on = [FALSE_ID] * len(group)
-    while True:
-        firings = fresh = 0
-        for position, event in enumerate(group):
-            source = children[event.requires[0]]
-            if source == fired_on[position]:
-                continue
-            fired_on[position] = source
-            firings += 1
-            image = _fire(manager, events, on_round, event, source, 1,
-                          level + 1)
-            target = children[event.assigns[0]]
-            merged = manager.apply_or(target, image)
-            if merged != target:
-                children[event.assigns[0]] = merged
-                fresh += 1
-        if not firings:
-            break
-        if on_round is not None:
-            on_round(level, firings, fresh)
-        if not fresh:
-            break
-    return manager._mk(level, children[0], children[1])
+    def local_fixpoint(group: Tuple[_Event, ...], level: int, low: int,
+                       high: int) -> int:
+        """Close the node ``(level, low, high)`` under the events whose
+        top is ``level``; both children are saturated one level down.
+
+        Each round fires every event whose source child changed since it
+        last fired; the fixpoint is reached when a round fires nothing
+        or grows nothing.
+        """
+        children = [low, high]
+        # The source each event last fired on; FALSE never needs firing.
+        fired_on = [FALSE_ID] * len(group)
+        while True:
+            firings = fresh = 0
+            for position, event in enumerate(group):
+                source = children[event.requires[0]]
+                if source == fired_on[position]:
+                    continue
+                fired_on[position] = source
+                firings += 1
+                image = fire(event, source, 1, level + 1)
+                target = children[event.assigns[0]]
+                merged = apply_or(target, image)
+                if merged != target:
+                    children[event.assigns[0]] = merged
+                    fresh += 1
+            if not firings:
+                break
+            if on_round is not None:
+                on_round(level, firings, fresh)
+            if not fresh:
+                break
+        return mk(level, children[0], children[1])
+
+    try:
+        return manager._wrap(saturate_node(f.node, 0))
+    finally:
+        manager.cache_lookups += lookups
+        manager.cache_hits += hits
+        # The closures reach each other through their cells; emptying
+        # the cells breaks that cycle, so the manager they hold is freed
+        # by reference counting, not left for the cycle collector.
+        saturate_node = fire = local_fixpoint = None

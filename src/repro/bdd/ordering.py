@@ -6,8 +6,10 @@ computed before any BDD is built, from a variable "affinity" hypergraph
 (sets of variables that appear together, e.g. the places around a
 Petri-net transition), using the FORCE heuristic [Aloul, Markov, Sakallah
 2003], which is simple, deterministic and works well on the netlist-like
-structures of this project.  FORCE refines the order it is given, so the
-caller's seed order matters: the STG encoding seeds it with a token-flow
+structures of this project.  :func:`force_order` works on integer
+variables, which the STG encoding numbers in name order, so every tie
+breaks by name.  FORCE refines the order it is given, so the caller's
+seed order matters: the STG encoding seeds it with a token-flow
 depth-first order.  Each hyperedge's centre of gravity counts with
 weight ``1/(|e| - 1)`` (the clique net model) when a variable's new
 position is averaged, so wide hyperedges do not dominate narrow ones.
@@ -23,80 +25,95 @@ after FORCE costs more time than it saves on the project's workloads
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Hashable, Iterable, List, Sequence
 
 #: Maximum number of FORCE center-of-gravity sweeps; the loop stops early
 #: at a fixed point.
 _FORCE_ITERATIONS = 50
 
 
-def force_ordering(variables: Sequence[str],
-                   groups: Iterable[Sequence[str]]) -> List[str]:
+def force_order(seed: Sequence[int],
+                hyperedges: Iterable[Sequence[int]]) -> List[int]:
     """Compute a variable order with the FORCE hypergraph heuristic.
 
-    Each sweep places every hyperedge's centre at the mean position of
-    its members, moves every variable to the average of the centres of
-    its hyperedges, each weighted by ``1/(|e| - 1)``, and re-ranks; the
-    loop stops at a fixed point or after :data:`_FORCE_ITERATIONS`
-    sweeps.  Ties break by name.
+    Variables are the integers ``0 .. n-1``.  Each sweep places every
+    hyperedge's centre at the mean position of its members, moves every
+    variable to the average of the centres of its hyperedges, each
+    weighted by ``1/(|e| - 1)``, and re-ranks; the loop stops at a fixed
+    point or after :data:`_FORCE_ITERATIONS` sweeps.  Ties break by
+    variable: a caller that numbers its variables in name order gets
+    ties broken by name.
+
+    The floats are summed in a fixed order, so the order is the same on
+    every interpreter: the hyperedges are sorted, a centre sums integer
+    positions (exact), and a variable's weighted centres and its mass
+    (the sum of its weights, computed once) are added one hyperedge at
+    a time, in that order.  ``sum()`` is kept off the floats, since from
+    Python 3.12 it compensates rounding.
 
     Parameters
     ----------
-    variables:
-        All variable names to order (the result is a permutation of
-        them), in the seed order FORCE starts from.
-    groups:
-        Hyperedges: collections of variables that interact and should be
-        placed close together (for a Petri net: ``pre(t) U post(t)`` for
-        each transition, plus place/signal co-occurrence groups).  Their
-        order does not matter, and a member listed twice counts once.
+    seed:
+        Every variable once, in the order FORCE starts from.
+    hyperedges:
+        Groups of variables that interact and should be placed close
+        together (for a Petri net: the places and signal of each
+        transition).  Their order does not matter, and a member listed
+        twice counts once.
 
     Returns
     -------
-    list of str
+    list of int
         The computed order, best first (root of the BDD).
     """
-    variables = list(variables)
-    known = set(variables)
-    hyperedges: List[List[str]] = []
-    for group in groups:
-        members = sorted({name for name in group if name in known})
-        if len(members) >= 2:
-            hyperedges.append(members)
-    if not hyperedges:
-        return variables
-    # A fixed edge order fixes the order the floats below are summed in.
-    hyperedges.sort()
-    weights = [1.0 / (len(edge) - 1) for edge in hyperedges]
-    position: Dict[str, float] = {name: float(i)
-                                  for i, name in enumerate(variables)}
+    count = len(seed)
+    edges = [members for members in (sorted(set(edge))
+                                     for edge in hyperedges)
+             if len(members) >= 2]
+    if not edges:
+        return list(seed)
+    edges.sort()
+    weights = [1.0 / (len(edge) - 1) for edge in edges]
+    mass = [0.0] * count
+    for edge, weight in zip(edges, weights):
+        for variable in edge:
+            mass[variable] += weight
+    moving = [variable for variable in range(count) if mass[variable]]
+    position = [0] * count
+    for rank, variable in enumerate(seed):
+        position[variable] = rank
+    sizes = [len(edge) for edge in edges]
     for _ in range(_FORCE_ITERATIONS):
-        # Center of gravity of every hyperedge.
-        centers = [sum(position[v] for v in edge) / len(edge)
-                   for edge in hyperedges]
-        # Tentative new position of every variable: the average of the
-        # centers of the hyperedges it belongs to, each weighted by
-        # 1/(|e| - 1).
-        accumulator: Dict[str, Tuple[float, float]] = {}
-        for edge, center, weight in zip(hyperedges, centers, weights):
-            for name in edge:
-                total, mass = accumulator.get(name, (0.0, 0.0))
-                accumulator[name] = (total + weight * center, mass + weight)
-        new_position = dict(position)
-        for name, (total, mass) in accumulator.items():
-            new_position[name] = total / mass
-        ordered = sorted(variables, key=lambda name: (new_position[name], name))
-        next_position = {name: float(i) for i, name in enumerate(ordered)}
+        total = [0.0] * count
+        at = position.__getitem__
+        for edge, weight, size in zip(edges, weights, sizes):
+            # Center of gravity of the hyperedge, weighted by
+            # 1/(|e| - 1), added to each member's running total.
+            pull = weight * (sum(map(at, edge)) / size)
+            for variable in edge:
+                total[variable] += pull
+        tentative = list(position)
+        for variable in moving:
+            tentative[variable] = total[variable] / mass[variable]
+        # A stable sort of 0 .. n-1: ties keep the lower variable first.
+        ranked = sorted(range(count), key=tentative.__getitem__)
+        next_position = [0] * count
+        for rank, variable in enumerate(ranked):
+            next_position[variable] = rank
         if next_position == position:
             break
         position = next_position
-    return sorted(variables, key=lambda name: (position[name], name))
+    order = [0] * count
+    for variable, rank in enumerate(position):
+        order[rank] = variable
+    return order
 
 
-def spans(order: Sequence[str],
-          groups: Iterable[Sequence[str]]) -> List[int]:
+def spans(order: Sequence[Hashable],
+          groups: Iterable[Sequence[Hashable]]) -> List[int]:
     """The span of every group under ``order``: how many levels lie
     between its first and its last member (0 for a single member).
+    Variables may be names or :func:`force_order`'s integers.
 
     Members missing from ``order`` are ignored, and so is a group with
     none in it.

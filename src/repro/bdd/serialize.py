@@ -13,7 +13,10 @@ the same canonical structure::
     root 2
 
 Functions from one manager can be saved together (sharing is preserved);
-loading returns the new manager and the root functions in order.  Useful
+loading returns the new manager and the root functions in order.  A
+stored node whose variable lies above both (translated) children in the
+target manager is rebuilt with one unique-table probe; only a node the
+target order rearranges goes through ``ite``.  Useful
 for caching reachable sets between runs and for debugging.
 """
 
@@ -104,8 +107,9 @@ def load(stream: TextIO, manager: BDDManager | None = None,
         manager = BDDManager(variables)
     else:
         for name in variables:
-            if name not in manager.variables:
+            if not manager.has_var(name):
                 manager.add_var(name)
+    node_level = manager._level
     translation: Dict[int, int] = {FALSE_ID: FALSE_ID, TRUE_ID: TRUE_ID}
     roots: List[Function] = []
     for line in stream:
@@ -128,10 +132,16 @@ def load(stream: TextIO, manager: BDDManager | None = None,
             except KeyError as exc:
                 raise BDDError(
                     f"node {old_id} references unknown child") from exc
-            # Rebuild through ite so the result is correct even when the
-            # target manager uses a different variable order.
-            variable_node = manager.var(variable).node
-            translation[old_id] = manager.ite(variable_node, new_high, new_low)
+            level = manager.level_of(variable)
+            if level < node_level[new_low] and level < node_level[new_high]:
+                # The variable lies above both children here too: the
+                # node is already reduced and ordered (always, when the
+                # stored order is a sub-order of the manager's).
+                translation[old_id] = manager._mk(level, new_low, new_high)
+            else:
+                # A different relative order: rebuild through ite.
+                translation[old_id] = manager.ite(manager.var(variable).node,
+                                                  new_high, new_low)
         elif parts[0] == "root":
             try:
                 old_id = int(parts[1])

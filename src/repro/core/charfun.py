@@ -20,21 +20,26 @@ them heavily.
 
 from __future__ import annotations
 
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 from repro.bdd import Function
 from repro.core.encoding import SymbolicEncoding
 
 
 class CharacteristicFunctions:
-    """Cached characteristic functions for one encoded STG."""
+    """Cached characteristic functions for one encoded STG.
+
+    Every cube is built from the encoding's step table
+    (:attr:`~repro.core.encoding.SymbolicEncoding.steps`): a
+    transition's places are ids already, and the encoding holds their
+    levels.
+    """
 
     def __init__(self, encoding: SymbolicEncoding) -> None:
         self.encoding = encoding
         self._enabled: Dict[str, Function] = {}
-        self._asm: Dict[str, Function] = {}
-        self._npm: Dict[str, Function] = {}
-        self._nsm: Dict[str, Function] = {}
+        self._enabled_literals: Dict[str, Mapping[str, bool]] = {}
         self._signal_enabled: Dict[str, Function] = {}
         self._generic_enabled: Dict[str, Function] = {}
 
@@ -45,54 +50,42 @@ class CharacteristicFunctions:
         """``E(t)``: conjunction of the input-place variables."""
         cached = self._enabled.get(transition)
         if cached is None:
-            places = self.encoding.stg.net.preset_of_transition(transition)
-            cached = self.encoding.manager.cube({
-                self.encoding.place_variable(p): True for p in places})
-            self._enabled[transition] = cached
+            cached = self._enabled[transition] = self.encoding.cube(
+                self.encoding.step(transition).preset, True)
         return cached
 
     def all_successors_marked(self, transition: str) -> Function:
         """``ASM(t)``: conjunction of the output-place variables."""
-        cached = self._asm.get(transition)
-        if cached is None:
-            places = self.encoding.stg.net.postset_of_transition(transition)
-            cached = self.encoding.manager.cube({
-                self.encoding.place_variable(p): True for p in places})
-            self._asm[transition] = cached
-        return cached
+        return self.encoding.cube(self.encoding.step(transition).postset,
+                                  True)
 
     def no_predecessor_marked(self, transition: str) -> Function:
         """``NPM(t)``: conjunction of the negated input-place variables."""
-        cached = self._npm.get(transition)
-        if cached is None:
-            places = self.encoding.stg.net.preset_of_transition(transition)
-            cached = self.encoding.manager.cube({
-                self.encoding.place_variable(p): False for p in places})
-            self._npm[transition] = cached
-        return cached
+        return self.encoding.cube(self.encoding.step(transition).preset,
+                                  False)
 
     def no_successor_marked(self, transition: str) -> Function:
         """``NSM(t)``: conjunction of the negated output-place variables."""
-        cached = self._nsm.get(transition)
-        if cached is None:
-            places = self.encoding.stg.net.postset_of_transition(transition)
-            cached = self.encoding.manager.cube({
-                self.encoding.place_variable(p): False for p in places})
-            self._nsm[transition] = cached
-        return cached
+        return self.encoding.cube(self.encoding.step(transition).postset,
+                                  False)
 
     # ------------------------------------------------------------------
-    # Cube literal dictionaries (the cofactors of the paper's pipeline)
+    # Cube literal mappings (the cofactors of the paper's pipeline)
     # ------------------------------------------------------------------
-    def enabled_literals(self, transition: str) -> Dict[str, bool]:
-        """The ``E(t)`` cube as a literal dictionary (for cofactoring)."""
-        places = self.encoding.stg.net.preset_of_transition(transition)
-        return {self.encoding.place_variable(p): True for p in places}
+    def enabled_literals(self, transition: str) -> Mapping[str, bool]:
+        """The ``E(t)`` cube as a read-only literal mapping (for
+        cofactoring and :meth:`~repro.bdd.Function.meets`), built once."""
+        cached = self._enabled_literals.get(transition)
+        if cached is None:
+            cached = self._enabled_literals[transition] = MappingProxyType(
+                self.encoding.literals(
+                    self.encoding.step(transition).preset, True))
+        return cached
 
     def no_successor_literals(self, transition: str) -> Dict[str, bool]:
         """The ``NSM(t)`` cube as a literal dictionary (for cofactoring)."""
-        places = self.encoding.stg.net.postset_of_transition(transition)
-        return {self.encoding.place_variable(p): False for p in places}
+        return self.encoding.literals(
+            self.encoding.step(transition).postset, False)
 
     # ------------------------------------------------------------------
     # Per-signal disjunctions

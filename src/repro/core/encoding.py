@@ -4,7 +4,21 @@ Section 4 of the paper represents a marking of a safe Petri net by one
 boolean variable per place and the full state of an STG by the vector
 ``y = (m, s)`` -- marking variables plus one variable per signal.  This
 module owns the :class:`~repro.bdd.manager.BDDManager`, the variable
-naming convention and the static variable order.
+naming convention, the static variable order and the *step table*.
+
+The step table compiles the net once.  Every variable gets an integer
+id, in name order (each place variable ``p:...`` sorts before each
+signal variable ``s:...``), and every transition a
+:class:`TransitionStep`: its pre-only, post-only and self-loop places
+as sorted ids, its signal and the value it assigns.  Once the order is
+fixed, :attr:`SymbolicEncoding.levels` maps each id to its BDD level.
+The ordering heuristics, the firing plans of
+:class:`~repro.core.image.SymbolicImage`, the cubes and literal
+mappings of :class:`~repro.core.charfun.CharacteristicFunctions` and
+the initial state all read the table instead of re-deriving pre- and
+postsets, sorting names or resolving levels one name at a time.  Since
+ids follow name order, sorting ids sorts names, and FORCE breaks ties
+by name as the name-based heuristic did.
 
 Variable ordering strategies
 ----------------------------
@@ -36,11 +50,14 @@ Variable ordering strategies
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
+from repro import obs
 from repro.bdd import BDDManager, Function
-from repro.bdd.ordering import force_ordering, spans
+from repro.bdd.ordering import force_order, spans
 from repro.petri.marking import Marking
+from repro.stg.signals import STGError
 from repro.stg.stg import STG
 
 PLACE_PREFIX = "p:"
@@ -49,13 +66,39 @@ SIGNAL_PREFIX = "s:"
 ORDERING_STRATEGIES = ("force", "structural", "declaration", "signals_first")
 
 
+class TransitionStep(NamedTuple):
+    """One transition of the step table, its variables as ids."""
+
+    #: Places only in the preset (marked before, unmarked after).
+    pre: Tuple[int, ...]
+    #: Places only in the postset (unmarked before, marked after).
+    post: Tuple[int, ...]
+    #: Places in both (marked before and after).
+    loops: Tuple[int, ...]
+    #: The signal's variable, ``None`` for a transition without a label.
+    signal: Optional[int]
+    #: The value the firing assigns to the signal; it requires the other.
+    rising: bool
+
+    @property
+    def preset(self) -> Tuple[int, ...]:
+        """Every input place (the places of ``E(t)``)."""
+        return self.pre + self.loops
+
+    @property
+    def postset(self) -> Tuple[int, ...]:
+        """Every output place."""
+        return self.post + self.loops
+
+
 class SymbolicEncoding:
-    """Variables and helper constructors for one STG.
+    """Variables, the step table and helper constructors for one STG.
 
     Parameters
     ----------
     stg:
-        The specification to encode.
+        The specification to encode.  It is compiled once, so it must not
+        change while the encoding is in use.
     ordering:
         One of :data:`ORDERING_STRATEGIES`.
     manager:
@@ -68,21 +111,70 @@ class SymbolicEncoding:
         if ordering not in ORDERING_STRATEGIES:
             raise ValueError(f"unknown ordering strategy {ordering!r}; "
                              f"choose from {ORDERING_STRATEGIES}")
-        from repro import obs
-
         self.stg = stg
         self.ordering_strategy = ordering
+        self._compile()
         with obs.span("ordering", strategy=ordering) as span:
             order = self._compute_order(ordering)
             span.annotate(variables=len(order))
             if obs.active() is not None:
-                events = spans(order, self._co_occurrence_groups())
+                events = spans(order, self._groups())
                 span.annotate(event_span=(sum(events) / len(events)
                                           if events else 0.0))
         self.manager = manager if manager is not None else BDDManager()
-        for name in order:
-            if name not in self.manager.variables:
-                self.manager.add_var(name)
+        names = self.names
+        for variable in order:
+            if not self.manager.has_var(names[variable]):
+                self.manager.add_var(names[variable])
+        #: Variable id -> BDD level.
+        self.levels: List[int] = [self.manager.level_of(name)
+                                  for name in names]
+        self._all_variables = [names[variable] for variable in sorted(
+            range(len(names)), key=self.levels.__getitem__)]
+        self._initial: Optional[Function] = None
+
+    def _compile(self) -> None:
+        """Number the variables and build the step table."""
+        stg = self.stg
+        net = stg.net
+        places = sorted(net.places)
+        signals = sorted(stg.signals)
+        #: Variable id -> name, in name order.
+        self.names: List[str] = ([PLACE_PREFIX + place for place in places]
+                                 + [SIGNAL_PREFIX + signal
+                                    for signal in signals])
+        self._place_id = {place: index for index, place in enumerate(places)}
+        self._signal_id = {signal: len(places) + index
+                           for index, signal in enumerate(signals)}
+        place_id = self._place_id
+        #: Transition name -> its step, in the net's transition order.
+        self.steps: Dict[str, TransitionStep] = {}
+        for transition in net.transitions:
+            preset = net.preset_of_transition(transition)
+            postset = net.postset_of_transition(transition)
+            try:
+                label = stg.label_of(transition)
+            except STGError:  # unlabelled transition in a plain net
+                signal, rising = None, False
+            else:
+                signal, rising = self._signal_id[label.signal], label.is_rising
+            self.steps[transition] = TransitionStep(
+                tuple(sorted(map(place_id.__getitem__, preset - postset))),
+                tuple(sorted(map(place_id.__getitem__, postset - preset))),
+                tuple(sorted(map(place_id.__getitem__, preset & postset))),
+                signal, rising)
+
+    def place_of(self, variable: int) -> str:
+        """The place a place variable id encodes."""
+        return self.names[variable][len(PLACE_PREFIX):]
+
+    def step(self, transition: str) -> TransitionStep:
+        """The step-table entry of ``transition``."""
+        try:
+            return self.steps[transition]
+        except KeyError:
+            self.stg.net.transition(transition)  # raises: unknown name
+            raise
 
     # ------------------------------------------------------------------
     # Variable names
@@ -110,8 +202,7 @@ class SymbolicEncoding:
     @property
     def all_variables(self) -> List[str]:
         """Place and signal variables, in the manager's order."""
-        mine = set(self.place_variables) | set(self.signal_variables)
-        return [name for name in self.manager.variables if name in mine]
+        return list(self._all_variables)
 
     # ------------------------------------------------------------------
     # Projections
@@ -129,11 +220,42 @@ class SymbolicEncoding:
     # ------------------------------------------------------------------
     # Constructors for sets of states
     # ------------------------------------------------------------------
+    def cube(self, variables: Iterable[int], value: bool) -> Function:
+        """The cube holding every variable id in ``variables`` at
+        ``value``."""
+        levels = self.levels
+        return self.manager.cube_at((levels[variable], value)
+                                    for variable in variables)
+
+    def literals(self, variables: Iterable[int],
+                 value: bool) -> Dict[str, bool]:
+        """The :meth:`cube` of the same ids as a literal mapping
+        ``{variable name: value}``."""
+        names = self.names
+        return {names[variable]: value for variable in variables}
+
+    def firing_steps(self, transition: str
+                     ) -> List[Tuple[int, bool, bool]]:
+        """The ``(level, require, assign)`` steps of firing
+        ``transition`` forward, sorted by level: each pre-only place
+        goes 1 -> 0, each post-only place 0 -> 1, each self-loop place
+        stays 1 and the signal goes to the value the label assigns."""
+        step = self.step(transition)
+        if step.signal is None:
+            self.stg.label_of(transition)  # raises: no label to fire
+        levels = self.levels
+        resolved = [(levels[place], True, False) for place in step.pre]
+        resolved += [(levels[place], False, True) for place in step.post]
+        resolved += [(levels[place], True, True) for place in step.loops]
+        resolved.append((levels[step.signal], not step.rising, step.rising))
+        resolved.sort()
+        return resolved
+
     def _marking_literals(self, marking: Marking) -> Dict[str, bool]:
         return {self.place_variable(p): marking[p] > 0
                 for p in self.stg.net.places}
 
-    def _code_literals(self, values: Dict[str, bool]) -> Dict[str, bool]:
+    def _code_literals(self, values: Mapping[str, bool]) -> Dict[str, bool]:
         return {self.signal_variable(s): bool(values[s])
                 for s in self.stg.signals}
 
@@ -152,9 +274,12 @@ class SymbolicEncoding:
                                   **self._code_literals(values)})
 
     def initial_state(self) -> Function:
-        """Characteristic function of the STG's initial full state."""
-        return self.state_minterm(self.stg.initial_marking(),
-                                  self.stg.initial_state_vector())
+        """Characteristic function of the STG's initial full state (one
+        cube, built on the first call)."""
+        if self._initial is None:
+            self._initial = self.state_minterm(
+                self.stg.initial_marking(), self.stg.initial_state_vector())
+        return self._initial
 
     # ------------------------------------------------------------------
     # Decoding (for counter-examples and tests)
@@ -170,54 +295,31 @@ class SymbolicEncoding:
 
     def count_states(self, states: Function) -> int:
         """Number of full states in a characteristic function."""
-        return states.sat_count(care_vars=self.all_variables)
+        return states.sat_count(care_vars=self._all_variables)
 
     # ------------------------------------------------------------------
-    # Ordering
+    # Ordering (over variable ids)
     # ------------------------------------------------------------------
-    def _compute_order(self, strategy: str) -> List[str]:
-        stg = self.stg
-        places = [self.place_variable(p) for p in stg.net.places]
-        signals = [self.signal_variable(s) for s in stg.signals]
+    def _compute_order(self, strategy: str) -> List[int]:
+        place_id, signal_id = self._place_id, self._signal_id
+        places = [place_id[place] for place in self.stg.net.places]
+        signals = [signal_id[signal] for signal in self.stg.signals]
         if strategy == "declaration":
             return places + signals
         if strategy == "signals_first":
             return signals + places
         if strategy == "structural":
             return self._structural_order()
-        return self._force_order()
+        return force_order(self._structural_order(), self._groups())
 
-    def _co_occurrence_groups(self) -> List[List[str]]:
-        """Hyperedges: the variables touched by each transition.
+    def _groups(self) -> List[Tuple[int, ...]]:
+        """Hyperedges: the variables each transition touches, which are
+        exactly the variables of its forward event."""
+        return [step.pre + step.post + step.loops
+                + (() if step.signal is None else (step.signal,))
+                for step in self.steps.values()]
 
-        Pre/post-sets are hash-ordered sets; the members are sorted so the
-        FORCE accumulator sums its floats in a fixed order.  Without this
-        the computed variable order -- and with it every traversal
-        statistic -- varies between interpreter processes
-        (PYTHONHASHSEED), which would break the cross-machine
-        byte-identity contract of the sweep runner's stable results.
-        """
-        groups: List[List[str]] = []
-        stg = self.stg
-        for transition in stg.net.transitions:
-            group = [self.place_variable(p)
-                     for p in sorted(stg.net.preset_of_transition(transition))]
-            group += [self.place_variable(p)
-                      for p in sorted(stg.net.postset_of_transition(transition))]
-            try:
-                label = stg.label_of(transition)
-            except Exception:  # unlabelled transition in a plain net
-                label = None
-            if label is not None:
-                group.append(self.signal_variable(label.signal))
-            groups.append(group)
-        return groups
-
-    def _force_order(self) -> List[str]:
-        return force_ordering(self._structural_order(),
-                              self._co_occurrence_groups())
-
-    def _structural_order(self) -> List[str]:
+    def _structural_order(self) -> List[int]:
         """Depth-first order over the net graph, signal next to its places.
 
         The walk starts from the initially marked places, then sweeps the
@@ -229,52 +331,58 @@ class SymbolicEncoding:
         is ordered without hitting the interpreter's recursion limit.
         """
         stg = self.stg
-        net = stg.net
-        order: List[str] = []
-        seen = set()
+        steps = self.steps
+        place_count = len(self._place_id)
+        # Per place: its output transitions' signals and output places,
+        # transitions in name order.  A place id is its name rank, so a
+        # sorted tuple of ids is in name order.
+        outputs: List[List[Tuple[Optional[int], Tuple[int, ...]]]] = [
+            [] for _ in range(place_count)]
+        for transition in sorted(steps):
+            step = steps[transition]
+            targets = (tuple(sorted(step.postset)) if step.loops
+                       else step.post)
+            for place in step.preset:
+                outputs[place].append((step.signal, targets))
+        order: List[int] = []
+        seen = [False] * len(self.names)
 
-        def successors(place: str) -> Iterator[str]:
+        def successors(place: int) -> Iterator[int]:
             # Lazy: a transition's signal joins the order only once the
             # places reached through the previous transition are done.
-            for transition in sorted(net.postset_of_place(place)):
-                try:
-                    signal_variable = self.signal_variable(
-                        stg.signal_of(transition))
-                except Exception:  # unlabelled transition in a plain net
-                    signal_variable = None
-                if signal_variable is not None and signal_variable not in seen:
-                    seen.add(signal_variable)
-                    order.append(signal_variable)
-                yield from sorted(net.postset_of_transition(transition))
+            for signal, targets in outputs[place]:
+                if signal is not None and not seen[signal]:
+                    seen[signal] = True
+                    order.append(signal)
+                yield from targets
 
-        def visit(root: str) -> None:
-            stack: List[Iterator[str]] = [iter((root,))]
+        def visit(root: int) -> None:
+            stack: List[Iterator[int]] = [iter((root,))]
             while stack:
                 place = next(stack[-1], None)
                 if place is None:
                     stack.pop()
                     continue
-                variable = self.place_variable(place)
-                if variable not in seen:
-                    seen.add(variable)
-                    order.append(variable)
+                if not seen[place]:
+                    seen[place] = True
+                    order.append(place)
                     stack.append(successors(place))
 
-        places = sorted(net.places)
         initial = stg.initial_marking()
-        for place in places:
+        place_id = self._place_id
+        for place in sorted(place_id):
             if initial[place] > 0:
-                visit(place)
-        for place in places:
+                visit(place_id[place])
+        for place in range(place_count):
             visit(place)
         for signal in stg.signals:
-            variable = self.signal_variable(signal)
-            if variable not in seen:
-                seen.add(variable)
+            variable = self._signal_id[signal]
+            if not seen[variable]:
+                seen[variable] = True
                 order.append(variable)
         return order
 
     def __repr__(self) -> str:
         return (f"SymbolicEncoding({self.stg.name!r}, "
                 f"ordering={self.ordering_strategy!r}, "
-                f"variables={len(self.all_variables)})")
+                f"variables={len(self.names)})")

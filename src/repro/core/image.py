@@ -19,7 +19,10 @@ pre-only place goes 1 -> 0, each post-only place 0 -> 1, each self-loop
 place 1 -> 1 and the fired signal old -> new (backward firing swaps
 every pair).  :class:`SymbolicImage` resolves those steps into
 :class:`~repro.bdd.operators.TransferSteps` **once** per transition and
-direction, and every firing is one
+direction, from the encoding's step table
+(:meth:`~repro.core.encoding.SymbolicEncoding.firing_steps`: the
+transition's places and signal, already at their levels), and every
+firing is one
 :func:`~repro.bdd.operators.transfer` recursion -- which also subtracts
 an optional ``drop`` set, the states a fixpoint has already seen.  The
 same resolved steps are the events of a saturation closure
@@ -69,28 +72,12 @@ class SymbolicImage:
         # importing this module (the daemon does at start-up) stays cheap.
         from repro.bdd.operators import TransferSteps
 
-        encoding = self.encoding
-        net = encoding.stg.net
-        place = encoding.place_variable
-
-        preset = net.preset_of_transition(transition)
-        postset = net.postset_of_transition(transition)
-        steps: Dict[str, Tuple[bool, bool]] = {}
-        for p in sorted(preset - postset):
-            steps[place(p)] = (True, False)
-        for p in sorted(postset - preset):
-            steps[place(p)] = (False, True)
-        # A self-loop place stays marked across the firing.
-        for p in sorted(preset & postset):
-            steps[place(p)] = (True, True)
-        label = encoding.stg.label_of(transition)
-        steps[encoding.signal_variable(label.signal)] = (
-            not label.target_value, label.target_value)
+        steps = self.encoding.firing_steps(transition)
         if backward:
             # The inverse rewrite: every (require, assign) pair reversed.
-            steps = {name: (assign, require)
-                     for name, (require, assign) in steps.items()}
-        return TransferSteps(encoding.manager, steps)
+            steps = [(level, assign, require)
+                     for level, require, assign in steps]
+        return TransferSteps.at_levels(self.encoding.manager, steps)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)

@@ -72,15 +72,6 @@ class SymbolicDeterminismResult:
     violating_pairs: List[Tuple[str, str]] = field(default_factory=list)
 
 
-def _structural_effect(encoding: SymbolicEncoding, transition: str
-                       ) -> Tuple[frozenset, frozenset]:
-    """Places consumed and produced by a transition (net effect)."""
-    net = encoding.stg.net
-    preset = net.preset_of_transition(transition)
-    postset = net.postset_of_transition(transition)
-    return frozenset(preset - postset), frozenset(postset - preset)
-
-
 def check_determinism(encoding: SymbolicEncoding, reached: Function,
                       charfun: Optional[CharacteristicFunctions] = None
                       ) -> SymbolicDeterminismResult:
@@ -97,11 +88,14 @@ def check_determinism(encoding: SymbolicEncoding, reached: Function,
     by_generic: Dict[str, List[str]] = {}
     for transition in stg.transitions:
         by_generic.setdefault(stg.label_of(transition).generic, []).append(transition)
+    steps = encoding.steps
+    # The net effect of a transition: the places it consumes and the
+    # ones it produces, as sorted ids off the step table.
     pairs = [(first, second) for transitions in by_generic.values()
              for i, first in enumerate(transitions)
              for second in transitions[i + 1:]
-             if _structural_effect(encoding, first)
-             != _structural_effect(encoding, second)]
+             if (steps[first].pre, steps[first].post)
+             != (steps[second].pre, steps[second].post)]
     cubes = [{**charfun.enabled_literals(first),
               **charfun.enabled_literals(second)}
              for first, second in pairs]

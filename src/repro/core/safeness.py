@@ -62,12 +62,15 @@ def check_safeness(encoding: SymbolicEncoding, reached: Function,
             "marking": stg.initial_marking(),
             "code": stg.initial_state_vector()}, overmarked=overmarked)
     charfun = charfun or CharacteristicFunctions(encoding)
-    pairs = [(transition, place) for transition in net.transitions
-             for place in sorted(net.postset_of_transition(transition)
-                                 - net.preset_of_transition(transition))]
-    cubes = [{**charfun.enabled_literals(transition),
-              encoding.place_variable(place): True}
-             for transition, place in pairs]
+    # Each transition's post-only places, off the step table: sorted
+    # ids, so in name order.
+    names = encoding.names
+    candidates = [(transition, place) for transition, step
+                  in encoding.steps.items() for place in step.post]
+    pairs = [(transition, encoding.place_of(place))
+             for transition, place in candidates]
+    cubes = [{**charfun.enabled_literals(transition), names[place]: True}
+             for transition, place in candidates]
     overflows = [pair for pair, hit in zip(pairs, reached.meets(cubes))
                  if hit]
     if not overflows:

@@ -16,7 +16,10 @@ life and owns
   fingerprint and the engine's delta warm-start seeds the traversal
   from the base entry),
 * the table of task texts by name, so a later request can say
-  ``base=<an earlier task's name>``,
+  ``base=<an earlier task's name>`` (the :data:`TASK_SOURCES` most
+  recently used names: building a task and resolving its name as a
+  base both count as a use, so an editor's base stays while the
+  editor re-checks against it),
 * the per-fingerprint single-flight locks (N concurrent requests for
   the same content cost one computation; a lock lives only while some
   request holds or awaits it), and
@@ -47,6 +50,7 @@ import asyncio
 import contextlib
 import contextvars
 import os
+from collections import OrderedDict
 from dataclasses import replace
 from typing import AsyncIterator, Dict, Optional
 
@@ -64,6 +68,9 @@ from repro.serve.protocol import CheckRequest, ProtocolError, anonymous_name
 #: Subdirectories of the daemon state directory.
 RUN_STORE_DIR = "run-store"
 BDD_STORE_DIR = "bdd-store"
+#: How many task names (the most recently used) keep their ``.g`` text
+#: for ``base=<name>``; an older name resolves like any unknown one.
+TASK_SOURCES = 256
 
 
 async def execute_payload_async(payload: Dict[str, object],
@@ -109,9 +116,10 @@ class WarmState:
         self.bdd_store = BDDStore.shared(self.bdd_dir)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._flights: Dict[str, _Flight] = {}
-        #: Task name -> raw ``.g`` text of every task this daemon has
-        #: built, so a later request can say ``base=<that name>``.
-        self._task_sources: Dict[str, str] = {}
+        #: Task name -> raw ``.g`` text of the :data:`TASK_SOURCES`
+        #: most recently used task names, least recent first, so a later
+        #: request can say ``base=<that name>``.
+        self._task_sources: "OrderedDict[str, str]" = OrderedDict()
         self._prime_metrics()
 
     def _prime_metrics(self) -> None:
@@ -148,14 +156,19 @@ class WarmState:
             bdd_cache_dir=self.bdd_dir)
         if request.base is not None:
             self.metrics.counter("serve.delta.requests").add(1)
+            if request.base in self._task_sources:
+                self._task_sources.move_to_end(request.base)
             try:
                 fingerprint = resolve_base(request.base, config,
                                            tasks=self._task_sources)
             except ApiError:
                 raise ProtocolError(
                     f"unknown base {request.base!r}: not a reachability "
-                    f"fingerprint, a previously checked task name, or a "
-                    f"corpus entry", status=404) from None
+                    f"fingerprint, one of the last {TASK_SOURCES} task "
+                    f"names used, or a corpus entry; re-send the base's "
+                    f"g_text under that name, or quote its reachability "
+                    f"fingerprint (the 'base' field of an earlier "
+                    f"queued event)", status=404) from None
             config = config.with_overrides(base_fingerprint=fingerprint)
         if request.entry is not None:
             try:
@@ -168,6 +181,9 @@ class WarmState:
                 g_text=request.g_text, config=config, checks=request.checks)
         name = request.name or task.name
         self._task_sources[name] = task.g_text
+        self._task_sources.move_to_end(name)
+        while len(self._task_sources) > TASK_SOURCES:
+            self._task_sources.popitem(last=False)
         return replace(task, name=name, delay=request.delay,
                        provenance={"backend": "serve"})
 

@@ -44,10 +44,6 @@ _TRANSITION_RE = re.compile(
 _IMPLICIT_PLACE_RE = re.compile(r"^<([^,<>]+),([^,<>]+)>$")
 
 
-def _is_transition_token(token: str) -> bool:
-    return bool(_TRANSITION_RE.match(token))
-
-
 def parse_g(text: str, name: Optional[str] = None) -> STG:
     """Parse the text of a ``.g`` file into an :class:`~repro.stg.stg.STG`."""
     lines = _logical_lines(text)
@@ -98,8 +94,8 @@ def parse_g(text: str, name: Optional[str] = None) -> STG:
         for signal in names:
             stg.add_signal(signal, kind)
 
-    _build_graph(stg, graph_lines)
-    _apply_marking(stg, marking_tokens)
+    labels = _build_graph(stg, graph_lines)
+    _apply_marking(stg, marking_tokens, labels)
     for signal, value in initial_values.items():
         stg.set_initial_value(signal, value)
     return stg
@@ -159,7 +155,14 @@ def _parse_initial_values(rest: str) -> Dict[str, bool]:
     return values
 
 
-def _build_graph(stg: STG, graph_lines: List[List[str]]) -> None:
+def _build_graph(stg: STG, graph_lines: List[List[str]]
+                 ) -> Dict[str, Optional[SignalTransition]]:
+    """Declare and wire the ``.graph`` section.
+
+    Each distinct token is classified and parsed once: the returned
+    table maps it to its :class:`~repro.stg.signals.SignalTransition`,
+    or to ``None`` for a place, and the marking reuses it.
+    """
     # First-appearance document order, deduplicated.  Declaration order
     # fixes the net's transition and place lists, which downstream fix
     # the traversal's firing order and the BDD variable order -- a set
@@ -168,51 +171,63 @@ def _build_graph(stg: STG, graph_lines: List[List[str]]) -> None:
     # byte-identity contract.
     tokens = list(dict.fromkeys(
         token for line in graph_lines for token in line))
-    place_names = [t for t in tokens if not _is_transition_token(t)]
     # Declare every transition and every explicit place first.
+    labels: Dict[str, Optional[SignalTransition]] = {}
     for token in tokens:
-        if _is_transition_token(token):
-            stg.ensure_transition(token)
-    for place in place_names:
-        stg.add_place(place)
+        label = labels[token] = (SignalTransition.parse(token)
+                                 if _TRANSITION_RE.match(token) else None)
+        if label is not None:
+            stg.ensure_transition(label)
+    for token in tokens:
+        if labels[token] is None:
+            stg.add_place(token)
+    # Each token's node name: a transition's canonical name (``a+/1``
+    # is ``a+``), a place's token itself.
+    names = {token: token if label is None else str(label)
+             for token, label in labels.items()}
     # Now wire the adjacency lines.
     for line in graph_lines:
         if not line:
             continue
-        source, successors = line[0], line[1:]
-        for target in successors:
-            _connect_nodes(stg, source, target)
+        source = line[0]
+        for target in line[1:]:
+            _connect_nodes(stg, names[source], labels[source] is not None,
+                           names[target], labels[target] is not None)
+    return labels
 
 
-def _connect_nodes(stg: STG, source: str, target: str) -> None:
-    source_is_transition = _is_transition_token(source)
-    target_is_transition = _is_transition_token(target)
+def _connect_nodes(stg: STG, source: str, source_is_transition: bool,
+                   target: str, target_is_transition: bool) -> None:
+    """Add the arcs of one adjacency, between canonical node names."""
     if source_is_transition and target_is_transition:
-        source_name = str(SignalTransition.parse(source))
-        target_name = str(SignalTransition.parse(target))
-        place = STG.implicit_place_name(source_name, target_name)
+        place = STG.implicit_place_name(source, target)
         if not stg.net.has_place(place):
             stg.add_place(place)
-        stg.add_arc(source_name, place)
-        stg.add_arc(place, target_name)
-    elif source_is_transition and not target_is_transition:
-        stg.add_arc(str(SignalTransition.parse(source)), target)
-    elif not source_is_transition and target_is_transition:
-        stg.add_arc(source, str(SignalTransition.parse(target)))
+        stg.add_arc(source, place)
+        stg.add_arc(place, target)
+    elif source_is_transition or target_is_transition:
+        stg.add_arc(source, target)
     else:
         raise STGError(
             f"arc between two places {source!r} -> {target!r} is not allowed")
 
 
-def _apply_marking(stg: STG, tokens: List[str]) -> None:
+def _apply_marking(stg: STG, tokens: List[str],
+                   labels: Dict[str, Optional[SignalTransition]]) -> None:
+    """Mark the places of ``.marking``; an implicit place's transitions
+    are looked up in ``labels`` (the graph's resolved tokens) first."""
+    def canonical(token: str) -> str:
+        label = labels.get(token)
+        return str(label if label is not None
+                   else SignalTransition.parse(token))
+
     for token in tokens:
         name, _, count_text = token.partition("=")
         count = int(count_text) if count_text else 1
         implicit = _IMPLICIT_PLACE_RE.match(name)
         if implicit:
-            source = str(SignalTransition.parse(implicit.group(1)))
-            target = str(SignalTransition.parse(implicit.group(2)))
-            place = STG.implicit_place_name(source, target)
+            place = STG.implicit_place_name(canonical(implicit.group(1)),
+                                            canonical(implicit.group(2)))
         else:
             place = name
         if not stg.net.has_place(place):

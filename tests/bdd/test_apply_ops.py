@@ -11,8 +11,10 @@ functions, and cover the generational cache eviction that replaced the
 clear-everything policy.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -319,6 +321,25 @@ class TestSaturate:
         assert mgr.cache_evictions > 0
         assert len(mgr._sat_cache) <= 8 + 1
         assert len(mgr._fire_cache) <= 8 + 1
+
+    def test_a_finished_saturation_leaves_no_cycle_holding_the_manager(
+            self):
+        # Reference counting alone must free the manager once its last
+        # user is gone: a cycle through the recursion's closures would
+        # keep every BDD of a finished run alive until the cycle
+        # collector ran.
+        gc.disable()
+        try:
+            mgr = BDDManager([f"x{i}" for i in range(4)])
+            events = resolve(mgr, [{"x0": (True, False), "x1": (False, True)},
+                                   {"x1": (True, False), "x2": (False, True)}])
+            closure = saturate(mgr.var("x0"), events)
+            assert closure != mgr.var("x0")
+            freed = weakref.ref(mgr)
+            del mgr, events, closure
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_events_from_another_manager_are_rejected(self, mgr):
         other = BDDManager(mgr.variables)

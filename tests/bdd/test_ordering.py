@@ -1,11 +1,23 @@
 """Tests for the FORCE variable-ordering heuristic and event spans."""
 
-from repro.bdd import force_ordering
-from repro.bdd.ordering import spans
+from repro.bdd.ordering import force_order, spans
 from repro.core.encoding import SymbolicEncoding
 from repro.stg.generators import build_example
 from repro.stg.parser import parse_g
 from repro.stg.writer import to_g_string
+from tests.core.order_oracle import co_occurrence_groups
+
+
+def force_ordering(variables, groups):
+    """:func:`force_order` over names, numbered in name order as the
+    STG encoding numbers its variables; members outside ``variables``
+    are left out."""
+    names = sorted(variables)
+    ids = {name: index for index, name in enumerate(names)}
+    order = force_order([ids[name] for name in variables],
+                        [[ids[name] for name in group if name in ids]
+                         for group in groups])
+    return [names[index] for index in order]
 
 
 class TestForceOrdering:
@@ -60,8 +72,7 @@ def total_event_span(family, scale):
     ``.g`` round trip -- the net as ``batch-check`` parses it."""
     stg = parse_g(to_g_string(build_example(family, scale)))
     encoding = SymbolicEncoding(stg)
-    return sum(spans(encoding.all_variables,
-                     encoding._co_occurrence_groups()))
+    return sum(spans(encoding.all_variables, co_occurrence_groups(stg)))
 
 
 class TestDefaultOrderSpans:

@@ -44,6 +44,29 @@ class TestRoundTrip:
         for model in f.iter_models(care_vars=["a", "d"]):
             assert g.evaluate(model)
 
+    def test_same_order_load_probes_no_cache(self, mgr):
+        # No stored node is a projection (level, FALSE, TRUE), so none
+        # exists in the target before the load.
+        f = (~mgr.var("a") & ~mgr.var("c")) | (mgr.var("b") & ~mgr.var("d"))
+        text = dumps([f])
+        stored = sum(line.startswith("node ") for line in text.splitlines())
+        # The stored order plus a variable below it: a sub-order.
+        target = BDDManager(["a", "b", "c", "d", "x"])
+        lookups, created = target.cache_lookups, target.created_nodes
+        _, (g,) = loads(text, manager=target)
+        assert target.cache_lookups == lookups
+        assert target.created_nodes - created == stored
+        expected = ((~target.var("a") & ~target.var("c"))
+                    | (target.var("b") & ~target.var("d")))
+        assert g == expected
+
+    def test_permuted_order_load_is_the_same_function(self, mgr):
+        f = (mgr.var("a") ^ mgr.var("d")) | (mgr.var("b") & mgr.var("c"))
+        other = BDDManager(["d", "c", "a", "x", "b"])
+        _, (g,) = loads(dumps([f]), manager=other)
+        assert g == ((other.var("a") ^ other.var("d"))
+                     | (other.var("b") & other.var("c")))
+
     def test_file_round_trip(self, mgr, tmp_path):
         f = mgr.var("a") | (mgr.var("b") & mgr.var("c"))
         path = tmp_path / "f.bdd"

@@ -28,14 +28,15 @@ from repro.stg.generators import (
 
 @pytest.fixture
 def built_steps(monkeypatch):
-    """How many :class:`~repro.bdd.operators.TransferSteps` get built."""
+    """How many :class:`~repro.bdd.operators.TransferSteps` get built,
+    from names or from levels (both resolve through ``_resolve``)."""
     built = []
 
     class CountedSteps(operators.TransferSteps):
         __slots__ = ()
 
-        def __init__(self, manager, steps):
-            super().__init__(manager, steps)
+        def _resolve(self, manager, resolved):
+            super()._resolve(manager, resolved)
             built.append(self)
 
     monkeypatch.setattr(operators, "TransferSteps", CountedSteps)

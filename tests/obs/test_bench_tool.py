@@ -29,11 +29,12 @@ from repro.delta import TIER_SEED, classify_delta, diff_stg  # noqa: E402
 from repro.stg.generators import build_example  # noqa: E402
 from repro.stg.parser import parse_g  # noqa: E402
 from repro.stg.writer import to_g_string  # noqa: E402
+from tests.core.order_oracle import co_occurrence_groups  # noqa: E402
 
 
 class TestKernelRow:
     def test_stage_self_times_sum_to_the_wall_time(self):
-        row = bench.kernel_row("vme_read")
+        row = bench.kernel_rows(["vme_read"])[0]
         assert (sum(row["stages"].values()) + row["unattributed_s"]
                 == pytest.approx(row["wall_s"], abs=1e-5))
         assert "check:liveness" in row["stages"]
@@ -59,20 +60,49 @@ class TestKernelRow:
         assert row.net.places != build_example("master_read", 4).net.places
 
     def test_row_records_the_traversal_lookups(self):
-        row = bench.kernel_row("vme_read")
+        row = bench.kernel_rows(["vme_read"])[0]
         assert row["cache_lookups"] > 0
 
     def test_row_records_the_mean_event_span_of_its_order(self):
-        row = bench.kernel_row("master_read@8")
-        encoding = SymbolicEncoding(bench.build_row_stg("master_read@8"))
-        events = spans(encoding.all_variables,
-                       encoding._co_occurrence_groups())
+        row = bench.kernel_rows(["master_read@8"])[0]
+        stg = bench.build_row_stg("master_read@8")
+        events = spans(SymbolicEncoding(stg).all_variables,
+                       co_occurrence_groups(stg))
         assert row["event_span"] == round(sum(events) / len(events), 2)
 
 
 class TestAlternatingRows:
-    """The tracing and BDD-cache rows alternate their two kinds of run
-    and report the median of the repeats with the repeats' min-max."""
+    """The kernel rows alternate with each other, the tracing and
+    BDD-cache rows their two kinds of run, and each reports the median
+    of the repeats with the repeats' min-max."""
+
+    def test_kernel_rows_alternate_and_report_the_median_run(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        order = []
+        # vme_read's three runs take 3, 1 and 2 ms; the median run is the
+        # 2 ms one, whatever position it ran in.
+        walls = iter([0.003, 0.020, 0.001, 0.030, 0.002, 0.010])
+        real_run = bench.traced_run
+
+        def fake_run(stg, sink):
+            order.append(stg.name)
+            wall_s = next(walls)
+            _, pipeline = real_run(stg, sink)
+            for record in sink.records:
+                if record.get("name") == "entry":
+                    record["duration_s"] = wall_s
+            return wall_s, pipeline
+
+        monkeypatch.setattr(bench, "traced_run", fake_run)
+        vme, mutex3 = bench.kernel_rows(["vme_read", "mutex3"])
+        assert order == ["vme_read", "mutex3"] * 3
+        assert vme["repeats"] == 3
+        assert vme["wall_s_range"] == [0.001, 0.003]
+        assert mutex3["wall_s_range"] == [0.010, 0.030]
+        assert set(vme["stage_ranges"]) == set(vme["stages"])
+        for stage, (low, high) in vme["stage_ranges"].items():
+            assert low <= vme["stages"][stage] <= high
 
     def test_tracing_pairs_alternate_and_report_the_median_share(
             self, monkeypatch):
@@ -228,12 +258,53 @@ class TestCompare:
         old_path.write_text(json.dumps(OLD))
         new_path.write_text(json.dumps(NEW))
 
-        def no_rows(row):
+        def no_rows(rows):
             raise AssertionError("--compare ran a kernel row")
 
-        monkeypatch.setattr(bench, "kernel_row", no_rows)
+        monkeypatch.setattr(bench, "kernel_rows", no_rows)
         assert bench.main(["--compare", str(old_path),
                            "--output", str(new_path)]) == 0
         output = capsys.readouterr().out
         assert "spec_a" in output and "total" in output
         assert json.loads(new_path.read_text()) == NEW
+
+
+def ranged(row, wall, stages):
+    """``row`` with min-max ranges (seconds) for its wall and stages."""
+    return {**row, "wall_s_range": wall, "stage_ranges": stages}
+
+
+class TestCompareRanges:
+    OLD_A, NEW_A = OLD["kernel"][0], NEW["kernel"][0]
+
+    def compare(self, old_ranges, new_ranges):
+        old = {"kernel": [ranged(self.OLD_A, *old_ranges)]}
+        new = {"kernel": [ranged(self.NEW_A, *new_ranges)]}
+        return block(bench.compare_ledgers(old, new), "spec_a")
+
+    def test_disjoint_ranges_print_beside_the_change(self):
+        spec_a = self.compare(
+            ([0.0095, 0.0110], {"traversal": [0.0055, 0.0065],
+                                "check:csc": [0.0019, 0.0021]}),
+            ([0.0075, 0.0085], {"traversal": [0.0045, 0.0052],
+                                "check:csc": [0.0009, 0.0011]}))
+        assert spec_a["wall"][5:] == ["[9.500-11.000]", "[7.500-8.500]"]
+        assert spec_a["traversal"][5:] == ["[5.500-6.500]",
+                                           "[4.500-5.200]"]
+
+    def test_overlapping_ranges_are_marked_noise(self):
+        spec_a = self.compare(
+            ([0.0080, 0.0120], {"traversal": [0.0050, 0.0070],
+                                "check:csc": [0.0019, 0.0021]}),
+            ([0.0075, 0.0085], {"traversal": [0.0045, 0.0052],
+                                "check:csc": [0.0009, 0.0011]}))
+        assert spec_a["wall"][-1] == "noise"
+        assert spec_a["traversal"][-1] == "noise"
+        assert spec_a["check:csc"][-1] != "noise"
+
+    def test_a_ledger_without_ranges_gets_none_printed(self):
+        old = {"kernel": [self.OLD_A]}
+        new = {"kernel": [ranged(self.NEW_A, [0.007, 0.009], {})]}
+        spec_a = block(bench.compare_ledgers(old, new), "spec_a")
+        assert spec_a["wall"] == ["10.000", "->", "8.000", "-2.000",
+                                  "(-20.0%)"]

@@ -145,6 +145,55 @@ class TestBaseResolution:
         assert len(parses) == 1
 
 
+class TestTaskSources:
+    """The daemon keeps the ``.g`` text of its most recently used task
+    names only; resolving a name as a base counts as a use."""
+
+    LIMIT = 8
+
+    @pytest.fixture
+    def limited(self, state, monkeypatch):
+        from repro.serve import state as state_module
+
+        monkeypatch.setattr(state_module, "TASK_SOURCES", self.LIMIT)
+        return state
+
+    def fresh(self, index):
+        text = corpus.g_text("handshake").replace(
+            ".model handshake", f".model fresh{index}")
+        return CheckRequest(g_text=text, name=f"fresh{index}")
+
+    def test_an_editor_base_outlives_twice_the_limit(self, limited):
+        limited.make_task(CheckRequest(g_text=corpus.g_text("vme_read"),
+                                       name="editor-base"))
+        expected = limited.make_task(CheckRequest(
+            entry="handshake", base="editor-base")).config.base_fingerprint
+        for index in range(2 * self.LIMIT):
+            limited.make_task(self.fresh(index))
+            if index % 3 == 2:
+                task = limited.make_task(CheckRequest(
+                    entry="handshake", base="editor-base"))
+                assert task.config.base_fingerprint == expected
+        assert len(limited._task_sources) == self.LIMIT
+        assert "editor-base" in limited._task_sources
+
+    def test_a_name_unused_for_the_limit_is_a_404(self, limited):
+        limited.make_task(self.fresh("old"))
+        for index in range(self.LIMIT - 1):
+            limited.make_task(self.fresh(index))
+        # Still among the last LIMIT names used.
+        limited.make_task(CheckRequest(entry="handshake", base="freshold"))
+        for index in range(self.LIMIT):
+            limited.make_task(self.fresh(f"new{index}"))
+        with pytest.raises(ProtocolError) as caught:
+            limited.make_task(CheckRequest(entry="handshake",
+                                           base="freshold"))
+        assert caught.value.status == 404
+        assert "re-send" in str(caught.value)
+        assert "fingerprint" in str(caught.value)
+        assert len(limited._task_sources) == self.LIMIT
+
+
 class TestRunTask:
     def test_repeat_runs_are_served_from_the_run_store(self, state):
         task = state.make_task(CheckRequest(entry="handshake"))

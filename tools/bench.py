@@ -10,14 +10,18 @@ serve daemon, written to one ``BENCH.json``::
 The ledger (``"schema": 2``) has four sections:
 
 * ``kernel`` -- one row per Table-1 corpus entry, built-in example or
-  ``family@scale`` instance, each the fastest of :data:`REPEATS`
-  pipeline runs with every check (liveness included).  Every time in a
-  row comes from the run's own :mod:`repro.obs` trace: ``wall_s`` is
-  the root span, ``stages`` maps each stage of
+  ``family@scale`` instance, each the median of
+  :data:`ALTERNATING_REPEATS` pipeline runs with every check (liveness
+  included).  The runs alternate: each repeat runs every row once, so
+  a machine that slows down for a while slows every row alike.  Every
+  time in a row comes from its median run's own :mod:`repro.obs`
+  trace: ``wall_s`` is the root span, ``stages`` maps each stage of
   :func:`repro.obs.report.stage_breakdown` (``ordering``, ``encoding``,
   ``traversal``, ``closure``, ``check:<name>``) to its self-time, and
   ``unattributed_s`` is the root's own self-time, so the stages plus
-  ``unattributed_s`` sum to ``wall_s``.  ``stages.traversal`` is the
+  ``unattributed_s`` sum to ``wall_s``.  ``wall_s_range`` and
+  ``stage_ranges`` hold the min-max of the same figures over all the
+  runs.  ``stages.traversal`` is the
   forward fixpoint alone.  The hit rate is the traversal span's BDD
   operation-cache delta; ``event_span`` is the mean span of a forward
   event (a transition's places and signal) under the run's variable
@@ -51,7 +55,9 @@ A run captured earlier can be embedded under ``"before"`` with
 OLD`` runs nothing: for each kernel row present in both ``OLD`` and the
 ledger at ``--output``, it prints the change in ``wall_s``, in each
 stage's self-time and in the traversal's lookups, then the same sums
-over those rows.
+over those rows.  Beside a row's change it prints both ledgers'
+min-max ranges where both have them, and marks the change ``noise``
+when the two ranges overlap.
 """
 
 from __future__ import annotations
@@ -89,10 +95,8 @@ from repro.stg.writer import to_g_string  # noqa: E402
 
 SCHEMA = 2
 
-#: Kernel rows report the fastest of this many runs.
-REPEATS = 3
-#: The tracing and BDD-cache rows report the median of this many
-#: alternating repeats and their min-max.
+#: The kernel, tracing and BDD-cache rows report the median of this
+#: many alternating repeats and their min-max.
 ALTERNATING_REPEATS = 5
 #: Untraced/traced run pairs per tracing repeat.  One pipeline run of
 #: the row takes about a millisecond and a shared VM drifts by tens of
@@ -225,20 +229,42 @@ def event_span(records) -> float:
     return round(ordering["attrs"]["event_span"], 2)
 
 
-def kernel_row(row: str) -> dict:
-    """The fastest of :data:`REPEATS` traced runs of one row."""
-    stg = build_row_stg(row)
-    runs = []
-    for _ in range(REPEATS):
-        sink = obs.InMemorySink()
-        wall_s, pipeline = traced_run(stg, sink)
-        runs.append((wall_s, sink.records))
-    records = min(runs, key=lambda run: run[0])[1]
-    # Every repeat does the same work, so any run's counters will do.
+def kernel_rows(rows) -> list:
+    """One ledger row per name in ``rows``: each the median of
+    :data:`ALTERNATING_REPEATS` traced runs, and their min-max.
+
+    Each repeat runs every row once, in ``rows`` order.  The row's
+    figures are those of its median run (by ``wall_s``), so its stages
+    still sum to its wall time.
+    """
+    stgs = [(row, build_row_stg(row)) for row in rows]
+    runs = {row: [] for row in rows}
+    for _ in range(ALTERNATING_REPEATS):
+        for row, stg in stgs:
+            sink = obs.InMemorySink()
+            wall_s, pipeline = traced_run(stg, sink)
+            runs[row].append((wall_s, sink.records, pipeline))
+    return [kernel_summary(row, runs[row]) for row in rows]
+
+
+def kernel_summary(row: str, runs) -> dict:
+    """The row of ``runs``, ``(wall_s, records, pipeline)`` triples of
+    the same work: the median run's figures, every run's min-max."""
+    wall_s, records, pipeline = sorted(
+        runs, key=lambda run: run[0])[len(runs) // 2]
+    times = [row_times(run_records) for _, run_records, _ in runs]
+    stages = sorted({stage for figures in times
+                     for stage in figures["stages"]})
+    # Every run does the same work, so any run's counters will do.
     stats = pipeline.traversal_stats.to_dict()
     return {
         "name": row,
         **row_times(records),
+        "repeats": len(runs),
+        "wall_s_range": spread(figures["wall_s"] for figures in times),
+        "stage_ranges": {stage: spread(figures["stages"].get(stage, 0.0)
+                                       for figures in times)
+                         for stage in stages},
         "cache_hit_rate": cache_breakdown(records)["traversal"]["hit_rate"],
         "event_span": event_span(records),
         "iterations": stats["iterations"],
@@ -249,6 +275,12 @@ def kernel_row(row: str) -> dict:
         "peak_live_nodes": stats["peak_live_nodes"],
         "cache_lookups": stats["cache_lookups"],
     }
+
+
+def spread(values) -> list:
+    """``[min, max]`` of some figures."""
+    values = list(values)
+    return [min(values), max(values)]
 
 
 def tracing_overhead(row: str = "muller_pipeline_4",
@@ -558,13 +590,31 @@ def _stage_ms(row) -> dict:
     return figures
 
 
-def _delta_line(label, old, new, digits=3) -> str:
+def _range_ms(row) -> dict:
+    """The min-max milliseconds of ``wall`` and of each stage, for a
+    row that records them (an empty mapping otherwise)."""
+    if "wall_s_range" not in row:
+        return {}
+    ranges = {"wall": row["wall_s_range"], **row["stage_ranges"]}
+    return {label: [seconds * 1000 for seconds in pair]
+            for label, pair in ranges.items()}
+
+
+def _delta_line(label, old, new, digits=3, ranges=(None, None)) -> str:
+    """One figure's change; with both min-max ``ranges``, both are
+    printed after it and an overlap is marked ``noise``."""
     if old is None or new is None:
         return f"  {label:<22} {'n/a':>10}"
     line = (f"  {label:<22} {old:10.{digits}f} -> {new:10.{digits}f} "
             f"{new - old:+10.{digits}f}")
     if old:
         line += f" ({(new - old) / old:+.1%})"
+    old_range, new_range = ranges
+    if old_range is not None and new_range is not None:
+        line += "".join(f" [{low:.{digits}f}-{high:.{digits}f}]"
+                        for low, high in ranges)
+        if old_range[0] <= new_range[1] and new_range[0] <= old_range[1]:
+            line += " noise"
     return line
 
 
@@ -572,7 +622,9 @@ def compare_ledgers(old: dict, new: dict) -> list:
     """The report of ``--compare``: one block per kernel row present in
     both ledgers (in ``new``'s order), then a ``total`` block summing
     each figure over those rows.  A stage a run never entered took 0
-    ms; a lookup count missing from either ledger reads ``n/a``."""
+    ms; a lookup count missing from either ledger reads ``n/a``.  A
+    row's figure gets both ledgers' ranges when both record them (the
+    totals get none)."""
     before = {row["name"]: row for row in old.get("kernel", [])}
     lines = []
     times = {}
@@ -583,10 +635,15 @@ def compare_ledgers(old: dict, new: dict) -> list:
             continue
         lines.append(row["name"])
         old_ms, new_ms = _stage_ms(previous), _stage_ms(row)
+        old_ranges, new_ranges = _range_ms(previous), _range_ms(row)
         for label in ["wall"] + sorted((set(old_ms) | set(new_ms))
                                        - {"wall"}):
             pair = (old_ms.get(label, 0.0), new_ms.get(label, 0.0))
-            lines.append(_delta_line(label, *pair))
+            ranges = (old_ranges.get(label, [0.0, 0.0]) if old_ranges
+                      else None,
+                      new_ranges.get(label, [0.0, 0.0]) if new_ranges
+                      else None)
+            lines.append(_delta_line(label, *pair, ranges=ranges))
             total = times.setdefault(label, [0.0, 0.0])
             total[0] += pair[0]
             total[1] += pair[1]
@@ -634,13 +691,15 @@ def main(argv=None) -> int:
         return 0
 
     rows = QUICK_ROWS if arguments.quick else FULL_ROWS
+    print(f"bench: {len(rows)} kernel rows, every check, "
+          f"{ALTERNATING_REPEATS} alternating repeats ...")
     report = {"schema": SCHEMA, "quick": arguments.quick,
-              "python": platform.python_version(), "kernel": []}
-    print(f"bench: {len(rows)} kernel rows, every check ...")
-    for row in rows:
-        result = kernel_row(row)
-        report["kernel"].append(result)
-        print(f"  {row:<24} wall={result['wall_s']:8.4f}s "
+              "python": platform.python_version(),
+              "kernel": kernel_rows(rows)}
+    for result in report["kernel"]:
+        low, high = result["wall_s_range"]
+        print(f"  {result['name']:<24} wall={result['wall_s']:8.4f}s "
+              f"[{low:.4f}-{high:.4f}] "
               f"traversal={result['stages']['traversal']:8.4f}s "
               f"unattributed={result['unattributed_s']:.4f}s "
               f"span={result['event_span']} "
