@@ -65,6 +65,8 @@ def sat_count(f: Function, care_vars: Optional[Sequence[str]] = None) -> int:
     except _OutsideCare:
         raise _not_covered(f, [pos is not None for pos in position]) \
             from None
+    finally:
+        models_below = None  # the closure reaches itself through this cell
 
 
 def _not_covered(f: Function, in_care: List[bool]) -> ValueError:
@@ -136,7 +138,10 @@ def iter_models(f: Function, care_vars: Optional[Sequence[str]] = None
         yield from recurse(manager.node_high(node), index + 1, partial)
         del partial[name]
 
-    yield from recurse(f.node, 0, {})
+    try:
+        yield from recurse(f.node, 0, {})
+    finally:
+        recurse = None  # the closure reaches itself through this cell
 
 
 def pick_one(f: Function, care_vars: Optional[Sequence[str]] = None

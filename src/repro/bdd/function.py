@@ -8,7 +8,7 @@ identity canonical).
 
 from __future__ import annotations
 
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, TYPE_CHECKING)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,9 +143,11 @@ class Function:
 
         return operators.disjoint(self, other)
 
-    def meets(self, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
-        """For each cube, given as a literal mapping ``{variable: value}``,
-        whether ``self`` meets it (one pass, no cube built)."""
+    def meets(self, cubes: Sequence[Iterable[Tuple[int, bool]]]
+              ) -> List[bool]:
+        """For each cube, given as ``(level, value)`` literals (the form
+        :meth:`~repro.bdd.manager.BDDManager.cube_at` takes), whether
+        ``self`` meets it (one pass, no cube built)."""
         from repro.bdd import operators
 
         return operators.meets(self, cubes)

@@ -14,8 +14,8 @@ The two queries build no node, so their memos live for one call.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDManager, FALSE_ID, TRUE_ID
@@ -77,23 +77,22 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
 # ----------------------------------------------------------------------
 # Queries: which of many cubes does f meet, does f meet g?
 # ----------------------------------------------------------------------
-def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
-    """``[not (f & manager.cube(literals)).is_false() for literals in
+def meets(f: Function, cubes: Sequence[Iterable[Tuple[int, bool]]]
+          ) -> List[bool]:
+    """``[not (f & manager.cube_at(literals)).is_false() for literals in
     cubes]`` in one pass.
 
-    Each cube is a literal mapping ``{variable: value}``, the form
-    :meth:`~repro.bdd.manager.BDDManager.cube` takes; the empty mapping
-    is the TRUE cube.  No cube BDD is built: every node of ``f`` gets the
-    bitmask of the cubes it meets, bottom up.  The TRUE terminal meets
-    every cube, FALSE none, and a node at level ``k`` meets a cube
-    through its low child unless the cube holds the variable at 1,
-    through its high child unless it holds it at 0.  A level ``f`` skips
-    is free, and below the deepest cube literal every node but FALSE
-    meets every cube.  No product is built and no node is created; each
-    node visited counts one ``cache_lookups``.
-
-    Raises :class:`~repro.bdd.manager.BDDOrderError` when a mapping
-    names an unknown variable.
+    Each cube is a list of ``(level, value)`` literals, the form
+    :meth:`~repro.bdd.manager.BDDManager.cube_at` takes; the empty list
+    is the TRUE cube, and a cube holding one level at both values meets
+    nothing.  No cube BDD is built: every node of ``f`` gets the bitmask
+    of the cubes it meets, bottom up.  The TRUE terminal meets every
+    cube, FALSE none, and a node at level ``k`` meets a cube through its
+    low child unless the cube holds the variable at 1, through its high
+    child unless it holds it at 0.  A level ``f`` skips is free, and
+    below the deepest cube literal every node but FALSE meets every
+    cube.  No product is built and no node is created; each node
+    visited counts one ``cache_lookups``.
     """
     manager = f.manager
     node_level, node_low, node_high = (manager._level, manager._low,
@@ -104,11 +103,9 @@ def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
     via_low = [everything] * manager.num_vars
     via_high = [everything] * manager.num_vars
     deepest = -1
-    level_of = manager.level_of
     for index, literals in enumerate(cubes):
         bit = 1 << index
-        for name, value in literals.items():
-            level = level_of(name)
+        for level, value in literals:
             if value:
                 via_low[level] &= ~bit
             else:
@@ -129,7 +126,10 @@ def meets(f: Function, cubes: Sequence[Mapping[str, bool]]) -> List[bool]:
             memo[node] = mask
         return mask
 
-    mask = visit(f.node)
+    try:
+        mask = visit(f.node)
+    finally:
+        visit = None  # the closure reaches itself through this cell
     return [bool(mask >> index & 1) for index in range(len(cubes))]
 
 
@@ -173,7 +173,10 @@ def disjoint(f: Function, g: Function) -> bool:
         apart.add(key)
         return False
 
-    return not meet(f.node, g_node)
+    try:
+        return not meet(f.node, g_node)
+    finally:
+        meet = None  # the closure reaches itself through this cell
 
 
 # ----------------------------------------------------------------------

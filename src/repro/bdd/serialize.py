@@ -53,8 +53,11 @@ def dump(functions: Sequence[Function], stream: TextIO) -> None:
         visit(manager.node_high(node))
         order.append(node)
 
-    for function in functions:
-        visit(function.node)
+    try:
+        for function in functions:
+            visit(function.node)
+    finally:
+        visit = None  # the closure reaches itself through this cell
     for node in order:
         variable = manager.var_at_level(manager.node_level(node))
         stream.write(f"node {node} {variable} "

@@ -12,17 +12,16 @@ The modules of this package implement Sections 4 and 5 of the paper:
 * :mod:`repro.core.traversal` -- the one fixpoint routine (saturation by
   default, the chained loop of Figure 5 as the oracle), behind the
   reachability traversal and every backward/forward closure,
-* :mod:`repro.core.safeness` -- symbolic safeness checking (Section 5.1),
-* :mod:`repro.core.consistency` -- the ``Inconsistent`` characteristic
-  functions (Section 5.1),
+* :mod:`repro.core.state_checks` -- consistency (the ``Inconsistent``
+  characteristic functions), safeness (Section 5.1) and determinism
+  (Section 5.3), from one walk over the reachable set,
 * :mod:`repro.core.conflicts` -- one pass over the pairs of transitions
   sharing an input place: transition and signal persistency (Figure 6)
   and the fake-conflict classification (Section 5.4),
 * :mod:`repro.core.csc` -- the CSC check on the next-state on/off sets,
   and the excitation/quiescent regions (Section 5.3),
-* :mod:`repro.core.reducibility` -- determinism and the detection of
-  mutually complementary input sequences by frozen-input traversal
-  (Section 5.3),
+* :mod:`repro.core.reducibility` -- the detection of mutually
+  complementary input sequences by frozen-input traversal (Section 5.3),
 * :mod:`repro.core.pipeline` -- the
   :class:`~repro.core.pipeline.VerificationPipeline`: the shared
   encoding / image / reachable-BDD chain, computed once and reused by

@@ -20,8 +20,7 @@ them heavily.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.bdd import Function
 from repro.core.encoding import SymbolicEncoding
@@ -39,7 +38,6 @@ class CharacteristicFunctions:
     def __init__(self, encoding: SymbolicEncoding) -> None:
         self.encoding = encoding
         self._enabled: Dict[str, Function] = {}
-        self._enabled_literals: Dict[str, Mapping[str, bool]] = {}
         self._signal_enabled: Dict[str, Function] = {}
         self._generic_enabled: Dict[str, Function] = {}
 
@@ -68,24 +66,6 @@ class CharacteristicFunctions:
         """``NSM(t)``: conjunction of the negated output-place variables."""
         return self.encoding.cube(self.encoding.step(transition).postset,
                                   False)
-
-    # ------------------------------------------------------------------
-    # Cube literal mappings (the cofactors of the paper's pipeline)
-    # ------------------------------------------------------------------
-    def enabled_literals(self, transition: str) -> Mapping[str, bool]:
-        """The ``E(t)`` cube as a read-only literal mapping (for
-        cofactoring and :meth:`~repro.bdd.Function.meets`), built once."""
-        cached = self._enabled_literals.get(transition)
-        if cached is None:
-            cached = self._enabled_literals[transition] = MappingProxyType(
-                self.encoding.literals(
-                    self.encoding.step(transition).preset, True))
-        return cached
-
-    def no_successor_literals(self, transition: str) -> Dict[str, bool]:
-        """The ``NSM(t)`` cube as a literal dictionary (for cofactoring)."""
-        return self.encoding.literals(
-            self.encoding.step(transition).postset, False)
 
     # ------------------------------------------------------------------
     # Per-signal disjunctions

@@ -98,10 +98,6 @@ def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
     # ``disabled``?  None when the two are never enabled together.
     kills: Dict[Tuple[str, str], Optional[bool]] = {}
 
-    def witness(states: Function) -> Optional[dict]:
-        picked = states.pick_one(encoding.all_variables)
-        return encoding.decode_state(picked) if picked else None
-
     for place in conflict_places(net):
         transitions = sorted(net.postset_of_place(place))
         for disabled in transitions:
@@ -118,7 +114,8 @@ def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
                 stuck = after - charfun.enabled(disabled)
                 if not stuck.is_false():
                     transition_level.append(SymbolicPersistencyViolation(
-                        fired, disabled, signal, False, witness(stuck)))
+                        fired, disabled, signal, False,
+                        encoding.witness(stuck)))
                 lost = after - charfun.signal_enabled(signal)
                 kills[(fired, disabled)] = not lost.is_false()
                 fired_signal = stg.signal_of(fired)
@@ -133,7 +130,8 @@ def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
                     continue
                 reported.add((fired, signal))
                 signal_level.append(SymbolicPersistencyViolation(
-                    fired, disabled, signal, True, witness(lost)))
+                    fired, disabled, signal, True,
+                    encoding.witness(lost)))
 
     conflicts = FakeConflictResult([
         ConflictClassification(first, second, bool(kills[(first, second)]),

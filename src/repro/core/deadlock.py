@@ -77,10 +77,8 @@ def check_deadlock_freedom(encoding: SymbolicEncoding, reached: Function,
     dead = deadlock_states(encoding, reached, charfun)
     if dead.is_false():
         return DeadlockResult(True)
-    count = encoding.count_states(dead)
-    model = dead.pick_one(encoding.all_variables)
-    witness = encoding.decode_state(model) if model else None
-    return DeadlockResult(False, count, witness)
+    return DeadlockResult(False, encoding.count_states(dead),
+                          encoding.witness(dead))
 
 
 @dataclass

@@ -13,12 +13,13 @@ signal variable ``s:...``), and every transition a
 as sorted ids, its signal and the value it assigns.  Once the order is
 fixed, :attr:`SymbolicEncoding.levels` maps each id to its BDD level.
 The ordering heuristics, the firing plans of
-:class:`~repro.core.image.SymbolicImage`, the cubes and literal
-mappings of :class:`~repro.core.charfun.CharacteristicFunctions` and
-the initial state all read the table instead of re-deriving pre- and
-postsets, sorting names or resolving levels one name at a time.  Since
-ids follow name order, sorting ids sorts names, and FORCE breaks ties
-by name as the name-based heuristic did.
+:class:`~repro.core.image.SymbolicImage`, the cubes of
+:class:`~repro.core.charfun.CharacteristicFunctions` and of the state
+checks (:mod:`repro.core.state_checks`) and the initial state all read
+the table instead of re-deriving pre- and postsets, sorting names or
+resolving levels one name at a time.  Since ids follow name order,
+sorting ids sorts names, and FORCE breaks ties by name as the
+name-based heuristic did.
 
 Variable ordering strategies
 ----------------------------
@@ -227,13 +228,6 @@ class SymbolicEncoding:
         return self.manager.cube_at((levels[variable], value)
                                     for variable in variables)
 
-    def literals(self, variables: Iterable[int],
-                 value: bool) -> Dict[str, bool]:
-        """The :meth:`cube` of the same ids as a literal mapping
-        ``{variable name: value}``."""
-        names = self.names
-        return {names[variable]: value for variable in variables}
-
     def firing_steps(self, transition: str
                      ) -> List[Tuple[int, bool, bool]]:
         """The ``(level, require, assign)`` steps of firing
@@ -292,6 +286,12 @@ class SymbolicEncoding:
         code = {signal: bool(assignment.get(self.signal_variable(signal), False))
                 for signal in self.stg.signals}
         return {"marking": marking, "code": code}
+
+    def witness(self, states: Function) -> Optional[Dict[str, object]]:
+        """One state of ``states``, decoded (:meth:`decode_state`), or
+        ``None`` when ``states`` is empty."""
+        model = states.pick_one(self._all_variables)
+        return None if model is None else self.decode_state(model)
 
     def count_states(self, states: Function) -> int:
         """Number of full states in a characteristic function."""

@@ -88,7 +88,7 @@ class SymbolicImage:
 
         Following the paper, the cofactor with respect to the *old* signal
         value drops source states that would violate consistency (those are
-        reported separately by :mod:`repro.core.consistency`).  ``drop``
+        reported separately by :mod:`repro.core.state_checks`).  ``drop``
         (default: none) is subtracted in the same pass.
         """
         return states.transfer(self._transfer_steps(transition, "forward"),

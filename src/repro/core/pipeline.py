@@ -28,7 +28,6 @@ from typing import Dict, Iterable, Optional
 
 from repro import obs
 from repro.core.conflicts import check_conflict_pairs
-from repro.core.consistency import check_consistency
 from repro.core.csc import check_csc
 from repro.core.deadlock import (
     DeadlockResult,
@@ -38,11 +37,8 @@ from repro.core.deadlock import (
 )
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.reducibility import (
-    check_complementary_input_sequences,
-    check_determinism,
-)
-from repro.core.safeness import check_safeness
+from repro.core.reducibility import check_complementary_input_sequences
+from repro.core.state_checks import StateChecks, check_state_cubes
 from repro.core.traversal import symbolic_traversal
 from repro.petri.structure import is_live_reversible_marked_graph
 from repro.report import ImplementabilityReport
@@ -205,13 +201,22 @@ class VerificationPipeline:
             self._results[key] = compute()
         return self._results[key]
 
+    def state_checks(self) -> StateChecks:
+        """Consistency, safeness and determinism, from one walk over the
+        reachable set (:mod:`repro.core.state_checks`); the first of the
+        three asked pays for all of them."""
+        return self._cached("state_checks", self._walk_state_cubes)
+
+    def _walk_state_cubes(self) -> StateChecks:
+        encoding, reached = self.encoding, self.reached
+        with obs.span("state_checks", manager=encoding.manager):
+            return check_state_cubes(encoding, reached)
+
     def consistency(self):
-        return self._cached("consistency", lambda: check_consistency(
-            self.encoding, self.reached, self.charfun))
+        return self.state_checks().consistency
 
     def safeness(self):
-        return self._cached("safeness", lambda: check_safeness(
-            self.encoding, self.reached, self.charfun))
+        return self.state_checks().safeness
 
     def conflict_pairs(self):
         """Transition and signal persistency and the fake-conflict
@@ -229,8 +234,7 @@ class VerificationPipeline:
             self.charfun))
 
     def determinism(self):
-        return self._cached("determinism", lambda: check_determinism(
-            self.encoding, self.reached, self.charfun))
+        return self.state_checks().determinism
 
     def complementary_inputs(self):
         return self._cached("complementary_inputs",
@@ -273,10 +277,10 @@ class VerificationPipeline:
         * When consistency and safeness hold, no reachable state meets
           either case (each check looks for exactly those states), and
           the initial marking is safe
-          (:func:`~repro.core.safeness.check_safeness` fails an initial
-          count above one).  So every reachable state fires whatever
-          its marking enables, and the symbolic markings are exactly
-          the net's markings.
+          (:func:`~repro.core.state_checks.check_state_cubes` fails
+          safeness on an initial count above one).  So every reachable
+          state fires whatever its marking enables, and the symbolic
+          markings are exactly the net's markings.
         * The code returns with the marking.  From a reachable state
           the net fires some sequence back to the initial marking, and
           the symbolic engine follows it.  The whole cycle from the

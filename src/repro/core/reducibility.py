@@ -3,15 +3,9 @@
 Two of the three conditions of Definition 3.5 are checked directly on the
 symbolic representation:
 
-* **determinism** -- two distinct transitions with the same generic label
-  (``a+`` and ``a+/2``) enabled in the same reachable state violate
-  determinism when their firing produces different successor states; for a
-  safe net the successors differ exactly when the structural effects of
-  the two transitions differ, which turns the check into a per-pair
-  emptiness test, refining the paper's ``E(ti) n E(tj)`` formulation.
-  ``E(ti) . E(tj)`` is a cube, so one
-  :meth:`~repro.bdd.Function.meets` pass over ``R`` tests every pair
-  from the cubes' literals, with no cube built;
+* **determinism** -- an emptiness test of the reachable set against one
+  cube per pair of same-label transitions, answered with consistency
+  and safeness in one walk by :mod:`repro.core.state_checks`;
 
 * **mutually complementary input sequences** -- the frozen-signal
   backward+forward traversal described at the end of Section 5.3, run
@@ -51,7 +45,7 @@ when fake conflicts are present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
 from repro.bdd import Function
 from repro.core.charfun import CharacteristicFunctions
@@ -61,52 +55,6 @@ from repro.core.image import SymbolicImage
 from repro.core.traversal import fixpoint
 
 
-# ----------------------------------------------------------------------
-# Determinism
-# ----------------------------------------------------------------------
-@dataclass
-class SymbolicDeterminismResult:
-    """Outcome of the symbolic determinism check."""
-
-    deterministic: bool
-    violating_pairs: List[Tuple[str, str]] = field(default_factory=list)
-
-
-def check_determinism(encoding: SymbolicEncoding, reached: Function,
-                      charfun: Optional[CharacteristicFunctions] = None
-                      ) -> SymbolicDeterminismResult:
-    """Definition 3.5(1) on the reachable set.
-
-    A pair of distinct transitions carrying the same generic label
-    violates determinism when the reachable set meets the cube ``E(ti) .
-    E(tj)`` (the paper's formulation) and the two transitions have
-    different structural effects; equal effects produce the same
-    successor state, so such pairs are not tested at all.
-    """
-    charfun = charfun or CharacteristicFunctions(encoding)
-    stg = encoding.stg
-    by_generic: Dict[str, List[str]] = {}
-    for transition in stg.transitions:
-        by_generic.setdefault(stg.label_of(transition).generic, []).append(transition)
-    steps = encoding.steps
-    # The net effect of a transition: the places it consumes and the
-    # ones it produces, as sorted ids off the step table.
-    pairs = [(first, second) for transitions in by_generic.values()
-             for i, first in enumerate(transitions)
-             for second in transitions[i + 1:]
-             if (steps[first].pre, steps[first].post)
-             != (steps[second].pre, steps[second].post)]
-    cubes = [{**charfun.enabled_literals(first),
-              **charfun.enabled_literals(second)}
-             for first, second in pairs]
-    violations = [pair for pair, hit in zip(pairs, reached.meets(cubes))
-                  if hit]
-    return SymbolicDeterminismResult(not violations, violations)
-
-
-# ----------------------------------------------------------------------
-# Mutually complementary input sequences
-# ----------------------------------------------------------------------
 @dataclass
 class SymbolicComplementaryResult:
     """Outcome of the frozen-traversal check for complementary sequences."""

@@ -93,10 +93,10 @@ def derive_next_state_functions(encoding: SymbolicEncoding, reached: Function,
     -- synthesising from an inconsistent specification would silently
     produce garbage.
     """
-    from repro.core.consistency import check_consistency
+    from repro.core.state_checks import check_state_cubes
 
     charfun = charfun or CharacteristicFunctions(encoding)
-    consistency = check_consistency(encoding, reached, charfun)
+    consistency = check_state_cubes(encoding, reached).consistency
     if not consistency.consistent:
         raise SynthesisError(
             "the specification has an inconsistent state assignment "

@@ -1,5 +1,6 @@
-"""Lint pass (RA401-RA404): the four rules folded in from the old
-``tools/lint.py``, plus the shim that keeps ``make lint`` working."""
+"""Lint pass (RA401-RA405): the four rules folded in from the old
+``tools/lint.py``, the recursive-closure rule, and the shim that keeps
+``make lint`` working."""
 
 import subprocess
 import sys
@@ -88,3 +89,15 @@ def test_lint_shim_clean_run_exits_zero(repo_root, fixture_path,
         target.write_text(handle.read())
     proc = run_lint_shim(repo_root, target)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_recursive_closure_fires_on_marked_lines(run_pass, expected_lines):
+    findings = run_pass(lintpass, "lint_closure_fire.py")
+    assert {f.rule for f in findings} == {"RA405"}
+    assert sorted(f.line for f in findings) == \
+        expected_lines("lint_closure_fire.py", "RA405")
+    assert "'visit'" in findings[0].message
+
+
+def test_recursion_without_a_cycle_reports_nothing(run_pass):
+    assert run_pass(lintpass, "lint_closure_clean.py") == []

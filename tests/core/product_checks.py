@@ -11,13 +11,13 @@ The checks under ``repro.core`` answer the same questions with one
 ``CONT(a)``; these versions are their parity oracle.
 """
 
-from repro.core.consistency import SymbolicConsistencyResult
 from repro.core.csc import SymbolicCSCResult
-from repro.core.reducibility import (
-    SymbolicComplementaryResult,
+from repro.core.reducibility import SymbolicComplementaryResult
+from repro.core.state_checks import (
+    SafenessResult,
+    SymbolicConsistencyResult,
     SymbolicDeterminismResult,
 )
-from repro.core.safeness import SafenessResult
 from repro.core.traversal import fixpoint
 
 

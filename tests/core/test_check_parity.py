@@ -4,21 +4,22 @@ overflow lists, violating signals and pairs, and every witness state or
 code.  For every CSC violator, ``CONT(a)`` and the complementary-sequence
 check's start set are the oracle's BDD nodes, its target set inside
 ``R`` is the oracle's excitation side, and the check run from CSC's
-``CONT(a)`` gives the oracle's verdict over every non-input signal."""
+``CONT(a)`` gives the oracle's verdict over every non-input signal.
+Consistency, safeness and determinism share one walk over ``R``, so each
+of their checks run alone reports what an all-checks run reports."""
 
 import pytest
 
 from repro import corpus
-from repro.core.consistency import check_consistency
+from repro.api import ALL, verify
 from repro.core.csc import check_csc
 from repro.core.pipeline import VerificationPipeline
 from repro.core.reducibility import (
     check_complementary_input_sequences,
-    check_determinism,
     excited_conflicts,
     quiescent_conflicts,
 )
-from repro.core.safeness import check_safeness
+from repro.core.state_checks import check_state_cubes
 from repro.stg import STG, SignalKind
 from repro.stg.generators import (
     csc_violation_example,
@@ -84,6 +85,21 @@ def inconsistent_csc_example():
     return stg
 
 
+def unsafe_inconsistent_nondeterministic():
+    """Fails consistency, safeness and determinism at once: ``unsafe``'s
+    two producers, plus ``a+/2``, enabled with ``a+`` but with another
+    effect, and ``a+/3``, which ``a+``'s output place enables while ``a
+    = 1``."""
+    stg = unsafe_example()
+    stg.add_place("p_other")
+    stg.ensure_transition("a+/2")
+    stg.ensure_transition("a+/3")
+    stg.add_arc("p_a", "a+/2")
+    stg.add_arc("a+/2", "p_other")
+    stg.add_arc("p_shared", "a+/3")
+    return stg
+
+
 def wrong_initial_value():
     stg = handshake()
     stg.set_initial_value("r", True)  # r+ initially enabled while r=1
@@ -92,6 +108,8 @@ def wrong_initial_value():
 
 FIXTURES = {
     "unsafe": unsafe_example,
+    "unsafe_inconsistent_nondeterministic":
+        unsafe_inconsistent_nondeterministic,
     "inconsistent": inconsistent_example,
     "inconsistent_csc": inconsistent_csc_example,
     "wrong_initial_value": wrong_initial_value,
@@ -109,11 +127,12 @@ def assert_parity(stg):
     pipeline = VerificationPipeline(stg)
     encoding, reached = pipeline.encoding, pipeline.reached
     charfun = pipeline.charfun
-    assert check_safeness(encoding, reached, charfun) == \
+    state_checks = check_state_cubes(encoding, reached)
+    assert state_checks.safeness == \
         product_checks.safeness(encoding, reached, charfun)
-    assert check_consistency(encoding, reached, charfun) == \
+    assert state_checks.consistency == \
         product_checks.consistency(encoding, reached, charfun)
-    assert check_determinism(encoding, reached, charfun) == \
+    assert state_checks.determinism == \
         product_checks.determinism(encoding, reached, charfun)
     csc = check_csc(encoding, reached, pipeline.traversal_stats.num_states,
                     charfun)
@@ -154,11 +173,27 @@ def test_family_instance(family, scale):
     assert_parity(stg)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_state_checks_do_not_depend_on_which_check_asks(name):
+    """Each check that reads the shared walk, run alone, reports the
+    verdicts and details of the all-checks run."""
+    everything = verify(FIXTURES[name](), checks=ALL).verdicts
+    for check in ("consistency", "safeness", "reducibility"):
+        alone = verify(FIXTURES[name](), checks=[check]).verdicts
+        names = {verdict.name for verdict in alone}
+        assert alone == [verdict for verdict in everything
+                         if verdict.name in names]
+
+
 def test_fixtures_reach_every_failing_path():
     """The fixtures above fail each rewritten check at least once."""
     pipelines = {name: VerificationPipeline(factory())
                  for name, factory in FIXTURES.items()}
     assert not pipelines["unsafe"].safeness().safe
+    every_check_fails = pipelines["unsafe_inconsistent_nondeterministic"]
+    assert not every_check_fails.consistency().consistent
+    assert not every_check_fails.safeness().safe
+    assert not every_check_fails.determinism().deterministic
     assert not pipelines["inconsistent"].consistency().consistent
     assert not pipelines["wrong_initial_value"].consistency().consistent
     assert not pipelines["nondeterministic"].determinism().deterministic

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import EngineConfig, verify
 from repro.core.conflicts import check_conflict_pairs
-from repro.core.consistency import check_consistency as symbolic_consistency
 from repro.core.csc import check_csc as symbolic_csc
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
+from repro.core.state_checks import check_state_cubes
 from repro.core.traversal import symbolic_traversal
 from repro.sg import build_state_graph
 from repro.sg.csc import check_csc as explicit_csc
@@ -87,7 +87,7 @@ class TestChoiceControllersCrossValidation:
         explicit = build_state_graph(stg)
         encoding, image, reached, stats = symbolic_setup(stg)
         assert explicit.consistent
-        assert symbolic_consistency(encoding, reached, image.charfun).consistent
+        assert check_state_cubes(encoding, reached).consistency.consistent
         assert stats.num_states == explicit.graph.num_states
 
     @settings(max_examples=25, deadline=None)

@@ -59,9 +59,12 @@ class TestSection4WorkedExample:
 
         # Step 1: the cofactor w.r.t. E(t) selects the markings enabling t
         # and removes the predecessor places from the support.
-        step1 = chi.cofactor(charfun.enabled_literals(transition))
         predecessor_vars = {encoding.place_variable(p)
                             for p in stg.net.preset_of_transition(transition)}
+        successor_vars = {encoding.place_variable(p)
+                          for p in stg.net.postset_of_transition(transition)}
+        step1 = chi.cofactor({variable: True
+                              for variable in predecessor_vars})
         assert not predecessor_vars & set(step1.support())
 
         # Step 2: the product with NPM(t) removes the tokens.
@@ -71,10 +74,9 @@ class TestSection4WorkedExample:
 
         # Step 3+4: cofactor w.r.t. NSM(t), product with ASM(t) adds the
         # tokens to every successor place.
-        step3 = step2.cofactor(charfun.no_successor_literals(transition))
+        step3 = step2.cofactor({variable: False
+                                for variable in successor_vars})
         step4 = step3 & charfun.all_successors_marked(transition)
-        successor_vars = {encoding.place_variable(p)
-                          for p in stg.net.postset_of_transition(transition)}
         for variable in successor_vars:
             assert step4 <= encoding.manager.var(variable)
 

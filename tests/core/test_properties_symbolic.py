@@ -10,10 +10,10 @@ count and on every property verdict.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.conflicts import check_conflict_pairs
-from repro.core.consistency import check_consistency as symbolic_consistency
 from repro.core.csc import check_csc as symbolic_csc
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
+from repro.core.state_checks import check_state_cubes
 from repro.core.traversal import symbolic_traversal
 from repro.sg import build_state_graph
 from repro.sg.csc import check_csc as explicit_csc
@@ -73,7 +73,7 @@ class TestRandomisedCrossValidation:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         reached, _ = symbolic_traversal(encoding, image=image)
-        assert symbolic_consistency(encoding, reached, image.charfun).consistent
+        assert check_state_cubes(encoding, reached).consistency.consistent
         assert check_conflict_pairs(
             encoding, reached, image).signal_persistency.persistent
         assert explicit_persistency(explicit.graph, stg).persistent

@@ -5,15 +5,11 @@ import pytest
 
 from repro.api import ALL, EngineConfig, verify
 from repro.core.conflicts import check_conflict_pairs
-from repro.core.consistency import check_consistency
 from repro.core.csc import _check_usc, check_csc
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
-from repro.core.reducibility import (
-    check_complementary_input_sequences,
-    check_determinism,
-)
-from repro.core.safeness import check_safeness
+from repro.core.reducibility import check_complementary_input_sequences
+from repro.core.state_checks import check_state_cubes
 from repro.core.traversal import symbolic_traversal
 from repro.report import ImplementabilityClass
 from repro.stg import STG, SignalKind
@@ -75,13 +71,13 @@ class TestConsistency:
     def test_verdicts(self, factory, expected):
         stg = factory()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_consistency(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).consistency
         assert result.consistent is expected
 
     def test_violating_signal_and_witness(self):
         stg = inconsistent_example()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_consistency(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).consistency
         assert result.violating_signals == ["b"]
         witness = result.witnesses["b"]
         assert witness["code"]["b"] is True  # b+ enabled while b already 1
@@ -91,7 +87,7 @@ class TestConsistency:
         stg = handshake()
         stg.set_initial_value("r", True)  # r+ initially enabled while r=1
         encoding, image, reached = symbolic_setup(stg)
-        result = check_consistency(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).consistency
         assert not result.consistent
         assert "r" in result.violating_signals
         assert set(result.witnesses) == set(result.violating_signals)
@@ -127,7 +123,7 @@ class TestSafeness:
     def test_safe_examples(self, factory):
         stg = factory()
         encoding, image, reached = symbolic_setup(stg)
-        assert check_safeness(encoding, reached, image.charfun).safe
+        assert check_state_cubes(encoding, reached).safeness.safe
 
     def test_unsafe_net_detected(self):
         # Two producers feed the same place without consuming it: the second
@@ -145,7 +141,7 @@ class TestSafeness:
         stg.add_arc("a+", "p_shared")
         stg.add_arc("b+", "p_shared")
         encoding, image, reached = symbolic_setup(stg)
-        result = check_safeness(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).safeness
         assert not result.safe
         assert result.overflows == [("a+", "p_shared"), ("b+", "p_shared")]
         # The witness enables the first overflowing transition and
@@ -167,7 +163,7 @@ class TestSafeness:
                     if verdict.name == "safeness"]
         assert "p0" in verdict.details[0]
         encoding, image, reached = symbolic_setup(parse_g(TWO_TOKENS))
-        result = check_safeness(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).safeness
         assert result.overmarked == ["p0"]
         assert result.witness["marking"]["p0"] == 2
 
@@ -304,7 +300,7 @@ class TestReducibility:
         for factory in (handshake, mutex_element, csc_violation_example):
             stg = factory()
             encoding, image, reached = symbolic_setup(stg)
-            assert check_determinism(encoding, reached, image.charfun).deterministic
+            assert check_state_cubes(encoding, reached).determinism.deterministic
 
     def test_nondeterministic_same_label_different_effect(self):
         # Two a+ transitions enabled in the same state with different
@@ -320,7 +316,7 @@ class TestReducibility:
         stg.connect("a+", "o+")
         stg.connect("a+/2", "a-")
         encoding, image, reached = symbolic_setup(stg)
-        result = check_determinism(encoding, reached, image.charfun)
+        result = check_state_cubes(encoding, reached).determinism
         assert not result.deterministic
         assert ("a+", "a+/2") in result.violating_pairs
 

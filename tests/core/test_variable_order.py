@@ -47,11 +47,14 @@ def recursive_structural_order(stg):
 
     places = sorted(net.places)
     initial = stg.initial_marking()
-    for place in places:
-        if initial[place] > 0:
+    try:
+        for place in places:
+            if initial[place] > 0:
+                visit_place(place)
+        for place in places:
             visit_place(place)
-    for place in places:
-        visit_place(place)
+    finally:
+        visit_place = None  # the closure reaches itself through this cell
     for signal in stg.signals:
         variable = signal_variable(signal)
         if variable not in seen:

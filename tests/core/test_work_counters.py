@@ -25,11 +25,11 @@ import repro
 #: violators and pins the per-signal split of ``R`` and the frozen
 #: closures.
 PINNED = {
-    "muller_pipeline(12)": {"cache_lookups": 1_888, "created_nodes": 678},
-    "parse_g(to_g_string(master_read(8)))": {"cache_lookups": 2_205,
+    "muller_pipeline(12)": {"cache_lookups": 1_733, "created_nodes": 678},
+    "parse_g(to_g_string(master_read(8)))": {"cache_lookups": 1_846,
                                              "created_nodes": 595},
     "parse_g(to_g_string(random_parallel_family(5)))": {
-        "cache_lookups": 5_059, "created_nodes": 1_793},
+        "cache_lookups": 4_977, "created_nodes": 1_793},
 }
 TOLERANCE = 0.05
 

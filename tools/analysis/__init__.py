@@ -11,8 +11,9 @@ Multi-pass AST analyzer gating the repo's hand-grown invariants:
   metadata stays out of fingerprints;
 * **registry hygiene** (RA301-RA302) -- registered checks/engines/
   backends are tested and documented;
-* **lint** (RA401-RA404) -- the four rules folded in from the old
-  ``tools/lint.py``.
+* **lint** (RA401-RA405) -- the four rules folded in from the old
+  ``tools/lint.py``, and nested functions that call themselves through
+  a closure cell left bound (a reference cycle).
 
 Findings support inline suppressions (``# repro: allow[RA001] reason``)
 and the committed baseline ``tools/analysis/baseline.json``.

@@ -89,7 +89,8 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "registries never appears under tests/"),
     Rule("RA302", "undocumented-registration",
          "registered name missing from the README tables"),
-    # lint pass (RA4xx) -- the four rules folded in from tools/lint.py
+    # lint pass (RA4xx) -- the four rules folded in from tools/lint.py,
+    # and RA405
     Rule("RA401", "syntax-error", "the file must parse", scope="all"),
     Rule("RA402", "unused-import",
          "module-level import never referenced and not re-exported "
@@ -99,6 +100,11 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "level", scope="all"),
     Rule("RA404", "duplicate-definition",
          "module-level function/class defined twice", scope="all"),
+    Rule("RA405", "recursive-closure",
+         "nested function calls itself through its closure cell and "
+         "the enclosing function does not rebind the name in a "
+         "finally; the cycle keeps everything the closure captures "
+         "alive until the cycle collector runs", scope="all"),
     # observability-hygiene pass (RA5xx)
     Rule("RA501", "dynamic-span-name",
          "span/event/metric name is not a string literal; the report "

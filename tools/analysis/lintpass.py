@@ -1,5 +1,5 @@
-"""Lint pass (RA401-RA404): the four rules folded in from the old
-``tools/lint.py`` fallback linter.
+"""Lint pass (RA401-RA405): the four rules folded in from the old
+``tools/lint.py`` fallback linter, and one for reference cycles.
 
 * **RA401 syntax-error** -- the file must parse (ruff E999);
 * **RA402 unused-import** -- a module-level import never referenced and
@@ -8,7 +8,14 @@
 * **RA403 undefined-export** -- an ``__all__`` entry naming nothing
   defined or imported at module level (ruff F822);
 * **RA404 duplicate-definition** -- a module-level function/class
-  defined twice (ruff F811).
+  defined twice (ruff F811);
+* **RA405 recursive-closure** -- a nested function that calls itself
+  through its closure cell.  The function holds the cell and the cell
+  holds the function: a reference cycle that keeps everything the
+  closure captures (a whole BDD manager, say) alive until the cycle
+  collector runs.  It passes when the enclosing function rebinds the
+  name in a ``finally`` (``visit = None``), which breaks the cycle as
+  the call ends.
 
 ``tools/lint.py`` is now a thin shim over this pass (preferring ``ruff
 check`` when installed), so ``make lint`` behaviour is unchanged.
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from tools.analysis.core import Finding, Project, SourceFile
 
@@ -91,6 +98,64 @@ def dunder_all(tree: ast.Module) -> List[str]:
     return []
 
 
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = _FUNCTIONS + (ast.ClassDef,)
+_SCOPES = _DEFINITIONS + (ast.Lambda,)
+
+
+def scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``scope``'s own body, in source order: nested scopes
+    are yielded but not entered."""
+    for node in ast.iter_child_nodes(scope):
+        yield node
+        if not isinstance(node, _SCOPES):
+            yield from scope_nodes(node)
+
+
+def binds_locally(function: FunctionNode, name: str) -> bool:
+    """Whether ``name`` is a parameter of ``function`` or bound in its
+    own body (so a use of it there is not the enclosing cell)."""
+    arguments = function.args
+    parameters = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+    parameters += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+    if any(arg.arg == name for arg in parameters):
+        return True
+    return any((isinstance(node, ast.Name) and node.id == name
+                and not isinstance(node.ctx, ast.Load))
+               or (isinstance(node, _DEFINITIONS) and node.name == name)
+               for node in scope_nodes(function))
+
+
+def rebound_in_finally(function: FunctionNode, name: str) -> bool:
+    """Whether a ``finally`` of ``function``'s own body assigns
+    ``name``."""
+    return any(isinstance(target, ast.Name) and target.id == name
+               for node in scope_nodes(function)
+               if isinstance(node, ast.Try)
+               for statement in node.finalbody
+               for assign in ast.walk(statement)
+               if isinstance(assign, ast.Assign)
+               for target in assign.targets)
+
+
+def recursive_closures(tree: ast.Module) -> Iterator[FunctionNode]:
+    """Nested functions that reach themselves through their closure
+    cell, the enclosing function leaving the cell bound (RA405)."""
+    for outer in ast.walk(tree):
+        if not isinstance(outer, _FUNCTIONS):
+            continue
+        for inner in scope_nodes(outer):
+            if (isinstance(inner, _FUNCTIONS)
+                    and any(isinstance(node, ast.Name)
+                            and node.id == inner.name
+                            and isinstance(node.ctx, ast.Load)
+                            for node in ast.walk(inner))
+                    and not binds_locally(inner, inner.name)
+                    and not rebound_in_finally(outer, inner.name)):
+                yield inner
+
+
 def lint_file(source: SourceFile) -> List[Finding]:
     if source.tree is None:
         error = source.syntax_error
@@ -132,6 +197,14 @@ def lint_file(source: SourceFile) -> List[Finding]:
                     message=f"{node.name!r} already defined on line "
                             f"{seen[node.name]}"))
             seen[node.name] = node.lineno
+
+    for function in recursive_closures(tree):
+        findings.append(Finding(
+            rule="RA405", path=source.path, line=function.lineno,
+            message=f"nested function {function.name!r} calls itself "
+                    f"through its closure cell, a reference cycle; rebind "
+                    f"{function.name!r} in a finally of the enclosing "
+                    f"function or move it to module level"))
     return findings
 
 

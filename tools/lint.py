@@ -7,7 +7,7 @@ unchanged.  The four built-in rules that used to live here -- syntax,
 unused-import, undefined-export, duplicate-definition -- moved into the
 repo's static analyzer as rules RA401-RA404 (see ``python -m
 tools.analysis --list-rules``); on dependency-free machines this shim
-runs exactly that pass.  The full analyzer (determinism, schema
+runs that pass, which also holds RA405 (recursive closures).  The full analyzer (determinism, schema
 round-trips, facade purity, registry hygiene) runs as ``make analyze``.
 
 Exit status: 0 clean, 1 findings, 2 usage error.
