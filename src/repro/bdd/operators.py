@@ -14,8 +14,8 @@ The two queries build no node, so their memos live for one call.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDManager, FALSE_ID, TRUE_ID
@@ -233,39 +233,21 @@ def _cofactor(manager: BDDManager, node: int,
 # Transfer: cofactor, product and difference in one pass
 # ----------------------------------------------------------------------
 class TransferSteps:
-    """A resolved cube of per-variable ``(require, assign)`` steps.
+    """A resolved cube of per-level ``(require, assign)`` steps.
 
-    ``steps`` maps variable names to ``(require, assign)`` pairs; a
-    caller that holds levels already builds the same object with
-    :meth:`at_levels`.  The steps are sorted by level once
-    (``resolved``).  The first :func:`transfer` interns every suffix of
-    them (:meth:`~repro.bdd.manager.BDDManager.intern_key`), as the
-    chain ``("transfer", step, tail_id)``, so a cache probe hashes three
-    integers.  Steps only ever fired by :func:`saturate` intern nothing
-    here (its events key their own chains).  Build one per step cube and
-    reuse it: resolution is the only per-cube cost.
+    ``resolved`` holds ``(level, require, assign)`` triples, sorted by
+    level, one per level.  The first :func:`transfer` interns every
+    suffix of them (:meth:`~repro.bdd.manager.BDDManager.intern_key`),
+    as the chain ``("transfer", step, tail_id)``, so a cache probe
+    hashes three integers.  Steps only ever fired by :func:`saturate`
+    intern nothing here (its events key their own chains).  Build one
+    per step cube and reuse it: interning is the only per-cube cost.
     """
 
     __slots__ = ("manager", "resolved", "levels", "requires", "assigns",
                  "ids")
 
     def __init__(self, manager: BDDManager,
-                 steps: Mapping[str, Tuple[bool, bool]]) -> None:
-        self._resolve(manager, sorted(
-            (manager.level_of(name), bool(require), bool(assign))
-            for name, (require, assign) in steps.items()))
-
-    @classmethod
-    def at_levels(cls, manager: BDDManager,
-                  resolved: Sequence[Tuple[int, bool, bool]]
-                  ) -> "TransferSteps":
-        """The steps of ``(level, require, assign)`` triples, sorted by
-        level, one per level."""
-        steps = cls.__new__(cls)
-        steps._resolve(manager, resolved)
-        return steps
-
-    def _resolve(self, manager: BDDManager,
                  resolved: Sequence[Tuple[int, bool, bool]]) -> None:
         self.manager = manager
         self.resolved = tuple(resolved)

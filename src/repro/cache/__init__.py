@@ -1,10 +1,11 @@
 """Persistent BDD caching: reachable-set reuse across runs and edits.
 
 This package hosts the :class:`~repro.cache.bddstore.BDDStore` -- the
-sibling of the sweep runner's result cache that persists the reachable
-BDD per specification -- and :func:`bind_pipeline`, which wires a store
-into a :class:`~repro.core.pipeline.VerificationPipeline` so the
-traversal is skipped on a hit, seeded from a named base on a delta
+sibling of the sweep runner's result cache that persists each reachable
+BDD as one ``<fingerprint>.bdd`` file, named by its
+:func:`reachable_fingerprint` -- and :func:`bind_pipeline`, which wires
+a store into a :class:`~repro.core.pipeline.VerificationPipeline` so
+the traversal is skipped on a hit, seeded from a named base on a delta
 re-check, and persisted after a cold run::
 
     from repro.cache import BDDStore, bind_pipeline

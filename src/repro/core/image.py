@@ -77,7 +77,7 @@ class SymbolicImage:
             # The inverse rewrite: every (require, assign) pair reversed.
             steps = [(level, assign, require)
                      for level, require, assign in steps]
-        return TransferSteps.at_levels(self.encoding.manager, steps)
+        return TransferSteps(self.encoding.manager, steps)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)

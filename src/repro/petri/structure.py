@@ -9,8 +9,9 @@ validation of an STG.
 *Marked graphs* -- every place has at most one input and one output
 transition -- are the class Section 6 uses to call its persistency phase
 negligible.  For them liveness and reversibility follow from the
-structure and the initial token count of each circuit
-(:func:`is_live_reversible_marked_graph`), which lets the verification
+structure and the initial token count of each circuit:
+:func:`is_live_reversible_marked_graph` decides both, and the class
+itself, from one walk over the places, which lets the verification
 pipeline skip the symbolic reversibility closure.
 """
 
@@ -37,19 +38,13 @@ def isolated_places(net: PetriNet) -> List[str]:
             if not net.preset_of_place(p) and not net.postset_of_place(p)]
 
 
-def is_marked_graph(net: PetriNet) -> bool:
-    """True iff every place has at most one input and one output transition."""
-    return all(len(net.preset_of_place(p)) <= 1
-               and len(net.postset_of_place(p)) <= 1
-               for p in net.places)
-
-
 def is_live_reversible_marked_graph(net: PetriNet) -> bool:
     """Does the structure prove the marked graph live and reversible?
 
     True iff three things hold:
 
-    * the net is a marked graph (:func:`is_marked_graph`);
+    * every place has exactly one input and one output transition: the
+      net is a marked graph and no place misses a side;
     * every place lies on a directed circuit and every transition has an
       input place, which makes each connected component strongly
       connected;
@@ -73,24 +68,24 @@ def is_live_reversible_marked_graph(net: PetriNet) -> bool:
     (:meth:`repro.core.pipeline.VerificationPipeline.reversibility`)
     adds the guards that make its state space the net's.
 
-    One walk over the places in declaration order builds the transition
-    graph; one reachability pair per component checks strong
-    connectivity, and a topological sort of the unmarked arcs checks
-    the circuits.
+    One walk over the places in declaration order checks the first
+    condition and builds the transition graph; one reachability pair
+    per component checks strong connectivity, and a topological sort of
+    the unmarked arcs checks the circuits.
     """
-    if not is_marked_graph(net):
-        return False
     transitions = net.transitions
     successors: Dict[str, List[str]] = {t: [] for t in transitions}
     predecessors: Dict[str, List[str]] = {t: [] for t in transitions}
     unmarked: Dict[str, List[str]] = {t: [] for t in transitions}
     waiting = dict.fromkeys(transitions, 0)  # unmarked input places
     for place in net.places:
-        producers = sorted(net.preset_of_place(place))
-        consumers = sorted(net.postset_of_place(place))
-        if not producers or not consumers:
-            return False  # a place with a missing side lies on no circuit
-        source, target = producers[0], consumers[0]
+        producers = net.preset_of_place(place)
+        consumers = net.postset_of_place(place)
+        if len(producers) != 1 or len(consumers) != 1:
+            # Not a marked graph, or a place with a missing side, which
+            # lies on no circuit.
+            return False
+        (source,), (target,) = producers, consumers
         successors[source].append(target)
         predecessors[target].append(source)
         if net.place(place).initial_tokens == 0:

@@ -7,14 +7,17 @@ life and owns
 * the :class:`~repro.runner.store.RunStore` of finished verdicts
   (repeat requests for the same task content are served without running
   anything),
-* the shared :class:`~repro.cache.BDDStore` directory (a repeat request
-  that *does* recompute -- say, a different check subset over the same
+* the shared :class:`~repro.cache.BDDStore` directory, one
+  ``<fingerprint>.bdd`` file per reachable set (a repeat request that
+  *does* recompute -- say, a different check subset over the same
   specification -- still skips the reachability traversal; the store's
-  hit counters prove it.  Schema-2 ``base`` requests stretch the same
-  store to *edited* specifications: the facade's
+  hit and miss counters, the ``serve.bdd.*`` gauges, prove it; the
+  store object holds those counters and nothing per request.
+  Schema-2 ``base`` requests stretch the same store to *edited*
+  specifications: the facade's
   :func:`~repro.api.facade.resolve_base` turns the reference into a
   fingerprint and the engine's delta warm-start seeds the traversal
-  from the base entry),
+  from the base's file),
 * the table of task texts by name, so a later request can say
   ``base=<an earlier task's name>`` (the :data:`TASK_SOURCES` most
   recently used names: building a task and resolving its name as a
@@ -244,8 +247,6 @@ class WarmState:
         """Refresh the store-health gauges ahead of a metrics snapshot."""
         self.metrics.gauge("serve.bdd.hits").set(self.bdd_store.hits)
         self.metrics.gauge("serve.bdd.misses").set(self.bdd_store.misses)
-        self.metrics.gauge("serve.bdd.invalidations").set(
-            self.bdd_store.invalidations)
         self.metrics.gauge("serve.bdd.delta_hits").set(
             self.bdd_store.delta_hits)
         self.metrics.gauge("serve.bdd.delta_seeds").set(

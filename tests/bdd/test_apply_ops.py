@@ -191,6 +191,13 @@ def reference_transfer(mgr, f, steps, drop):
     return (f.cofactor(required) & assigned) - drop
 
 
+def steps_of(mgr, steps):
+    """The :class:`TransferSteps` of a ``{name: (require, assign)}`` cube."""
+    return TransferSteps(mgr, sorted(
+        (mgr.level_of(name), require, assign)
+        for name, (require, assign) in steps.items()))
+
+
 def random_steps(mgr, rng):
     """Up to four ``(require, assign)`` steps, self-loops (1 -> 1) included."""
     names = rng.sample(mgr.variables, rng.randint(1, 4))
@@ -214,7 +221,7 @@ class TestTransfer:
         rng = random.Random(17)
         skipped = self_loops = 0
         for f, steps, drop in self.cases(mgr, rng, 300):
-            resolved = TransferSteps(mgr, steps)
+            resolved = steps_of(mgr, steps)
             assert transfer(f, resolved, drop) == reference_transfer(
                 mgr, f, steps, drop), steps
             skipped += bool(set(steps) - set(f.support()))
@@ -225,14 +232,14 @@ class TestTransfer:
     def test_drop_defaults_to_false(self, mgr):
         rng = random.Random(23)
         for f, steps, _ in self.cases(mgr, rng, 40):
-            resolved = TransferSteps(mgr, steps)
+            resolved = steps_of(mgr, steps)
             assert transfer(f, resolved) == transfer(f, resolved, mgr.false)
 
     def test_tiny_cache_limit_and_garbage_collection(self):
         mgr = BDDManager([f"x{i}" for i in range(10)], cache_limit=8)
         rng = random.Random(29)
         for f, steps, drop in self.cases(mgr, rng, 120):
-            resolved = TransferSteps(mgr, steps)
+            resolved = steps_of(mgr, steps)
             result = transfer(f, resolved, drop)
             clear_caches(mgr)
             assert result == reference_transfer(mgr, f, steps, drop)
@@ -242,7 +249,7 @@ class TestTransfer:
 
     def test_steps_from_another_manager_are_rejected(self, mgr):
         other = BDDManager(mgr.variables)
-        steps = TransferSteps(other, {"a": (True, False)})
+        steps = steps_of(other, {"a": (True, False)})
         with pytest.raises(ValueError):
             transfer(mgr.var("b"), steps)
 
@@ -261,7 +268,7 @@ def reference_closure(mgr, f, events):
 
 
 def resolve(mgr, events):
-    return SaturationEvents(mgr, [TransferSteps(mgr, steps)
+    return SaturationEvents(mgr, [steps_of(mgr, steps)
                                   for steps in events])
 
 
@@ -346,5 +353,4 @@ class TestSaturate:
         with pytest.raises(ValueError):
             saturate(mgr.var("b"), resolve(other, [{"a": (True, False)}]))
         with pytest.raises(ValueError):
-            SaturationEvents(mgr, [TransferSteps(other,
-                                                 {"a": (True, False)})])
+            SaturationEvents(mgr, [steps_of(other, {"a": (True, False)})])

@@ -1,9 +1,11 @@
-"""The persistent reachable-set cache: hits, invalidation, overflow paths.
+"""The persistent reachable-set cache: hits, misses, the file layout.
 
-The invalidation contract mirrors the RunStore's: a fingerprint mismatch
-(content or engine-config change) silently falls back to a cold
-traversal, while a *corrupt* entry warns with :class:`BDDStoreWarning`
-and recomputes -- never crashes, never serves garbage.
+Every entry is one ``<fingerprint>.bdd`` file.  The miss contract
+mirrors the RunStore's: a changed content, engine config or store
+schema is another fingerprint, whose missing file silently falls back
+to a cold traversal, while a *corrupt* file warns with
+:class:`BDDStoreWarning` and recomputes -- never crashes, never serves
+garbage.
 """
 
 import os
@@ -21,6 +23,7 @@ from repro.cache import (
     bind_pipeline,
     reachable_fingerprint,
 )
+from repro.cache import bddstore
 from repro.cache.bddstore import FORMAT_HEADER
 from repro.core.pipeline import VerificationPipeline
 from repro.stg.generators import build_example
@@ -47,7 +50,7 @@ class TestHitPath:
     def test_cold_run_persists_then_warm_run_hits(self, store):
         cold = bound_pipeline(store)
         cold_reached = cold.reached
-        assert pipeline_name(cold) in store
+        assert fingerprint_of(cold) in store
         assert store.hits == 0
 
         warm = bound_pipeline(store)
@@ -105,15 +108,14 @@ class TestInvalidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must NOT warn: plain miss
             changed.reached
-        assert store.hits == 0
-        assert store.invalidations == 1
-        # The cold fallback computed (and re-persisted) a real result.
+        assert (store.hits, store.misses) == (0, 2)
+        # The cold fallback computed (and persisted) a real result.
         assert changed.traversal_stats.iterations > 0
 
     def test_corrupt_entry_warns_and_recomputes(self, store):
         cold = bound_pipeline(store)
         cold.reached
-        path = store._path(pipeline_name(cold))
+        path = store._path(fingerprint_of(cold))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f"{FORMAT_HEADER}\nmeta {{not json\ngarbage\n")
         recovered = bound_pipeline(store)
@@ -127,40 +129,45 @@ class TestInvalidation:
     def test_wrong_store_header_is_corrupt(self, store):
         cold = bound_pipeline(store)
         cold.reached
-        path = store._path(pipeline_name(cold))
+        path = store._path(fingerprint_of(cold))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("bddstore 999\n")
         with pytest.warns(BDDStoreWarning):
             bound_pipeline(store).reached
 
-    def test_older_schema_entry_is_a_silent_miss(self, store):
-        # An entry written before the last schema bump is stale, not
-        # corrupt: a plain invalidation, recomputed and re-persisted in
-        # place without a warning.
-        cold = bound_pipeline(store)
-        cold.reached
-        path = store._path(pipeline_name(cold))
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        assert lines[0] == FORMAT_HEADER + "\n"
-        lines[0] = f"bddstore {BDD_SCHEMA_VERSION - 1}\n"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+    def test_older_schema_entry_is_a_silent_miss(self, store,
+                                                 monkeypatch):
+        # The schema version is fingerprint material, so an entry an
+        # older schema wrote has another file name: never opened, a
+        # plain miss without a warning.
+        monkeypatch.setattr(bddstore, "BDD_SCHEMA_VERSION",
+                            BDD_SCHEMA_VERSION - 1)
+        monkeypatch.setattr(bddstore, "FORMAT_HEADER",
+                            f"bddstore {BDD_SCHEMA_VERSION - 1}")
+        bound_pipeline(store).reached
+        monkeypatch.undo()
+        [older] = bdd_files(store)
+        with open(os.path.join(store.directory, older), "rb") as handle:
+            written = handle.read()
+        reads = count_meta_reads(monkeypatch)
         stale = bound_pipeline(store)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # must NOT warn: plain miss
             stale.reached
-        assert (store.hits, store.misses, store.invalidations) == (0, 2, 1)
+        assert reads == []
+        assert (store.hits, store.misses) == (0, 2)
         assert stale.traversal_stats.iterations > 0
-        assert sorted(entry for entry in os.listdir(store.directory)
-                      if entry.endswith(".bdd")) == [os.path.basename(path)]
+        assert bdd_files(store) == sorted(
+            [older, f"{fingerprint_of(stale)}.bdd"])
+        with open(os.path.join(store.directory, older), "rb") as handle:
+            assert handle.read() == written
         bound_pipeline(store).reached
         assert store.hits == 1
 
     def test_truncated_bdd_section_is_corrupt(self, store):
         cold = bound_pipeline(store)
         cold.reached
-        path = store._path(pipeline_name(cold))
+        path = store._path(fingerprint_of(cold))
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
         with open(path, "w", encoding="utf-8") as handle:
@@ -170,41 +177,92 @@ class TestInvalidation:
 
 
 class TestNameSharing:
-    """Two contents under one name coexist (the editor-loop shape: an
-    edited spec usually keeps the base's ``.model`` name, and its run
-    must not evict the base entry)."""
+    """Two contents under one name (the editor-loop shape: an edited spec
+    usually keeps the base's ``.model`` name) are two files, both served
+    warm, and names that once mapped to one file no longer collide."""
 
-    def test_second_content_parks_on_the_overflow_path(self, store):
-        bound_pipeline(store).reached
-        changed = bound_pipeline(
-            store, config=api.EngineConfig(ordering="declaration"))
-        changed.reached  # miss + re-persist under the same name
-        name = pipeline_name(changed)
-        assert store._path(name) != store._alt_path(
-            name, reachable_fingerprint(
-                to_g_string(changed.stg),
-                api.EngineConfig(ordering="declaration")))
+    def test_two_contents_under_one_name_both_serve_warm(self, store):
+        declaration = api.EngineConfig(ordering="declaration")
+        first = bound_pipeline(store)
+        first.reached
+        second = bound_pipeline(store, config=declaration)
+        second.reached  # miss + persist under the same name
+        assert pipeline_name(first) == pipeline_name(second)
+        assert bdd_files(store) == sorted(
+            [f"{fingerprint_of(first)}.bdd",
+             f"{fingerprint_of(second, declaration)}.bdd"])
         # Both contents now serve warm, neither evicted the other.
         bound_pipeline(store).reached
-        bound_pipeline(
-            store,
-            config=api.EngineConfig(ordering="declaration")).reached
+        bound_pipeline(store, config=declaration).reached
         assert store.hits == 2
 
-    def test_corrupt_primary_is_reclaimed_not_overflowed(self, store):
+    def test_names_that_sanitise_alike_both_serve_warm(self, store):
+        # "pipe/4" and "pipe_4" once mapped to one "pipe_4.bdd" file,
+        # and each run of one warned about the other's entry.
+        specs = []
+        for name, scale in (("pipe/4", 4), ("pipe_4", 5)):
+            stg = build_example("muller_pipeline", scale)
+            stg.name = name
+            specs.append(stg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # must NOT warn
+            for stg in specs + specs:
+                pipeline = VerificationPipeline(stg)
+                bind_pipeline(pipeline, store, name=stg.name,
+                              config=api.EngineConfig())
+                pipeline.reached
+        assert (store.hits, store.misses) == (2, 2)
+        assert len(bdd_files(store)) == 2
+
+
+class TestLayout:
+    """One ``<fingerprint>.bdd`` file per content, checked on every read
+    and written without reading anything first."""
+
+    def test_a_put_reads_no_entry_first(self, store, monkeypatch):
+        pipeline = bound_pipeline(store)
+        pipeline.reached
+        reads = count_meta_reads(monkeypatch)
+        store.put(pipeline_name(pipeline), "e" * 64, pipeline.reached,
+                  pipeline.traversal_stats)
+        assert reads == []
+        assert len(bdd_files(store)) == 2
+
+    def test_corrupt_entry_is_rewritten_in_place(self, store):
         cold = bound_pipeline(store)
         cold.reached
-        path = store._path(pipeline_name(cold))
+        path = store._path(fingerprint_of(cold))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f"{FORMAT_HEADER}\nmeta {{not json\ngarbage\n")
         recovered = bound_pipeline(store)
         with pytest.warns(BDDStoreWarning, match="corrupt BDD-store"):
             recovered.reached
-        # The unreadable primary was overwritten in place, no overflow
-        # file appeared, and the entry serves warm again.
-        assert sorted(entry for entry in os.listdir(store.directory)
-                      if entry.endswith(".bdd")) == [
-            f"{pipeline_name(cold)}.bdd"]
+        # The unreadable file was overwritten in place, no other file
+        # appeared, and the entry serves warm again.
+        assert bdd_files(store) == [os.path.basename(path)]
+        bound_pipeline(store).reached
+        assert store.hits == 1
+
+    def test_a_file_recording_another_fingerprint_is_not_served(
+            self, store):
+        declaration = api.EngineConfig(ordering="declaration")
+        base = bound_pipeline(store)
+        base.reached
+        other = bound_pipeline(store, config=declaration)
+        other.reached
+        fingerprint = fingerprint_of(base)
+        path = store._path(fingerprint)
+        with open(store._path(fingerprint_of(other, declaration)),
+                  "rb") as source, open(path, "wb") as target:
+            target.write(source.read())
+        assert store.find(fingerprint) is None
+        recovered = bound_pipeline(store)
+        with pytest.warns(BDDStoreWarning, match="records fingerprint"):
+            recovered.reached
+        assert recovered.traversal_stats.iterations > 0
+        # The put rewrote the file with the right content.
+        found = store.find(fingerprint)
+        assert found is not None and found[0] == path
         bound_pipeline(store).reached
         assert store.hits == 1
 
@@ -286,9 +344,33 @@ class TestConcurrentPuts:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         # One intact entry, no stray temporaries.
-        assert os.listdir(store.directory) == [f"{name}.bdd"]
+        assert os.listdir(store.directory) == [f"{'f' * 64}.bdd"]
         assert store.find("f" * 64) is not None
 
 
 def pipeline_name(pipeline) -> str:
     return pipeline.stg.name
+
+
+def fingerprint_of(pipeline, config=None) -> str:
+    """The fingerprint :func:`bound_pipeline` stores ``pipeline`` under."""
+    return reachable_fingerprint(to_g_string(pipeline.stg),
+                                 config or api.EngineConfig())
+
+
+def bdd_files(store):
+    return sorted(entry for entry in os.listdir(store.directory)
+                  if entry.endswith(".bdd"))
+
+
+def count_meta_reads(monkeypatch):
+    """The paths of every entry meta read from now on."""
+    reads = []
+    read_meta = BDDStore._read_meta
+
+    def counting(handle, path):
+        reads.append(path)
+        return read_meta(handle, path)
+
+    monkeypatch.setattr(BDDStore, "_read_meta", staticmethod(counting))
+    return reads

@@ -28,15 +28,14 @@ from repro.stg.generators import (
 
 @pytest.fixture
 def built_steps(monkeypatch):
-    """How many :class:`~repro.bdd.operators.TransferSteps` get built,
-    from names or from levels (both resolve through ``_resolve``)."""
+    """How many :class:`~repro.bdd.operators.TransferSteps` get built."""
     built = []
 
     class CountedSteps(operators.TransferSteps):
         __slots__ = ()
 
-        def _resolve(self, manager, resolved):
-            super()._resolve(manager, resolved)
+        def __init__(self, manager, resolved):
+            super().__init__(manager, resolved)
             built.append(self)
 
     monkeypatch.setattr(operators, "TransferSteps", CountedSteps)

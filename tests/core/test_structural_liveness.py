@@ -18,13 +18,11 @@ from repro import corpus
 from repro.api import EngineConfig, verify
 from repro.core.deadlock import check_deadlock_freedom, check_reversibility
 from repro.core.pipeline import VerificationPipeline
-from repro.petri.structure import (
-    is_live_reversible_marked_graph,
-    is_marked_graph,
-)
+from repro.petri.structure import is_live_reversible_marked_graph
 from repro.stg.generators import muller_pipeline
 from repro.stg.parser import parse_g
 from tests.core.test_symbolic_checks import TWO_TOKENS
+from tests.petri.builders import is_marked_graph
 
 FAMILY_SCALES = (
     ("muller_pipeline", range(2, 9)),

@@ -1,7 +1,9 @@
 """Convenience constructors for the Petri-net tests.
 
 The tests build nets from terse descriptions; the helpers here keep
-that code readable.
+that code readable.  :func:`is_marked_graph` classifies the nets they
+build (the verifier decides the class inside
+:func:`repro.petri.structure.is_live_reversible_marked_graph`).
 """
 
 from __future__ import annotations
@@ -75,6 +77,13 @@ def net_from_arcs(arcs: Iterable[Tuple[str, str]],
         if not net.has_place(place):
             net.add_place(place, tokens)
     return net
+
+
+def is_marked_graph(net: PetriNet) -> bool:
+    """True iff every place has at most one input and one output transition."""
+    return all(len(net.preset_of_place(p)) <= 1
+               and len(net.postset_of_place(p)) <= 1
+               for p in net.places)
 
 
 def chain(transition_names: Sequence[str], name: str = "chain",

@@ -6,12 +6,16 @@ from repro.petri import PetriNet
 from repro.petri.structure import (
     conflict_places,
     is_live_reversible_marked_graph,
-    is_marked_graph,
     isolated_places,
     source_transitions,
 )
 
-from tests.petri.builders import chain, net_from_arcs, parallel_join
+from tests.petri.builders import (
+    chain,
+    is_marked_graph,
+    net_from_arcs,
+    parallel_join,
+)
 
 
 class TestStructuralQueries:

@@ -5,9 +5,15 @@ import json
 import pytest
 
 from repro import api
+from repro.api.facade import resolve_base
 from repro.cli import main
 from repro.runner import SweepPlan, SweepRunner
 from repro.runner.worker import execute_payload
+
+
+def handshake_entry():
+    """The BDD-store file of ``handshake``: named by its fingerprint."""
+    return resolve_base("handshake", api.EngineConfig()) + ".bdd"
 
 
 class TestCheckSelectionOnPlans:
@@ -85,12 +91,12 @@ class TestCliFlags:
         exit_code = main(["batch-check", "handshake",
                           "--bdd-cache", str(store)])
         assert exit_code == 0
-        assert (store / "handshake.bdd").exists()
+        assert (store / handshake_entry()).exists()
 
     def test_single_check_mode_accepts_bdd_cache(self, tmp_path, capsys):
         store = tmp_path / "bdd"
         assert main(["handshake", "--bdd-cache", str(store)]) == 0
-        assert (store / "handshake.bdd").exists()
+        assert (store / handshake_entry()).exists()
         # Second run hits the store; the summary must be unchanged.
         first = capsys.readouterr().out
         assert main(["handshake", "--bdd-cache", str(store)]) == 0

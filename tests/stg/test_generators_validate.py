@@ -4,7 +4,6 @@ import pytest
 
 from repro.petri import build_reachability_graph
 from repro.petri.analysis import check_boundedness
-from repro.petri.structure import is_marked_graph
 from repro.stg import STG, SignalKind
 from repro.stg.generators import (
     FIXED_EXAMPLES,
@@ -27,6 +26,7 @@ from repro.stg.generators import (
     pipeline_with_environment,
 )
 from repro.stg.validate import direct_conflict_pairs, validate_structure
+from tests.petri.builders import is_marked_graph
 
 
 def conflict_signal_pairs(stg):

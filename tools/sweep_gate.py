@@ -28,7 +28,10 @@ so the distributed-sweep contract is checkable on any machine:
    leave the base entry intact for further edits of the same model.
    The same holds when ``--base`` names a corpus entry whose registry
    text is not in the writer's form (:data:`CORPUS_BASE`): the name
-   must resolve to the key the base's check stored.
+   must resolve to the key the base's check stored.  Every check runs
+   in a fresh process, and afterwards the BDD store must hold one
+   ``<fingerprint>.bdd`` file per stored content, each named by the
+   fingerprint its meta line records.
 6. **Chaos parity** -- the corpus swept through the lease coordinator
    (``--leases``) under deterministic fault injection
    (``--inject-faults``: worker crashes, hangs, torn store writes,
@@ -52,6 +55,7 @@ Exit status: 0 when every comparison holds, 1 otherwise.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -274,6 +278,28 @@ def seeded_recheck(base_path, edit_path, reference, store, prefix, seed):
     return True
 
 
+def check_store_layout(store, expected):
+    """Whether ``store`` holds exactly ``expected`` ``.bdd`` files, each
+    named by the fingerprint its meta line records."""
+    entries = sorted(name for name in os.listdir(store)
+                     if name.endswith(".bdd"))
+    if len(entries) != expected:
+        print(f"sweep-gate: FAIL: the delta store holds {len(entries)} "
+              f".bdd files, expected {expected}: {entries}")
+        return False
+    for name in entries:
+        with open(os.path.join(store, name), encoding="utf-8") as handle:
+            handle.readline()  # the store header
+            tag, _, payload = handle.readline().partition(" ")
+        recorded = json.loads(payload).get("fingerprint") \
+            if tag == "meta" else None
+        if name != f"{recorded}.bdd":
+            print(f"sweep-gate: FAIL: store file {name} records "
+                  f"fingerprint {recorded!r}")
+            return False
+    return True
+
+
 def check_delta_parity(workdir):
     print("sweep-gate: delta parity (cold re-check vs --base "
           "warm-started re-check) ...")
@@ -295,9 +321,12 @@ def check_delta_parity(workdir):
     if not seeded_recheck(entry_path, entry_edit_path, CORPUS_BASE, store,
                           os.path.join(workdir, "delta-entry"), seed=909):
         return False
+    # The base, its xprobe and yprobe edits, the corpus base and its edit.
+    if not check_store_layout(store, expected=5):
+        return False
     print("sweep-gate: ok: seed-tier warm starts byte-identical to the "
           "cold re-check, base entry survives the edit loop, corpus "
-          "entry names resolve")
+          "entry names resolve, one fingerprint-named file per content")
     return True
 
 
