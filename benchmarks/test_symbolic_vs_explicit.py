@@ -46,7 +46,7 @@ def test_symbolic_traversal_pipeline(benchmark, stages):
     def run():
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        return symbolic_traversal(encoding, image=image)
+        return symbolic_traversal(image)
 
     _, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["states"] = stats.num_states
@@ -77,7 +77,7 @@ def test_symbolic_traversal_parallel(benchmark, channels):
     def run():
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        return symbolic_traversal(encoding, image=image)
+        return symbolic_traversal(image)
 
     _, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["states"] = stats.num_states

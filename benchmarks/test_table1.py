@@ -67,7 +67,7 @@ def test_traversal_only_large(benchmark, family, scale):
     def run():
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        return symbolic_traversal(encoding, image=image)
+        return symbolic_traversal(image)
 
     _, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(stats.as_dict())

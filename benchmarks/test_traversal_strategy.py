@@ -37,7 +37,7 @@ def test_traversal_strategy(benchmark, name, factory, strategy):
     def run():
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        return symbolic_traversal(encoding, image=image, strategy=strategy)
+        return symbolic_traversal(image, strategy=strategy)
 
     _, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["strategy"] = strategy
@@ -51,10 +51,10 @@ def test_chaining_reduces_iterations():
     """Chained traversal needs no more outer iterations than plain BFS."""
     for _, factory in CASES:
         stg = factory()
-        encoding = SymbolicEncoding(stg)
-        _, chained = symbolic_traversal(encoding, strategy="chained")
-        encoding = SymbolicEncoding(stg)
-        _, frontier = symbolic_traversal(encoding, strategy="frontier")
+        _, chained = symbolic_traversal(
+            SymbolicImage(SymbolicEncoding(stg)), strategy="chained")
+        _, frontier = symbolic_traversal(
+            SymbolicImage(SymbolicEncoding(stg)), strategy="frontier")
         assert chained.num_states == frontier.num_states
         assert chained.iterations <= frontier.iterations
 
@@ -71,7 +71,7 @@ def test_reversibility_closure_strategy(benchmark, strategy):
     def prepare():
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
+        reached, _ = symbolic_traversal(image)
         last["reached"] = reached
         return (image, encoding.initial_state(), stg.transitions,
                 "backward", strategy), {"restrict_to": reached}

@@ -34,7 +34,7 @@ def test_ordering_strategy(benchmark, name, factory, scale, ordering):
     def run():
         encoding = SymbolicEncoding(stg, ordering=ordering)
         image = SymbolicImage(encoding)
-        return symbolic_traversal(encoding, image=image)
+        return symbolic_traversal(image)
 
     _, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["ordering"] = ordering
@@ -54,7 +54,7 @@ def test_structured_orders_beat_naive_order_on_pipeline():
     for ordering in ORDERING_STRATEGIES:
         encoding = SymbolicEncoding(stg, ordering=ordering)
         image = SymbolicImage(encoding)
-        _, stats = symbolic_traversal(encoding, image=image)
+        _, stats = symbolic_traversal(image)
         peaks[ordering] = stats.peak_nodes
     assert peaks["force"] <= peaks["declaration"]
     assert peaks["structural"] <= peaks["declaration"]

@@ -64,8 +64,8 @@ def main() -> None:
     if resolved_report.gate_implementable:
         encoding = SymbolicEncoding(resolved)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        reached, _ = symbolic_traversal(image)
+        gates = synthesize_complex_gates(encoding, reached)
         print()
         print("derived logic for the repaired specification:")
         for gate in gates.values():

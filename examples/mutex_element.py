@@ -65,8 +65,8 @@ def main() -> None:
     # Grant logic (generalised C-elements).
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, _ = symbolic_traversal(encoding, image=image)
-    elements = synthesize_generalized_c_elements(encoding, reached, image.charfun)
+    reached, _ = symbolic_traversal(image)
+    elements = synthesize_generalized_c_elements(encoding, reached)
     print("grant logic (set/reset covers):")
     for element in elements.values():
         print(f"  {element}")

@@ -36,7 +36,7 @@ def main() -> None:
         image = SymbolicImage(encoding)
 
         start = time.perf_counter()
-        reached, stats = symbolic_traversal(encoding, image=image)
+        reached, stats = symbolic_traversal(image)
         symbolic_seconds = time.perf_counter() - start
 
         explicit_seconds = None

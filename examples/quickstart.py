@@ -82,10 +82,9 @@ def check_and_report(stg: STG) -> None:
         # The facade run already computed the shared intermediates --
         # encoding, image operator and reachable-state BDD -- reuse them.
         pipeline = outcome.pipeline
-        functions = derive_next_state_functions(
-            pipeline.encoding, pipeline.reached, pipeline.charfun)
-        gates = synthesize_complex_gates(
-            pipeline.encoding, pipeline.reached, pipeline.charfun)
+        functions = derive_next_state_functions(pipeline.encoding,
+                                                pipeline.reached)
+        gates = synthesize_complex_gates(pipeline.encoding, pipeline.reached)
         print()
         print("derived complex-gate equations:")
         for gate in gates.values():

@@ -91,6 +91,11 @@ def reachable_fingerprint(g_text: str, config) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+def _warn_corrupt(path: str, error: Exception, fallback: str) -> None:
+    warnings.warn(f"{path}: corrupt BDD-store entry ({error}); {fallback}",
+                  BDDStoreWarning, stacklevel=3)
+
+
 #: Process-wide store instances keyed by absolute directory (see
 #: :meth:`BDDStore.shared`).
 _SHARED_STORES: Dict[str, "BDDStore"] = {}
@@ -155,29 +160,26 @@ class BDDStore:
         :class:`BDDStoreWarning` and returns ``None`` so the caller
         recomputes and the put rewrites it.
         """
-        path = self._path(fingerprint)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                meta = self._read_meta(handle, path)
-                if meta.get("fingerprint") != fingerprint:
-                    raise BDDError(
-                        f"entry records fingerprint "
-                        f"{meta.get('fingerprint')!r}")
-                reached, _ = self._load_bdd(handle, manager,
-                                            require_exact_order=True)
-                stats = TraversalStats.from_dict(meta.get("stats") or {})
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (BDDError, ValueError, OSError) as error:
-            warnings.warn(
-                f"{path}: corrupt BDD-store entry ({error}); falling "
-                f"back to a cold traversal", BDDStoreWarning,
-                stacklevel=2)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return reached, stats
+        with obs.span("bddstore.lookup") as span:
+            path = self._path(fingerprint)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    meta = self._read_meta(handle, fingerprint)
+                    reached, _ = self._load_bdd(handle, manager,
+                                                require_exact_order=True)
+                    stats = TraversalStats.from_dict(
+                        meta.get("stats") or {})
+            except FileNotFoundError:
+                reached = None
+            except (BDDError, ValueError, OSError) as error:
+                _warn_corrupt(path, error, "falling back to a cold traversal")
+                reached = None
+            span.annotate(hit=reached is not None)
+            if reached is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return reached, stats
 
     def put(self, name: str, fingerprint: str, reached: Function,
             stats: TraversalStats, g_text: Optional[str] = None) -> None:
@@ -216,19 +218,22 @@ class BDDStore:
         so callers can read the base's canonical ``g_text`` and decide
         on a reuse tier before paying for the load.  Reads the meta of
         that one file, so it also finds entries other processes wrote.
-        A corrupt file is skipped silently (a later :meth:`lookup` of
-        it will warn).
+        A missing file returns ``None`` silently; a corrupt one
+        (unparseable, or recording another fingerprint) warns with
+        :class:`BDDStoreWarning` and returns ``None`` too, until a put
+        of the base rewrites it.
         """
         with obs.span("bddstore.find"):
             path = self._path(fingerprint)
             try:
                 with open(path, encoding="utf-8") as handle:
-                    meta = self._read_meta(handle, path)
-            except (BDDError, ValueError, OSError):
+                    return path, self._read_meta(handle, fingerprint)
+            except FileNotFoundError:
                 return None
-            if meta.get("fingerprint") != fingerprint:
+            except (BDDError, ValueError, OSError) as error:
+                _warn_corrupt(path, error, "delta warm-start falls back "
+                              "to a cold traversal")
                 return None
-            return path, meta
 
     def load_entry(self, path: str, manager: BDDManager
                    ) -> Optional[Tuple[Function, Tuple[str, ...]]]:
@@ -248,20 +253,23 @@ class BDDStore:
                     return self._load_bdd(handle, manager,
                                           require_exact_order=False)
             except (BDDError, ValueError, OSError) as error:
-                warnings.warn(
-                    f"{path}: corrupt BDD-store entry ({error}); delta "
-                    f"warm-start falls back to a cold traversal",
-                    BDDStoreWarning, stacklevel=2)
+                _warn_corrupt(path, error, "delta warm-start falls back "
+                              "to a cold traversal")
                 return None
 
     # ------------------------------------------------------------------
     # File format helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _read_meta(handle: TextIO, path: str) -> dict:
+    def _read_meta(handle: TextIO, fingerprint: str) -> dict:
+        """The meta line of the entry stored under ``fingerprint``;
+        raises :class:`BDDError` unless it records that fingerprint."""
         meta = json.loads(BDDStore._meta_payload(handle))
         if not isinstance(meta, dict):
             raise BDDError("malformed 'meta' payload")
+        if meta.get("fingerprint") != fingerprint:
+            raise BDDError(f"entry records fingerprint "
+                           f"{meta.get('fingerprint')!r}")
         return meta
 
     @staticmethod

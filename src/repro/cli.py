@@ -437,8 +437,8 @@ def _run_extras(stg, arguments, config: api.EngineConfig,
                   "gate-implementable")
             return
         try:
-            gates = synthesize_complex_gates(
-                pipeline.encoding, pipeline.reached, pipeline.charfun)
+            gates = synthesize_complex_gates(pipeline.encoding,
+                                             pipeline.reached)
         except SynthesisError as error:
             print(f"  synthesis failed: {error}")
             return

@@ -4,11 +4,12 @@ The modules of this package implement Sections 4 and 5 of the paper:
 
 * :mod:`repro.core.encoding` -- boolean variables for places and signals,
   static variable-ordering strategies (Section 4, Section 6's remark on
-  ordering heuristics),
-* :mod:`repro.core.charfun` -- the characteristic functions ``E(t)``,
-  ``ASM(t)``, ``NPM(t)``, ``NSM(t)`` and ``E(a*)`` (Section 4),
+  ordering heuristics), and the characteristic functions every check
+  reads: ``E(t)``, ``E(a)``, ``E(a*)`` and the next-state function
+  ``N(a)``, each built once per specification (Section 4),
 * :mod:`repro.core.image` -- the transition functions ``delta_N`` and
-  ``delta_D`` and their inverses (Section 4),
+  ``delta_D`` and their inverses (Section 4), one firing plan per
+  transition,
 * :mod:`repro.core.traversal` -- the one fixpoint routine (saturation by
   default, the chained loop of Figure 5 as the oracle), behind the
   reachability traversal and every backward/forward closure,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bdd import Function
-from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.petri.structure import conflict_places
 from repro.sg.fake_conflicts import ConflictClassification, FakeConflictResult
@@ -74,8 +73,7 @@ class ConflictPairsResult:
     conflicts: FakeConflictResult
 
 
-def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
-                         image: SymbolicImage,
+def check_conflict_pairs(image: SymbolicImage, reached: Function,
                          arbitration_places: Iterable[str] = ()
                          ) -> ConflictPairsResult:
     """Transition and signal persistency and the fake-conflict
@@ -86,7 +84,7 @@ def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
     places is visited at the first.  Violations keep that order, and a
     signal disabled by one transition is reported once.
     """
-    charfun = image.charfun
+    encoding = image.encoding
     stg = encoding.stg
     net = stg.net
     arbitration = set(arbitration_places)
@@ -102,21 +100,21 @@ def check_conflict_pairs(encoding: SymbolicEncoding, reached: Function,
         transitions = sorted(net.postset_of_place(place))
         for disabled in transitions:
             signal = stg.signal_of(disabled)
-            enabled = reached & charfun.enabled(disabled)
+            enabled = reached & encoding.enabled(disabled)
             for fired in transitions:
                 if fired == disabled or (fired, disabled) in kills:
                     continue
-                both = enabled & charfun.enabled(fired)
+                both = enabled & encoding.enabled(fired)
                 if both.is_false():
                     kills[(fired, disabled)] = None
                     continue
                 after = image.fire(both, fired)
-                stuck = after - charfun.enabled(disabled)
+                stuck = after - encoding.enabled(disabled)
                 if not stuck.is_false():
                     transition_level.append(SymbolicPersistencyViolation(
                         fired, disabled, signal, False,
                         encoding.witness(stuck)))
-                lost = after - charfun.signal_enabled(signal)
+                lost = after - encoding.signal_enabled(signal)
                 kills[(fired, disabled)] = not lost.is_false()
                 fired_signal = stg.signal_of(fired)
                 if (lost.is_false() or fired_signal == signal

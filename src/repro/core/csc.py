@@ -12,7 +12,9 @@ abstracting the place variables:
 and CSC(a) holds iff ``CONT(a) = ER(a+).QR(a-) + ER(a-).QR(a+)`` is
 empty.  The check decides it from the next-state function instead
 (Cortadella, Kishinevsky, Kondratyev, Lavagno & Yakovlev, *Logic
-Synthesis for Asynchronous Controllers and Interfaces*, 2002):
+Synthesis for Asynchronous Controllers and Interfaces*, 2002), which
+the encoding builds once per signal
+(:meth:`~repro.core.encoding.SymbolicEncoding.next_state`):
 
     N(a)   = a ? not E(a-) : E(a+)      (the value a is heading to)
     ON(a)  = exists_P ( R . N(a) )
@@ -52,7 +54,7 @@ from it.
 
 Logic synthesis
 (:func:`repro.synthesis.functions.derive_next_state_function`) reads
-its on- and off-sets off the same split.
+its on- and off-sets off the same split, of the same cached ``N(a)``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bdd import Function
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 
 
@@ -88,16 +89,8 @@ class SymbolicCSCResult:
         return "CSC violated for " + ", ".join(self.violating_signals)
 
 
-def next_state(encoding: SymbolicEncoding, charfun: CharacteristicFunctions,
-               signal: str) -> Function:
-    """``N(a) = a ? not E(a-) : E(a+)``, the value ``a`` is heading to."""
-    return encoding.signal(signal).ite(~charfun.generic_enabled(signal, "-"),
-                                       charfun.generic_enabled(signal, "+"))
-
-
 def check_csc(encoding: SymbolicEncoding, reached: Function,
               num_states: int,
-              charfun: Optional[CharacteristicFunctions] = None,
               signals: Optional[List[str]] = None) -> SymbolicCSCResult:
     """CSC over all non-input signals (or an explicit signal list).
 
@@ -106,14 +99,13 @@ def check_csc(encoding: SymbolicEncoding, reached: Function,
     """
     if _check_usc(encoding, reached, num_states):
         return SymbolicCSCResult(True, True)
-    charfun = charfun or CharacteristicFunctions(encoding)
     to_check = signals if signals is not None \
         else encoding.stg.noninput_signals
     places = encoding.place_variables
     contradictions: Dict[str, Function] = {}
     witnesses: Dict[str, dict] = {}
     for signal in to_check:
-        on, off = reached.split(next_state(encoding, charfun, signal))
+        on, off = reached.split(encoding.next_state(signal))
         conflict = on.exist(places) & off.exist(places)
         if conflict.is_false():
             continue

@@ -3,8 +3,8 @@
 A speed-independent controller specification is normally expected to run
 forever (every state has some enabled transition); a deadlock usually
 indicates a modelling error.  The check is a one-liner on top of the
-characteristic functions: a reachable state is a deadlock iff it enables
-no transition at all.
+encoding's ``E(t)`` cubes: a reachable state is a deadlock iff it
+enables no transition at all.
 
 ``reversibility`` (every reachable state can return to the initial state)
 is also provided because it is a cheap, useful sanity check for cyclic
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bdd import Function
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import fixpoint
@@ -59,22 +58,19 @@ class DeadlockResult:
         return f"{self.num_deadlocks} deadlock state(s)"
 
 
-def deadlock_states(encoding: SymbolicEncoding, reached: Function,
-                    charfun: Optional[CharacteristicFunctions] = None
+def deadlock_states(encoding: SymbolicEncoding, reached: Function
                     ) -> Function:
     """Characteristic function of the reachable states with nothing enabled."""
-    charfun = charfun or CharacteristicFunctions(encoding)
     some_enabled = encoding.manager.false
     for transition in encoding.stg.transitions:
-        some_enabled = some_enabled | charfun.enabled(transition)
+        some_enabled = some_enabled | encoding.enabled(transition)
     return reached - some_enabled
 
 
-def check_deadlock_freedom(encoding: SymbolicEncoding, reached: Function,
-                           charfun: Optional[CharacteristicFunctions] = None
+def check_deadlock_freedom(encoding: SymbolicEncoding, reached: Function
                            ) -> DeadlockResult:
     """Report whether the specification can stop, with a witness state."""
-    dead = deadlock_states(encoding, reached, charfun)
+    dead = deadlock_states(encoding, reached)
     if dead.is_false():
         return DeadlockResult(True)
     return DeadlockResult(False, encoding.count_states(dead),
@@ -95,8 +91,7 @@ class ReversibilityResult:
                 f"reach the initial state again")
 
 
-def check_reversibility(encoding: SymbolicEncoding, reached: Function,
-                        image: Optional[SymbolicImage] = None,
+def check_reversibility(image: SymbolicImage, reached: Function,
                         deadline: Optional[float] = None
                         ) -> ReversibilityResult:
     """Can every reachable state reach the initial state again?
@@ -106,7 +101,7 @@ def check_reversibility(encoding: SymbolicEncoding, reached: Function,
     with the reachable set itself.  ``deadline`` is the cooperative
     deadline of :func:`~repro.core.traversal.fixpoint`.
     """
-    image = image or SymbolicImage(encoding)
+    encoding = image.encoding
     can_return = fixpoint(image, encoding.initial_state(),
                           encoding.stg.transitions, "backward", "saturation",
                           restrict_to=reached, deadline=deadline)

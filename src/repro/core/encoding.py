@@ -13,13 +13,31 @@ signal variable ``s:...``), and every transition a
 as sorted ids, its signal and the value it assigns.  Once the order is
 fixed, :attr:`SymbolicEncoding.levels` maps each id to its BDD level.
 The ordering heuristics, the firing plans of
-:class:`~repro.core.image.SymbolicImage`, the cubes of
-:class:`~repro.core.charfun.CharacteristicFunctions` and of the state
-checks (:mod:`repro.core.state_checks`) and the initial state all read
-the table instead of re-deriving pre- and postsets, sorting names or
-resolving levels one name at a time.  Since ids follow name order,
-sorting ids sorts names, and FORCE breaks ties by name as the
-name-based heuristic did.
+:class:`~repro.core.image.SymbolicImage`, the characteristic functions,
+the cubes of the state checks (:mod:`repro.core.state_checks`) and the
+initial state all read the table instead of re-deriving pre- and
+postsets, sorting names or resolving levels one name at a time.  Since
+ids follow name order, sorting ids sorts names, and FORCE breaks ties
+by name as the name-based heuristic did.
+
+The encoding is the one owner of Section 4's characteristic functions,
+each a cube (or a disjunction of cubes) over the place variables,
+built on its first use and cached for every later check:
+
+* ``E(t)`` (:meth:`SymbolicEncoding.enabled`) -- every input place of
+  ``t`` marked;
+* ``E(a)`` (:meth:`SymbolicEncoding.signal_enabled`) -- some transition
+  of signal ``a`` enabled;
+* ``E(a*)`` (:meth:`SymbolicEncoding.generic_enabled`) -- some
+  transition ``a+`` (or ``a-``) enabled;
+* ``N(a) = a ? not E(a-) : E(a+)``
+  (:meth:`SymbolicEncoding.next_state`) -- the value ``a`` is heading
+  to, which CSC, the complementary-sequence check and synthesis all
+  split the reachable set by.
+
+The firing cubes ``NPM(t)``, ``NSM(t)`` and ``ASM(t)`` are never
+built: :class:`~repro.core.image.SymbolicImage` fires a transition in
+one pass over its steps.
 
 Variable ordering strategies
 ----------------------------
@@ -132,7 +150,11 @@ class SymbolicEncoding:
                                   for name in names]
         self._all_variables = [names[variable] for variable in sorted(
             range(len(names)), key=self.levels.__getitem__)]
-        self._initial: Optional[Function] = None
+        #: The characteristic functions and the initial state built so
+        #: far, keyed by name and arguments: ``("E(t)", t)``, ``("E(a)",
+        #: a)``, ``("E(a*)", a, polarity)``, ``("N(a)", a)``,
+        #: ``("initial",)``.
+        self._functions: Dict[Tuple[str, ...], Function] = {}
 
     def _compile(self) -> None:
         """Number the variables and build the step table."""
@@ -245,35 +267,64 @@ class SymbolicEncoding:
         resolved.sort()
         return resolved
 
-    def _marking_literals(self, marking: Marking) -> Dict[str, bool]:
-        return {self.place_variable(p): marking[p] > 0
-                for p in self.stg.net.places}
-
-    def _code_literals(self, values: Mapping[str, bool]) -> Dict[str, bool]:
-        return {self.signal_variable(s): bool(values[s])
-                for s in self.stg.signals}
-
-    def marking_minterm(self, marking: Marking) -> Function:
-        """Characteristic function of a single safe marking (places only)."""
-        return self.manager.cube(self._marking_literals(marking))
-
-    def code_minterm(self, values: Dict[str, bool]) -> Function:
-        """Characteristic function of one binary code (signals only)."""
-        return self.manager.cube(self._code_literals(values))
-
-    def state_minterm(self, marking: Marking, values: Dict[str, bool]) -> Function:
+    def state_minterm(self, marking: Marking,
+                      values: Mapping[str, bool]) -> Function:
         """Characteristic function of one full state ``(marking, code)``:
         one cube over the places and signals."""
-        return self.manager.cube({**self._marking_literals(marking),
-                                  **self._code_literals(values)})
+        literals = {self.place_variable(p): marking[p] > 0
+                    for p in self.stg.net.places}
+        literals.update((self.signal_variable(s), bool(values[s]))
+                        for s in self.stg.signals)
+        return self.manager.cube(literals)
 
     def initial_state(self) -> Function:
         """Characteristic function of the STG's initial full state (one
         cube, built on the first call)."""
-        if self._initial is None:
-            self._initial = self.state_minterm(
-                self.stg.initial_marking(), self.stg.initial_state_vector())
-        return self._initial
+        return self._function(("initial",), lambda: self.state_minterm(
+            self.stg.initial_marking(), self.stg.initial_state_vector()))
+
+    # ------------------------------------------------------------------
+    # Characteristic functions (Section 4), each built once
+    # ------------------------------------------------------------------
+    def _function(self, key: Tuple[str, ...], build) -> Function:
+        function = self._functions.get(key)
+        if function is None:
+            function = self._functions[key] = build()
+        return function
+
+    def enabled(self, transition: str) -> Function:
+        """``E(t)``: every input place of ``transition`` marked."""
+        return self._function(("E(t)", transition), lambda: self.cube(
+            self.step(transition).preset, True))
+
+    def _some_enabled(self, transitions: Iterable[str]) -> Function:
+        function = self.manager.false
+        for transition in transitions:
+            function = function | self.enabled(transition)
+        return function
+
+    def signal_enabled(self, signal: str) -> Function:
+        """``E(a)``: some transition of ``signal`` (either polarity) is
+        enabled."""
+        return self._function(("E(a)", signal), lambda: self._some_enabled(
+            self.stg.transitions_of_signal(signal)))
+
+    def generic_enabled(self, signal: str, polarity: str) -> Function:
+        """``E(a*)``: some transition ``a+`` (``polarity`` ``"+"``) or
+        ``a-`` (``"-"``) is enabled."""
+        return self._function(
+            ("E(a*)", signal, polarity), lambda: self._some_enabled(
+                self.stg.transitions_of(signal, polarity)))
+
+    def next_state(self, signal: str) -> Function:
+        """``N(a) = a ? not E(a-) : E(a+)``, the value ``signal`` is
+        heading to (:mod:`repro.core.csc`)."""
+        def build() -> Function:
+            variable = self.signal(signal)
+            return variable.ite(~self.generic_enabled(signal, "-"),
+                                self.generic_enabled(signal, "+"))
+
+        return self._function(("N(a)", signal), build)
 
     # ------------------------------------------------------------------
     # Decoding (for counter-examples and tests)

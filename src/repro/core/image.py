@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.bdd import Function
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 
 if TYPE_CHECKING:
@@ -44,12 +43,14 @@ if TYPE_CHECKING:
 
 
 class SymbolicImage:
-    """Forward and backward symbolic firing for one encoded STG."""
+    """Forward and backward symbolic firing for one encoded STG.
 
-    def __init__(self, encoding: SymbolicEncoding,
-                 charfun: Optional[CharacteristicFunctions] = None) -> None:
+    It holds the firing plans only; the characteristic functions the
+    checks read belong to :attr:`encoding`.
+    """
+
+    def __init__(self, encoding: SymbolicEncoding) -> None:
         self.encoding = encoding
-        self.charfun = charfun or CharacteristicFunctions(encoding)
         #: Per direction, the resolved steps of each transition fired
         #: that way so far.
         self._steps: Dict[str, Dict[str, "TransferSteps"]] = {

@@ -150,10 +150,6 @@ class VerificationPipeline:
         return self._image
 
     @property
-    def charfun(self):
-        return self.image.charfun
-
-    @property
     def reached(self):
         """The reachable-state BDD; the traversal runs at most once.
 
@@ -171,8 +167,7 @@ class VerificationPipeline:
                     obs.event("reached-cache-hit")
                     return self._reached
             self._reached, self._traversal_stats = symbolic_traversal(
-                self.encoding, image=self.image,
-                strategy=self.traversal_strategy,
+                self.image, strategy=self.traversal_strategy,
                 seed=self.seed_reached,
                 seed_transitions=self.seed_transitions,
                 seed_closed=self.seed_closed,
@@ -222,7 +217,7 @@ class VerificationPipeline:
         """Transition and signal persistency and the fake-conflict
         classification, from one pass over the conflict pairs."""
         return self._cached("conflict_pairs", lambda: check_conflict_pairs(
-            self.encoding, self.reached, self.image,
+            self.image, self.reached,
             arbitration_places=self.arbitration_places))
 
     def fake_free(self) -> bool:
@@ -230,8 +225,7 @@ class VerificationPipeline:
 
     def csc(self):
         return self._cached("csc", lambda: check_csc(
-            self.encoding, self.reached, self.traversal_stats.num_states,
-            self.charfun))
+            self.encoding, self.reached, self.traversal_stats.num_states))
 
     def determinism(self):
         return self.state_checks().determinism
@@ -239,7 +233,7 @@ class VerificationPipeline:
     def complementary_inputs(self):
         return self._cached("complementary_inputs",
                             lambda: check_complementary_input_sequences(
-                                self.encoding, self.reached, self.image,
+                                self.image, self.reached,
                                 self.csc().contradictions,
                                 deadline=self.deadline))
 
@@ -259,8 +253,7 @@ class VerificationPipeline:
         if (self.reversibility().reversible
                 and net.enabled_transitions(net.initial_marking)):
             return DeadlockResult(True)
-        return check_deadlock_freedom(self.encoding, self.reached,
-                                      self.charfun)
+        return check_deadlock_freedom(self.encoding, self.reached)
 
     def reversibility(self):
         """Reversibility, read off the net's structure where that decides it.
@@ -304,7 +297,7 @@ class VerificationPipeline:
         if (is_live_reversible_marked_graph(self.stg.net)
                 and self.consistency().consistent and self.safeness().safe):
             return ReversibilityResult(True)
-        return check_reversibility(self.encoding, self.reached, self.image,
+        return check_reversibility(self.image, self.reached,
                                    deadline=self.deadline)
 
     def commutativity(self) -> Optional[bool]:

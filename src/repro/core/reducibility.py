@@ -14,8 +14,8 @@ symbolic representation:
   contradictions`) and that lie in a quiescent region, and looks for
   the ones that lie in an excitation region.  Both sets come from
   ``CONT(a)`` and the next-state function ``N(a) = a ? not E(a-) :
-  E(a+)`` (:func:`repro.core.csc.next_state`), with no region
-  projected:
+  E(a+)`` (:meth:`repro.core.encoding.SymbolicEncoding.next_state`,
+  which CSC splits ``R`` by), with no region projected:
 
       QR(a+) + QR(a-) = R . (a . not E(a-) + a' . not E(a+))
                       = R . not (a xor N(a))
@@ -48,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional
 
 from repro.bdd import Function
-from repro.core.charfun import CharacteristicFunctions
-from repro.core.csc import next_state
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import fixpoint
@@ -64,28 +62,26 @@ class SymbolicComplementaryResult:
 
 
 def quiescent_conflicts(encoding: SymbolicEncoding, reached: Function,
-                        charfun: CharacteristicFunctions, signal: str,
-                        contradictory: Function) -> Function:
+                        signal: str, contradictory: Function) -> Function:
     """The start of the frozen closures: ``(R . CONT(a)) - (a xor
     N(a))``, the reachable states whose code is in ``contradictory``
     (the signal's ``CONT(a)``) and that lie in ``QR(a+) + QR(a-)``."""
-    changing = encoding.signal(signal) ^ next_state(encoding, charfun, signal)
+    changing = encoding.signal(signal) ^ encoding.next_state(signal)
     return (reached & contradictory) - changing
 
 
-def excited_conflicts(charfun: CharacteristicFunctions, signal: str,
+def excited_conflicts(encoding: SymbolicEncoding, signal: str,
                       contradictory: Function) -> Function:
     """The target of the frozen closures: ``CONT(a) . (E(a+) + E(a-))``,
     a set over codes and places.  It is not bounded by ``R``: the
     forward closure it is tested against lies in ``R`` already (see the
     module docstring)."""
-    return contradictory & (charfun.generic_enabled(signal, "+")
-                            | charfun.generic_enabled(signal, "-"))
+    return contradictory & (encoding.generic_enabled(signal, "+")
+                            | encoding.generic_enabled(signal, "-"))
 
 
-def check_complementary_input_sequences(encoding: SymbolicEncoding,
+def check_complementary_input_sequences(image: SymbolicImage,
                                         reached: Function,
-                                        image: SymbolicImage,
                                         contradictions: Mapping[str, Function],
                                         deadline: Optional[float] = None
                                         ) -> SymbolicComplementaryResult:
@@ -105,17 +101,16 @@ def check_complementary_input_sequences(encoding: SymbolicEncoding,
     Every signal's closures fire the same input events, so they share
     the saturation caches.
     """
-    charfun = image.charfun
+    encoding = image.encoding
     inputs = image.input_transitions()
     offending: List[str] = []
     for signal, contradictory in contradictions.items():
-        start = quiescent_conflicts(encoding, reached, charfun, signal,
-                                    contradictory)
+        start = quiescent_conflicts(encoding, reached, signal, contradictory)
         backward = fixpoint(image, start, inputs, "backward", "saturation",
                             restrict_to=reached, deadline=deadline)
         frozen = fixpoint(image, backward, inputs, "forward", "saturation",
                           deadline=deadline)
-        if not frozen.disjoint(excited_conflicts(charfun, signal,
+        if not frozen.disjoint(excited_conflicts(encoding, signal,
                                                  contradictory)):
             offending.append(signal)
     return SymbolicComplementaryResult(not offending, offending)

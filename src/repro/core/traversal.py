@@ -38,7 +38,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.bdd import Function
-from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.stats import TraversalStats
 from repro.utils.timing import check_deadline
@@ -206,8 +205,7 @@ def _saturation(image: SymbolicImage, start: Function,
     return reached
 
 
-def symbolic_traversal(encoding: SymbolicEncoding,
-                       image: Optional[SymbolicImage] = None,
+def symbolic_traversal(image: SymbolicImage,
                        transitions: Optional[Iterable[str]] = None,
                        strategy: str = "saturation",
                        seed: Optional[Function] = None,
@@ -218,9 +216,9 @@ def symbolic_traversal(encoding: SymbolicEncoding,
     """Compute the reachable full states of an STG symbolically.
 
     The forward :func:`fixpoint` of the STG's initial full state over
-    ``transitions`` (default: all), plus the Table 1 statistics.
-    ``image`` may be a pre-built :class:`~repro.core.image.SymbolicImage`
-    (shared caches).
+    ``transitions`` (default: all), fired by ``image`` (whose
+    :attr:`~repro.core.image.SymbolicImage.encoding` is the STG's), plus
+    the Table 1 statistics.
 
     ``seed`` holds *known-reachable* states to start from as well (the
     delta warm-start of :mod:`repro.delta.warmstart`): the fixpoint --
@@ -237,7 +235,7 @@ def symbolic_traversal(encoding: SymbolicEncoding,
 
     Returns ``(reached, stats)``.
     """
-    image = image or SymbolicImage(encoding)
+    encoding = image.encoding
     if transitions is None:
         transitions = encoding.stg.transitions
     reached = encoding.initial_state()

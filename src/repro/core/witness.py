@@ -22,8 +22,7 @@ class WitnessError(Exception):
     """Raised when no witness exists (the target set is unreachable)."""
 
 
-def find_firing_sequence(encoding: SymbolicEncoding, target: Function,
-                         image: Optional[SymbolicImage] = None,
+def find_firing_sequence(image: SymbolicImage, target: Function,
                          initial: Optional[Function] = None,
                          max_depth: int = 100_000) -> List[str]:
     """A shortest firing sequence from the initial state into ``target``.
@@ -33,7 +32,7 @@ def find_firing_sequence(encoding: SymbolicEncoding, target: Function,
     the target cannot be reached within ``max_depth`` steps (for reachable
     targets the bound is never the limiting factor).
     """
-    image = image or SymbolicImage(encoding)
+    encoding = image.encoding
     start = initial if initial is not None else encoding.initial_state()
     if not (start & target).is_false():
         return []

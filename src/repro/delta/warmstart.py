@@ -108,8 +108,12 @@ def _apply_base(pipeline, store, base_fingerprint: str
 
     found = store.find(base_fingerprint)
     if found is None:
+        # find warned if the file is there: name it in the provenance.
         store.delta_colds += 1
-        info["reasons"] = ["no stored entry matches the base fingerprint"]
+        info["reasons"] = [
+            f"the base's stored entry {base_fingerprint}.bdd is corrupt"
+            if base_fingerprint in store
+            else "no stored entry matches the base fingerprint"]
         return None
     path, meta = found
 

@@ -40,6 +40,7 @@ import os
 import time
 from typing import Dict, Optional, Tuple, Union
 
+from repro import obs
 from repro.runner.results import EntryResult
 from repro.utils.journal import Journal
 
@@ -139,7 +140,7 @@ class RunStore:
             return
         record = result.to_dict()
         record["stored_at"] = time.time()
-        with self._journal.locked():
+        with obs.span("runstore.put"), self._journal.locked():
             self._replay()
             self._journal.append(record)
             self._index[(result.name, result.fingerprint)] = record

@@ -43,10 +43,6 @@ class ValidationReport:
         return [i for i in self.issues if i.severity == "error"]
 
     @property
-    def warnings(self) -> List[ValidationIssue]:
-        return [i for i in self.issues if i.severity == "warning"]
-
-    @property
     def valid(self) -> bool:
         """True when no error-severity issue was found."""
         return not self.errors

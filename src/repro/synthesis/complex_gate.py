@@ -17,11 +17,10 @@ paper's references [2] and [3]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bdd import Function
 from repro.bdd.cover import cover_function, cube_to_string, isop
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.synthesis.functions import (
     NextStateFunction,
@@ -122,15 +121,14 @@ def synthesize_generalized_c_element(encoding: SymbolicEncoding,
     )
 
 
-def synthesize_complex_gates(encoding: SymbolicEncoding, reached: Function,
-                             charfun: Optional[CharacteristicFunctions] = None
+def synthesize_complex_gates(encoding: SymbolicEncoding, reached: Function
                              ) -> Dict[str, ComplexGate]:
     """Complex-gate implementations for every non-input signal."""
     from repro import obs
 
     with obs.span("synthesis", manager=encoding.manager,
                   style="complex-gate") as span:
-        functions = derive_next_state_functions(encoding, reached, charfun)
+        functions = derive_next_state_functions(encoding, reached)
         gates = {signal: synthesize_complex_gate(encoding, function)
                  for signal, function in functions.items()}
         span.annotate(gates=len(gates))
@@ -138,15 +136,14 @@ def synthesize_complex_gates(encoding: SymbolicEncoding, reached: Function,
 
 
 def synthesize_generalized_c_elements(encoding: SymbolicEncoding,
-                                      reached: Function,
-                                      charfun: Optional[CharacteristicFunctions] = None
+                                      reached: Function
                                       ) -> Dict[str, GeneralizedCElement]:
     """gC implementations for every non-input signal."""
     from repro import obs
 
     with obs.span("synthesis", manager=encoding.manager,
                   style="gc-element") as span:
-        functions = derive_next_state_functions(encoding, reached, charfun)
+        functions = derive_next_state_functions(encoding, reached)
         gates = {signal: synthesize_generalized_c_element(encoding, function)
                  for signal, function in functions.items()}
         span.annotate(gates=len(gates))

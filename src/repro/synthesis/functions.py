@@ -11,8 +11,9 @@ circuit must drive:
 * **don't-care set** -- codes that are not reachable at all.
 
 Both sets are read off the split the CSC check makes
-(:mod:`repro.core.csc`): with ``N(a) = a ? not E(a-) : E(a+)``, the
-on-set is ``exists_P (R . N(a))`` and the off-set ``exists_P (R . not
+(:mod:`repro.core.csc`): with ``N(a) = a ? not E(a-) : E(a+)`` (built
+once per signal by
+:meth:`~repro.core.encoding.SymbolicEncoding.next_state`), the on-set is ``exists_P (R . N(a))`` and the off-set ``exists_P (R . not
 N(a))``.  Under a consistent state assignment ``E(a+)`` holds only where
 ``a = 0`` and ``E(a-)`` only where ``a = 1``, so the excitation regions
 are the on-set where ``a = 0`` and the off-set where ``a = 1``.
@@ -25,11 +26,9 @@ criterion the checker reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.bdd import Function
-from repro.core.charfun import CharacteristicFunctions
-from repro.core.csc import next_state
 from repro.core.encoding import SymbolicEncoding
 
 
@@ -55,7 +54,6 @@ class NextStateFunction:
 
 
 def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
-                               charfun: CharacteristicFunctions,
                                signal: str) -> NextStateFunction:
     """Derive the next-state function of one non-input signal.
 
@@ -67,7 +65,7 @@ def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
             f"signal {signal!r} is an input; the environment drives it")
     places = encoding.place_variables
     variable = encoding.signal(signal)
-    on, off = reached.split(next_state(encoding, charfun, signal))
+    on, off = reached.split(encoding.next_state(signal))
     on_set = on.exist(places)
     off_set = off.exist(places)
     return NextStateFunction(
@@ -81,7 +79,6 @@ def derive_next_state_function(encoding: SymbolicEncoding, reached: Function,
 
 
 def derive_next_state_functions(encoding: SymbolicEncoding, reached: Function,
-                                charfun: Optional[CharacteristicFunctions] = None,
                                 require_csc: bool = True
                                 ) -> Dict[str, NextStateFunction]:
     """Next-state functions for every non-input signal.
@@ -95,7 +92,6 @@ def derive_next_state_functions(encoding: SymbolicEncoding, reached: Function,
     """
     from repro.core.state_checks import check_state_cubes
 
-    charfun = charfun or CharacteristicFunctions(encoding)
     consistency = check_state_cubes(encoding, reached).consistency
     if not consistency.consistent:
         raise SynthesisError(
@@ -107,7 +103,7 @@ def derive_next_state_functions(encoding: SymbolicEncoding, reached: Function,
         raise SynthesisError("the specification has no non-input signals")
     functions: Dict[str, NextStateFunction] = {}
     for signal in targets:
-        function = derive_next_state_function(encoding, reached, charfun, signal)
+        function = derive_next_state_function(encoding, reached, signal)
         if require_csc and not function.is_well_defined:
             raise SynthesisError(
                 f"signal {signal!r} violates CSC; its next-state function "

@@ -79,11 +79,12 @@ class TestRoundTrip:
     def test_reachable_set_round_trip(self):
         # End-to-end: persist the reachable set of an STG and reload it.
         from repro.core.encoding import SymbolicEncoding
+        from repro.core.image import SymbolicImage
         from repro.core.traversal import symbolic_traversal
         from repro.stg.generators import muller_pipeline
 
         encoding = SymbolicEncoding(muller_pipeline(4))
-        reached, stats = symbolic_traversal(encoding)
+        reached, stats = symbolic_traversal(SymbolicImage(encoding))
         new_mgr, (loaded,) = loads(dumps([reached]))
         care = [v for v in new_mgr.variables]
         assert loaded.sat_count(care_vars=care) == stats.num_states

@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.cache import (
     BDD_SCHEMA_VERSION,
     BDDStore,
@@ -255,7 +255,8 @@ class TestLayout:
         with open(store._path(fingerprint_of(other, declaration)),
                   "rb") as source, open(path, "wb") as target:
             target.write(source.read())
-        assert store.find(fingerprint) is None
+        with pytest.warns(BDDStoreWarning, match="records fingerprint"):
+            assert store.find(fingerprint) is None
         recovered = bound_pipeline(store)
         with pytest.warns(BDDStoreWarning, match="records fingerprint"):
             recovered.reached
@@ -289,6 +290,35 @@ class TestEngineIntegration:
         subset = api.run(stg, config, checks=("csc",))
         assert subset.traversal == full.traversal  # served, not re-run
         assert subset.report.csc == full.report.csc
+
+
+    def test_a_traced_verify_spans_its_lookup_with_the_outcome(
+            self, tmp_path):
+        stg = build_example("muller_pipeline", 5)
+        config = api.EngineConfig(
+            bdd_cache_dir=str(tmp_path / "engine-store"))
+        hits = []
+        for _ in range(2):
+            sink = obs.InMemorySink()
+            with obs.tracing(name="verify", sink=sink):
+                api.verify(stg, config)
+            (lookup,) = [record for record in sink.spans()
+                         if record["name"] == "bddstore.lookup"]
+            hits.append(lookup["attrs"]["hit"])
+        assert hits == [False, True]
+
+    def test_an_untraced_lookup_shares_the_no_op_span(self, store,
+                                                      monkeypatch):
+        opened = {}
+        span = obs.span
+
+        def recording(name, manager=None, **attrs):
+            opened[name] = span(name, manager=manager, **attrs)
+            return opened[name]
+
+        monkeypatch.setattr(obs, "span", recording)
+        bound_pipeline(store).reached
+        assert opened["bddstore.lookup"] is obs.NULL_SPAN
 
 
 class TestSharedStore:
@@ -364,13 +394,13 @@ def bdd_files(store):
 
 
 def count_meta_reads(monkeypatch):
-    """The paths of every entry meta read from now on."""
+    """The fingerprints of every entry meta read from now on."""
     reads = []
     read_meta = BDDStore._read_meta
 
-    def counting(handle, path):
-        reads.append(path)
-        return read_meta(handle, path)
+    def counting(handle, fingerprint):
+        reads.append(fingerprint)
+        return read_meta(handle, fingerprint)
 
     monkeypatch.setattr(BDDStore, "_read_meta", staticmethod(counting))
     return reads

@@ -21,7 +21,7 @@ from repro.core.state_checks import (
 from repro.core.traversal import fixpoint
 
 
-def safeness(encoding, reached, charfun):
+def safeness(encoding, reached):
     net = encoding.stg.net
     overflows = []
     witness = None
@@ -31,7 +31,7 @@ def safeness(encoding, reached, charfun):
         overflow_places = postset - preset
         if not overflow_places:
             continue
-        enabled_states = reached & charfun.enabled(transition)
+        enabled_states = reached & encoding.enabled(transition)
         if enabled_states.is_false():
             continue
         for place in sorted(overflow_places):
@@ -45,13 +45,13 @@ def safeness(encoding, reached, charfun):
     return SafenessResult(not overflows, overflows, witness)
 
 
-def consistency(encoding, reached, charfun):
+def consistency(encoding, reached):
     violating = []
     witnesses = {}
     for signal in encoding.stg.signals:
         variable = encoding.signal(signal)
-        inconsistent = ((charfun.generic_enabled(signal, "+") & variable)
-                        | (charfun.generic_enabled(signal, "-") & ~variable))
+        inconsistent = ((encoding.generic_enabled(signal, "+") & variable)
+                        | (encoding.generic_enabled(signal, "-") & ~variable))
         bad = reached & inconsistent
         if bad.is_false():
             continue
@@ -68,7 +68,7 @@ def _structural_effect(net, transition):
     return frozenset(preset - postset), frozenset(postset - preset)
 
 
-def determinism(encoding, reached, charfun):
+def determinism(encoding, reached):
     stg = encoding.stg
     by_generic = {}
     for transition in stg.transitions:
@@ -78,8 +78,8 @@ def determinism(encoding, reached, charfun):
     for transitions in by_generic.values():
         for i, first in enumerate(transitions):
             for second in transitions[i + 1:]:
-                both = (reached & charfun.enabled(first)
-                        & charfun.enabled(second))
+                both = (reached & encoding.enabled(first)
+                        & encoding.enabled(second))
                 if both.is_false():
                     continue
                 if _structural_effect(stg.net, first) == \
@@ -89,30 +89,30 @@ def determinism(encoding, reached, charfun):
     return SymbolicDeterminismResult(not violations, violations)
 
 
-def state_regions(encoding, reached, charfun, signal):
+def state_regions(encoding, reached, signal):
     """``(ER(a+), ER(a-), QR(a+), QR(a-))`` over the full states."""
     variable = encoding.signal(signal)
-    e_plus = charfun.generic_enabled(signal, "+")
-    e_minus = charfun.generic_enabled(signal, "-")
+    e_plus = encoding.generic_enabled(signal, "+")
+    e_minus = encoding.generic_enabled(signal, "-")
     return (reached & e_plus, reached & e_minus,
             (reached & variable) - e_minus, (reached & ~variable) - e_plus)
 
 
-def contradictory_codes(encoding, reached, charfun, signal):
+def contradictory_codes(encoding, reached, signal):
     """``CONT(a) = ER(a+).QR(a-) + ER(a-).QR(a+)`` over the codes."""
     places = encoding.place_variables
     er_plus, er_minus, qr_plus, qr_minus = (
         region.exist(places)
-        for region in state_regions(encoding, reached, charfun, signal))
+        for region in state_regions(encoding, reached, signal))
     return (er_plus & qr_minus) | (er_minus & qr_plus)
 
 
-def conflict_sets(encoding, reached, charfun, signal):
+def conflict_sets(encoding, reached, signal):
     """The quiescent- and excitation-side states whose code is in
     ``CONT(a)``."""
-    contradictory = contradictory_codes(encoding, reached, charfun, signal)
+    contradictory = contradictory_codes(encoding, reached, signal)
     er_plus, er_minus, qr_plus, qr_minus = state_regions(
-        encoding, reached, charfun, signal)
+        encoding, reached, signal)
     return ((qr_plus | qr_minus) & contradictory,
             (er_plus | er_minus) & contradictory)
 
@@ -121,8 +121,7 @@ def complementary_input_sequences(encoding, reached, image, signals):
     offending = []
     inputs = image.input_transitions()
     for signal in signals:
-        quiescent, excitation = conflict_sets(encoding, reached,
-                                              image.charfun, signal)
+        quiescent, excitation = conflict_sets(encoding, reached, signal)
         if quiescent.is_false():
             continue
         backward = fixpoint(image, quiescent, inputs, "backward",
@@ -134,11 +133,11 @@ def complementary_input_sequences(encoding, reached, image, signals):
     return SymbolicComplementaryResult(not offending, offending)
 
 
-def csc(encoding, reached, charfun):
+def csc(encoding, reached):
     violating = []
     witnesses = {}
     for signal in encoding.stg.noninput_signals:
-        conflict = contradictory_codes(encoding, reached, charfun, signal)
+        conflict = contradictory_codes(encoding, reached, signal)
         if conflict.is_false():
             continue
         violating.append(signal)

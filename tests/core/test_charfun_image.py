@@ -5,8 +5,8 @@ rule state by state on several examples, which is the strongest functional
 guarantee the rest of the engine builds upon.  On sets of states it is
 validated against the paper's four-step pipeline
 ``((M_E(t) . NPM(t))_NSM(t)) . ASM(t)``, built literally from the
-:class:`CharacteristicFunctions` cubes, which the one-pass kernel
-replaces.
+encoding's ``E(t)`` and the test-side ``NPM``/``NSM``/``ASM`` cubes
+(:mod:`tests.core.markings`), which the one-pass kernel replaces.
 """
 
 import random
@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro import corpus
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.pipeline import VerificationPipeline
@@ -31,6 +30,13 @@ from repro.stg.generators import (
     random_ring,
 )
 from repro.stg.parser import parse_g
+
+from tests.core.markings import (
+    all_successors_marked,
+    marking_minterm,
+    no_predecessor_marked,
+    no_successor_marked,
+)
 
 #: ``p_en`` is a self-loop place of both ``b`` transitions (a read arc):
 #: firing keeps it marked, the case no corpus entry has.
@@ -60,13 +66,13 @@ def read_arc():
 def mutex_setup():
     stg = mutex_element()
     encoding = SymbolicEncoding(stg)
-    return stg, encoding, CharacteristicFunctions(encoding), SymbolicImage(encoding)
+    return stg, encoding, SymbolicImage(encoding)
 
 
 class TestCharacteristicFunctions:
     def test_enabled_cube(self, mutex_setup):
-        stg, encoding, charfun, _ = mutex_setup
-        enabled = charfun.enabled("g1+")
+        stg, encoding, _ = mutex_setup
+        enabled = encoding.enabled("g1+")
         # g1+ needs its request place and the shared mutual exclusion place.
         assert set(enabled.support()) == {
             encoding.place_variable("<r1+,g1+>"),
@@ -74,38 +80,40 @@ class TestCharacteristicFunctions:
         }
 
     def test_enabled_matches_markings(self, mutex_setup):
-        stg, encoding, charfun, _ = mutex_setup
+        stg, encoding, _ = mutex_setup
         graph = build_state_graph(stg).graph
         for state in graph.states:
-            minterm = encoding.marking_minterm(state.marking)
+            minterm = marking_minterm(encoding, state.marking)
             for transition in stg.transitions:
                 symbolically_enabled = not (
-                    minterm & charfun.enabled(transition)).is_false()
+                    minterm & encoding.enabled(transition)).is_false()
                 assert symbolically_enabled == stg.net.is_enabled(
                     transition, state.marking)
 
     def test_npm_nsm_asm_supports(self, mutex_setup):
-        stg, encoding, charfun, _ = mutex_setup
+        stg, encoding, _ = mutex_setup
         for transition in stg.transitions:
             preset = {encoding.place_variable(p)
                       for p in stg.net.preset_of_transition(transition)}
             postset = {encoding.place_variable(p)
                        for p in stg.net.postset_of_transition(transition)}
-            assert set(charfun.no_predecessor_marked(transition).support()) == preset
-            assert set(charfun.all_successors_marked(transition).support()) == postset
-            assert set(charfun.no_successor_marked(transition).support()) == postset
+            assert set(no_predecessor_marked(
+                encoding, transition).support()) == preset
+            assert set(all_successors_marked(
+                encoding, transition).support()) == postset
+            assert set(no_successor_marked(
+                encoding, transition).support()) == postset
 
     def test_signal_enabled_is_union(self, mutex_setup):
-        stg, encoding, charfun, _ = mutex_setup
-        union = charfun.enabled("r1+") | charfun.enabled("r1-")
-        assert charfun.signal_enabled("r1") == union
+        stg, encoding, _ = mutex_setup
+        union = encoding.enabled("r1+") | encoding.enabled("r1-")
+        assert encoding.signal_enabled("r1") == union
 
     def test_generic_enabled_selects_polarity(self):
         stg = csc_violation_example()
         encoding = SymbolicEncoding(stg)
-        charfun = CharacteristicFunctions(encoding)
-        generic = charfun.generic_enabled("a", "+")
-        assert generic == charfun.enabled("a+") | charfun.enabled("a+/2")
+        generic = encoding.generic_enabled("a", "+")
+        assert generic == encoding.enabled("a+") | encoding.enabled("a+/2")
 
 
 @pytest.mark.parametrize("factory", [
@@ -224,20 +232,22 @@ def cube_cofactor(states, cube):
     return (states & cube).exist(cube.support())
 
 
-def paper_fire_net(charfun, states, transition):
+def paper_fire_net(encoding, states, transition):
     """``delta_N``: ``((M_E(t) . NPM(t))_NSM(t)) . ASM(t)``."""
-    result = (cube_cofactor(states, charfun.enabled(transition))
-              & charfun.no_predecessor_marked(transition))
-    return (cube_cofactor(result, charfun.no_successor_marked(transition))
-            & charfun.all_successors_marked(transition))
+    result = (cube_cofactor(states, encoding.enabled(transition))
+              & no_predecessor_marked(encoding, transition))
+    return (cube_cofactor(result, no_successor_marked(encoding, transition))
+            & all_successors_marked(encoding, transition))
 
 
-def paper_fire_net_backward(charfun, states, transition):
+def paper_fire_net_backward(encoding, states, transition):
     """The inverse of ``delta_N``: the pipeline with pre and post mirrored."""
-    result = (cube_cofactor(states, charfun.all_successors_marked(transition))
-              & charfun.no_successor_marked(transition))
-    return (cube_cofactor(result, charfun.no_predecessor_marked(transition))
-            & charfun.enabled(transition))
+    result = (cube_cofactor(states, all_successors_marked(encoding,
+                                                          transition))
+              & no_successor_marked(encoding, transition))
+    return (cube_cofactor(result, no_predecessor_marked(encoding,
+                                                        transition))
+            & encoding.enabled(transition))
 
 
 def signal_literals(encoding, transition):
@@ -251,17 +261,17 @@ def signal_literals(encoding, transition):
     return positive, negative
 
 
-def paper_fire(charfun, states, transition):
+def paper_fire(encoding, states, transition):
     """``delta_D``: ``delta_N`` then cofactor by old, conjoin new value."""
-    old, new = signal_literals(charfun.encoding, transition)
-    return cube_cofactor(paper_fire_net(charfun, states, transition),
+    old, new = signal_literals(encoding, transition)
+    return cube_cofactor(paper_fire_net(encoding, states, transition),
                          old) & new
 
 
-def paper_fire_backward(charfun, states, transition):
+def paper_fire_backward(encoding, states, transition):
     """The inverse of ``delta_D``."""
-    old, new = signal_literals(charfun.encoding, transition)
-    return cube_cofactor(paper_fire_net_backward(charfun, states, transition),
+    old, new = signal_literals(encoding, transition)
+    return cube_cofactor(paper_fire_net_backward(encoding, states, transition),
                          new) & old
 
 
@@ -303,7 +313,6 @@ def test_firings_equal_the_paper_pipeline(name, factory):
     pipeline = VerificationPipeline(factory())
     encoding, image, reached = (pipeline.encoding, pipeline.image,
                                 pipeline.reached)
-    charfun = image.charfun
     rng = random.Random(name)
     state_sets = [reached,
                   reached - random_states(encoding, rng),
@@ -315,7 +324,7 @@ def test_firings_equal_the_paper_pipeline(name, factory):
             drop = random_states(encoding, rng) | (states & random_states(
                 encoding, rng))
             for kernel, oracle in firings:
-                expected = oracle(charfun, states, transition)
+                expected = oracle(encoding, states, transition)
                 assert kernel(states, transition) == expected, transition
                 assert kernel(states, transition, drop) == (
                     expected - drop), transition

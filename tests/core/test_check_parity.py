@@ -126,32 +126,30 @@ FAMILY_INSTANCES = [("random_ring", scale) for scale in (1, 2, 3, 7, 11)] + [
 def assert_parity(stg):
     pipeline = VerificationPipeline(stg)
     encoding, reached = pipeline.encoding, pipeline.reached
-    charfun = pipeline.charfun
     state_checks = check_state_cubes(encoding, reached)
     assert state_checks.safeness == \
-        product_checks.safeness(encoding, reached, charfun)
+        product_checks.safeness(encoding, reached)
     assert state_checks.consistency == \
-        product_checks.consistency(encoding, reached, charfun)
+        product_checks.consistency(encoding, reached)
     assert state_checks.determinism == \
-        product_checks.determinism(encoding, reached, charfun)
-    csc = check_csc(encoding, reached, pipeline.traversal_stats.num_states,
-                    charfun)
-    assert csc == product_checks.csc(encoding, reached, charfun)
+        product_checks.determinism(encoding, reached)
+    csc = check_csc(encoding, reached, pipeline.traversal_stats.num_states)
+    assert csc == product_checks.csc(encoding, reached)
     assert list(csc.contradictions) == csc.violating_signals
     for signal, contradictory in csc.contradictions.items():
         assert contradictory == product_checks.contradictory_codes(
-            encoding, reached, charfun, signal)
+            encoding, reached, signal)
         quiescent, excitation = product_checks.conflict_sets(
-            encoding, reached, charfun, signal)
-        assert quiescent_conflicts(encoding, reached, charfun, signal,
+            encoding, reached, signal)
+        assert quiescent_conflicts(encoding, reached, signal,
                                    contradictory) == quiescent
         # The target is not bounded by R; inside R it is the oracle's
         # excitation side.
-        assert (reached & excited_conflicts(charfun, signal,
+        assert (reached & excited_conflicts(encoding, signal,
                                             contradictory)) == excitation
     # Only a CSC violator can have complementary input sequences.
     assert check_complementary_input_sequences(
-        encoding, reached, pipeline.image, csc.contradictions) == \
+        pipeline.image, reached, csc.contradictions) == \
         product_checks.complementary_input_sequences(
             encoding, reached, pipeline.image, stg.noninput_signals)
 

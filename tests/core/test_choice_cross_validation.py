@@ -69,7 +69,7 @@ def choice_controllers(draw):
 def symbolic_setup(stg):
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, stats = symbolic_traversal(encoding, image=image)
+    reached, stats = symbolic_traversal(image)
     return encoding, image, reached, stats
 
 
@@ -97,7 +97,7 @@ class TestChoiceControllersCrossValidation:
         encoding, image, reached, _ = symbolic_setup(stg)
         explicit_result = explicit_persistency(explicit_graph, stg)
         symbolic_result = check_conflict_pairs(
-            encoding, reached, image).signal_persistency
+            image, reached).signal_persistency
         assert explicit_result.persistent == symbolic_result.persistent
 
     @settings(max_examples=25, deadline=None)
@@ -106,8 +106,7 @@ class TestChoiceControllersCrossValidation:
         explicit_graph = build_state_graph(stg).graph
         encoding, image, reached, stats = symbolic_setup(stg)
         assert explicit_csc(explicit_graph, stg).csc == \
-            symbolic_csc(encoding, reached, stats.num_states,
-                         image.charfun).csc
+            symbolic_csc(encoding, reached, stats.num_states).csc
 
     @settings(max_examples=20, deadline=None)
     @given(stg=choice_controllers())
@@ -116,7 +115,7 @@ class TestChoiceControllersCrossValidation:
         explicit_result = explicit_conflicts(explicit_graph, stg)
         encoding, image, reached, _ = symbolic_setup(stg)
         symbolic_result = check_conflict_pairs(
-            encoding, reached, image).conflicts
+            image, reached).conflicts
         assert explicit_result.fake_free(stg) == symbolic_result.fake_free(stg)
         assert booleans(explicit_result) == booleans(symbolic_result)
 

@@ -47,7 +47,7 @@ b- p1
 def setup(stg):
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, _ = symbolic_traversal(encoding, image=image)
+    reached, _ = symbolic_traversal(image)
     return encoding, image, reached
 
 
@@ -59,14 +59,14 @@ class TestDeadlocks:
     def test_live_specifications_are_deadlock_free(self, factory):
         stg = factory()
         encoding, image, reached = setup(stg)
-        result = check_deadlock_freedom(encoding, reached, image.charfun)
+        result = check_deadlock_freedom(encoding, reached)
         assert result.deadlock_free
-        assert deadlock_states(encoding, reached, image.charfun).is_false()
+        assert deadlock_states(encoding, reached).is_false()
 
     def test_one_shot_specification_has_deadlocks(self):
         stg = fake_conflict_d1()   # acyclic: ends after c+
         encoding, image, reached = setup(stg)
-        result = check_deadlock_freedom(encoding, reached, image.charfun)
+        result = check_deadlock_freedom(encoding, reached)
         assert not result.deadlock_free
         assert result.num_deadlocks == 1
         assert result.witness is not None
@@ -76,7 +76,7 @@ class TestDeadlocks:
     def test_deadlock_count_matches_explicit(self):
         stg = output_disabled_by_input()
         encoding, image, reached = setup(stg)
-        symbolic = check_deadlock_freedom(encoding, reached, image.charfun)
+        symbolic = check_deadlock_freedom(encoding, reached)
         graph = build_reachability_graph(stg.net)
         explicit = [marking for marking in graph.markings
                     if not graph.successors(marking)]
@@ -86,7 +86,7 @@ class TestDeadlocks:
         stg = handshake()
         encoding, image, reached = setup(stg)
         assert "deadlock-free" in str(
-            check_deadlock_freedom(encoding, reached, image.charfun))
+            check_deadlock_freedom(encoding, reached))
 
 
 class TestReversibility:
@@ -96,13 +96,13 @@ class TestReversibility:
     def test_cyclic_specifications_are_reversible(self, factory):
         stg = factory()
         encoding, image, reached = setup(stg)
-        result = check_reversibility(encoding, reached, image)
+        result = check_reversibility(image, reached)
         assert result.reversible
 
     def test_acyclic_specification_is_not_reversible(self):
         stg = fake_conflict_d1()
         encoding, image, reached = setup(stg)
-        result = check_reversibility(encoding, reached, image)
+        result = check_reversibility(image, reached)
         assert not result.reversible
         # Every non-initial state cannot come back (the net never returns).
         assert result.num_unreturnable == 4
@@ -110,7 +110,7 @@ class TestReversibility:
     def test_rendering(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
-        assert "reversible" in str(check_reversibility(encoding, reached, image))
+        assert "reversible" in str(check_reversibility(image, reached))
 
 
 class TestLivenessThroughThePipeline:
@@ -144,10 +144,9 @@ class TestLivenessThroughThePipeline:
         assert symbolic.reversible is explicit.reversible is (stranded == 0)
         assert symbolic.verdicts == explicit.verdicts
         encoding, image, reached = setup(factory())
-        direct = check_deadlock_freedom(encoding, reached, image.charfun)
+        direct = check_deadlock_freedom(encoding, reached)
         assert direct.num_deadlocks == deadlocks
-        assert check_reversibility(encoding, reached,
-                                   image).num_unreturnable == stranded
+        assert check_reversibility(image, reached).num_unreturnable == stranded
 
     def test_reversible_spec_skips_the_deadlock_product(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -6,7 +6,7 @@ from repro.core.encoding import ORDERING_STRATEGIES, SymbolicEncoding
 from repro.petri import Marking
 from repro.stg.generators import handshake, muller_pipeline, mutex_element
 
-from tests.core.markings import markings_to_function
+from tests.core.markings import marking_minterm, markings_to_function
 
 
 class TestVariables:
@@ -67,7 +67,7 @@ class TestStateConstruction:
     def test_marking_minterm_is_single_assignment(self):
         stg = handshake()
         encoding = SymbolicEncoding(stg)
-        minterm = encoding.marking_minterm(stg.initial_marking())
+        minterm = marking_minterm(encoding, stg.initial_marking())
         assert minterm.sat_count(care_vars=encoding.place_variables) == 1
 
     def test_initial_state_minterm(self):
@@ -80,11 +80,13 @@ class TestStateConstruction:
         assert decoded["marking"] == stg.initial_marking()
         assert decoded["code"] == {"r": False, "a": False}
 
-    def test_code_minterm_fixes_all_signals(self):
+    def test_state_minterm_fixes_every_variable(self):
         stg = mutex_element()
         encoding = SymbolicEncoding(stg)
-        code = encoding.code_minterm({s: False for s in stg.signals})
-        assert code.sat_count(care_vars=encoding.signal_variables) == 1
+        state = encoding.state_minterm(stg.initial_marking(),
+                                       {s: False for s in stg.signals})
+        assert encoding.count_states(state) == 1
+        assert set(state.support()) == set(encoding.all_variables)
 
     def test_markings_to_function_counts(self):
         stg = handshake()

@@ -84,8 +84,7 @@ def closure_starts(pipeline):
               ("unrestricted", initial, every, None)]
     inputs = image.input_transitions()
     for signal in encoding.stg.noninput_signals:
-        conflict, _ = product_checks.conflict_sets(encoding, reached,
-                                                   pipeline.charfun, signal)
+        conflict, _ = product_checks.conflict_sets(encoding, reached, signal)
         if conflict.is_false():
             continue
         backward = fixpoint(image, conflict, inputs, "backward", "chained",

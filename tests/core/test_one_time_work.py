@@ -5,25 +5,33 @@ resolves backward steps only for a closure that fires backward, and
 counts the reachable states once: the traversal stores the count and
 USC reads it.  The persistency and fake-conflict checks fire each
 ordered pair of transitions that share an input place and are enabled
-together once, between them.
+together once, between them.  Each characteristic function is built
+once per encoding, however many checks and synthesis calls read it.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import corpus
 from repro.api import ALL, run
 from repro.api.checks import run_checks
-from repro.bdd import operators
+from repro.bdd import Function, operators
+from repro.core.csc import check_csc
+from repro.core.deadlock import check_deadlock_freedom
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.pipeline import VerificationPipeline
 from repro.petri.reachability import build_reachability_graph
 from repro.petri.structure import conflict_places
 from repro.stg.generators import (
+    csc_violation_example,
     fake_conflict_d1,
+    irreducible_csc_example,
     muller_pipeline,
     mutex_element,
 )
+from repro.synthesis import derive_next_state_functions
 
 
 @pytest.fixture
@@ -125,3 +133,58 @@ def test_corpus_conflict_firings_are_the_co_enabled_pairs(name,
     stg = corpus.load(name)
     assert (conflict_check_firings(stg, monkeypatch)
             == len(co_enabled_pairs(stg.net)))
+
+
+@pytest.fixture
+def built_functions(monkeypatch):
+    """The characteristic functions built from now on: each ``E(t)``
+    cube as its ``(preset ids, True)`` and each next-state function
+    ``N(a) = a ? not E(a-) : E(a+)`` as the support of its ``a``."""
+    built = []
+    cube, ite = SymbolicEncoding.cube, Function.ite
+
+    def building_cube(self, variables, value):
+        variables = tuple(variables)
+        built.append((variables, value))
+        return cube(self, variables, value)
+
+    def building_ite(self, then_f, else_f):
+        built.append(tuple(self.support()))
+        return ite(self, then_f, else_f)
+
+    monkeypatch.setattr(SymbolicEncoding, "cube", building_cube)
+    monkeypatch.setattr(Function, "ite", building_ite)
+    return built
+
+
+def assert_built_once(encoding, built):
+    """No function was built more often than there are transitions it
+    stands for (two transitions with one preset share their cube)."""
+    needed = Counter((step.preset, True) for step in encoding.steps.values())
+    assert built
+    for key, times in Counter(built).items():
+        assert times <= needed.get(key, 1), key
+
+
+def test_an_all_checks_run_builds_each_function_once(built_functions):
+    outcome = run(irreducible_csc_example(), checks=ALL)
+    assert outcome.report.csc is False
+    assert outcome.report.complementary_free is False
+    encoding = outcome.pipeline.encoding
+    assert_built_once(encoding, built_functions)
+    # CSC builds N(a) per non-input signal; the complementary-sequence
+    # check starts from the same N(a) of each violator.
+    assert [key for key in built_functions if isinstance(key[0], str)] == [
+        (encoding.signal_variable(signal),)
+        for signal in encoding.stg.noninput_signals]
+
+
+def test_checks_and_synthesis_on_one_encoding_build_no_function_twice(
+        built_functions):
+    pipeline = VerificationPipeline(csc_violation_example())
+    encoding, reached = pipeline.encoding, pipeline.reached
+    assert not check_csc(encoding, reached,
+                         pipeline.traversal_stats.num_states).csc
+    check_deadlock_freedom(encoding, reached)
+    derive_next_state_functions(encoding, reached, require_csc=False)
+    assert_built_once(encoding, built_functions)

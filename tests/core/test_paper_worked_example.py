@@ -13,7 +13,6 @@
 
 import pytest
 
-from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
@@ -22,32 +21,35 @@ from repro.sg import build_state_graph
 from repro.sg.traces import bounded_trace_equivalent
 from repro.stg.generators import fake_conflict_d1, fake_conflict_d2, mutex_element
 
-from tests.core.markings import markings_to_function
+from tests.core.markings import (
+    all_successors_marked,
+    marking_minterm,
+    markings_to_function,
+    no_predecessor_marked,
+)
 
 
 @pytest.fixture
 def mutex():
     stg = mutex_element()
     encoding = SymbolicEncoding(stg)
-    charfun = CharacteristicFunctions(encoding)
-    image = SymbolicImage(encoding, charfun)
-    return stg, encoding, charfun, image
+    return stg, encoding, SymbolicImage(encoding)
 
 
 class TestSection4WorkedExample:
     """Step-by-step delta_N computation on the Figure 1 net."""
 
     def test_characteristic_function_of_marking_set(self, mutex):
-        stg, encoding, _, _ = mutex
+        stg, encoding, _ = mutex
         reach = build_reachability_graph(stg.net)
         markings = reach.markings[:5]
         chi = markings_to_function(encoding, markings)
         assert chi.sat_count(care_vars=encoding.place_variables) == 5
         for marking in markings:
-            assert encoding.marking_minterm(marking) <= chi
+            assert marking_minterm(encoding, marking) <= chi
 
     def test_delta_n_pipeline_steps(self, mutex):
-        stg, encoding, charfun, image = mutex
+        stg, encoding, image = mutex
         transition = "r1+"
         reach = build_reachability_graph(stg.net)
         enabled_markings = [m for m in reach.markings
@@ -68,7 +70,7 @@ class TestSection4WorkedExample:
         assert not predecessor_vars & set(step1.support())
 
         # Step 2: the product with NPM(t) removes the tokens.
-        step2 = step1 & charfun.no_predecessor_marked(transition)
+        step2 = step1 & no_predecessor_marked(encoding, transition)
         for variable in predecessor_vars:
             assert (step2 & encoding.manager.var(variable)).is_false()
 
@@ -76,7 +78,7 @@ class TestSection4WorkedExample:
         # tokens to every successor place.
         step3 = step2.cofactor({variable: False
                                 for variable in successor_vars})
-        step4 = step3 & charfun.all_successors_marked(transition)
+        step4 = step3 & all_successors_marked(encoding, transition)
         for variable in successor_vars:
             assert step4 <= encoding.manager.var(variable)
 
@@ -101,7 +103,7 @@ class TestFigure2StateModels:
     def test_symbolic_traversal_matches_both(self):
         stg = mutex_element()
         encoding = SymbolicEncoding(stg)
-        reached, stats = symbolic_traversal(encoding)
+        reached, stats = symbolic_traversal(SymbolicImage(encoding))
         reach = build_reachability_graph(stg.net)
         assert stats.num_states == reach.num_markings
         markings_only = reached.exist(encoding.signal_variables)

@@ -61,7 +61,7 @@ class TestRandomisedCrossValidation:
     def test_state_counts_agree(self, stg):
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg)
-        _, stats = symbolic_traversal(encoding)
+        _, stats = symbolic_traversal(SymbolicImage(encoding))
         assert stats.num_states == explicit.num_states
 
     @settings(max_examples=15, deadline=None)
@@ -72,10 +72,10 @@ class TestRandomisedCrossValidation:
         assert explicit.consistent
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
+        reached, _ = symbolic_traversal(image)
         assert check_state_cubes(encoding, reached).consistency.consistent
         assert check_conflict_pairs(
-            encoding, reached, image).signal_persistency.persistent
+            image, reached).signal_persistency.persistent
         assert explicit_persistency(explicit.graph, stg).persistent
 
     @settings(max_examples=15, deadline=None)
@@ -84,9 +84,8 @@ class TestRandomisedCrossValidation:
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, stats = symbolic_traversal(encoding, image=image)
-        assert symbolic_csc(encoding, reached, stats.num_states,
-                            image.charfun).csc == \
+        reached, stats = symbolic_traversal(image)
+        assert symbolic_csc(encoding, reached, stats.num_states).csc == \
             explicit_csc(explicit, stg).csc
 
     @settings(max_examples=15, deadline=None)
@@ -95,5 +94,5 @@ class TestRandomisedCrossValidation:
     def test_ordering_does_not_change_state_count(self, stg, ordering):
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg, ordering=ordering)
-        _, stats = symbolic_traversal(encoding)
+        _, stats = symbolic_traversal(SymbolicImage(encoding))
         assert stats.num_states == explicit.num_states

@@ -65,9 +65,8 @@ def closure_verdicts(stg):
     """``(reversible, deadlock_free)`` straight from the symbolic checks."""
     pipeline = VerificationPipeline(stg)
     encoding, reached = pipeline.encoding, pipeline.reached
-    return (check_reversibility(encoding, reached, pipeline.image).reversible,
-            check_deadlock_freedom(encoding, reached,
-                                   pipeline.charfun).deadlock_free)
+    return (check_reversibility(pipeline.image, reached).reversible,
+            check_deadlock_freedom(encoding, reached).deadlock_free)
 
 
 @pytest.fixture
@@ -76,7 +75,7 @@ def closure_calls(monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append(args[0].stg.name)
+        calls.append(args[0].encoding.stg.name)
         return check_reversibility(*args, **kwargs)
 
     monkeypatch.setattr(repro.core.pipeline, "check_reversibility",

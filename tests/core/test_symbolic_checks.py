@@ -35,13 +35,13 @@ from tests.core import product_checks
 def symbolic_setup(stg):
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, _ = symbolic_traversal(encoding, image=image)
+    reached, _ = symbolic_traversal(image)
     return encoding, image, reached
 
 
 def conflict_pairs(stg, arbitration_places=()):
     encoding, image, reached = symbolic_setup(stg)
-    return check_conflict_pairs(encoding, reached, image, arbitration_places)
+    return check_conflict_pairs(image, reached, arbitration_places)
 
 
 def enables(stg, marking, transition):
@@ -244,16 +244,14 @@ class TestCSC:
     def test_verdicts(self, factory, expect_csc, expect_usc):
         stg = factory()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, encoding.count_states(reached),
-                           image.charfun)
+        result = check_csc(encoding, reached, encoding.count_states(reached))
         assert result.csc is expect_csc
         assert result.usc is expect_usc
 
     def test_violating_signals_and_witness_code(self):
         stg = csc_violation_example()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, encoding.count_states(reached),
-                           image.charfun)
+        result = check_csc(encoding, reached, encoding.count_states(reached))
         assert set(result.violating_signals) == {"b", "c"}
         witness = result.witnesses["b"]["code"]
         assert witness == {"a": True, "b": False, "c": False}
@@ -264,8 +262,7 @@ class TestCSC:
         codes = reached.exist(encoding.place_variables)
         for signal in stg.signals:
             er_plus, er_minus, qr_plus, qr_minus = \
-                product_checks.state_regions(encoding, reached,
-                                             image.charfun, signal)
+                product_checks.state_regions(encoding, reached, signal)
             assert er_plus | er_minus | qr_plus | qr_minus == reached
             places = encoding.place_variables
             assert (er_plus.exist(places) | er_minus.exist(places)
@@ -290,8 +287,7 @@ class TestCSC:
     def test_only_requested_signals_checked(self):
         stg = csc_violation_example()
         encoding, image, reached = symbolic_setup(stg)
-        result = check_csc(encoding, reached, encoding.count_states(reached),
-                           image.charfun, signals=["b"])
+        result = check_csc(encoding, reached, encoding.count_states(reached), signals=["b"])
         assert result.violating_signals == ["b"]
 
 
@@ -324,9 +320,8 @@ class TestReducibility:
     def complementary(stg):
         encoding, image, reached = symbolic_setup(stg)
         contradictions = check_csc(encoding, reached,
-                                   encoding.count_states(reached),
-                                   image.charfun).contradictions
-        return check_complementary_input_sequences(encoding, reached, image,
+                                   encoding.count_states(reached)).contradictions
+        return check_complementary_input_sequences(image, reached,
                                                    contradictions)
 
     def test_csc_violation_is_complementary_free(self):

@@ -37,14 +37,14 @@ class TestReachedSetMatchesExplicit:
         stg = factory()
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg)
-        reached, stats = symbolic_traversal(encoding)
+        reached, stats = symbolic_traversal(SymbolicImage(encoding))
         assert stats.num_states == explicit.num_states
 
     def test_every_explicit_state_is_in_reached(self, name, factory):
         stg = factory()
         explicit = build_state_graph(stg).graph
         encoding = SymbolicEncoding(stg)
-        reached, _ = symbolic_traversal(encoding)
+        reached, _ = symbolic_traversal(SymbolicImage(encoding))
         for state in explicit.states:
             minterm = encoding.state_minterm(
                 state.marking, {s: state.value_of(s) for s in stg.signals})
@@ -56,28 +56,28 @@ class TestTraversalStrategies:
                              ids=[name for name, _ in EXAMPLES[:5]])
     def test_chained_and_frontier_agree(self, name, factory):
         stg = factory()
-        encoding = SymbolicEncoding(stg)
-        chained, stats_chained = symbolic_traversal(encoding, strategy="chained")
-        frontier, stats_frontier = symbolic_traversal(encoding,
+        image = SymbolicImage(SymbolicEncoding(stg))
+        chained, stats_chained = symbolic_traversal(image, strategy="chained")
+        frontier, stats_frontier = symbolic_traversal(image,
                                                       strategy="frontier")
         assert chained == frontier
         assert stats_chained.num_states == stats_frontier.num_states
 
     def test_chained_uses_fewer_or_equal_iterations(self):
         stg = muller_pipeline(5)
-        encoding = SymbolicEncoding(stg)
-        _, chained = symbolic_traversal(encoding, strategy="chained")
-        _, frontier = symbolic_traversal(encoding, strategy="frontier")
+        image = SymbolicImage(SymbolicEncoding(stg))
+        _, chained = symbolic_traversal(image, strategy="chained")
+        _, frontier = symbolic_traversal(image, strategy="frontier")
         assert chained.iterations <= frontier.iterations
 
     def test_unknown_strategy_rejected(self):
         encoding = SymbolicEncoding(handshake())
         with pytest.raises(ValueError):
-            symbolic_traversal(encoding, strategy="depth_first")
+            symbolic_traversal(SymbolicImage(encoding), strategy="depth_first")
 
     def test_stats_are_populated(self):
         encoding = SymbolicEncoding(muller_pipeline(3))
-        reached, stats = symbolic_traversal(encoding)
+        reached, stats = symbolic_traversal(SymbolicImage(encoding))
         assert stats.num_states == 16
         assert stats.iterations >= 1
         assert stats.images_computed > 0
@@ -92,7 +92,7 @@ class TestTraversalStrategies:
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
         reached, stats = symbolic_traversal(
-            encoding, image=image, transitions=image.input_transitions())
+            image, transitions=image.input_transitions())
         assert stats.num_states == 2
 
 
@@ -101,7 +101,7 @@ class TestFrozenClosures:
         stg = mutex_element()
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        full, _ = symbolic_traversal(encoding, image=image)
+        full, _ = symbolic_traversal(image)
         closure = fixpoint(image, encoding.initial_state(),
                            image.input_transitions(), "forward", "chained",
                            restrict_to=full)
@@ -112,7 +112,7 @@ class TestFrozenClosures:
         stg = handshake()
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        full, _ = symbolic_traversal(encoding, image=image)
+        full, _ = symbolic_traversal(image)
         forward = fixpoint(image, encoding.initial_state(), stg.transitions,
                            "forward", "chained", restrict_to=full)
         assert forward == full

@@ -21,7 +21,7 @@ from tests.core import product_checks
 def setup(stg):
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, _ = symbolic_traversal(encoding, image=image)
+    reached, _ = symbolic_traversal(image)
     return encoding, image, reached
 
 
@@ -29,26 +29,23 @@ class TestFindFiringSequence:
     def test_empty_sequence_for_initial_state(self):
         stg = handshake()
         encoding, image, _ = setup(stg)
-        assert find_firing_sequence(encoding, encoding.initial_state(),
-                                    image) == []
+        assert find_firing_sequence(image, encoding.initial_state()) == []
 
     def test_sequence_to_specific_code(self):
         stg = handshake()
         encoding, image, _ = setup(stg)
         target = encoding.signal("r") & encoding.signal("a")
-        sequence = find_firing_sequence(encoding, target, image)
+        sequence = find_firing_sequence(image, target)
         assert sequence == ["r+", "a+"]
 
     def test_sequence_is_replayable_on_the_net(self):
         stg = vme_read_cycle()
         encoding, image, reached = setup(stg)
-        charfun = image.charfun
         # Target: the famous CSC-conflict code on its quiescent side.
-        qr_minus = product_checks.state_regions(encoding, reached, charfun,
-                                                "d")[3]
+        qr_minus = product_checks.state_regions(encoding, reached, "d")[3]
         target = qr_minus & product_checks.contradictory_codes(
-            encoding, reached, charfun, "d")
-        sequence = find_firing_sequence(encoding, target, image)
+            encoding, reached, "d")
+        sequence = find_firing_sequence(image, target)
         assert sequence
         marking = stg.initial_marking()
         values = dict(stg.initial_state_vector())
@@ -65,7 +62,7 @@ class TestFindFiringSequence:
         encoding, image, _ = setup(stg)
         # Reaching c3=1 requires the wave to traverse all four signals.
         target = encoding.signal("c3")
-        sequence = find_firing_sequence(encoding, target, image)
+        sequence = find_firing_sequence(image, target)
         assert len(sequence) == 4
         assert sequence == ["c0+", "c1+", "c2+", "c3+"]
 
@@ -76,15 +73,15 @@ class TestFindFiringSequence:
         impossible = (encoding.signal("r") & encoding.signal("a")
                       & encoding.place("<a-,r+>"))
         with pytest.raises(WitnessError):
-            find_firing_sequence(encoding, impossible, image)
+            find_firing_sequence(image, impossible)
 
     def test_witness_to_deadlock(self):
         stg = fake_conflict_d1()
         encoding, image, reached = setup(stg)
         from repro.core.deadlock import deadlock_states
 
-        dead = deadlock_states(encoding, reached, image.charfun)
-        sequence = find_firing_sequence(encoding, dead, image)
+        dead = deadlock_states(encoding, reached)
+        sequence = find_firing_sequence(image, dead)
         assert len(sequence) == 3  # one interleaving of a/b plus c+
         assert sequence[-1] == "c+"
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro import api, corpus, obs
 from repro.api.facade import resolve_base
-from repro.cache import BDDStore, bind_pipeline
+from repro.cache import BDDStore, BDDStoreWarning, bind_pipeline
 from repro.core.pipeline import VerificationPipeline
 from repro.delta import TIER_COLD, TIER_SEED, warmstart
 from repro.delta.warmstart import TIER_HIT
@@ -106,6 +106,23 @@ class TestColdTier:
         assert warm.report.delta["tier"] == TIER_COLD
         assert warm.report.delta["reasons"] == \
             ["no stored entry matches the base fingerprint"]
+
+    def test_a_corrupt_base_warns_and_is_named_until_rechecked(
+            self, populated, config, store, edit_closed, edit_open):
+        fingerprint = resolve_base(populated, config)
+        with open(os.path.join(store.directory, f"{fingerprint}.bdd"),
+                  "w", encoding="utf-8") as handle:
+            handle.write("bddstore 4\nmeta {not json\n")
+        with pytest.warns(BDDStoreWarning, match="corrupt BDD-store entry"):
+            warm = api.run(edit_closed, config, base=populated)
+        assert warm.report.delta["tier"] == TIER_COLD
+        assert warm.report.delta["reasons"] == \
+            [f"the base's stored entry {fingerprint}.bdd is corrupt"]
+        # Re-checking the base rewrites its file, so edits seed again.
+        with pytest.warns(BDDStoreWarning, match="corrupt BDD-store entry"):
+            api.run(populated, config)
+        assert api.run(edit_open, config, base=populated).report.delta[
+            "tier"] == TIER_SEED
 
     def test_base_without_specification_text_is_cold(
             self, base_stg, config, store, edit_closed):
@@ -220,7 +237,8 @@ class TestEditHistory:
                     if name.endswith(".bdd")
                     and name != os.path.basename(path))
         shutil.copyfile(os.path.join(store.directory, edit), path)
-        assert store.find(fingerprint) is None  # now holds an edit
+        with pytest.warns(BDDStoreWarning, match="records fingerprint"):
+            assert store.find(fingerprint) is None  # now holds an edit
         os.remove(path)
         assert store.find(fingerprint) is None
         api.run(base_stg, config, checks=["csc"])

@@ -62,3 +62,19 @@ def test_plain_request_is_traced_into_a_trace_directory(
     with open(path, encoding="utf-8") as handle:
         names = {record.get("name") for record in map(json.loads, handle)}
     assert {"request", "queue_wait", "entry", "traversal"} <= names
+
+
+def test_a_traced_request_spans_its_run_store_write(make_daemon, tmp_path):
+    trace_dir = tmp_path / "traces"
+    daemon = make_daemon(trace_dir=str(trace_dir))
+    events = list(ServeClient(port=daemon.port)
+                  .check_stream(entry="handshake"))
+    assert events[-1]["type"] == "result" and not events[-1]["cached"]
+    (path,) = [os.path.join(trace_dir, name)
+               for name in os.listdir(trace_dir)]
+    with open(path, encoding="utf-8") as handle:
+        spans = [record for record in map(json.loads, handle)
+                 if record.get("type") == "span"]
+    (request,) = [span for span in spans if span["name"] == "request"]
+    (put,) = [span for span in spans if span["name"] == "runstore.put"]
+    assert put["parent"] == request["id"]

@@ -221,13 +221,14 @@ class TestValidation:
         report = validate_structure(stg)
         assert report.valid
         assert any("has no transitions" in issue.message
-                   for issue in report.warnings)
+                   for issue in report.issues if issue.severity == "warning")
 
     def test_one_sided_signal_is_warning(self):
         stg = fake_conflict_d1()
         report = validate_structure(stg)
         assert report.valid
-        assert any("only" in issue.message for issue in report.warnings)
+        assert any("only" in issue.message for issue in report.issues
+                   if issue.severity == "warning")
 
     def test_report_string_rendering(self):
         report = validate_structure(STG("empty"))

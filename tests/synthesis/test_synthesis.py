@@ -26,7 +26,7 @@ from repro.synthesis.functions import SynthesisError, derive_next_state_function
 def setup(stg):
     encoding = SymbolicEncoding(stg)
     image = SymbolicImage(encoding)
-    reached, _ = symbolic_traversal(encoding, image=image)
+    reached, _ = symbolic_traversal(image)
     return encoding, image, reached
 
 
@@ -34,7 +34,7 @@ class TestNextStateFunctions:
     def test_handshake_acknowledgement_function(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
         assert set(functions) == {"a"}
         function = functions["a"]
         assert function.is_well_defined
@@ -48,7 +48,7 @@ class TestNextStateFunctions:
         stg = handshake()
         encoding, image, reached = setup(stg)
         function = derive_next_state_functions(
-            encoding, reached, image.charfun)["a"]
+            encoding, reached)["a"]
         r = encoding.manager.var(encoding.signal_variable("r"))
         a = encoding.manager.var(encoding.signal_variable("a"))
         assert (r & ~a) <= function.on_set
@@ -57,7 +57,7 @@ class TestNextStateFunctions:
     def test_unreachable_codes_are_dont_care(self):
         stg = muller_pipeline(2)
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
         reachable_codes = reached.exist(encoding.place_variables)
         for function in functions.values():
             assert function.dont_care == ~reachable_codes
@@ -66,19 +66,19 @@ class TestNextStateFunctions:
         stg = handshake()
         encoding, image, reached = setup(stg)
         with pytest.raises(SynthesisError):
-            derive_next_state_function(encoding, reached, image.charfun, "r")
+            derive_next_state_function(encoding, reached, "r")
 
     def test_csc_violation_rejected(self):
         stg = csc_violation_example()
         encoding, image, reached = setup(stg)
         with pytest.raises(SynthesisError):
-            derive_next_state_functions(encoding, reached, image.charfun)
+            derive_next_state_functions(encoding, reached)
 
     def test_csc_violation_tolerated_without_requirement(self):
         stg = csc_violation_example()
         encoding, image, reached = setup(stg)
         functions = derive_next_state_functions(
-            encoding, reached, image.charfun, require_csc=False)
+            encoding, reached, require_csc=False)
         assert not functions["b"].is_well_defined
 
     def test_no_noninput_signals_rejected(self):
@@ -90,7 +90,7 @@ class TestNextStateFunctions:
         stg.connect("a-", "a+", tokens=1)
         encoding, image, reached = setup(stg)
         with pytest.raises(SynthesisError):
-            derive_next_state_functions(encoding, reached, image.charfun)
+            derive_next_state_functions(encoding, reached)
 
 
 class TestComplexGates:
@@ -101,8 +101,8 @@ class TestComplexGates:
     def test_gates_cover_on_set_and_avoid_off_set(self, factory):
         stg = factory()
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
+        gates = synthesize_complex_gates(encoding, reached)
         for signal, gate in gates.items():
             function = functions[signal]
             assert function.on_set <= gate.cover_function
@@ -112,7 +112,7 @@ class TestComplexGates:
     def test_handshake_equation_is_request_buffer(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        gates = synthesize_complex_gates(encoding, reached)
         assert gates["a"].equation == "r"
 
     def test_muller_pipeline_gates_are_c_elements(self):
@@ -120,7 +120,7 @@ class TestComplexGates:
         # c_i = c_{i-1} c_{i+1}' + c_i (c_{i-1} + c_{i+1}')
         stg = muller_pipeline(2)
         encoding, image, reached = setup(stg)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        gates = synthesize_complex_gates(encoding, reached)
         c0 = encoding.signal("c0")
         c1 = encoding.signal("c1")
         c2 = encoding.signal("c2")
@@ -133,8 +133,8 @@ class TestComplexGates:
     def test_gc_elements_cover_excitation_regions(self):
         stg = mutex_element()
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
-        gc = synthesize_generalized_c_elements(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
+        gc = synthesize_generalized_c_elements(encoding, reached)
         for signal, element in gc.items():
             function = functions[signal]
             assert function.excitation_on <= element.set_function
@@ -145,9 +145,9 @@ class TestComplexGates:
     def test_gate_string_rendering(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        gates = synthesize_complex_gates(encoding, reached)
         assert str(gates["a"]) == "a = r"
-        gc = synthesize_generalized_c_elements(encoding, reached, image.charfun)
+        gc = synthesize_generalized_c_elements(encoding, reached)
         assert "set =" in str(gc["a"])
 
 
@@ -159,8 +159,8 @@ class TestVerification:
     def test_derived_gates_verify_against_explicit_graph(self, factory):
         stg = factory()
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
+        gates = synthesize_complex_gates(encoding, reached)
         graph = build_state_graph(stg).graph
         result = verify_implementation(encoding, graph, gates, functions)
         assert result.correct, str(result)
@@ -168,8 +168,8 @@ class TestVerification:
     def test_wrong_gate_is_rejected(self):
         stg = handshake()
         encoding, image, reached = setup(stg)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        functions = derive_next_state_functions(encoding, reached)
+        gates = synthesize_complex_gates(encoding, reached)
         # Sabotage: invert the acknowledgement gate.
         gates["a"].cover_function = ~gates["a"].cover_function
         graph = build_state_graph(stg).graph

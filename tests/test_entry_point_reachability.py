@@ -12,6 +12,13 @@ The same AST resolves every public module-level function and class to
 the production code that uses it (:data:`PRODUCTION`).  A name only
 tests use is deleted, or moved under ``tests/`` when it is a test
 helper; the only exceptions are listed in :data:`KEPT_NAMES`.
+
+Public methods and properties of the classes under ``src/repro`` get
+the same rule by name: one is used when some production file reaches
+it as an attribute (``x.name``) or names it in a string literal
+(``getattr`` and registries).  Receivers are not typed, so any
+attribute of that name counts; the exceptions are listed in
+:data:`KEPT_METHODS`.
 """
 
 import ast
@@ -62,6 +69,25 @@ KEPT_NAMES = {
     "repro.stg.writer.write_g": (
         "the file writer beside repro.stg.read_g_file in repro.stg",
         ("tests/stg/test_parser_writer.py", "tests/test_cli.py")),
+}
+
+
+#: Public methods and properties without a production user:
+#: ``(reason, users)``, as in :data:`KEPT_NAMES`.
+KEPT_METHODS = {
+    "repro.bdd.manager.BDDManager.true": (
+        "the constant TRUE beside false; the kernel tests build from it",
+        ("tests/bdd/test_manager.py", "tests/bdd/test_analysis.py")),
+    "repro.fabric.leases.LeaseStore.active_leases": (
+        "the read view of the replayed lease table the fabric tests check",
+        ("tests/fabric/test_leases.py", "tests/fabric/test_coordinator.py",
+         "tests/utils/test_journal.py")),
+    "repro.obs.sinks.InMemorySink.spans": (
+        "the span view of the in-memory sink, beside its events()",
+        ("tests/obs/test_trace.py", "tests/obs/test_instrumentation.py")),
+    "repro.petri.analysis.TransitionPersistencyResult.conflicting_pairs": (
+        "the pairs of the explicit transition-persistency oracle",
+        ("tests/core/test_transition_persistency_oracle.py",)),
 }
 
 
@@ -257,3 +283,67 @@ def test_every_kept_name_has_a_reason_and_its_users(name):
     for user in users:
         assert name in _name_uses(os.path.join(ROOT, user), modules,
                                   reexports)
+
+
+def _public_methods(modules):
+    """Every public method and property of a module-level class, as a
+    dotted ``module.Class.name``."""
+    names = set()
+    for module, path in modules.items():
+        if module in KEPT:
+            continue
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    f"{module}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and not item.name.startswith("_"))
+    return names
+
+
+def _attributes(path):
+    """Every attribute name one file reaches and every string literal
+    it holds."""
+    reached = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Attribute):
+            reached.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reached.add(node.value)
+    return reached
+
+
+def _production_attributes():
+    reached = set()
+    for top in PRODUCTION:
+        for directory, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in names:
+                if name.endswith(".py"):
+                    reached |= _attributes(os.path.join(directory, name))
+    return reached
+
+
+def test_every_public_method_but_the_kept_ones_has_a_production_user():
+    methods = _public_methods(_modules())
+    assert set(KEPT_METHODS) <= methods
+    reached = _production_attributes()
+    unused = {method for method in methods
+              if method.rsplit(".", 1)[1] not in reached}
+    assert unused == set(KEPT_METHODS)
+
+
+def test_methods_include_properties_and_skip_private_ones():
+    methods = _public_methods(_modules())
+    assert "repro.core.encoding.SymbolicEncoding.enabled" in methods
+    assert "repro.core.encoding.SymbolicEncoding.all_variables" in methods
+    assert "repro.core.encoding.SymbolicEncoding._compile" not in methods
+
+
+@pytest.mark.parametrize("method", sorted(KEPT_METHODS))
+def test_every_kept_method_has_a_reason_and_its_users(method):
+    reason, users = KEPT_METHODS[method]
+    assert reason and users
+    for user in users:
+        assert method.rsplit(".", 1)[1] in _attributes(
+            os.path.join(ROOT, user))

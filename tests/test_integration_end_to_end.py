@@ -60,9 +60,9 @@ class TestSendControllerFlow:
         stg = read_g_file(data_file("sbuf_send_ctl.g"))
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
-        functions = derive_next_state_functions(encoding, reached, image.charfun)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        reached, _ = symbolic_traversal(image)
+        functions = derive_next_state_functions(encoding, reached)
+        gates = synthesize_complex_gates(encoding, reached)
         graph = build_state_graph(stg).graph
         assert verify_implementation(encoding, graph, gates, functions).correct
 
@@ -99,8 +99,8 @@ class TestChoiceControllerFlow:
         stg = read_g_file(data_file("choice_controller.g"))
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
-        gates = synthesize_complex_gates(encoding, reached, image.charfun)
+        reached, _ = symbolic_traversal(image)
+        gates = synthesize_complex_gates(encoding, reached)
         reachable_codes = reached.exist(encoding.place_variables)
         expected = encoding.signal("r1") | encoding.signal("r2")
         assert (gates["g"].cover_function & reachable_codes) == \
@@ -126,6 +126,6 @@ class TestBrokenSpecificationFlow:
         stg = read_g_file(data_file("broken_double_rise.g"))
         encoding = SymbolicEncoding(stg)
         image = SymbolicImage(encoding)
-        reached, _ = symbolic_traversal(encoding, image=image)
+        reached, _ = symbolic_traversal(image)
         with pytest.raises(SynthesisError):
-            derive_next_state_functions(encoding, reached, image.charfun)
+            derive_next_state_functions(encoding, reached)
