@@ -6,13 +6,16 @@
 #
 # `make ci` mirrors .github/workflows/ci.yml on one machine: lint, the
 # analyzer (python -m tools.analysis -- determinism, schema round-trips,
-# facade purity, registry hygiene), the suite with slow-test timings,
-# then the sweep gate (tools/sweep_gate.py) -- both execution backends
-# (process, serial) must produce byte-identical stable JSON, merging four shard stores
-# must reproduce the unsharded sweep, and the chaos leg must prove the
-# lease fabric: a sweep under deterministic fault injection (crashes,
-# hangs, torn writes, renewal stalls) byte-identical to a clean sweep,
-# every fault class visible in the fabric.retry.* metrics.
+# facade purity, observability hygiene), the suite with slow-test
+# timings, then the sweep gate (tools/sweep_gate.py, the workflow's
+# `gate` job) -- both execution backends (process, serial) must produce
+# byte-identical stable JSON, merging four shard stores must reproduce
+# the unsharded sweep, BDD-cache, trace and delta runs must match cold
+# ones (the delta leg also checks the BDD store's layout), and the
+# chaos leg must prove the lease fabric: a sweep under deterministic
+# fault injection (crashes, hangs, torn writes, renewal stalls)
+# byte-identical to a clean sweep, every fault class visible in the
+# fabric.retry.* metrics -- and finally the serve smoke test.
 
 PYTHON ?= python
 export PYTHONPATH := src

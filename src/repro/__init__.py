@@ -2,15 +2,15 @@
 Symbolic BDD Traversal" (Kondratyev, Cortadella, Kishinevsky, Pastor, Roig,
 Yakovlev -- ED&TC 1995).
 
-Public entry points
--------------------
+Packages
+--------
 
-* :mod:`repro.api` -- **the public verification surface**: the
+* :mod:`repro.api` -- **the one public verification entry point**: the
   :func:`~repro.api.facade.verify` facade, the typed
-  :class:`~repro.api.config.EngineConfig` and the pluggable property-check
-  registry.
-* :mod:`repro.engines` -- the engine protocol and registry; new backends
-  plug in with ``engines.register(name, engine)``.
+  :class:`~repro.api.config.EngineConfig` and the table of property
+  checks.  Its engine choice (``symbolic`` or ``explicit``) and check
+  selection reach the two engines of :mod:`repro.engines`, its back
+  end.
 * :mod:`repro.corpus` -- the benchmark corpus: named ``.g`` specifications
   with expected-verdict metadata.
 * :mod:`repro.runner` -- the parallel, sharded, cached sweep runner behind
@@ -44,7 +44,6 @@ from repro.api import (
     ApiError,
     EngineConfig,
     available_checks,
-    register_check,
     run,
     verify,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ImplementabilityReport",
     "__version__",
     "available_checks",
-    "register_check",
     "run",
     "verify",
 ]

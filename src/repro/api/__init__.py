@@ -17,16 +17,15 @@ The moving parts:
   configuration (replaces per-engine constructor kwargs); its
   :meth:`~EngineConfig.to_dict` form is what workers receive, what cache
   fingerprints hash and what ``--json`` reports embed.
-* :mod:`repro.engines` -- the engine protocol and registry; new backends
-  plug in with ``engines.register(name, engine)`` and are immediately
-  usable from the CLI and the sweep runner.
-* the **check registry** (:mod:`repro.api.checks`) -- every property
-  check is named and selectable; custom checks plug in via
-  :func:`register_check`.
+* the **checks** (:mod:`repro.api.checks`) -- the fixed table of the
+  seven property checks, each named and selectable; both engines run
+  every one.
 * :func:`verify` / :func:`run` -- the facade: validation (unknown
   engines/checks/arbitration places raise :class:`ApiError` with
-  did-you-mean suggestions), dispatch, and -- via :func:`run` -- access
-  to the engine intermediates for synthesis and liveness extras.
+  did-you-mean suggestions), dispatch to the ``symbolic`` or
+  ``explicit`` engine (:mod:`repro.engines`, the facade's back end),
+  and -- via :func:`run` -- access to the engine intermediates for
+  synthesis and liveness extras.
 """
 
 from repro.api.checks import (
@@ -34,10 +33,7 @@ from repro.api.checks import (
     CheckSpec,
     available_checks,
     default_checks,
-    register_check,
     resolve_checks,
-    supported_checks,
-    unregister_check,
 )
 from repro.api.config import (
     EXECUTION_KNOB_FIELDS,
@@ -60,11 +56,8 @@ __all__ = [
     "UnknownEngineError",
     "available_checks",
     "default_checks",
-    "register_check",
     "resolve_checks",
     "run",
-    "supported_checks",
-    "unregister_check",
     "validate_arbitration_places",
     "verify",
 ]

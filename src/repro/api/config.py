@@ -18,7 +18,7 @@ processes as a bare engine string plus ad-hoc keyword arguments.  It is
 
 Every field applies to at least one engine; fields an engine does not
 use (e.g. ``ordering`` on the explicit engine) are carried but ignored,
-so one config can drive any registered engine.
+so one config can drive either engine.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class EngineConfig:
     Parameters
     ----------
     engine:
-        Name of a registered engine (see :func:`repro.engines.available`).
+        ``"symbolic"`` (the default) or ``"explicit"``
+        (:data:`repro.engines.ENGINES`).
     ordering:
         BDD variable-ordering strategy (symbolic engine).
     traversal_strategy:

@@ -6,7 +6,7 @@ specification -- raises a subclass of :class:`ApiError` whose message is
 ready to be shown to a user verbatim (the CLI maps them to usage errors,
 exit status 2).  Unknown-name errors are
 :class:`~repro.utils.registry.UnknownNameError` subclasses: they list
-the registered names and suggest the close ones, like every registry.
+the known names and suggest the close ones, like every registry.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ class ApiError(ValueError):
 
 
 class UnknownEngineError(UnknownNameError, ApiError):
-    """The requested engine is not registered."""
+    """The requested engine is not one of the two engines."""
 
     kind = "engine"
 
 
 class UnknownCheckError(UnknownNameError, ApiError):
-    """The requested property check is not registered."""
+    """The requested property check is not one of the seven checks."""
 
     kind = "check"

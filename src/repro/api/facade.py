@@ -118,9 +118,9 @@ def run(stg: STG, config: Optional[EngineConfig] = None,
 
     ``config`` defaults to ``EngineConfig()`` (symbolic engine, force
     ordering).  ``checks`` selects the property checks to run: ``None``
-    for the engine's default set, :data:`repro.api.checks.ALL` for every
-    supported check, or an iterable / comma-separated string of check
-    names (see :func:`repro.api.checks.available_checks`).
+    for the default set, :data:`repro.api.checks.ALL` for every check,
+    or an iterable / comma-separated string of check names (see
+    :func:`repro.api.checks.available_checks`).
 
     ``base`` requests a delta warm-start from a previously cached entry
     (see :func:`resolve_base` for the accepted spellings and the module
@@ -147,10 +147,8 @@ def run(stg: STG, config: Optional[EngineConfig] = None,
         config = config.with_overrides(
             base_fingerprint=resolve_base(base, config))
     validate_arbitration_places(stg, config.arbitration_places)
-    engine = engines.get(config.engine)
-    selected = resolve_checks(checks, engine=config.engine,
-                              supported=engine.checks)
-    outcome = engine.run(stg, config, selected)
+    selected = resolve_checks(checks)
+    outcome = engines.get(config.engine).run(stg, config, selected)
     if config.base_fingerprint and outcome.pipeline is not None:
         info = getattr(outcome.pipeline, "delta_info", None)
         if info is not None:

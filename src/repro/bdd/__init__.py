@@ -7,10 +7,9 @@ symbolic substrate of the reproduction.  It provides:
   and ``ite``,
 * :class:`~repro.bdd.function.Function` -- a handle to a BDD root with
   Python operator overloading (``&``, ``|``, ``~``, ``^``, ...),
-* existential quantification, cofactoring, the image kernel
-  ``transfer``, saturation and the cube query ``meets``
-  (:mod:`repro.bdd.operators`),
-* model counting / enumeration and support computation
+* existential quantification, the image kernel ``transfer``,
+  saturation and the cube query ``meets`` (:mod:`repro.bdd.operators`),
+* model counting, one model and support computation
   (:mod:`repro.bdd.analysis`),
 * the FORCE static variable-ordering heuristic
   (:mod:`repro.bdd.ordering`),

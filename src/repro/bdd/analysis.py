@@ -1,8 +1,8 @@
-"""Analysis helpers: support, model counting, model enumeration, evaluation."""
+"""Analysis helpers: support, model counting, one model, evaluation."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bdd.function import Function
 from repro.bdd.manager import FALSE_ID, TRUE_ID
@@ -94,62 +94,12 @@ def evaluate(f: Function, assignment: Dict[str, bool]) -> bool:
     return node == TRUE_ID
 
 
-def iter_models(f: Function, care_vars: Optional[Sequence[str]] = None
-                ) -> Iterator[Dict[str, bool]]:
-    """Enumerate satisfying assignments as dictionaries over ``care_vars``.
-
-    Models are produced in lexicographic order of the care variables (in
-    manager order, False < True).  The number of yielded models equals
-    :func:`sat_count` with the same care set.  No check enumerates
-    models: this is the reference the tests hold :func:`pick_one` to.
-    """
-    manager = f.manager
-    if care_vars is None:
-        care_vars = manager.variables
-    care_levels = sorted(manager.level_of(name) for name in care_vars)
-    names = [manager.var_at_level(level) for level in care_levels]
-    level_set = set(care_levels)
-    for name in support(f):
-        if manager.level_of(name) not in level_set:
-            raise ValueError(
-                f"care set does not cover the support: missing {name!r}")
-
-    def recurse(node: int, index: int, partial: Dict[str, bool]
-                ) -> Iterator[Dict[str, bool]]:
-        if node == FALSE_ID:
-            return
-        if index == len(care_levels):
-            yield dict(partial)
-            return
-        level = care_levels[index]
-        name = names[index]
-        if manager.is_terminal(node) or manager.node_level(node) > level:
-            # The function does not test this care variable here.
-            for value in (False, True):
-                partial[name] = value
-                yield from recurse(node, index + 1, partial)
-            del partial[name]
-            return
-        # The node level equals the care level (it cannot be smaller because
-        # the care set covers the support).
-        partial[name] = False
-        yield from recurse(manager.node_low(node), index + 1, partial)
-        partial[name] = True
-        yield from recurse(manager.node_high(node), index + 1, partial)
-        del partial[name]
-
-    try:
-        yield from recurse(f.node, 0, {})
-    finally:
-        recurse = None  # the closure reaches itself through this cell
-
-
 def pick_one(f: Function, care_vars: Optional[Sequence[str]] = None
              ) -> Optional[Dict[str, bool]]:
     """Return one satisfying assignment over ``care_vars`` or ``None``.
 
-    The model is the first :func:`iter_models` yields: the care
-    variables are read in manager order, and each takes the low branch
+    The model is the first in lexicographic order of the care
+    variables: they are read in manager order, and each takes the low branch
     unless it leads to FALSE; a variable ``f`` does not test there is
     False.  The model is read along one path.  When ``care_vars`` is
     narrower than every declared variable, one walk over ``f``'s nodes

@@ -8,8 +8,8 @@ identity canonical).
 
 from __future__ import annotations
 
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, TYPE_CHECKING)
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdd.manager import BDDManager
@@ -161,12 +161,6 @@ class Function:
 
         return operators.exist(self, variables)
 
-    def cofactor(self, literals: Dict[str, bool]) -> "Function":
-        """Cofactor with respect to a cube given as ``{var: polarity}``."""
-        from repro.bdd import operators
-
-        return operators.cofactor(self, literals)
-
     def transfer(self, steps: "TransferSteps",
                  drop: Optional["Function"] = None) -> "Function":
         """``((self|require) & assign) - drop`` in one pass (image kernel)."""
@@ -174,24 +168,11 @@ class Function:
 
         return operators.transfer(self, steps, drop)
 
-    def support(self) -> Sequence[str]:
-        """The set of variables the function actually depends on."""
-        from repro.bdd import analysis
-
-        return analysis.support(self)
-
     def sat_count(self, care_vars: Optional[Sequence[str]] = None) -> int:
         """Number of satisfying assignments over ``care_vars``."""
         from repro.bdd import analysis
 
         return analysis.sat_count(self, care_vars)
-
-    def iter_models(self, care_vars: Optional[Sequence[str]] = None
-                    ) -> Iterator[Dict[str, bool]]:
-        """Iterate over satisfying assignments as dictionaries."""
-        from repro.bdd import analysis
-
-        return analysis.iter_models(self, care_vars)
 
     def pick_one(self, care_vars: Optional[Sequence[str]] = None
                  ) -> Optional[Dict[str, bool]]:

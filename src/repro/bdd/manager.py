@@ -79,8 +79,8 @@ class BDDManager:
         # Operation caches.  ``ite``, negation, every binary connective
         # and the split have their own table with their own terminal
         # short-circuits (see apply_and & friends); the derived operators
-        # of repro.bdd.operators (cofactor, quantification, the image
-        # kernel ``transfer`` and both saturation recursions) get
+        # of repro.bdd.operators (quantification, the image kernel
+        # ``transfer`` and both saturation recursions) get
         # dedicated memoisation tables as well, so a flood of e.g.
         # conjunctions can never evict the image results the traversal
         # lives on.  Every table is in ``_evictable``, and
@@ -92,7 +92,6 @@ class BDDManager:
         self._xor_cache: Dict[Tuple[int, int], int] = {}
         self._diff_cache: Dict[Tuple[int, int], int] = {}
         self._split_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._cof_cache: Dict[Tuple[int, int], int] = {}
         self._quant_cache: Dict[Tuple[int, int], int] = {}
         self._transfer_cache: Dict[Tuple[int, int, int], int] = {}
         self._sat_cache: Dict[Tuple[int, int, int], int] = {}
@@ -100,10 +99,10 @@ class BDDManager:
         self._evictable = (
             self._ite_cache, self._not_cache, self._and_cache,
             self._or_cache, self._xor_cache, self._diff_cache,
-            self._split_cache, self._cof_cache, self._quant_cache,
+            self._split_cache, self._quant_cache,
             self._transfer_cache, self._sat_cache, self._fire_cache)
         # Interning table turning the frozensets that parameterise the
-        # derived operators (quantified level sets, cofactor cubes, ...)
+        # derived operators (quantified level sets, step chains, ...)
         # into small integers, so their cache keys hash in O(1).
         self._key_ids: Dict[object, int] = {}
         self._cache_limit = cache_limit
@@ -529,8 +528,8 @@ class BDDManager:
         """Intern a hashable operation parameter to a small integer.
 
         The derived operators of :mod:`repro.bdd.operators` are
-        parameterised by frozensets (quantified level sets, cofactor
-        cubes); hashing those on every cache probe is where a naive
+        parameterised by frozensets and tuples (quantified level sets,
+        step chains); hashing those on every cache probe is where a naive
         memoisation spends its time.  Interning gives each distinct
         parameter a small id, so cache keys are plain integer tuples.
         """

@@ -1,11 +1,11 @@
-"""Derived BDD operations: quantification, cofactors, the image kernel
+"""Derived BDD operations: quantification, the image kernel
 :func:`transfer`, saturation and the queries :func:`meets` and
 :func:`disjoint`.
 
 All functions here take :class:`~repro.bdd.function.Function` handles.
 Each operation memoises its recursion in a dedicated cache on the
-manager (quantification, cofactor, ``transfer`` and both saturation
-recursions each own one), keyed by the node id plus a small interned id
+manager (quantification, ``transfer`` and both saturation recursions
+each own one), keyed by the node id plus a small interned id
 of the operation parameter
 (:meth:`~repro.bdd.manager.BDDManager.intern_key`) -- so cache probes
 hash integer tuples instead of re-hashing frozensets on every visit.
@@ -177,56 +177,6 @@ def disjoint(f: Function, g: Function) -> bool:
         return not meet(f.node, g_node)
     finally:
         meet = None  # the closure reaches itself through this cell
-
-
-# ----------------------------------------------------------------------
-# Cofactor / restrict
-# ----------------------------------------------------------------------
-def cofactor(f: Function, literals: Dict[str, bool]) -> Function:
-    """Cofactor of ``f`` with respect to a cube of literals.
-
-    ``literals`` maps variable names to the value they are fixed to.  The
-    result does not depend on the fixed variables; this corresponds to the
-    paper's cube-generalised cofactor ``f_c``.  No check calls it: it is
-    the oracle the tests hold :func:`transfer` (whose ``f|require`` is
-    this cofactor) and :func:`exist` (the sum of the cofactors) to.
-    """
-    manager = f.manager
-    if not literals:
-        return f
-    assignment = {manager.level_of(name): bool(value)
-                  for name, value in literals.items()}
-    key_id = manager.intern_key(("cof", frozenset(assignment.items())))
-    result = _cofactor(manager, f.node, assignment, max(assignment), key_id)
-    return manager._wrap(result)
-
-
-def _cofactor(manager: BDDManager, node: int,
-              assignment: Dict[int, bool], top: int, key_id: int) -> int:
-    level = manager._level[node]
-    if level > top:  # terminals included: they sit below every level
-        return node
-    cache = manager._cof_cache
-    key = (node, key_id)
-    manager.cache_lookups += 1
-    cached = cache.get(key)
-    if cached is not None:
-        manager.cache_hits += 1
-        return cached
-    if level in assignment:
-        child = (manager._high[node] if assignment[level]
-                 else manager._low[node])
-        result = _cofactor(manager, child, assignment, top, key_id)
-    else:
-        low = _cofactor(manager, manager._low[node], assignment, top,
-                        key_id)
-        high = _cofactor(manager, manager._high[node], assignment, top,
-                         key_id)
-        result = manager._mk(level, low, high) if low != high else low
-    if len(cache) >= manager._cache_limit:
-        manager._evict_oldest(cache)
-    cache[key] = result
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Check the implementability of an STG given as a ``.g`` file or as one of
 the built-in examples.  All verification flows through the public
-:mod:`repro.api` facade -- the CLI holds no engine knowledge, so engines
-registered via :func:`repro.engines.register` are immediately usable::
+:mod:`repro.api` facade -- the CLI holds no engine knowledge::
 
     stg-check handshake
     stg-check muller_pipeline --scale 8
@@ -66,8 +65,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=int, default=None,
                         help="scale parameter for scalable families")
     parser.add_argument("--engine", default=None, metavar="NAME",
-                        help="verification engine (any registered engine; "
-                             "default: symbolic)")
+                        help="verification engine: symbolic (the "
+                             "default) or explicit")
     parser.add_argument("--explicit", action="store_true",
                         help="shorthand for --engine explicit")
     parser.add_argument("--ordering", choices=list(ORDERING_STRATEGIES),
@@ -76,7 +75,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checks", default=None, metavar="NAMES",
                         help="comma-separated subset of property checks to "
                              f"run ({', '.join(api.available_checks())}); "
-                             "default: the engine's full default set")
+                             "default: every check but liveness")
     parser.add_argument("--arbitration", nargs="*", default=[],
                         metavar="PLACE",
                         help="places to treat as arbitration points "
@@ -138,17 +137,16 @@ def build_batch_check_parser() -> argparse.ArgumentParser:
                              "verdict metadata and exit (add --json PATH "
                              "for a machine-readable listing)")
     parser.add_argument("--engine", default="symbolic", metavar="NAME",
-                        help="verification engine (any registered engine; "
-                             "default: symbolic)")
+                        help="verification engine: symbolic (the "
+                             "default) or explicit")
     parser.add_argument("--ordering", choices=list(ORDERING_STRATEGIES),
                         default="force",
                         help="BDD variable ordering strategy (symbolic only)")
     parser.add_argument("--checks", default=None, metavar="NAMES",
                         help="comma-separated subset of property checks to "
-                             "run per entry (default: every check the "
-                             "engine supports); the subset is batched over "
-                             "each entry's shared intermediates and keys "
-                             "the result cache")
+                             "run per entry (default: every check); the "
+                             "subset is batched over each entry's shared "
+                             "intermediates and keys the result cache")
     parser.add_argument("--family", action="append", default=[],
                         metavar="FAMILY:SCALES", dest="families",
                         help="additionally sweep a scalable family over a "
@@ -160,10 +158,8 @@ def build_batch_check_parser() -> argparse.ArgumentParser:
                         help="execution backend: process (worker pool, the "
                              "default; the only one that runs entries in "
                              "parallel and kills an entry past "
-                             "--timeout), serial (in-process loop), or "
-                             "any backend registered via "
-                             "repro.runner.backends.register; all "
-                             "backends produce byte-identical stable "
+                             "--timeout) or serial (in-process loop); "
+                             "both produce byte-identical stable "
                              "results")
     parser.add_argument("--shard", default="0/1", metavar="I/N",
                         help="run only shard I of an N-way round-robin "
@@ -392,7 +388,6 @@ def _stable_check_dict(stg, config: api.EngineConfig, checks, outcome):
     reaches the fingerprint.
     """
     from repro.api.checks import resolve_checks
-    from repro.engines import get as get_engine
     from repro.runner.plan import SweepTask
     from repro.runner.results import EntryResult
     from repro.stg.writer import to_g_string
@@ -400,9 +395,7 @@ def _stable_check_dict(stg, config: api.EngineConfig, checks, outcome):
     # None stays None (the engine default set), matching how
     # batch-check builds its tasks -- an explicit subset resolves to
     # the same tuple the sweep planner would fingerprint.
-    selected = None if checks is None else resolve_checks(
-        checks, engine=config.engine,
-        supported=get_engine(config.engine).checks)
+    selected = None if checks is None else resolve_checks(checks)
     task = SweepTask(name=stg.name, g_text=to_g_string(stg),
                      config=config, checks=selected)
     result = EntryResult(name=stg.name, status="ok", engine=config.engine,
@@ -520,8 +513,7 @@ def batch_check_main(argv: List[str]) -> int:
         if arguments.checks is not None:
             from repro.api.checks import resolve_checks
 
-            checks = resolve_checks(arguments.checks,
-                                    engine=arguments.engine)
+            checks = resolve_checks(arguments.checks)
         plan = SweepPlan(
             names=arguments.names or corpus.names(),
             families=[parse_family_spec(spec)

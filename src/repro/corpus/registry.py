@@ -193,8 +193,8 @@ class ScalableFamily:
         return stg, list(self.arbitration(stg))
 
 
-FAMILIES: Registry[ScalableFamily] = Registry(UnknownFamilyError)
-for _family in (
+FAMILIES: Registry[ScalableFamily] = Registry(UnknownFamilyError, [
+    (_family.name, _family) for _family in (
         ScalableFamily(
             name="muller_pipeline",
             builder=generators.muller_pipeline,
@@ -225,8 +225,7 @@ for _family in (
             builder=generators.random_parallel_family,
             expected={"consistent": True, "persistent": True,
                       "deadlock_free": True}),
-):
-    FAMILIES.register(_family.name, _family)
+    )])
 family = FAMILIES.get
 
 

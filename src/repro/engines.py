@@ -1,34 +1,21 @@
-"""The verification-engine protocol and registry.
+"""The two verification engines behind :func:`repro.api.run`.
 
 The paper's pipeline exists in two implementations -- the symbolic BDD
 engine (:mod:`repro.core`) and the explicit enumeration oracle
-(:mod:`repro.sg`).  This module gives them (and any future backend: a
-hybrid engine, a remote one, ...) a single plug-in point::
+(:mod:`repro.sg`) -- and both run every property check of
+:mod:`repro.api.checks`.  :data:`ENGINES` is the fixed name -> engine
+table, built once at import; :func:`get` looks a name up and raises
+:class:`~repro.api.errors.UnknownEngineError` with a did-you-mean
+suggestion for an unknown one.
 
-    from repro import engines
-
-    engines.available()                  # ["symbolic", "explicit", ...]
-    engine = engines.get("symbolic")
-    outcome = engine.run(stg, config, checks)
-
-    engines.register("hybrid", MyHybridEngine())   # new backends plug in
-
-Nothing outside this module hard-codes engine knowledge: the CLI, the
-sweep runner and the corpus batch-check all go through
+The module is the facade's back end, not an entry point: the CLI, the
+sweep runner and the serve daemon all verify through
 :func:`repro.api.run`, which dispatches here by
-:attr:`~repro.api.config.EngineConfig.engine` name.  Adding a backend is
-therefore one ``register`` call -- no CLI or runner changes.  The
-registry is a :class:`~repro.utils.registry.Registry`; ``register``,
-``unregister``, ``available`` and ``get`` are its bound methods, and
-unknown names raise :class:`~repro.api.errors.UnknownEngineError` with
-a did-you-mean suggestion.
-
-An engine is anything matching the :class:`Engine` protocol: a ``name``,
-the ``checks`` it supports (names from :mod:`repro.api.checks`), and a
-``run(stg, config, checks)`` returning an :class:`EngineRun`.  A run
-owns its time budget: the built-in engines turn ``config.timeout`` into
-the cooperative deadline their loops check
-(:func:`~repro.utils.timing.deadline_from_timeout`) as they start, so
+:attr:`~repro.api.config.EngineConfig.engine` name.  An engine's
+``run(stg, config, checks)`` returns an :class:`EngineRun` and owns its
+time budget: each engine turns ``config.timeout`` into the cooperative
+deadline its loops check
+(:func:`~repro.utils.timing.deadline_from_timeout`) as it starts, so
 every front door -- the facade, the sweep worker, the daemon -- gets
 the same budget from the one knob.
 """
@@ -36,15 +23,7 @@ the same budget from the one knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from repro.api.errors import UnknownEngineError
 from repro.utils.registry import Registry
@@ -74,46 +53,10 @@ class EngineRun:
     pipeline: Optional["VerificationPipeline"] = None
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """The backend protocol: run selected checks on one specification."""
-
-    name: str
-
-    @property
-    def checks(self) -> Sequence[str]:
-        """Names of the property checks this engine implements."""
-        ...  # pragma: no cover - protocol
-
-    def run(self, stg: "STG", config: "EngineConfig",
-            checks: Sequence[str]) -> EngineRun:
-        """Verify ``stg`` under ``config`` running exactly ``checks``."""
-        ...  # pragma: no cover - protocol
-
-
-# ----------------------------------------------------------------------
-# The registry
-# ----------------------------------------------------------------------
-_REGISTRY: Registry[Engine] = Registry(UnknownEngineError)
-register = _REGISTRY.register
-unregister = _REGISTRY.unregister
-available = _REGISTRY.available
-get = _REGISTRY.get
-
-
-# ----------------------------------------------------------------------
-# Built-in engines (adapters over repro.core / repro.sg)
-# ----------------------------------------------------------------------
 class SymbolicEngine:
     """The paper's contribution: symbolic BDD traversal (:mod:`repro.core`)."""
 
     name = "symbolic"
-
-    @property
-    def checks(self) -> List[str]:
-        from repro.api.checks import supported_checks
-
-        return supported_checks(self.name)
 
     def run(self, stg: "STG", config: "EngineConfig",
             checks: Sequence[str]) -> EngineRun:
@@ -154,12 +97,6 @@ class ExplicitEngine:
 
     name = "explicit"
 
-    @property
-    def checks(self) -> List[str]:
-        from repro.api.checks import supported_checks
-
-        return supported_checks(self.name)
-
     def run(self, stg: "STG", config: "EngineConfig",
             checks: Sequence[str]) -> EngineRun:
         from repro.api.checks import run_checks
@@ -177,5 +114,9 @@ class ExplicitEngine:
         return EngineRun(report=report)
 
 
-register("symbolic", SymbolicEngine())
-register("explicit", ExplicitEngine())
+#: The engines by name, symbolic first (the default).
+ENGINES: Registry[Union[SymbolicEngine, ExplicitEngine]] = Registry(
+    UnknownEngineError,
+    [(engine.name, engine) for engine in (SymbolicEngine(),
+                                          ExplicitEngine())])
+get = ENGINES.get

@@ -6,8 +6,8 @@ round-robin with an elastic dispatch loop.  Where
 slice once, the coordinator runs *rounds*: each round claims leases
 over every entry still pending (longest-job-first, using the duration
 history already in the :class:`~repro.runner.store.RunStore`), hands
-the claimed batch to the ordinary
-:class:`~repro.runner.backends.ExecutorBackend`, and releases each
+the claimed batch to the ordinary execution backend
+(:mod:`repro.runner.backends`), and releases each
 lease as its result lands.  Entries whose result was retryable
 (``error``/``timeout``) are re-issued in a later round under the
 :class:`~repro.fabric.policy.RetryPolicy`'s backoff; entries whose
@@ -43,8 +43,7 @@ from repro import obs
 from repro.faults import FaultPlan, plan_from_config, torn_write
 from repro.fabric.leases import Lease, LeaseStore
 from repro.fabric.policy import RetryPolicy
-from repro.runner import backends as backend_registry
-from repro.runner.backends import ExecutorBackend
+from repro.runner import backends
 from repro.runner.plan import SweepPlan, SweepTask
 from repro.runner.results import EntryResult, SweepResult
 from repro.runner.runner import ProgressCallback
@@ -86,9 +85,9 @@ class LeaseCoordinator:
         The :class:`~repro.fabric.policy.RetryPolicy`; defaults to
         3 attempts with seeded-jitter exponential backoff.
     backend:
-        Executor backend name or instance (the plan's default when
+        Execution backend name (the plan's, else the default, when
         ``None``) -- the coordinator dispatches through the ordinary
-        backend protocol, it does not replace it.
+        backend, it does not replace it.
     lease_duration:
         Seconds a claim/renewal is valid for.  In-flight leases are
         renewed every quarter duration, so only a holder that stops
@@ -99,7 +98,7 @@ class LeaseCoordinator:
                  leases: Union[LeaseStore, str],
                  store: Optional[RunStore] = None,
                  policy: Optional[RetryPolicy] = None,
-                 backend: Union[ExecutorBackend, str, None] = None,
+                 backend: Optional[str] = None,
                  progress: Optional[ProgressCallback] = None,
                  lease_duration: float = 30.0,
                  holder: Optional[str] = None) -> None:
@@ -108,7 +107,7 @@ class LeaseCoordinator:
                        else LeaseStore(leases))
         self.store = store
         self.policy = policy or RetryPolicy()
-        self.backend = backend_registry.resolve(backend or plan.backend)
+        self.backend = backends.resolve(backend or plan.backend)
         self.progress = progress
         if lease_duration <= 0:
             raise ValueError(
@@ -223,7 +222,7 @@ class LeaseCoordinator:
             time.sleep(min(max(wake - now, 0.0), 1.0))
             return pending
         claimed: Dict[int, Lease] = {}
-        batch: List[backend_registry.WorkItem] = []
+        batch: List[backends.WorkItem] = []
         done: List[int] = []
         for position in self._issue_order(tasks, ready):
             task = tasks[position]

@@ -17,10 +17,9 @@ The moving parts:
   -- declarative sweep description, deterministic task expansion,
   round-robin :class:`~repro.runner.plan.ShardSpec` partitioning and the
   content fingerprints that key the cache;
-* :mod:`~repro.runner.backends` -- the pluggable execution layer: an
-  :class:`~repro.runner.backends.ExecutorBackend` registry with
+* :mod:`~repro.runner.backends` -- the execution layer: the fixed
   ``process`` (worker pool, kills an entry past its timeout) and
-  ``serial`` built-ins, both producing byte-identical stable results;
+  ``serial`` backends, both producing byte-identical stable results;
 * :mod:`~repro.runner.worker` -- self-contained task execution, every
   in-check failure reported as an ``error`` result;
 * :class:`~repro.runner.store.RunStore` -- append-only JSONL persistence
@@ -33,7 +32,7 @@ The moving parts:
 """
 
 from repro.runner import backends
-from repro.runner.backends import ExecutorBackend, UnknownBackendError
+from repro.runner.backends import UnknownBackendError
 from repro.runner.plan import (
     PlanError,
     ShardSpec,
@@ -47,7 +46,6 @@ from repro.runner.store import RunStore, RunStoreWarning, parse_gc_spec
 
 __all__ = [
     "EntryResult",
-    "ExecutorBackend",
     "PlanError",
     "RunStore",
     "RunStoreWarning",

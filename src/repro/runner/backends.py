@@ -1,27 +1,25 @@
 """Execution backends of the sweep runner: how fresh tasks actually run.
 
 The :class:`~repro.runner.runner.SweepRunner` decides *what* to execute
-(cache triage, result ordering, persistence); an :class:`ExecutorBackend`
-decides *how* -- in this process, or on a pool of worker processes.  The
-module mirrors :mod:`repro.engines`: a small protocol, a
-:class:`~repro.utils.registry.Registry` whose bound methods are
-``register`` / ``unregister`` / ``available`` / ``get`` (unknown names
-raise :class:`UnknownBackendError`), and built-in implementations::
+(cache triage, result ordering, persistence); a backend decides *how* --
+in this process, or on a pool of worker processes.  :data:`BACKENDS` is
+the fixed name -> backend table, built once at import; :func:`get`
+looks a name up and raises :class:`UnknownBackendError` with a
+did-you-mean suggestion for an unknown one::
 
     from repro.runner import backends
 
-    backends.available()       # ["process", "serial"]
+    backends.BACKENDS.available()       # ["process", "serial"]
     backend = backends.get("serial")
+    backend = backends.resolve(None)    # the process default
 
-    backends.register("remote", MyRemoteBackend())   # plug-ins welcome
-
-Every backend receives the same ``(position, SweepTask)`` work items and
-reports each finished :class:`~repro.runner.results.EntryResult` through
+Both backends receive the same ``(position, SweepTask)`` work items and
+report each finished :class:`~repro.runner.results.EntryResult` through
 an ``emit`` callback, so the runner's output -- plan-ordered results,
 :meth:`~repro.runner.results.SweepResult.stable_json_dict` -- is
 byte-identical across backends (the parity tests and the CI sweep matrix
-pin exactly that).  Every backend honours ``timeout`` through the
-cooperative deadline each engine derives from it as it starts
+pin exactly that).  Both honour ``timeout`` through the cooperative
+deadline each engine derives from it as it starts
 (:mod:`repro.engines`).  The differences are operational:
 
 ``process`` (the default)
@@ -44,14 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import (
-    Callable,
-    List,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.plan import PlanError, SweepTask
 from repro.runner.results import EntryResult
@@ -71,53 +62,11 @@ _EXIT_DRAIN_TIMEOUT = 0.05
 
 
 class UnknownBackendError(UnknownNameError, PlanError):
-    """The requested execution backend is not registered."""
+    """The requested execution backend is not one of :data:`BACKENDS`."""
 
     kind = "execution backend"
 
 
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """The execution protocol: run work items, emit results as they finish.
-
-    ``execute`` must call ``emit(position, result)`` exactly once per
-    item, in any order and from any thread (the runner serialises its
-    side).
-    """
-
-    name: str
-
-    def execute(self, items: Sequence[WorkItem], jobs: int,
-                emit: EmitCallback) -> None:
-        """Run every work item with at most ``jobs``-way concurrency."""
-        ...  # pragma: no cover - protocol
-
-
-# ----------------------------------------------------------------------
-# The registry
-# ----------------------------------------------------------------------
-_REGISTRY: Registry[ExecutorBackend] = Registry(UnknownBackendError)
-register = _REGISTRY.register
-unregister = _REGISTRY.unregister
-available = _REGISTRY.available
-get = _REGISTRY.get
-
-#: The backend used when neither the plan nor the runner names one.
-DEFAULT_BACKEND = "process"
-
-
-def resolve(backend) -> ExecutorBackend:
-    """Coerce ``None`` / a name / an instance into a backend object."""
-    if backend is None:
-        return get(DEFAULT_BACKEND)
-    if isinstance(backend, str):
-        return get(backend)
-    return backend
-
-
-# ----------------------------------------------------------------------
-# Built-in backends
-# ----------------------------------------------------------------------
 def _execute_inline(items: Sequence[WorkItem], emit: EmitCallback) -> None:
     """Shared in-process loop (serial backend, process backend at jobs=1).
 
@@ -241,5 +190,17 @@ class ProcessBackend:
             fingerprint=task.fingerprint, error=message)
 
 
-register("process", ProcessBackend())
-register("serial", SerialBackend())
+#: The backends by name, the default first.
+BACKENDS: Registry[Union[ProcessBackend, SerialBackend]] = Registry(
+    UnknownBackendError,
+    [(backend.name, backend) for backend in (ProcessBackend(),
+                                             SerialBackend())])
+get = BACKENDS.get
+
+#: The backend used when neither the plan nor the runner names one.
+DEFAULT_BACKEND = "process"
+
+
+def resolve(name: Optional[str]) -> Union[ProcessBackend, SerialBackend]:
+    """The backend ``name`` selects; ``None`` selects the default."""
+    return get(name or DEFAULT_BACKEND)

@@ -125,8 +125,8 @@ class SweepTask:
     config: EngineConfig = field(default_factory=EngineConfig)
     expected: Mapping[str, object] = field(default_factory=dict)
     delay: float = 0.0
-    #: Property-check selection the worker runs (``None`` = every check
-    #: the engine supports, the historical sweep behaviour).  Part of the
+    #: Property-check selection the worker runs (``None`` = every
+    #: check, the historical sweep behaviour).  Part of the
     #: fingerprint: a subset run computes genuinely different verdicts.
     checks: Optional[Tuple[str, ...]] = None
     #: Execution provenance (backend, shard) stamped by the runner just
@@ -256,7 +256,7 @@ class SweepPlan:
     families: Sequence[Tuple[str, Sequence[int]]] = ()
     config: EngineConfig = field(default_factory=EngineConfig)
     #: Property-check selection shared by every task (``None`` = every
-    #: check the engine supports); validated by the CLI / facade before
+    #: check); validated by the CLI / facade before
     #: expansion.  Subset sweeps batch the selected checks over the
     #: shared intermediates of each entry's one pipeline.
     checks: Optional[Sequence[str]] = None

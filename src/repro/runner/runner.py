@@ -8,10 +8,9 @@ shard end to end:
    from the cache (marked ``cached``) and never scheduled.  This is also
    what makes an interrupted sweep resumable: rerunning the same plan
    against the same store only schedules the missing fingerprints.
-2. **Execution** -- the remaining tasks run on the selected
-   :class:`~repro.runner.backends.ExecutorBackend` (``process`` worker
-   pool by default, the ``serial`` in-process loop, or any registered
-   plug-in), bounded by ``jobs``.
+2. **Execution** -- the remaining tasks run on the selected backend
+   (:mod:`repro.runner.backends`: the ``process`` worker pool by
+   default, or the ``serial`` in-process loop), bounded by ``jobs``.
 3. **Collection** -- every result is persisted into the RunStore *as it
    completes* (a killed sweep keeps everything already finished), stamped
    with its execution provenance (backend, shard), and returned in plan
@@ -23,10 +22,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
-from repro.runner import backends as backend_registry
-from repro.runner.backends import ExecutorBackend
+from repro.runner import backends
 from repro.runner.plan import SweepPlan
 from repro.runner.results import EntryResult, SweepResult
 from repro.runner.store import RunStore
@@ -37,21 +35,21 @@ ProgressCallback = Callable[[EntryResult], None]
 class SweepRunner:
     """Execute one sweep plan shard, optionally against a result cache.
 
-    ``backend`` selects the execution backend -- a registered name, an
-    :class:`~repro.runner.backends.ExecutorBackend` instance, or ``None``
-    to use the plan's ``backend`` (falling back to the ``process``
-    default).  ``progress`` (when given) is invoked with every finished
-    :class:`EntryResult` as it becomes available -- cache hits first, then
-    computed results in completion order.
+    ``backend`` names the execution backend (``process`` or
+    ``serial``), or is ``None`` to use the plan's ``backend`` (falling
+    back to the ``process`` default).  ``progress`` (when given) is
+    invoked with every finished :class:`EntryResult` as it becomes
+    available -- cache hits first, then computed results in completion
+    order.
     """
 
     def __init__(self, plan: SweepPlan, store: Optional[RunStore] = None,
                  progress: Optional[ProgressCallback] = None,
-                 backend: Union[ExecutorBackend, str, None] = None) -> None:
+                 backend: Optional[str] = None) -> None:
         self.plan = plan
         self.store = store
         self.progress = progress
-        self.backend = backend_registry.resolve(backend or plan.backend)
+        self.backend = backends.resolve(backend or plan.backend)
         # Backends may emit from worker threads; everything the runner
         # mutates on emit (results, store, progress) happens under this.
         self._emit_lock = threading.Lock()
@@ -67,7 +65,7 @@ class SweepRunner:
         # outside every fingerprint, so cache triage happens first.
         provenance = {"backend": self.backend.name,
                       "shard": str(self.plan.shard)}
-        fresh: List[backend_registry.WorkItem] = []
+        fresh: List[backends.WorkItem] = []
         for position, task in enumerate(tasks):
             cached = (self.store.lookup(task.name, task.fingerprint)
                       if self.store is not None else None)
@@ -93,7 +91,7 @@ class SweepRunner:
         Stamps execution provenance, persists the result immediately (so
         a killed sweep loses only in-flight tasks, not finished ones) and
         forwards it to the progress callback -- all under the emit lock,
-        because a plug-in backend may call this from several threads.
+        so a backend may call it from any thread.
         """
         provenance = {"backend": self.backend.name,
                       "shard": str(self.plan.shard)}
@@ -113,8 +111,7 @@ class SweepRunner:
 
 def run_sweep(plan: SweepPlan, cache_dir: Optional[str] = None,
               progress: Optional[ProgressCallback] = None,
-              backend: Union[ExecutorBackend, str, None] = None
-              ) -> SweepResult:
+              backend: Optional[str] = None) -> SweepResult:
     """Convenience front door: build the store (if any) and run the plan."""
     store = RunStore(cache_dir) if cache_dir else None
     return SweepRunner(plan, store=store, progress=progress,

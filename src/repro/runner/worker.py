@@ -117,7 +117,7 @@ def _check(payload: Dict[str, object]):
     The payload's ``config`` dict is replayed as an
     :class:`~repro.api.config.EngineConfig` and executed via
     :func:`repro.api.run` with the payload's check selection (every
-    supported check when none was given, so cached verdicts are complete
+    check when none was given, so cached verdicts are complete
     by default; a ``--checks`` subset batches exactly those checks over
     the entry's shared intermediates).
     """

@@ -170,9 +170,12 @@ class ServeApp:
     async def _process(self, job: Job) -> None:
         from repro import obs
 
-        job.picked_up()
+        # ``running`` first: closing queue_wait enqueues its stage
+        # event at once, and the stream reads queued -> running ->
+        # stage... -> result.
         job.events.put_nowait(
             protocol.running_event(job.id, job.task.name))
+        job.picked_up()
         try:
             # Activating the job's tracer here is what threads the
             # worker's entry/stage spans back to this request: the

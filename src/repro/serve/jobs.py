@@ -12,15 +12,20 @@ The worker activates it only when something reads those spans
 
 The bridge between the two worlds is :class:`StreamSink`: a tracer sink
 that forwards every closed span as a protocol ``stage`` event onto the
-job's asyncio queue.  Spans close on the *executor thread* while the
-queue lives on the *event loop*, so the sink crosses over with
+job's asyncio queue.  Most spans close on the *executor thread* while
+the queue lives on the *event loop*, so the sink crosses over with
 ``loop.call_soon_threadsafe`` -- the only thread-safe way to wake a
-pending ``queue.get()`` from outside the loop.
+pending ``queue.get()`` from outside the loop.  A span that closes on
+the loop's own thread (``queue_wait``, ``runstore.put``) is enqueued
+directly, so it lands in the order it closed: ahead of the ``result``
+the worker enqueues after it, never behind the terminal event where no
+reader would see it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 from typing import Mapping, Optional
 
 from repro import obs
@@ -36,11 +41,17 @@ STREAM_DEPTH_LIMIT = 2
 
 
 class StreamSink:
-    """Tracer sink forwarding closed spans to a job's event queue."""
+    """Tracer sink forwarding closed spans to a job's event queue.
+
+    Built on the loop's thread (by the request handler), which it
+    remembers to tell a span closing there from one closing on an
+    executor thread.
+    """
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
                  job: "Job") -> None:
         self._loop = loop
+        self._loop_thread = threading.get_ident()
         self._job = job
 
     def emit(self, record: Mapping[str, object]) -> None:
@@ -49,7 +60,11 @@ class StreamSink:
         if int(record.get("depth") or 0) > STREAM_DEPTH_LIMIT:
             return
         event = protocol.stage_event(self._job.id, record)
-        self._loop.call_soon_threadsafe(self._job.events.put_nowait, event)
+        if threading.get_ident() == self._loop_thread:
+            self._job.events.put_nowait(event)
+        else:
+            self._loop.call_soon_threadsafe(self._job.events.put_nowait,
+                                            event)
 
 
 class Job:

@@ -6,11 +6,15 @@ in a :class:`Registry` bound to its own :class:`UnknownNameError`
 subclass, so every lookup fails the same way -- the kind of thing, the
 options and the close matches::
 
-    ENGINES = Registry(UnknownEngineError)
-    ENGINES.register("symbolic", SymbolicEngine())
+    ENGINES = Registry(UnknownEngineError, [("symbolic", SymbolicEngine())])
     ENGINES.get("symbolc")
     # UnknownEngineError: unknown engine 'symbolc'; available: symbolic;
     # did you mean: symbolic?
+
+The engines, the execution backends, the property checks and the
+benchmark families are fixed tables, filled once at import from the
+constructor's ``items``; the corpus and a tracer's metrics
+:meth:`~Registry.register` as they go.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
     Type,
     TypeVar,
 )
@@ -66,27 +71,26 @@ class UnknownNameError(Exception):
 
 
 class Registry(Generic[Item]):
-    """Named items in registration order.
+    """Named items in registration order, starting with ``items``.
 
     :meth:`get` (and ``registry[name]``) raises ``error`` for an unknown
-    name; registering a name twice without ``replace`` is a
-    ``ValueError`` named after ``error.kind``.
+    name; registering a name twice is a ``ValueError`` named after
+    ``error.kind``.
     """
 
-    def __init__(self, error: Type[UnknownNameError]) -> None:
+    def __init__(self, error: Type[UnknownNameError],
+                 items: Iterable[Tuple[str, Item]] = ()) -> None:
         self._error = error
         self._items: Dict[str, Item] = {}
+        for name, item in items:
+            self.register(name, item)
 
-    def register(self, name: str, item: Item, replace: bool = False) -> Item:
-        """Register ``item`` under ``name`` (``replace=True`` to override)."""
-        if name in self._items and not replace:
+    def register(self, name: str, item: Item) -> Item:
+        """Register ``item`` under ``name``."""
+        if name in self._items:
             raise ValueError(f"duplicate {self._error.kind} {name!r}")
         self._items[name] = item
         return item
-
-    def unregister(self, name: str) -> None:
-        """Remove ``name`` if registered (plug-in teardown and tests)."""
-        self._items.pop(name, None)
 
     def available(self) -> List[str]:
         """Every registered name, in registration order."""

@@ -49,7 +49,7 @@ def fixture_config():
 
     def build(**overrides):
         settings = dict(library_prefixes=(normalise(FIXTURES),),
-                        exclude=(), tests_root=None, readme_path=None)
+                        exclude=())
         settings.update(overrides)
         return Config(**settings)
     return build

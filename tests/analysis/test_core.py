@@ -54,7 +54,7 @@ class TestSuppressions:
             "        out.append(item)\n"
             "    return out\n")
         config = Config(library_prefixes=(normalise(str(tmp_path)),),
-                        exclude=(), tests_root=None, readme_path=None)
+                        exclude=())
         result = analyze_paths([str(target)], config)
         assert [f.rule for f in result.findings] == ["RA001"]
         assert result.suppressed == []
@@ -135,7 +135,7 @@ class TestConfig:
         assert config.rule_applies("RA402", "tools/x.py")  # scope "all"
 
     def test_every_rule_id_is_unique_and_catalogued(self):
-        assert len(RULES) == 20
+        assert len(RULES) == 18
         assert all(rule_id == rule.id for rule_id, rule in RULES.items())
         assert all(rule.scope in ("library", "all")
                    for rule in RULES.values())

@@ -45,9 +45,10 @@ class TestNormalisation:
 
 
 class TestValidation:
-    def test_unknown_engine_has_did_you_mean(self):
+    @pytest.mark.parametrize("engine", ["symbollic", "symbolc"])
+    def test_unknown_engine_has_did_you_mean(self, engine):
         with pytest.raises(UnknownEngineError, match="did you mean: symbolic"):
-            EngineConfig(engine="symbollic")
+            EngineConfig(engine=engine)
 
     def test_unknown_ordering_rejected(self):
         with pytest.raises(ApiError, match="ordering"):

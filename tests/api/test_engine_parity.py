@@ -14,7 +14,7 @@ import pytest
 
 from repro import corpus
 from repro.api import ALL, EngineConfig, verify
-from repro.api.checks import supported_checks
+from repro.api.checks import available_checks
 
 #: The hand-written, fixed-size entries (family-derived entries are
 #: covered by the family sweeps and the existing cross-engine tests).
@@ -72,7 +72,7 @@ def test_engines_agree_through_the_facade(name):
                 f"{name}: engines disagree on {check}/{field}"
 
 
-@pytest.mark.parametrize("check", supported_checks("explicit"))
+@pytest.mark.parametrize("check", available_checks())
 def test_single_check_reports_the_state_count(check):
     """Every check that enumerates the state graph reports its size;
     ``safeness`` works on the net alone and builds no graph."""

@@ -1,4 +1,7 @@
-"""Tests of the engine and property-check registries and their error paths."""
+"""Tests of the fixed engine and property-check tables and their error
+paths."""
+
+import os
 
 import pytest
 
@@ -6,60 +9,29 @@ from repro import engines
 from repro.api import (
     ALL,
     ApiError,
-    CheckSpec,
     EngineConfig,
     UnknownCheckError,
     available_checks,
     default_checks,
-    register_check,
     resolve_checks,
-    supported_checks,
-    unregister_check,
     verify,
 )
-from repro.engines import EngineRun
-from repro.report import ImplementabilityClass, ImplementabilityReport
+from repro.report import ImplementabilityClass
+from repro.runner import backends
 from repro.stg.generators import handshake
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "README.md")
 
 
 class TestEngineRegistry:
     @pytest.mark.smoke
     def test_builtins_are_registered(self):
-        assert engines.available()[:2] == ["symbolic", "explicit"]
+        assert engines.ENGINES.available() == ["symbolic", "explicit"]
 
     def test_get_unknown_engine_has_did_you_mean(self):
         with pytest.raises(ApiError, match="did you mean: explicit"):
             engines.get("explcit")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            engines.register("symbolic", engines.get("symbolic"))
-
-    def test_custom_engine_plugs_into_the_facade(self):
-        class CannedEngine:
-            """A fake backend: returns a fixed report, runs no checks."""
-
-            name = "canned"
-
-            @property
-            def checks(self):
-                return ["consistency"]
-
-            def run(self, stg, config, checks):
-                report = ImplementabilityReport(
-                    stg_name=stg.name, method="canned")
-                report.consistent = True
-                return EngineRun(report=report)
-
-        engines.register("canned", CannedEngine())
-        try:
-            report = verify(handshake(), EngineConfig(engine="canned"))
-            assert report.method == "canned"
-            assert report.consistent is True
-        finally:
-            engines.unregister("canned")
-        with pytest.raises(ApiError):
-            EngineConfig(engine="canned")  # gone again
 
 
 class TestCheckRegistry:
@@ -68,21 +40,18 @@ class TestCheckRegistry:
             "consistency", "safeness", "persistency", "fake_conflicts",
             "csc", "reducibility", "liveness"]
 
-    def test_liveness_is_opt_in_on_both_engines(self):
-        for engine in ("symbolic", "explicit"):
-            assert "liveness" not in default_checks(engine)
-            assert "liveness" in supported_checks(engine)
+    def test_liveness_is_opt_in(self):
+        assert "liveness" not in default_checks()
+        assert "liveness" in available_checks()
 
     def test_resolve_none_is_the_default_set(self):
-        assert resolve_checks(None, engine="explicit") == \
-            default_checks("explicit")
+        assert resolve_checks(None) == default_checks()
 
-    def test_resolve_all_is_the_supported_set(self):
-        assert resolve_checks(ALL, engine="symbolic") == \
-            supported_checks("symbolic")
+    def test_resolve_all_is_every_check(self):
+        assert resolve_checks(ALL) == available_checks()
 
     def test_resolve_comma_string_and_canonical_order(self):
-        # Selection order does not matter; registry order does.
+        # Selection order does not matter; table order does.
         assert resolve_checks("csc , consistency") == ["consistency", "csc"]
         assert resolve_checks(["reducibility", "csc"]) == \
             ["csc", "reducibility"]
@@ -90,41 +59,6 @@ class TestCheckRegistry:
     def test_unknown_check_has_did_you_mean(self):
         with pytest.raises(UnknownCheckError, match="did you mean: csc"):
             resolve_checks(["cSc".lower() + "x"])  # "cscx"
-
-    def test_engine_unsupported_check_is_an_error(self):
-        register_check(CheckSpec(
-            name="bdd_width",
-            phase="extra",
-            description="a symbolic-only probe",
-            engines=("symbolic",)))
-        try:
-            assert resolve_checks(["bdd_width"]) == ["bdd_width"]
-            with pytest.raises(UnknownCheckError, match="not supported"):
-                resolve_checks(["bdd_width"], engine="explicit")
-        finally:
-            unregister_check("bdd_width")
-
-    def test_replacing_a_builtin_check_overrides_both_engines(self):
-        from repro.api.checks import CHECKS
-
-        original = CHECKS["csc"]
-        calls = []
-
-        def fake_csc(context, report):
-            calls.append(report.method)
-            report.add_verdict("complete state coding (CSC)", True)
-
-        register_check(CheckSpec(
-            name="csc", phase="CSC", description="stub",
-            apply=fake_csc), replace=True)
-        try:
-            for engine in ("symbolic", "explicit"):
-                report = verify(handshake(), EngineConfig(engine=engine),
-                                checks=["csc"])
-                assert report.csc is None  # the stub set only the verdict
-            assert calls == ["symbolic", "explicit"]
-        finally:
-            register_check(original, replace=True)
 
     @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
     def test_engines_share_the_one_check_loop(self, engine, monkeypatch):
@@ -144,25 +78,16 @@ class TestCheckRegistry:
         assert report.method == engine
         assert list(report.timings) == ["T+C", "CSC"]
 
-    def test_custom_check_runs_on_both_engines(self):
-        register_check(CheckSpec(
-            name="interface_width",
-            phase="extra",
-            description="at most 8 interface signals",
-            apply=lambda context, report: report.add_verdict(
-                "interface width", len(context.stg.signals) <= 8)))
-        try:
-            for engine in ("symbolic", "explicit"):
-                report = verify(handshake(), EngineConfig(engine=engine),
-                                checks=["consistency", "interface_width"])
-                names = [verdict.name for verdict in report.verdicts]
-                assert "interface width" in names
-                assert all(verdict.holds for verdict in report.verdicts)
-                assert list(report.timings) == ["T+C", "extra"]
-        finally:
-            unregister_check("interface_width")
-        with pytest.raises(UnknownCheckError):
-            resolve_checks(["interface_width"])
+
+@pytest.mark.parametrize("kind, name", [
+    *(("engine", name) for name in engines.ENGINES.available()),
+    *(("backend", name) for name in backends.BACKENDS.available()),
+    *(("check", name) for name in available_checks()),
+])
+def test_readme_names_every_engine_backend_and_check(kind, name):
+    with open(README, encoding="utf-8") as handle:
+        readme = handle.read()
+    assert f"`{name}`" in readme, f"README never names the {kind} {name!r}"
 
 
 class TestFacadeValidation:

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.bdd import BDDManager
-from repro.bdd.analysis import (
-    evaluate,
-    iter_models,
-    pick_one,
-    sat_count,
-    support,
-)
+from repro.bdd.analysis import evaluate, pick_one, sat_count, support
+
+from tests.bdd.oracles import iter_models
 
 
 @pytest.fixture

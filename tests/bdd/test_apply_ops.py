@@ -19,6 +19,7 @@ import weakref
 import pytest
 
 from repro.bdd import BDDManager
+from repro.bdd.analysis import support
 from repro.bdd.manager import FALSE_ID, TRUE_ID
 from repro.bdd.operators import (
     SaturationEvents,
@@ -26,6 +27,8 @@ from repro.bdd.operators import (
     saturate,
     transfer,
 )
+
+from tests.bdd.oracles import cofactor
 
 
 @pytest.fixture
@@ -188,7 +191,7 @@ def reference_transfer(mgr, f, steps, drop):
     """The unfused pipeline: cofactor, then ``&`` the assigned cube, then ``-``."""
     required = {name: require for name, (require, _) in steps.items()}
     assigned = mgr.cube({name: assign for name, (_, assign) in steps.items()})
-    return (f.cofactor(required) & assigned) - drop
+    return (cofactor(f, required) & assigned) - drop
 
 
 def steps_of(mgr, steps):
@@ -224,7 +227,7 @@ class TestTransfer:
             resolved = steps_of(mgr, steps)
             assert transfer(f, resolved, drop) == reference_transfer(
                 mgr, f, steps, drop), steps
-            skipped += bool(set(steps) - set(f.support()))
+            skipped += bool(set(steps) - set(support(f)))
             self_loops += (True, True) in steps.values()
         # The draws exercise literal insertion and kept-marked steps.
         assert skipped > 50 and self_loops > 50

@@ -15,6 +15,7 @@ from repro.bdd import BDDError
 from repro.core.pipeline import VerificationPipeline
 from repro.stg.parser import parse_g
 
+from tests.bdd.oracles import cofactor
 from tests.bdd.serialize_text import dumps, loads
 
 
@@ -93,7 +94,7 @@ class TestSharingPreserved:
         encoding = pipeline.encoding
         # Two overlapping slices of the reachable set share most nodes.
         variable = encoding.all_variables[0]
-        part = reached.cofactor({variable: True})
+        part = cofactor(reached, {variable: True})
         text = dumps([reached, part])
         node_lines = [line for line in text.splitlines()
                       if line.startswith("node ")]

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro import corpus
+from repro.bdd.analysis import support
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.pipeline import VerificationPipeline
@@ -74,7 +75,7 @@ class TestCharacteristicFunctions:
         stg, encoding, _ = mutex_setup
         enabled = encoding.enabled("g1+")
         # g1+ needs its request place and the shared mutual exclusion place.
-        assert set(enabled.support()) == {
+        assert set(support(enabled)) == {
             encoding.place_variable("<r1+,g1+>"),
             encoding.place_variable("p_me"),
         }
@@ -97,12 +98,12 @@ class TestCharacteristicFunctions:
                       for p in stg.net.preset_of_transition(transition)}
             postset = {encoding.place_variable(p)
                        for p in stg.net.postset_of_transition(transition)}
-            assert set(no_predecessor_marked(
-                encoding, transition).support()) == preset
-            assert set(all_successors_marked(
-                encoding, transition).support()) == postset
-            assert set(no_successor_marked(
-                encoding, transition).support()) == postset
+            assert set(support(no_predecessor_marked(
+                encoding, transition))) == preset
+            assert set(support(all_successors_marked(
+                encoding, transition))) == postset
+            assert set(support(no_successor_marked(
+                encoding, transition))) == postset
 
     def test_signal_enabled_is_union(self, mutex_setup):
         stg, encoding, _ = mutex_setup
@@ -229,7 +230,7 @@ class TestImageSets:
 # ----------------------------------------------------------------------
 def cube_cofactor(states, cube):
     """The cube cofactor ``states_cube``: ``exists support(cube). states & cube``."""
-    return (states & cube).exist(cube.support())
+    return (states & cube).exist(support(cube))
 
 
 def paper_fire_net(encoding, states, transition):

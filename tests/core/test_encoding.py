@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bdd.analysis import support
 from repro.core.encoding import ORDERING_STRATEGIES, SymbolicEncoding
 from repro.petri import Marking
 from repro.stg.generators import handshake, muller_pipeline, mutex_element
@@ -25,8 +26,8 @@ class TestVariables:
     def test_place_and_signal_projections(self):
         stg = handshake()
         encoding = SymbolicEncoding(stg)
-        assert encoding.place("<r+,a+>").support() == ["p:<r+,a+>"]
-        assert encoding.signal("r").support() == ["s:r"]
+        assert support(encoding.place("<r+,a+>")) == ["p:<r+,a+>"]
+        assert support(encoding.signal("r")) == ["s:r"]
 
     def test_unknown_place_or_signal_rejected(self):
         encoding = SymbolicEncoding(handshake())
@@ -86,7 +87,7 @@ class TestStateConstruction:
         state = encoding.state_minterm(stg.initial_marking(),
                                        {s: False for s in stg.signals})
         assert encoding.count_states(state) == 1
-        assert set(state.support()) == set(encoding.all_variables)
+        assert set(support(state)) == set(encoding.all_variables)
 
     def test_markings_to_function_counts(self):
         stg = handshake()

@@ -17,6 +17,7 @@ from repro import corpus
 from repro.api import ALL, run
 from repro.api.checks import run_checks
 from repro.bdd import Function, operators
+from repro.bdd.analysis import support
 from repro.core.csc import check_csc
 from repro.core.deadlock import check_deadlock_freedom
 from repro.core.encoding import SymbolicEncoding
@@ -149,7 +150,7 @@ def built_functions(monkeypatch):
         return cube(self, variables, value)
 
     def building_ite(self, then_f, else_f):
-        built.append(tuple(self.support()))
+        built.append(tuple(support(self)))
         return ite(self, then_f, else_f)
 
     monkeypatch.setattr(SymbolicEncoding, "cube", building_cube)

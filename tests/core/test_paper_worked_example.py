@@ -13,6 +13,7 @@
 
 import pytest
 
+from repro.bdd.analysis import support
 from repro.core.encoding import SymbolicEncoding
 from repro.core.image import SymbolicImage
 from repro.core.traversal import symbolic_traversal
@@ -21,6 +22,7 @@ from repro.sg import build_state_graph
 from repro.sg.traces import bounded_trace_equivalent
 from repro.stg.generators import fake_conflict_d1, fake_conflict_d2, mutex_element
 
+from tests.bdd.oracles import cofactor
 from tests.core.markings import (
     all_successors_marked,
     marking_minterm,
@@ -65,9 +67,9 @@ class TestSection4WorkedExample:
                             for p in stg.net.preset_of_transition(transition)}
         successor_vars = {encoding.place_variable(p)
                           for p in stg.net.postset_of_transition(transition)}
-        step1 = chi.cofactor({variable: True
-                              for variable in predecessor_vars})
-        assert not predecessor_vars & set(step1.support())
+        step1 = cofactor(chi, {variable: True
+                               for variable in predecessor_vars})
+        assert not predecessor_vars & set(support(step1))
 
         # Step 2: the product with NPM(t) removes the tokens.
         step2 = step1 & no_predecessor_marked(encoding, transition)
@@ -76,8 +78,8 @@ class TestSection4WorkedExample:
 
         # Step 3+4: cofactor w.r.t. NSM(t), product with ASM(t) adds the
         # tokens to every successor place.
-        step3 = step2.cofactor({variable: False
-                                for variable in successor_vars})
+        step3 = cofactor(step2, {variable: False
+                                 for variable in successor_vars})
         step4 = step3 & all_successors_marked(encoding, transition)
         for variable in successor_vars:
             assert step4 <= encoding.manager.var(variable)

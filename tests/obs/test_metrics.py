@@ -45,21 +45,12 @@ class TestRegistry:
         assert registry.available() == ["images"]
         assert registry.get("images") is metric
 
-    def test_duplicate_requires_replace(self):
+    def test_duplicate_is_rejected(self):
         registry = MetricsRegistry()
-        registry.register("images", Counter("images"))
+        metric = registry.register("images", Counter("images"))
         with pytest.raises(ValueError, match="duplicate metric"):
             registry.register("images", Counter("images"))
-        replacement = registry.register("images", Counter("images"),
-                                        replace=True)
-        assert registry.get("images") is replacement
-
-    def test_unregister_is_idempotent(self):
-        registry = MetricsRegistry()
-        registry.register("images", Counter("images"))
-        registry.unregister("images")
-        registry.unregister("images")
-        assert registry.available() == []
+        assert registry.get("images") is metric
 
     def test_unknown_name_suggests(self):
         registry = MetricsRegistry()

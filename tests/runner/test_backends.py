@@ -2,8 +2,8 @@
 
 The contracts the ISSUE pins:
 
-* the backend registry mirrors ``repro.engines`` (register/available/get,
-  did-you-mean on unknown names),
+* the backend table mirrors ``repro.engines`` (a fixed table and
+  ``get``, did-you-mean on unknown names),
 * ``process`` and ``serial`` produce byte-identical
   ``SweepResult.stable_json_dict()`` output for the same plan,
 * failure isolation holds on every backend, and
@@ -39,7 +39,7 @@ def stable_json(sweep):
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert backends.available() == list(BUILTINS)
+        assert backends.BACKENDS.available() == list(BUILTINS)
         assert backends.DEFAULT_BACKEND == "process"
 
     def test_get_returns_the_named_backend(self):
@@ -62,26 +62,7 @@ class TestRegistry:
             f"unknown execution backend '{name}'; "
             f"available: process, serial")
 
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            backends.register("serial", backends.SerialBackend())
-
-    def test_custom_backend_plugs_in(self):
-        class Tagged(backends.SerialBackend):
-            name = "tagged"
-
-        backends.register("tagged", Tagged())
-        try:
-            sweep = run_sweep(SweepPlan(names=["handshake"],
-                                        backend="tagged"))
-            assert sweep.backend == "tagged"
-            assert sweep.succeeded
-        finally:
-            backends.unregister("tagged")
-
-    def test_resolve_accepts_instances_names_and_none(self):
-        instance = backends.SerialBackend()
-        assert backends.resolve(instance) is instance
+    def test_resolve_accepts_names_and_none(self):
         assert backends.resolve("serial").name == "serial"
         assert backends.resolve(None).name == backends.DEFAULT_BACKEND
 
@@ -101,6 +82,10 @@ class TestBackendParity:
         sweep = SweepRunner(SweepPlan(names=["handshake"],
                                       backend="serial")).run()
         assert sweep.backend == "serial"
+
+    def test_no_backend_named_is_the_default(self):
+        runner = SweepRunner(SweepPlan(names=["handshake"]))
+        assert runner.backend.name == backends.DEFAULT_BACKEND == "process"
 
     def test_runner_backend_overrides_plan(self):
         plan = SweepPlan(names=["handshake"], backend="process")

@@ -40,6 +40,40 @@ class TestStreaming:
         assert "entry" in stages
         assert "check" in stages  # per-check progress, live
 
+    def test_a_cold_stream_carries_the_run_store_write(self, client):
+        events = list(client.check_stream(entry="handshake"))
+        assert events[-1]["type"] == "result" and not events[-1]["cached"]
+        stages = [event["stage"] for event in events
+                  if event["type"] == "stage"]
+        # In the order the spans closed: the store write follows the
+        # entry it stores, and the result follows both.
+        assert stages[-2:] == ["entry", "runstore.put"]
+
+    def test_a_warm_stream_carries_queue_wait(self, client):
+        list(client.check_stream(entry="handshake"))
+        events = list(client.check_stream(entry="handshake"))
+        assert events[-1]["type"] == "result" and events[-1]["cached"]
+        assert [event["type"] for event in events] == [
+            "queued", "running", "stage", "result"]
+        assert events[2]["stage"] == "queue_wait"
+
+    def test_no_event_is_left_behind_the_result(self, client,
+                                                 monkeypatch):
+        from repro.serve import app as app_module
+
+        jobs = []
+
+        class RecordingJob(app_module.Job):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                jobs.append(self)
+
+        monkeypatch.setattr(app_module, "Job", RecordingJob)
+        for _ in range(2):  # cold, then the warm repeat
+            assert list(client.check_stream(
+                entry="handshake"))[-1]["type"] == "result"
+        assert [job.events.qsize() for job in jobs] == [0, 0]
+
     def test_queued_event_identifies_the_job(self, client):
         events = list(client.check_stream(entry="handshake"))
         queued = events[0]

@@ -136,9 +136,10 @@ class TestMain:
         assert main(["csc_violation", "--checks", "csc"]) == 1
         assert main(["csc_violation", "--checks", "persistency"]) == 0
 
-    def test_unknown_check_exits_2_with_did_you_mean(self, capsys):
+    @pytest.mark.parametrize("check", ["cscx", "cssc"])
+    def test_unknown_check_exits_2_with_did_you_mean(self, capsys, check):
         with pytest.raises(SystemExit) as excinfo:
-            main(["handshake", "--checks", "cscx"])
+            main(["handshake", "--checks", check])
         assert excinfo.value.code == 2
         assert "did you mean: csc" in capsys.readouterr().err
 
@@ -189,7 +190,8 @@ class TestBatchCheck:
         (["batch-check", "--family", "muler_pipeline:1-2"],
          "muller_pipeline"),
         (["batch-check", "handshake", "--checks", "cscx"], "csc"),
-    ], ids=["corpus-entry", "example", "family", "check"])
+        (["batch-check", "handshake", "--checks", "cssc"], "csc"),
+    ], ids=["corpus-entry", "example", "family", "check", "check-cssc"])
     def test_unknown_entry_exits_2_with_did_you_mean(self, capsys, argv,
                                                      right):
         with pytest.raises(SystemExit) as excinfo:
@@ -358,11 +360,14 @@ class TestBatchCheckBackends:
                      "--backend", backend, "--jobs", "2"]) == 0
         assert f"backend: {backend}" in capsys.readouterr().out
 
-    def test_unknown_backend_exits_2_with_did_you_mean(self, capsys):
+    @pytest.mark.parametrize("backend, right", [("proces", "process"),
+                                                ("serail", "serial")])
+    def test_unknown_backend_exits_2_with_did_you_mean(self, capsys,
+                                                       backend, right):
         with pytest.raises(SystemExit) as excinfo:
-            main(["batch-check", "handshake", "--backend", "proces"])
+            main(["batch-check", "handshake", "--backend", backend])
         assert excinfo.value.code == 2
-        assert "did you mean: process" in capsys.readouterr().err
+        assert f"did you mean: {right}" in capsys.readouterr().err
 
     def test_thread_backend_exits_2_naming_the_two_backends(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -16,9 +16,15 @@ helper; the only exceptions are listed in :data:`KEPT_NAMES`.
 Public methods and properties of the classes under ``src/repro`` get
 the same rule by name: one is used when some production file reaches
 it as an attribute (``x.name``) or names it in a string literal
-(``getattr`` and registries).  Receivers are not typed, so any
+(``getattr`` and the fixed tables).  Receivers are not typed, so any
 attribute of that name counts; the exceptions are listed in
 :data:`KEPT_METHODS`.
+
+A wrapper -- a method whose body, besides its docstring and imports, is
+one call of a module function of its own name -- is not a user of that
+function, and its call is not a use of its own name; otherwise each
+would shield the other.  The function counts as used through the
+wrapper only when the wrapper itself is used.
 """
 
 import ast
@@ -112,6 +118,49 @@ def _parse(path):
         return ast.parse(handle.read(), path)
 
 
+def _forwarding_calls(tree):
+    """The wrappers of one file: ``{id(node): (class, method)}``.
+
+    ``node`` is what names the wrapped function in the wrapper's one
+    call: the attribute of ``module.name(...)``, or the import alias
+    of a ``from module import name`` in the method before ``name(...)``.
+    """
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    calls = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                continue
+            body = [statement for statement in method.body
+                    if not isinstance(statement, (ast.Import,
+                                                  ast.ImportFrom))
+                    and not (isinstance(statement, ast.Expr)
+                             and isinstance(statement.value, ast.Constant))]
+            if (len(body) != 1
+                    or not isinstance(body[0], (ast.Return, ast.Expr))
+                    or not isinstance(body[0].value, ast.Call)):
+                continue
+            func, owner = body[0].value.func, (cls.name, method.name)
+            if (isinstance(func, ast.Attribute) and func.attr == method.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in bound):
+                calls[id(func)] = owner
+            elif isinstance(func, ast.Name) and func.id == method.name:
+                calls.update(
+                    (id(alias), owner) for statement in method.body
+                    if isinstance(statement, ast.ImportFrom)
+                    for alias in statement.names
+                    if (alias.asname or alias.name) == method.name)
+    return calls
+
+
 def _imports(path, modules):
     """The ``repro`` modules one source file imports, anywhere in it."""
     tree = _parse(path)
@@ -192,7 +241,7 @@ def _resolve(name, reexports):
     return name
 
 
-def _name_uses(path, modules, reexports, module=None):
+def _name_uses(path, modules, reexports, module=None, wrapped=None):
     """The dotted ``repro`` names one file uses.
 
     ``from m import n`` and attribute chains through ``import m`` are
@@ -200,11 +249,22 @@ def _name_uses(path, modules, reexports, module=None):
     package ``__init__`` is a re-export, not a use; a function-local one
     is.  ``module`` is the file's own dotted name: a bare name in it
     uses the module's own definition (a definition naming itself does
-    not count).
+    not count).  A wrapper's call of the function it wraps is no use;
+    ``wrapped``, when given, collects ``{wrapper: function}`` instead.
     """
     tree = _parse(path)
     reexporting = set(map(id, tree.body)) if path.endswith(
         "__init__.py") else set()
+    forwarding = _forwarding_calls(tree)
+    wrapped = {} if wrapped is None else wrapped
+
+    def use(name, node):
+        if id(node) in forwarding:
+            cls, method = forwarding[id(node)]
+            wrapped[f"{module}.{cls}.{method}"] = _resolve(name, reexports)
+        else:
+            uses.add(_resolve(name, reexports))
+
     aliases, uses = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -217,11 +277,11 @@ def _name_uses(path, modules, reexports, module=None):
                 if name in modules:
                     aliases[alias.asname or alias.name] = name
                 elif id(node) not in reexporting:
-                    uses.add(_resolve(name, reexports))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute):
+                    use(name, alias)
+    for top in ast.walk(tree):
+        if not isinstance(top, ast.Attribute):
             continue
-        chain = []
+        chain, node = [], top
         while isinstance(node, ast.Attribute):
             chain.append(node.attr)
             node = node.value
@@ -229,7 +289,7 @@ def _name_uses(path, modules, reexports, module=None):
             owner = aliases[node.id]
             for attr in reversed(chain):
                 if f"{owner}.{attr}" not in modules:
-                    uses.add(_resolve(f"{owner}.{attr}", reexports))
+                    use(f"{owner}.{attr}", top)
                     break
                 owner = f"{owner}.{attr}"
     if module is not None:
@@ -246,9 +306,13 @@ def _production_uses(modules, reexports):
         for directory, _, names in os.walk(os.path.join(ROOT, top)):
             files.update((os.path.join(directory, name), None)
                          for name in names if name.endswith(".py"))
-    uses = set()
+    uses, wrapped = set(), {}
     for path, module in files.items():
-        uses |= _name_uses(path, modules, reexports, module)
+        uses |= _name_uses(path, modules, reexports, module, wrapped)
+    # A used wrapper uses the function it wraps.
+    reached = _production_attributes()
+    uses.update(function for method, function in wrapped.items()
+                if method.rsplit(".", 1)[1] in reached)
     return uses
 
 
@@ -272,6 +336,61 @@ def test_names_resolve_through_reexports_and_local_imports():
     assert "repro.cache.bddstore.BDDStoreWarning" not in uses
     assert _resolve("repro.cache.BDDStore", reexports) == \
         "repro.cache.bddstore.BDDStore"
+
+
+@pytest.fixture
+def wrapper_package(tmp_path):
+    """``fixture.ops`` with two functions, ``fixture.thing`` wrapping
+    both (one through a module alias, one through a function-local
+    ``from`` import) and ``fixture.other`` calling one in a method that
+    does more than forward."""
+    package = tmp_path / "fixture"
+    package.mkdir()
+    files = {
+        "fixture.ops": "def twist(x):\n    return x\n\n\n"
+                       "def bend(x):\n    return x\n",
+        "fixture.thing": "from fixture import ops\n\n\n"
+                         "class Thing:\n"
+                         "    def twist(self):\n"
+                         "        \"\"\"Forward to ops.twist.\"\"\"\n"
+                         "        return ops.twist(self)\n\n"
+                         "    def bend(self):\n"
+                         "        from fixture.ops import bend\n\n"
+                         "        return bend(self)\n",
+        "fixture.other": "from fixture import ops\n\n\n"
+                         "class Other:\n"
+                         "    def twist(self):\n"
+                         "        value = ops.twist(self)\n"
+                         "        return value\n",
+    }
+    modules = {"fixture": str(package / "__init__.py")}
+    for module, source in files.items():
+        path = package / (module.split(".")[1] + ".py")
+        path.write_text(source)
+        modules[module] = str(path)
+    return modules
+
+
+def test_a_wrapper_pair_is_flagged(wrapper_package):
+    # Neither the wrapped functions nor the wrapper names are reached:
+    # the gate reports all four unless something else uses them.
+    path = wrapper_package["fixture.thing"]
+    uses = _name_uses(path, wrapper_package, {}, "fixture.thing")
+    assert not {"fixture.ops.twist", "fixture.ops.bend"} & uses
+    assert not {"twist", "bend"} & _attributes(path)
+
+
+def test_a_used_wrapper_uses_the_function_it_wraps(wrapper_package):
+    wrapped = {}
+    _name_uses(wrapper_package["fixture.thing"], wrapper_package, {},
+               "fixture.thing", wrapped)
+    assert wrapped == {"fixture.thing.Thing.twist": "fixture.ops.twist",
+                       "fixture.thing.Thing.bend": "fixture.ops.bend"}
+    # A method that does more than forward is an ordinary user.
+    path = wrapper_package["fixture.other"]
+    assert "fixture.ops.twist" in _name_uses(path, wrapper_package, {},
+                                             "fixture.other")
+    assert "twist" in _attributes(path)
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_NAMES))
@@ -304,11 +423,14 @@ def _public_methods(modules):
 
 def _attributes(path):
     """Every attribute name one file reaches and every string literal
-    it holds."""
+    it holds (a wrapper's call of the function it wraps excluded)."""
+    tree = _parse(path)
+    forwarding = _forwarding_calls(tree)
     reached = set()
-    for node in ast.walk(_parse(path)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            reached.add(node.attr)
+            if id(node) not in forwarding:
+                reached.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             reached.add(node.value)
     return reached

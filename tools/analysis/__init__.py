@@ -9,8 +9,6 @@ Multi-pass AST analyzer gating the repo's hand-grown invariants:
 * **facade purity** (RA202-RA205) -- verification goes through
   ``repro.api``; serve and delta code stay in their lanes; fabric
   metadata stays out of fingerprints;
-* **registry hygiene** (RA301-RA302) -- registered checks/engines/
-  backends are tested and documented;
 * **lint** (RA401-RA405) -- the four rules folded in from the old
   ``tools/lint.py``, and nested functions that call themselves through
   a closure cell left bound (a reference cycle).

@@ -27,7 +27,6 @@ from tools.analysis import (
     facade,
     lintpass,
     obspass,
-    registry,
     schema,
 )
 from tools.analysis.core import RULES, Config, Finding, Project
@@ -36,7 +35,7 @@ DEFAULT_PATHS = ("src", "tests", "tools")
 
 #: The passes, in report order.  Each is a module with
 #: ``run(project) -> List[Finding]``.
-PASSES = (determinism, schema, facade, registry, lintpass, obspass)
+PASSES = (determinism, schema, facade, lintpass, obspass)
 
 
 @dataclass
@@ -108,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analysis",
         description="Repo-specific static analysis: determinism, schema "
-                    "round-trips, facade purity, registry hygiene, lint, "
+                    "round-trips, facade purity, lint, "
                     "observability hygiene.")
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files/directories to analyze "

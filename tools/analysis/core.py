@@ -2,8 +2,7 @@
 
 The analyzer is organised as independent *passes* (one module each)
 producing :class:`Finding` objects against a :class:`Project` -- the
-parsed view of every Python file under the analyzed paths plus the
-cross-file context some passes need (test sources, README text).
+parsed view of every Python file under the analyzed paths.
 
 Everything here is deliberately dependency-free: the analyzer must run
 on the same bare interpreter the rest of the tooling runs on.
@@ -83,12 +82,6 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "stable-view material; which holder computed a verdict, after "
          "how many retries and under what fault plan must never reach "
          "cache keys or the byte-identical stable results"),
-    # registry-hygiene pass (RA3xx)
-    Rule("RA301", "unexercised-registration",
-         "name registered with register_check / engine / backend "
-         "registries never appears under tests/"),
-    Rule("RA302", "undocumented-registration",
-         "registered name missing from the README tables"),
     # lint pass (RA4xx) -- the four rules folded in from tools/lint.py,
     # and RA405
     Rule("RA401", "syntax-error", "the file must parse", scope="all"),
@@ -203,10 +196,6 @@ class Config:
     #: Rule-ID prefixes to run (None = all) / to drop.
     select: Optional[Tuple[str, ...]] = None
     ignore: Tuple[str, ...] = ()
-    #: Where the registry-hygiene pass looks for exercised/documented
-    #: names; None disables the corresponding half of the pass.
-    tests_root: Optional[str] = "tests"
-    readme_path: Optional[str] = "README.md"
 
     def is_library(self, path: str) -> bool:
         return any(path.startswith(prefix)
@@ -289,26 +278,6 @@ class Project:
 
     def library_files(self) -> List[SourceFile]:
         return [f for f in self.files if self.config.is_library(f.path)]
-
-    # ------------------------------------------------------------------
-    # Cross-file context for the registry pass
-    # ------------------------------------------------------------------
-    def corpus_text(self, root: Optional[str]) -> str:
-        """Concatenated text of every file under ``root`` (any kind)."""
-        if root is None or not os.path.isdir(root):
-            return ""
-        chunks: List[str] = []
-        for directory, dirs, files in os.walk(root):
-            dirs[:] = sorted(d for d in dirs if d != "__pycache__"
-                             and not d.startswith("."))
-            for name in sorted(files):
-                try:
-                    with open(os.path.join(directory, name),
-                              encoding="utf-8", errors="ignore") as handle:
-                        chunks.append(handle.read())
-                except OSError:
-                    continue
-        return "\n".join(chunks)
 
 
 def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:

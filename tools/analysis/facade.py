@@ -2,10 +2,10 @@
 
 ``repro.api`` is the one verification entry point: everything
 user-facing (CLI, sweep runner, workers) must verify exclusively through
-it so engines, checks and configs stay pluggable.  This pass turns that
-convention into findings (RA201, which policed the retired
-constructor-style checker shims, was deleted with them; rule IDs are
-never reused):
+it, so the engine, check and config choices stay in one place.  This
+pass turns that convention into findings (RA201, which policed the
+retired constructor-style checker shims, was deleted with them; rule
+IDs are never reused):
 
 * **RA202** -- front-end code (``cli.py``, ``__main__.py``, anything
   under ``runner/``) imports or calls verification internals
@@ -48,14 +48,14 @@ from typing import List
 from tools.analysis.core import Finding, Project, SourceFile
 
 #: Engine-internal verification entry points front-end code must not
-#: touch (the facade threads them through the engine registry).
+#: touch (the facade threads them through the engine table).
 VERIFICATION_INTERNALS = ("VerificationPipeline", "ExplicitVerification")
 
 #: Front-end modules bound to the facade-only contract.
 _FRONTEND_FRAGMENTS = ("repro/cli", "repro/__main__", "repro/runner/")
 
 #: Serve-daemon modules bound to the stricter RA203 contract: no
-#: verification machinery at all, not even the engine registry.
+#: verification machinery at all, not even the engine table.
 _SERVE_FRAGMENTS = ("repro/serve/",)
 
 #: Module prefixes the serve layer must not import from.

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""The sweep gate: backend parity + shard/merge reproduction, locally.
+"""The sweep gate: backend parity, shard/merge reproduction and the
+cache, trace, delta and chaos legs, on one machine.
 
-This is the off-GitHub mirror of the ``sweep`` and ``merge`` jobs of
-``.github/workflows/ci.yml`` (``make ci`` runs it after lint and tests),
-so the distributed-sweep contract is checkable on any machine:
+The ``gate`` job of ``.github/workflows/ci.yml`` runs it, and so does
+``make ci`` after lint and tests; the workflow's ``sweep`` and
+``merge`` jobs prove the shard/merge contract across machines as well:
 
 1. **Backend parity** -- the same plan swept on both built-in backends
    (``process``, ``serial``) must produce byte-identical stable JSON
