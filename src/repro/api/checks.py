@@ -9,8 +9,8 @@ computed once and shared, but properties nobody asked for are skipped.
 
 :data:`CHECKS` is the fixed table of the seven checks (the paper's
 Sections 5.1-5.4 plus the liveness extras), built once at import.  A
-:class:`CheckSpec` carries a check's timing phase, description and
-whether it is part of the default set; both engines run every check,
+:class:`CheckSpec` carries a check's timing phase and whether it is
+part of the default set; both engines run every check,
 as a method ``_check_<name>`` of their verification context
 (:class:`repro.core.pipeline.VerificationPipeline` /
 :class:`repro.sg.checker.ExplicitVerification`).  Checks always run in
@@ -42,48 +42,20 @@ class CheckSpec:
 
     name: str
     phase: str
-    description: str
     in_default: bool = True
 
 
-#: The checks by name, in canonical order.
+#: The checks by name, in canonical order (README's check table says
+#: what each decides and where the paper defines it).
 CHECKS: Registry[CheckSpec] = Registry(UnknownCheckError, [
     (spec.name, spec) for spec in (
-        CheckSpec(
-            name="consistency",
-            phase="T+C",
-            description="boundedness and consistent state assignment "
-                        "along the reachable states (Section 5.1)"),
-        CheckSpec(
-            name="safeness",
-            phase="T+C",
-            description="1-boundedness of every place (Section 5.1)"),
-        CheckSpec(
-            name="persistency",
-            phase="NI-p",
-            description="non-input signal and transition persistency "
-                        "(Figure 6, arbitration places tolerated)"),
-        CheckSpec(
-            name="fake_conflicts",
-            phase="NI-p",
-            description="freedom from fake (non-behavioural) conflicts "
-                        "(Section 5.4)"),
-        CheckSpec(
-            name="csc",
-            phase="CSC",
-            description="Complete and Unique State Coding via "
-                        "excitation/quiescent regions (Section 5.3)"),
-        CheckSpec(
-            name="reducibility",
-            phase="CSC",
-            description="CSC-reducibility: determinism, commutativity "
-                        "and freedom from mutually complementary input "
-                        "sequences"),
-        CheckSpec(
-            name="liveness",
-            phase="live",
-            description="deadlock freedom and reversibility extras",
-            in_default=False),
+        CheckSpec(name="consistency", phase="T+C"),
+        CheckSpec(name="safeness", phase="T+C"),
+        CheckSpec(name="persistency", phase="NI-p"),
+        CheckSpec(name="fake_conflicts", phase="NI-p"),
+        CheckSpec(name="csc", phase="CSC"),
+        CheckSpec(name="reducibility", phase="CSC"),
+        CheckSpec(name="liveness", phase="live", in_default=False),
     )])
 available_checks = CHECKS.available
 

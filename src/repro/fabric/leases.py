@@ -117,7 +117,8 @@ class LeaseStore:
     # ------------------------------------------------------------------
     def _replay(self) -> None:
         """Fold what other holders appended into the table (hold the lock)."""
-        self._journal.replay(self._apply, self._active.clear)
+        self._journal.replay(lambda record, _offset: self._apply(record),
+                             self._active.clear)
 
     def _apply(self, record: Mapping[str, object]) -> None:
         op = record["op"]

@@ -111,7 +111,7 @@ def read_trace_records(path: str) -> Tuple[List[Dict[str, object]], int]:
     """
     records: List[Dict[str, object]] = []
 
-    def keep(record: object) -> None:
+    def keep(record: object, _offset: int) -> None:
         if not isinstance(record, dict):
             raise ValueError("trace record is not an object")
         records.append(record)

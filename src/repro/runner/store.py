@@ -36,9 +36,10 @@ exactly this.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from repro import obs
 from repro.runner.results import EntryResult
@@ -50,22 +51,51 @@ RESULTS_FILE = "results.jsonl"
 #: served as cache hits, and they win fingerprint conflicts on merge.
 _VERDICT_STATUSES = ("ok", "mismatch")
 
+_Key = Tuple[str, str]
+
 
 class RunStoreWarning(UserWarning):
     """A non-fatal store problem (e.g. a corrupt JSONL line skipped)."""
 
 
+class _Entry(NamedTuple):
+    """What the index keeps of one record: where its line starts
+    (``None`` for a merge adoption not written yet), whether it is a
+    verdict, and the two figures eviction, merging and scheduling read."""
+
+    offset: Optional[int]
+    verdict: bool
+    stored_at: float
+    duration: float
+
+
+def _entry(record: Dict[str, object], offset: Optional[int]) -> _Entry:
+    return _Entry(offset, record.get("status") in _VERDICT_STATUSES,
+                  _number(record, "stored_at"), _number(record, "duration"))
+
+
 class RunStore:
-    """JSONL-backed persistent cache of sweep entry results."""
+    """JSONL-backed persistent cache of sweep entry results.
+
+    The store keeps one small :class:`_Entry` per ``(name,
+    fingerprint)`` key, not the record: a hit reads its record's line
+    back from ``results.jsonl``, so what a long-lived store holds in
+    memory does not grow with the size of its reports.
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, RESULTS_FILE)
-        self._index: Dict[Tuple[str, str], Dict[str, object]] = {}
+        self._index: Dict[_Key, _Entry] = {}
         #: Records ``merge(compact=False)`` adopted that are not on disk
-        #: until the next ``compact()``.
-        self._unsaved: Dict[Tuple[str, str], Dict[str, object]] = {}
+        #: until the next ``compact()``; an entry without an offset is
+        #: served from here.
+        self._unsaved: Dict[_Key, Dict[str, object]] = {}
+        #: Name -> the longest duration among its indexed records, or
+        #: ``None`` once the record holding it gave way to a shorter one
+        #: (recounted when next asked for).
+        self._longest: Dict[str, Optional[float]] = {}
         self._journal = Journal(self.path, "result record", RunStoreWarning)
         with self._journal.locked():
             self._replay()
@@ -80,19 +110,52 @@ class RunStore:
         """Fold what other writers appended into the index (hold the lock)."""
         self._journal.replay(self._apply, self._reset)
 
-    def _apply(self, record: Dict[str, object]) -> None:
-        self._index[(record["name"], record["fingerprint"])] = record
+    def _apply(self, record: Dict[str, object], offset: int) -> None:
+        self._set_entry((record["name"], record["fingerprint"]),
+                        _entry(record, offset))
 
     def _reset(self) -> None:
         # Another writer compacted the file: rebuild the index from it,
         # keeping the adoptions not written yet.
-        self._index = dict(self._unsaved)
+        self._reindex((key, _entry(record, None))
+                      for key, record in self._unsaved.items())
+
+    def _set_entry(self, key: _Key, entry: _Entry) -> None:
+        """Index ``entry`` under ``key``, latest wins, and keep the
+        name's longest duration."""
+        previous = self._index.get(key)
+        self._index[key] = entry
+        name = key[0]
+        if name not in self._longest:
+            self._longest[name] = entry.duration
+            return
+        longest = self._longest[name]
+        if longest is None:
+            return  # already due for a recount
+        if (previous is not None and previous.duration == longest
+                and entry.duration < longest):
+            self._longest[name] = None
+        else:
+            self._longest[name] = max(longest, entry.duration)
+
+    def _reindex(self, entries: Iterable[Tuple[_Key, _Entry]]) -> None:
+        """Replace the index with ``entries`` and recount the longest
+        durations (``entries`` may iterate the old index)."""
+        self._index, self._longest = {}, {}
+        for key, entry in entries:
+            self._set_entry(key, entry)
+
+    def _record(self, key: _Key, entry: _Entry) -> Dict[str, object]:
+        """The record ``entry`` indexes (hold the lock, after a replay)."""
+        if entry.offset is None:
+            return self._unsaved[key]
+        return self._journal.read(entry.offset)
 
     def __len__(self) -> int:
         return len(self._index)
 
     def __contains__(self, name: str) -> bool:
-        return any(key_name == name for key_name, _ in self._index)
+        return name in self._longest
 
     # ------------------------------------------------------------------
     # Cache protocol
@@ -102,15 +165,16 @@ class RunStore:
 
         Serves only records whose fingerprint matches the current task
         content and that actually carry a verdict; the returned result is
-        marked :attr:`~repro.runner.results.EntryResult.cached`.
+        marked :attr:`~repro.runner.results.EntryResult.cached`.  A hit
+        reads its record's one line back from the file.
         """
+        key = (name, fingerprint)
         with self._journal.locked():
             self._replay()
-            record = self._index.get((name, fingerprint))
-        if record is None:
-            return None
-        if record.get("status") not in _VERDICT_STATUSES:
-            return None  # always retry errors and timeouts
+            entry = self._index.get(key)
+            if entry is None or not entry.verdict:
+                return None  # always retry errors and timeouts
+            record = self._record(key, entry)
         result = EntryResult.from_dict(record)
         result.cached = True
         return result
@@ -124,10 +188,16 @@ class RunStore:
         order of magnitude -- and ``None`` means the entry was never
         seen, which schedulers should treat as potentially long.
         """
-        durations = [float(record.get("duration") or 0.0)
-                     for (key_name, _), record in self._index.items()
-                     if key_name == name]
-        return max(durations) if durations else None
+        if name not in self._longest:
+            return None
+        longest = self._longest[name]
+        if longest is None:
+            with self._journal.locked():
+                longest = self._longest[name] = max(
+                    entry.duration
+                    for (key_name, _), entry in self._index.items()
+                    if key_name == name)
+        return longest
 
     def put(self, result: EntryResult) -> None:
         """Persist a freshly computed result (cache hits are not re-written).
@@ -142,15 +212,19 @@ class RunStore:
         record["stored_at"] = time.time()
         with obs.span("runstore.put"), self._journal.locked():
             self._replay()
-            self._journal.append(record)
-            self._index[(result.name, result.fingerprint)] = record
+            self._apply(record, self._journal.append(record))
 
     def compact(self) -> None:
         """Rewrite the JSONL file keeping the latest record per
         ``(name, fingerprint)`` key, dropping corrupt lines."""
         with self._journal.locked():
             self._replay()
-            self._journal.rewrite(self._index.values())
+            index = self._index
+            offsets = self._journal.rewrite(
+                self._record(key, entry) for key, entry in index.items())
+            self._reindex((key, entry._replace(offset=offset))
+                          for (key, entry), offset
+                          in zip(index.items(), offsets))
             self._unsaved.clear()
 
     # ------------------------------------------------------------------
@@ -179,7 +253,8 @@ class RunStore:
         path must not silently merge as an empty store).  The merged
         index is compacted to disk before returning; pass
         ``compact=False`` when merging several sources in a row and call
-        :meth:`compact` once at the end.
+        :meth:`compact` once at the end.  Adopted records are read from
+        ``other`` under both stores' locks.
         """
         if isinstance(other, str):
             if not os.path.isdir(other):
@@ -187,27 +262,30 @@ class RunStore:
                     f"cannot merge {other!r}: no such run-store directory")
             other = RunStore(other)
         adopted = 0
-        with self._journal.locked():
+        with self._locked_with(other):
             self._replay()
+            other._replay()
             for key, theirs in other._index.items():
                 mine = self._index.get(key)
-                if mine is None or self._prefers(theirs, mine):
-                    self._index[key] = self._unsaved[key] = dict(theirs)
+                if mine is None or _prefers(theirs, mine):
+                    self._unsaved[key] = other._record(key, theirs)
+                    self._set_entry(key, theirs._replace(offset=None))
                     adopted += 1
             if adopted and compact:
                 self.compact()
         return adopted
 
-    @staticmethod
-    def _prefers(theirs: Dict[str, object],
-                 mine: Dict[str, object]) -> bool:
-        theirs_verdict = theirs.get("status") in _VERDICT_STATUSES
-        mine_verdict = mine.get("status") in _VERDICT_STATUSES
-        if theirs_verdict != mine_verdict:
-            return theirs_verdict
-        if not theirs_verdict:  # both retryable: newest information wins
-            return _stored_at(theirs) > _stored_at(mine)
-        return False  # both verdicts: deterministic, keep the incumbent
+    @contextlib.contextmanager
+    def _locked_with(self, other: "RunStore") -> Iterator[None]:
+        """Hold this store's lock and ``other``'s, taken in path order so
+        merges in opposite directions cannot deadlock; stores sharing a
+        file share one lock, which this store takes."""
+        journals = {os.path.realpath(other.path): other._journal,
+                    os.path.realpath(self.path): self._journal}
+        with contextlib.ExitStack() as stack:
+            for path in sorted(journals):
+                stack.enter_context(journals[path].locked())
+            yield
 
     # ------------------------------------------------------------------
     # Eviction: bounding long-lived stores
@@ -236,9 +314,8 @@ class RunStore:
             self._replay()
             doomed = set()
             if max_age is not None:
-                for key, record in self._index.items():
-                    if now - _stored_at(record) > max_age:
-                        doomed.add(key)
+                doomed.update(key for key, entry in self._index.items()
+                              if now - entry.stored_at > max_age)
             if max_entries is not None:
                 survivors = [key for key in self._index
                              if key not in doomed]
@@ -246,20 +323,31 @@ class RunStore:
                 if excess > 0:
                     oldest_first = sorted(
                         range(len(survivors)),
-                        key=lambda i: (_stored_at(self._index[survivors[i]]),
+                        key=lambda i: (self._index[survivors[i]].stored_at,
                                        i))
                     doomed.update(survivors[i]
                                   for i in oldest_first[:excess])
-            for key in doomed:
-                del self._index[key]
             if doomed:
+                self._reindex((key, entry)
+                              for key, entry in self._index.items()
+                              if key not in doomed)
                 self.compact()
         return len(doomed)
 
 
-def _stored_at(record: Dict[str, object]) -> float:
+def _prefers(theirs: _Entry, mine: _Entry) -> bool:
+    if theirs.verdict != mine.verdict:
+        return theirs.verdict
+    if not theirs.verdict:  # both retryable: newest information wins
+        return theirs.stored_at > mine.stored_at
+    return False  # both verdicts: deterministic, keep the incumbent
+
+
+def _number(record: Dict[str, object], field: str) -> float:
+    """A record's ``stored_at`` or ``duration``; 0 when missing or not a
+    number (a record predating the stamp counts as oldest)."""
     try:
-        return float(record.get("stored_at") or 0.0)
+        return float(record.get(field) or 0.0)
     except (TypeError, ValueError):
         return 0.0
 

@@ -11,7 +11,7 @@ life and owns
   ``<fingerprint>.bdd`` file per reachable set (a repeat request that
   *does* recompute -- say, a different check subset over the same
   specification -- still skips the reachability traversal; the store's
-  hit and miss counters, the ``serve.bdd.*`` gauges, prove it; the
+  hit and miss counters, the ``serve.bdd.*`` counters, prove it; the
   store object holds those counters and nothing per request.
   Schema-2 ``base`` requests stretch the same store to *edited*
   specifications: the facade's
@@ -61,7 +61,7 @@ from repro.api.config import EngineConfig
 from repro.api.errors import ApiError
 from repro.api.facade import resolve_base
 from repro.cache import BDDStore
-from repro.obs import MetricsRegistry
+from repro.obs import Counter, MetricsRegistry
 from repro.runner.plan import SweepTask, corpus_task
 from repro.runner.results import EntryResult
 from repro.runner.store import RunStore
@@ -244,14 +244,25 @@ class WarmState:
     # Introspection (the /metrics half)
     # ------------------------------------------------------------------
     def observe_stores(self) -> None:
-        """Refresh the store-health gauges ahead of a metrics snapshot."""
-        self.metrics.gauge("serve.bdd.hits").set(self.bdd_store.hits)
-        self.metrics.gauge("serve.bdd.misses").set(self.bdd_store.misses)
-        self.metrics.gauge("serve.bdd.delta_hits").set(
-            self.bdd_store.delta_hits)
-        self.metrics.gauge("serve.bdd.delta_seeds").set(
-            self.bdd_store.delta_seeds)
-        self.metrics.gauge("serve.bdd.delta_colds").set(
-            self.bdd_store.delta_colds)
+        """Bring the store metrics up to date ahead of a snapshot.
+
+        The BDD store's totals only grow, so each ``serve.bdd.*``
+        counter adds what its total gained since the last observation;
+        ``serve.runstore.records`` is a gauge, as a gc can lower it.
+        """
+        store = self.bdd_store
+        _follow(self.metrics.counter("serve.bdd.hits"), store.hits)
+        _follow(self.metrics.counter("serve.bdd.misses"), store.misses)
+        _follow(self.metrics.counter("serve.bdd.delta_hits"),
+                store.delta_hits)
+        _follow(self.metrics.counter("serve.bdd.delta_seeds"),
+                store.delta_seeds)
+        _follow(self.metrics.counter("serve.bdd.delta_colds"),
+                store.delta_colds)
         self.metrics.gauge("serve.runstore.records").set(
             len(self.run_store))
+
+
+def _follow(counter: Counter, total: int) -> None:
+    """Advance ``counter`` to a running total that never decreases."""
+    counter.add(total - counter.value)

@@ -5,7 +5,10 @@ Every append-only file of the sweep fabric goes through a
 table (``leases.jsonl``) both ways, the per-entry trace files on the
 read side.  A journal holds one JSON object per line, appended and
 never edited in place, salvaged on read and compacted by atomically
-replacing the whole file.
+replacing the whole file.  Every line is addressed by the byte offset
+it starts at: replay reports it, an append returns it, and
+:meth:`Journal.read` decodes the one line there, so a reader can index
+a journal by offset instead of keeping its records.
 
 Concurrent writers on one host coordinate through :meth:`Journal.locked`,
 an exclusive ``flock`` on the sidecar file ``<path>.lock``.  A writer
@@ -28,7 +31,16 @@ import tempfile
 import threading
 import warnings
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Optional, Set, TextIO
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    TextIO,
+)
 
 #: How many bytes before its offset a journal re-checks on each replay.
 _TAIL_BYTES = 128
@@ -151,9 +163,10 @@ class Journal:
                 self._holding = False
                 _close_lock(descriptor)
 
-    def replay(self, apply: Callable[[Any], object],
+    def replay(self, apply: Callable[[Any, int], object],
                reset: Optional[Callable[[], object]] = None) -> None:
-        """Feed ``apply`` each record appended since the last replay.
+        """Call ``apply(record, offset)`` for each record appended since
+        the last replay; ``offset`` is the byte offset its line starts at.
 
         When the file is not the one read so far -- the first call, or
         another writer compacted it -- ``reset`` runs first and the whole
@@ -182,16 +195,18 @@ class Journal:
                 if self._identity is not None:
                     self._restart(None, reset)
                 return
+            offset = self._offset
             self._advance(data)
             lines = data.split(b"\n")
             if not lines[-1]:
                 lines.pop()  # the newline ending the last complete line
             for line in lines:
+                start, offset = offset, offset + len(line) + 1
                 self._lines += 1
                 if not line.strip():
                     continue
                 try:
-                    apply(json.loads(line))
+                    apply(json.loads(line), start)
                 except (ValueError, TypeError, KeyError):
                     self.skipped_lines += 1
                     warnings.warn(
@@ -211,8 +226,9 @@ class Journal:
         self._offset += len(data)
         self._tail = (self._tail + data[-_TAIL_BYTES:])[-_TAIL_BYTES:]
 
-    def append(self, record: Any) -> None:
-        """Append ``record`` as one line, first ending a torn final line.
+    def append(self, record: Any) -> int:
+        """Append ``record`` as one line, first ending a torn final line;
+        returns the offset the new line starts at.
 
         Call under :meth:`locked`.  When the journal had replayed the
         whole file, the new line counts as replayed too.
@@ -222,26 +238,55 @@ class Journal:
             status = os.fstat(handle.fileno())
             caught_up = ((status.st_dev, status.st_ino) == self._identity
                          and status.st_size == self._offset)
-            if status.st_size and os.pread(
-                    handle.fileno(), 1, status.st_size - 1) != b"\n":
+            offset = status.st_size
+            if offset and os.pread(handle.fileno(), 1, offset - 1) != b"\n":
                 line = b"\n" + line
+                offset += 1
             handle.write(line)
             if caught_up:
                 self._advance(line)
                 self._lines += 1
+        return offset
 
-    def rewrite(self, records: Iterable[Any]) -> None:
-        """Atomically replace the file with ``records``, one per line.
+    def read(self, offset: int) -> Any:
+        """Decode the record whose line starts at ``offset``.
+
+        Call under :meth:`locked`, after a :meth:`replay` or
+        :meth:`append` reported the offset: only the lock keeps another
+        writer's compaction from moving the line in between.
+        """
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            return json.loads(handle.readline())
+
+    def rewrite(self, records: Iterable[Any]) -> List[int]:
+        """Atomically replace the file with ``records``, one per line;
+        returns the offset of each record's line.
 
         This is compaction.  Call it under :meth:`locked`, after a
         :meth:`replay` that folded the tail into ``records``, or appends
-        by other writers are lost.
+        by other writers are lost.  ``records`` is consumed as the new
+        file is written, so it may read them from the old one.
         """
-        lines = [json.dumps(record, sort_keys=True) + "\n"
-                 for record in records]
+        offsets: List[int] = []
+        tail = ""
+
+        def write(handle: TextIO) -> None:
+            nonlocal tail
+            size = 0
+            for record in records:
+                # ASCII (``ensure_ascii``), so characters are bytes.
+                line = json.dumps(record, sort_keys=True) + "\n"
+                handle.write(line)
+                offsets.append(size)
+                size += len(line)
+                tail = (tail + line)[-_TAIL_BYTES:]
+
         with self._mutex:
-            atomic_write(self.path, lambda handle: handle.writelines(lines))
+            atomic_write(self.path, write)
             status = os.stat(self.path)
             self._restart((status.st_dev, status.st_ino), None)
-            self._advance("".join(lines).encode("utf-8"))
-            self._lines = len(lines)
+            self._offset = status.st_size
+            self._tail = tail.encode("ascii")
+            self._lines = len(offsets)
+        return offsets

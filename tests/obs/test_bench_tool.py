@@ -79,6 +79,8 @@ class TestAlternatingRows:
     def test_kernel_rows_alternate_and_report_the_median_run(
             self, monkeypatch):
         monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        monkeypatch.setattr(bench, "kernel_seconds",
+                            lambda: bench.REFERENCE_S)  # no slowdown
         order = []
         # vme_read's three runs take 3, 1 and 2 ms; the median run is the
         # 2 ms one, whatever position it ran in.
@@ -103,6 +105,34 @@ class TestAlternatingRows:
         assert set(vme["stage_ranges"]) == set(vme["stages"])
         for stage, (low, high) in vme["stage_ranges"].items():
             assert low <= vme["stages"][stage] <= high
+        assert vme["calibration_factor"] == 1.0
+
+    def test_kernel_rows_are_divided_by_each_repeats_slowdown(
+            self, monkeypatch):
+        # The kernel runs twice as slow around the second repeat and
+        # four times as slow around the third: their runs of the same
+        # raw 8 ms read 4 ms and 2 ms, and the median run is the 4 ms.
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        slowdowns = iter([1.0] * 2 * bench.BURST + [2.0] * 2 * bench.BURST
+                         + [4.0] * 2 * bench.BURST)
+        monkeypatch.setattr(bench, "kernel_seconds",
+                            lambda: next(slowdowns) * bench.REFERENCE_S)
+        real_run = bench.traced_run
+
+        def fake_run(stg, sink):
+            _, pipeline = real_run(stg, sink)
+            for record in sink.records:
+                if record.get("name") == "entry":
+                    record["duration_s"] = 0.008
+            return 0.008, pipeline
+
+        monkeypatch.setattr(bench, "traced_run", fake_run)
+        row = bench.kernel_rows(["vme_read"])[0]
+        assert row["wall_s"] == pytest.approx(0.004)
+        assert row["wall_s_range"] == pytest.approx([0.002, 0.008])
+        assert row["calibration_factor"] == 2.0
+        assert (sum(row["stages"].values()) + row["unattributed_s"]
+                == pytest.approx(row["wall_s"], abs=1e-6))
 
     def test_tracing_pairs_alternate_and_report_the_median_share(
             self, monkeypatch):

@@ -1,12 +1,26 @@
 """Tests of the persistent JSONL result cache."""
 
+import dataclasses
+import gc
 import json
 import os
+import tracemalloc
 
 import pytest
 
-from repro.runner import EntryResult, RunStore, RunStoreWarning, parse_gc_spec
+from repro.runner import (
+    EntryResult,
+    RunStore,
+    RunStoreWarning,
+    SweepPlan,
+    SweepRunner,
+    parse_gc_spec,
+)
 from repro.runner.store import RESULTS_FILE
+from tests.runner import store_scenario
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "store_golden.json")
 
 
 def make_result(name="handshake", status="ok", fingerprint="f" * 64,
@@ -197,8 +211,9 @@ class TestMerge:
         new = RunStore(str(tmp_path / "new"))
         new.put(make_result(status="error", report=None, error="recent"))
         old.merge(new)
-        record = old._index[("handshake", "f" * 64)]
-        assert record["error"] == "recent"
+        with open(old.path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert [record["error"] for record in records] == ["recent"]
 
     def test_merge_is_idempotent(self, tmp_path):
         left = RunStore(str(tmp_path / "left"))
@@ -318,3 +333,210 @@ class TestGcSpecValidation:
     def test_negative_bounds_are_rejected_at_parse_time(self, bad):
         with pytest.raises(ValueError):
             parse_gc_spec(bad)
+
+
+class TestFileFormat:
+    """The offset index writes and serves exactly what the store wrote
+    and served when it kept every record in memory (see
+    ``store_scenario``)."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_every_write_path_is_byte_identical(self, tmp_path, golden):
+        outcome = store_scenario.run(str(tmp_path))
+        assert sorted(outcome) == sorted(golden)
+        for stage in golden:  # one stage at a time, for a readable diff
+            assert json.loads(json.dumps(outcome[stage])) == golden[stage]
+
+    def test_a_file_written_before_reads_back_identically(self, tmp_path,
+                                                          golden):
+        written = golden["written"]
+        with open(tmp_path / RESULTS_FILE, "w", encoding="utf-8") as handle:
+            handle.write(written["text"])
+        with pytest.warns(RunStoreWarning, match="corrupt result record"):
+            store = RunStore(str(tmp_path))
+        served = json.loads(json.dumps(store_scenario.served(store)))
+        assert served == {key: written[key] for key in served}
+        assert any(served["lookups"])
+
+
+def index_of(store):
+    """``{key: (offset, verdict)}`` of a store's index."""
+    return {key: (entry.offset, entry.verdict)
+            for key, entry in store._index.items()}
+
+
+class TestOffsets:
+    """A live store's offsets always equal those a fresh open derives,
+    and every lookup reads back its own record."""
+
+    def assert_current(self, store, expected):
+        reopened = RunStore(store.directory)
+        assert index_of(store) == index_of(reopened)
+        for name, fingerprint in expected:
+            hit = store.lookup(name, fingerprint)
+            assert (hit.name, hit.fingerprint) == (name, fingerprint)
+
+    def test_after_a_torn_final_line(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        store.put(make_result(name="a", fingerprint="a" * 64))
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"name": "torn", "fingerp')
+        with pytest.warns(RunStoreWarning, match="corrupt result record"):
+            store.put(make_result(name="b", fingerprint="b" * 64))
+        with pytest.warns(RunStoreWarning):
+            self.assert_current(store, [("a", "a" * 64), ("b", "b" * 64)])
+        with open(store.path, "rb") as handle:
+            data = handle.read()
+        assert store._index[("b", "b" * 64)].offset == \
+            data.index(b'{"cached"', data.index(b"fingerp"))
+
+    def test_after_an_append_by_a_second_store(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        store.put(make_result(name="a", fingerprint="a" * 64))
+        second = RunStore(str(tmp_path))
+        second.put(make_result(name="b", fingerprint="b" * 64))
+        second.put(make_result(name="a", fingerprint="a" * 64,
+                               duration=0.5))
+        store.put(make_result(name="c", fingerprint="c" * 64))
+        self.assert_current(store, [("a", "a" * 64), ("b", "b" * 64),
+                                    ("c", "c" * 64)])
+        assert store.lookup("a", "a" * 64).duration == 0.5
+
+    def test_after_a_compaction_by_a_second_store(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        for name in "abc":
+            store.put(make_result(name=name, fingerprint=name * 64))
+        store.put(make_result(name="a", fingerprint="a" * 64, duration=0.5))
+        second = RunStore(str(tmp_path))
+        second.compact()
+        assert store.lookup("a", "a" * 64).duration == 0.5
+        self.assert_current(store, [(name, name * 64) for name in "abc"])
+
+    def test_a_deferred_adoption_is_served_until_compaction(self, tmp_path):
+        other = RunStore(str(tmp_path / "other"))
+        other.put(make_result(name="a", fingerprint="a" * 64))
+        store = RunStore(str(tmp_path / "mine"))
+        store.merge(other, compact=False)
+        assert store._index[("a", "a" * 64)].offset is None
+        assert store.lookup("a", "a" * 64).name == "a"
+        store.compact()
+        assert index_of(store) == {("a", "a" * 64): (0, True)}
+        assert store.lookup("a", "a" * 64).name == "a"
+
+    def test_merging_a_store_into_itself_adopts_nothing(self, tmp_path):
+        store = RunStore(str(tmp_path))
+        store.put(make_result())
+        assert store.merge(str(tmp_path)) == 0
+        assert store.merge(store) == 0
+
+
+class TestDurationHint:
+    """``duration_hint`` and ``in`` agree with a brute-force scan of the
+    latest record per key."""
+
+    def assert_oracle(self, store, names):
+        latest = {}
+        for record in store_records(store):
+            latest[(record["name"], record["fingerprint"])] = record
+        latest.update(store._unsaved)
+        for name in names:
+            durations = [record["duration"] for (key_name, _), record
+                         in latest.items() if key_name == name]
+            assert store.duration_hint(name) == \
+                (max(durations) if durations else None)
+            assert (name in store) == bool(durations)
+
+    def test_puts_merge_gc_and_compaction(self, tmp_path, monkeypatch):
+        import repro.runner.store as store_module
+
+        names = ["a", "b", "c", "d", "missing"]
+        stamp = iter(range(100, 200))
+        monkeypatch.setattr(store_module.time, "time",
+                            lambda: float(next(stamp)))
+        store = RunStore(str(tmp_path / "mine"))
+        for name, fingerprint, duration in [
+                ("a", "1", 2.0), ("a", "2", 5.0), ("b", "1", 1.0),
+                ("a", "2", 3.0),   # the longest record gives way
+                ("b", "1", 4.0),   # and grows
+                ("c", "1", 0.5)]:
+            store.put(make_result(name=name, fingerprint=fingerprint,
+                                  duration=duration))
+            self.assert_oracle(store, names)
+        other = RunStore(str(tmp_path / "other"))
+        other.put(make_result(name="d", fingerprint="1", duration=9.0))
+        other.put(make_result(name="a", fingerprint="3", duration=1.5))
+        assert store.merge(other, compact=False) == 2
+        self.assert_oracle(store, names)
+        assert store.gc(max_entries=3) == 3  # a/1, a/2 and b/1 go
+        self.assert_oracle(store, names)
+        store.compact()
+        self.assert_oracle(store, names)
+        self.assert_oracle(RunStore(store.directory), names)
+
+
+def store_records(store):
+    if not os.path.exists(store.path):
+        return []
+    with open(store.path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+#: Records the memory tests store, and the bound on what the index may
+#: keep per record in memory: a few hundred bytes for the key, its
+#: entry and the name's longest duration, against about 2 KB for the
+#: record itself as a line of the file.
+MEMORY_RECORDS = 2000
+RETAINED_BYTES_PER_RECORD = 1000
+
+
+def retained_bytes_per_record(action):
+    """Bytes still allocated after ``action()`` returns, per record."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = action()
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / \
+            MEMORY_RECORDS, kept
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """What a long-lived store holds per record is a small index entry,
+    not the record: bounded after puts and after re-opening."""
+
+    @pytest.fixture(scope="class")
+    def templates(self):
+        # Real records with every check's verdicts, liveness included.
+        names = ["vme_read", "mutex_element", "sbuf_send_ctl",
+                 "master_read_2"]
+        return SweepRunner(SweepPlan(names=names)).run().results
+
+    def put_all(self, store, templates):
+        for number in range(MEMORY_RECORDS):
+            template = templates[number % len(templates)]
+            store.put(dataclasses.replace(
+                template, name=f"{template.name}_{number}",
+                fingerprint=f"{number:064x}"))
+
+    def test_puts_stay_under_the_bound(self, tmp_path, templates):
+        store = RunStore(str(tmp_path))
+        retained, _ = retained_bytes_per_record(
+            lambda: self.put_all(store, templates))
+        assert len(store) == MEMORY_RECORDS
+        assert retained < RETAINED_BYTES_PER_RECORD
+
+    def test_reopening_stays_under_the_bound(self, tmp_path, templates):
+        self.put_all(RunStore(str(tmp_path)), templates)
+        retained, reopened = retained_bytes_per_record(
+            lambda: RunStore(str(tmp_path)))
+        assert len(reopened) == MEMORY_RECORDS
+        assert retained < RETAINED_BYTES_PER_RECORD
+        hit = reopened.lookup("vme_read_0", f"{0:064x}")
+        assert hit.report == templates[0].report

@@ -109,6 +109,22 @@ class TestBaseFlow:
         assert metrics["serve.bdd.delta_seeds"]["value"] == 1
         assert metrics["serve.bdd.delta_colds"]["value"] == 0
 
+    def test_bdd_store_totals_are_counters(self, daemon, client):
+        client.check(g_text=base_text(), name="editbase", checks=["csc"])
+        client.check(g_text=base_text(), name="editbase",
+                     checks=["safeness"])  # the reachable set hits
+        client.check(g_text=edited_text(), name="edit1", checks=["csc"],
+                     base="editbase")
+        store = daemon.state.bdd_store
+        assert store.misses and store.hits and store.delta_seeds
+        for _ in range(2):  # an observation adds only what is new
+            metrics = client.metrics()["metrics"]
+            for total in ("hits", "misses", "delta_hits", "delta_seeds",
+                          "delta_colds"):
+                assert metrics[f"serve.bdd.{total}"] == {
+                    "kind": "counter", "value": getattr(store, total)}
+        assert metrics["serve.runstore.records"]["kind"] == "gauge"
+
 
 class TestValidation:
     def test_unknown_base_is_404(self, client):

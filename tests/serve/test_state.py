@@ -1,20 +1,23 @@
 """The warm state: task construction parity, interning, config hygiene."""
 
 import asyncio
+import gc
 import json
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import corpus, obs
 from repro.api import EngineConfig
+from repro.bdd.manager import BDDManager
 from repro.cache import BDDStore, bind_pipeline, canonical_g_text
 from repro.core.pipeline import VerificationPipeline
 from repro.runner import SweepPlan, SweepTask
 from repro.runner.results import EntryResult
 from repro.runner.worker import execute_payload
 from repro.serve.protocol import CheckRequest, ProtocolError
-from repro.serve.state import WarmState, execute_payload_async
+from repro.serve.state import TASK_SOURCES, WarmState, execute_payload_async
 from repro.stg.parser import parse_g
 
 
@@ -235,6 +238,42 @@ class TestRunTask:
 
         assert asyncio.run(scenario()) == {}
         assert state.metrics.counter("serve.runstore.misses").value == 6
+
+    def test_many_cold_tasks_leave_bounded_tables_and_no_manager(
+            self, state, monkeypatch):
+        # What the daemon keeps per answered request is bounded: the
+        # task-source table stays at its limit, the RunStore keeps index
+        # entries, and every verification frees its BDD manager by
+        # reference counting alone.
+        managers = []
+        initialise = BDDManager.__init__
+
+        def tracked(manager, *arguments, **keywords):
+            initialise(manager, *arguments, **keywords)
+            managers.append(weakref.ref(manager))
+
+        monkeypatch.setattr(BDDManager, "__init__", tracked)
+        text = corpus.g_text("handshake")
+        requests = [CheckRequest(g_text=text.replace(
+            ".model handshake", f".model cold{index}"), name=f"cold{index}")
+            for index in range(TASK_SOURCES + 44)]
+
+        async def scenario():
+            for request in requests:
+                result = await state.run_task(state.make_task(request))
+                assert result.status == "ok" and not result.cached
+
+        gc.collect()
+        gc.disable()
+        try:
+            asyncio.run(scenario())
+            assert len(state._task_sources) == TASK_SOURCES
+            assert len(managers) >= len(requests)
+            assert [ref for ref in managers if ref() is not None] == []
+        finally:
+            gc.enable()
+        assert len(state.run_store) == len(requests)
+        assert state.bdd_store.misses == len(requests)
 
 
 class TestExecutePayloadAsync:

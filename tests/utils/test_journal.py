@@ -222,6 +222,42 @@ class TestRunStoreAcrossProcesses:
         assert reloaded.lookup("after", "b" * 64) is not None
 
 
+class TestMergesInOppositeDirections:
+    def test_two_threads_merging_each_others_store_finish(self, tmp_path):
+        # Each merge holds both stores' locks; taken in path order, two
+        # merges in opposite directions cannot wait on each other.
+        left, right = str(tmp_path / "left"), str(tmp_path / "right")
+        rounds = 20
+        barrier = threading.Barrier(2)
+
+        def merge_into(target, source, prefix):
+            mine, theirs = RunStore(target), RunStore(source)
+            barrier.wait(timeout=TIMEOUT)
+            for number in range(rounds):
+                mine.put(result(f"{prefix}{number}", "f" * 64))
+                mine.merge(theirs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=merge_into, args=arguments,
+                                        daemon=True)
+                       for arguments in ((left, right, "l"),
+                                         (right, left, "r"))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=TIMEOUT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        RunStore(left).merge(right)
+        merged = RunStore(left)
+        assert len(merged) == 2 * rounds
+        assert all(merged.lookup(f"{prefix}{number}", "f" * 64)
+                   for prefix in "lr" for number in range(rounds))
+
+
 class TestCoordinatorsSharingAStore:
     def test_each_entry_is_computed_once(self, tmp_path):
         names = corpus.names()[:12]
@@ -267,10 +303,15 @@ class TestReplay:
         path = str(tmp_path / "j.jsonl")
         writer, reader = Journal(path), Journal(path)
         seen = []
+
+        def keep(record, offset):
+            seen.append((record, offset))
+
         with writer.locked():
-            writer.append({"n": 1})
-        reader.replay(seen.append)
+            first = writer.append({"n": 1})
+        reader.replay(keep)
         with writer.locked():
-            writer.append({"n": 2})
-        reader.replay(seen.append)
-        assert seen == [{"n": 1}, {"n": 2}]
+            second = writer.append({"n": 2})
+        reader.replay(keep)
+        assert seen == [({"n": 1}, first), ({"n": 2}, second)]
+        assert (first, second) == (0, len('{"n": 1}\n'))

@@ -21,7 +21,11 @@ The ledger (``"schema": 2``) has four sections:
   ``unattributed_s`` is the root's own self-time, so the stages plus
   ``unattributed_s`` sum to ``wall_s``.  ``wall_s_range`` and
   ``stage_ranges`` hold the min-max of the same figures over all the
-  runs.  ``stages.traversal`` is the
+  runs.  Every one of these times is calibrated: perfbench's
+  calibration kernel (:mod:`perfbench.calibrate`) is timed before and
+  after each repeat, and the repeat's times are divided by the
+  slowdown it measures against ``REFERENCE_S``; ``calibration_factor``
+  is the row's median slowdown.  ``stages.traversal`` is the
   forward fixpoint alone.  The hit rate is the traversal span's BDD
   operation-cache delta; ``event_span`` is the mean span of a forward
   event (a transition's places and signal) under the run's variable
@@ -78,6 +82,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # run as a script, tools/ is sys.path[0]
     sys.path.insert(0, REPO_ROOT)
 
+from perfbench.calibrate import BURST, REFERENCE_S, kernel_seconds  # noqa: E402
 from tools.repro_process import repro_environment, serve_daemon  # noqa: E402
 
 from repro import corpus, obs  # noqa: E402
@@ -206,17 +211,18 @@ def traced_run(stg, sink):
     return root.duration_s, pipeline
 
 
-def row_times(records) -> dict:
-    """``wall_s``, per-stage self-times and ``unattributed_s`` of a trace.
+def row_times(records, factor: float) -> dict:
+    """``wall_s``, per-stage self-times and ``unattributed_s`` of a trace,
+    each divided by the machine's slowdown ``factor``.
 
     Self-times telescope (:mod:`repro.obs.report`), so the stages plus
     the root span's own self-time, ``unattributed_s``, sum to the root
     span's duration, ``wall_s``.
     """
-    stages = {label: entry["self_s"] for label, entry
+    stages = {label: entry["self_s"] / factor for label, entry
               in sorted(stage_breakdown(records).items())}
     unattributed_s = stages.pop("entry")
-    return {"wall_s": trace_wall_s(records), "stages": stages,
+    return {"wall_s": trace_wall_s(records) / factor, "stages": stages,
             "unattributed_s": unattributed_s}
 
 
@@ -233,34 +239,47 @@ def kernel_rows(rows) -> list:
     """One ledger row per name in ``rows``: each the median of
     :data:`ALTERNATING_REPEATS` traced runs, and their min-max.
 
-    Each repeat runs every row once, in ``rows`` order.  The row's
-    figures are those of its median run (by ``wall_s``), so its stages
-    still sum to its wall time.
+    Each repeat runs every row once, in ``rows`` order, between two
+    bursts of perfbench's calibration kernel.  The repeat's figures are
+    divided by its slowdown, the median kernel time of both bursts over
+    ``REFERENCE_S``, as perfbench calibrates its timings, so a row
+    reads as on a machine where the kernel takes ``REFERENCE_S``.  The
+    row's figures are those of its median run (by calibrated
+    ``wall_s``), so its stages still sum to its wall time.
     """
     stgs = [(row, build_row_stg(row)) for row in rows]
     runs = {row: [] for row in rows}
     for _ in range(ALTERNATING_REPEATS):
+        samples = [kernel_seconds() for _ in range(BURST)]
+        repeat = []
         for row, stg in stgs:
             sink = obs.InMemorySink()
             wall_s, pipeline = traced_run(stg, sink)
-            runs[row].append((wall_s, sink.records, pipeline))
+            repeat.append((row, wall_s, sink.records, pipeline))
+        samples += [kernel_seconds() for _ in range(BURST)]
+        factor = statistics.median(samples) / REFERENCE_S
+        for row, wall_s, records, pipeline in repeat:
+            runs[row].append((wall_s / factor, records, pipeline, factor))
     return [kernel_summary(row, runs[row]) for row in rows]
 
 
 def kernel_summary(row: str, runs) -> dict:
-    """The row of ``runs``, ``(wall_s, records, pipeline)`` triples of
-    the same work: the median run's figures, every run's min-max."""
-    wall_s, records, pipeline = sorted(
+    """The row of ``runs``, ``(wall_s, records, pipeline, factor)``
+    tuples of the same work, ``wall_s`` calibrated: the median run's
+    figures, every run's min-max and the median slowdown factor."""
+    _, records, pipeline, factor = sorted(
         runs, key=lambda run: run[0])[len(runs) // 2]
-    times = [row_times(run_records) for _, run_records, _ in runs]
+    times = [row_times(run[1], run[3]) for run in runs]
     stages = sorted({stage for figures in times
                      for stage in figures["stages"]})
     # Every run does the same work, so any run's counters will do.
     stats = pipeline.traversal_stats.to_dict()
     return {
         "name": row,
-        **row_times(records),
+        **row_times(records, factor),
         "repeats": len(runs),
+        "calibration_factor": round(
+            statistics.median(run[3] for run in runs), 3),
         "wall_s_range": spread(figures["wall_s"] for figures in times),
         "stage_ranges": {stage: spread(figures["stages"].get(stage, 0.0)
                                        for figures in times)
@@ -700,6 +719,7 @@ def main(argv=None) -> int:
         low, high = result["wall_s_range"]
         print(f"  {result['name']:<24} wall={result['wall_s']:8.4f}s "
               f"[{low:.4f}-{high:.4f}] "
+              f"factor={result['calibration_factor']} "
               f"traversal={result['stages']['traversal']:8.4f}s "
               f"unattributed={result['unattributed_s']:.4f}s "
               f"span={result['event_span']} "
