@@ -8,9 +8,9 @@ Packages
 * :mod:`repro.api` -- **the one public verification entry point**: the
   :func:`~repro.api.facade.verify` facade, the typed
   :class:`~repro.api.config.EngineConfig` and the table of property
-  checks.  Its engine choice (``symbolic`` or ``explicit``) and check
-  selection reach the two engines of :mod:`repro.engines`, its back
-  end.
+  checks.  It runs both engines itself: the ``symbolic`` BDD traversal
+  (:mod:`repro.core`) and the ``explicit`` enumeration (:mod:`repro.sg`),
+  each over the selected checks.
 * :mod:`repro.corpus` -- the benchmark corpus: named ``.g`` specifications
   with expected-verdict metadata.
 * :mod:`repro.runner` -- the parallel, sharded, cached sweep runner behind

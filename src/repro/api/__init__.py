@@ -22,10 +22,11 @@ The moving parts:
   every one.
 * :func:`verify` / :func:`run` -- the facade: validation (unknown
   engines/checks/arbitration places raise :class:`ApiError` with
-  did-you-mean suggestions), dispatch to the ``symbolic`` or
-  ``explicit`` engine (:mod:`repro.engines`, the facade's back end),
-  and -- via :func:`run` -- access to the engine intermediates for
-  synthesis and liveness extras.
+  did-you-mean suggestions), a run of the ``symbolic`` BDD traversal
+  (:mod:`repro.core`) or the ``explicit`` enumeration (:mod:`repro.sg`),
+  which the facade builds from the config itself, and -- via
+  :func:`run`, whose :class:`EngineRun` carries them -- access to the
+  engine intermediates for synthesis and liveness extras.
 """
 
 from repro.api.checks import (
@@ -41,8 +42,12 @@ from repro.api.config import (
     EngineConfig,
 )
 from repro.api.errors import ApiError, UnknownCheckError, UnknownEngineError
-from repro.api.facade import run, validate_arbitration_places, verify
-from repro.engines import EngineRun
+from repro.api.facade import (
+    EngineRun,
+    run,
+    validate_arbitration_places,
+    verify,
+)
 
 __all__ = [
     "ALL",

@@ -27,7 +27,12 @@ import re
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.api.errors import ApiError
+from repro.api.errors import ApiError, UnknownEngineError
+
+#: The two engines, the default first: the paper's ``symbolic`` BDD
+#: traversal (:mod:`repro.core`) and the ``explicit`` enumeration
+#: baseline (:mod:`repro.sg`); :func:`repro.api.run` runs either.
+ENGINES = ("symbolic", "explicit")
 
 #: Valid symbolic traversal strategies: saturation (the default),
 #: Figure 5 chained, breadth-first frontier (:mod:`repro.core.traversal`).
@@ -51,8 +56,9 @@ class EngineConfig:
     Parameters
     ----------
     engine:
-        ``"symbolic"`` (the default) or ``"explicit"``
-        (:data:`repro.engines.ENGINES`).
+        ``"symbolic"`` (the default) or ``"explicit"`` (:data:`ENGINES`);
+        any other name raises :class:`~repro.api.errors.UnknownEngineError`
+        with a did-you-mean suggestion.
     ordering:
         BDD variable-ordering strategy (symbolic engine).
     traversal_strategy:
@@ -72,9 +78,9 @@ class EngineConfig:
         Places whose output/output conflicts model arbitration; validated
         against the specification's actual places by the facade.
     timeout:
-        Per-entry wall-clock budget in seconds.  Each engine's ``run``
+        Per-entry wall-clock budget in seconds.  :func:`repro.api.run`
         turns it into an absolute :func:`time.monotonic` deadline
-        (:func:`~repro.utils.timing.deadline_from_timeout`) when it
+        (:func:`~repro.utils.timing.deadline_from_timeout`) as the run
         starts; every symbolic fixpoint (the traversal and each closure)
         and the explicit enumeration check that deadline cooperatively
         once per iteration and raise
@@ -144,10 +150,10 @@ class EngineConfig:
         self._validate()
 
     def _validate(self) -> None:
-        from repro import engines
         from repro.core.encoding import ORDERING_STRATEGIES
 
-        engines.get(self.engine)  # raises UnknownEngineError
+        if self.engine not in ENGINES:
+            raise UnknownEngineError(self.engine, ENGINES)
         if self.ordering not in ORDERING_STRATEGIES:
             raise ApiError(
                 f"unknown ordering strategy {self.ordering!r}; available: "

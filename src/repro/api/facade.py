@@ -28,21 +28,50 @@ the check.  Engine choice, check selection, arbitration places and the
 base reference are all validated here, so a bad request fails fast with
 a clear :class:`~repro.api.errors.ApiError` instead of silently
 misbehaving deep inside an engine.
+
+:func:`run` builds the engine's check context from the config itself --
+a :class:`~repro.core.pipeline.VerificationPipeline` or an
+:class:`~repro.sg.checker.ExplicitVerification` -- and runs the selected
+checks over it; the engine packages load on first use.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Union)
 
+from repro.api.checks import resolve_checks, run_checks
 from repro.api.config import EngineConfig
 from repro.api.errors import ApiError
-from repro.engines import EngineRun
 from repro.report import ImplementabilityReport
 from repro.stg.stg import STG
 from repro.utils.registry import suggest
+from repro.utils.timing import deadline_from_timeout
+
+if TYPE_CHECKING:  # pragma: no cover - hints only, imported lazily
+    from repro.core.pipeline import VerificationPipeline
 
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
+
+@dataclass
+class EngineRun:
+    """Everything one engine run produced.
+
+    ``report`` is the verdict object every consumer reads;
+    ``traversal`` carries the symbolic traversal statistics (``None`` on
+    the explicit engine, or when no check needed the traversal) and
+    ``pipeline`` exposes the symbolic intermediates (encoding, image,
+    reachable BDD) for consumers that keep working after the check --
+    synthesis, liveness extras, witnesses -- without re-running the
+    traversal.
+    """
+
+    report: ImplementabilityReport
+    traversal: Optional[Dict[str, int]] = None
+    pipeline: Optional["VerificationPipeline"] = None
 
 
 def validate_arbitration_places(stg: STG,
@@ -129,9 +158,6 @@ def run(stg: STG, config: Optional[EngineConfig] = None,
     traversal -- verdicts are byte-identical to a cold run -- and the
     report's ``delta`` block records the classification outcome.
     """
-    from repro import engines
-    from repro.api.checks import resolve_checks
-
     if config is None:
         config = EngineConfig()
     if base is not None:
@@ -148,12 +174,61 @@ def run(stg: STG, config: Optional[EngineConfig] = None,
             base_fingerprint=resolve_base(base, config))
     validate_arbitration_places(stg, config.arbitration_places)
     selected = resolve_checks(checks)
-    outcome = engines.get(config.engine).run(stg, config, selected)
-    if config.base_fingerprint and outcome.pipeline is not None:
-        info = getattr(outcome.pipeline, "delta_info", None)
-        if info is not None:
-            outcome.report.delta = dict(info)
+    if config.engine == "symbolic":
+        return _run_symbolic(stg, config, selected)
+    return _run_explicit(stg, config, selected)
+
+
+def _run_symbolic(stg: STG, config: EngineConfig,
+                  checks: List[str]) -> EngineRun:
+    """The paper's symbolic BDD traversal (:mod:`repro.core`)."""
+    from repro.core.pipeline import VerificationPipeline
+
+    pipeline = VerificationPipeline(
+        stg,
+        arbitration_places=config.arbitration_places,
+        ordering=config.ordering,
+        traversal_strategy=config.traversal_strategy,
+        initial_values=config.initial_values_dict,
+        commutativity_fallback_states=config.commutativity_fallback_states,
+        deadline=deadline_from_timeout(config.timeout))
+    if config.bdd_cache_dir:
+        from repro.cache import BDDStore, bind_pipeline
+
+        # One store object per cache directory, process-wide: the serve
+        # daemon and in-process sweeps share it, so its effectiveness
+        # counters aggregate across runs.
+        bind_pipeline(pipeline, BDDStore.shared(config.bdd_cache_dir),
+                      name=stg.name, config=config)
+    report = run_checks(pipeline, checks, "symbolic")
+    if pipeline.delta_info is not None:  # a base was tried
+        report.delta = dict(pipeline.delta_info)
+    outcome = EngineRun(report=report, pipeline=pipeline)
+    if pipeline.traversal_ran:
+        stats = pipeline.traversal_stats
+        report.num_states = stats.num_states
+        report.bdd_peak_nodes = stats.peak_nodes
+        report.bdd_final_nodes = stats.final_nodes
+        report.bdd_variables = stats.num_variables
+        outcome.traversal = stats.to_dict()
     return outcome
+
+
+def _run_explicit(stg: STG, config: EngineConfig,
+                  checks: List[str]) -> EngineRun:
+    """The enumeration baseline and testing oracle (:mod:`repro.sg`)."""
+    from repro.sg.checker import ExplicitVerification
+
+    context = ExplicitVerification(
+        stg,
+        initial_values=config.initial_values_dict,
+        arbitration_places=config.arbitration_places,
+        max_states=config.max_states,
+        deadline=deadline_from_timeout(config.timeout))
+    report = run_checks(context, checks, "explicit")
+    if context.graph_built:
+        report.num_states = context.graph.num_states
+    return EngineRun(report=report)
 
 
 def verify(stg: STG, config: Optional[EngineConfig] = None,

@@ -27,7 +27,6 @@ class Function:
     ``f | g`` disjunction
     ``f ^ g`` exclusive or
     ``f - g`` difference (``f & ~g``)
-    ``f >> g``implication
     ``f == g``semantic equality (bool)
     ========  =========================
     """
@@ -88,10 +87,6 @@ class Function:
         return self.manager._wrap(
             self.manager.apply_diff(self.node, self._other_node(other)))
 
-    def __rshift__(self, other: "Function") -> "Function":
-        return self.manager._wrap(
-            self.manager.apply_implies(self.node, self._other_node(other)))
-
     def split(self, other: "Function") -> Tuple["Function", "Function"]:
         """``(self & other, self - other)`` in one recursion."""
         inside, outside = self.manager.apply_split(self.node,
@@ -122,10 +117,12 @@ class Function:
         return hash((id(self.manager), self.node))
 
     def __le__(self, other: "Function") -> bool:
-        """Implication test: True iff ``self -> other`` is a tautology."""
-        from repro.bdd.manager import TRUE_ID
+        """Implication test: True iff ``self -> other`` is a tautology,
+        that is iff ``self - other`` is FALSE."""
+        from repro.bdd.manager import FALSE_ID
 
-        return self.manager.apply_implies(self.node, self._other_node(other)) == TRUE_ID
+        return self.manager.apply_diff(self.node,
+                                       self._other_node(other)) == FALSE_ID
 
     def __ge__(self, other: "Function") -> bool:
         return other <= self

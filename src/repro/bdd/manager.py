@@ -477,10 +477,6 @@ class BDDManager:
         cache[key] = result
         return result
 
-    def apply_implies(self, f: int, g: int) -> int:
-        """Implication ``f' + g`` on node identifiers."""
-        return self.negate(self.apply_diff(f, g))
-
     # ------------------------------------------------------------------
     # Cube helpers
     # ------------------------------------------------------------------

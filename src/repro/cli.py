@@ -6,7 +6,7 @@ the built-in examples.  All verification flows through the public
 
     stg-check handshake
     stg-check muller_pipeline --scale 8
-    stg-check path/to/spec.g --explicit
+    stg-check path/to/spec.g
     stg-check vme_read --engine explicit
     stg-check mutex_element --arbitration p_me
     stg-check handshake --checks csc,persistency
@@ -64,11 +64,9 @@ def build_argument_parser() -> argparse.ArgumentParser:
              "'batch-check' mode sweeping the benchmark corpus")
     parser.add_argument("--scale", type=int, default=None,
                         help="scale parameter for scalable families")
-    parser.add_argument("--engine", default=None, metavar="NAME",
+    parser.add_argument("--engine", default="symbolic", metavar="NAME",
                         help="verification engine: symbolic (the "
                              "default) or explicit")
-    parser.add_argument("--explicit", action="store_true",
-                        help="shorthand for --engine explicit")
     parser.add_argument("--ordering", choices=list(ORDERING_STRATEGIES),
                         default="force",
                         help="BDD variable ordering strategy (symbolic only)")
@@ -109,9 +107,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
                              "synthesis, per-iteration frontier sizes, "
                              "BDD cache deltas) under DIR; inspect with "
                              "tools/trace_report.py")
-    parser.add_argument("--infer-initial-values", action="store_true",
-                        help="infer missing initial signal values before "
-                             "checking")
     parser.add_argument("--validate-only", action="store_true",
                         help="only run the structural validation")
     parser.add_argument("--liveness", action="store_true",
@@ -314,19 +309,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("structural validation failed; aborting the behavioural check")
         return 1
 
-    if arguments.infer_initial_values or not stg.has_complete_initial_values():
+    if not stg.has_complete_initial_values():
         stg.set_initial_values(infer_initial_values(stg))
 
-    if (arguments.explicit and arguments.engine
-            and arguments.engine != "explicit"):
-        parser.error(f"--explicit conflicts with "
-                     f"--engine {arguments.engine}")
-        return 2
-    engine = arguments.engine or (
-        "explicit" if arguments.explicit else "symbolic")
     try:
         config = api.EngineConfig(
-            engine=engine,
+            engine=arguments.engine,
             ordering=arguments.ordering,
             arbitration_places=tuple(arguments.arbitration),
             bdd_cache_dir=arguments.bdd_cache,
@@ -353,7 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The tracing context covers the whole run -- main check, liveness
     # extras and synthesis all land in one trace file under --trace.
     with obs.tracing(config.trace_dir, name=stg.name,
-                     meta={"engine": engine}):
+                     meta={"engine": config.engine}):
         try:
             outcome = api.run(stg, config, checks=arguments.checks,
                               base=base)

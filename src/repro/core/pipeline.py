@@ -16,10 +16,11 @@ hands the cached intermediates to every checker:
           -> consistency / safeness / persistency / CSC / deadlock / ...
 
 Individual property results are cached as well, so asking for the full
-report after probing a single property does not repeat work.  The
-symbolic engine of :mod:`repro.engines` builds one pipeline per
-:func:`repro.api.run` call and runs the selected checks over it through
-the shared check loop (:func:`repro.api.checks.run_checks`).
+report after probing a single property does not repeat work.  A
+symbolic :func:`repro.api.run` call builds one pipeline from its
+:class:`~repro.api.config.EngineConfig` and runs the selected checks
+over it through the shared check loop
+(:func:`repro.api.checks.run_checks`).
 """
 
 from __future__ import annotations

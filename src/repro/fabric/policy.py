@@ -21,6 +21,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.utils.keyvalue import key_value_pairs
+
 #: Entry statuses that are retryable by default: both mean "no verdict
 #: was produced", never "the verdict was bad".
 DEFAULT_RETRY_STATUSES = ("error", "timeout")
@@ -123,20 +125,8 @@ def parse_retry_spec(spec: str) -> RetryPolicy:
     ``attempts=4,base=0.05,max=1,jitter=0.5,seed=7``.
     """
     kwargs: Dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise RetrySpecError(
-                f"bad retry spec part {part!r}; expected key=value")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SPEC_KEYS:
-            raise RetrySpecError(
-                f"unknown retry spec key {key!r}; known: "
-                f"{', '.join(_SPEC_KEYS)}")
+    for key, value in key_value_pairs(spec, _SPEC_KEYS, RetrySpecError,
+                                      "retry"):
         target = _SPEC_KEYS[key]
         try:
             if target in ("max_attempts", "seed"):

@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
 from repro.utils.journal import Journal
+from repro.utils.keyvalue import key_value_pairs
 
 #: The injectable fault kinds, in spec order.
 FAULT_KINDS = ("crash", "hang", "truncate", "stall")
@@ -152,28 +153,11 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     ``attempt=N``.  Raises :class:`FaultSpecError` on anything else.
     """
     kwargs: Dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise FaultSpecError(
-                f"bad fault spec part {part!r}; expected key=value")
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
+    keys = FAULT_KINDS + ("seed", "attempt")
+    for key, value in key_value_pairs(spec, keys, FaultSpecError, "fault"):
         try:
-            if key in FAULT_KINDS:
-                kwargs[key] = float(value)
-            elif key in ("seed", "attempt"):
-                kwargs[key] = int(value)
-            else:
-                raise FaultSpecError(
-                    f"unknown fault spec key {key!r}; known: "
-                    f"{', '.join(FAULT_KINDS + ('seed', 'attempt'))}")
-        except ValueError as error:
-            if isinstance(error, FaultSpecError):
-                raise
+            kwargs[key] = float(value) if key in FAULT_KINDS else int(value)
+        except ValueError:
             raise FaultSpecError(
                 f"bad value for {key!r} in fault spec: {value!r}")
     return FaultPlan(**kwargs)

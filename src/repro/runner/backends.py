@@ -19,8 +19,8 @@ an ``emit`` callback, so the runner's output -- plan-ordered results,
 :meth:`~repro.runner.results.SweepResult.stable_json_dict` -- is
 byte-identical across backends (the parity tests and the CI sweep matrix
 pin exactly that).  Both honour ``timeout`` through the cooperative
-deadline each engine derives from it as it starts
-(:mod:`repro.engines`).  The differences are operational:
+deadline :func:`repro.api.run` derives from it as each entry starts.
+The differences are operational:
 
 ``process`` (the default)
     One worker process per task, bounded by ``jobs``.  The only backend

@@ -39,11 +39,21 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro import obs
 from repro.runner.results import EntryResult
 from repro.utils.journal import Journal
+from repro.utils.keyvalue import key_value_pairs
 
 RESULTS_FILE = "results.jsonl"
 
@@ -145,11 +155,15 @@ class RunStore:
         for key, entry in entries:
             self._set_entry(key, entry)
 
-    def _record(self, key: _Key, entry: _Entry) -> Dict[str, object]:
-        """The record ``entry`` indexes (hold the lock, after a replay)."""
-        if entry.offset is None:
-            return self._unsaved[key]
-        return self._journal.read(entry.offset)
+    def _records(self, entries: Collection[Tuple[_Key, _Entry]]
+                 ) -> Iterator[Dict[str, object]]:
+        """The records ``entries`` index, in order (hold the lock, after a
+        replay): adoptions not written yet from memory, the rest read
+        back from the file through one handle."""
+        saved = self._journal.read(entry.offset for _, entry in entries
+                                   if entry.offset is not None)
+        for key, entry in entries:
+            yield self._unsaved[key] if entry.offset is None else next(saved)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -174,7 +188,7 @@ class RunStore:
             entry = self._index.get(key)
             if entry is None or not entry.verdict:
                 return None  # always retry errors and timeouts
-            record = self._record(key, entry)
+            [record] = self._records([(key, entry)])
         result = EntryResult.from_dict(record)
         result.cached = True
         return result
@@ -220,8 +234,7 @@ class RunStore:
         with self._journal.locked():
             self._replay()
             index = self._index
-            offsets = self._journal.rewrite(
-                self._record(key, entry) for key, entry in index.items())
+            offsets = self._journal.rewrite(self._records(index.items()))
             self._reindex((key, entry._replace(offset=offset))
                           for (key, entry), offset
                           in zip(index.items(), offsets))
@@ -261,19 +274,19 @@ class RunStore:
                 raise ValueError(
                     f"cannot merge {other!r}: no such run-store directory")
             other = RunStore(other)
-        adopted = 0
         with self._locked_with(other):
             self._replay()
             other._replay()
-            for key, theirs in other._index.items():
-                mine = self._index.get(key)
-                if mine is None or _prefers(theirs, mine):
-                    self._unsaved[key] = other._record(key, theirs)
-                    self._set_entry(key, theirs._replace(offset=None))
-                    adopted += 1
+            adopted = [(key, theirs) for key, theirs in other._index.items()
+                       if key not in self._index
+                       or _prefers(theirs, self._index[key])]
+            for (key, theirs), record in zip(adopted,
+                                             other._records(adopted)):
+                self._unsaved[key] = record
+                self._set_entry(key, theirs._replace(offset=None))
             if adopted and compact:
                 self.compact()
-        return adopted
+        return len(adopted)
 
     @contextlib.contextmanager
     def _locked_with(self, other: "RunStore") -> Iterator[None]:
@@ -366,13 +379,8 @@ def parse_gc_spec(text: str) -> Dict[str, float]:
     suffix: ``entries=1000``, ``age=7d``, ``entries=500,age=12h``.
     """
     keywords: Dict[str, float] = {}
-    for part in text.split(","):
-        key, equals, value = part.strip().partition("=")
-        if not equals:
-            raise ValueError(
-                f"invalid cache-gc spec part {part.strip()!r} in {text!r}; "
-                f"expected entries=N and/or age=AGE (e.g. entries=1000, "
-                f"age=7d)")
+    for key, value in key_value_pairs(text, ("entries", "age"), ValueError,
+                                      "cache-gc"):
         if key == "entries":
             try:
                 entries = int(value)
@@ -383,25 +391,20 @@ def parse_gc_spec(text: str) -> Dict[str, float]:
                     f"invalid entry count {value!r} in cache-gc spec "
                     f"{text!r}") from None
             keywords["max_entries"] = entries
-        elif key == "age":
-            scale = 1.0
+        else:
+            number, scale = value, 1.0
             if value and value[-1] in _AGE_UNITS:
-                scale = _AGE_UNITS[value[-1]]
-                value = value[:-1]
+                number, scale = value[:-1], _AGE_UNITS[value[-1]]
             try:
-                age = float(value) * scale
+                age = float(number) * scale
                 if age < 0:
                     raise ValueError
             except ValueError:
                 raise ValueError(
-                    f"invalid age {part.strip()!r} in cache-gc spec "
-                    f"{text!r}; expected non-negative seconds or a "
-                    f"s/m/h/d suffix (e.g. age=7d)") from None
+                    f"invalid age {value!r} in cache-gc spec {text!r}; "
+                    f"expected non-negative seconds or a s/m/h/d suffix "
+                    f"(e.g. age=7d)") from None
             keywords["max_age"] = age
-        else:
-            raise ValueError(
-                f"unknown cache-gc key {key!r} in {text!r}; expected "
-                f"'entries' and/or 'age'")
     if not keywords:
         raise ValueError(f"empty cache-gc spec {text!r}")
     return keywords

@@ -43,8 +43,8 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
     span's own (:func:`repro.obs.timed`), traced or not.
 
     Timeouts are enforced *cooperatively* inside the engines, for every
-    backend: each engine turns the config's ``timeout`` into the
-    deadline its fixpoints check, and the
+    backend: :func:`repro.api.run` turns the config's ``timeout`` into
+    the deadline the engine's fixpoints check, and the
     :class:`~repro.utils.timing.DeadlineExceeded` they raise surfaces
     here as a ``timeout`` record.  The ``process`` backend keeps its
     preemptive kill on top (a wedged C extension beats any cooperative

@@ -1,5 +1,7 @@
-"""Small shared utilities: cooperative deadlines (:mod:`.timing`) and
-the append-only JSONL journal (:mod:`.journal`, imported directly)."""
+"""Small shared utilities: cooperative deadlines (:mod:`.timing`), the
+append-only JSONL journal (:mod:`.journal`), the name registry
+(:mod:`.registry`) and the ``key=value`` option grammar
+(:mod:`.keyvalue`); import the last three directly."""
 
 from repro.utils.timing import (
     DeadlineExceeded,

@@ -7,8 +7,9 @@ read side.  A journal holds one JSON object per line, appended and
 never edited in place, salvaged on read and compacted by atomically
 replacing the whole file.  Every line is addressed by the byte offset
 it starts at: replay reports it, an append returns it, and
-:meth:`Journal.read` decodes the one line there, so a reader can index
-a journal by offset instead of keeping its records.
+:meth:`Journal.read` decodes the lines at given offsets through one
+handle, so a reader can index a journal by offset instead of keeping
+its records.
 
 Concurrent writers on one host coordinate through :meth:`Journal.locked`,
 an exclusive ``flock`` on the sidecar file ``<path>.lock``.  A writer
@@ -248,16 +249,18 @@ class Journal:
                 self._lines += 1
         return offset
 
-    def read(self, offset: int) -> Any:
-        """Decode the record whose line starts at ``offset``.
+    def read(self, offsets: Iterable[int]) -> Iterator[Any]:
+        """Decode the records whose lines start at ``offsets``, in order,
+        through one handle (opened when the first record is asked for).
 
         Call under :meth:`locked`, after a :meth:`replay` or
-        :meth:`append` reported the offset: only the lock keeps another
-        writer's compaction from moving the line in between.
+        :meth:`append` reported the offsets: only the lock keeps another
+        writer's compaction from moving the lines in between.
         """
         with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            return json.loads(handle.readline())
+            for offset in offsets:
+                handle.seek(offset)
+                yield json.loads(handle.readline())
 
     def rewrite(self, records: Iterable[Any]) -> List[int]:
         """Atomically replace the file with ``records``, one per line;

@@ -1,20 +1,22 @@
 """One name registry, and the error every unknown name raises.
 
-Engines, execution backends, property checks, corpus entries, benchmark
-families and a tracer's metrics are all looked up by name.  Each lives
-in a :class:`Registry` bound to its own :class:`UnknownNameError`
-subclass, so every lookup fails the same way -- the kind of thing, the
-options and the close matches::
+Execution backends, property checks, corpus entries, benchmark families
+and a tracer's metrics are all looked up by name.  Each lives in a
+:class:`Registry` bound to its own :class:`UnknownNameError` subclass,
+so every lookup fails the same way -- the kind of thing, the options and
+the close matches::
 
-    ENGINES = Registry(UnknownEngineError, [("symbolic", SymbolicEngine())])
-    ENGINES.get("symbolc")
-    # UnknownEngineError: unknown engine 'symbolc'; available: symbolic;
-    # did you mean: symbolic?
+    BACKENDS = Registry(UnknownBackendError, [("serial", SerialBackend())])
+    BACKENDS.get("serail")
+    # UnknownBackendError: unknown execution backend 'serail'; available:
+    # serial; did you mean: serial?
 
-The engines, the execution backends, the property checks and the
-benchmark families are fixed tables, filled once at import from the
-constructor's ``items``; the corpus and a tracer's metrics
-:meth:`~Registry.register` as they go.
+The execution backends, the property checks and the benchmark families
+are fixed tables, filled once at import from the constructor's
+``items``; the corpus and a tracer's metrics :meth:`~Registry.register`
+as they go.  A plain tuple of names raises the same error directly:
+:class:`~repro.api.config.EngineConfig` answers an unknown engine with
+``UnknownEngineError(name, ENGINES)``.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ class DeadlineExceeded(Exception):
 
     Raised by the symbolic fixpoint loop (the traversal and every
     closure) or the explicit state-graph enumeration when the deadline
-    an engine derived from the ``timeout`` execution knob (an absolute
-    :func:`time.monotonic` instant) has passed.  A direct
+    :func:`repro.api.run` derived from the ``timeout`` execution knob
+    (an absolute :func:`time.monotonic` instant) has passed.  A direct
     :func:`repro.api.verify` call propagates it; the sweep worker
     primitive catches it and reports
     the entry as a ``timeout`` record, which is how the ``serial``

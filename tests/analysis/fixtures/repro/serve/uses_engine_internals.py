@@ -2,13 +2,13 @@
 machinery.  The path fragment ``repro/serve/`` marks this as daemon
 code, which is transport/queueing/caching only."""
 
-import repro.engines  # must-fire: RA203
+import repro.core.traversal  # must-fire: RA203
 from repro.core.pipeline import VerificationPipeline  # must-fire: RA203
 from repro.sg.checker import ExplicitVerification  # must-fire: RA203
 
 
 def handle_check(stg, config):
-    engine = repro.engines.get(config.engine)
+    strategy = repro.core.traversal.fixpoint
     pipeline = VerificationPipeline(stg)  # must-fire: RA203
     oracle = ExplicitVerification(stg)  # must-fire: RA203
-    return engine, pipeline, oracle
+    return strategy, pipeline, oracle

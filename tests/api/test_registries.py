@@ -1,21 +1,22 @@
-"""Tests of the fixed engine and property-check tables and their error
-paths."""
+"""Tests of the engine names, the fixed property-check table and their
+error paths."""
 
 import os
 
 import pytest
 
-from repro import engines
 from repro.api import (
     ALL,
     ApiError,
     EngineConfig,
     UnknownCheckError,
+    UnknownEngineError,
     available_checks,
     default_checks,
     resolve_checks,
     verify,
 )
+from repro.api.config import ENGINES
 from repro.report import ImplementabilityClass
 from repro.runner import backends
 from repro.stg.generators import handshake
@@ -24,14 +25,17 @@ README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))), "README.md")
 
 
-class TestEngineRegistry:
+class TestEngineNames:
     @pytest.mark.smoke
     def test_builtins_are_registered(self):
-        assert engines.ENGINES.available() == ["symbolic", "explicit"]
+        assert ENGINES == ("symbolic", "explicit")
+        assert EngineConfig().engine == "symbolic"
 
     def test_get_unknown_engine_has_did_you_mean(self):
-        with pytest.raises(ApiError, match="did you mean: explicit"):
-            engines.get("explcit")
+        with pytest.raises(UnknownEngineError) as info:
+            EngineConfig(engine="explcit")
+        assert isinstance(info.value, ApiError)
+        assert str(info.value).endswith("did you mean: explicit?")
 
 
 class TestCheckRegistry:
@@ -62,16 +66,16 @@ class TestCheckRegistry:
 
     @pytest.mark.parametrize("engine", ["symbolic", "explicit"])
     def test_engines_share_the_one_check_loop(self, engine, monkeypatch):
-        from repro.api import checks as checks_module
+        from repro.api import facade
 
         seen = []
-        real_run_checks = checks_module.run_checks
+        real_run_checks = facade.run_checks
 
         def spy(context, selected, engine_name):
             seen.append((list(selected), engine_name))
             return real_run_checks(context, selected, engine_name)
 
-        monkeypatch.setattr(checks_module, "run_checks", spy)
+        monkeypatch.setattr(facade, "run_checks", spy)
         report = verify(handshake(), EngineConfig(engine=engine),
                         checks=["safeness", "csc"])
         assert seen == [(["safeness", "csc"], engine)]
@@ -80,7 +84,7 @@ class TestCheckRegistry:
 
 
 @pytest.mark.parametrize("kind, name", [
-    *(("engine", name) for name in engines.ENGINES.available()),
+    *(("engine", name) for name in ENGINES),
     *(("backend", name) for name in backends.BACKENDS.available()),
     *(("check", name) for name in available_checks()),
 ])

@@ -92,7 +92,7 @@ class TestIterModels:
             assert model["a"] or model["b"]
 
     def test_every_model_satisfies_function(self, mgr):
-        f = (mgr.var("a") ^ mgr.var("b")) & (mgr.var("c") >> mgr.var("d"))
+        f = (mgr.var("a") ^ mgr.var("b")) & (~mgr.var("c") | mgr.var("d"))
         for model in iter_models(f):
             assert evaluate(f, model)
 

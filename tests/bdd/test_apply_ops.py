@@ -96,12 +96,16 @@ class TestSpecialisedOpsMatchIte:
             assert mgr.apply_xor(f, g) == reference_xor(mgr, f, g)
             assert mgr.apply_diff(f, g) == reference_diff(mgr, f, g)
 
-    def test_implies_through_specialised_ops(self, mgr):
+    def test_le_is_an_empty_difference(self, mgr):
+        # f <= g iff f -> g is a tautology iff f - g is FALSE.
         rng = random.Random(11)
         for _ in range(30):
-            f = random_function(mgr, rng)
-            g = random_function(mgr, rng)
-            assert mgr.apply_implies(f, g) == mgr.ite(f, g, TRUE_ID)
+            f = mgr._wrap(random_function(mgr, rng))
+            g = mgr._wrap(random_function(mgr, rng))
+            for upper in (g, f | g):
+                assert (f <= upper) == (
+                    mgr.ite(f.node, upper.node, TRUE_ID) == TRUE_ID)
+            assert f <= f | g
 
     def test_commutative_ops_share_cache_entries(self, mgr):
         f = mgr.apply_and(mgr.var("a").node, mgr.var("b").node)

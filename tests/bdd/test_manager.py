@@ -100,7 +100,8 @@ class TestIte:
 
     def test_implication(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
-        assert (a >> b) == (~a | b)
+        for f, g in [(a, b), (a & b, a), (a, a | b), (~a, b), (a, a)]:
+            assert (f <= g) == (~f | g).is_true()
 
     def test_difference(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")

@@ -75,7 +75,7 @@ def _build_bdd(manager, ast):
     if ast[0] == "xor":
         return left ^ right
     if ast[0] == "implies":
-        return left >> right
+        return ~left | right
     raise AssertionError(f"unknown operator {ast[0]!r}")
 
 

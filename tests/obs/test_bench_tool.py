@@ -82,9 +82,11 @@ class TestAlternatingRows:
         monkeypatch.setattr(bench, "kernel_seconds",
                             lambda: bench.REFERENCE_S)  # no slowdown
         order = []
-        # vme_read's three runs take 3, 1 and 2 ms; the median run is the
-        # 2 ms one, whatever position it ran in.
-        walls = iter([0.003, 0.020, 0.001, 0.030, 0.002, 0.010])
+        # After the untimed warm-up pass, vme_read's three runs take 3, 1
+        # and 2 ms; the median run is the 2 ms one, whatever position it
+        # ran in.
+        walls = iter([0.009, 0.090,
+                      0.003, 0.020, 0.001, 0.030, 0.002, 0.010])
         real_run = bench.traced_run
 
         def fake_run(stg, sink):
@@ -98,7 +100,7 @@ class TestAlternatingRows:
 
         monkeypatch.setattr(bench, "traced_run", fake_run)
         vme, mutex3 = bench.kernel_rows(["vme_read", "mutex3"])
-        assert order == ["vme_read", "mutex3"] * 3
+        assert order == ["vme_read", "mutex3"] * (1 + 3)
         assert vme["repeats"] == 3
         assert vme["wall_s_range"] == [0.001, 0.003]
         assert mutex3["wall_s_range"] == [0.010, 0.030]
@@ -106,6 +108,29 @@ class TestAlternatingRows:
         for stage, (low, high) in vme["stage_ranges"].items():
             assert low <= vme["stages"][stage] <= high
         assert vme["calibration_factor"] == 1.0
+
+    def test_the_warm_up_run_is_not_among_the_timed_runs(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        monkeypatch.setattr(bench, "kernel_seconds",
+                            lambda: bench.REFERENCE_S)  # no slowdown
+        # The first run pays the set-up: 50 ms, then 2 ms each.
+        walls = iter([0.050, 0.002, 0.002, 0.002])
+        real_run = bench.traced_run
+
+        def fake_run(stg, sink):
+            wall_s = next(walls)
+            _, pipeline = real_run(stg, sink)
+            for record in sink.records:
+                if record.get("name") == "entry":
+                    record["duration_s"] = wall_s
+            return wall_s, pipeline
+
+        monkeypatch.setattr(bench, "traced_run", fake_run)
+        row = bench.kernel_rows(["vme_read"])[0]
+        assert row["repeats"] == 3
+        assert row["wall_s_range"] == [0.002, 0.002]
+        assert next(walls, None) is None  # one warm-up, three repeats
 
     def test_kernel_rows_are_divided_by_each_repeats_slowdown(
             self, monkeypatch):

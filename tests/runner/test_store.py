@@ -540,3 +540,49 @@ class TestMemoryBound:
         assert retained < RETAINED_BYTES_PER_RECORD
         hit = reopened.lookup("vme_read_0", f"{0:064x}")
         assert hit.report == templates[0].report
+
+
+class TestOpenCount:
+    """A compaction or a merge reads the records it keeps through one
+    handle: the file is opened as often for 200 records as for 10."""
+
+    @pytest.fixture
+    def opens(self, monkeypatch):
+        import repro.utils.journal as journal_module
+
+        paths = []
+
+        def counting_open(file, *args, **kwargs):
+            paths.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(journal_module, "open", counting_open,
+                            raising=False)
+        return paths
+
+    @staticmethod
+    def filled(directory, count):
+        store = RunStore(str(directory))
+        for number in range(count):
+            store.put(make_result(name=f"entry_{number}",
+                                  fingerprint=f"{number:064x}"))
+        return store
+
+    @pytest.mark.parametrize("count", [10, 200])
+    def test_compaction_opens_the_file_a_bounded_number_of_times(
+            self, tmp_path, opens, count):
+        store = self.filled(tmp_path, count)
+        del opens[:]
+        store.compact()
+        assert opens.count(store.path) <= 2  # the replay and the read
+        assert len(store_records(store)) == count
+
+    @pytest.mark.parametrize("count", [10, 200])
+    def test_merge_opens_the_source_a_bounded_number_of_times(
+            self, tmp_path, opens, count):
+        source = self.filled(tmp_path / "source", count)
+        target = RunStore(str(tmp_path / "target"))
+        del opens[:]
+        assert target.merge(source) == count
+        assert opens.count(source.path) <= 2  # the replay and the read
+        assert len(store_records(target)) == count

@@ -96,7 +96,7 @@ def explicit(stg, **config):
     return verify(stg, EngineConfig(engine="explicit", **config))
 
 
-class TestExplicitEngine:
+class TestExplicitVerdicts:
     def test_handshake_is_gate_implementable(self):
         report = explicit(handshake())
         assert report.bounded and report.consistent

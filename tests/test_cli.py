@@ -19,16 +19,16 @@ class TestArgumentParser:
     def test_defaults(self):
         arguments = build_argument_parser().parse_args(["handshake"])
         assert arguments.specification == "handshake"
-        assert not arguments.explicit
+        assert arguments.engine == "symbolic"
         assert arguments.ordering == "force"
         assert arguments.scale is None
 
     def test_scale_and_flags(self):
         arguments = build_argument_parser().parse_args(
-            ["muller_pipeline", "--scale", "4", "--explicit",
+            ["muller_pipeline", "--scale", "4", "--engine", "explicit",
              "--ordering", "declaration", "--arbitration", "p_me"])
         assert arguments.scale == 4
-        assert arguments.explicit
+        assert arguments.engine == "explicit"
         assert arguments.ordering == "declaration"
         assert arguments.arbitration == ["p_me"]
 
@@ -62,7 +62,7 @@ class TestMain:
         assert "gate-implementable" in output
 
     def test_explicit_engine(self, capsys):
-        assert main(["handshake", "--explicit"]) == 0
+        assert main(["handshake", "--engine", "explicit"]) == 0
         assert "explicit check" in capsys.readouterr().out
 
     def test_scalable_family_via_cli(self, capsys):
@@ -87,7 +87,7 @@ class TestMain:
         stg._initial_values.clear()
         path = tmp_path / "noval.g"
         write_g(stg, str(path))
-        assert main([str(path), "--infer-initial-values"]) == 0
+        assert main([str(path)]) == 0
 
     def test_liveness_option(self, capsys):
         assert main(["handshake", "--liveness"]) == 0
@@ -104,16 +104,6 @@ class TestMain:
         # gate-implementable, so no equations can be derived.
         assert main(["csc_violation", "--synthesize"]) == 0
         assert "synthesis skipped" in capsys.readouterr().out
-
-    def test_engine_option_matches_explicit_flag(self, capsys):
-        assert main(["handshake", "--engine", "explicit"]) == 0
-        assert "explicit check" in capsys.readouterr().out
-
-    def test_conflicting_engine_and_explicit_flags_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["handshake", "--engine", "symbolic", "--explicit"])
-        assert excinfo.value.code == 2
-        assert "conflicts" in capsys.readouterr().err
 
     def test_unknown_engine_exits_2_with_did_you_mean(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

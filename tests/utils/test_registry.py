@@ -7,8 +7,9 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from repro import corpus, engines
+from repro import corpus
 from repro.api.checks import CHECKS
+from repro.api.config import ENGINES, EngineConfig
 from repro.api.errors import ApiError, UnknownCheckError, UnknownEngineError
 from repro.corpus import CorpusError, UnknownFamilyError
 from repro.obs.metrics import MetricError, MetricsRegistry
@@ -93,7 +94,7 @@ def test_suggest_names_at_most_three_closest_first():
 
 
 # ----------------------------------------------------------------------
-# Every public registry is a Registry and fails the same way
+# Every unknown public name fails the same way
 # ----------------------------------------------------------------------
 class Public(NamedTuple):
     make: Callable[[], object]  # a Registry, or one's available/get
@@ -111,9 +112,13 @@ def _metrics():
 
 
 PUBLIC = {
+    # Not a Registry (the config checks a tuple of names), but its
+    # unknown names read the same.
     "engine": Public(
-        lambda: engines.ENGINES, UnknownEngineError, (ApiError, ValueError),
-        "symbolc", "symbolic"),
+        lambda: SimpleNamespace(
+            available=lambda: list(ENGINES),
+            get=lambda name: EngineConfig(engine=name)),
+        UnknownEngineError, (ApiError, ValueError), "symbolc", "symbolic"),
     "execution backend": Public(
         lambda: backends.BACKENDS, UnknownBackendError,
         (PlanError, ValueError), "serail", "serial"),
@@ -131,15 +136,15 @@ PUBLIC = {
         lambda: corpus.FAMILIES, UnknownFamilyError, (KeyError,),
         "muler_pipeline", "muller_pipeline"),
     "metric": Public(_metrics, MetricError, (KeyError,), "image", "images"),
-    # Not a Registry (fixed examples and scalable families share one
-    # namespace), but its unknown names read the same.
+    # Nor is this one (fixed examples and scalable families share one
+    # namespace).
     "example": Public(
         lambda: SimpleNamespace(
             available=lambda: [*FIXED_EXAMPLES, *SCALABLE_FAMILIES],
             get=build_example),
         UnknownExampleError, (ValueError,), "handshak", "handshake"),
 }
-REGISTRIES = [kind for kind in PUBLIC if kind != "example"]
+REGISTRIES = [kind for kind in PUBLIC if kind not in ("engine", "example")]
 
 
 def _unknown(kind):

@@ -12,10 +12,10 @@ IDs are never reused):
   (``VerificationPipeline``, ``ExplicitVerification``) instead of going
   through ``repro.api``;
 * **RA203** -- serve-daemon code (anything under ``serve/``) reaches
-  verification machinery at all: importing from the engine modules
-  (``repro.core``, ``repro.sg``, ``repro.engines``) or naming the
-  internals directly.  The daemon layer is transport, queueing and
-  caching only -- it verifies exclusively through the facade (via the
+  verification machinery at all: importing from the engine packages
+  (``repro.core``, ``repro.sg``) or naming the internals directly.
+  The daemon layer is transport, queueing and caching only -- it
+  verifies exclusively through the facade (via the
   :func:`repro.serve.state.execute_payload_async` primitive), which
   is what keeps daemon verdicts byte-identical to batch-check runs;
 * **RA204** -- incremental-verification code (anything under
@@ -48,18 +48,18 @@ from typing import List
 from tools.analysis.core import Finding, Project, SourceFile
 
 #: Engine-internal verification entry points front-end code must not
-#: touch (the facade threads them through the engine table).
+#: touch (the facade builds them from the config).
 VERIFICATION_INTERNALS = ("VerificationPipeline", "ExplicitVerification")
 
 #: Front-end modules bound to the facade-only contract.
 _FRONTEND_FRAGMENTS = ("repro/cli", "repro/__main__", "repro/runner/")
 
 #: Serve-daemon modules bound to the stricter RA203 contract: no
-#: verification machinery at all, not even the engine table.
+#: verification machinery at all.
 _SERVE_FRAGMENTS = ("repro/serve/",)
 
 #: Module prefixes the serve layer must not import from.
-_SERVE_FORBIDDEN_MODULES = ("repro.core", "repro.sg", "repro.engines")
+_SERVE_FORBIDDEN_MODULES = ("repro.core", "repro.sg")
 
 #: Incremental-verification modules bound to the RA204 contract: they
 #: may only seed the traversal, never touch verdict machinery.

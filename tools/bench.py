@@ -239,15 +239,18 @@ def kernel_rows(rows) -> list:
     """One ledger row per name in ``rows``: each the median of
     :data:`ALTERNATING_REPEATS` traced runs, and their min-max.
 
-    Each repeat runs every row once, in ``rows`` order, between two
-    bursts of perfbench's calibration kernel.  The repeat's figures are
-    divided by its slowdown, the median kernel time of both bursts over
-    ``REFERENCE_S``, as perfbench calibrates its timings, so a row
-    reads as on a machine where the kernel takes ``REFERENCE_S``.  The
-    row's figures are those of its median run (by calibrated
-    ``wall_s``), so its stages still sum to its wall time.
+    Every row first runs once untimed, so one-time set-up stays out of
+    its min-max.  Each repeat then runs every row once, in ``rows``
+    order, between two bursts of perfbench's calibration kernel.  The
+    repeat's figures are divided by its slowdown, the median kernel
+    time of both bursts over ``REFERENCE_S``, as perfbench calibrates
+    its timings, so a row reads as on a machine where the kernel takes
+    ``REFERENCE_S``.  The row's figures are those of its median run (by
+    calibrated ``wall_s``), so its stages still sum to its wall time.
     """
     stgs = [(row, build_row_stg(row)) for row in rows]
+    for _, stg in stgs:
+        traced_run(stg, obs.InMemorySink())  # warm-up, untimed
     runs = {row: [] for row in rows}
     for _ in range(ALTERNATING_REPEATS):
         samples = [kernel_seconds() for _ in range(BURST)]
