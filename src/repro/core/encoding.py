@@ -267,15 +267,21 @@ class SymbolicEncoding:
         resolved.sort()
         return resolved
 
-    def state_minterm(self, marking: Marking,
-                      values: Mapping[str, bool]) -> Function:
-        """Characteristic function of one full state ``(marking, code)``:
-        one cube over the places and signals."""
+    def state_literals(self, marking: Marking,
+                       values: Mapping[str, bool]) -> Dict[str, bool]:
+        """The value of every variable in one full state ``(marking,
+        code)``: a place variable is 1 iff its place is marked."""
         literals = {self.place_variable(p): marking[p] > 0
                     for p in self.stg.net.places}
         literals.update((self.signal_variable(s), bool(values[s]))
                         for s in self.stg.signals)
-        return self.manager.cube(literals)
+        return literals
+
+    def state_minterm(self, marking: Marking,
+                      values: Mapping[str, bool]) -> Function:
+        """Characteristic function of one full state ``(marking, code)``:
+        one cube over the places and signals."""
+        return self.manager.cube(self.state_literals(marking, values))
 
     def initial_state(self) -> Function:
         """Characteristic function of the STG's initial full state (one

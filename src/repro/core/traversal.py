@@ -197,7 +197,8 @@ def _saturation(image: SymbolicImage, start: Function,
     check_deadline(deadline, context)
     events = image.events(transitions, direction)
     reached = saturate(start, events, on_round)
-    if restrict_to is not None:
+    if restrict_to is not None and reached != start:
+        # A closure that added nothing is ``start``, bounded or not.
         reached = start | (reached & restrict_to)
     stats.observe_live_nodes(manager.num_nodes)
     if sized:

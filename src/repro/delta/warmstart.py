@@ -65,22 +65,23 @@ def extend_to_encoding(encoding: SymbolicEncoding, base_reached: Function,
     """Lift a base reachable set into the edited encoding's state space.
 
     Every variable of the edited encoding that the base did not know is
-    constrained to its value in the edited initial state: the resulting
-    states are exactly the base states "carried along" unchanged by the
-    base's firing sequences, so all of them are reachable in the edited
-    net.  The edited initial state is united in for the degenerate case
-    of an empty base set.
+    constrained to its value in the edited initial state, read off the
+    STG: the resulting states are exactly the base states "carried
+    along" unchanged by the base's firing sequences, so all of them are
+    reachable in the edited net.  The edited initial state is united in
+    for the degenerate case of an empty base set.  The union is not
+    skipped when the lifted set holds the initial state already: testing
+    that costs as many lookups as the union, and the traversal's own
+    ``initial | seed`` then finds the union in the operation cache.
     """
-    manager = encoding.manager
-    initial = encoding.initial_state()
+    stg = encoding.stg
+    values = encoding.state_literals(stg.initial_marking(),
+                                     stg.initial_state_vector())
     known = set(base_variables)
-    new_variables = [name for name in encoding.all_variables
-                     if name not in known]
-    literals = {}
-    for name in new_variables:
-        literals[name] = not (initial & manager.var(name)).is_false()
-    cube = manager.cube(literals)
-    return (base_reached & cube) | initial
+    lifted = base_reached & encoding.manager.cube(
+        {name: value for name, value in values.items()
+         if name not in known})
+    return lifted | encoding.initial_state()
 
 
 def apply_base(pipeline, store, base_fingerprint: str

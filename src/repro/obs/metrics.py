@@ -4,7 +4,7 @@
 -- ``register`` / ``unregister`` / ``available`` / ``get`` with a
 did-you-mean :class:`MetricError`, like the engine registry -- but one
 per :class:`~repro.obs.trace.Tracer` rather than module state, so
-concurrent entries (the serve daemon's thread pool) never share
+concurrent entries (the serve daemon's requests in progress) never share
 mutable metric state and a trace file's closing snapshot describes
 exactly one entry.
 

@@ -23,9 +23,10 @@ spans and events are emitted as plain dict records to the tracer's
 sinks (:mod:`repro.obs.sinks`).
 
 Activation uses a :class:`contextvars.ContextVar`, so the serve
-daemon's thread pool can trace concurrent entries without cross-talk;
-the activator must always reset the variable (``activated`` does)
-because pool threads outlive individual tasks.
+daemon's concurrent requests trace without cross-talk, each worker
+coroutine in its own context; the activator must always reset the
+variable (``activated`` does) because the daemon's compute thread
+outlives individual tasks.
 
 Span *names are string literals* by contract -- variable data goes into
 attributes (``span("check", check=name)``, never ``span(name)``).  The
@@ -361,8 +362,8 @@ def activated(tracer: Tracer):
     """Activate ``tracer`` for the dynamic extent of the ``with`` block.
 
     Always resets the context variable on exit: the serve daemon's
-    executor threads are pooled, so a leaked activation would bleed
-    into the next task scheduled on the same thread.
+    compute thread outlives each task, so a leaked activation would
+    bleed into the next task scheduled on the same thread.
     """
     token = _ACTIVE.set(tracer)
     try:

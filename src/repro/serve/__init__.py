@@ -5,10 +5,11 @@ startup, corpus expansion and cold caches on every invocation.  This
 package keeps all of that *warm* in one long-lived process: an asyncio
 HTTP/JSON daemon (``stg-check serve`` / ``python -m repro serve``) that
 accepts ``.g`` text or corpus-entry requests, queues them on a bounded
-job queue, runs them on a thread pool through the sweep worker's
-execution primitive (:func:`repro.serve.state.execute_payload_async`
-awaits :func:`repro.runner.worker.execute_payload`), and streams
-per-job progress events as JSON lines.
+job queue, answers repeats from its stores, computes the rest one at a
+time on its one compute thread through the sweep worker's execution
+primitive (:func:`repro.serve.state.execute_payload_async` awaits
+:func:`repro.runner.worker.execute_payload`), and streams per-job
+progress events as JSON lines.
 
 The contracts, in one sentence each:
 
@@ -17,13 +18,14 @@ The contracts, in one sentence each:
 * **Warmth** -- repeat requests are served from the shared
   :class:`~repro.runner.store.RunStore` / :class:`~repro.cache.BDDStore`
   without re-running anything (counters prove it), and N concurrent
-  identical requests cost one computation (single-flight).
+  identical requests cost one computation (the one compute turn looks
+  the store up again before computing).
 * **Facade purity** -- serve code verifies only through
   :func:`repro.api.run` (via the worker primitive) and never feeds
   anything into fingerprints or stable views (analyzer rule RA203).
 * **Observability** -- every request is a :mod:`repro.obs` span tree
-  (``request -> queue_wait -> entry -> stages``) and ``GET /metrics``
-  snapshots the daemon-wide registry.
+  (``request -> queue_wait, compute_wait, entry -> stages``) and
+  ``GET /metrics`` snapshots the daemon-wide registry.
 """
 
 from repro.serve.app import ServeApp, serve_main

@@ -5,10 +5,12 @@
 either a single JSON object or a chunked ``application/x-ndjson`` event
 stream (:mod:`repro.serve.protocol`).  The execution model is a bounded
 ``asyncio.Queue`` of :class:`~repro.serve.jobs.Job` objects drained by
-``--jobs`` worker coroutines, each of which runs its job through
-:meth:`~repro.serve.state.WarmState.run_task`: the sweep worker's
-primitive on a shared thread pool, awaited through
-:func:`~repro.serve.state.execute_payload_async`.
+``--jobs`` worker coroutines (``--jobs`` requests in progress at once),
+each of which runs its job through
+:meth:`~repro.serve.state.WarmState.run_task`: a RunStore hit is
+answered at once, a check runs the sweep worker's primitive on the
+daemon's one compute thread, one at a time in arrival order, awaited
+through :func:`~repro.serve.state.execute_payload_async`.
 
 Routes::
 
@@ -99,10 +101,10 @@ class ServeApp:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start the worker pool."""
+        """Bind the listener and start the worker coroutines."""
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-serve")
+            max_workers=1, thread_name_prefix="repro-serve")
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -399,7 +401,9 @@ def serve_main(argv) -> int:
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (default: 0 = pick a free port)")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="worker coroutines / executor threads")
+                        help="requests in progress at once (checks "
+                             "still compute one at a time; RunStore "
+                             "hits answer meanwhile)")
     parser.add_argument("--queue-size", type=int, default=64,
                         help="bounded job-queue capacity (full = 503)")
     parser.add_argument("--state-dir", default=None,

@@ -6,9 +6,11 @@ the per-job event queue the handler streams from, and a request-scoped
 :class:`~repro.obs.trace.Tracer` whose span tree is
 ``request -> queue_wait`` on the handler side and (once a worker picks
 the job up and activates the tracer around the execution primitive)
-``request -> entry -> parse/traversal/check...`` on the worker side.
-The worker activates it only when something reads those spans
-(:attr:`Job.traced`): a streamed request or a ``--trace`` directory.
+``request -> compute_wait`` (a RunStore miss waiting for the daemon's
+one compute turn) and ``request -> entry -> parse/traversal/check...``
+on the worker side.  The worker activates it only when something reads
+those spans (:attr:`Job.traced`): a streamed request or a ``--trace``
+directory.
 
 The bridge between the two worlds is :class:`StreamSink`: a tracer sink
 that forwards every closed span as a protocol ``stage`` event onto the
@@ -16,10 +18,10 @@ job's asyncio queue.  Most spans close on the *executor thread* while
 the queue lives on the *event loop*, so the sink crosses over with
 ``loop.call_soon_threadsafe`` -- the only thread-safe way to wake a
 pending ``queue.get()`` from outside the loop.  A span that closes on
-the loop's own thread (``queue_wait``, ``runstore.put``) is enqueued
-directly, so it lands in the order it closed: ahead of the ``result``
-the worker enqueues after it, never behind the terminal event where no
-reader would see it.
+the loop's own thread (``queue_wait``, ``compute_wait``,
+``runstore.put``) is enqueued directly, so it lands in the order it
+closed: ahead of the ``result`` the worker enqueues after it, never
+behind the terminal event where no reader would see it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from repro.serve import protocol
 
 #: Spans deeper than this are not streamed to clients.  Depth 0 is the
 #: ``request`` span (summarised by the terminal event, not forwarded),
-#: depth 1 is ``queue_wait``/``entry``, depth 2 the pipeline stages
-#: (``parse``, ``traversal``, one ``check`` span per check).  Deeper
-#: kernel spans stay in the trace file (``--trace``), not on the wire.
+#: depth 1 is ``queue_wait``/``compute_wait``/``entry``, depth 2 the
+#: pipeline stages (``parse``, ``traversal``, one ``check`` span per
+#: check).  Deeper kernel spans stay in the trace file (``--trace``),
+#: not on the wire.
 STREAM_DEPTH_LIMIT = 2
 
 

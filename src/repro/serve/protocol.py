@@ -202,9 +202,9 @@ def stage_event(job_id: int,
     """A progress event built from a closed :mod:`repro.obs` span record.
 
     The daemon forwards the worker's span stream (``queue_wait``,
-    ``entry``, ``parse``, ``traversal``, per-check spans, ...) as it
-    closes, which is what makes the response *live* progress rather
-    than a post-hoc report.
+    ``compute_wait``, ``entry``, ``parse``, ``traversal``, per-check
+    spans, ...) as it closes, which is what makes the response *live*
+    progress rather than a post-hoc report.
     """
     event: Dict[str, object] = {
         "type": "stage", "job": job_id,

@@ -23,9 +23,10 @@ life and owns
   recently used names: building a task and resolving its name as a
   base both count as a use, so an editor's base stays while the
   editor re-checks against it),
-* the per-fingerprint single-flight locks (N concurrent requests for
-  the same content cost one computation; a lock lives only while some
-  request holds or awaits it), and
+* the one compute turn (checks run one at a time, in arrival order;
+  N concurrent requests for the same content cost one computation,
+  because whoever gets the turn after the first looks the RunStore up
+  again), and
 * the daemon-wide :class:`~repro.obs.metrics.MetricsRegistry` that
   ``GET /metrics`` snapshots.
 
@@ -43,20 +44,24 @@ to verify, never where the daemon caches or how long it may run.
 
 Verification itself happens in :func:`execute_payload_async`, which
 runs the sweep worker's :func:`~repro.runner.worker.execute_payload` on
-an executor thread -- the serve layer never touches engine internals
-(analyzer rule RA203 pins that).
+the daemon's compute thread -- the serve layer never touches engine
+internals (analyzer rule RA203 pins that).  The checks are pure-Python
+BDD walks that hold the GIL throughout, so two threads computing at
+once would only trade it every switch interval and both finish late;
+the compute turn runs them one after the other instead, while the event
+loop keeps answering RunStore hits, ``/healthz`` and ``/metrics``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
 import os
 from collections import OrderedDict
 from dataclasses import replace
-from typing import AsyncIterator, Dict, Optional
+from typing import Dict, Optional
 
+from repro import obs
 from repro.api.config import EngineConfig
 from repro.api.errors import ApiError
 from repro.api.facade import resolve_base
@@ -96,17 +101,6 @@ async def execute_payload_async(payload: Dict[str, object],
         executor, lambda: context.run(execute_payload, payload))
 
 
-class _Flight:
-    """One fingerprint's single-flight lock and how many requests hold
-    or await it."""
-
-    __slots__ = ("lock", "users")
-
-    def __init__(self) -> None:
-        self.lock = asyncio.Lock()
-        self.users = 0
-
-
 class WarmState:
     """Everything the daemon keeps warm between requests."""
 
@@ -118,7 +112,10 @@ class WarmState:
         self.bdd_dir = os.path.join(self.state_dir, BDD_STORE_DIR)
         self.bdd_store = BDDStore.shared(self.bdd_dir)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._flights: Dict[str, _Flight] = {}
+        #: The one compute turn: a RunStore miss holds it from its
+        #: second lookup until its record is stored.  An asyncio lock
+        #: wakes its waiters first come, first served.
+        self._compute_turn = asyncio.Lock()
         #: Task name -> raw ``.g`` text of the :data:`TASK_SOURCES`
         #: most recently used task names, least recent first, so a later
         #: request can say ``base=<that name>``.
@@ -136,6 +133,7 @@ class WarmState:
         self.metrics.counter("serve.delta.requests")
         self.metrics.histogram("serve.request.seconds")
         self.metrics.histogram("serve.queue_wait.seconds")
+        self.metrics.histogram("serve.compute_wait.seconds")
         self.metrics.histogram("serve.entry.seconds")
         self.metrics.gauge("serve.queue.depth").set(0)
         self.observe_stores()
@@ -191,45 +189,31 @@ class WarmState:
                        provenance={"backend": "serve"})
 
     # ------------------------------------------------------------------
-    # Execution (single-flight, store-backed)
+    # Execution (one compute turn, store-backed)
     # ------------------------------------------------------------------
-    @contextlib.asynccontextmanager
-    async def single_flight(self, fingerprint: str) -> AsyncIterator[None]:
-        """Hold the single-flight lock of one task fingerprint.
-
-        The last request out drops the lock, so the table holds only
-        fingerprints in flight, not every task the daemon has served.
-        """
-        flight = self._flights.get(fingerprint)
-        if flight is None:
-            flight = self._flights[fingerprint] = _Flight()
-        flight.users += 1
-        try:
-            async with flight.lock:
-                yield
-        finally:
-            flight.users -= 1
-            if not flight.users:
-                del self._flights[fingerprint]
-
     async def run_task(self, task: SweepTask,
                        executor: Optional[object] = None) -> EntryResult:
-        """Serve a task from the warm stores, computing at most once.
+        """Serve a task from the warm stores, computing one at a time.
 
-        The double-checked single-flight dance: a RunStore hit is free;
-        on a miss the fingerprint's lock serialises concurrent
-        duplicates, and whoever wins re-checks the store before paying
-        for :func:`execute_payload_async`.  The losers then hit the
-        record the winner persisted -- N concurrent identical requests
-        run one traversal (the concurrency tests assert exactly that
-        through these counters).
+        A RunStore hit is answered at once.  A miss waits for the
+        daemon's compute turn (the ``compute_wait`` span and the
+        ``serve.compute_wait.seconds`` histogram), looks the store up
+        again and only then pays for :func:`execute_payload_async`.
+        Whoever held the turn before stored its record first, so the
+        second lookup is what coalesces concurrent duplicates: N
+        concurrent identical requests run one traversal (the
+        concurrency tests assert exactly that through these counters).
         """
         hit = self.run_store.lookup(task.name, task.fingerprint)
         if hit is not None:
             self.metrics.counter("serve.runstore.hits").add(1)
             return hit
         self.metrics.counter("serve.runstore.misses").add(1)
-        async with self.single_flight(task.fingerprint):
+        with obs.timed("compute_wait") as wait:
+            await self._compute_turn.acquire()
+        try:
+            self.metrics.histogram("serve.compute_wait.seconds").observe(
+                wait.duration_s)
             hit = self.run_store.lookup(task.name, task.fingerprint)
             if hit is not None:
                 self.metrics.counter("serve.runstore.hits").add(1)
@@ -239,6 +223,8 @@ class WarmState:
             result = EntryResult.from_dict(payload)
             self.run_store.put(result)
             return result
+        finally:
+            self._compute_turn.release()
 
     # ------------------------------------------------------------------
     # Introspection (the /metrics half)

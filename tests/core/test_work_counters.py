@@ -29,7 +29,7 @@ PINNED = {
     "parse_g(to_g_string(master_read(8)))": {"cache_lookups": 1_846,
                                              "created_nodes": 595},
     "parse_g(to_g_string(random_parallel_family(5)))": {
-        "cache_lookups": 4_961, "created_nodes": 1_793},
+        "cache_lookups": 4_751, "created_nodes": 1_793},
 }
 TOLERANCE = 0.05
 

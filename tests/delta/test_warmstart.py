@@ -66,6 +66,51 @@ class TestSeedTier:
         assert "delta: tier seed" in warm.report.summary()
 
 
+def lift_by_probing(encoding, base_reached, base_variables):
+    """The lifting ``extend_to_encoding`` replaced, kept as its oracle:
+    each added variable's value probed by ANDing the initial cube with
+    the variable, and the initial state united into every seed."""
+    manager = encoding.manager
+    initial = encoding.initial_state()
+    known = set(base_variables)
+    literals = {name: not (initial & manager.var(name)).is_false()
+                for name in encoding.all_variables if name not in known}
+    return (base_reached & manager.cube(literals)) | initial
+
+
+class TestLifting:
+    """The seed reads each added variable's value off the STG and
+    builds the same BDD as probing the initial cube did."""
+
+    def assert_lifts_as_probing(self, base, edited, config, store):
+        api.run(base, config, checks="csc")
+        seeded = api.run(edited, config, checks="csc", base=base)
+        assert seeded.report.delta["tier"] == TIER_SEED
+        encoding = seeded.pipeline.encoding
+        path, _ = store.find(resolve_base(base, config))
+        base_reached, base_variables = store.load_entry(path,
+                                                        encoding.manager)
+        # An empty base lifts to the initial state alone.
+        for start in (base_reached, encoding.manager.false):
+            assert (warmstart.extend_to_encoding(encoding, start,
+                                                 base_variables)
+                    == lift_by_probing(encoding, start, base_variables))
+
+    @pytest.mark.parametrize("edit", ["edit_closed", "edit_open"])
+    def test_the_edits_seed_as_probing_did(self, edit, base_stg, config,
+                                           store, request):
+        self.assert_lifts_as_probing(base_stg, request.getfixturevalue(edit),
+                                     config, store)
+
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_corpus_probe_edits_seed_as_probing_did(
+            self, name, config, store, copy_stg, add_probe_cycle):
+        base = parse_g(corpus.g_text(name), name=name)
+        self.assert_lifts_as_probing(
+            base, add_probe_cycle(copy_stg(base, name="edited")), config,
+            store)
+
+
 class TestHitTier:
     def test_model_rename_adopts_the_stored_set(self, populated, config,
                                                 store, copy_stg):

@@ -7,6 +7,7 @@ The serve section itself (daemon boot, counter checks) runs end to end
 in ``make bench`` and the CI ``bench`` job.
 """
 
+import gc
 import json
 import os
 import sys
@@ -158,6 +159,47 @@ class TestAlternatingRows:
         assert row["calibration_factor"] == 2.0
         assert (sum(row["stages"].values()) + row["unattributed_s"]
                 == pytest.approx(row["wall_s"], abs=1e-6))
+
+    def test_each_repeat_runs_collected_with_the_collector_off(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "ALTERNATING_REPEATS", 3)
+        monkeypatch.setattr(bench, "kernel_seconds",
+                            lambda: bench.REFERENCE_S)  # no slowdown
+        seen = []
+        collect, real_run = gc.collect, bench.traced_run
+
+        def counting_collect(*args):
+            seen.append("collect")
+            return collect(*args)
+
+        def fake_run(stg, sink):
+            seen.append(gc.isenabled())
+            return real_run(stg, sink)
+
+        monkeypatch.setattr(gc, "collect", counting_collect)
+        monkeypatch.setattr(bench, "traced_run", fake_run)
+        bench.kernel_rows(["vme_read", "mutex3"])
+        # After the two warm-up runs, each repeat collects and then
+        # runs both rows with the collector off.
+        assert seen[2:] == ["collect", False, False] * 3
+        assert gc.isenabled()
+
+    def test_a_failing_repeat_turns_the_collector_back_on(
+            self, monkeypatch):
+        monkeypatch.setattr(bench, "kernel_seconds",
+                            lambda: bench.REFERENCE_S)
+        runs = iter([None])
+        real_run = bench.traced_run
+
+        def failing_run(stg, sink):
+            if next(runs, "timed") == "timed":
+                raise RuntimeError("row failed")
+            return real_run(stg, sink)
+
+        monkeypatch.setattr(bench, "traced_run", failing_run)
+        with pytest.raises(RuntimeError, match="row failed"):
+            bench.kernel_rows(["vme_read"])
+        assert gc.isenabled()
 
     def test_tracing_pairs_alternate_and_report_the_median_share(
             self, monkeypatch):

@@ -8,6 +8,7 @@ shutdown that leaves the JSONL stores intact.
 
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -162,6 +163,64 @@ class TestWarmState:
         assert metric(client, "serve.bdd.misses")["value"] == 1
 
 
+class TestComputeTurn:
+    """Checks compute one at a time, in arrival order, while the daemon
+    keeps answering what needs no computation."""
+
+    def test_cold_checks_compute_one_after_the_other(self, make_daemon):
+        app = make_daemon(jobs=2)
+        client = ServeClient(port=app.port)
+        sent = time.perf_counter()
+
+        def check(name):
+            result = client.check(entry=name, delay=0.3)
+            return result, time.perf_counter() - sent
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            answers = list(pool.map(check, ["handshake", "vme_read"]))
+        assert [result["cached"] for result, _ in answers] == [False] * 2
+        # Two workers took both requests at once, but the second check
+        # started only when the first had finished.
+        assert max(seconds for _, seconds in answers) >= 0.6
+        waits = metric(client, "serve.compute_wait.seconds")
+        assert waits["count"] == 2
+        assert waits["max"] >= 0.2
+
+    def test_a_run_store_hit_answers_while_a_check_computes(
+            self, make_daemon):
+        app = make_daemon(jobs=2)
+        client = ServeClient(port=app.port)
+        client.check(entry="handshake")
+        blocker = client.check_stream(entry="vme_read", delay=0.5)
+        assert next(blocker)["type"] == "queued"
+        assert next(blocker)["type"] == "running"
+        assert client.check(entry="handshake")["cached"] is True
+        assert client.health()["status"] == "ok"
+        # Answered before the check in progress finished: only the
+        # first handshake has been computed so far.
+        assert metric(client, "serve.entry.seconds")["count"] == 1
+        final = list(blocker)[-1]
+        assert final["type"] == "result" and final["cached"] is False
+        assert metric(client, "serve.entry.seconds")["count"] == 2
+
+    def test_a_request_that_waited_streams_its_compute_wait(
+            self, make_daemon):
+        app = make_daemon(jobs=2)
+        client = ServeClient(port=app.port)
+        blocker = client.check_stream(entry="handshake", delay=0.3)
+        assert next(blocker)["type"] == "queued"
+        assert next(blocker)["type"] == "running"
+        events = list(client.check_stream(entry="vme_read"))
+        assert events[-1]["type"] == "result"
+        stages = [event for event in events if event["type"] == "stage"]
+        assert [event["stage"] for event in stages[:2]] == [
+            "queue_wait", "compute_wait"]
+        assert stages[1]["duration_s"] >= 0.1
+        assert [event["stage"] for event in stages[-2:]] == [
+            "entry", "runstore.put"]
+        assert list(blocker)[-1]["type"] == "result"
+
+
 class TestMetricsEndpoint:
     def test_snapshot_carries_the_documented_fields(self, client):
         client.check(entry="handshake")
@@ -170,6 +229,7 @@ class TestMetricsEndpoint:
         metrics = snapshot["metrics"]
         for name in ("serve.requests", "serve.queue.depth",
                      "serve.request.seconds", "serve.queue_wait.seconds",
+                     "serve.compute_wait.seconds",
                      "serve.entry.seconds", "serve.runstore.hits",
                      "serve.runstore.misses", "serve.runstore.records",
                      "serve.bdd.hits", "serve.bdd.misses",

@@ -3,6 +3,8 @@
 import asyncio
 import gc
 import json
+import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -226,18 +228,42 @@ class TestRunTask:
         assert len({json.dumps(result.stable_dict(), sort_keys=True)
                     for result in results}) == 1
 
+    def test_misses_compute_one_at_a_time_in_arrival_order(
+            self, state, monkeypatch):
+        from repro.serve import state as state_module
 
-    def test_finished_flights_leave_no_lock_behind(self, state):
+        names = ("handshake", "vme_read", "mutex_element")
         tasks = [state.make_task(CheckRequest(entry=name))
-                 for name in ("handshake", "vme_read", "mutex_element")]
+                 for name in names]
+        lock = threading.Lock()
+        computing, started, overlaps = [], [], []
+
+        def recording(payload):
+            with lock:
+                overlaps.append(len(computing))
+                computing.append(payload["name"])
+                started.append(payload["name"])
+            time.sleep(0.05)  # room for a second thread to overlap
+            try:
+                return execute_payload(payload)
+            finally:
+                with lock:
+                    computing.remove(payload["name"])
+
+        monkeypatch.setattr(state_module, "execute_payload", recording)
 
         async def scenario():
-            await asyncio.gather(*(state.run_task(task)
-                                   for task in tasks + tasks))
-            return dict(state._flights)
+            return await asyncio.gather(*(state.run_task(task, executor)
+                                          for task in tasks))
 
-        assert asyncio.run(scenario()) == {}
-        assert state.metrics.counter("serve.runstore.misses").value == 6
+        with ThreadPoolExecutor(max_workers=len(tasks)) as executor:
+            results = asyncio.run(scenario())
+        assert [result.status for result in results] == ["ok"] * 3
+        assert started == list(names)
+        assert overlaps == [0, 0, 0]
+        waits = state.metrics.histogram("serve.compute_wait.seconds")
+        assert waits.count == 3
+        assert waits.maximum >= 0.1  # the last waited for two checks
 
     def test_many_cold_tasks_leave_bounded_tables_and_no_manager(
             self, state, monkeypatch):

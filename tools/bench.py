@@ -67,6 +67,7 @@ when the two ranges overlap.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -247,19 +248,26 @@ def kernel_rows(rows) -> list:
     its timings, so a row reads as on a machine where the kernel takes
     ``REFERENCE_S``.  The row's figures are those of its median run (by
     calibrated ``wall_s``), so its stages still sum to its wall time.
+    Each repeat starts from a collected heap and runs with the cyclic
+    collector off, so no collection pass lands inside one timed row.
     """
     stgs = [(row, build_row_stg(row)) for row in rows]
     for _, stg in stgs:
         traced_run(stg, obs.InMemorySink())  # warm-up, untimed
     runs = {row: [] for row in rows}
     for _ in range(ALTERNATING_REPEATS):
-        samples = [kernel_seconds() for _ in range(BURST)]
-        repeat = []
-        for row, stg in stgs:
-            sink = obs.InMemorySink()
-            wall_s, pipeline = traced_run(stg, sink)
-            repeat.append((row, wall_s, sink.records, pipeline))
-        samples += [kernel_seconds() for _ in range(BURST)]
+        gc.collect()
+        gc.disable()
+        try:
+            samples = [kernel_seconds() for _ in range(BURST)]
+            repeat = []
+            for row, stg in stgs:
+                sink = obs.InMemorySink()
+                wall_s, pipeline = traced_run(stg, sink)
+                repeat.append((row, wall_s, sink.records, pipeline))
+            samples += [kernel_seconds() for _ in range(BURST)]
+        finally:
+            gc.enable()
         factor = statistics.median(samples) / REFERENCE_S
         for row, wall_s, records, pipeline in repeat:
             runs[row].append((wall_s / factor, records, pipeline, factor))
